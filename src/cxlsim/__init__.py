@@ -9,6 +9,6 @@ statistics pipeline used to study such systems.
 
 __version__ = "0.1.0"
 
-from .engine import Engine, EngineHaltedError, TICKS_PER_NS, ns_to_ticks
+from .engine import Engine, TICKS_PER_NS, ns_to_ticks
 
-__all__ = ["Engine", "EngineHaltedError", "TICKS_PER_NS", "ns_to_ticks"]
+__all__ = ["Engine", "TICKS_PER_NS", "ns_to_ticks"]

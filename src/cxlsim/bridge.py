@@ -113,7 +113,7 @@ class BridgeConfig:
 class LinkChannel:
     """One link direction: FIFO, cut-through, byte-serialized occupancy."""
 
-    def __init__(self, engine: Engine, bytes_per_ns: float, byte_counter=None):
+    def __init__(self, engine: Engine, bytes_per_ns: float, byte_counter):
         self.engine = engine
         self.bytes_per_ns = bytes_per_ns
         self._busy = False
@@ -129,8 +129,7 @@ class LinkChannel:
             return
         nbytes, deliver = self._queue.popleft()
         self._busy = True
-        if self._bytes is not None:
-            self._bytes.inc(nbytes)
+        self._bytes.inc(nbytes)
         deliver()
         hold = max(1, round(nbytes * 1000 / self.bytes_per_ns))
 
@@ -140,15 +139,11 @@ class LinkChannel:
 
         self.engine.schedule(hold, release)
 
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
-
 
 class CxlBridge:
     """Fig-style bridge: two FIFO pairs, conversion latency, retry logic."""
 
-    def __init__(self, engine: Engine, config: BridgeConfig, stats=None):
+    def __init__(self, engine: Engine, config: BridgeConfig, stats):
         config.validate()
         self.engine = engine
         self.config = config
@@ -158,25 +153,15 @@ class CxlBridge:
         self._waiters: deque = deque()   # held (pkt, on_response)
         self._resp_slots = 0             # downstream resp FIFO incl. reservations
         self._egress_waiters: deque = deque()
-        self.down_req: deque = deque()   # converted requests awaiting TX
-        self.down_resp: deque = deque()  # responses awaiting conversion
-        if stats is not None:
-            self.retry_counts = stats.counter("bridge.reqRetryCounts")
-            self.req_occupancy = stats.gauge("bridge.reqFifoOccupancy")
-            self.resp_occupancy = stats.gauge("bridge.respFifoOccupancy")
-            self.m2s_sent = stats.counter("bridge.m2sSent")
-            self.s2m_received = stats.counter("bridge.s2mReceived")
-            tx_bytes = stats.counter("bridge.txBytes")
-            rx_bytes = stats.counter("bridge.rxBytes")
-        else:
-            self.retry_counts = _NullCounter()
-            self.req_occupancy = _NullGauge()
-            self.resp_occupancy = _NullGauge()
-            self.m2s_sent = _NullCounter()
-            self.s2m_received = _NullCounter()
-            tx_bytes = rx_bytes = None
-        self.tx = LinkChannel(engine, config.link_bytes_per_ns_tx, tx_bytes)
-        self.rx = LinkChannel(engine, config.link_bytes_per_ns_rx, rx_bytes)
+        self.retry_counts = stats.counter("bridge.reqRetryCounts")
+        self.req_occupancy = stats.gauge("bridge.reqFifoOccupancy")
+        self.resp_occupancy = stats.gauge("bridge.respFifoOccupancy")
+        self.m2s_sent = stats.counter("bridge.m2sSent")
+        self.s2m_received = stats.counter("bridge.s2mReceived")
+        self.tx = LinkChannel(engine, config.link_bytes_per_ns_tx,
+                              stats.counter("bridge.txBytes"))
+        self.rx = LinkChannel(engine, config.link_bytes_per_ns_rx,
+                              stats.counter("bridge.rxBytes"))
 
     def attach_device(self, base: int, limit: int, device) -> None:
         self._devices.append((base, limit, device))
@@ -187,10 +172,6 @@ class CxlBridge:
             if base <= addr < limit:
                 return device
         raise ProtocolError(f"no CXL device backs address {addr:#x}")
-
-    @property
-    def in_flight(self) -> int:
-        return self._credits
 
     # -- request path ------------------------------------------------------
 
@@ -211,41 +192,31 @@ class CxlBridge:
             raise ProtocolError(f"request id {pkt.id} already in flight")
         self._inflight[pkt.id] = (pkt, on_response)
 
-        def converted():
-            cxl = convert_m2s(pkt)
-            self.down_req.append(cxl)
-            self._tx_kick()
+        self.engine.schedule(self.config.traversal_lat,
+                             lambda: self._send_m2s(convert_m2s(pkt)))
 
-        self.engine.schedule(self.config.traversal_lat, converted)
-
-    def _tx_kick(self) -> None:
-        while self.down_req:
-            cxl = self.down_req.popleft()
-            device = self._device_for(cxl.addr)
-            nbytes = self.config.msg_header_bytes + cxl.payload_bytes
-            self.m2s_sent.inc()
-            self.tx.transmit(nbytes, lambda c=cxl, d=device: d.receive_m2s(c))
+    def _send_m2s(self, cxl: CxlMemPacket) -> None:
+        device = self._device_for(cxl.addr)
+        nbytes = self.config.msg_header_bytes + cxl.payload_bytes
+        self.m2s_sent.inc()
+        self.tx.transmit(nbytes, lambda: device.receive_m2s(cxl))
 
     # -- response path -----------------------------------------------------
 
-    def device_egress(self, cxl: CxlMemPacket, on_sent=None) -> None:
+    def device_egress(self, cxl: CxlMemPacket) -> None:
         """Device-side delivery; stalls when the response FIFO is full."""
         if self._resp_slots < self.config.resp_fifo_depth:
             self._resp_slots += 1
             self.resp_occupancy.set(self._resp_slots)
             nbytes = self.config.msg_header_bytes + cxl.payload_bytes
-            if on_sent is not None:
-                on_sent()
             self.rx.transmit(nbytes, lambda: self._arrived(cxl))
         else:
-            self._egress_waiters.append((cxl, on_sent))
+            self._egress_waiters.append(cxl)
 
     def _arrived(self, cxl: CxlMemPacket) -> None:
         self.s2m_received.inc()
-        self.down_resp.append(cxl)
 
         def converted():
-            self.down_resp.remove(cxl)
             try:
                 request, on_response = self._inflight.pop(cxl.id)
             except KeyError:
@@ -261,8 +232,7 @@ class CxlBridge:
         self._resp_slots -= 1
         self.resp_occupancy.set(self._resp_slots)
         if self._egress_waiters:
-            cxl, on_sent = self._egress_waiters.popleft()
-            self.device_egress(cxl, on_sent)
+            self.device_egress(self._egress_waiters.popleft())
 
     def _release_credit(self) -> None:
         self._credits -= 1
@@ -273,21 +243,3 @@ class CxlBridge:
             # every other held sender re-offers and is refused again.
             self.retry_counts.inc(len(self._waiters))
             self._admit(pkt, on_response)
-
-
-class _NullCounter:
-    value = 0
-
-    def inc(self, n=1):
-        pass
-
-
-class _NullGauge:
-    value = 0
-    max_value = 0
-
-    def set(self, v):
-        pass
-
-    def add(self, d):
-        pass

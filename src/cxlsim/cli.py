@@ -120,27 +120,26 @@ def cmd_run(args) -> int:
 def _get_by_path(cfg: dict, path: str):
     node = cfg
     for part in path.split("."):
-        if part.endswith("]"):
-            name, _, idx = part.partition("[")
-            node = node[name][int(idx[:-1])]
-        else:
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"sweep param {path!r}: no field {part!r}")
-            node = node[part]
+        name, bracket, idx = part.partition("[")
+        try:
+            if not isinstance(node, dict) or name not in node:
+                raise KeyError(name)
+            node = node[name]
+            if bracket:
+                node = node[int(idx[:-1])]
+        except (KeyError, IndexError, TypeError, ValueError):
+            raise ConfigError(f"sweep param {path!r}: no field {part!r}") from None
     return node
 
 
 def _set_by_path(cfg: dict, path: str, value) -> None:
-    parts = path.split(".")
-    node = cfg
-    for part in parts[:-1]:
-        if part.endswith("]"):
-            name, _, idx = part.partition("[")
-            node = node[name][int(idx[:-1])]
-        else:
-            node = node[part]
-    last = parts[-1]
-    node[last] = value
+    """Set a field that _get_by_path has found."""
+    parent, _, last = path.rpartition(".")
+    node = _get_by_path(cfg, parent) if parent else cfg
+    name, bracket, idx = last.partition("[")
+    if bracket:
+        node, name = node[name], int(idx[:-1])
+    node[name] = value
 
 
 def _parse_grid(grid: str) -> List:
@@ -167,7 +166,11 @@ def _sweep_worker(payload: Tuple[str, str]) -> Tuple[str, dict]:
 def _threads() -> int:
     env = os.environ.get("CXLSIM_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(
+                f"CXLSIM_THREADS: expected an integer, got {env!r}") from None
     return min(4, os.cpu_count() or 1)
 
 

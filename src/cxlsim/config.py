@@ -69,12 +69,17 @@ _NONNEG = lambda v: v >= 0
 NUM = (int, float)
 
 
+_MEDIUM_FIELDS = {
+    "queued_ddr": {"read_service_ns", "write_service_ns",
+                   "turnaround_penalty_ns", "access_lat_ns", "queue_capacity"},
+    "coarse_dram": {"access_lat_ns", "width"},
+}
+
+
 def _check_medium(med: dict, path: str) -> None:
-    _no_unknown(med, {"kind", "read_service_ns", "write_service_ns",
-                      "turnaround_penalty_ns", "access_lat_ns",
-                      "queue_capacity", "width"}, path)
     kind = _require(med, "kind", path, str,
-                    lambda v: v in ("queued_ddr", "coarse_dram"), "unknown medium kind")
+                    lambda v: v in _MEDIUM_FIELDS, "unknown medium kind")
+    _no_unknown(med, {"kind"} | _MEDIUM_FIELDS[kind], path)
     if kind == "queued_ddr":
         _require(med, "read_service_ns", path, NUM, _NONNEG, "must be >= 0")
         _require(med, "write_service_ns", path, NUM, _NONNEG, "must be >= 0")
@@ -86,6 +91,18 @@ def _check_medium(med: dict, path: str) -> None:
     else:
         _require(med, "access_lat_ns", path, NUM, _NONNEG, "must be >= 0")
         _require(med, "width", path, int, _POS, "must be > 0")
+
+
+def _device_medium_spec(dev: dict) -> dict:
+    """The medium spec of a DRAM-backed device: its ddr or coarse block,
+    with the device's medium_access_lat_ns as the access latency unless
+    the ddr block sets its own."""
+    if dev["medium"] == "queued_ddr":
+        block = dev["ddr"]
+    else:
+        block = {"width": 16, **dev.get("coarse", {})}
+    return {"access_lat_ns": dev["medium_access_lat_ns"], **block,
+            "kind": dev["medium"]}
 
 
 def _check_workload(wld: dict, path: str) -> None:
@@ -170,11 +187,13 @@ def validate_config(cfg: dict) -> dict:
                           lambda v: v in ("coarse_dram", "queued_ddr", "ssd"),
                           "unknown medium")
         if medium == "queued_ddr":
-            ddr = _require(dev, "ddr", p, dict)
-            _check_medium({"kind": "queued_ddr", **ddr, "access_lat_ns":
-                           ddr.get("access_lat_ns", dev["medium_access_lat_ns"])},
-                          f"{p}.ddr")
-        if medium == "ssd":
+            _require(dev, "ddr", p, dict)
+            _check_medium(_device_medium_spec(dev), f"{p}.ddr")
+        elif medium == "coarse_dram":
+            coarse = _require(dev, "coarse", p, dict) if "coarse" in dev else {}
+            _no_unknown(coarse, {"width"}, f"{p}.coarse")
+            _check_medium(_device_medium_spec(dev), f"{p}.coarse")
+        else:
             ssd = _require(dev, "ssd", p, dict)
             sp = f"{p}.ssd"
             _no_unknown(ssd, {"page_bytes", "read_latency_us", "write_latency_us",
@@ -270,23 +289,6 @@ def _latency_workload(placement: str) -> dict:
             "injectors": 1, "lsq_depth": 1}
 
 
-def preset(name: str) -> dict:
-    makers: Dict[str, Callable[[], dict]] = {
-        "local-ddr": _preset_local,
-        "cxl-dmsim-f": _preset_fpga,
-        "cxl-dmsim-a": _preset_asic,
-        "cxl-ssd": _preset_ssd,
-    }
-    if name not in makers:
-        raise ConfigError(f"unknown preset {name!r}; choose from "
-                          f"{sorted(makers)}")
-    return validate_config(makers[name]())
-
-
-def preset_names() -> List[str]:
-    return ["local-ddr", "cxl-dmsim-f", "cxl-dmsim-a", "cxl-ssd"]
-
-
 def _preset_local() -> dict:
     return {"schema_version": SCHEMA_VERSION, "label": "local-ddr", "seed": 7,
             "host": _default_host(), "devices": [],
@@ -330,6 +332,25 @@ def _preset_ssd() -> dict:
                          "injectors": 1, "lsq_depth": 8}}
 
 
+PRESETS: Dict[str, Callable[[], dict]] = {
+    "local-ddr": _preset_local,
+    "cxl-dmsim-f": _preset_fpga,
+    "cxl-dmsim-a": _preset_asic,
+    "cxl-ssd": _preset_ssd,
+}
+
+
+def preset(name: str) -> dict:
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; choose from "
+                          f"{sorted(PRESETS)}")
+    return validate_config(PRESETS[name]())
+
+
+def preset_names() -> List[str]:
+    return list(PRESETS)
+
+
 # -- topology assembly -----------------------------------------------------------
 
 
@@ -337,7 +358,7 @@ def _build_medium(engine: Engine, spec: dict, stats, prefix: str):
     if spec["kind"] == "coarse_dram":
         return CoarseDram(engine, CoarseDramConfig(
             access_lat=ns_to_ticks(spec["access_lat_ns"]),
-            width=spec["width"]), stats, prefix)
+            width=spec["width"]))
     return QueuedDdr(engine, QueuedDdrConfig(
         read_service=ns_to_ticks(spec["read_service_ns"]),
         write_service=ns_to_ticks(spec["write_service_ns"]),
@@ -347,20 +368,9 @@ def _build_medium(engine: Engine, spec: dict, stats, prefix: str):
 
 
 def _build_device_medium(engine: Engine, dev: dict, stats, prefix: str):
-    medium = dev["medium"]
-    access = ns_to_ticks(dev["medium_access_lat_ns"])
-    if medium == "coarse_dram":
-        width = dev.get("coarse", {}).get("width", 16)
-        return CoarseDram(engine, CoarseDramConfig(access, width), stats, prefix)
-    if medium == "queued_ddr":
-        ddr = dev["ddr"]
-        return QueuedDdr(engine, QueuedDdrConfig(
-            read_service=ns_to_ticks(ddr["read_service_ns"]),
-            write_service=ns_to_ticks(ddr["write_service_ns"]),
-            turnaround_penalty=ns_to_ticks(ddr["turnaround_penalty_ns"]),
-            access_lat=ns_to_ticks(ddr.get("access_lat_ns",
-                                           dev["medium_access_lat_ns"])),
-            queue_capacity=ddr["queue_capacity"]), stats, f"{prefix}.dram")
+    if dev["medium"] != "ssd":
+        return _build_medium(engine, _device_medium_spec(dev), stats,
+                             f"{prefix}.dram")
     # SSD backend, optionally fronted by the device cache.
     ssd_cfg = dev["ssd"]
     ssd = SsdMedium(engine, SsdConfig(
@@ -375,11 +385,11 @@ def _build_device_medium(engine: Engine, dev: dict, stats, prefix: str):
     return SsdCachedMedium(engine, ssd,
                            DeviceCacheConfig(capacity=cache["capacity_kb"] * KB,
                                              policy=cache["policy"]),
-                           hit_latency=access, stats=stats,
-                           prefetcher=prefetcher)
+                           hit_latency=ns_to_ticks(dev["medium_access_lat_ns"]),
+                           stats=stats, prefetcher=prefetcher)
 
 
-def _workload_injectors(wld: dict) -> InjectorConfig:
+def _workload_injectors(wld: dict, think_time: int) -> InjectorConfig:
     defaults = {
         "latency_sweep": (1, 1),
         "stream": (2, 6),
@@ -390,7 +400,7 @@ def _workload_injectors(wld: dict) -> InjectorConfig:
     count, lsq = defaults[wld["kind"]]
     return InjectorConfig(count=wld.get("injectors", count),
                           lsq_depth=wld.get("lsq_depth", lsq),
-                          think_time=0)
+                          think_time=think_time)
 
 
 def build_system(cfg: dict) -> System:
@@ -416,9 +426,8 @@ def build_system(cfg: dict) -> System:
             capacity=lvl["capacity_kb"] * KB, associativity=lvl["assoc"],
             hit_latency=ns_to_ticks(lvl["hit_latency_ns"])), stats))
 
-    wld = cfg["workload"]
-    inj_cfg = _workload_injectors(wld)
-    inj_cfg.think_time = ns_to_ticks(hostc["injectors"]["think_time_ns"])
+    inj_cfg = _workload_injectors(
+        cfg["workload"], ns_to_ticks(hostc["injectors"]["think_time_ns"]))
     inj_cfg.validate()
 
     host = HostPath(engine, caches, membus, inj_cfg,
@@ -446,9 +455,8 @@ def build_system(cfg: dict) -> System:
             medium = _build_device_medium(engine, dev, stats, prefix)
             expander = MemExpander(engine, CxlDeviceConfig(
                 hdm_size=dev["hdm_size_mb"] * MB,
-                device_proto_proc_lat=ns_to_ticks(dev["device_proto_proc_lat_ns"]),
-                medium_access_lat=ns_to_ticks(dev["medium_access_lat_ns"]),
-                medium=dev["medium"]), medium, stats, prefix)
+                device_proto_proc_lat=ns_to_ticks(dev["device_proto_proc_lat_ns"])),
+                medium, stats, prefix)
             rng = enumerate_expander(addr_map, expander, bridge)
             devices.append(expander)
             allocators.append(HdmAllocator(dev["hdm_size_mb"] * MB))
@@ -459,80 +467,90 @@ def build_system(cfg: dict) -> System:
     return System(engine=engine, stats=stats, addr_map=addr_map, membus=membus,
                   host=host, bridge=bridge, devices=devices,
                   numa_nodes=numa_nodes, hdm_allocators=allocators,
-                  config=cfg, seed=cfg["seed"], ticks_per_cycle=ticks_per_cycle)
+                  config=cfg, seed=cfg["seed"])
 
 
 # -- workload dispatch ------------------------------------------------------------
 
 
-def _placement_policy(wld: dict, system: System) -> Policy:
-    choice = wld.get("placement", "hdm" if system.devices else "local")
+def _placement_policy(wld: dict, has_devices: bool) -> Policy:
+    choice = wld.get("placement", "hdm" if has_devices else "local")
     if choice == "local":
         return Policy.bind(0)
     if choice == "hdm":
-        if not system.devices:
+        if not has_devices:
             raise ConfigError("config.workload.placement: no HDM node configured")
         return Policy.bind(1)
     return Policy.interleave((0, 1), (0.5, 0.5))
 
 
-def run_workload(cfg: dict) -> wl.WorkloadResult:
-    """Build the topology and run the configured workload to quiesce."""
+def _workload_spec(cfg: dict):
+    """The workload block as a workload Spec, with the kind's defaults."""
     wld = cfg["workload"]
     kind = wld["kind"]
-
+    placement = _placement_policy(wld, bool(cfg.get("devices")))
+    if kind == "latency_sweep":
+        return wl.LatencySweepSpec(
+            array_sizes=[k * KB for k in wld.get("array_kb", DEFAULT_SWEEP_KB)],
+            stride=wld.get("stride", 64),
+            samples=wld.get("samples", 3000),
+            placement=placement)
+    if kind == "stream":
+        return wl.StreamSpec(
+            kernel=wld.get("kernel", "copy"),
+            array_bytes=wld.get("array_mb", 64) * MB,
+            groups=wld.get("groups", 8000),
+            warm_groups=wld.get("warm_groups", 800),
+            placement=placement)
     if kind == "rdwr_sweep":
-        def factory() -> System:
-            return build_system(cfg)
-        probe = factory()
-        spec = wl.RdWrSweepSpec(
+        return wl.RdWrSweepSpec(
             read_fractions=wld.get("read_fractions",
                                    [round(0.5 + 0.025 * i, 3) for i in range(21)]),
             rates_bytes_per_ns=wld.get("rates_bytes_per_ns", [64.0]),
             footprint=wld.get("footprint_mb", 64) * MB,
             ops=wld.get("ops", 6000),
             warm_ops=wld.get("warm_ops", 500),
-            injectors=wld.get("injectors", 4),
-            lsq_depth=wld.get("lsq_depth", 32),
-            placement=_placement_policy(wld, probe))
-        return wl.run_rdwr_sweep(factory, spec)
-
-    system = build_system(cfg)
-    placement = _placement_policy(wld, system)
-    if kind == "latency_sweep":
-        spec = wl.LatencySweepSpec(
-            array_sizes=[k * KB for k in wld.get("array_kb", DEFAULT_SWEEP_KB)],
-            stride=wld.get("stride", 64),
-            samples=wld.get("samples", 3000),
             placement=placement)
-        return wl.run_latency_sweep(system, spec)
-    if kind == "stream":
-        spec = wl.StreamSpec(
-            kernel=wld.get("kernel", "copy"),
-            array_bytes=wld.get("array_mb", 64) * MB,
-            groups=wld.get("groups", 8000),
-            warm_groups=wld.get("warm_groups", 800),
-            injectors=wld.get("injectors", 2),
-            mlp=wld.get("lsq_depth", 8),
-            placement=placement)
-        return wl.run_stream(system, spec)
     if kind == "dlrm_proxy":
-        spec = wl.DlrmProxySpec(
-            injectors=wld.get("injectors", 12),
+        return wl.DlrmProxySpec(
             queries_per_injector=wld.get("queries_per_injector", 128),
             lookups_per_query=wld.get("lookups_per_query", 16),
             footprint=wld.get("footprint_mb", 64) * MB,
-            lsq_depth=wld.get("lsq_depth", 8),
             placement=placement)
-        return wl.run_dlrm_proxy(system, spec)
     if kind == "kv_proxy":
-        spec = wl.KvProxySpec(
+        return wl.KvProxySpec(
             ops=wld.get("ops", 40000),
             put_fraction=wld.get("put_fraction", 0.5),
             hot_fraction=wld.get("hot_fraction", 0.94),
             hot_window_pages=wld.get("hot_window_pages", 48),
             footprint=wld.get("footprint_mb", 8) * MB,
-            lsq_depth=wld.get("lsq_depth", 8),
             warm_ops=wld.get("warm_ops", 2000))
-        return wl.run_kv_proxy(system, spec)
     raise ConfigError(f"config.workload.kind: unhandled kind {kind!r}")
+
+
+def run_workload(cfg: dict) -> wl.WorkloadResult:
+    """Build the topology and run the configured workload to quiesce.
+
+    The workload parameters are checked before any engine is built.
+    """
+    cfg = validate_config(cfg)
+    kind = cfg["workload"]["kind"]
+    spec = _workload_spec(cfg)
+    try:
+        if kind == "stream":
+            spec.validate(cfg["host"]["caches"]["l3"]["capacity_kb"] * KB)
+        else:
+            spec.validate()
+    except ValueError as exc:
+        raise ConfigError(f"config.workload.{exc}") from None
+
+    if kind == "rdwr_sweep":
+        return wl.run_rdwr_sweep(lambda: build_system(cfg), spec)
+    system = build_system(cfg)
+    if kind == "latency_sweep":
+        return wl.run_latency_sweep(system, spec)
+    if kind == "stream":
+        return wl.run_stream(system, spec)
+    if kind == "dlrm_proxy":
+        return wl.run_dlrm_proxy(system, spec)
+    return wl.run_kv_proxy(system, spec)

@@ -69,21 +69,19 @@ class ConfigSpace:
 class CxlDeviceConfig:
     hdm_size: int
     device_proto_proc_lat: int   # ticks, charged per message direction
-    medium_access_lat: int       # ticks, backend medium access knob
-    medium: str = "coarse_dram"  # coarse_dram | queued_ddr | ssd
 
     def validate(self) -> None:
         if self.hdm_size <= 0:
             raise ValueError("hdm_size must be > 0")
-        if self.device_proto_proc_lat < 0 or self.medium_access_lat < 0:
-            raise ValueError("latencies must be >= 0")
+        if self.device_proto_proc_lat < 0:
+            raise ValueError("device_proto_proc_lat must be >= 0")
 
 
 class MemExpander:
     """Memory controller plus backend medium behind one BAR window."""
 
     def __init__(self, engine: Engine, config: CxlDeviceConfig, medium,
-                 stats=None, prefix: str = "cxl"):
+                 stats, prefix: str = "cxl"):
         config.validate()
         self.engine = engine
         self.config = config
@@ -91,12 +89,9 @@ class MemExpander:
         self.config_space = ConfigSpace(bars=[BaseAddressRegister(config.hdm_size)])
         self._shadow: Dict[int, bytes] = {}
         self._bridge: Optional[CxlBridge] = None
-        if stats is not None:
-            self.rsp_time = stats.histogram(f"{prefix}.rsp")
-            self.reads = stats.counter(f"{prefix}.reads")
-            self.writes = stats.counter(f"{prefix}.writes")
-        else:
-            self.rsp_time = self.reads = self.writes = None
+        self.rsp_time = stats.histogram(f"{prefix}.rsp")
+        self.reads = stats.counter(f"{prefix}.reads")
+        self.writes = stats.counter(f"{prefix}.writes")
 
     @property
     def bar(self) -> BaseAddressRegister:
@@ -123,10 +118,7 @@ class MemExpander:
         arrival = self.engine.now
         offset = self.translate(pkt.addr)
         is_read = pkt.kind is CxlKind.M2S_REQ
-        if is_read and self.reads is not None:
-            self.reads.inc()
-        elif not is_read and self.writes is not None:
-            self.writes.inc()
+        (self.reads if is_read else self.writes).inc()
 
         def parsed():
             self._medium_access(
@@ -155,8 +147,7 @@ class MemExpander:
                                     data=result)
             else:
                 resp = CxlMemPacket(CxlKind.S2M_NDR, pkt.id, pkt.addr, 0)
-            if self.rsp_time is not None:
-                self.rsp_time.record(self.engine.now - arrival)
+            self.rsp_time.record(self.engine.now - arrival)
             self._bridge.device_egress(resp)
 
         self.engine.schedule(self.config.device_proto_proc_lat, built)

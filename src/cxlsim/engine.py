@@ -4,7 +4,7 @@ All simulated time is kept in integer ticks of one picosecond so that
 nanosecond-valued latency parameters stay exactly representable and long
 latency sums never drift.  Events that share a tick fire in insertion
 order, which is what makes two runs with the same configuration and seed
-produce bit-identical event logs.
+fire the same events in the same order.
 
 One engine instance is strictly single-threaded; independent instances
 share no state and may run in parallel processes.
@@ -13,7 +13,7 @@ share no state and may run in parallel processes.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Optional
+from typing import Callable
 
 TICKS_PER_NS = 1000
 
@@ -23,67 +23,20 @@ def ns_to_ticks(value: float) -> int:
     return int(round(value * TICKS_PER_NS))
 
 
-def ticks_to_ns(ticks: int) -> float:
-    return ticks / TICKS_PER_NS
-
-
-class EngineHaltedError(RuntimeError):
-    """Raised when scheduling is attempted on a halted engine."""
-
-
-class EventHandle:
-    """Cancellation token for a scheduled event."""
-
-    __slots__ = ("when", "seq", "action", "cancelled", "fired")
-
-    def __init__(self, when: int, seq: int, action: Callable[[], None]):
-        self.when = when
-        self.seq = seq
-        self.action = action
-        self.cancelled = False
-        self.fired = False
-
-
 class Engine:
-    """Global clock plus a (when, seq)-ordered event queue."""
+    """Global clock plus a heap of (when, seq, action) events."""
 
     def __init__(self):
         self.now: int = 0
-        self.halted: bool = False
         self._seq: int = 0
         self._queue: list = []
-        # Set to a list to record (when, seq) pairs of every fired event.
-        self.trace: Optional[list] = None
 
-    def schedule(self, delay: int, action: Callable[[], None]) -> EventHandle:
+    def schedule(self, delay: int, action: Callable[[], None]) -> None:
         """Schedule `action` to run `delay` ticks from now."""
-        if self.halted:
-            raise EngineHaltedError("cannot schedule events on a halted engine")
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        handle = EventHandle(self.now + delay, self._seq, action)
+        heapq.heappush(self._queue, (self.now + delay, self._seq, action))
         self._seq += 1
-        heapq.heappush(self._queue, (handle.when, handle.seq, handle))
-        return handle
-
-    def schedule_at(self, when: int, action: Callable[[], None]) -> EventHandle:
-        if when < self.now:
-            raise ValueError(f"cannot schedule in the past ({when} < {self.now})")
-        return self.schedule(when - self.now, action)
-
-    def cancel(self, handle: EventHandle) -> bool:
-        """True if the event was removed before firing; False otherwise."""
-        if handle.fired or handle.cancelled:
-            return False
-        handle.cancelled = True
-        return True
-
-    def _fire(self, when: int, seq: int, handle: EventHandle) -> None:
-        self.now = when
-        handle.fired = True
-        if self.trace is not None:
-            self.trace.append((when, seq))
-        handle.action()
 
     def run_until(self, limit: int) -> int:
         """Execute all events with when <= limit; returns the final time."""
@@ -91,10 +44,8 @@ class Engine:
             raise ValueError(f"limit {limit} is before now {self.now}")
         queue = self._queue
         while queue and queue[0][0] <= limit:
-            when, seq, handle = heapq.heappop(queue)
-            if handle.cancelled:
-                continue
-            self._fire(when, seq, handle)
+            self.now, _seq, action = heapq.heappop(queue)
+            action()
         self.now = max(self.now, limit)
         return self.now
 
@@ -102,15 +53,6 @@ class Engine:
         """Execute events until the queue drains; returns the final time."""
         queue = self._queue
         while queue:
-            when, seq, handle = heapq.heappop(queue)
-            if handle.cancelled:
-                continue
-            self._fire(when, seq, handle)
+            self.now, _seq, action = heapq.heappop(queue)
+            action()
         return self.now
-
-    def halt(self) -> None:
-        self.halted = True
-
-    def pending(self) -> int:
-        """Number of queued (possibly cancelled) events; for tests."""
-        return len(self._queue)

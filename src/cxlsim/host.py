@@ -63,9 +63,7 @@ class MemPacket:
     addr: int
     size: int = LINE_BYTES
     issue_tick: int = 0
-    origin: int = -1
     cacheable: bool = True
-    writeback: bool = False
     data: Optional[bytes] = None
 
     def __post_init__(self):
@@ -77,8 +75,7 @@ class MemPacket:
     def make_response(self, data: Optional[bytes] = None) -> "MemPacket":
         return MemPacket(id=self.id, cmd=RESPONSE_FOR[self.cmd], addr=self.addr,
                          size=self.size, issue_tick=self.issue_tick,
-                         origin=self.origin, cacheable=self.cacheable,
-                         writeback=self.writeback, data=data)
+                         cacheable=self.cacheable, data=data)
 
 
 @dataclass(frozen=True)
@@ -146,19 +143,16 @@ class CacheLevelConfig:
 class Cache:
     """One set-associative level; LRU replacement within each set."""
 
-    def __init__(self, name: str, config: CacheLevelConfig, stats=None):
+    def __init__(self, name: str, config: CacheLevelConfig, stats):
         config.validate()
         self.name = name
         self.config = config
         self.num_sets = config.capacity // (config.associativity * config.line)
         self.ways = config.associativity
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
-        if stats is not None:
-            self.lookups = stats.counter(f"{name}.lookups")
-            self.hits = stats.counter(f"{name}.hits")
-            self.misses = stats.counter(f"{name}.misses")
-        else:
-            self.lookups = self.hits = self.misses = None
+        self.lookups = stats.counter(f"{name}.lookups")
+        self.hits = stats.counter(f"{name}.hits")
+        self.misses = stats.counter(f"{name}.misses")
 
     def _locate(self, line: int) -> Tuple[OrderedDict, int]:
         return self._sets[line % self.num_sets], line // self.num_sets
@@ -166,15 +160,12 @@ class Cache:
     def touch(self, line: int) -> bool:
         """Lookup; refreshes LRU order on a hit."""
         cset, tag = self._locate(line)
-        if self.lookups is not None:
-            self.lookups.inc()
+        self.lookups.inc()
         if tag in cset:
             cset.move_to_end(tag)
-            if self.hits is not None:
-                self.hits.inc()
+            self.hits.inc()
             return True
-        if self.misses is not None:
-            self.misses.inc()
+        self.misses.inc()
         return False
 
     def contains(self, line: int) -> bool:
@@ -206,15 +197,12 @@ class Cache:
 class MemBus:
     """Routes packets by address range; charges the caller-chosen latency."""
 
-    def __init__(self, engine: Engine, addr_map: AddressMap, stats=None):
+    def __init__(self, engine: Engine, addr_map: AddressMap, stats):
         self.engine = engine
         self.addr_map = addr_map
         self.targets: Dict[Target, object] = {}
-        if stats is not None:
-            self.to_local = stats.counter("membus.toLocal")
-            self.to_bridge = stats.counter("membus.toBridge")
-        else:
-            self.to_local = self.to_bridge = None
+        self.to_local = stats.counter("membus.toLocal")
+        self.to_bridge = stats.counter("membus.toBridge")
 
     def attach(self, target: Target, port) -> None:
         self.targets[target] = port
@@ -226,8 +214,7 @@ class MemBus:
              on_response: Callable[[MemPacket], None]) -> None:
         rng = self.route(pkt)
         counter = self.to_bridge if rng.target is Target.BRIDGE else self.to_local
-        if counter is not None:
-            counter.inc()
+        counter.inc()
         port = self.targets[rng.target]
         self.engine.schedule(lat, lambda: port.receive(pkt, on_response))
 
@@ -248,16 +235,16 @@ class CacheHierarchy:
     """Shared L1/L2/L3 with a single MSHR table below the last level."""
 
     def __init__(self, engine: Engine, levels: List[Cache], membus: MemBus,
-                 membus_lat: int, stats=None):
+                 membus_lat: int, stats):
         self.engine = engine
         self.levels = levels
         self.membus = membus
         self.membus_lat = membus_lat
         self._mshrs: Dict[int, list] = {}
         self._pkt_ids = itertools.count(1 << 48)  # fill/writeback id space
-        self._wb_outstanding = stats.gauge("membus.writebacksInFlight") if stats else None
-        self._miss_lat = stats.histogram("l3.overallAvgMissLat") if stats else None
-        self._mshr_merges = stats.counter("l3.mshrMerges") if stats else None
+        self._wb_outstanding = stats.gauge("membus.writebacksInFlight")
+        self._miss_lat = stats.histogram("l3.overallAvgMissLat")
+        self._mshr_merges = stats.counter("l3.mshrMerges")
 
     def access(self, pkt: MemPacket, on_complete: Callable[[MemPacket], None]) -> None:
         self._lookup(0, pkt, on_complete)
@@ -304,21 +291,15 @@ class CacheHierarchy:
     def _issue_writeback(self, line: int) -> None:
         wb = MemPacket(id=next(self._pkt_ids), cmd=MemCmd.WRITE_REQ,
                        addr=line * LINE_BYTES, issue_tick=self.engine.now,
-                       cacheable=False, writeback=True)
-        if self._wb_outstanding is not None:
-            self._wb_outstanding.add(1)
-
-        def done(_resp):
-            if self._wb_outstanding is not None:
-                self._wb_outstanding.add(-1)
-
-        self.membus.send(wb, self.membus_lat, done)
+                       cacheable=False)
+        self._wb_outstanding.add(1)
+        self.membus.send(wb, self.membus_lat,
+                         lambda _resp: self._wb_outstanding.add(-1))
 
     def _miss(self, pkt, on_complete) -> None:
         line = pkt.addr // LINE_BYTES
         if line in self._mshrs:
-            if self._mshr_merges is not None:
-                self._mshr_merges.inc()
+            self._mshr_merges.inc()
             self._mshrs[line].append((pkt, on_complete))
             return
         self._mshrs[line] = [(pkt, on_complete)]
@@ -330,8 +311,7 @@ class CacheHierarchy:
                          lambda resp: self._fill(line, miss_tick))
 
     def _fill(self, line: int, miss_tick: int) -> None:
-        if self._miss_lat is not None:
-            self._miss_lat.record(self.engine.now - miss_tick)
+        self._miss_lat.record(self.engine.now - miss_tick)
         self._promote(len(self.levels) - 1, line)
         waiters = self._mshrs.pop(line)
         for pkt, on_complete in waiters:
@@ -348,9 +328,9 @@ class CacheHierarchy:
 
 @dataclass
 class InjectorConfig:
-    count: int = 1
-    lsq_depth: int = 8
-    think_time: int = 0   # ticks between dispatches from the pending queue
+    count: int
+    lsq_depth: int
+    think_time: int       # ticks between dispatches from the pending queue
 
     def validate(self) -> None:
         if self.lsq_depth < 1:
@@ -368,10 +348,9 @@ class Injector:
     """
 
     def __init__(self, engine: Engine, inj_id: int, config: InjectorConfig,
-                 dispatch, load_to_use=None, lsq_full=None, outstanding=None,
-                 ticks_per_cycle: float = 400.0):
+                 dispatch, load_to_use, lsq_full, outstanding,
+                 ticks_per_cycle: float):
         self.engine = engine
-        self.id = inj_id
         self.config = config
         self._dispatch = dispatch
         self._in_flight = 0
@@ -382,35 +361,28 @@ class Injector:
         self._ticks_per_cycle = ticks_per_cycle
         self._ids = itertools.count(inj_id << 32)
 
-    @property
-    def in_flight(self) -> int:
-        return self._in_flight
-
     def issue(self, cmd: MemCmd, addr: int, size: int = LINE_BYTES,
               cacheable: bool = True, on_complete=None,
               data: Optional[bytes] = None) -> int:
         pkt = MemPacket(id=next(self._ids), cmd=cmd, addr=addr, size=size,
-                        origin=self.id, cacheable=cacheable, data=data)
+                        cacheable=cacheable, data=data)
         if self._in_flight < self.config.lsq_depth and not self._pending:
             self._start(pkt, on_complete)
         else:
-            if self._lsq_full is not None:
-                self._lsq_full.inc()
+            self._lsq_full.inc()
             self._pending.append((pkt, on_complete))
         return pkt.id
 
     def _start(self, pkt: MemPacket, on_complete) -> None:
         self._in_flight += 1
-        if self._outstanding is not None:
-            self._outstanding.add(1)
+        self._outstanding.add(1)
         pkt.issue_tick = self.engine.now
         self._dispatch(pkt, lambda done_pkt: self._finish(done_pkt, on_complete))
 
     def _finish(self, pkt: MemPacket, on_complete) -> None:
         self._in_flight -= 1
-        if self._outstanding is not None:
-            self._outstanding.add(-1)
-        if pkt.cmd is MemCmd.READ_REQ and self._load_to_use is not None:
+        self._outstanding.add(-1)
+        if pkt.cmd is MemCmd.READ_REQ:
             self._load_to_use.record(
                 (self.engine.now - pkt.issue_tick) / self._ticks_per_cycle)
         if self._pending and self._in_flight < self.config.lsq_depth:
@@ -430,7 +402,7 @@ class HostPath:
 
     def __init__(self, engine: Engine, caches: List[Cache], membus: MemBus,
                  injector_config: InjectorConfig, host_path_lat: int,
-                 stats=None, ticks_per_cycle: float = 400.0):
+                 stats, ticks_per_cycle: float):
         lookup_sum = sum(c.config.hit_latency for c in caches)
         if host_path_lat < lookup_sum:
             raise ValueError(
@@ -441,13 +413,10 @@ class HostPath:
         self.host_path_lat = host_path_lat
         membus_lat = host_path_lat - lookup_sum
         self.hierarchy = CacheHierarchy(engine, caches, membus, membus_lat, stats)
-        if stats is not None:
-            load_to_use = stats.histogram(
-                "core.loadToUse", edges=(0, 10, 100, 1000, 10000, 100000))
-            lsq_full = stats.counter("core.lsqFullEvents")
-            outstanding = stats.gauge("core.outstandingRequests")
-        else:
-            load_to_use = lsq_full = outstanding = None
+        load_to_use = stats.histogram(
+            "core.loadToUse", edges=(0, 10, 100, 1000, 10000, 100000))
+        lsq_full = stats.counter("core.lsqFullEvents")
+        outstanding = stats.gauge("core.outstandingRequests")
         self.injectors = [
             Injector(engine, i, injector_config, self._dispatch,
                      load_to_use, lsq_full, outstanding, ticks_per_cycle)

@@ -29,7 +29,7 @@ WRITE = "write"
 @dataclass
 class CoarseDramConfig:
     access_lat: int          # ticks per request
-    width: int = 16          # requests in flight concurrently
+    width: int               # requests in flight concurrently
 
 
 @dataclass
@@ -50,20 +50,13 @@ class QueuedDdrConfig:
 class CoarseDram:
     """Fixed-latency medium with a parallelism cap."""
 
-    def __init__(self, engine: Engine, config: CoarseDramConfig, stats=None,
-                 prefix: str = "dram"):
+    def __init__(self, engine: Engine, config: CoarseDramConfig):
         self.engine = engine
         self.config = config
         self._in_service = 0
         self._backlog: deque = deque()
-        self.reads = 0
-        self.writes = 0
 
     def submit(self, kind: str, on_done: Callable[[], None]) -> None:
-        if kind == READ:
-            self.reads += 1
-        else:
-            self.writes += 1
         if self._in_service < self.config.width:
             self._start(on_done)
         else:
@@ -89,7 +82,7 @@ class QueuedDdr:
     <prefix>.avgMemAccLat, both in ticks.
     """
 
-    def __init__(self, engine: Engine, config: QueuedDdrConfig, stats=None,
+    def __init__(self, engine: Engine, config: QueuedDdrConfig, stats,
                  prefix: str = "dram"):
         config.validate()
         self.engine = engine
@@ -101,8 +94,8 @@ class QueuedDdr:
         self.reads = 0
         self.writes = 0
         self.turnarounds = 0
-        self._avg_q = stats.mean(f"{prefix}.avgQLat") if stats else None
-        self._avg_acc = stats.mean(f"{prefix}.avgMemAccLat") if stats else None
+        self._avg_q = stats.mean(f"{prefix}.avgQLat")
+        self._avg_acc = stats.mean(f"{prefix}.avgMemAccLat")
 
     def submit(self, kind: str, on_done: Callable[[], None]) -> None:
         if kind == READ:
@@ -131,9 +124,8 @@ class QueuedDdr:
             service += self.config.turnaround_penalty
             self.turnarounds += 1
         self._last_dir = kind
-        if self._avg_q is not None:
-            self._avg_q.record(wait)
-            self._avg_acc.record(wait + service + self.config.access_lat)
+        self._avg_q.record(wait)
+        self._avg_acc.record(wait + service + self.config.access_lat)
 
         def bus_released():
             self._busy = False

@@ -60,7 +60,6 @@ class SsdConfig:
 class DeviceCacheConfig:
     capacity: int
     policy: str = "lru"       # lru | fifo
-    writeback: bool = True
 
     def validate(self, page_size: int) -> None:
         if self.capacity % page_size:
@@ -133,27 +132,22 @@ class BestOffsetPrefetcher:
 class SsdMedium:
     """Page store with FIFO channel arbitration."""
 
-    def __init__(self, engine: Engine, config: SsdConfig, stats=None):
+    def __init__(self, engine: Engine, config: SsdConfig, stats):
         config.validate()
         self.engine = engine
         self.config = config
         self._store: Dict[int, bytes] = {}
         self._busy = 0
         self._backlog: deque = deque()
-        if stats is not None:
-            self.page_reads = stats.counter("ssd.pageReads")
-            self.page_writes = stats.counter("ssd.pageWrites")
-        else:
-            self.page_reads = self.page_writes = None
+        self.page_reads = stats.counter("ssd.pageReads")
+        self.page_writes = stats.counter("ssd.pageWrites")
 
     def io(self, page: int, kind: str, on_done: Callable[[], None]) -> None:
         if kind == "read":
-            if self.page_reads is not None:
-                self.page_reads.inc()
+            self.page_reads.inc()
             lat = self.config.read_latency
         else:
-            if self.page_writes is not None:
-                self.page_writes.inc()
+            self.page_writes.inc()
             lat = self.config.write_latency
         if self._busy < self.config.parallel_channels:
             self._start(lat, on_done)
@@ -194,7 +188,7 @@ class SsdCachedMedium:
     functional = True
 
     def __init__(self, engine: Engine, ssd: SsdMedium, cache: DeviceCacheConfig,
-                 hit_latency: int, stats=None,
+                 hit_latency: int, stats,
                  prefetcher: Optional[BestOffsetPrefetcher] = None):
         cache.validate(ssd.config.page_size)
         self.engine = engine
@@ -206,16 +200,12 @@ class SsdCachedMedium:
         self.capacity_pages = cache.capacity // self.page_size
         self._pages: OrderedDict = OrderedDict()      # page -> _CachedPage
         self._inflight: Dict[int, dict] = {}          # page -> fetch record
-        if stats is not None:
-            self.hits = stats.counter("ssdcache.hits")
-            self.misses = stats.counter("ssdcache.misses")
-            self.late_hits = stats.counter("ssdcache.lateHits")
-            self.prefetch_issued = stats.counter("ssdcache.prefetchIssued")
-            self.prefetch_useful = stats.counter("ssdcache.prefetchUseful")
-            self.writebacks = stats.counter("ssdcache.writebacks")
-        else:
-            self.hits = self.misses = self.late_hits = None
-            self.prefetch_issued = self.prefetch_useful = self.writebacks = None
+        self.hits = stats.counter("ssdcache.hits")
+        self.misses = stats.counter("ssdcache.misses")
+        self.late_hits = stats.counter("ssdcache.lateHits")
+        self.prefetch_issued = stats.counter("ssdcache.prefetchIssued")
+        self.prefetch_useful = stats.counter("ssdcache.prefetchUseful")
+        self.writebacks = stats.counter("ssdcache.writebacks")
 
     # -- medium interface ---------------------------------------------------
 
@@ -224,14 +214,12 @@ class SsdCachedMedium:
         page = offset // self.page_size
         entry = self._pages.get(page)
         if entry is not None:
-            if self.hits is not None:
-                self.hits.inc()
+            self.hits.inc()
             if self.cache_config.policy == "lru":
                 self._pages.move_to_end(page)
             candidate = None
             if entry.prefetched and not entry.referenced:
-                if self.prefetch_useful is not None:
-                    self.prefetch_useful.inc()
+                self.prefetch_useful.inc()
                 entry.referenced = True
                 if self.prefetcher is not None:
                     candidate = self.prefetcher.update(page)
@@ -245,16 +233,14 @@ class SsdCachedMedium:
             record = self._inflight[page]
             record["waiters"].append((offset, kind, data, on_done))
             if record["prefetch"]:
-                if self.late_hits is not None:
-                    self.late_hits.inc()
+                self.late_hits.inc()
                 if self.prefetcher is not None:
                     candidate = self.prefetcher.update(page)
                     if candidate is not None:
                         self._maybe_prefetch(candidate, trigger=page)
             return
 
-        if self.misses is not None:
-            self.misses.inc()
+        self.misses.inc()
         candidate = self.prefetcher.update(page) if self.prefetcher else None
         self._fetch(page, prefetch=False, trigger=page,
                     waiters=[(offset, kind, data, on_done)])
@@ -276,8 +262,7 @@ class SsdCachedMedium:
     def _maybe_prefetch(self, page: int, trigger: int) -> None:
         if page in self._pages or page in self._inflight:
             return
-        if self.prefetch_issued is not None:
-            self.prefetch_issued.inc()
+        self.prefetch_issued.inc()
         self._fetch(page, prefetch=True, trigger=trigger, waiters=[])
 
     def _fetch(self, page: int, prefetch: bool, trigger: int, waiters: list) -> None:
@@ -316,9 +301,8 @@ class SsdCachedMedium:
         if victim_page is None:
             return False
         victim = self._pages.pop(victim_page)
-        if victim.dirty and self.cache_config.writeback:
-            if self.writebacks is not None:
-                self.writebacks.inc()
+        if victim.dirty:
+            self.writebacks.inc()
             # Data reaches the flash store now; program time still occupies
             # a channel so the timing cost is paid.
             self.ssd.write_page(victim_page, bytes(victim.data))

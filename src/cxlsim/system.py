@@ -33,7 +33,6 @@ class System:
     hdm_allocators: List[HdmAllocator]
     config: dict
     seed: int
-    ticks_per_cycle: float
     _page_cursor: Dict[int, int] = field(default_factory=dict)
 
     @property

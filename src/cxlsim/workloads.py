@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .engine import TICKS_PER_NS
@@ -78,25 +78,50 @@ class _PagedRegion:
         return self.addr(line * LINE_BYTES)
 
 
+class _Window:
+    """Measure window over a run's completions: stamps the tick of the
+    `start`-th and of the `end`-th completion."""
+
+    def __init__(self, engine, start: int, end: int):
+        self.engine = engine
+        self.start = start
+        self.end = end
+        self.done = 0
+        self.t0 = 0
+        self.t1 = 0
+
+    def complete(self, _pkt) -> None:
+        self.done += 1
+        if self.done == self.start:
+            self.t0 = self.engine.now
+        if self.done == self.end:
+            self.t1 = self.engine.now
+
+    def rate(self, amount: int) -> float:
+        """`amount` per simulated second over the window; 0.0 when the
+        window is empty."""
+        elapsed = self.t1 - self.t0
+        return amount * TICKS_PER_S / elapsed if elapsed else 0.0
+
+
 # -- latency sweep -------------------------------------------------------------
 
 
 @dataclass
 class LatencySweepSpec:
     array_sizes: Sequence[int]
-    stride: int = LINE_BYTES
-    samples: int = 3000
-    placement: Policy = field(default_factory=lambda: Policy.bind(0))
+    stride: int
+    samples: int
+    placement: Policy
 
     def validate(self) -> None:
         if self.stride < LINE_BYTES:
-            raise ValueError("stride must be >= one cache line")
+            raise ValueError("stride: must be >= one cache line")
         if list(self.array_sizes) != sorted(self.array_sizes):
-            raise ValueError("array sizes must be ascending")
+            raise ValueError("array_kb: sizes must be ascending")
 
 
 def run_latency_sweep(system: System, spec: LatencySweepSpec) -> WorkloadResult:
-    spec.validate()
     injector = system.injectors[0]
     engine = system.engine
     l3_capacity = system.host.hierarchy.levels[-1].config.capacity
@@ -166,20 +191,18 @@ STREAM_KERNELS = {
 @dataclass
 class StreamSpec:
     kernel: str
-    array_bytes: int = 64 * 1024 * 1024
-    groups: int = 8000            # 64B line groups simulated (the window)
-    warm_groups: int = 800
-    injectors: int = 2
-    mlp: int = 6
-    placement: Policy = field(default_factory=lambda: Policy.bind(0))
+    array_bytes: int
+    groups: int                   # 64B line groups simulated (the window)
+    warm_groups: int
+    placement: Policy
 
     def validate(self, llc_capacity: int) -> None:
         if self.kernel not in STREAM_KERNELS:
-            raise ValueError(f"unknown STREAM kernel {self.kernel!r}")
+            raise ValueError(f"kernel: unknown STREAM kernel {self.kernel!r}")
         if self.array_bytes < 8 * llc_capacity:
-            raise ValueError("array_bytes must be at least 8x the LLC size")
+            raise ValueError("array_mb: must be at least 8x the LLC size")
         if self.warm_groups >= self.groups:
-            raise ValueError("warm_groups must be below groups")
+            raise ValueError("warm_groups: must be below groups")
 
 
 def stream_bytes_per_group(kernel: str) -> int:
@@ -190,7 +213,6 @@ def stream_bytes_per_group(kernel: str) -> int:
 def run_stream(system: System, spec: StreamSpec) -> WorkloadResult:
     hierarchy = system.host.hierarchy
     llc = hierarchy.levels[-1]
-    spec.validate(llc.config.capacity)
     engine = system.engine
     reads, writes = STREAM_KERNELS[spec.kernel]
     arrays = {name: _PagedRegion(system, spec.array_bytes, spec.placement)
@@ -209,20 +231,14 @@ def run_stream(system: System, spec: StreamSpec) -> WorkloadResult:
 
     ops_per_group = len(reads) + len(writes)
     total_ops = spec.groups * ops_per_group
-    warm_ops = spec.warm_groups * ops_per_group
-    progress = {"done": 0, "t0": 0, "t1": 0}
-
-    def on_complete(_pkt):
-        progress["done"] += 1
-        if progress["done"] == warm_ops:
-            progress["t0"] = engine.now
-        if progress["done"] == total_ops:
-            progress["t1"] = engine.now
+    window = _Window(engine, spec.warm_groups * ops_per_group, total_ops)
+    on_complete = window.complete   # one bound method for every request
+    injectors = len(system.injectors)
 
     # Interleave groups across injectors so all streams advance together.
     def feed(inj_index: int):
         injector = system.injectors[inj_index]
-        for group in range(inj_index, spec.groups, spec.injectors):
+        for group in range(inj_index, spec.groups, injectors):
             for name in reads:
                 injector.issue(MemCmd.READ_REQ, arrays[name].line_addr(group),
                                on_complete=on_complete)
@@ -230,13 +246,12 @@ def run_stream(system: System, spec: StreamSpec) -> WorkloadResult:
                 injector.issue(MemCmd.WRITE_REQ, arrays[name].line_addr(group),
                                on_complete=on_complete)
 
-    for inj_index in range(spec.injectors):
+    for inj_index in range(injectors):
         engine.schedule(0, lambda k=inj_index: feed(k))
     engine.run()
 
-    measured_bytes = (spec.groups - spec.warm_groups) * stream_bytes_per_group(spec.kernel)
-    elapsed = progress["t1"] - progress["t0"]
-    bw = measured_bytes * TICKS_PER_S / elapsed if elapsed else 0.0
+    bw = window.rate((spec.groups - spec.warm_groups)
+                     * stream_bytes_per_group(spec.kernel))
     summary = {"kind": "stream", "kernel": spec.kernel,
                "bytes_per_sec": bw,
                "read_byte_fraction": len(reads) / ops_per_group}
@@ -250,26 +265,26 @@ def run_stream(system: System, spec: StreamSpec) -> WorkloadResult:
 @dataclass
 class RdWrSweepSpec:
     read_fractions: Sequence[float]
-    rates_bytes_per_ns: Sequence[float] = (64.0,)
-    footprint: int = 64 * 1024 * 1024
-    ops: int = 6000
-    warm_ops: int = 500
-    injectors: int = 4
-    lsq_depth: int = 32
-    placement: Policy = field(default_factory=lambda: Policy.bind(0))
+    rates_bytes_per_ns: Sequence[float]
+    footprint: int
+    ops: int
+    warm_ops: int
+    placement: Policy
 
     def validate(self) -> None:
         for r in self.read_fractions:
             if not 0.0 <= r <= 1.0:
-                raise ValueError("read fractions must lie in [0, 1]")
+                raise ValueError("read_fractions: must lie in [0, 1]")
+        for rate in self.rates_bytes_per_ns:
+            if not rate > 0:
+                raise ValueError("rates_bytes_per_ns: must be > 0")
         if self.warm_ops >= self.ops:
-            raise ValueError("warm_ops must be below ops")
+            raise ValueError("warm_ops: must be below ops")
 
 
 def run_rdwr_sweep(factory: Callable[[], System],
                    spec: RdWrSweepSpec) -> WorkloadResult:
     """One fresh system per (read_fraction, rate) grid point."""
-    spec.validate()
     rows: List[tuple] = []
     last_system: Optional[System] = None
 
@@ -304,20 +319,18 @@ def _run_rdwr_point(system: System, spec: RdWrSweepSpec, read_fraction: float,
     region = _PagedRegion(system, spec.footprint, spec.placement)
     num_lines = spec.footprint // LINE_BYTES
     interval = max(1, round(LINE_BYTES * TICKS_PER_NS / rate))
-    progress = {"done": 0, "t0": 0, "t1": 0, "lat_sum": 0}
+    window = _Window(engine, spec.warm_ops, spec.ops)
+    lat_sum = 0
     arrivals: Dict[int, int] = {}
 
     def on_complete(pkt):
-        progress["done"] += 1
-        if progress["done"] > spec.warm_ops:
-            progress["lat_sum"] += engine.now - arrivals[pkt.id]
-        if progress["done"] == spec.warm_ops:
-            progress["t0"] = engine.now
-        elif progress["done"] == spec.ops:
-            progress["t1"] = engine.now
+        nonlocal lat_sum
+        window.complete(pkt)
+        if window.done > spec.warm_ops:
+            lat_sum += engine.now - arrivals[pkt.id]
 
     def issue_op(k: int):
-        injector = system.injectors[k % spec.injectors]
+        injector = system.injectors[k % len(system.injectors)]
         cmd = MemCmd.READ_REQ if rng.random() < read_fraction else MemCmd.WRITE_REQ
         addr = region.line_addr(rng.randrange(num_lines))
         pkt_id = injector.issue(cmd, addr, cacheable=False,
@@ -329,9 +342,8 @@ def _run_rdwr_point(system: System, spec: RdWrSweepSpec, read_fraction: float,
     engine.run()
 
     measured = spec.ops - spec.warm_ops
-    elapsed = progress["t1"] - progress["t0"]
-    bw = measured * LINE_BYTES * TICKS_PER_S / elapsed if elapsed else 0.0
-    lat_ns = progress["lat_sum"] / measured / TICKS_PER_NS if measured else 0.0
+    bw = window.rate(measured * LINE_BYTES)
+    lat_ns = lat_sum / measured / TICKS_PER_NS if measured else 0.0
     return bw, round(lat_ns, 6)
 
 
@@ -340,12 +352,16 @@ def _run_rdwr_point(system: System, spec: RdWrSweepSpec, read_fraction: float,
 
 @dataclass
 class DlrmProxySpec:
-    injectors: int = 12
-    queries_per_injector: int = 128
-    lookups_per_query: int = 16
-    footprint: int = 64 * 1024 * 1024
-    lsq_depth: int = 8
-    placement: Policy = field(default_factory=lambda: Policy.bind(0))
+    queries_per_injector: int
+    lookups_per_query: int
+    footprint: int
+    placement: Policy
+
+    def validate(self) -> None:
+        if self.queries_per_injector < 1:
+            raise ValueError("queries_per_injector: must be > 0")
+        if self.lookups_per_query < 1:
+            raise ValueError("lookups_per_query: must be > 0")
 
 
 def run_dlrm_proxy(system: System, spec: DlrmProxySpec) -> WorkloadResult:
@@ -377,19 +393,20 @@ def run_dlrm_proxy(system: System, spec: DlrmProxySpec) -> WorkloadResult:
 
         next_query()
 
-    for k in range(spec.injectors):
+    injectors = len(system.injectors)
+    for k in range(injectors):
         engine.schedule(0, lambda k=k: start_injector(k))
     engine.run()
 
     elapsed = finished["t_end"]
-    total_queries = spec.injectors * spec.queries_per_injector
+    total_queries = injectors * spec.queries_per_injector
     agg_qps = total_queries * TICKS_PER_S / elapsed if elapsed else 0.0
-    per_inj = agg_qps / spec.injectors
-    summary = {"kind": "dlrm_proxy", "injectors": spec.injectors,
+    per_inj = agg_qps / injectors
+    summary = {"kind": "dlrm_proxy", "injectors": injectors,
                "aggregateQps": agg_qps, "perInjectorQps": per_inj,
                "duration_ns": elapsed / TICKS_PER_NS}
     return WorkloadResult(["injectors", "aggregate_qps", "per_injector_qps"],
-                          [(spec.injectors, agg_qps, per_inj)], summary, system)
+                          [(injectors, agg_qps, per_inj)], summary, system)
 
 
 # -- key-value get/put proxy for the SSD study -----------------------------------
@@ -397,13 +414,16 @@ def run_dlrm_proxy(system: System, spec: DlrmProxySpec) -> WorkloadResult:
 
 @dataclass
 class KvProxySpec:
-    ops: int = 40000
-    put_fraction: float = 0.5
-    hot_fraction: float = 0.94
-    hot_window_pages: int = 48
-    footprint: int = 8 * 1024 * 1024
-    lsq_depth: int = 8
-    warm_ops: int = 2000
+    ops: int
+    put_fraction: float
+    hot_fraction: float
+    hot_window_pages: int
+    footprint: int
+    warm_ops: int
+
+    def validate(self) -> None:
+        if self.warm_ops >= self.ops:
+            raise ValueError("warm_ops: must be below ops")
 
 
 def run_kv_proxy(system: System, spec: KvProxySpec) -> WorkloadResult:
@@ -418,16 +438,8 @@ def run_kv_proxy(system: System, spec: KvProxySpec) -> WorkloadResult:
     total_lines = spec.footprint // LINE_BYTES
     lines_per_page = PAGE_BYTES // LINE_BYTES
     hot_lines = spec.hot_window_pages * lines_per_page
-
-    progress = {"done": 0, "t0": 0, "t1": 0}
-
-    def on_complete(_pkt):
-        progress["done"] += 1
-        if progress["done"] == spec.warm_ops:
-            progress["t0"] = engine.now
-        elif progress["done"] == spec.ops:
-            progress["t1"] = engine.now
-
+    window = _Window(engine, spec.warm_ops, spec.ops)
+    on_complete = window.complete   # one bound method for every request
     frontier = 0
     injector = system.injectors[0]
     for _ in range(spec.ops):
@@ -446,9 +458,7 @@ def run_kv_proxy(system: System, spec: KvProxySpec) -> WorkloadResult:
                            cacheable=False, on_complete=on_complete)
     engine.run()
 
-    measured = spec.ops - spec.warm_ops
-    elapsed = progress["t1"] - progress["t0"]
-    throughput = measured * TICKS_PER_S / elapsed if elapsed else 0.0
+    throughput = window.rate(spec.ops - spec.warm_ops)
     summary = {"kind": "kv_proxy", "ops": spec.ops,
                "throughput_ops_per_sec": throughput}
     return WorkloadResult(["ops", "throughput_ops_per_sec"],

@@ -14,7 +14,7 @@ def make_bridge(engine, stats=None, req_depth=4, resp_depth=4,
                        host_proto_proc_lat=ns_to_ticks(proto_ns),
                        req_fifo_depth=req_depth, resp_fifo_depth=resp_depth,
                        link_bytes_per_ns_tx=link, link_bytes_per_ns_rx=link)
-    return CxlBridge(engine, cfg, stats)
+    return CxlBridge(engine, cfg, stats or StatsRegistry())
 
 
 class EchoDevice:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -33,6 +34,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="write_service_ns"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("coarse,field", [
+        ({"width": 0}, "width"),
+        ({"width": "x"}, "width"),
+        ({"widht": 4}, "widht"),
+        ({"access_lat_ns": 30.0}, "access_lat_ns"),
+    ])
+    def test_bad_coarse_block_names_field(self, coarse, field):
+        cfg = preset("cxl-dmsim-a")
+        cfg["devices"] = [coarse_device(coarse)]
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"config.devices[0].coarse.{field}")):
+            validate_config(cfg)
+
+    def test_coarse_block_defaults_width(self):
+        cfg = preset("cxl-dmsim-a")
+        cfg["devices"] = [coarse_device(None)]
+        assert validate_config(cfg)["devices"][0]["medium"] == "coarse_dram"
+
     def test_all_presets_validate(self):
         for name in preset_names():
             assert validate_config(preset(name))
@@ -52,6 +71,17 @@ class TestValidation:
                            {"workload": {"samples": 5}})
         assert cfg["workload"]["samples"] == 5
         assert cfg["workload"]["kind"] == "latency_sweep"
+
+
+def coarse_device(coarse):
+    """The cxl-dmsim-a device on a coarse_dram medium; `coarse` is its
+    coarse block, or None to leave the block out."""
+    dev = preset("cxl-dmsim-a")["devices"][0]
+    del dev["ddr"]
+    dev["medium"] = "coarse_dram"
+    if coarse is not None:
+        dev["coarse"] = coarse
+    return dev
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -174,6 +204,68 @@ class TestCli:
         rc = cli.main(["report", str(tmp_path / "a"), str(tmp_path / "b"),
                        "--figure", "latency", "--out", str(tmp_path / "f.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("overlay,field", [
+        ({"devices": [coarse_device({"width": 0})]},
+         "config.devices[0].coarse.width"),
+        ({"devices": [coarse_device({"width": "x"})]},
+         "config.devices[0].coarse.width"),
+        ({"devices": [coarse_device({"widht": 4})]},
+         "config.devices[0].coarse.widht"),
+        ({"workload": {"kind": "stream", "kernel": "copy", "groups": 100,
+                       "warm_groups": 100, "placement": "hdm"}},
+         "config.workload.warm_groups"),
+        ({"workload": {"kind": "kv_proxy", "ops": 100, "warm_ops": 200,
+                       "footprint_mb": 1}},
+         "config.workload.warm_ops"),
+        ({"workload": {"kind": "rdwr_sweep", "read_fractions": [1.0],
+                       "rates_bytes_per_ns": [0], "ops": 600,
+                       "warm_ops": 100, "placement": "hdm"}},
+         "config.workload.rates_bytes_per_ns"),
+        ({"workload": {"kind": "dlrm_proxy", "queries_per_injector": 0,
+                       "placement": "hdm"}},
+         "config.workload.queries_per_injector"),
+    ])
+    def test_run_rejects_bad_field_with_exit_2(self, tmp_path, capsys,
+                                               overlay, field):
+        cfg = write_cfg(tmp_path, overlay)
+        rc = cli.main(["run", "--preset", "cxl-dmsim-a", "--config", cfg,
+                       "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_sweep_bad_index_path_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TINY_WORKLOAD)
+        rc = cli.main(["sweep", "--preset", "local-ddr", "--config", cfg,
+                       "--param", "devices[0].hdm_size_mb", "--grid", "1,2",
+                       "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert "devices[0]" in capsys.readouterr().err
+
+    def test_sweep_bad_thread_count_exits_2(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setenv("CXLSIM_THREADS", "x")
+        cfg = write_cfg(tmp_path, TINY_WORKLOAD)
+        rc = cli.main(["sweep", "--preset", "local-ddr", "--config", cfg,
+                       "--param", "seed", "--grid", "1,2",
+                       "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert "CXLSIM_THREADS" in capsys.readouterr().err
+
+    def test_sweep_sets_indexed_field(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"workload": {
+            "kind": "latency_sweep", "array_kb": [16], "samples": 20,
+            "placement": "hdm"}})
+        rc = cli.main(["sweep", "--preset", "cxl-dmsim-a", "--config", cfg,
+                       "--param", "devices[0].device_proto_proc_lat_ns",
+                       "--grid", "20", "--out", str(tmp_path / "s")])
+        assert rc == 0
+        point = json.loads(next((tmp_path / "s").glob("point_*"))
+                           .joinpath("config.json").read_text())
+        assert point["devices"][0]["device_proto_proc_lat_ns"] == 20
 
     def test_presets_listing(self, capsys):
         assert cli.main(["presets"]) == 0

@@ -14,11 +14,11 @@ from cxlsim.device import (ALL_ONES, BaseAddressRegister, CxlDeviceConfig,
 GB = 1 << 30
 
 
-def make_device(engine, hdm=GB, proto_ns=15, medium_ns=50, stats=None):
+def make_device(engine, hdm=GB, proto_ns=15, medium_ns=50):
     medium = CoarseDram(engine, CoarseDramConfig(ns_to_ticks(medium_ns), width=8))
     return MemExpander(engine, CxlDeviceConfig(
-        hdm_size=hdm, device_proto_proc_lat=ns_to_ticks(proto_ns),
-        medium_access_lat=ns_to_ticks(medium_ns)), medium, stats)
+        hdm_size=hdm, device_proto_proc_lat=ns_to_ticks(proto_ns)),
+        medium, StatsRegistry())
 
 
 class CollectingBridge:
@@ -26,7 +26,7 @@ class CollectingBridge:
         self.engine = engine
         self.responses = []
 
-    def device_egress(self, pkt, on_sent=None):
+    def device_egress(self, pkt):
         self.responses.append((self.engine.now, pkt))
 
 
@@ -125,8 +125,7 @@ def test_service_charges_proto_then_medium_then_proto():
     amap.add_range(0, GB, Target.LOCAL_DRAM)
     medium = SpyMedium(engine, CoarseDramConfig(ns_to_ticks(50), width=8))
     dev = MemExpander(engine, CxlDeviceConfig(
-        hdm_size=GB, device_proto_proc_lat=ns_to_ticks(15),
-        medium_access_lat=ns_to_ticks(50)), medium, stats)
+        hdm_size=GB, device_proto_proc_lat=ns_to_ticks(15)), medium, stats)
     enumerate_expander(amap, dev)
     sink = CollectingBridge(engine)
     dev.bind_bridge(sink)

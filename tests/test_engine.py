@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cxlsim.engine import Engine, EngineHaltedError, ns_to_ticks
+from cxlsim.engine import Engine, ns_to_ticks
 
 
 def test_same_tick_fifo_order():
@@ -51,58 +51,25 @@ def test_self_rescheduling_chain_count(limit, period):
     assert count[0] == limit // period + 1
 
 
-def test_cancel_before_firing():
-    engine = Engine()
-    fired = []
-    handle = engine.schedule(10, lambda: fired.append(1))
-    assert engine.cancel(handle) is True
-    engine.run()
-    assert fired == []
-
-
-def test_cancel_after_firing_returns_false():
-    engine = Engine()
-    handle = engine.schedule(10, lambda: None)
-    engine.run()
-    assert engine.cancel(handle) is False
-    assert engine.cancel(handle) is False  # idempotent
-
-
-def test_cancel_then_reschedule_fires_once():
-    engine = Engine()
-    engine.trace = []
-    fired = []
-    action = lambda: fired.append(engine.now)
-    handle = engine.schedule(10, action)
-    engine.cancel(handle)
-    engine.schedule(20, action)
-    engine.run()
-    assert fired == [20]
-    assert len(engine.trace) == 1
-
-
 def test_two_runs_identical_event_order():
     def build():
         engine = Engine()
-        engine.trace = []
+        fired = []
 
         def spawn(depth):
+            fired.append((engine.now, "spawn", depth))
             if depth:
                 engine.schedule(depth * 3, lambda: spawn(depth - 1))
-                engine.schedule(depth * 3, lambda: None)
+                engine.schedule(depth * 3,
+                                lambda: fired.append((engine.now, "leaf", depth)))
 
         engine.schedule(0, lambda: spawn(10))
         engine.run()
-        return engine.trace
+        return fired
 
-    assert build() == build()
-
-
-def test_schedule_after_halt_rejected():
-    engine = Engine()
-    engine.halt()
-    with pytest.raises(EngineHaltedError):
-        engine.schedule(0, lambda: None)
+    first = build()
+    assert len(first) == 21
+    assert first == build()
 
 
 def test_negative_delay_rejected():

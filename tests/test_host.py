@@ -7,6 +7,7 @@ from conftest import build, patched_preset, tiny_cache_patch
 from cxlsim.host import (AddressFault, AddressMap, Cache, CacheLevelConfig,
                          LINE_BYTES, MemCmd, MemPacket, Target)
 from cxlsim.config import run_workload
+from cxlsim.stats import StatsRegistry
 
 
 def test_mem_packet_validation():
@@ -54,7 +55,8 @@ class TestCache:
     def make(self, capacity=4096, assoc=4):
         return Cache("l1", CacheLevelConfig(capacity=capacity,
                                             associativity=assoc,
-                                            hit_latency=1000))
+                                            hit_latency=1000),
+                     StatsRegistry())
 
     def test_lru_within_set(self):
         # one set: capacity = assoc * line

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cxlsim.engine import Engine, ns_to_ticks
+from cxlsim.stats import StatsRegistry
 from cxlsim.media import (READ, WRITE, CoarseDram, CoarseDramConfig,
                           QueuedDdr, QueuedDdrConfig)
 
@@ -11,7 +12,7 @@ def make_ddr(engine, read=13, write=13, penalty=2, access=50, cap=256):
     return QueuedDdr(engine, QueuedDdrConfig(
         read_service=ns_to_ticks(read), write_service=ns_to_ticks(write),
         turnaround_penalty=ns_to_ticks(penalty), access_lat=ns_to_ticks(access),
-        queue_capacity=cap))
+        queue_capacity=cap), StatsRegistry())
 
 
 def drive(engine, ddr, kinds):

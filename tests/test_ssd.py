@@ -9,6 +9,7 @@ PAGE = 4096
 
 def make_cached(engine, capacity_pages=2, policy="lru", read_ns=2000,
                 write_ns=5000, channels=1, prefetcher=None, stats=None):
+    stats = stats or StatsRegistry()
     ssd = SsdMedium(engine, SsdConfig(page_size=PAGE,
                                       read_latency=ns_to_ticks(read_ns),
                                       write_latency=ns_to_ticks(write_ns),
@@ -112,7 +113,8 @@ class TestSsdIo:
         ssd = SsdMedium(engine, SsdConfig(page_size=PAGE,
                                           read_latency=ns_to_ticks(1000),
                                           write_latency=ns_to_ticks(1000),
-                                          parallel_channels=1))
+                                          parallel_channels=1),
+                        StatsRegistry())
         done = []
         ssd.io(0, "read", lambda: done.append(engine.now))
         ssd.io(1, "read", lambda: done.append(engine.now))
@@ -124,7 +126,8 @@ class TestSsdIo:
         ssd = SsdMedium(engine, SsdConfig(page_size=PAGE,
                                           read_latency=ns_to_ticks(1000),
                                           write_latency=ns_to_ticks(1000),
-                                          parallel_channels=2))
+                                          parallel_channels=2),
+                        StatsRegistry())
         done = []
         ssd.io(0, "read", lambda: done.append(engine.now))
         ssd.io(1, "read", lambda: done.append(engine.now))
@@ -136,7 +139,8 @@ class TestSsdIo:
         ssd = SsdMedium(engine, SsdConfig(page_size=PAGE,
                                           read_latency=ns_to_ticks(1000),
                                           write_latency=ns_to_ticks(3000),
-                                          parallel_channels=1))
+                                          parallel_channels=1),
+                        StatsRegistry())
         kinds = ["read", "write", "read", "write", "read"]
         for i, k in enumerate(kinds):
             ssd.io(i, k, lambda: None)
@@ -216,7 +220,8 @@ def test_uncached_rmw_write_then_read():
     ssd = SsdMedium(engine, SsdConfig(page_size=PAGE,
                                       read_latency=ns_to_ticks(1000),
                                       write_latency=ns_to_ticks(3000),
-                                      parallel_channels=1))
+                                      parallel_channels=1),
+                    StatsRegistry())
     direct = SsdDirectMedium(engine, ssd)
     payload = bytes(reversed(range(64)))
     results = {}

@@ -111,3 +111,23 @@ def test_stream_issue_accounting_is_exact(kernel, reads_per_group):
     # every issued load completed and was sampled exactly once
     assert system.stats.get("core.loadToUse").n == groups * reads_per_group
     assert system.stats.get("core.outstandingRequests").value == 0
+
+
+def test_rdwr_sweep_builds_one_system_per_grid_point(monkeypatch):
+    from cxlsim import config
+
+    built = []
+    real_build = config.build_system
+
+    def counting_build(cfg):
+        built.append(cfg["workload"]["kind"])
+        return real_build(cfg)
+
+    monkeypatch.setattr(config, "build_system", counting_build)
+    cfg = preset("cxl-dmsim-a")
+    cfg["workload"] = {"kind": "rdwr_sweep", "read_fractions": [0.5, 1.0],
+                       "rates_bytes_per_ns": [32.0, 64.0], "ops": 300,
+                       "warm_ops": 50, "placement": "hdm"}
+    result = run_workload(cfg)
+    assert len(result.rows) == 4
+    assert len(built) == 4
