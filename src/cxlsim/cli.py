@@ -182,10 +182,12 @@ def cmd_sweep(args) -> int:
                           f"(found {type(current).__name__})")
     values = _parse_grid(args.grid)
     jobs = []
+    # Every point is validated before any runs or writes its directory.
     for i, value in enumerate(values):
         cfg = copy.deepcopy(base)
         _set_by_path(cfg, args.param, value)
         cfg["label"] = f"{base.get('label', 'run')}@{args.param}={value}"
+        cfgmod.validate_config(cfg)
         point_dir = os.path.join(args.out, f"point_{i:03d}_{value}")
         jobs.append((json.dumps(cfg, sort_keys=True), point_dir))
 

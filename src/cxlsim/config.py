@@ -20,25 +20,25 @@ from __future__ import annotations
 
 import copy
 import json
-from typing import Callable, Dict, List
+from types import SimpleNamespace
+from typing import Callable, Dict, List, Optional
 
-from .engine import Engine, ns_to_ticks
+from .engine import TICKS_PER_NS, Engine, ns_to_ticks
 from .stats import StatsRegistry
-from .host import (AddressMap, Cache, CacheLevelConfig, HostPath,
+from .host import (LINE_BYTES, AddressMap, Cache, CacheLevelConfig, HostPath,
                    InjectorConfig, LocalMemory, MemBus, Target)
 from .bridge import BridgeConfig, CxlBridge
 from .device import CxlDeviceConfig, MemExpander, enumerate_expander
 from .media import CoarseDram, CoarseDramConfig, QueuedDdr, QueuedDdrConfig
 from .ssd import (BestOffsetPrefetcher, DeviceCacheConfig, SsdCachedMedium,
                   SsdConfig, SsdDirectMedium, SsdMedium)
-from .hdm import HdmAllocator, NodeKind, NumaNode, Policy
+from .hdm import (HdmAllocationError, HdmAllocator, NodeKind, NumaNode,
+                  PlacementError, Policy)
 from .system import System
 from . import workloads as wl
+from .workloads import KB, MB
 
 SCHEMA_VERSION = 1
-
-MB = 1024 * 1024
-KB = 1024
 
 
 class ConfigError(ValueError):
@@ -66,6 +66,7 @@ def _no_unknown(obj: dict, allowed, path: str):
 
 _POS = lambda v: v > 0
 _NONNEG = lambda v: v >= 0
+_POW2 = lambda v: v > 0 and v & (v - 1) == 0
 NUM = (int, float)
 
 
@@ -105,23 +106,126 @@ def _device_medium_spec(dev: dict) -> dict:
             "kind": dev["medium"]}
 
 
-def _check_workload(wld: dict, path: str) -> None:
-    kinds = {"latency_sweep", "stream", "rdwr_sweep", "dlrm_proxy", "kv_proxy"}
-    kind = _require(wld, "kind", path, str, lambda v: v in kinds,
-                    f"must be one of {sorted(kinds)}")
-    common = {"kind", "placement", "injectors", "lsq_depth"}
-    per_kind = {
-        "latency_sweep": {"array_kb", "stride", "samples"},
-        "stream": {"kernel", "array_mb", "groups", "warm_groups"},
-        "rdwr_sweep": {"read_fractions", "rates_bytes_per_ns", "footprint_mb",
-                       "ops", "warm_ops"},
-        "dlrm_proxy": {"queries_per_injector", "lookups_per_query", "footprint_mb"},
-        "kv_proxy": {"ops", "put_fraction", "hot_fraction", "hot_window_pages",
-                     "footprint_mb", "warm_ops"},
-    }
-    _no_unknown(wld, common | per_kind[kind], path)
-    if "placement" in wld and wld["placement"] not in ("local", "hdm", "interleave"):
-        raise ConfigError(f"{path}.placement: must be local, hdm, or interleave")
+def _list_of(kinds, pred):
+    """Check for a non-empty list whose every item is of `kinds` (never a
+    bool) and passes `pred`."""
+    return lambda v: bool(v) and all(
+        isinstance(x, kinds) and not isinstance(x, bool) and pred(x) for x in v)
+
+
+_IN_UNIT = lambda v: 0 <= v <= 1
+_count = lambda default: (int, _POS, "must be > 0", default)
+_warm = lambda default: (int, _NONNEG, "must be >= 0", default)
+_fraction = lambda default: (NUM, _IN_UNIT, "must lie in [0, 1]", default)
+# latency_sweep and kv_proxy drive only the first injector.
+_ONE_INJECTOR = (int, lambda v: v == 1, "must be 1: the workload drives one "
+                 "injector", 1)
+# Default None: hdm when the config has a device, else local.
+_PLACEMENT = (str, lambda v: v in ("local", "hdm", "interleave"),
+              "must be local, hdm, or interleave", None)
+
+# kind -> field -> (type, check, message, default).  The one definition of
+# every workload field: validation, defaults and the parameters each
+# workloads.run_* function receives all come from here.
+WORKLOAD_FIELDS: Dict[str, Dict[str, tuple]] = {
+    "latency_sweep": {
+        "array_kb": (list, _list_of(int, _POS),
+                     "must be a non-empty list of ints > 0",
+                     [16, 32, 96, 192, 768, 3072, 49152, 65536]),
+        "stride": (int, lambda v: v > 0 and v % LINE_BYTES == 0,
+                   f"must be a positive multiple of {LINE_BYTES}", 64),
+        "samples": _count(3000),
+        "injectors": _ONE_INJECTOR,
+        "lsq_depth": _count(1),
+        "placement": _PLACEMENT,
+    },
+    "stream": {
+        "kernel": (str, lambda v: v in wl.STREAM_KERNELS,
+                   f"must be one of {sorted(wl.STREAM_KERNELS)}", "copy"),
+        "array_mb": _count(64),
+        "groups": _count(8000),
+        "warm_groups": _warm(800),
+        "injectors": _count(2),
+        "lsq_depth": _count(6),
+        "placement": _PLACEMENT,
+    },
+    "rdwr_sweep": {
+        "read_fractions": (list, _list_of(NUM, _IN_UNIT),
+                           "must be a non-empty list of numbers in [0, 1]",
+                           [round(0.5 + 0.025 * i, 3) for i in range(21)]),
+        "rates_bytes_per_ns": (list, _list_of(NUM, _POS),
+                               "must be a non-empty list of numbers > 0", [64.0]),
+        "footprint_mb": _count(64),
+        "ops": _count(6000),
+        "warm_ops": _warm(500),
+        "injectors": _count(4),
+        "lsq_depth": _count(32),
+        "placement": _PLACEMENT,
+    },
+    "dlrm_proxy": {
+        "queries_per_injector": _count(128),
+        "lookups_per_query": _count(16),
+        "footprint_mb": _count(64),
+        "injectors": _count(12),
+        "lsq_depth": _count(8),
+        "placement": _PLACEMENT,
+    },
+    # No placement: kv_proxy allocates app-managed HDM on the first device.
+    "kv_proxy": {
+        "ops": _count(40000),
+        "put_fraction": _fraction(0.5),
+        "hot_fraction": _fraction(0.94),
+        "hot_window_pages": _count(48),
+        "footprint_mb": _count(8),
+        "warm_ops": _warm(2000),
+        "injectors": _ONE_INJECTOR,
+        "lsq_depth": _count(8),
+    },
+}
+
+
+def _workload_params(wld: dict) -> SimpleNamespace:
+    """Every field of the workload block's kind: its checked value, or the
+    table default when the block leaves it out.  The block itself is not
+    filled in, because config_digest hashes it as given."""
+    path = "config.workload"
+    kind = _require(wld, "kind", path, str, lambda v: v in WORKLOAD_FIELDS,
+                    f"must be one of {sorted(WORKLOAD_FIELDS)}")
+    fields = WORKLOAD_FIELDS[kind]
+    _no_unknown(wld, {"kind", *fields}, path)
+    return SimpleNamespace(kind=kind, **{
+        name: _require(wld, name, path, *spec[:3]) if name in wld else spec[3]
+        for name, spec in fields.items()})
+
+
+def _check_workload(cfg: dict) -> None:
+    """The workload block's fields, then the rules that span fields."""
+    p = _workload_params(_require(cfg, "workload", "config", dict))
+
+    def fail(name: str, what: str):
+        raise ConfigError(f"config.workload.{name}: {what}")
+
+    if p.kind == "latency_sweep":
+        if p.array_kb != sorted(p.array_kb):
+            fail("array_kb", "sizes must be ascending")
+        if p.array_kb[0] * KB < p.stride:
+            fail("array_kb", f"the smallest size must hold one stride ({p.stride} B)")
+    elif p.kind == "stream":
+        llc = cfg["host"]["caches"]["l3"]["capacity_kb"] * KB
+        if p.array_mb * MB < 8 * llc:
+            fail("array_mb", "must be at least 8x the LLC size")
+        if p.groups > p.array_mb * MB // LINE_BYTES:
+            fail("groups", "must not exceed the lines in one array")
+        if p.warm_groups >= p.groups:
+            fail("warm_groups", "must be below groups")
+    if p.kind in ("rdwr_sweep", "kv_proxy") and p.warm_ops >= p.ops:
+        fail("warm_ops", "must be below ops")
+    if not cfg.get("devices"):
+        if p.kind == "kv_proxy":
+            fail("kind", "kv_proxy needs a CXL device (config.devices is empty)")
+        if getattr(p, "placement", None) in ("hdm", "interleave"):
+            fail("placement", f"{p.placement} needs a CXL device "
+                 "(config.devices is empty)")
 
 
 def validate_config(cfg: dict) -> dict:
@@ -155,6 +259,12 @@ def validate_config(cfg: dict) -> dict:
         _require(lvl, "capacity_kb", p, int, _POS, "must be > 0")
         _require(lvl, "assoc", p, int, _POS, "must be > 0")
         _require(lvl, "hit_latency_ns", p, NUM, _POS, "must be > 0")
+    # In ticks, as HostPath compares them.
+    lookup = sum(ns_to_ticks(caches[name]["hit_latency_ns"])
+                 for name in ("l1", "l2", "l3"))
+    if ns_to_ticks(hostc["host_path_lat_ns"]) < lookup:
+        raise ConfigError("config.host.host_path_lat_ns: must cover the summed "
+                          f"cache hit latencies ({lookup / TICKS_PER_NS:g} ns)")
     _check_medium(_require(hostc, "local_medium", "config.host", dict),
                   "config.host.local_medium")
 
@@ -180,7 +290,7 @@ def validate_config(cfg: dict) -> dict:
         _no_unknown(dev, {"hdm_size_mb", "device_proto_proc_lat_ns",
                           "medium_access_lat_ns", "medium", "ddr", "coarse",
                           "ssd", "cache"}, p)
-        _require(dev, "hdm_size_mb", p, int, _POS, "must be > 0")
+        _require(dev, "hdm_size_mb", p, int, _POW2, "must be a power of two")
         _require(dev, "device_proto_proc_lat_ns", p, NUM, _NONNEG, "must be >= 0")
         _require(dev, "medium_access_lat_ns", p, NUM, _NONNEG, "must be >= 0")
         medium = _require(dev, "medium", p, str,
@@ -198,8 +308,7 @@ def validate_config(cfg: dict) -> dict:
             sp = f"{p}.ssd"
             _no_unknown(ssd, {"page_bytes", "read_latency_us", "write_latency_us",
                               "channels"}, sp)
-            _require(ssd, "page_bytes", sp, int,
-                     lambda v: v >= 64 and v & (v - 1) == 0,
+            _require(ssd, "page_bytes", sp, int, lambda v: v >= 64 and _POW2(v),
                      "must be a power of two >= 64")
             _require(ssd, "read_latency_us", sp, NUM, _POS, "must be > 0")
             _require(ssd, "write_latency_us", sp, NUM, _POS, "must be > 0")
@@ -215,7 +324,7 @@ def validate_config(cfg: dict) -> dict:
                              lambda v: v in ("lru", "fifo"),
                              "must be lru or fifo")
 
-    _check_workload(_require(cfg, "workload", "config", dict), "config.workload")
+    _check_workload(cfg)
     return cfg
 
 
@@ -280,19 +389,20 @@ def _ddr_block() -> dict:
             "turnaround_penalty_ns": 2.0, "queue_capacity": 64}
 
 
-DEFAULT_SWEEP_KB = [16, 32, 96, 192, 768, 3072, 49152, 65536]
-
-
-def _latency_workload(placement: str) -> dict:
-    return {"kind": "latency_sweep", "array_kb": list(DEFAULT_SWEEP_KB),
-            "stride": 64, "samples": 3000, "placement": placement,
-            "injectors": 1, "lsq_depth": 1}
+def _default_workload(kind: str, **fields) -> dict:
+    """A `kind` workload block spelling out every table default, then
+    `fields`."""
+    defaults = {name: copy.deepcopy(spec[3])
+                for name, spec in WORKLOAD_FIELDS[kind].items()
+                if spec[3] is not None}
+    return {"kind": kind, **defaults, **fields}
 
 
 def _preset_local() -> dict:
     return {"schema_version": SCHEMA_VERSION, "label": "local-ddr", "seed": 7,
             "host": _default_host(), "devices": [],
-            "workload": _latency_workload("local")}
+            "workload": _default_workload("latency_sweep",
+                                          placement="local")}
 
 
 def _preset_fpga() -> dict:
@@ -302,7 +412,7 @@ def _preset_fpga() -> dict:
                          "device_proto_proc_lat_ns": 60.0,
                          "medium_access_lat_ns": 50.0,
                          "medium": "queued_ddr", "ddr": _ddr_block()}],
-            "workload": _latency_workload("hdm")}
+            "workload": _default_workload("latency_sweep", placement="hdm")}
 
 
 def _preset_asic() -> dict:
@@ -312,7 +422,7 @@ def _preset_asic() -> dict:
                          "device_proto_proc_lat_ns": 15.0,
                          "medium_access_lat_ns": 50.0,
                          "medium": "queued_ddr", "ddr": _ddr_block()}],
-            "workload": _latency_workload("hdm")}
+            "workload": _default_workload("latency_sweep", placement="hdm")}
 
 
 def _preset_ssd() -> dict:
@@ -326,10 +436,7 @@ def _preset_ssd() -> dict:
                                  "write_latency_us": 300.0, "channels": 8},
                          "cache": {"enabled": True, "capacity_kb": 1024,
                                    "policy": "lru", "prefetch": True}}],
-            "workload": {"kind": "kv_proxy", "ops": 40000, "put_fraction": 0.5,
-                         "hot_fraction": 0.94, "hot_window_pages": 48,
-                         "footprint_mb": 8, "warm_ops": 2000,
-                         "injectors": 1, "lsq_depth": 8}}
+            "workload": _default_workload("kv_proxy")}
 
 
 PRESETS: Dict[str, Callable[[], dict]] = {
@@ -389,20 +496,6 @@ def _build_device_medium(engine: Engine, dev: dict, stats, prefix: str):
                            stats=stats, prefetcher=prefetcher)
 
 
-def _workload_injectors(wld: dict, think_time: int) -> InjectorConfig:
-    defaults = {
-        "latency_sweep": (1, 1),
-        "stream": (2, 6),
-        "rdwr_sweep": (4, 32),
-        "dlrm_proxy": (12, 8),
-        "kv_proxy": (1, 8),
-    }
-    count, lsq = defaults[wld["kind"]]
-    return InjectorConfig(count=wld.get("injectors", count),
-                          lsq_depth=wld.get("lsq_depth", lsq),
-                          think_time=think_time)
-
-
 def build_system(cfg: dict) -> System:
     """Construct a fresh simulated topology from a validated config."""
     cfg = validate_config(cfg)
@@ -426,10 +519,10 @@ def build_system(cfg: dict) -> System:
             capacity=lvl["capacity_kb"] * KB, associativity=lvl["assoc"],
             hit_latency=ns_to_ticks(lvl["hit_latency_ns"])), stats))
 
-    inj_cfg = _workload_injectors(
-        cfg["workload"], ns_to_ticks(hostc["injectors"]["think_time_ns"]))
-    inj_cfg.validate()
-
+    params = _workload_params(cfg["workload"])
+    inj_cfg = InjectorConfig(
+        count=params.injectors, lsq_depth=params.lsq_depth,
+        think_time=ns_to_ticks(hostc["injectors"]["think_time_ns"]))
     host = HostPath(engine, caches, membus, inj_cfg,
                     host_path_lat=ns_to_ticks(hostc["host_path_lat_ns"]),
                     stats=stats, ticks_per_cycle=ticks_per_cycle)
@@ -473,84 +566,37 @@ def build_system(cfg: dict) -> System:
 # -- workload dispatch ------------------------------------------------------------
 
 
-def _placement_policy(wld: dict, has_devices: bool) -> Policy:
-    choice = wld.get("placement", "hdm" if has_devices else "local")
+def _placement_policy(choice: Optional[str], has_devices: bool) -> Policy:
+    choice = choice or ("hdm" if has_devices else "local")
     if choice == "local":
         return Policy.bind(0)
     if choice == "hdm":
-        if not has_devices:
-            raise ConfigError("config.workload.placement: no HDM node configured")
         return Policy.bind(1)
     return Policy.interleave((0, 1), (0.5, 0.5))
-
-
-def _workload_spec(cfg: dict):
-    """The workload block as a workload Spec, with the kind's defaults."""
-    wld = cfg["workload"]
-    kind = wld["kind"]
-    placement = _placement_policy(wld, bool(cfg.get("devices")))
-    if kind == "latency_sweep":
-        return wl.LatencySweepSpec(
-            array_sizes=[k * KB for k in wld.get("array_kb", DEFAULT_SWEEP_KB)],
-            stride=wld.get("stride", 64),
-            samples=wld.get("samples", 3000),
-            placement=placement)
-    if kind == "stream":
-        return wl.StreamSpec(
-            kernel=wld.get("kernel", "copy"),
-            array_bytes=wld.get("array_mb", 64) * MB,
-            groups=wld.get("groups", 8000),
-            warm_groups=wld.get("warm_groups", 800),
-            placement=placement)
-    if kind == "rdwr_sweep":
-        return wl.RdWrSweepSpec(
-            read_fractions=wld.get("read_fractions",
-                                   [round(0.5 + 0.025 * i, 3) for i in range(21)]),
-            rates_bytes_per_ns=wld.get("rates_bytes_per_ns", [64.0]),
-            footprint=wld.get("footprint_mb", 64) * MB,
-            ops=wld.get("ops", 6000),
-            warm_ops=wld.get("warm_ops", 500),
-            placement=placement)
-    if kind == "dlrm_proxy":
-        return wl.DlrmProxySpec(
-            queries_per_injector=wld.get("queries_per_injector", 128),
-            lookups_per_query=wld.get("lookups_per_query", 16),
-            footprint=wld.get("footprint_mb", 64) * MB,
-            placement=placement)
-    if kind == "kv_proxy":
-        return wl.KvProxySpec(
-            ops=wld.get("ops", 40000),
-            put_fraction=wld.get("put_fraction", 0.5),
-            hot_fraction=wld.get("hot_fraction", 0.94),
-            hot_window_pages=wld.get("hot_window_pages", 48),
-            footprint=wld.get("footprint_mb", 8) * MB,
-            warm_ops=wld.get("warm_ops", 2000))
-    raise ConfigError(f"config.workload.kind: unhandled kind {kind!r}")
 
 
 def run_workload(cfg: dict) -> wl.WorkloadResult:
     """Build the topology and run the configured workload to quiesce.
 
-    The workload parameters are checked before any engine is built.
+    The whole config, workload block included, is checked before any
+    engine is built.  A footprint that does not fit the memory it is
+    placed in is a ConfigError too, raised when the workload places it.
     """
     cfg = validate_config(cfg)
-    kind = cfg["workload"]["kind"]
-    spec = _workload_spec(cfg)
+    params = _workload_params(cfg["workload"])
+    kind = params.kind
+    placement = _placement_policy(getattr(params, "placement", None),
+                                  bool(cfg.get("devices")))
     try:
+        if kind == "rdwr_sweep":
+            return wl.run_rdwr_sweep(lambda: build_system(cfg), params, placement)
+        system = build_system(cfg)
+        if kind == "latency_sweep":
+            return wl.run_latency_sweep(system, params, placement)
         if kind == "stream":
-            spec.validate(cfg["host"]["caches"]["l3"]["capacity_kb"] * KB)
-        else:
-            spec.validate()
-    except ValueError as exc:
-        raise ConfigError(f"config.workload.{exc}") from None
-
-    if kind == "rdwr_sweep":
-        return wl.run_rdwr_sweep(lambda: build_system(cfg), spec)
-    system = build_system(cfg)
-    if kind == "latency_sweep":
-        return wl.run_latency_sweep(system, spec)
-    if kind == "stream":
-        return wl.run_stream(system, spec)
-    if kind == "dlrm_proxy":
-        return wl.run_dlrm_proxy(system, spec)
-    return wl.run_kv_proxy(system, spec)
+            return wl.run_stream(system, params, placement)
+        if kind == "dlrm_proxy":
+            return wl.run_dlrm_proxy(system, params, placement)
+        return wl.run_kv_proxy(system, params)
+    except (PlacementError, HdmAllocationError) as exc:
+        raise ConfigError(f"config.workload: footprint does not fit ({exc})") from None

@@ -332,12 +332,6 @@ class InjectorConfig:
     lsq_depth: int
     think_time: int       # ticks between dispatches from the pending queue
 
-    def validate(self) -> None:
-        if self.lsq_depth < 1:
-            raise ValueError("lsq_depth must be >= 1")
-        if self.count < 1:
-            raise ValueError("injector count must be >= 1")
-
 
 class Injector:
     """Synthetic core with a bounded load/store queue.

@@ -15,7 +15,9 @@ suite at desk scale:
   SSD-backed device against its DRAM-backed twin.
 
 Every generator owns a seeded random.Random, so runs are deterministic
-for a given (config, seed) pair.
+for a given (config, seed) pair.  Each run_* function takes its
+parameters as a namespace of the workload block's fields, checked and
+defaulted by config.WORKLOAD_FIELDS, and sizes in the config's units.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .engine import TICKS_PER_NS
 from .hdm import PAGE_BYTES, Policy
@@ -31,6 +34,8 @@ from .host import LINE_BYTES, MemCmd
 from .system import System
 
 TICKS_PER_S = TICKS_PER_NS * 1_000_000_000
+KB = 1024
+MB = 1024 * KB
 
 
 @dataclass
@@ -107,38 +112,26 @@ class _Window:
 # -- latency sweep -------------------------------------------------------------
 
 
-@dataclass
-class LatencySweepSpec:
-    array_sizes: Sequence[int]
-    stride: int
-    samples: int
-    placement: Policy
-
-    def validate(self) -> None:
-        if self.stride < LINE_BYTES:
-            raise ValueError("stride: must be >= one cache line")
-        if list(self.array_sizes) != sorted(self.array_sizes):
-            raise ValueError("array_kb: sizes must be ascending")
-
-
-def run_latency_sweep(system: System, spec: LatencySweepSpec) -> WorkloadResult:
+def run_latency_sweep(system: System, params: SimpleNamespace,
+                      placement: Policy) -> WorkloadResult:
     injector = system.injectors[0]
     engine = system.engine
     l3_capacity = system.host.hierarchy.levels[-1].config.capacity
     rows: List[tuple] = []
 
-    for idx, size in enumerate(spec.array_sizes):
-        region = _PagedRegion(system, size, spec.placement)
-        lines = size // spec.stride
+    for idx, kb in enumerate(params.array_kb):
+        size = kb * KB
+        region = _PagedRegion(system, size, placement)
+        lines = size // params.stride
         rng = random.Random(_derive_seed(system.seed, "lat", idx))
         start, nxt = build_chase_cycle(lines, rng)
-        stride_lines = spec.stride // LINE_BYTES
+        stride_lines = params.stride // LINE_BYTES
 
         # A footprint larger than the LLC misses on every chase step with
         # LRU (reuse distance exceeds the capacity), so warm-up only
         # matters for arrays that fit some cache level.
         warm_left = lines if size <= l3_capacity else 0
-        samples = min(spec.samples, lines)
+        samples = min(params.samples, lines)
         state = {"line": start, "warm_left": warm_left,
                  "measure_left": samples, "lat_sum": 0, "t0": 0}
 
@@ -165,13 +158,13 @@ def run_latency_sweep(system: System, spec: LatencySweepSpec) -> WorkloadResult:
 
         engine.schedule(0, issue_next)
         engine.run()
-        mean_ns = (state["lat_sum"] / samples) / TICKS_PER_NS if samples else 0.0
+        mean_ns = (state["lat_sum"] / samples) / TICKS_PER_NS
         rows.append((size, round(mean_ns, 6)))
 
     summary = {
         "kind": "latency_sweep",
         "curve": [[int(s), m] for s, m in rows],
-        "plateau_ns": rows[-1][1] if rows else 0.0,
+        "plateau_ns": rows[-1][1],
     }
     return WorkloadResult(["array_bytes", "mean_load_to_use_ns"], rows,
                           summary, system)
@@ -188,41 +181,27 @@ STREAM_KERNELS = {
 }
 
 
-@dataclass
-class StreamSpec:
-    kernel: str
-    array_bytes: int
-    groups: int                   # 64B line groups simulated (the window)
-    warm_groups: int
-    placement: Policy
-
-    def validate(self, llc_capacity: int) -> None:
-        if self.kernel not in STREAM_KERNELS:
-            raise ValueError(f"kernel: unknown STREAM kernel {self.kernel!r}")
-        if self.array_bytes < 8 * llc_capacity:
-            raise ValueError("array_mb: must be at least 8x the LLC size")
-        if self.warm_groups >= self.groups:
-            raise ValueError("warm_groups: must be below groups")
-
-
 def stream_bytes_per_group(kernel: str) -> int:
     reads, writes = STREAM_KERNELS[kernel]
     return (len(reads) + len(writes)) * LINE_BYTES
 
 
-def run_stream(system: System, spec: StreamSpec) -> WorkloadResult:
+def run_stream(system: System, params: SimpleNamespace,
+               placement: Policy) -> WorkloadResult:
+    """`params.groups` 64B line groups, the first `warm_groups` of them
+    outside the measure window."""
     hierarchy = system.host.hierarchy
     llc = hierarchy.levels[-1]
     engine = system.engine
-    reads, writes = STREAM_KERNELS[spec.kernel]
-    arrays = {name: _PagedRegion(system, spec.array_bytes, spec.placement)
+    reads, writes = STREAM_KERNELS[params.kernel]
+    arrays = {name: _PagedRegion(system, params.array_mb * MB, placement)
               for name in ("a", "b", "c")}
 
     # Pre-warm the LLC to the steady state a long-running kernel would
     # reach: full of streamed lines whose dirty fraction matches the
     # kernel's dirty-install fraction, so evictions during the measured
     # window produce write-backs at the steady rate.
-    ghost = _PagedRegion(system, llc.config.capacity, spec.placement)
+    ghost = _PagedRegion(system, llc.config.capacity, placement)
     installs_per_group = len(reads) + len(writes)
     ghost_lines = llc.config.capacity // LINE_BYTES
     for i in range(ghost_lines):
@@ -230,15 +209,15 @@ def run_stream(system: System, spec: StreamSpec) -> WorkloadResult:
         hierarchy.warm_install(ghost.line_addr(i), dirty=dirty)
 
     ops_per_group = len(reads) + len(writes)
-    total_ops = spec.groups * ops_per_group
-    window = _Window(engine, spec.warm_groups * ops_per_group, total_ops)
+    total_ops = params.groups * ops_per_group
+    window = _Window(engine, params.warm_groups * ops_per_group, total_ops)
     on_complete = window.complete   # one bound method for every request
     injectors = len(system.injectors)
 
     # Interleave groups across injectors so all streams advance together.
     def feed(inj_index: int):
         injector = system.injectors[inj_index]
-        for group in range(inj_index, spec.groups, injectors):
+        for group in range(inj_index, params.groups, injectors):
             for name in reads:
                 injector.issue(MemCmd.READ_REQ, arrays[name].line_addr(group),
                                on_complete=on_complete)
@@ -250,50 +229,31 @@ def run_stream(system: System, spec: StreamSpec) -> WorkloadResult:
         engine.schedule(0, lambda k=inj_index: feed(k))
     engine.run()
 
-    bw = window.rate((spec.groups - spec.warm_groups)
-                     * stream_bytes_per_group(spec.kernel))
-    summary = {"kind": "stream", "kernel": spec.kernel,
+    bw = window.rate((params.groups - params.warm_groups)
+                     * stream_bytes_per_group(params.kernel))
+    summary = {"kind": "stream", "kernel": params.kernel,
                "bytes_per_sec": bw,
                "read_byte_fraction": len(reads) / ops_per_group}
     return WorkloadResult(["kernel", "bytes_per_sec"],
-                          [(spec.kernel, bw)], summary, system)
+                          [(params.kernel, bw)], summary, system)
 
 
 # -- Rd/Wr ratio sweep ----------------------------------------------------------
 
 
-@dataclass
-class RdWrSweepSpec:
-    read_fractions: Sequence[float]
-    rates_bytes_per_ns: Sequence[float]
-    footprint: int
-    ops: int
-    warm_ops: int
-    placement: Policy
-
-    def validate(self) -> None:
-        for r in self.read_fractions:
-            if not 0.0 <= r <= 1.0:
-                raise ValueError("read_fractions: must lie in [0, 1]")
-        for rate in self.rates_bytes_per_ns:
-            if not rate > 0:
-                raise ValueError("rates_bytes_per_ns: must be > 0")
-        if self.warm_ops >= self.ops:
-            raise ValueError("warm_ops: must be below ops")
-
-
-def run_rdwr_sweep(factory: Callable[[], System],
-                   spec: RdWrSweepSpec) -> WorkloadResult:
+def run_rdwr_sweep(factory: Callable[[], System], params: SimpleNamespace,
+                   placement: Policy) -> WorkloadResult:
     """One fresh system per (read_fraction, rate) grid point."""
     rows: List[tuple] = []
     last_system: Optional[System] = None
 
-    for r_idx, read_fraction in enumerate(spec.read_fractions):
-        for rate in spec.rates_bytes_per_ns:
+    for r_idx, read_fraction in enumerate(params.read_fractions):
+        for rate in params.rates_bytes_per_ns:
             system = factory()
             last_system = system
-            bw, lat_ns = _run_rdwr_point(system, spec, read_fraction, rate,
-                                         _derive_seed(system.seed, "rdwr", r_idx, rate))
+            bw, lat_ns = _run_rdwr_point(system, params, placement, read_fraction,
+                                         rate, _derive_seed(system.seed, "rdwr",
+                                                            r_idx, rate))
             rows.append((read_fraction, rate, bw, lat_ns))
 
     peaks: Dict[float, float] = {}
@@ -312,21 +272,23 @@ def run_rdwr_sweep(factory: Callable[[], System],
          "mean_latency_ns"], rows, summary, last_system)
 
 
-def _run_rdwr_point(system: System, spec: RdWrSweepSpec, read_fraction: float,
-                    rate: float, seed: int) -> Tuple[float, float]:
+def _run_rdwr_point(system: System, params: SimpleNamespace, placement: Policy,
+                    read_fraction: float, rate: float,
+                    seed: int) -> Tuple[float, float]:
     engine = system.engine
     rng = random.Random(seed)
-    region = _PagedRegion(system, spec.footprint, spec.placement)
-    num_lines = spec.footprint // LINE_BYTES
+    footprint = params.footprint_mb * MB
+    region = _PagedRegion(system, footprint, placement)
+    num_lines = footprint // LINE_BYTES
     interval = max(1, round(LINE_BYTES * TICKS_PER_NS / rate))
-    window = _Window(engine, spec.warm_ops, spec.ops)
+    window = _Window(engine, params.warm_ops, params.ops)
     lat_sum = 0
     arrivals: Dict[int, int] = {}
 
     def on_complete(pkt):
         nonlocal lat_sum
         window.complete(pkt)
-        if window.done > spec.warm_ops:
+        if window.done > params.warm_ops:
             lat_sum += engine.now - arrivals[pkt.id]
 
     def issue_op(k: int):
@@ -337,37 +299,25 @@ def _run_rdwr_point(system: System, spec: RdWrSweepSpec, read_fraction: float,
                                 on_complete=on_complete)
         arrivals[pkt_id] = engine.now
 
-    for k in range(spec.ops):
+    for k in range(params.ops):
         engine.schedule(k * interval, lambda k=k: issue_op(k))
     engine.run()
 
-    measured = spec.ops - spec.warm_ops
+    measured = params.ops - params.warm_ops
     bw = window.rate(measured * LINE_BYTES)
-    lat_ns = lat_sum / measured / TICKS_PER_NS if measured else 0.0
+    lat_ns = lat_sum / measured / TICKS_PER_NS
     return bw, round(lat_ns, 6)
 
 
 # -- DLRM-style congestion proxy -----------------------------------------------
 
 
-@dataclass
-class DlrmProxySpec:
-    queries_per_injector: int
-    lookups_per_query: int
-    footprint: int
-    placement: Policy
-
-    def validate(self) -> None:
-        if self.queries_per_injector < 1:
-            raise ValueError("queries_per_injector: must be > 0")
-        if self.lookups_per_query < 1:
-            raise ValueError("lookups_per_query: must be > 0")
-
-
-def run_dlrm_proxy(system: System, spec: DlrmProxySpec) -> WorkloadResult:
+def run_dlrm_proxy(system: System, params: SimpleNamespace,
+                   placement: Policy) -> WorkloadResult:
     engine = system.engine
-    region = _PagedRegion(system, spec.footprint, spec.placement)
-    num_lines = spec.footprint // LINE_BYTES
+    footprint = params.footprint_mb * MB
+    region = _PagedRegion(system, footprint, placement)
+    num_lines = footprint // LINE_BYTES
     finished = {"injectors": 0, "t_end": 0}
 
     def start_injector(k: int):
@@ -376,13 +326,13 @@ def run_dlrm_proxy(system: System, spec: DlrmProxySpec) -> WorkloadResult:
         state = {"query": 0, "pending": 0}
 
         def next_query():
-            if state["query"] == spec.queries_per_injector:
+            if state["query"] == params.queries_per_injector:
                 finished["injectors"] += 1
                 finished["t_end"] = engine.now
                 return
             state["query"] += 1
-            state["pending"] = spec.lookups_per_query
-            for _ in range(spec.lookups_per_query):
+            state["pending"] = params.lookups_per_query
+            for _ in range(params.lookups_per_query):
                 addr = region.line_addr(rng.randrange(num_lines))
                 injector.issue(MemCmd.READ_REQ, addr, on_complete=gathered)
 
@@ -399,7 +349,7 @@ def run_dlrm_proxy(system: System, spec: DlrmProxySpec) -> WorkloadResult:
     engine.run()
 
     elapsed = finished["t_end"]
-    total_queries = injectors * spec.queries_per_injector
+    total_queries = injectors * params.queries_per_injector
     agg_qps = total_queries * TICKS_PER_S / elapsed if elapsed else 0.0
     per_inj = agg_qps / injectors
     summary = {"kind": "dlrm_proxy", "injectors": injectors,
@@ -412,21 +362,7 @@ def run_dlrm_proxy(system: System, spec: DlrmProxySpec) -> WorkloadResult:
 # -- key-value get/put proxy for the SSD study -----------------------------------
 
 
-@dataclass
-class KvProxySpec:
-    ops: int
-    put_fraction: float
-    hot_fraction: float
-    hot_window_pages: int
-    footprint: int
-    warm_ops: int
-
-    def validate(self) -> None:
-        if self.warm_ops >= self.ops:
-            raise ValueError("warm_ops: must be below ops")
-
-
-def run_kv_proxy(system: System, spec: KvProxySpec) -> WorkloadResult:
+def run_kv_proxy(system: System, params: SimpleNamespace) -> WorkloadResult:
     """Mixed get/put random workload over an app-managed HDM region.
 
     Puts append sequentially (overwriting the footprint cyclically), gets
@@ -434,22 +370,23 @@ def run_kv_proxy(system: System, spec: KvProxySpec) -> WorkloadResult:
     """
     engine = system.engine
     rng = random.Random(_derive_seed(system.seed, "kv"))
-    base = system.am_alloc(pid=1, size=spec.footprint)
-    total_lines = spec.footprint // LINE_BYTES
+    footprint = params.footprint_mb * MB
+    base = system.am_alloc(pid=1, size=footprint)
+    total_lines = footprint // LINE_BYTES
     lines_per_page = PAGE_BYTES // LINE_BYTES
-    hot_lines = spec.hot_window_pages * lines_per_page
-    window = _Window(engine, spec.warm_ops, spec.ops)
+    hot_lines = params.hot_window_pages * lines_per_page
+    window = _Window(engine, params.warm_ops, params.ops)
     on_complete = window.complete   # one bound method for every request
     frontier = 0
     injector = system.injectors[0]
-    for _ in range(spec.ops):
-        if rng.random() < spec.put_fraction:
+    for _ in range(params.ops):
+        if rng.random() < params.put_fraction:
             line = frontier % total_lines
             frontier += 1
             injector.issue(MemCmd.WRITE_REQ, base + line * LINE_BYTES,
                            cacheable=False, on_complete=on_complete)
         else:
-            if rng.random() < spec.hot_fraction and frontier > 0:
+            if rng.random() < params.hot_fraction and frontier > 0:
                 span = min(frontier, hot_lines)
                 line = (frontier - 1 - rng.randrange(span)) % total_lines
             else:
@@ -458,8 +395,8 @@ def run_kv_proxy(system: System, spec: KvProxySpec) -> WorkloadResult:
                            cacheable=False, on_complete=on_complete)
     engine.run()
 
-    throughput = window.rate(spec.ops - spec.warm_ops)
-    summary = {"kind": "kv_proxy", "ops": spec.ops,
+    throughput = window.rate(params.ops - params.warm_ops)
+    summary = {"kind": "kv_proxy", "ops": params.ops,
                "throughput_ops_per_sec": throughput}
     return WorkloadResult(["ops", "throughput_ops_per_sec"],
-                          [(spec.ops, throughput)], summary, system)
+                          [(params.ops, throughput)], summary, system)

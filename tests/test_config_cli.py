@@ -52,6 +52,15 @@ class TestValidation:
         cfg["devices"] = [coarse_device(None)]
         assert validate_config(cfg)["devices"][0]["medium"] == "coarse_dram"
 
+    def test_fractional_query_count_rejected(self):
+        # A fractional count never equals the completed-query count, so a
+        # run that accepted it would never finish.
+        cfg = preset("cxl-dmsim-a")
+        cfg["workload"] = {"kind": "dlrm_proxy", "queries_per_injector": 2.5}
+        with pytest.raises(ConfigError,
+                           match="config.workload.queries_per_injector"):
+            validate_config(cfg)
+
     def test_all_presets_validate(self):
         for name in preset_names():
             assert validate_config(preset(name))
@@ -225,6 +234,54 @@ class TestCli:
         ({"workload": {"kind": "dlrm_proxy", "queries_per_injector": 0,
                        "placement": "hdm"}},
          "config.workload.queries_per_injector"),
+        # wrong type
+        ({"workload": {"kind": "latency_sweep", "array_kb": [16],
+                       "samples": "x"}}, "config.workload.samples"),
+        ({"workload": {"kind": "stream", "array_mb": 1500.0, "groups": 100,
+                       "warm_groups": 10}}, "config.workload.array_mb"),
+        # out of range
+        ({"workload": {"kind": "latency_sweep", "array_kb": [16],
+                       "samples": -5}}, "config.workload.samples"),
+        ({"workload": {"kind": "kv_proxy", "ops": 100, "warm_ops": -10,
+                       "footprint_mb": 1}}, "config.workload.warm_ops"),
+        ({"workload": {"kind": "kv_proxy", "ops": 100, "warm_ops": 10,
+                       "put_fraction": 2.0, "footprint_mb": 1}},
+         "config.workload.put_fraction"),
+        # empty list
+        ({"workload": {"kind": "rdwr_sweep", "read_fractions": [],
+                       "ops": 600, "warm_ops": 100}},
+         "config.workload.read_fractions"),
+        ({"workload": {"kind": "latency_sweep", "array_kb": [16],
+                       "stride": 100, "samples": 10}},
+         "config.workload.stride"),
+        # STREAM groups beyond the 64 MB array's lines
+        ({"workload": {"kind": "stream", "array_mb": 64, "groups": 2000000,
+                       "warm_groups": 10}}, "config.workload.groups"),
+        # fields that would be ignored
+        ({"workload": {"kind": "kv_proxy", "ops": 100, "warm_ops": 10,
+                       "footprint_mb": 1, "placement": "local"}},
+         "config.workload.placement"),
+        ({"workload": {"kind": "latency_sweep", "array_kb": [16],
+                       "samples": 10, "injectors": 2}},
+         "config.workload.injectors"),
+        # a workload that needs a device on a config without one
+        ({"devices": [], "workload": {"kind": "kv_proxy", "ops": 100,
+                                      "warm_ops": 10, "footprint_mb": 1}},
+         "config.workload.kind"),
+        ({"devices": [], "workload": {"kind": "latency_sweep",
+                                      "array_kb": [16], "samples": 10,
+                                      "placement": "interleave"}},
+         "config.workload.placement"),
+        # formerly a ValueError while building the system
+        ({"host": {"host_path_lat_ns": 5}}, "config.host.host_path_lat_ns"),
+        ({"devices": [dict(preset("cxl-dmsim-a")["devices"][0],
+                           hdm_size_mb=3)]},
+         "config.devices[0].hdm_size_mb"),
+        # a footprint that does not fit, found when it is placed
+        ({"workload": {"kind": "dlrm_proxy", "queries_per_injector": 2,
+                       "footprint_mb": 1000000000}}, "config.workload"),
+        ({"workload": {"kind": "kv_proxy", "ops": 100, "warm_ops": 10,
+                       "footprint_mb": 1000000}}, "config.workload"),
     ])
     def test_run_rejects_bad_field_with_exit_2(self, tmp_path, capsys,
                                                overlay, field):
@@ -254,6 +311,16 @@ class TestCli:
                        "--out", str(tmp_path / "s")])
         assert rc == 2
         assert "CXLSIM_THREADS" in capsys.readouterr().err
+
+    def test_sweep_validates_every_point_before_running(self, tmp_path,
+                                                         capsys):
+        cfg = write_cfg(tmp_path, TINY_WORKLOAD)
+        rc = cli.main(["sweep", "--preset", "local-ddr", "--config", cfg,
+                       "--param", "workload.samples", "--grid", "5,0",
+                       "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert "config.workload.samples" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_sweep_sets_indexed_field(self, tmp_path):
         cfg = write_cfg(tmp_path, {"workload": {

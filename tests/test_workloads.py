@@ -1,8 +1,13 @@
+import copy
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cxlsim.config import preset, run_workload
+from conftest import tiny_cache_patch
+
+from cxlsim.config import ConfigError, merge_config, preset, run_workload
 from cxlsim.workloads import (STREAM_KERNELS, build_chase_cycle,
                               stream_bytes_per_group)
 
@@ -131,3 +136,78 @@ def test_rdwr_sweep_builds_one_system_per_grid_point(monkeypatch):
     result = run_workload(cfg)
     assert len(result.rows) == 4
     assert len(built) == 4
+
+
+# -- every workload block either fails validation or runs to sane metrics ------
+
+PLACEMENTS = st.sampled_from(["local", "hdm", "interleave"])
+SMALL_BLOCKS = {
+    "latency_sweep": {
+        "array_kb": st.lists(st.sampled_from([1, 4, 16, 64, 256]),
+                             min_size=1, max_size=3).map(sorted),
+        "stride": st.sampled_from([64, 128, 4096]),
+        "samples": st.integers(1, 40), "injectors": st.just(1),
+        "lsq_depth": st.integers(1, 4), "placement": PLACEMENTS},
+    "stream": {
+        "kernel": st.sampled_from(sorted(STREAM_KERNELS)),
+        "array_mb": st.integers(1, 2), "groups": st.integers(1, 200),
+        "warm_groups": st.integers(0, 50), "injectors": st.integers(1, 3),
+        "lsq_depth": st.integers(1, 8), "placement": PLACEMENTS},
+    "rdwr_sweep": {
+        "read_fractions": st.lists(st.floats(0, 1), min_size=1, max_size=2),
+        "rates_bytes_per_ns": st.lists(st.sampled_from([0.5, 4.0, 64.0]),
+                                       min_size=1, max_size=2),
+        "footprint_mb": st.integers(1, 2), "ops": st.integers(1, 150),
+        "warm_ops": st.integers(0, 40), "injectors": st.integers(1, 4),
+        "lsq_depth": st.integers(1, 8), "placement": PLACEMENTS},
+    "dlrm_proxy": {
+        "queries_per_injector": st.integers(1, 4),
+        "lookups_per_query": st.integers(1, 4),
+        "footprint_mb": st.integers(1, 2), "injectors": st.integers(1, 4),
+        "lsq_depth": st.integers(1, 8), "placement": PLACEMENTS},
+    "kv_proxy": {
+        "ops": st.integers(1, 200), "put_fraction": st.floats(0, 1),
+        "hot_fraction": st.floats(0, 1), "hot_window_pages": st.integers(1, 8),
+        "footprint_mb": st.integers(1, 2), "warm_ops": st.integers(0, 40),
+        "injectors": st.just(1), "lsq_depth": st.integers(1, 8)},
+}
+BAD_VALUES = st.sampled_from([-1, 0, 1.5, 2.0, "x", None, [], [0], [-0.5]])
+TINY_CACHE_ASIC = merge_config(preset("cxl-dmsim-a"), tiny_cache_patch())
+
+
+@st.composite
+def workload_configs(draw):
+    """A small in-range block of any kind; half of them with one field
+    set to an out-of-range or wrong-type value, a quarter on a config
+    without a device."""
+    kind = draw(st.sampled_from(sorted(SMALL_BLOCKS)))
+    block = draw(st.fixed_dictionaries(SMALL_BLOCKS[kind]))
+    if draw(st.booleans()):
+        block[draw(st.sampled_from(sorted(block)))] = draw(BAD_VALUES)
+    cfg = copy.deepcopy(TINY_CACHE_ASIC)
+    if draw(st.integers(0, 3)) == 0:
+        cfg["devices"] = []
+    cfg["workload"] = {"kind": kind, **block}
+    return cfg
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(cfg=workload_configs())
+def test_workload_block_is_rejected_or_runs_to_finite_metrics(cfg):
+    try:
+        result = run_workload(cfg)
+    except ConfigError:
+        return
+    report = result.system.snapshot(result.summary)
+    for value in [*report.stats.values(), *_numbers(report.workload)]:
+        assert math.isfinite(value) and value >= 0, (cfg["workload"], value)
