@@ -17,7 +17,10 @@ a full response FIFO back-pressures device-side delivery.
 Each link direction is an independent serial channel.  Transfers cut
 through (a message is delivered when the channel grants it) while the
 channel stays occupied for header+payload bytes at the configured rate,
-so serialization bounds throughput without inflating idle latency.
+so serialization bounds throughput without inflating idle latency.  The
+channel is a FIFO single server, so each grant tick is max(arrival, the
+previous message's finish), computed when the message arrives; the
+channel fires no event of its own.
 
 Per-traversal latency: bridge_lat + host_proto_proc_lat is charged on the
 request conversion and again on the response conversion.
@@ -111,33 +114,30 @@ class BridgeConfig:
 
 
 class LinkChannel:
-    """One link direction: FIFO, cut-through, byte-serialized occupancy."""
+    """One link direction: FIFO, cut-through, byte-serialized occupancy.
+
+    A message is granted the channel at max(now, when the previous one
+    has finished serializing) and holds it for its bytes at the channel
+    rate; the grant tick is known on arrival, so the channel keeps only
+    that finishing tick.  A message granted on arrival is delivered at
+    once, any other at its grant tick.
+    """
 
     def __init__(self, engine: Engine, bytes_per_ns: float, byte_counter):
         self.engine = engine
         self.bytes_per_ns = bytes_per_ns
-        self._busy = False
-        self._queue: deque = deque()
+        self._free_at = 0
         self._bytes = byte_counter
 
     def transmit(self, nbytes: int, deliver: Callable[[], None]) -> None:
-        self._queue.append((nbytes, deliver))
-        self._kick()
-
-    def _kick(self) -> None:
-        if self._busy or not self._queue:
-            return
-        nbytes, deliver = self._queue.popleft()
-        self._busy = True
         self._bytes.inc(nbytes)
-        deliver()
-        hold = max(1, round(nbytes * 1000 / self.bytes_per_ns))
-
-        def release():
-            self._busy = False
-            self._kick()
-
-        self.engine.schedule(hold, release)
+        now = self.engine.now
+        start = max(now, self._free_at)
+        self._free_at = start + max(1, round(nbytes * 1000 / self.bytes_per_ns))
+        if start == now:
+            deliver()
+        else:
+            self.engine.schedule(start - now, deliver)
 
 
 class CxlBridge:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional
 
@@ -53,6 +54,10 @@ def _require(obj: dict, key: str, path: str, kind, pred=None, what: str = ""):
     if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
         names = "/".join(k.__name__ for k in kinds)
         raise ConfigError(f"{path}.{key}: expected {names}, got {type(value).__name__}")
+    # json.load accepts Infinity and NaN.
+    if any(isinstance(x, float) and not math.isfinite(x)
+           for x in (value if isinstance(value, list) else (value,))):
+        raise ConfigError(f"{path}.{key}: must be finite (got {value!r})")
     if pred is not None and not pred(value):
         raise ConfigError(f"{path}.{key}: {what or 'invalid value'} (got {value!r})")
     return value
@@ -88,6 +93,8 @@ def _check_medium(med: dict, path: str) -> None:
             raise ConfigError(f"{path}.write_service_ns: must be >= read_service_ns")
         _require(med, "turnaround_penalty_ns", path, NUM, _NONNEG, "must be >= 0")
         _require(med, "access_lat_ns", path, NUM, _NONNEG, "must be >= 0")
+        # Checked but without effect: QueuedDdr is an unbounded FIFO.  It
+        # stays in the schema because every preset's config_digest hashes it.
         _require(med, "queue_capacity", path, int, _POS, "must be > 0")
     else:
         _require(med, "access_lat_ns", path, NUM, _NONNEG, "must be >= 0")
@@ -259,6 +266,9 @@ def validate_config(cfg: dict) -> dict:
         _require(lvl, "capacity_kb", p, int, _POS, "must be > 0")
         _require(lvl, "assoc", p, int, _POS, "must be > 0")
         _require(lvl, "hit_latency_ns", p, NUM, _POS, "must be > 0")
+        if lvl["capacity_kb"] * KB % (lvl["assoc"] * LINE_BYTES):
+            raise ConfigError(f"{p}.capacity_kb: must divide into assoc x "
+                              f"{LINE_BYTES} B lines")
     # In ticks, as HostPath compares them.
     lookup = sum(ns_to_ticks(caches[name]["hit_latency_ns"])
                  for name in ("l1", "l2", "l3"))
@@ -320,6 +330,9 @@ def validate_config(cfg: dict) -> dict:
                                     "prefetch"}, cp)
                 if cache.get("enabled", True):
                     _require(cache, "capacity_kb", cp, int, _POS, "must be > 0")
+                    if cache["capacity_kb"] * KB % ssd["page_bytes"]:
+                        raise ConfigError(f"{cp}.capacity_kb: must be a whole "
+                                          "number of ssd.page_bytes pages")
                     _require(cache, "policy", cp, str,
                              lambda v: v in ("lru", "fifo"),
                              "must be lru or fifo")
@@ -470,8 +483,7 @@ def _build_medium(engine: Engine, spec: dict, stats, prefix: str):
         read_service=ns_to_ticks(spec["read_service_ns"]),
         write_service=ns_to_ticks(spec["write_service_ns"]),
         turnaround_penalty=ns_to_ticks(spec["turnaround_penalty_ns"]),
-        access_lat=ns_to_ticks(spec["access_lat_ns"]),
-        queue_capacity=spec["queue_capacity"]), stats, prefix)
+        access_lat=ns_to_ticks(spec["access_lat_ns"])), stats, prefix)
 
 
 def _build_device_medium(engine: Engine, dev: dict, stats, prefix: str):

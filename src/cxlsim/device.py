@@ -10,6 +10,9 @@ services them against the configured backend medium.
 device_proto_proc_lat is charged twice per request, once when the M2S
 message is parsed and once when the S2M response is built, so swapping
 controllers changes end-to-end latency by twice the per-message delta.
+A DRAM medium reports its completion when a request is submitted, so on
+receipt the device knows when the response is built and schedules one
+event for it; an SSD medium answers through a callback instead.
 
 Data is stored byte-exactly in a sparse shadow map keyed by 64B line;
 untouched lines read as zero.  SSD-backed media manage their own bytes
@@ -118,30 +121,11 @@ class MemExpander:
         arrival = self.engine.now
         offset = self.translate(pkt.addr)
         is_read = pkt.kind is CxlKind.M2S_REQ
+        kind = "read" if is_read else "write"
         (self.reads if is_read else self.writes).inc()
+        proto = self.config.device_proto_proc_lat
 
-        def parsed():
-            self._medium_access(
-                "read" if is_read else "write", offset, pkt.data,
-                lambda result: self._respond(pkt, arrival, is_read, offset, result))
-
-        self.engine.schedule(self.config.device_proto_proc_lat, parsed)
-
-    def _medium_access(self, kind: str, offset: int, data, on_done) -> None:
-        if getattr(self.medium, "functional", False):
-            self.medium.access(offset, kind, data, on_done)
-        else:
-            line = offset // 64
-            if kind == "write" and data is not None:
-                if len(data) != 64:
-                    raise DeviceFault("payload writes must be full 64B lines")
-                self._shadow[line] = bytes(data)
-            result = self._shadow.get(line, ZERO_LINE) if kind == "read" else None
-            self.medium.submit(kind, lambda: on_done(result))
-
-    def _respond(self, pkt: CxlMemPacket, arrival: int, is_read: bool,
-                 offset: int, result) -> None:
-        def built():
+        def respond(result) -> None:
             if is_read:
                 resp = CxlMemPacket(CxlKind.S2M_DRS, pkt.id, pkt.addr, 64,
                                     data=result)
@@ -150,7 +134,25 @@ class MemExpander:
             self.rsp_time.record(self.engine.now - arrival)
             self._bridge.device_egress(resp)
 
-        self.engine.schedule(self.config.device_proto_proc_lat, built)
+        if getattr(self.medium, "functional", False):
+            # Parse, access the medium, then build the response.
+            self.engine.schedule(proto, lambda: self.medium.access(
+                offset, kind, pkt.data,
+                lambda result: self.engine.schedule(proto,
+                                                    lambda: respond(result))))
+            return
+        # Every request waits the same parse delay, so touching the shadow
+        # map on receipt keeps the order of its accesses; the medium is
+        # handed the request as it will arrive after the parse, and one
+        # event builds the response once medium and build delay are paid.
+        line = offset // 64
+        if not is_read and pkt.data is not None:
+            if len(pkt.data) != 64:
+                raise DeviceFault("payload writes must be full 64B lines")
+            self._shadow[line] = bytes(pkt.data)
+        result = self._shadow.get(line, ZERO_LINE) if is_read else None
+        done = self.medium.submit(kind, proto)
+        self.engine.schedule(done + proto, lambda: respond(result))
 
     # Direct functional access for tests and management layers.
     def peek(self, offset: int) -> bytes:

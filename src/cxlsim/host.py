@@ -228,7 +228,8 @@ class LocalMemory:
 
     def receive(self, pkt: MemPacket, on_response) -> None:
         kind = "read" if pkt.cmd is MemCmd.READ_REQ else "write"
-        self.medium.submit(kind, lambda: on_response(pkt.make_response()))
+        self.engine.schedule(self.medium.submit(kind),
+                             lambda: on_response(pkt.make_response()))
 
 
 class CacheHierarchy:

@@ -10,6 +10,15 @@ with (not on) the bus.  Under single-direction saturation QueuedDdr
 therefore streams one request per service time while an idle request
 still sees service + access latency end to end.
 
+Both are FIFO servers, so neither keeps a queue or fires an event of its
+own: a request's start is max(its arrival, when a server frees), known
+the moment it is submitted (Lindley's recursion).  `submit(kind, delay)`
+takes a request arriving `delay` ticks from now and returns the ticks
+from now until it completes; the caller schedules its own completion.
+The one precondition is that arrivals at one medium never go backwards
+in time, which holds because every caller of a medium passes the same
+constant delay.
+
 Media are direction-aware but size-agnostic: callers split traffic into
 64-byte transfers before submitting.
 """
@@ -18,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .engine import Engine
 
@@ -38,7 +47,6 @@ class QueuedDdrConfig:
     write_service: int       # bus ticks per 64B write
     turnaround_penalty: int  # extra bus ticks on a read<->write switch
     access_lat: int          # array access ticks, overlapped with the bus
-    queue_capacity: int = 64
 
     def validate(self) -> None:
         if not (self.write_service >= self.read_service >= 0):
@@ -48,30 +56,24 @@ class QueuedDdrConfig:
 
 
 class CoarseDram:
-    """Fixed-latency medium with a parallelism cap."""
+    """Fixed-latency medium with a parallelism cap.
+
+    Every access takes the same latency, so servers free in the order
+    they started: request k starts at max(arrival, finish of request
+    k - width).  The deque holds the `width` servers' free ticks, the
+    earliest first.
+    """
 
     def __init__(self, engine: Engine, config: CoarseDramConfig):
         self.engine = engine
         self.config = config
-        self._in_service = 0
-        self._backlog: deque = deque()
+        self._free_at = deque([0] * config.width)
 
-    def submit(self, kind: str, on_done: Callable[[], None]) -> None:
-        if self._in_service < self.config.width:
-            self._start(on_done)
-        else:
-            self._backlog.append(on_done)
-
-    def _start(self, on_done: Callable[[], None]) -> None:
-        self._in_service += 1
-        self.engine.schedule(self.config.access_lat,
-                             lambda: self._finish(on_done))
-
-    def _finish(self, on_done: Callable[[], None]) -> None:
-        self._in_service -= 1
-        if self._backlog:
-            self._start(self._backlog.popleft())
-        on_done()
+    def submit(self, kind: str, delay: int = 0) -> int:
+        start = max(self.engine.now + delay, self._free_at.popleft())
+        finish = start + self.config.access_lat
+        self._free_at.append(finish)
+        return finish - self.engine.now
 
 
 class QueuedDdr:
@@ -79,7 +81,7 @@ class QueuedDdr:
 
     Per-request queue wait accumulates into <prefix>.avgQLat and total
     per-request latency (wait + bus service + array access) into
-    <prefix>.avgMemAccLat, both in ticks.
+    <prefix>.avgMemAccLat, both in ticks, recorded at submission.
     """
 
     def __init__(self, engine: Engine, config: QueuedDdrConfig, stats,
@@ -87,9 +89,7 @@ class QueuedDdr:
         config.validate()
         self.engine = engine
         self.config = config
-        self._queue: deque = deque()    # (kind, arrival_tick, on_done)
-        self._overflow: deque = deque() # held when the queue is at capacity
-        self._busy = False
+        self._free_at = 0               # tick the bus finishes its backlog
         self._last_dir: Optional[str] = None
         self.reads = 0
         self.writes = 0
@@ -97,39 +97,22 @@ class QueuedDdr:
         self._avg_q = stats.mean(f"{prefix}.avgQLat")
         self._avg_acc = stats.mean(f"{prefix}.avgMemAccLat")
 
-    def submit(self, kind: str, on_done: Callable[[], None]) -> None:
+    def submit(self, kind: str, delay: int = 0) -> int:
+        config = self.config
         if kind == READ:
             self.reads += 1
+            service = config.read_service
         else:
             self.writes += 1
-        entry = (kind, self.engine.now, on_done)
-        if len(self._queue) >= self.config.queue_capacity:
-            # Back-pressure: hold at the controller boundary, never drop.
-            self._overflow.append(entry)
-        else:
-            self._queue.append(entry)
-            self._kick()
-
-    def _kick(self) -> None:
-        if self._busy or not self._queue:
-            return
-        kind, arrival, on_done = self._queue.popleft()
-        if self._overflow:
-            self._queue.append(self._overflow.popleft())
-        self._busy = True
-        wait = self.engine.now - arrival
-        service = (self.config.read_service if kind == READ
-                   else self.config.write_service)
+            service = config.write_service
         if self._last_dir is not None and self._last_dir != kind:
-            service += self.config.turnaround_penalty
+            service += config.turnaround_penalty
             self.turnarounds += 1
         self._last_dir = kind
+        arrival = self.engine.now + delay
+        start = max(arrival, self._free_at)
+        self._free_at = start + service
+        wait = start - arrival
         self._avg_q.record(wait)
-        self._avg_acc.record(wait + service + self.config.access_lat)
-
-        def bus_released():
-            self._busy = False
-            self._kick()
-
-        self.engine.schedule(service, bus_released)
-        self.engine.schedule(service + self.config.access_lat, on_done)
+        self._avg_acc.record(wait + service + config.access_lat)
+        return start + service + config.access_lat - self.engine.now

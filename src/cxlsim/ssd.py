@@ -23,7 +23,8 @@ still charged on the channel.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+import heapq
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -130,15 +131,20 @@ class BestOffsetPrefetcher:
 
 
 class SsdMedium:
-    """Page store with FIFO channel arbitration."""
+    """Page store with FIFO channel arbitration.
+
+    Each I/O takes the channel that frees first, at max(now, that tick);
+    a heap of the channels' free ticks gives the start when the I/O is
+    submitted, which is exact FIFO dispatch even when reads and writes
+    take different times.
+    """
 
     def __init__(self, engine: Engine, config: SsdConfig, stats):
         config.validate()
         self.engine = engine
         self.config = config
         self._store: Dict[int, bytes] = {}
-        self._busy = 0
-        self._backlog: deque = deque()
+        self._free_at = [0] * config.parallel_channels   # a heap
         self.page_reads = stats.counter("ssd.pageReads")
         self.page_writes = stats.counter("ssd.pageWrites")
 
@@ -149,21 +155,10 @@ class SsdMedium:
         else:
             self.page_writes.inc()
             lat = self.config.write_latency
-        if self._busy < self.config.parallel_channels:
-            self._start(lat, on_done)
-        else:
-            self._backlog.append((lat, on_done))
-
-    def _start(self, lat: int, on_done) -> None:
-        self._busy += 1
-
-        def finish():
-            self._busy -= 1
-            if self._backlog:
-                self._start(*self._backlog.popleft())
-            on_done()
-
-        self.engine.schedule(lat, finish)
+        now = self.engine.now
+        start = max(now, self._free_at[0])
+        heapq.heapreplace(self._free_at, start + lat)
+        self.engine.schedule(start - now + lat, on_done)
 
     def read_page(self, page: int) -> bytes:
         return self._store.get(page, bytes(self.config.page_size))

@@ -54,18 +54,13 @@ def _derive_seed(seed: int, *parts) -> int:
     return value
 
 
-def build_chase_cycle(num_lines: int, rng: random.Random) -> Tuple[int, List[int]]:
-    """Random single-cycle permutation over line indices.
-
-    Returns (start_line, next_line) where following next_line visits every
-    line exactly once before returning to start.
-    """
+def build_chase_cycle(num_lines: int, rng: random.Random) -> List[int]:
+    """Random single-cycle visit order over line indices: walking the
+    returned list by position, wrapping at its end, visits every line
+    exactly once per lap."""
     order = list(range(num_lines))
     rng.shuffle(order)
-    nxt = [0] * num_lines
-    for i in range(num_lines):
-        nxt[order[i]] = order[(i + 1) % num_lines]
-    return order[0], nxt
+    return order
 
 
 class _PagedRegion:
@@ -124,7 +119,7 @@ def run_latency_sweep(system: System, params: SimpleNamespace,
         region = _PagedRegion(system, size, placement)
         lines = size // params.stride
         rng = random.Random(_derive_seed(system.seed, "lat", idx))
-        start, nxt = build_chase_cycle(lines, rng)
+        order = build_chase_cycle(lines, rng)
         stride_lines = params.stride // LINE_BYTES
 
         # A footprint larger than the LLC misses on every chase step with
@@ -132,14 +127,14 @@ def run_latency_sweep(system: System, params: SimpleNamespace,
         # matters for arrays that fit some cache level.
         warm_left = lines if size <= l3_capacity else 0
         samples = min(params.samples, lines)
-        state = {"line": start, "warm_left": warm_left,
+        state = {"pos": 0, "warm_left": warm_left,
                  "measure_left": samples, "lat_sum": 0, "t0": 0}
 
-        def next_addr(state=state, region=region, nxt=nxt,
+        def next_addr(state=state, region=region, order=order,
                       stride_lines=stride_lines) -> int:
-            addr = region.line_addr(state["line"] * stride_lines)
-            state["line"] = nxt[state["line"]]
-            return addr
+            pos = state["pos"]
+            state["pos"] = pos + 1 if pos + 1 < len(order) else 0
+            return region.line_addr(order[pos] * stride_lines)
 
         def issue_next(state=state, next_addr=next_addr):
             if state["warm_left"] > 0:

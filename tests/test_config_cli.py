@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 
@@ -45,6 +46,14 @@ class TestValidation:
         cfg["devices"] = [coarse_device(coarse)]
         with pytest.raises(ConfigError,
                            match=re.escape(f"config.devices[0].coarse.{field}")):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_number_rejected(self, value):
+        cfg = preset("cxl-dmsim-a")
+        cfg["bridge"]["bridge_lat_ns"] = value
+        with pytest.raises(ConfigError,
+                           match="bridge.bridge_lat_ns: must be finite"):
             validate_config(cfg)
 
     def test_coarse_block_defaults_width(self):
@@ -282,6 +291,23 @@ class TestCli:
                        "footprint_mb": 1000000000}}, "config.workload"),
         ({"workload": {"kind": "kv_proxy", "ops": 100, "warm_ops": 10,
                        "footprint_mb": 1000000}}, "config.workload"),
+        # geometry the component constructors would reject
+        ({"host": {"caches": {"l1": {"capacity_kb": 1, "assoc": 32}}}},
+         "config.host.caches.l1.capacity_kb"),
+        ({"devices": [dict(preset("cxl-ssd")["devices"][0],
+                           cache={"enabled": True, "capacity_kb": 6,
+                                  "policy": "lru", "prefetch": True})]},
+         "config.devices[0].cache.capacity_kb"),
+        # JSON Infinity
+        ({"host": {"core_freq_ghz": math.inf}}, "config.host.core_freq_ghz"),
+        ({"bridge": {"bridge_lat_ns": math.inf}}, "config.bridge.bridge_lat_ns"),
+        ({"devices": [dict(preset("cxl-dmsim-a")["devices"][0],
+                           medium_access_lat_ns=math.inf)]},
+         "config.devices[0].medium_access_lat_ns"),
+        ({"workload": {"kind": "rdwr_sweep", "read_fractions": [1.0],
+                       "rates_bytes_per_ns": [math.inf], "ops": 600,
+                       "warm_ops": 100, "placement": "hdm"}},
+         "config.workload.rates_bytes_per_ns"),
     ])
     def test_run_rejects_bad_field_with_exit_2(self, tmp_path, capsys,
                                                overlay, field):

@@ -109,13 +109,12 @@ class TestTranslate:
 class SpyMedium(CoarseDram):
     def __init__(self, engine, config):
         super().__init__(engine, config)
-        self.engine_ref = engine
-        self.events = []
+        self.submits = []
 
-    def submit(self, kind, on_done):
-        self.events.append(("submit", self.engine_ref.now))
-        super().submit(kind, lambda: (self.events.append(("done", self.engine_ref.now)),
-                                      on_done())[-1])
+    def submit(self, kind, delay=0):
+        done = super().submit(kind, delay)
+        self.submits.append((self.engine.now, kind, delay, done))
+        return done
 
 
 def test_service_charges_proto_then_medium_then_proto():
@@ -132,9 +131,9 @@ def test_service_charges_proto_then_medium_then_proto():
 
     dev.receive_m2s(CxlMemPacket(CxlKind.M2S_REQ, 1, dev.bar.base, 0))
     engine.run()
-    # parse after 15 ns, medium done at 65 ns, response built at 80 ns
-    assert medium.events[0] == ("submit", ns_to_ticks(15))
-    assert medium.events[1] == ("done", ns_to_ticks(65))
+    # handed over on receipt to arrive after the 15 ns parse, medium done
+    # at 65 ns, response built at 80 ns
+    assert medium.submits == [(0, "read", ns_to_ticks(15), ns_to_ticks(65))]
     assert sink.responses[0][0] == ns_to_ticks(80)
     assert sink.responses[0][1].kind is CxlKind.S2M_DRS
     assert stats.get("cxl.rsp").mean == ns_to_ticks(80)
@@ -177,6 +176,19 @@ def test_fpga_vs_asic_end_to_end_gap_is_twice_proto_delta():
 
     gap = single_read_latency("cxl-dmsim-f") - single_read_latency("cxl-dmsim-a")
     assert gap == ns_to_ticks(2 * (60 - 15))
+
+
+def test_idle_uncached_read_fires_four_events(asic_cfg):
+    system = build(asic_cfg)
+    done = []
+    system.injectors[0].issue(MemCmd.READ_REQ, system.devices[0].bar.base,
+                              cacheable=False,
+                              on_complete=lambda p: done.append(system.engine.now))
+    system.run()
+    # host path, request conversion, device service, response conversion;
+    # the link channels and the medium fire none of their own
+    assert system.engine._seq == 4
+    assert done == [ns_to_ticks(288)]
 
 
 def test_uncached_read_carries_device_bytes_back(asic_cfg):

@@ -1,24 +1,29 @@
+import itertools
 import random
+from collections import deque
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cxlsim.engine import Engine, ns_to_ticks
 from cxlsim.stats import StatsRegistry
+from cxlsim.bridge import LinkChannel
 from cxlsim.media import (READ, WRITE, CoarseDram, CoarseDramConfig,
                           QueuedDdr, QueuedDdrConfig)
+from cxlsim.ssd import SsdConfig, SsdMedium
 
 
-def make_ddr(engine, read=13, write=13, penalty=2, access=50, cap=256):
+def make_ddr(engine, read=13, write=13, penalty=2, access=50):
     return QueuedDdr(engine, QueuedDdrConfig(
         read_service=ns_to_ticks(read), write_service=ns_to_ticks(write),
-        turnaround_penalty=ns_to_ticks(penalty), access_lat=ns_to_ticks(access),
-        queue_capacity=cap), StatsRegistry())
+        turnaround_penalty=ns_to_ticks(penalty), access_lat=ns_to_ticks(access)),
+        StatsRegistry())
 
 
 def drive(engine, ddr, kinds):
     done = []
     for k in kinds:
-        ddr.submit(k, lambda k=k: done.append((k, engine.now)))
+        engine.schedule(ddr.submit(k), lambda k=k: done.append((k, engine.now)))
     engine.run()
     return done
 
@@ -66,13 +71,6 @@ def test_single_direction_saturation_throughput():
     assert abs(per_op - ns_to_ticks(13)) / ns_to_ticks(13) < 0.02
 
 
-def test_queue_capacity_backpressure_no_drops():
-    engine = Engine()
-    ddr = make_ddr(engine, cap=4)
-    done = drive(engine, ddr, [READ] * 64)
-    assert len(done) == 64  # all served despite the tiny queue
-
-
 def test_write_service_must_dominate_read():
     with pytest.raises(ValueError):
         QueuedDdrConfig(read_service=10, write_service=5,
@@ -84,7 +82,147 @@ def test_coarse_dram_width_parallelism():
     dram = CoarseDram(engine, CoarseDramConfig(access_lat=ns_to_ticks(50), width=2))
     done = []
     for i in range(4):
-        dram.submit(READ, lambda i=i: done.append((i, engine.now)))
+        engine.schedule(dram.submit(READ),
+                        lambda i=i: done.append((i, engine.now)))
     engine.run()
     # width 2: pairs complete at 50 ns and 100 ns
     assert [t for _, t in done] == [ns_to_ticks(50)] * 2 + [ns_to_ticks(100)] * 2
+
+
+def test_submit_with_delay_arrives_later():
+    engine = Engine()
+    ddr = make_ddr(engine)
+    # idle: the request starts when it arrives, 100 ns from now
+    assert ddr.submit(READ, ns_to_ticks(100)) == ns_to_ticks(100 + 13 + 50)
+    # arrives at 105 ns, waits 8 ns for the bus, then pays the turnaround
+    assert ddr.submit(WRITE, ns_to_ticks(105)) == ns_to_ticks(113 + 15 + 50)
+    assert ddr.turnarounds == 1
+    dram = CoarseDram(engine, CoarseDramConfig(access_lat=ns_to_ticks(50),
+                                               width=1))
+    assert dram.submit(READ, ns_to_ticks(30)) == ns_to_ticks(80)
+    assert dram.submit(READ, ns_to_ticks(30)) == ns_to_ticks(130)
+
+
+# -- the closed-form servers against the event-driven FIFO they replaced ------
+
+
+def reference_starts(arrivals, holds, servers):
+    """Event-driven FIFO with `servers` servers: a request starts on arrival
+    when a server is idle, else when a release event frees one."""
+    engine, starts, backlog, busy = Engine(), {}, deque(), [0]
+
+    def start(i):
+        busy[0] += 1
+        starts[i] = engine.now
+        engine.schedule(holds[i], release)
+
+    def release():
+        busy[0] -= 1
+        if backlog:
+            start(backlog.popleft())
+
+    def arrive(i):
+        if busy[0] < servers:
+            start(i)
+        else:
+            backlog.append(i)
+
+    for i, tick in enumerate(arrivals):
+        engine.schedule(tick, lambda i=i: arrive(i))
+    engine.run()
+    return [starts[i] for i in range(len(arrivals))]
+
+
+def at_arrivals(engine, arrivals, call):
+    """Run `call(i)` at the tick of each arrival i."""
+    for i, tick in enumerate(arrivals):
+        engine.schedule(tick, lambda i=i: call(i))
+    engine.run()
+
+
+# (gap to the previous arrival in ticks, is a read); ties and bursts are
+# likely, so queues build and drain.
+request_streams = st.lists(
+    st.tuples(st.one_of(st.just(0), st.integers(1, 40_000)), st.booleans()),
+    min_size=1, max_size=40)
+SERVERS = st.integers(1, 3)
+DELAYS = st.integers(0, 20_000)
+_fifo = settings(max_examples=200, derandomize=True, database=None,
+                 deadline=None)
+
+
+def arrivals_and_kinds(reqs):
+    return (list(itertools.accumulate(gap for gap, _ in reqs)),
+            [READ if is_read else WRITE for _, is_read in reqs])
+
+
+@_fifo
+@given(reqs=request_streams, delay=DELAYS)
+def test_queued_ddr_matches_event_driven_fifo(reqs, delay):
+    arrivals, kinds = arrivals_and_kinds(reqs)
+    engine = Engine()
+    ddr = make_ddr(engine, read=13, write=15)
+    done = []
+    at_arrivals(engine, arrivals,
+                lambda i: done.append(engine.now + ddr.submit(kinds[i], delay)))
+    cfg = ddr.config
+    # The bus serves in arrival order, so each turnaround is known upfront.
+    services = [(cfg.read_service if k == READ else cfg.write_service)
+                + (cfg.turnaround_penalty if i and k != kinds[i - 1] else 0)
+                for i, k in enumerate(kinds)]
+    starts = reference_starts([t + delay for t in arrivals], services, 1)
+    assert done == [s + services[i] + cfg.access_lat
+                    for i, s in enumerate(starts)]
+
+
+@_fifo
+@given(reqs=request_streams, width=SERVERS, delay=DELAYS)
+def test_coarse_dram_matches_event_driven_fifo(reqs, width, delay):
+    arrivals, kinds = arrivals_and_kinds(reqs)
+    engine = Engine()
+    lat = ns_to_ticks(50)
+    dram = CoarseDram(engine, CoarseDramConfig(access_lat=lat, width=width))
+    done = []
+    at_arrivals(engine, arrivals,
+                lambda i: done.append(engine.now + dram.submit(kinds[i], delay)))
+    starts = reference_starts([t + delay for t in arrivals],
+                              [lat] * len(arrivals), width)
+    assert done == [s + lat for s in starts]
+
+
+@_fifo
+@given(reqs=request_streams, channels=SERVERS)
+def test_ssd_channels_match_event_driven_fifo(reqs, channels):
+    arrivals, kinds = arrivals_and_kinds(reqs)
+    engine = Engine()
+    ssd = SsdMedium(engine, SsdConfig(read_latency=ns_to_ticks(25),
+                                      write_latency=ns_to_ticks(70),
+                                      parallel_channels=channels),
+                    StatsRegistry())
+    done = {}
+    at_arrivals(engine, arrivals, lambda i: ssd.io(
+        i, kinds[i], lambda: done.__setitem__(i, engine.now)))
+    lats = [ssd.config.read_latency if k == READ else ssd.config.write_latency
+            for k in kinds]
+    starts = reference_starts(arrivals, lats, channels)
+    assert [done[i] for i in range(len(arrivals))] == [
+        s + lat for s, lat in zip(starts, lats)]
+
+
+@_fifo
+@given(reqs=request_streams)
+@example(reqs=[(0, True), (3_000, True)])   # the second waits 478 ticks
+def test_link_channel_matches_event_driven_fifo(reqs):
+    arrivals, kinds = arrivals_and_kinds(reqs)
+    engine = Engine()
+    stats = StatsRegistry()
+    link = LinkChannel(engine, 4.6, stats.counter("link.bytes"))
+    sizes = [16 if k == READ else 80 for k in kinds]
+    delivered = {}
+    at_arrivals(engine, arrivals, lambda i: link.transmit(
+        sizes[i], lambda: delivered.__setitem__(i, engine.now)))
+    holds = [max(1, round(b * 1000 / 4.6)) for b in sizes]
+    # Cut-through: a message is delivered when the channel grants it.
+    assert [delivered[i] for i in range(len(arrivals))] == reference_starts(
+        arrivals, holds, 1)
+    assert stats.get("link.bytes").value == sum(sizes)

@@ -217,11 +217,12 @@ def test_read_after_write_through_writeback_and_refetch():
 
 def test_uncached_rmw_write_then_read():
     engine = Engine()
+    stats = StatsRegistry()
     ssd = SsdMedium(engine, SsdConfig(page_size=PAGE,
                                       read_latency=ns_to_ticks(1000),
                                       write_latency=ns_to_ticks(3000),
                                       parallel_channels=1),
-                    StatsRegistry())
+                    stats)
     direct = SsdDirectMedium(engine, ssd)
     payload = bytes(reversed(range(64)))
     results = {}
@@ -231,7 +232,8 @@ def test_uncached_rmw_write_then_read():
     engine.run()
     assert results["data"] == payload
     # one page read per 64B read, read-modify-write per 64B write
-    assert ssd.page_reads is None or True
+    assert stats.get("ssd.pageReads").value == 2
+    assert stats.get("ssd.pageWrites").value == 1
 
 
 def test_late_demand_joins_inflight_prefetch():
