@@ -1,11 +1,12 @@
 """Bridge between the memory bus and CXL.mem devices.
 
 The bridge intercepts HDM-bound host packets, converts them to CXL.mem
-messages through two pairs of bounded FIFO queues, and converts device
-responses back.  A request FIFO slot doubles as the transaction credit:
-it is held from admission until the converted response is handed back to
-the memory bus, which makes req_fifo_depth the ceiling on in-flight HDM
-requests and ties peak random-access bandwidth to Little's law.
+messages through two pairs of bounded FIFO queues, and completes each host
+request when the device response that answers it has been converted.  A
+request FIFO slot doubles as the transaction credit: it is held from
+admission until the request completes on the memory bus, which makes
+req_fifo_depth the ceiling on in-flight HDM requests and ties peak
+random-access bandwidth to Little's law.
 
 Admission control is credit-free NACK/retry: a request arriving with no
 free slot is refused once (counted), and the sender holds the packet.
@@ -31,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from .engine import Engine
 from .host import MemCmd, MemPacket, SimFault
@@ -44,10 +45,6 @@ class CxlKind(Enum):
     S2M_DRS = "S2MDRS"    # data response with 64B payload
 
 
-class ConversionError(SimFault):
-    pass
-
-
 class ProtocolError(SimFault):
     pass
 
@@ -58,7 +55,6 @@ class CxlMemPacket:
     id: int
     addr: int
     payload_bytes: int
-    data: Optional[bytes] = None
 
     def __post_init__(self):
         expect = 64 if self.kind in (CxlKind.M2S_RWD, CxlKind.S2M_DRS) else 0
@@ -72,22 +68,15 @@ def convert_m2s(pkt: MemPacket) -> CxlMemPacket:
     """Host request -> CXL.mem request; ids are preserved."""
     if pkt.cmd is MemCmd.READ_REQ:
         return CxlMemPacket(CxlKind.M2S_REQ, pkt.id, pkt.addr, 0)
-    if pkt.cmd is MemCmd.WRITE_REQ:
-        return CxlMemPacket(CxlKind.M2S_RWD, pkt.id, pkt.addr, 64, data=pkt.data)
-    raise ConversionError(f"cannot convert {pkt.cmd.value} to a CXL.mem request")
+    return CxlMemPacket(CxlKind.M2S_RWD, pkt.id, pkt.addr, 64)
 
 
-def convert_s2m(pkt: CxlMemPacket, request: MemPacket) -> MemPacket:
-    """CXL.mem response -> host response for the matching request."""
-    if pkt.kind is CxlKind.S2M_DRS:
-        if request.cmd is not MemCmd.READ_REQ:
-            raise ProtocolError("S2MDRS must answer a ReadReq")
-        return request.make_response(data=pkt.data)
-    if pkt.kind is CxlKind.S2M_NDR:
-        if request.cmd is not MemCmd.WRITE_REQ:
-            raise ProtocolError("S2MNDR must answer a WriteReq")
-        return request.make_response()
-    raise ConversionError(f"{pkt.kind.value} is not a device response")
+def convert_s2m(pkt: CxlMemPacket, request: MemPacket) -> None:
+    """Check that a CXL.mem response answers its request: S2MDRS a
+    ReadReq, S2MNDR a WriteReq."""
+    expect = CxlKind.S2M_DRS if request.cmd is MemCmd.READ_REQ else CxlKind.S2M_NDR
+    if pkt.kind is not expect:
+        raise ProtocolError(f"{pkt.kind.value} cannot answer a {request.cmd.value}")
 
 
 @dataclass
@@ -177,8 +166,6 @@ class CxlBridge:
 
     def receive(self, pkt: MemPacket, on_response) -> None:
         """Memory-bus port: admit or refuse-and-hold (retry protocol)."""
-        if pkt.cmd not in (MemCmd.READ_REQ, MemCmd.WRITE_REQ):
-            raise ProtocolError(f"bridge cannot admit {pkt.cmd.value}")
         if self._credits < self.config.req_fifo_depth:
             self._admit(pkt, on_response)
         else:
@@ -221,10 +208,10 @@ class CxlBridge:
                 request, on_response = self._inflight.pop(cxl.id)
             except KeyError:
                 raise ProtocolError(f"response id {cxl.id} matches no request")
-            resp = convert_s2m(cxl, request)
+            convert_s2m(cxl, request)
             self._release_resp_slot()
             self._release_credit()
-            on_response(resp)
+            on_response()
 
         self.engine.schedule(self.config.traversal_lat, converted)
 

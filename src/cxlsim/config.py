@@ -113,6 +113,13 @@ def _device_medium_spec(dev: dict) -> dict:
             "kind": dev["medium"]}
 
 
+def _device_cache(dev: dict) -> Optional[dict]:
+    """The SSD device's cache block when the cache is on; a block without
+    `enabled` turns it on."""
+    cache = dev.get("cache")
+    return cache if cache is not None and cache.get("enabled", True) else None
+
+
 def _list_of(kinds, pred):
     """Check for a non-empty list whose every item is of `kinds` (never a
     bool) and passes `pred`."""
@@ -265,7 +272,9 @@ def validate_config(cfg: dict) -> dict:
         _no_unknown(lvl, {"capacity_kb", "assoc", "hit_latency_ns"}, p)
         _require(lvl, "capacity_kb", p, int, _POS, "must be > 0")
         _require(lvl, "assoc", p, int, _POS, "must be > 0")
-        _require(lvl, "hit_latency_ns", p, NUM, _POS, "must be > 0")
+        # In ticks, as Cache checks it.
+        _require(lvl, "hit_latency_ns", p, NUM, lambda v: ns_to_ticks(v) > 0,
+                 "must round to at least one 1 ps tick")
         if lvl["capacity_kb"] * KB % (lvl["assoc"] * LINE_BYTES):
             raise ConfigError(f"{p}.capacity_kb: must divide into assoc x "
                               f"{LINE_BYTES} B lines")
@@ -325,10 +334,14 @@ def validate_config(cfg: dict) -> dict:
             _require(ssd, "channels", sp, int, _POS, "must be > 0")
             cache = dev.get("cache")
             if cache is not None:
+                _require(dev, "cache", p, dict)
                 cp = f"{p}.cache"
                 _no_unknown(cache, {"enabled", "capacity_kb", "policy",
                                     "prefetch"}, cp)
-                if cache.get("enabled", True):
+                for flag in ("enabled", "prefetch"):
+                    if flag in cache:
+                        _require(cache, flag, cp, bool)
+                if _device_cache(dev) is not None:
                     _require(cache, "capacity_kb", cp, int, _POS, "must be > 0")
                     if cache["capacity_kb"] * KB % ssd["page_bytes"]:
                         raise ConfigError(f"{cp}.capacity_kb: must be a whole "
@@ -497,9 +510,9 @@ def _build_device_medium(engine: Engine, dev: dict, stats, prefix: str):
         read_latency=ns_to_ticks(ssd_cfg["read_latency_us"] * 1000.0),
         write_latency=ns_to_ticks(ssd_cfg["write_latency_us"] * 1000.0),
         parallel_channels=ssd_cfg["channels"]), stats)
-    cache = dev.get("cache") or {}
-    if not cache.get("enabled", False):
-        return SsdDirectMedium(engine, ssd)
+    cache = _device_cache(dev)
+    if cache is None:
+        return SsdDirectMedium(ssd)
     prefetcher = BestOffsetPrefetcher() if cache.get("prefetch", True) else None
     return SsdCachedMedium(engine, ssd,
                            DeviceCacheConfig(capacity=cache["capacity_kb"] * KB,

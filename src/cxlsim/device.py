@@ -14,22 +14,20 @@ A DRAM medium reports its completion when a request is submitted, so on
 receipt the device knows when the response is built and schedules one
 event for it; an SSD medium answers through a callback instead.
 
-Data is stored byte-exactly in a sparse shadow map keyed by 64B line;
-untouched lines read as zero.  SSD-backed media manage their own bytes
-(page store plus device cache) and bypass the shadow map.
+The device is timing-only: an M2S request names a 64B line and carries no
+bytes, and the S2M response it builds carries none either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .engine import Engine
 from .host import AddressMap, SimFault, Target
 from .bridge import CxlBridge, CxlKind, CxlMemPacket
 
 ALL_ONES = (1 << 64) - 1
-ZERO_LINE = bytes(64)
 
 
 class DeviceFault(SimFault):
@@ -90,7 +88,7 @@ class MemExpander:
         self.config = config
         self.medium = medium
         self.config_space = ConfigSpace(bars=[BaseAddressRegister(config.hdm_size)])
-        self._shadow: Dict[int, bytes] = {}
+        self._by_callback = getattr(medium, "answers_by_callback", False)
         self._bridge: Optional[CxlBridge] = None
         self.rsp_time = stats.histogram(f"{prefix}.rsp")
         self.reads = stats.counter(f"{prefix}.reads")
@@ -124,41 +122,24 @@ class MemExpander:
         kind = "read" if is_read else "write"
         (self.reads if is_read else self.writes).inc()
         proto = self.config.device_proto_proc_lat
+        if is_read:
+            resp = CxlMemPacket(CxlKind.S2M_DRS, pkt.id, pkt.addr, 64)
+        else:
+            resp = CxlMemPacket(CxlKind.S2M_NDR, pkt.id, pkt.addr, 0)
 
-        def respond(result) -> None:
-            if is_read:
-                resp = CxlMemPacket(CxlKind.S2M_DRS, pkt.id, pkt.addr, 64,
-                                    data=result)
-            else:
-                resp = CxlMemPacket(CxlKind.S2M_NDR, pkt.id, pkt.addr, 0)
+        def respond() -> None:
             self.rsp_time.record(self.engine.now - arrival)
             self._bridge.device_egress(resp)
 
-        if getattr(self.medium, "functional", False):
+        if self._by_callback:
             # Parse, access the medium, then build the response.
             self.engine.schedule(proto, lambda: self.medium.access(
-                offset, kind, pkt.data,
-                lambda result: self.engine.schedule(proto,
-                                                    lambda: respond(result))))
+                offset, kind, lambda: self.engine.schedule(proto, respond)))
             return
-        # Every request waits the same parse delay, so touching the shadow
-        # map on receipt keeps the order of its accesses; the medium is
-        # handed the request as it will arrive after the parse, and one
-        # event builds the response once medium and build delay are paid.
-        line = offset // 64
-        if not is_read and pkt.data is not None:
-            if len(pkt.data) != 64:
-                raise DeviceFault("payload writes must be full 64B lines")
-            self._shadow[line] = bytes(pkt.data)
-        result = self._shadow.get(line, ZERO_LINE) if is_read else None
-        done = self.medium.submit(kind, proto)
-        self.engine.schedule(done + proto, lambda: respond(result))
-
-    # Direct functional access for tests and management layers.
-    def peek(self, offset: int) -> bytes:
-        if getattr(self.medium, "functional", False):
-            return self.medium.peek(offset)
-        return self._shadow.get(offset // 64, ZERO_LINE)
+        # The medium is handed the request as it will arrive after the
+        # parse, and one event builds the response once medium and build
+        # delay are paid.
+        self.engine.schedule(self.medium.submit(kind, proto) + proto, respond)
 
 
 def probe_bar_size(bar: BaseAddressRegister) -> int:

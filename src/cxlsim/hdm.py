@@ -173,7 +173,6 @@ class HdmAllocator:
 
 class NodeKind(Enum):
     DDR_LOCAL = "DdrLocal"
-    DDR_REMOTE = "DdrRemote"
     CXL_HDM = "CxlHdm"
 
 

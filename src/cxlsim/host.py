@@ -15,8 +15,8 @@ Uncacheable requests (non-temporal style traffic used by the open-loop
 bandwidth sweeps) pay the same host_path_lat as a lump sum, so both paths
 see identical end-to-end timing for a full miss.
 
-The hierarchy is timing-only; functional byte storage lives in the memory
-devices and is exercised through uncacheable or device-level accesses.
+The model is timing-only: a request is one 64B line that carries no
+bytes, and its completion is a callback with no response packet.
 """
 
 from __future__ import annotations
@@ -35,12 +35,6 @@ LINE_BYTES = 64
 class MemCmd(Enum):
     READ_REQ = "ReadReq"
     WRITE_REQ = "WriteReq"
-    READ_RESP = "ReadResp"
-    WRITE_RESP = "WriteResp"
-
-
-RESPONSE_FOR = {MemCmd.READ_REQ: MemCmd.READ_RESP,
-                MemCmd.WRITE_REQ: MemCmd.WRITE_RESP}
 
 
 class Target(Enum):
@@ -58,24 +52,16 @@ class AddressFault(SimFault):
 
 @dataclass
 class MemPacket:
+    """A request for one whole 64B line."""
     id: int
     cmd: MemCmd
     addr: int
-    size: int = LINE_BYTES
     issue_tick: int = 0
     cacheable: bool = True
-    data: Optional[bytes] = None
 
     def __post_init__(self):
-        if self.size <= 0 or self.size > LINE_BYTES or (self.size & (self.size - 1)):
-            raise ValueError(f"size must be a power of two <= {LINE_BYTES}")
-        if self.addr % self.size:
-            raise ValueError(f"addr {self.addr:#x} not aligned to size {self.size}")
-
-    def make_response(self, data: Optional[bytes] = None) -> "MemPacket":
-        return MemPacket(id=self.id, cmd=RESPONSE_FOR[self.cmd], addr=self.addr,
-                         size=self.size, issue_tick=self.issue_tick,
-                         cacheable=self.cacheable, data=data)
+        if self.addr % LINE_BYTES:
+            raise ValueError(f"addr {self.addr:#x} not aligned to {LINE_BYTES}B line")
 
 
 @dataclass(frozen=True)
@@ -211,7 +197,7 @@ class MemBus:
         return self.addr_map.lookup(pkt.addr)
 
     def send(self, pkt: MemPacket, lat: int,
-             on_response: Callable[[MemPacket], None]) -> None:
+             on_response: Callable[[], None]) -> None:
         rng = self.route(pkt)
         counter = self.to_bridge if rng.target is Target.BRIDGE else self.to_local
         counter.inc()
@@ -228,8 +214,7 @@ class LocalMemory:
 
     def receive(self, pkt: MemPacket, on_response) -> None:
         kind = "read" if pkt.cmd is MemCmd.READ_REQ else "write"
-        self.engine.schedule(self.medium.submit(kind),
-                             lambda: on_response(pkt.make_response()))
+        self.engine.schedule(self.medium.submit(kind), on_response)
 
 
 class CacheHierarchy:
@@ -247,7 +232,7 @@ class CacheHierarchy:
         self._miss_lat = stats.histogram("l3.overallAvgMissLat")
         self._mshr_merges = stats.counter("l3.mshrMerges")
 
-    def access(self, pkt: MemPacket, on_complete: Callable[[MemPacket], None]) -> None:
+    def access(self, pkt: MemPacket, on_complete: Callable[[], None]) -> None:
         self._lookup(0, pkt, on_complete)
 
     def _lookup(self, idx: int, pkt, on_complete) -> None:
@@ -260,7 +245,7 @@ class CacheHierarchy:
                     level.mark_dirty(line)
                 if idx > 0:
                     self._promote(idx - 1, line)
-                on_complete(pkt)
+                on_complete()
             elif idx + 1 < len(self.levels):
                 self._lookup(idx + 1, pkt, on_complete)
             else:
@@ -291,11 +276,10 @@ class CacheHierarchy:
 
     def _issue_writeback(self, line: int) -> None:
         wb = MemPacket(id=next(self._pkt_ids), cmd=MemCmd.WRITE_REQ,
-                       addr=line * LINE_BYTES, issue_tick=self.engine.now,
-                       cacheable=False)
+                       addr=line * LINE_BYTES)
         self._wb_outstanding.add(1)
         self.membus.send(wb, self.membus_lat,
-                         lambda _resp: self._wb_outstanding.add(-1))
+                         lambda: self._wb_outstanding.add(-1))
 
     def _miss(self, pkt, on_complete) -> None:
         line = pkt.addr // LINE_BYTES
@@ -306,10 +290,9 @@ class CacheHierarchy:
         self._mshrs[line] = [(pkt, on_complete)]
         miss_tick = self.engine.now
         fetch = MemPacket(id=next(self._pkt_ids), cmd=MemCmd.READ_REQ,
-                          addr=line * LINE_BYTES, issue_tick=miss_tick,
-                          cacheable=True)
+                          addr=line * LINE_BYTES)
         self.membus.send(fetch, self.membus_lat,
-                         lambda resp: self._fill(line, miss_tick))
+                         lambda: self._fill(line, miss_tick))
 
     def _fill(self, line: int, miss_tick: int) -> None:
         self._miss_lat.record(self.engine.now - miss_tick)
@@ -318,7 +301,7 @@ class CacheHierarchy:
         for pkt, on_complete in waiters:
             if pkt.cmd is MemCmd.WRITE_REQ:
                 self.levels[0].mark_dirty(line)
-            on_complete(pkt)
+            on_complete()
 
     def warm_install(self, addr: int, dirty: bool = False,
                      level: int = -1) -> None:
@@ -356,11 +339,11 @@ class Injector:
         self._ticks_per_cycle = ticks_per_cycle
         self._ids = itertools.count(inj_id << 32)
 
-    def issue(self, cmd: MemCmd, addr: int, size: int = LINE_BYTES,
-              cacheable: bool = True, on_complete=None,
-              data: Optional[bytes] = None) -> int:
-        pkt = MemPacket(id=next(self._ids), cmd=cmd, addr=addr, size=size,
-                        cacheable=cacheable, data=data)
+    def issue(self, cmd: MemCmd, addr: int, cacheable: bool = True,
+              on_complete=None) -> int:
+        """Issue one 64B line; `on_complete(pkt)` gets the request packet."""
+        pkt = MemPacket(id=next(self._ids), cmd=cmd, addr=addr,
+                        cacheable=cacheable)
         if self._in_flight < self.config.lsq_depth and not self._pending:
             self._start(pkt, on_complete)
         else:
@@ -372,7 +355,7 @@ class Injector:
         self._in_flight += 1
         self._outstanding.add(1)
         pkt.issue_tick = self.engine.now
-        self._dispatch(pkt, lambda done_pkt: self._finish(done_pkt, on_complete))
+        self._dispatch(pkt, lambda: self._finish(pkt, on_complete))
 
     def _finish(self, pkt: MemPacket, on_complete) -> None:
         self._in_flight -= 1
@@ -423,9 +406,4 @@ class HostPath:
         if pkt.cacheable:
             self.hierarchy.access(pkt, on_complete)
         else:
-            def responded(resp: MemPacket):
-                if resp.cmd is MemCmd.READ_RESP:
-                    pkt.data = resp.data
-                on_complete(pkt)
-
-            self.membus.send(pkt, self.host_path_lat, responded)
+            self.membus.send(pkt, self.host_path_lat, on_complete)

@@ -15,10 +15,9 @@ table.  A phase ends when a score reaches 31 or after 100 rounds; the
 best-scoring offset becomes the active prefetch offset unless its score
 is <= 1, which disables prefetching until a later phase finds a winner.
 
-Functional note: write-back data is propagated to the flash store when
-the write-back is submitted (write-buffer semantics) so a racing refetch
-of the victim page always observes the latest bytes; the program time is
-still charged on the channel.
+The model is timing-only: no bytes are stored.  A write marks its cached
+page dirty, and a dirty eviction charges the page program time on a
+channel; a refetch of that page is an ordinary miss.
 """
 
 from __future__ import annotations
@@ -131,7 +130,7 @@ class BestOffsetPrefetcher:
 
 
 class SsdMedium:
-    """Page store with FIFO channel arbitration.
+    """Flash channels with FIFO arbitration.
 
     Each I/O takes the channel that frees first, at max(now, that tick);
     a heap of the channels' free ticks gives the start when the I/O is
@@ -143,12 +142,12 @@ class SsdMedium:
         config.validate()
         self.engine = engine
         self.config = config
-        self._store: Dict[int, bytes] = {}
         self._free_at = [0] * config.parallel_channels   # a heap
         self.page_reads = stats.counter("ssd.pageReads")
         self.page_writes = stats.counter("ssd.pageWrites")
 
-    def io(self, page: int, kind: str, on_done: Callable[[], None]) -> None:
+    def io(self, kind: str, on_done: Callable[[], None]) -> None:
+        """One page read or program on the channel that frees first."""
         if kind == "read":
             self.page_reads.inc()
             lat = self.config.read_latency
@@ -160,18 +159,11 @@ class SsdMedium:
         heapq.heapreplace(self._free_at, start + lat)
         self.engine.schedule(start - now + lat, on_done)
 
-    def read_page(self, page: int) -> bytes:
-        return self._store.get(page, bytes(self.config.page_size))
-
-    def write_page(self, page: int, data: bytes) -> None:
-        self._store[page] = bytes(data)
-
 
 class _CachedPage:
-    __slots__ = ("data", "dirty", "prefetched", "referenced")
+    __slots__ = ("dirty", "prefetched", "referenced")
 
-    def __init__(self, data: bytearray, prefetched: bool = False):
-        self.data = data
+    def __init__(self, prefetched: bool = False):
         self.dirty = False
         self.prefetched = prefetched
         self.referenced = False
@@ -180,7 +172,7 @@ class _CachedPage:
 class SsdCachedMedium:
     """Device cache in front of the flash; write-allocate, write-back."""
 
-    functional = True
+    answers_by_callback = True
 
     def __init__(self, engine: Engine, ssd: SsdMedium, cache: DeviceCacheConfig,
                  hit_latency: int, stats,
@@ -204,8 +196,7 @@ class SsdCachedMedium:
 
     # -- medium interface ---------------------------------------------------
 
-    def access(self, offset: int, kind: str, data: Optional[bytes],
-               on_done: Callable[[Optional[bytes]], None]) -> None:
+    def access(self, offset: int, kind: str, on_done: Callable[[], None]) -> None:
         page = offset // self.page_size
         entry = self._pages.get(page)
         if entry is not None:
@@ -218,15 +209,16 @@ class SsdCachedMedium:
                 entry.referenced = True
                 if self.prefetcher is not None:
                     candidate = self.prefetcher.update(page)
-            result = self._apply(entry, offset, kind, data)
-            self.engine.schedule(self.hit_latency, lambda: on_done(result))
+            if kind == "write":
+                entry.dirty = True
+            self.engine.schedule(self.hit_latency, on_done)
             if candidate is not None:
                 self._maybe_prefetch(candidate, trigger=page)
             return
 
         if page in self._inflight:
             record = self._inflight[page]
-            record["waiters"].append((offset, kind, data, on_done))
+            record["waiters"].append((kind, on_done))
             if record["prefetch"]:
                 self.late_hits.inc()
                 if self.prefetcher is not None:
@@ -238,19 +230,9 @@ class SsdCachedMedium:
         self.misses.inc()
         candidate = self.prefetcher.update(page) if self.prefetcher else None
         self._fetch(page, prefetch=False, trigger=page,
-                    waiters=[(offset, kind, data, on_done)])
+                    waiters=[(kind, on_done)])
         if candidate is not None:
             self._maybe_prefetch(candidate, trigger=page)
-
-    def _apply(self, entry: _CachedPage, offset: int, kind: str,
-               data: Optional[bytes]) -> Optional[bytes]:
-        off = offset % self.page_size
-        if kind == "read":
-            return bytes(entry.data[off:off + 64])
-        entry.dirty = True
-        if data is not None:
-            entry.data[off:off + len(data)] = data
-        return None
 
     # -- fills and evictions --------------------------------------------------
 
@@ -263,24 +245,22 @@ class SsdCachedMedium:
     def _fetch(self, page: int, prefetch: bool, trigger: int, waiters: list) -> None:
         self._inflight[page] = {"prefetch": prefetch, "trigger": trigger,
                                 "waiters": waiters}
-        self.ssd.io(page, "read", lambda: self._install(page))
+        self.ssd.io("read", lambda: self._install(page))
 
     def _install(self, page: int) -> None:
         record = self._inflight.pop(page)
-        entry = _CachedPage(bytearray(self.ssd.read_page(page)),
-                            prefetched=record["prefetch"])
+        entry = _CachedPage(prefetched=record["prefetch"])
         installed = self._evict_for(record)
         if installed:
             self._pages[page] = entry
-        for offset, kind, data, on_done in record["waiters"]:
+        for kind, on_done in record["waiters"]:
             entry.referenced = True
-            result = self._apply(entry, offset, kind, data)
-            self.engine.schedule(self.hit_latency,
-                                 lambda r=result, cb=on_done: cb(r))
+            if kind == "write":
+                entry.dirty = True
+            self.engine.schedule(self.hit_latency, on_done)
         if not installed and entry.dirty:
-            # Uncacheable install absorbed a write; persist it.
-            self.ssd.write_page(page, bytes(entry.data))
-            self.ssd.io(page, "write", lambda: None)
+            # Uncacheable install absorbed a write; program it.
+            self.ssd.io("write", lambda: None)
 
     def _evict_for(self, record: dict) -> bool:
         """Make room for one install; returns False when a prefetched page
@@ -298,52 +278,21 @@ class SsdCachedMedium:
         victim = self._pages.pop(victim_page)
         if victim.dirty:
             self.writebacks.inc()
-            # Data reaches the flash store now; program time still occupies
-            # a channel so the timing cost is paid.
-            self.ssd.write_page(victim_page, bytes(victim.data))
-            self.ssd.io(victim_page, "write", lambda: None)
+            self.ssd.io("write", lambda: None)
         return True
-
-    def peek(self, offset: int) -> bytes:
-        page = offset // self.page_size
-        off = offset % self.page_size
-        entry = self._pages.get(page)
-        if entry is not None:
-            return bytes(entry.data[off:off + 64])
-        return self.ssd.read_page(page)[off:off + 64]
 
 
 class SsdDirectMedium:
     """Uncached SSD path: every 64B read costs a page read and every 64B
-    write a page read-modify-write."""
+    write a page read-modify-write (a page read, then a page program)."""
 
-    functional = True
+    answers_by_callback = True
 
-    def __init__(self, engine: Engine, ssd: SsdMedium):
-        self.engine = engine
+    def __init__(self, ssd: SsdMedium):
         self.ssd = ssd
-        self.page_size = ssd.config.page_size
 
-    def access(self, offset: int, kind: str, data: Optional[bytes],
-               on_done: Callable[[Optional[bytes]], None]) -> None:
-        page = offset // self.page_size
-        off = offset % self.page_size
-
+    def access(self, offset: int, kind: str, on_done: Callable[[], None]) -> None:
         if kind == "read":
-            self.ssd.io(page, "read",
-                        lambda: on_done(self.ssd.read_page(page)[off:off + 64]))
-            return
-
-        def after_read():
-            buf = bytearray(self.ssd.read_page(page))
-            if data is not None:
-                buf[off:off + len(data)] = data
-            self.ssd.write_page(page, bytes(buf))
-            self.ssd.io(page, "write", lambda: on_done(None))
-
-        self.ssd.io(page, "read", after_read)
-
-    def peek(self, offset: int) -> bytes:
-        page = offset // self.page_size
-        off = offset % self.page_size
-        return self.ssd.read_page(page)[off:off + 64]
+            self.ssd.io("read", on_done)
+        else:
+            self.ssd.io("read", lambda: self.ssd.io("write", on_done))

@@ -69,10 +69,6 @@ class System:
         offset = self.hdm_allocators[device_index].alloc(pid, size)
         return self.devices[device_index].bar.base + offset
 
-    def am_free(self, pid: int, addr: int, device_index: int = 0) -> None:
-        device = self.devices[device_index]
-        self.hdm_allocators[device_index].free(pid, addr - device.bar.base)
-
     def run(self) -> int:
         return self.engine.run()
 

@@ -6,8 +6,9 @@ import re
 import pytest
 
 from cxlsim import cli
-from cxlsim.config import (ConfigError, merge_config, preset, preset_names,
-                           validate_config)
+from cxlsim.config import (ConfigError, build_system, merge_config, preset,
+                           preset_names, validate_config)
+from cxlsim.ssd import SsdCachedMedium
 
 
 class TestValidation:
@@ -60,6 +61,14 @@ class TestValidation:
         cfg = preset("cxl-dmsim-a")
         cfg["devices"] = [coarse_device(None)]
         assert validate_config(cfg)["devices"][0]["medium"] == "coarse_dram"
+
+    def test_cache_block_without_enabled_builds_cached_medium(self):
+        cfg = preset("cxl-ssd")
+        cfg["devices"][0]["cache"] = {"capacity_kb": 1024, "policy": "lru"}
+        medium = build_system(cfg).devices[0].medium
+        assert isinstance(medium, SsdCachedMedium)
+        assert medium.cache_config.capacity == 1024 * 1024
+        assert medium.prefetcher is not None
 
     def test_fractional_query_count_rejected(self):
         # A fractional count never equals the completed-query count, so a
@@ -298,6 +307,19 @@ class TestCli:
                            cache={"enabled": True, "capacity_kb": 6,
                                   "policy": "lru", "prefetch": True})]},
          "config.devices[0].cache.capacity_kb"),
+        ({"host": {"caches": {"l1": {"hit_latency_ns": 0.0001}}}},
+         "config.host.caches.l1.hit_latency_ns"),
+        # cache block and flags of the wrong type
+        ({"devices": [dict(preset("cxl-ssd")["devices"][0], cache=5)]},
+         "config.devices[0].cache"),
+        ({"devices": [dict(preset("cxl-ssd")["devices"][0],
+                           cache={"enabled": "no", "capacity_kb": 1024,
+                                  "policy": "lru"})]},
+         "config.devices[0].cache.enabled"),
+        ({"devices": [dict(preset("cxl-ssd")["devices"][0],
+                           cache={"capacity_kb": 1024, "policy": "lru",
+                                  "prefetch": "no"})]},
+         "config.devices[0].cache.prefetch"),
         # JSON Infinity
         ({"host": {"core_freq_ghz": math.inf}}, "config.host.core_freq_ghz"),
         ({"bridge": {"bridge_lat_ns": math.inf}}, "config.bridge.bridge_lat_ns"),

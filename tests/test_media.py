@@ -201,7 +201,7 @@ def test_ssd_channels_match_event_driven_fifo(reqs, channels):
                     StatsRegistry())
     done = {}
     at_arrivals(engine, arrivals, lambda i: ssd.io(
-        i, kinds[i], lambda: done.__setitem__(i, engine.now)))
+        kinds[i], lambda: done.__setitem__(i, engine.now)))
     lats = [ssd.config.read_latency if k == READ else ssd.config.write_latency
             for k in kinds]
     starts = reference_starts(arrivals, lats, channels)

@@ -29,8 +29,8 @@ def access_all(engine, cache, pages, kind="read"):
     def step(i=0):
         if i == len(pages):
             return
-        cache.access(pages[i] * PAGE, kind, None,
-                     lambda _r: (done.append(engine.now), step(i + 1)))
+        cache.access(pages[i] * PAGE, kind,
+                     lambda: (done.append(engine.now), step(i + 1)))
 
     step()
     engine.run()
@@ -116,8 +116,8 @@ class TestSsdIo:
                                           parallel_channels=1),
                         StatsRegistry())
         done = []
-        ssd.io(0, "read", lambda: done.append(engine.now))
-        ssd.io(1, "read", lambda: done.append(engine.now))
+        ssd.io("read", lambda: done.append(engine.now))
+        ssd.io("read", lambda: done.append(engine.now))
         engine.run()
         assert done == [ns_to_ticks(1000), ns_to_ticks(2000)]
 
@@ -129,8 +129,8 @@ class TestSsdIo:
                                           parallel_channels=2),
                         StatsRegistry())
         done = []
-        ssd.io(0, "read", lambda: done.append(engine.now))
-        ssd.io(1, "read", lambda: done.append(engine.now))
+        ssd.io("read", lambda: done.append(engine.now))
+        ssd.io("read", lambda: done.append(engine.now))
         engine.run()
         assert done == [ns_to_ticks(1000)] * 2
 
@@ -142,8 +142,8 @@ class TestSsdIo:
                                           parallel_channels=1),
                         StatsRegistry())
         kinds = ["read", "write", "read", "write", "read"]
-        for i, k in enumerate(kinds):
-            ssd.io(i, k, lambda: None)
+        for k in kinds:
+            ssd.io(k, lambda: None)
         end = engine.run()
         assert end == ns_to_ticks(3 * 1000 + 2 * 3000)
 
@@ -183,8 +183,8 @@ def test_sequential_scan_demand_misses_vanish_after_learning():
             return
         if i == warm_accesses:
             before_misses["v"] = stats.get("ssdcache.misses").value
-        cache.access(offsets[i], "read", None,
-                     lambda _r: (done.append(i), step(i + 1)))
+        cache.access(offsets[i], "read",
+                     lambda: (done.append(i), step(i + 1)))
 
     step()
     engine.run()
@@ -198,21 +198,17 @@ def test_read_after_write_through_writeback_and_refetch():
     engine = Engine()
     stats = StatsRegistry()
     _, cache = make_cached(engine, capacity_pages=2, stats=stats)
-    payload = bytes(range(64))
-    results = {}
-
-    def check(_r=None):
-        pass
 
     # write page 0, force eviction by touching pages 1 and 2, then re-read
-    cache.access(0, "write", payload, check)
-    engine.run()
+    access_all(engine, cache, [0], kind="write")
     access_all(engine, cache, [1, 2])
     assert 0 not in cache._pages          # evicted, written back
-    cache.access(0, "read", None, lambda r: results.setdefault("data", r))
-    engine.run()
-    assert results["data"] == payload
     assert stats.get("ssdcache.writebacks").value >= 1
+    reads = stats.get("ssd.pageReads").value
+    misses = stats.get("ssdcache.misses").value
+    access_all(engine, cache, [0])
+    assert stats.get("ssdcache.misses").value == misses + 1
+    assert stats.get("ssd.pageReads").value == reads + 1
 
 
 def test_uncached_rmw_write_then_read():
@@ -223,14 +219,14 @@ def test_uncached_rmw_write_then_read():
                                       write_latency=ns_to_ticks(3000),
                                       parallel_channels=1),
                     stats)
-    direct = SsdDirectMedium(engine, ssd)
-    payload = bytes(reversed(range(64)))
-    results = {}
-    direct.access(256, "write", payload, lambda r: None)
+    direct = SsdDirectMedium(ssd)
+    done = []
+    direct.access(256, "write", lambda: done.append(engine.now))
     engine.run()
-    direct.access(256, "read", None, lambda r: results.setdefault("data", r))
+    direct.access(256, "read", lambda: done.append(engine.now))
     engine.run()
-    assert results["data"] == payload
+    # the write pays a page read then a page program; the read one page read
+    assert done == [ns_to_ticks(1000 + 3000), ns_to_ticks(1000 + 3000 + 1000)]
     # one page read per 64B read, read-modify-write per 64B write
     assert stats.get("ssd.pageReads").value == 2
     assert stats.get("ssd.pageWrites").value == 1
@@ -244,10 +240,10 @@ def test_late_demand_joins_inflight_prefetch():
     _, cache = make_cached(engine, capacity_pages=8, read_ns=5000,
                            prefetcher=bo, stats=stats)
     got = []
-    cache.access(0, "read", None, lambda r: got.append(engine.now))
+    cache.access(0, "read", lambda: got.append(engine.now))
     # while page 1's prefetch is in flight, demand it
     engine.run_until(ns_to_ticks(5500))
-    cache.access(PAGE, "read", None, lambda r: got.append(engine.now))
+    cache.access(PAGE, "read", lambda: got.append(engine.now))
     engine.run()
     assert len(got) == 2
     assert stats.get("ssdcache.lateHits").value == 1
