@@ -307,6 +307,17 @@ class TestCli:
                            cache={"enabled": True, "capacity_kb": 6,
                                   "policy": "lru", "prefetch": True})]},
          "config.devices[0].cache.capacity_kb"),
+        # JSON Infinity
+        ({"host": {"core_freq_ghz": math.inf}}, "config.host.core_freq_ghz"),
+        ({"bridge": {"bridge_lat_ns": math.inf}}, "config.bridge.bridge_lat_ns"),
+        ({"devices": [dict(preset("cxl-dmsim-a")["devices"][0],
+                           medium_access_lat_ns=math.inf)]},
+         "config.devices[0].medium_access_lat_ns"),
+        ({"workload": {"kind": "rdwr_sweep", "read_fractions": [1.0],
+                       "rates_bytes_per_ns": [math.inf], "ops": 600,
+                       "warm_ops": 100, "placement": "hdm"}},
+         "config.workload.rates_bytes_per_ns"),
+        # cache hit latency that rounds to 0 ps
         ({"host": {"caches": {"l1": {"hit_latency_ns": 0.0001}}}},
          "config.host.caches.l1.hit_latency_ns"),
         # cache block and flags of the wrong type
@@ -320,16 +331,6 @@ class TestCli:
                            cache={"capacity_kb": 1024, "policy": "lru",
                                   "prefetch": "no"})]},
          "config.devices[0].cache.prefetch"),
-        # JSON Infinity
-        ({"host": {"core_freq_ghz": math.inf}}, "config.host.core_freq_ghz"),
-        ({"bridge": {"bridge_lat_ns": math.inf}}, "config.bridge.bridge_lat_ns"),
-        ({"devices": [dict(preset("cxl-dmsim-a")["devices"][0],
-                           medium_access_lat_ns=math.inf)]},
-         "config.devices[0].medium_access_lat_ns"),
-        ({"workload": {"kind": "rdwr_sweep", "read_fractions": [1.0],
-                       "rates_bytes_per_ns": [math.inf], "ops": 600,
-                       "warm_ops": 100, "placement": "hdm"}},
-         "config.workload.rates_bytes_per_ns"),
     ])
     def test_run_rejects_bad_field_with_exit_2(self, tmp_path, capsys,
                                                overlay, field):
