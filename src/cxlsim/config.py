@@ -33,7 +33,7 @@ from .device import CxlDeviceConfig, MemExpander, enumerate_expander
 from .media import CoarseDram, CoarseDramConfig, QueuedDdr, QueuedDdrConfig
 from .ssd import (BestOffsetPrefetcher, DeviceCacheConfig, SsdCachedMedium,
                   SsdConfig, SsdDirectMedium, SsdMedium)
-from .hdm import (HdmAllocationError, HdmAllocator, NodeKind, NumaNode,
+from .hdm import (HdmAllocationError, HdmAllocator, NumaNode,
                   PlacementError, Policy)
 from .system import System
 from . import workloads as wl
@@ -552,8 +552,7 @@ def build_system(cfg: dict) -> System:
                     host_path_lat=ns_to_ticks(hostc["host_path_lat_ns"]),
                     stats=stats, ticks_per_cycle=ticks_per_cycle)
 
-    numa_nodes = [NumaNode(id=0, kind=NodeKind.DDR_LOCAL, base=0,
-                           size=local_size, distance=10)]
+    numa_nodes = [NumaNode(id=0, base=0, size=local_size, distance=10)]
     bridge = None
     devices: List[MemExpander] = []
     allocators: List[HdmAllocator] = []
@@ -578,9 +577,8 @@ def build_system(cfg: dict) -> System:
             rng = enumerate_expander(addr_map, expander, bridge)
             devices.append(expander)
             allocators.append(HdmAllocator(dev["hdm_size_mb"] * MB))
-            numa_nodes.append(NumaNode(id=i + 1, kind=NodeKind.CXL_HDM,
-                                       base=rng.base, size=rng.limit - rng.base,
-                                       distance=20))
+            numa_nodes.append(NumaNode(id=i + 1, base=rng.base,
+                                       size=rng.limit - rng.base, distance=20))
 
     return System(engine=engine, stats=stats, addr_map=addr_map, membus=membus,
                   host=host, bridge=bridge, devices=devices,

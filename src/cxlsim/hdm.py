@@ -171,15 +171,9 @@ class HdmAllocator:
 # -- kernel-managed placement -------------------------------------------------
 
 
-class NodeKind(Enum):
-    DDR_LOCAL = "DdrLocal"
-    CXL_HDM = "CxlHdm"
-
-
 @dataclass(frozen=True)
 class NumaNode:
     id: int
-    kind: NodeKind
     base: int
     size: int
     distance: int = 10

@@ -25,9 +25,10 @@ import itertools
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .engine import Engine
+from .hdm import PAGE_BYTES
 
 LINE_BYTES = 64
 
@@ -179,6 +180,50 @@ class Cache:
         cset[tag] = dirty
         return victim
 
+    def install_pages(self, page_addrs: Sequence[int], lines: int,
+                      period: int, dirty_per_period: int) -> None:
+        """Install the first `lines` lines of the pages at `page_addrs`, in
+        order and without traffic, exactly as `install` would one line at a
+        time; victims are dropped.  Line i is dirty when
+        i % period < dirty_per_period.
+
+        Within one page, consecutive lines fall into consecutive sets under
+        one tag until the set index wraps, so each page is a few passes over
+        a slice of the sets.  A set may hold more than `ways` entries during
+        the passes; trimming it afterwards to its newest `ways` leaves what
+        per-line LRU would.  The exception is a tag already present, which
+        per-line LRU may have evicted by then, so the set is trimmed before
+        such a tag is refreshed."""
+        sets, num_sets, ways = self._sets, self.num_sets, self.ways
+        per_page = PAGE_BYTES // LINE_BYTES
+        flags = [i % period < dirty_per_period for i in range(per_page + period)]
+        for page, addr in enumerate(page_addrs):
+            count = min(per_page, lines - page * per_page)
+            if count <= 0:
+                break
+            first = addr // LINE_BYTES
+            phase = page * per_page % period
+            done = 0
+            while done < count:
+                line = first + done
+                s, tag = line % num_sets, line // num_sets
+                k = min(count - done, num_sets - s)
+                start = phase + done
+                for cset, dirty in zip(sets[s:s + k], flags[start:start + k]):
+                    if tag in cset:
+                        while len(cset) > ways:
+                            cset.popitem(last=False)
+                        if tag in cset:
+                            if dirty:
+                                cset[tag] = True
+                            cset.move_to_end(tag)
+                            continue
+                    cset[tag] = dirty
+                done += k
+        for cset in sets:
+            while len(cset) > ways:
+                cset.popitem(last=False)
+
 
 class MemBus:
     """Routes packets by address range; charges the caller-chosen latency."""
@@ -302,12 +347,6 @@ class CacheHierarchy:
             if pkt.cmd is MemCmd.WRITE_REQ:
                 self.levels[0].mark_dirty(line)
             on_complete()
-
-    def warm_install(self, addr: int, dirty: bool = False,
-                     level: int = -1) -> None:
-        """Directly pre-populate one level (default: last); used to reach
-        steady cache state without simulating the fill traffic."""
-        self.levels[level].install(addr // LINE_BYTES, dirty=dirty)
 
 
 @dataclass

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
@@ -108,13 +109,8 @@ class Histogram:
             self.min = sample
         if sample > self.max:
             self.max = sample
-        idx = 0
-        for i, edge in enumerate(self.edges):
-            if sample >= edge:
-                idx = i
-            else:
-                break
-        self.counts[idx] += 1
+        # The last edge <= sample; a sample below 0 counts in bucket 0.
+        self.counts[max(0, bisect_right(self.edges, sample) - 1)] += 1
 
     @property
     def mean(self) -> float:

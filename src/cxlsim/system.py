@@ -10,6 +10,7 @@ report snapshots).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, List, Optional
 
 from .engine import Engine
@@ -39,29 +40,23 @@ class System:
     def injectors(self):
         return self.host.injectors
 
-    def node_by_id(self, node_id: int) -> NumaNode:
-        for node in self.numa_nodes:
-            if node.id == node_id:
-                return node
-        raise KeyError(f"no NUMA node {node_id}")
-
     def place_pages(self, count: int, policy: Policy) -> List[int]:
         """Assign physical page base addresses according to a NUMA policy.
 
         Placement within each node is a bump allocator so repeated
         placements in one run never overlap.
         """
-        capacities = {}
-        for node in self.numa_nodes:
-            used = self._page_cursor.get(node.id, 0)
-            capacities[node.id] = node.size // PAGE_BYTES - used
-        assignment = km_place(count, policy, capacities)
-        addrs = []
-        for node_id in assignment:
-            node = self.node_by_id(node_id)
+        nodes = {node.id: node for node in self.numa_nodes}
+        capacities = {node_id: node.size // PAGE_BYTES
+                      - self._page_cursor.get(node_id, 0)
+                      for node_id, node in nodes.items()}
+        addrs: List[int] = []
+        for node_id, run in groupby(km_place(count, policy, capacities)):
+            pages = sum(1 for _ in run)
             cursor = self._page_cursor.get(node_id, 0)
-            addrs.append(node.base + cursor * PAGE_BYTES)
-            self._page_cursor[node_id] = cursor + 1
+            start = nodes[node_id].base + cursor * PAGE_BYTES
+            addrs.extend(range(start, start + pages * PAGE_BYTES, PAGE_BYTES))
+            self._page_cursor[node_id] = cursor + pages
         return addrs
 
     def am_alloc(self, pid: int, size: int, device_index: int = 0) -> int:

@@ -4,7 +4,8 @@ Four generator families reproduce the classic memory characterization
 suite at desk scale:
 
 * latency_sweep - dependent pointer-chase over a randomized single-cycle
-  permutation, one outstanding load, per-array-size mean load-to-use.
+  permutation (a random sample of lines for an array larger than the
+  LLC), one outstanding load, per-array-size mean load-to-use.
 * stream - Copy/Scale/Add/Triad streaming kernels measured over a window
   after pre-warming the LLC to steady write-back state.
 * rdwr_sweep - open-loop uniform-random 64B traffic at a given read
@@ -119,14 +120,20 @@ def run_latency_sweep(system: System, params: SimpleNamespace,
         region = _PagedRegion(system, size, placement)
         lines = size // params.stride
         rng = random.Random(_derive_seed(system.seed, "lat", idx))
-        order = build_chase_cycle(lines, rng)
         stride_lines = params.stride // LINE_BYTES
+        samples = min(params.samples, lines)
 
         # A footprint larger than the LLC misses on every chase step with
         # LRU (reuse distance exceeds the capacity), so warm-up only
-        # matters for arrays that fit some cache level.
-        warm_left = lines if size <= l3_capacity else 0
-        samples = min(params.samples, lines)
+        # matters for arrays that fit some cache level.  Such an array is
+        # walked `samples` steps from cold, so only that many distinct
+        # lines are drawn (a partial Fisher-Yates) instead of a full cycle.
+        if size <= l3_capacity:
+            warm_left = lines
+            order = build_chase_cycle(lines, rng)
+        else:
+            warm_left = 0
+            order = rng.sample(range(lines), samples)
         state = {"pos": 0, "warm_left": warm_left,
                  "measure_left": samples, "lat_sum": 0, "t0": 0}
 
@@ -185,8 +192,7 @@ def run_stream(system: System, params: SimpleNamespace,
                placement: Policy) -> WorkloadResult:
     """`params.groups` 64B line groups, the first `warm_groups` of them
     outside the measure window."""
-    hierarchy = system.host.hierarchy
-    llc = hierarchy.levels[-1]
+    llc = system.host.hierarchy.levels[-1]
     engine = system.engine
     reads, writes = STREAM_KERNELS[params.kernel]
     arrays = {name: _PagedRegion(system, params.array_mb * MB, placement)
@@ -196,14 +202,11 @@ def run_stream(system: System, params: SimpleNamespace,
     # reach: full of streamed lines whose dirty fraction matches the
     # kernel's dirty-install fraction, so evictions during the measured
     # window produce write-backs at the steady rate.
-    ghost = _PagedRegion(system, llc.config.capacity, placement)
-    installs_per_group = len(reads) + len(writes)
-    ghost_lines = llc.config.capacity // LINE_BYTES
-    for i in range(ghost_lines):
-        dirty = (i % installs_per_group) < len(writes)
-        hierarchy.warm_install(ghost.line_addr(i), dirty=dirty)
-
     ops_per_group = len(reads) + len(writes)
+    ghost = _PagedRegion(system, llc.config.capacity, placement)
+    llc.install_pages(ghost.page_addrs, llc.config.capacity // LINE_BYTES,
+                      ops_per_group, len(writes))
+
     total_ops = params.groups * ops_per_group
     window = _Window(engine, params.warm_groups * ops_per_group, total_ops)
     on_complete = window.complete   # one bound method for every request

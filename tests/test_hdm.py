@@ -1,11 +1,15 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import build
+
+from cxlsim.config import preset
 from cxlsim.hdm import (HdmAllocationError, HdmAllocator, HdmError,
                         HdmInvalidFree, HdmPermissionError, NodeState,
-                        PAGE_BYTES, PlacementError, Policy, km_place)
+                        NumaNode, PAGE_BYTES, PlacementError, Policy, km_place)
 
 MB = 1024 * 1024
 GB = 1024 * MB
@@ -154,3 +158,56 @@ class TestKmPlace:
         policy = Policy.interleave([0, 1, 2], [0.5, 0.3, 0.2])
         caps = {0: 50, 1: 50, 2: 50}
         assert km_place(30, policy, caps) == km_place(30, policy, caps)
+
+
+# -- System.place_pages by runs against the per-page placement it replaced ----
+
+
+def reference_place_pages(system, count, policy):
+    """Place page by page, advancing one node's cursor per page."""
+    capacities = {node.id: node.size // PAGE_BYTES
+                  - system._page_cursor.get(node.id, 0)
+                  for node in system.numa_nodes}
+    addrs = []
+    for node_id in km_place(count, policy, capacities):
+        node = next(n for n in system.numa_nodes if n.id == node_id)
+        cursor = system._page_cursor.get(node_id, 0)
+        addrs.append(node.base + cursor * PAGE_BYTES)
+        system._page_cursor[node_id] = cursor + 1
+    return addrs
+
+
+ASIC_SYSTEM = build(preset("cxl-dmsim-a"))
+
+
+def small_numa_system(node_pages):
+    """A system whose NUMA nodes hold only `node_pages` pages each."""
+    return replace(ASIC_SYSTEM, _page_cursor={}, numa_nodes=[
+        NumaNode(id=i, base=(i + 1) << 32, size=pages * PAGE_BYTES)
+        for i, pages in enumerate(node_pages)])
+
+
+POLICIES = st.one_of(
+    st.sampled_from([0, 1, 2]).map(Policy.bind),
+    st.permutations([0, 1, 2]).map(lambda order: Policy.preferred(order[:2])),
+    st.sampled_from([((0, 1), (0.5, 0.5)), ((0, 2), (0.75, 0.25)),
+                     ((0, 1, 2), (0.5, 0.3, 0.2))]).map(
+        lambda spec: Policy.interleave(*spec)))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(node_pages=st.lists(st.integers(1, 40), min_size=3, max_size=3),
+       placements=st.lists(st.tuples(st.integers(0, 30), POLICIES),
+                           min_size=1, max_size=6))
+def test_place_pages_by_runs_matches_per_page(node_pages, placements):
+    system = small_numa_system(node_pages)
+    reference = small_numa_system(node_pages)
+    for count, policy in placements:
+        try:
+            expected = reference_place_pages(reference, count, policy)
+        except PlacementError:
+            with pytest.raises(PlacementError):
+                system.place_pages(count, policy)
+            continue
+        assert system.place_pages(count, policy) == expected
+        assert system._page_cursor == reference._page_cursor

@@ -1,13 +1,17 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build, patched_preset, tiny_cache_patch
 
 from cxlsim.host import (AddressFault, AddressMap, Cache, CacheLevelConfig,
                          LINE_BYTES, MemCmd, MemPacket, Target)
-from cxlsim.config import run_workload
+from cxlsim.config import preset, run_workload
+from cxlsim.hdm import PAGE_BYTES, Policy
 from cxlsim.stats import StatsRegistry
+from cxlsim.workloads import STREAM_KERNELS
 
 
 def test_mem_packet_validation():
@@ -74,6 +78,60 @@ class TestCache:
         cache.install(5, dirty=True)
         victim = cache.install(6)
         assert victim == (5, True)
+
+
+# -- the bulk LLC pre-warm against the per-line install it replaced -----------
+
+
+def reference_install_pages(cache, page_addrs, lines, period, dirty_per_period):
+    """Install line i of the paged region, one line at a time."""
+    lines_per_page = PAGE_BYTES // LINE_BYTES
+    for i in range(lines):
+        addr = page_addrs[i // lines_per_page] + i % lines_per_page * LINE_BYTES
+        cache.install(addr // LINE_BYTES, dirty=i % period < dirty_per_period)
+
+
+def cache_contents(cache):
+    return [list(cset.items()) for cset in cache._sets]
+
+
+ASIC_SYSTEM = build(preset("cxl-dmsim-a"))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(num_sets=st.one_of(st.integers(1, 70), st.sampled_from([64, 96, 128, 200])),
+       assoc=st.integers(1, 6), kernel=st.sampled_from(sorted(STREAM_KERNELS)),
+       interleave=st.booleans(), data=st.data())
+def test_install_pages_matches_per_line_install(num_sets, assoc, kernel,
+                                                interleave, data):
+    capacity = num_sets * assoc * LINE_BYTES     # often not whole pages
+    system = replace(ASIC_SYSTEM, _page_cursor={})
+    policy = (Policy.interleave((0, 1), (0.5, 0.5)) if interleave
+              else Policy.bind(data.draw(st.sampled_from([0, 1]))))
+    system.place_pages(data.draw(st.integers(0, 3)), policy)
+    pages = system.place_pages(-(-capacity // PAGE_BYTES), policy)
+    lines = capacity // LINE_BYTES
+    # Lines held before the pre-warm, some of them inside the region, so
+    # the present-tag and the eviction paths both run.
+    region = [a // LINE_BYTES + k for a in pages
+              for k in range(PAGE_BYTES // LINE_BYTES)][:lines]
+    rnd = random.Random(data.draw(st.integers(0, 2**32)))
+    held = [(rnd.choice(region) if rnd.random() < 0.5
+             else rnd.randrange(4 * lines), rnd.random() < 0.5)
+            for _ in range(rnd.randrange(3 * lines))]
+    reads, writes = STREAM_KERNELS[kernel]
+    period = len(reads) + len(writes)
+
+    caches = [Cache("l3", CacheLevelConfig(capacity=capacity,
+                                           associativity=assoc,
+                                           hit_latency=1000), StatsRegistry())
+              for _ in range(2)]
+    for cache in caches:
+        for line, dirty in held:
+            cache.install(line, dirty=dirty)
+    caches[0].install_pages(pages, lines, period, len(writes))
+    reference_install_pages(caches[1], pages, lines, period, len(writes))
+    assert cache_contents(caches[0]) == cache_contents(caches[1])
 
 
 def test_lsq_capacity_one_blocks_second_issue():

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cxlsim.stats import (Counter, Gauge, Histogram, Mean, RunReport,
                           StatError, StatsRegistry, config_digest)
@@ -47,6 +47,34 @@ def test_welford_matches_brute_force(samples):
     scale = max(1.0, abs(mean))
     assert abs(h.mean - mean) / scale < 1e-9
     assert abs(h.stdev - math.sqrt(var)) / max(1.0, math.sqrt(var)) < 1e-9
+
+
+def reference_bucket(edges, sample):
+    """The linear edge scan that Histogram.record used before bisect."""
+    idx = 0
+    for i, edge in enumerate(edges):
+        if sample >= edge:
+            idx = i
+        else:
+            break
+    return idx
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(edges=st.lists(st.integers(0, 50), max_size=6).map(
+           lambda rest: (0, *sorted(rest))),
+       data=st.data())
+def test_bucket_lookup_matches_edge_scan(edges, data):
+    # Samples on the edges, between them, past the last and below 0;
+    # duplicate edges are common with these sizes.
+    sample = data.draw(st.one_of(
+        st.sampled_from(edges), st.integers(-5, 60),
+        st.floats(-5.0, 60.0, allow_nan=False)))
+    h = Histogram("x", edges=edges)
+    h.record(sample)
+    expected = [0] * len(edges)
+    expected[reference_bucket(edges, sample)] = 1
+    assert h.counts == expected
 
 
 def test_percentile_monotone():

@@ -59,6 +59,39 @@ def test_different_seed_changes_chase_order_not_plateau():
     assert plateau(1) == plateau(2) == 130.0
 
 
+@pytest.mark.parametrize("array_kb,stride,samples,walked", [
+    (128, 4096, 40, 32),       # fewer lines than samples: each line once
+    (256, 64, 40, 40),
+])
+def test_array_beyond_llc_walks_sampled_distinct_lines(
+        monkeypatch, array_kb, stride, samples, walked):
+    from cxlsim import host, workloads
+
+    chased, issued = [], []
+    real_chase, real_issue = workloads.build_chase_cycle, host.Injector.issue
+
+    def counting_chase(num_lines, rng):
+        chased.append(num_lines)
+        return real_chase(num_lines, rng)
+
+    def recording_issue(self, cmd, addr, *args, **kwargs):
+        issued.append(addr)
+        return real_issue(self, cmd, addr, *args, **kwargs)
+
+    monkeypatch.setattr(workloads, "build_chase_cycle", counting_chase)
+    monkeypatch.setattr(host.Injector, "issue", recording_issue)
+    cfg = merge_config(preset("local-ddr"), tiny_cache_patch())   # 64 KB LLC
+    cfg["workload"] = {"kind": "latency_sweep",
+                       "array_kb": [16, 64, array_kb], "stride": stride,
+                       "samples": samples, "placement": "local"}
+    run_workload(cfg)
+    # Only the arrays that fit the LLC build a full cycle, and each walks
+    # it once to warm up before its samples.
+    assert chased == [16 * 1024 // stride, 64 * 1024 // stride]
+    beyond = issued[sum(n + min(samples, n) for n in chased):]
+    assert len(beyond) == len(set(beyond)) == walked
+
+
 def test_rdwr_rows_cover_requested_grid_in_order():
     cfg = preset("local-ddr")
     fracs = [0.5, 0.7, 0.9]
