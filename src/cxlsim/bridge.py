@@ -87,7 +87,7 @@ class BridgeConfig:
     resp_fifo_depth: int
     link_bytes_per_ns_tx: float
     link_bytes_per_ns_rx: float
-    msg_header_bytes: int = 16
+    msg_header_bytes: int
 
     def validate(self) -> None:
         if self.req_fifo_depth < 1 or self.resp_fifo_depth < 1:

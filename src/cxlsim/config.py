@@ -341,11 +341,14 @@ def validate_config(cfg: dict) -> dict:
                 for flag in ("enabled", "prefetch"):
                     if flag in cache:
                         _require(cache, flag, cp, bool)
-                if _device_cache(dev) is not None:
+                # A disabled block's fields are optional but still checked.
+                enabled = _device_cache(dev) is not None
+                if enabled or "capacity_kb" in cache:
                     _require(cache, "capacity_kb", cp, int, _POS, "must be > 0")
                     if cache["capacity_kb"] * KB % ssd["page_bytes"]:
                         raise ConfigError(f"{cp}.capacity_kb: must be a whole "
                                           "number of ssd.page_bytes pages")
+                if enabled or "policy" in cache:
                     _require(cache, "policy", cp, str,
                              lambda v: v in ("lru", "fifo"),
                              "must be lru or fifo")

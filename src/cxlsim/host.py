@@ -6,14 +6,17 @@ write-allocate, MSHR-style miss coalescing).  Below the last level a
 memory bus routes packets by physical address range either to local DRAM
 or to the CXL bridge.
 
-Latency budget: a request that misses every level pays the per-level
-lookup latencies plus a residual bus latency, and the sum of those host
-charges equals the configured host_path_lat.  host_path_lat is the single
-calibration constant for the host side: the dependent-load plateau on
-local memory is host_path_lat + the local medium's idle service time.
-Uncacheable requests (non-temporal style traffic used by the open-loop
-bandwidth sweeps) pay the same host_path_lat as a lump sum, so both paths
-see identical end-to-end timing for a full miss.
+Latency budget: host_path_lat is the single calibration constant for the
+host side.  A full miss, cacheable or not, reaches the memory bus
+host_path_lat after issue, so the dependent-load plateau on local memory
+is host_path_lat + the local medium's idle service time; a write-back
+pays host_path_lat minus the summed hit latencies.  Lookups take one step
+at issue: L1 -> L3 are probed (a write hit marked dirty) and a full miss
+takes its MSHR and leaves for the bus at once, while a hit at level k
+costs one event, after the hit latencies of levels 0..k, which promotes
+the line and completes the request.  With one request in flight this
+matches, tick for tick, a lookup of each level in its own event; under
+contention a lookup sees the cache state at issue, not a few ns later.
 
 The model is timing-only: a request is one 64B line that carries no
 bytes, and its completion is a callback with no response packet.
@@ -118,10 +121,9 @@ class CacheLevelConfig:
     capacity: int
     associativity: int
     hit_latency: int                 # ticks
-    line: int = LINE_BYTES
 
     def validate(self) -> None:
-        if self.capacity % (self.associativity * self.line):
+        if self.capacity % (self.associativity * LINE_BYTES):
             raise ValueError("capacity must divide into associativity x line")
         if self.hit_latency <= 0:
             raise ValueError("hit_latency must be > 0")
@@ -134,7 +136,7 @@ class Cache:
         config.validate()
         self.name = name
         self.config = config
-        self.num_sets = config.capacity // (config.associativity * config.line)
+        self.num_sets = config.capacity // (config.associativity * LINE_BYTES)
         self.ways = config.associativity
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
         self.lookups = stats.counter(f"{name}.lookups")
@@ -238,12 +240,9 @@ class MemBus:
     def attach(self, target: Target, port) -> None:
         self.targets[target] = port
 
-    def route(self, pkt: MemPacket) -> AddressRange:
-        return self.addr_map.lookup(pkt.addr)
-
     def send(self, pkt: MemPacket, lat: int,
              on_response: Callable[[], None]) -> None:
-        rng = self.route(pkt)
+        rng = self.addr_map.lookup(pkt.addr)
         counter = self.to_bridge if rng.target is Target.BRIDGE else self.to_local
         counter.inc()
         port = self.targets[rng.target]
@@ -263,14 +262,23 @@ class LocalMemory:
 
 
 class CacheHierarchy:
-    """Shared L1/L2/L3 with a single MSHR table below the last level."""
+    """Shared L1/L2/L3 with a single MSHR table below the last level; the
+    one place that splits host_path_lat into lookups and bus."""
 
     def __init__(self, engine: Engine, levels: List[Cache], membus: MemBus,
-                 membus_lat: int, stats):
+                 host_path_lat: int, stats):
+        # _hit_lats[k]: issue to a hit at level k; [-1]: all lookups.
+        self._hit_lats = list(itertools.accumulate(
+            c.config.hit_latency for c in levels))
+        if host_path_lat < self._hit_lats[-1]:
+            raise ValueError(
+                f"host_path_lat {host_path_lat} is smaller than the summed "
+                f"cache lookup latencies {self._hit_lats[-1]}")
         self.engine = engine
         self.levels = levels
         self.membus = membus
-        self.membus_lat = membus_lat
+        self.host_path_lat = host_path_lat
+        self.membus_lat = host_path_lat - self._hit_lats[-1]
         self._mshrs: Dict[int, list] = {}
         self._pkt_ids = itertools.count(1 << 48)  # fill/writeback id space
         self._wb_outstanding = stats.gauge("membus.writebacksInFlight")
@@ -278,25 +286,20 @@ class CacheHierarchy:
         self._mshr_merges = stats.counter("l3.mshrMerges")
 
     def access(self, pkt: MemPacket, on_complete: Callable[[], None]) -> None:
-        self._lookup(0, pkt, on_complete)
-
-    def _lookup(self, idx: int, pkt, on_complete) -> None:
-        level = self.levels[idx]
-
-        def after_lookup():
-            line = pkt.addr // LINE_BYTES
+        """Look up L1 -> L3 at issue (see the module docstring)."""
+        line = pkt.addr // LINE_BYTES
+        for k, level in enumerate(self.levels):
             if level.touch(line):
                 if pkt.cmd is MemCmd.WRITE_REQ:
                     level.mark_dirty(line)
-                if idx > 0:
-                    self._promote(idx - 1, line)
-                on_complete()
-            elif idx + 1 < len(self.levels):
-                self._lookup(idx + 1, pkt, on_complete)
-            else:
-                self._miss(pkt, on_complete)
+                self.engine.schedule(self._hit_lats[k],
+                                     lambda: self._hit(k, line, on_complete))
+                return
+        self._miss(pkt, line, on_complete)
 
-        self.engine.schedule(level.config.hit_latency, after_lookup)
+    def _hit(self, k: int, line: int, on_complete) -> None:
+        self._promote(k - 1, line)
+        on_complete()
 
     def _promote(self, upto: int, line: int) -> None:
         for k in range(upto, -1, -1):
@@ -326,18 +329,19 @@ class CacheHierarchy:
         self.membus.send(wb, self.membus_lat,
                          lambda: self._wb_outstanding.add(-1))
 
-    def _miss(self, pkt, on_complete) -> None:
-        line = pkt.addr // LINE_BYTES
+    def _miss(self, pkt, line: int, on_complete) -> None:
         if line in self._mshrs:
             self._mshr_merges.inc()
             self._mshrs[line].append((pkt, on_complete))
             return
-        self._mshrs[line] = [(pkt, on_complete)]
-        miss_tick = self.engine.now
+        miss_tick = self.engine.now + self._hit_lats[-1]
         fetch = MemPacket(id=next(self._pkt_ids), cmd=MemCmd.READ_REQ,
                           addr=line * LINE_BYTES)
-        self.membus.send(fetch, self.membus_lat,
+        # Sent before the MSHR is taken, so an unmapped line faults here
+        # and leaves no entry behind.
+        self.membus.send(fetch, self.host_path_lat,
                          lambda: self._fill(line, miss_tick))
+        self._mshrs[line] = [(pkt, on_complete)]
 
     def _fill(self, line: int, miss_tick: int) -> None:
         self._miss_lat.record(self.engine.now - miss_tick)
@@ -420,16 +424,9 @@ class HostPath:
     def __init__(self, engine: Engine, caches: List[Cache], membus: MemBus,
                  injector_config: InjectorConfig, host_path_lat: int,
                  stats, ticks_per_cycle: float):
-        lookup_sum = sum(c.config.hit_latency for c in caches)
-        if host_path_lat < lookup_sum:
-            raise ValueError(
-                f"host_path_lat {host_path_lat} is smaller than the summed "
-                f"cache lookup latencies {lookup_sum}")
-        self.engine = engine
         self.membus = membus
-        self.host_path_lat = host_path_lat
-        membus_lat = host_path_lat - lookup_sum
-        self.hierarchy = CacheHierarchy(engine, caches, membus, membus_lat, stats)
+        self.hierarchy = CacheHierarchy(engine, caches, membus, host_path_lat,
+                                        stats)
         load_to_use = stats.histogram(
             "core.loadToUse", edges=(0, 10, 100, 1000, 10000, 100000))
         lsq_full = stats.counter("core.lsqFullEvents")
@@ -441,8 +438,7 @@ class HostPath:
         ]
 
     def _dispatch(self, pkt: MemPacket, on_complete) -> None:
-        self.membus.route(pkt)  # fault early on unmapped addresses
         if pkt.cacheable:
             self.hierarchy.access(pkt, on_complete)
         else:
-            self.membus.send(pkt, self.host_path_lat, on_complete)
+            self.membus.send(pkt, self.hierarchy.host_path_lat, on_complete)

@@ -30,7 +30,15 @@ from typing import Callable, Dict, List, Optional
 from .engine import Engine
 
 
-def _smooth_offsets(limit: int = 64) -> List[int]:
+# Best-Offset tuning, as the module docstring describes it.
+SCORE_MAX = 31
+ROUND_MAX = 100
+BAD_SCORE = 1
+RR_SIZE = 128        # pages in the recent-request table
+MAX_OFFSET = 64
+
+
+def _smooth_offsets(limit: int) -> List[int]:
     out = []
     for d in range(1, limit + 1):
         n = d
@@ -44,10 +52,10 @@ def _smooth_offsets(limit: int = 64) -> List[int]:
 
 @dataclass
 class SsdConfig:
-    page_size: int = 4096
-    read_latency: int = 25_000_000     # ticks per page (25 us)
-    write_latency: int = 300_000_000   # ticks per page (300 us)
-    parallel_channels: int = 8
+    page_size: int
+    read_latency: int                  # ticks per page
+    write_latency: int                 # ticks per page
+    parallel_channels: int
 
     def validate(self) -> None:
         if self.page_size < 64 or self.page_size & (self.page_size - 1):
@@ -59,7 +67,7 @@ class SsdConfig:
 @dataclass
 class DeviceCacheConfig:
     capacity: int
-    policy: str = "lru"       # lru | fifo
+    policy: str               # lru | fifo
 
     def validate(self, page_size: int) -> None:
         if self.capacity % page_size:
@@ -71,13 +79,8 @@ class DeviceCacheConfig:
 class BestOffsetPrefetcher:
     """Offset prefetcher scored against a recent-request table."""
 
-    def __init__(self, score_max: int = 31, round_max: int = 100,
-                 bad_score: int = 1, rr_size: int = 128, max_offset: int = 64):
-        self.offsets = _smooth_offsets(max_offset)
-        self.score_max = score_max
-        self.round_max = round_max
-        self.bad_score = bad_score
-        self.rr_size = rr_size
+    def __init__(self):
+        self.offsets = _smooth_offsets(MAX_OFFSET)
         self.scores: Dict[int, int] = {d: 0 for d in self.offsets}
         self.best_offset: Optional[int] = None
         self.round = 0
@@ -90,7 +93,7 @@ class BestOffsetPrefetcher:
             self._rr.move_to_end(page)
         else:
             self._rr[page] = None
-            if len(self._rr) > self.rr_size:
+            if len(self._rr) > RR_SIZE:
                 self._rr.popitem(last=False)
 
     def _end_phase(self, selected: Optional[int]) -> None:
@@ -106,7 +109,7 @@ class BestOffsetPrefetcher:
         d = self.offsets[self._test_idx]
         if page - d in self._rr:
             self.scores[d] += 1
-            if self.scores[d] >= self.score_max:
+            if self.scores[d] >= SCORE_MAX:
                 self._end_phase(d)
                 self._rr_insert(page)
                 return self._candidate(page)
@@ -114,9 +117,9 @@ class BestOffsetPrefetcher:
         if self._test_idx == len(self.offsets):
             self._test_idx = 0
             self.round += 1
-            if self.round >= self.round_max:
+            if self.round >= ROUND_MAX:
                 best = max(self.offsets, key=lambda o: self.scores[o])
-                if self.scores[best] > self.bad_score:
+                if self.scores[best] > BAD_SCORE:
                     self._end_phase(best)
                 else:
                     self._end_phase(None)

@@ -5,8 +5,9 @@ outputs (core.loadToUse::mean, bridge.reqRetryCounts, cxl.rsp::mean,
 dram.avgQLat, l3.overallAvgMissLat) so run reports line up column-for-column
 with the congestion-study tables this package reproduces.
 
-All stats must be registered before they are recorded; recording an
-unknown name fails fast so a typo cannot silently drop samples.
+Each component registers its stats once and records through the objects
+it gets back.  Registering a name twice, or getting a name that was never
+registered, fails fast, so a typo cannot silently split or drop samples.
 """
 
 from __future__ import annotations
@@ -184,15 +185,6 @@ class StatsRegistry:
             return self._stats[name]
         except KeyError:
             raise StatError(f"statistic {name!r} was never registered") from None
-
-    def record(self, name: str, sample: float) -> None:
-        stat = self.get(name)
-        if isinstance(stat, Counter):
-            stat.inc(int(sample))
-        elif isinstance(stat, (Histogram, Mean)):
-            stat.record(sample)
-        else:
-            raise StatError(f"statistic {name!r} is a gauge; use add/set")
 
     def flatten(self) -> Dict[str, float]:
         """Flatten to scalar report entries with stable (sorted) keys."""

@@ -12,7 +12,8 @@ def make_bridge(engine, stats=None, req_depth=4, resp_depth=4,
     cfg = BridgeConfig(bridge_lat=ns_to_ticks(bridge_ns),
                        host_proto_proc_lat=ns_to_ticks(proto_ns),
                        req_fifo_depth=req_depth, resp_fifo_depth=resp_depth,
-                       link_bytes_per_ns_tx=link, link_bytes_per_ns_rx=link)
+                       link_bytes_per_ns_tx=link, link_bytes_per_ns_rx=link,
+                       msg_header_bytes=16)
     return CxlBridge(engine, cfg, stats or StatsRegistry())
 
 

@@ -331,6 +331,18 @@ class TestCli:
                            cache={"capacity_kb": 1024, "policy": "lru",
                                   "prefetch": "no"})]},
          "config.devices[0].cache.prefetch"),
+        # a disabled cache block still checks the fields it carries
+        ({"devices": [dict(preset("cxl-ssd")["devices"][0],
+                           cache={"enabled": False, "capacity_kb": 6,
+                                  "policy": "lru"})]},
+         "config.devices[0].cache.capacity_kb"),
+        ({"devices": [dict(preset("cxl-ssd")["devices"][0],
+                           cache={"enabled": False, "capacity_kb": 1024,
+                                  "policy": "bogus"})]},
+         "config.devices[0].cache.policy"),
+        ({"devices": [dict(preset("cxl-ssd")["devices"][0],
+                           cache={"enabled": False, "capacity_kb": "1024"})]},
+         "config.devices[0].cache.capacity_kb"),
     ])
     def test_run_rejects_bad_field_with_exit_2(self, tmp_path, capsys,
                                                overlay, field):

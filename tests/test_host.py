@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build, patched_preset, tiny_cache_patch
 
-from cxlsim.host import (AddressFault, AddressMap, Cache, CacheLevelConfig,
-                         LINE_BYTES, MemCmd, MemPacket, Target)
+from cxlsim.host import (AddressFault, AddressMap, Cache, CacheHierarchy,
+                         CacheLevelConfig, LINE_BYTES, MemCmd, MemPacket,
+                         Target)
 from cxlsim.config import preset, run_workload
+from cxlsim.engine import ns_to_ticks
 from cxlsim.hdm import PAGE_BYTES, Policy
 from cxlsim.stats import StatsRegistry
 from cxlsim.workloads import STREAM_KERNELS
@@ -134,6 +136,114 @@ def test_install_pages_matches_per_line_install(num_sets, assoc, kernel,
     assert cache_contents(caches[0]) == cache_contents(caches[1])
 
 
+# -- the one-step lookup against the per-level events it replaced -------------
+
+
+class StaggeredHierarchy(CacheHierarchy):
+    """The lookup that CacheHierarchy.access replaced: each level's lookup
+    is its own event, and a full miss takes its MSHR after the last one and
+    pays the residual membus_lat to the bus."""
+
+    def access(self, pkt, on_complete):
+        self._lookup(0, pkt, on_complete)
+
+    def _lookup(self, idx, pkt, on_complete):
+        level = self.levels[idx]
+
+        def after_lookup():
+            line = pkt.addr // LINE_BYTES
+            if level.touch(line):
+                if pkt.cmd is MemCmd.WRITE_REQ:
+                    level.mark_dirty(line)
+                if idx > 0:
+                    self._promote(idx - 1, line)
+                on_complete()
+            elif idx + 1 < len(self.levels):
+                self._lookup(idx + 1, pkt, on_complete)
+            else:
+                self._staggered_miss(pkt, line, on_complete)
+
+        self.engine.schedule(level.config.hit_latency, after_lookup)
+
+    def _staggered_miss(self, pkt, line, on_complete):
+        if line in self._mshrs:
+            self._mshr_merges.inc()
+            self._mshrs[line].append((pkt, on_complete))
+            return
+        self._mshrs[line] = [(pkt, on_complete)]
+        miss_tick = self.engine.now
+        fetch = MemPacket(id=next(self._pkt_ids), cmd=MemCmd.READ_REQ,
+                          addr=line * LINE_BYTES)
+        self.membus.send(fetch, self.membus_lat,
+                         lambda: self._fill(line, miss_tick))
+
+
+def run_trace(preset_name, caches, injectors, lsq_depth, trace,
+              staggered=False):
+    """Issue `trace`, a list of (tick, injector, write, line), against a
+    fresh system with `caches` as its host.caches block; returns each
+    request's completion tick, the flattened stats and the cache
+    contents."""
+    system = build(patched_preset(preset_name, {
+        "host": {"caches": caches},
+        "workload": {"kind": "dlrm_proxy", "injectors": injectors,
+                     "lsq_depth": lsq_depth}}))
+    if staggered:   # same state and stats, the old access path
+        system.host.hierarchy.__class__ = StaggeredHierarchy
+    base = system.devices[0].bar.base if system.devices else 0
+    done = {}
+
+    def issue(inj, write, line):
+        cmd = MemCmd.WRITE_REQ if write else MemCmd.READ_REQ
+        system.injectors[inj].issue(
+            cmd, base + line * LINE_BYTES,
+            on_complete=lambda p: done.__setitem__(p.id, system.engine.now))
+
+    for tick, inj, write, line in trace:
+        system.engine.schedule(tick, lambda a=(inj, write, line): issue(*a))
+    system.run()
+    return (sorted(done.items()), system.stats.flatten(),
+            [cache_contents(c) for c in system.host.hierarchy.levels])
+
+
+def tiny_caches(draw):
+    """L1 1 KB, L2 1-2 KB, L3 2-4 KB, each with 1-16 ways."""
+    def level(kb, hit_ns):
+        return {"capacity_kb": kb, "hit_latency_ns": hit_ns,
+                "assoc": draw(st.sampled_from([1, 2, 4, 16]))}
+    return {"l1": level(1, 1.0),
+            "l2": level(draw(st.integers(1, 2)), draw(st.sampled_from([1.0, 4.0]))),
+            "l3": level(draw(st.integers(2, 4)), draw(st.sampled_from([2.0, 10.0])))}
+
+
+def random_trace(rnd, injectors, requests, lines, write_share, spread_ns):
+    """Reads and writes over `lines` lines, half of them drawn from a hot
+    eighth so lines are reused, issued at random ticks within
+    `spread_ns`."""
+    hot = max(1, lines // 8)
+    return sorted(
+        (rnd.randrange(spread_ns * 1000), rnd.randrange(injectors),
+         rnd.random() < write_share,
+         rnd.randrange(hot) if rnd.random() < 0.5 else rnd.randrange(lines))
+        for _ in range(requests))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(preset_name=st.sampled_from(["local-ddr", "cxl-dmsim-a"]),
+       data=st.data())
+def test_one_step_lookup_matches_staggered_lookups(preset_name, data):
+    # One request in flight: every lookup sees the same cache state at
+    # issue as the staggered model did a few ns later.
+    caches = tiny_caches(data.draw)
+    rnd = random.Random(data.draw(st.integers(0, 2**32)))
+    trace = random_trace(rnd, 1, rnd.randrange(1, 150),
+                         lines=rnd.choice([16, 64, 256]),
+                         write_share=rnd.random(),
+                         spread_ns=rnd.choice([1, 500, 20000]))
+    assert (run_trace(preset_name, caches, 1, 1, trace)
+            == run_trace(preset_name, caches, 1, 1, trace, staggered=True))
+
+
 def test_lsq_capacity_one_blocks_second_issue():
     cfg = patched_preset("local-ddr", {"workload": {
         "kind": "latency_sweep", "array_kb": [16], "samples": 1,
@@ -173,10 +283,37 @@ def test_mixed_stream_bridge_sees_exactly_hdm_half(asic_cfg):
     assert system.stats.get("bridge.m2sSent").value == 50
 
 
-def test_unmapped_issue_faults(local_cfg):
+@pytest.mark.parametrize("cacheable", [False, True])
+def test_unmapped_issue_faults(local_cfg, cacheable):
     system = build(local_cfg)
     with pytest.raises(AddressFault):
-        system.injectors[0].issue(MemCmd.READ_REQ, 1 << 60, cacheable=False)
+        system.injectors[0].issue(MemCmd.READ_REQ, 1 << 60,
+                                  cacheable=cacheable)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_idle_miss_fires_four_events_and_a_hit_one(asic_cfg, level):
+    system = build(asic_cfg)
+    engine, inj = system.engine, system.injectors[0]
+    levels = system.host.hierarchy.levels
+    line = system.devices[0].bar.base // LINE_BYTES
+
+    def read():
+        """Events fired and load-to-use ticks of one read on an idle system."""
+        start, seq, done = engine.now, engine._seq, []
+        inj.issue(MemCmd.READ_REQ, line * LINE_BYTES,
+                  on_complete=lambda p: done.append(engine.now - start))
+        system.run()
+        return engine._seq - seq, done[0]
+
+    # The bus hop and the datapath below it; no event per cache level.
+    assert read() == (4, ns_to_ticks(288))
+    # Clean lines of the same set push the line out of the levels above
+    # `level`, so the next read hits there.
+    for k in range(level):
+        for j in range(1, levels[k].ways + 1):
+            levels[k].install(line + j * levels[k].num_sets)
+    assert read() == (1, sum(c.config.hit_latency for c in levels[:level + 1]))
 
 
 def test_chase_within_l1_steady_state_hits(local_cfg):

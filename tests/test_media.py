@@ -195,7 +195,8 @@ def test_coarse_dram_matches_event_driven_fifo(reqs, width, delay):
 def test_ssd_channels_match_event_driven_fifo(reqs, channels):
     arrivals, kinds = arrivals_and_kinds(reqs)
     engine = Engine()
-    ssd = SsdMedium(engine, SsdConfig(read_latency=ns_to_ticks(25),
+    ssd = SsdMedium(engine, SsdConfig(page_size=4096,
+                                      read_latency=ns_to_ticks(25),
                                       write_latency=ns_to_ticks(70),
                                       parallel_channels=channels),
                     StatsRegistry())

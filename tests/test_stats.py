@@ -122,7 +122,7 @@ def test_registry_rejects_unregistered_and_duplicates():
     reg = StatsRegistry()
     reg.counter("a.b")
     with pytest.raises(StatError):
-        reg.record("missing", 1)
+        reg.get("missing")
     with pytest.raises(StatError):
         reg.counter("a.b")
 
