@@ -1,12 +1,12 @@
 """Bridge between the memory bus and CXL.mem devices.
 
 The bridge intercepts HDM-bound host packets, converts them to CXL.mem
-messages through two pairs of bounded FIFO queues, and completes each host
-request when the device response that answers it has been converted.  A
-request FIFO slot doubles as the transaction credit: it is held from
-admission until the request completes on the memory bus, which makes
-req_fifo_depth the ceiling on in-flight HDM requests and ties peak
-random-access bandwidth to Little's law.
+requests through two pairs of bounded FIFO queues, and completes each host
+request when the device's answer to it has been converted.  A request
+FIFO slot doubles as the transaction credit: it is held from admission
+until the request completes on the memory bus, which makes req_fifo_depth
+the ceiling on in-flight HDM requests and ties peak random-access
+bandwidth to Little's law.
 
 Admission control is credit-free NACK/retry: a request arriving with no
 free slot is refused once (counted), and the sender holds the packet.
@@ -14,6 +14,11 @@ Every time a slot frees, all held senders re-offer; the oldest wins and
 each losing re-offer counts as another retry.  The response path never
 drops: the device reserves a response FIFO slot before transmitting, so
 a full response FIFO back-pressures device-side delivery.
+
+The S2M response is sized but not built.  Its kind follows from the
+request (S2MDRS with 64B of data for a read, header-only S2MNDR for a
+write), so the device hands its M2S packet back and the bridge charges
+the response's bytes on the RX channel.
 
 Each link direction is an independent serial channel.  Transfers cut
 through (a message is delivered when the channel grants it) while the
@@ -23,8 +28,9 @@ channel is a FIFO single server, so each grant tick is max(arrival, the
 previous message's finish), computed when the message arrives; the
 channel fires no event of its own.
 
-Per-traversal latency: bridge_lat + host_proto_proc_lat is charged on the
-request conversion and again on the response conversion.
+Per-traversal latency: traversal_lat (bridge_lat + host_proto_proc_lat,
+in ticks) is charged on the request conversion and again on the response
+conversion.
 """
 
 from __future__ import annotations
@@ -35,14 +41,12 @@ from enum import Enum
 from typing import Callable, List, Tuple
 
 from .engine import Engine
-from .host import MemCmd, MemPacket, SimFault
+from .host import LINE_BYTES, MemCmd, MemPacket, SimFault
 
 
 class CxlKind(Enum):
     M2S_REQ = "M2SReq"    # read request, header only
     M2S_RWD = "M2SRwD"    # write request with 64B payload
-    S2M_NDR = "S2MNDR"    # no-data response (write ack)
-    S2M_DRS = "S2MDRS"    # data response with 64B payload
 
 
 class ProtocolError(SimFault):
@@ -56,50 +60,12 @@ class CxlMemPacket:
     addr: int
     payload_bytes: int
 
-    def __post_init__(self):
-        expect = 64 if self.kind in (CxlKind.M2S_RWD, CxlKind.S2M_DRS) else 0
-        if self.payload_bytes != expect:
-            raise ProtocolError(
-                f"{self.kind.value} must carry {expect}B payload, "
-                f"got {self.payload_bytes}")
-
 
 def convert_m2s(pkt: MemPacket) -> CxlMemPacket:
     """Host request -> CXL.mem request; ids are preserved."""
     if pkt.cmd is MemCmd.READ_REQ:
         return CxlMemPacket(CxlKind.M2S_REQ, pkt.id, pkt.addr, 0)
-    return CxlMemPacket(CxlKind.M2S_RWD, pkt.id, pkt.addr, 64)
-
-
-def convert_s2m(pkt: CxlMemPacket, request: MemPacket) -> None:
-    """Check that a CXL.mem response answers its request: S2MDRS a
-    ReadReq, S2MNDR a WriteReq."""
-    expect = CxlKind.S2M_DRS if request.cmd is MemCmd.READ_REQ else CxlKind.S2M_NDR
-    if pkt.kind is not expect:
-        raise ProtocolError(f"{pkt.kind.value} cannot answer a {request.cmd.value}")
-
-
-@dataclass
-class BridgeConfig:
-    bridge_lat: int             # ticks, charged per traversal
-    host_proto_proc_lat: int    # ticks, charged per traversal
-    req_fifo_depth: int
-    resp_fifo_depth: int
-    link_bytes_per_ns_tx: float
-    link_bytes_per_ns_rx: float
-    msg_header_bytes: int
-
-    def validate(self) -> None:
-        if self.req_fifo_depth < 1 or self.resp_fifo_depth < 1:
-            raise ValueError("FIFO depths must be >= 1")
-        if self.bridge_lat < 0 or self.host_proto_proc_lat < 0:
-            raise ValueError("latencies must be >= 0")
-        if self.link_bytes_per_ns_tx <= 0 or self.link_bytes_per_ns_rx <= 0:
-            raise ValueError("link capacities must be > 0")
-
-    @property
-    def traversal_lat(self) -> int:
-        return self.bridge_lat + self.host_proto_proc_lat
+    return CxlMemPacket(CxlKind.M2S_RWD, pkt.id, pkt.addr, LINE_BYTES)
 
 
 class LinkChannel:
@@ -132,12 +98,16 @@ class LinkChannel:
 class CxlBridge:
     """Fig-style bridge: two FIFO pairs, conversion latency, retry logic."""
 
-    def __init__(self, engine: Engine, config: BridgeConfig, stats):
-        config.validate()
+    def __init__(self, engine: Engine, traversal_lat: int, req_fifo_depth: int,
+                 resp_fifo_depth: int, link_bytes_per_ns_tx: float,
+                 link_bytes_per_ns_rx: float, msg_header_bytes: int, stats):
         self.engine = engine
-        self.config = config
+        self.traversal_lat = traversal_lat
+        self.req_fifo_depth = req_fifo_depth
+        self.resp_fifo_depth = resp_fifo_depth
+        self.msg_header_bytes = msg_header_bytes
         self._devices: List[Tuple[int, int, object]] = []   # (base, limit, device)
-        self._inflight: dict = {}        # id -> (request pkt, on_response)
+        self._inflight: dict = {}        # id -> on_response
         self._credits = 0                # upstream req FIFO slots in use
         self._waiters: deque = deque()   # held (pkt, on_response)
         self._resp_slots = 0             # downstream resp FIFO incl. reservations
@@ -147,9 +117,9 @@ class CxlBridge:
         self.resp_occupancy = stats.gauge("bridge.respFifoOccupancy")
         self.m2s_sent = stats.counter("bridge.m2sSent")
         self.s2m_received = stats.counter("bridge.s2mReceived")
-        self.tx = LinkChannel(engine, config.link_bytes_per_ns_tx,
+        self.tx = LinkChannel(engine, link_bytes_per_ns_tx,
                               stats.counter("bridge.txBytes"))
-        self.rx = LinkChannel(engine, config.link_bytes_per_ns_rx,
+        self.rx = LinkChannel(engine, link_bytes_per_ns_rx,
                               stats.counter("bridge.rxBytes"))
 
     def attach_device(self, base: int, limit: int, device) -> None:
@@ -166,7 +136,7 @@ class CxlBridge:
 
     def receive(self, pkt: MemPacket, on_response) -> None:
         """Memory-bus port: admit or refuse-and-hold (retry protocol)."""
-        if self._credits < self.config.req_fifo_depth:
+        if self._credits < self.req_fifo_depth:
             self._admit(pkt, on_response)
         else:
             self.retry_counts.inc()
@@ -177,25 +147,28 @@ class CxlBridge:
         self.req_occupancy.set(self._credits)
         if pkt.id in self._inflight:
             raise ProtocolError(f"request id {pkt.id} already in flight")
-        self._inflight[pkt.id] = (pkt, on_response)
+        self._inflight[pkt.id] = on_response
 
-        self.engine.schedule(self.config.traversal_lat,
+        self.engine.schedule(self.traversal_lat,
                              lambda: self._send_m2s(convert_m2s(pkt)))
 
     def _send_m2s(self, cxl: CxlMemPacket) -> None:
         device = self._device_for(cxl.addr)
-        nbytes = self.config.msg_header_bytes + cxl.payload_bytes
+        nbytes = self.msg_header_bytes + cxl.payload_bytes
         self.m2s_sent.inc()
         self.tx.transmit(nbytes, lambda: device.receive_m2s(cxl))
 
     # -- response path -----------------------------------------------------
 
     def device_egress(self, cxl: CxlMemPacket) -> None:
-        """Device-side delivery; stalls when the response FIFO is full."""
-        if self._resp_slots < self.config.resp_fifo_depth:
+        """Device-side delivery of the answer to the M2S request `cxl`;
+        stalls when the response FIFO is full."""
+        if self._resp_slots < self.resp_fifo_depth:
             self._resp_slots += 1
             self.resp_occupancy.set(self._resp_slots)
-            nbytes = self.config.msg_header_bytes + cxl.payload_bytes
+            nbytes = self.msg_header_bytes
+            if cxl.kind is CxlKind.M2S_REQ:
+                nbytes += LINE_BYTES     # S2MDRS carries the read data
             self.rx.transmit(nbytes, lambda: self._arrived(cxl))
         else:
             self._egress_waiters.append(cxl)
@@ -205,15 +178,14 @@ class CxlBridge:
 
         def converted():
             try:
-                request, on_response = self._inflight.pop(cxl.id)
+                on_response = self._inflight.pop(cxl.id)
             except KeyError:
                 raise ProtocolError(f"response id {cxl.id} matches no request")
-            convert_s2m(cxl, request)
             self._release_resp_slot()
             self._release_credit()
             on_response()
 
-        self.engine.schedule(self.config.traversal_lat, converted)
+        self.engine.schedule(self.traversal_lat, converted)
 
     def _release_resp_slot(self) -> None:
         self._resp_slots -= 1

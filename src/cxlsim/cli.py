@@ -217,30 +217,51 @@ def cmd_sweep(args) -> int:
 # -- report ----------------------------------------------------------------------
 
 
-def _load_reports(dirs: Sequence[str]) -> List[RunReport]:
-    reports = []
-    for d in dirs:
-        path = os.path.join(d, "report.json")
-        with open(path, "r", encoding="utf-8") as fh:
-            reports.append(RunReport.from_json(fh.read()))
-    return reports
-
-
 class ReportError(RuntimeError):
     pass
 
 
-def _require_kinds(reports: List[RunReport], expected: str) -> None:
-    kinds = {r.workload.get("kind") for r in reports}
-    if kinds != {expected}:
-        raise ReportError(
-            f"figure needs {expected} runs, got workloads {sorted(map(str, kinds))}")
+# figure -> (workload kind of every run, workload fields the figure reads)
+FIGURES = {
+    "latency": ("latency_sweep", ("curve",)),
+    "stream": ("stream", ("kernel", "bytes_per_sec")),
+    "rdwr": ("rdwr_sweep", ("peaks",)),
+    "table5": ("dlrm_proxy", ()),
+    "ssd": ("kv_proxy", ("throughput_ops_per_sec",)),
+}
+
+
+def _load_reports(dirs: Sequence[str], figure: str) -> List[RunReport]:
+    """Each run's report.json; one that is not a report of the run kind
+    `figure` needs, or lacks a field the figure reads, is a ReportError
+    naming the file."""
+    kind, fields = FIGURES[figure]
+    reports = []
+    for d in dirs:
+        path = os.path.join(d, "report.json")
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                report = RunReport.from_json(fh.read())
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ReportError(f"{path}: not a cxlsim report "
+                                  f"({type(exc).__name__}: {exc})") from None
+        workload = report.workload
+        if not isinstance(workload, dict) or not isinstance(report.stats, dict):
+            raise ReportError(f"{path}: stats and workload must be objects")
+        if workload.get("kind") != kind:
+            raise ReportError(f"{path}: figure {figure} needs a {kind} run, "
+                              f"got {workload.get('kind')!r}")
+        for key in fields:
+            if key not in workload:
+                raise ReportError(f"{path}: workload.{key} missing")
+        reports.append(report)
+    return reports
 
 
 def build_figure(reports: List[RunReport], figure: str):
+    """The figure's columns and rows from reports _load_reports checked."""
     labels = [r.workload.get("label", f"run{i}") for i, r in enumerate(reports)]
     if figure == "latency":
-        _require_kinds(reports, "latency_sweep")
         curves = [r.workload["curve"] for r in reports]
         sizes = [row[0] for row in curves[0]]
         for curve in curves:
@@ -251,13 +272,11 @@ def build_figure(reports: List[RunReport], figure: str):
                 for i, size in enumerate(sizes)]
         return columns, rows
     if figure == "stream":
-        _require_kinds(reports, "stream")
         columns = ["kernel", "label", "bytes_per_sec"]
         rows = [(r.workload["kernel"], lbl, r.workload["bytes_per_sec"])
                 for lbl, r in zip(labels, reports)]
         return columns, rows
     if figure == "rdwr":
-        _require_kinds(reports, "rdwr_sweep")
         fractions = [p[0] for p in reports[0].workload["peaks"]]
         for r in reports:
             if [p[0] for p in r.workload["peaks"]] != fractions:
@@ -268,7 +287,6 @@ def build_figure(reports: List[RunReport], figure: str):
             rows.append(tuple([frac] + [r.workload["peaks"][i][1] for r in reports]))
         return columns, rows
     if figure == "table5":
-        _require_kinds(reports, "dlrm_proxy")
         columns = ["statistic"] + labels
         rows = []
         for row_name, source, key in TABLE5_ROWS:
@@ -279,7 +297,6 @@ def build_figure(reports: List[RunReport], figure: str):
             rows.append(tuple([row_name] + values))
         return columns, rows
     if figure == "ssd":
-        _require_kinds(reports, "kv_proxy")
         columns = ["label", "throughput_ops_per_sec"]
         rows = [(lbl, r.workload["throughput_ops_per_sec"])
                 for lbl, r in zip(labels, reports)]
@@ -288,7 +305,7 @@ def build_figure(reports: List[RunReport], figure: str):
 
 
 def cmd_report(args) -> int:
-    reports = _load_reports(args.dirs)
+    reports = _load_reports(args.dirs, args.figure)
     columns, rows = build_figure(reports, args.figure)
     atomic_write(args.out, render_csv(columns, rows))
     print(f"wrote {args.out}")
@@ -335,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="merge runs into a plot-ready table")
     p_report.add_argument("dirs", nargs="+", help="run output directories")
     p_report.add_argument("--figure", required=True,
-                          choices=["latency", "stream", "rdwr", "table5", "ssd"])
+                          choices=list(FIGURES))
     p_report.add_argument("--out", required=True, help="output CSV path")
     p_report.set_defaults(func=cmd_report)
 

@@ -3,6 +3,9 @@
 Configuration is a single JSON document with a versioned schema field.
 Unknown keys are rejected and every semantic error names the offending
 dotted field path, so a bad config fails before any engine is built.
+validate_config is the only validator: build_system converts the checked
+values to ticks and bytes and hands them to the components as plain
+constructor arguments, which the components take as given.
 
 Presets carry the two calibrated CXL device variants (cxl-dmsim-f and
 cxl-dmsim-a), the local-DDR baseline, and the SSD-backed device.  The
@@ -26,13 +29,13 @@ from typing import Callable, Dict, List, Optional
 
 from .engine import TICKS_PER_NS, Engine, ns_to_ticks
 from .stats import StatsRegistry
-from .host import (LINE_BYTES, AddressMap, Cache, CacheLevelConfig, HostPath,
-                   InjectorConfig, LocalMemory, MemBus, Target)
-from .bridge import BridgeConfig, CxlBridge
-from .device import CxlDeviceConfig, MemExpander, enumerate_expander
-from .media import CoarseDram, CoarseDramConfig, QueuedDdr, QueuedDdrConfig
-from .ssd import (BestOffsetPrefetcher, DeviceCacheConfig, SsdCachedMedium,
-                  SsdConfig, SsdDirectMedium, SsdMedium)
+from .host import (LINE_BYTES, AddressMap, Cache, HostPath, LocalMemory,
+                   MemBus, Target)
+from .bridge import CxlBridge
+from .device import MemExpander, enumerate_expander
+from .media import CoarseDram, QueuedDdr
+from .ssd import (BestOffsetPrefetcher, SsdCachedMedium, SsdDirectMedium,
+                  SsdMedium)
 from .hdm import (HdmAllocationError, HdmAllocator, NumaNode,
                   PlacementError, Policy)
 from .system import System
@@ -252,6 +255,8 @@ def validate_config(cfg: dict) -> dict:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"config.schema_version: unsupported version {version}")
     _require(cfg, "seed", "config", int, _NONNEG, "must be >= 0")
+    if "label" in cfg:
+        _require(cfg, "label", "config", str)
 
     hostc = _require(cfg, "host", "config", dict)
     _no_unknown(hostc, {"core_freq_ghz", "host_path_lat_ns", "local_dram_mb",
@@ -272,13 +277,13 @@ def validate_config(cfg: dict) -> dict:
         _no_unknown(lvl, {"capacity_kb", "assoc", "hit_latency_ns"}, p)
         _require(lvl, "capacity_kb", p, int, _POS, "must be > 0")
         _require(lvl, "assoc", p, int, _POS, "must be > 0")
-        # In ticks, as Cache checks it.
+        # In ticks, as the cache uses it.
         _require(lvl, "hit_latency_ns", p, NUM, lambda v: ns_to_ticks(v) > 0,
                  "must round to at least one 1 ps tick")
         if lvl["capacity_kb"] * KB % (lvl["assoc"] * LINE_BYTES):
             raise ConfigError(f"{p}.capacity_kb: must divide into assoc x "
                               f"{LINE_BYTES} B lines")
-    # In ticks, as HostPath compares them.
+    # In ticks, as CacheHierarchy splits host_path_lat into lookups and bus.
     lookup = sum(ns_to_ticks(caches[name]["hit_latency_ns"])
                  for name in ("l1", "l2", "l3"))
     if ns_to_ticks(hostc["host_path_lat_ns"]) < lookup:
@@ -287,7 +292,8 @@ def validate_config(cfg: dict) -> dict:
     _check_medium(_require(hostc, "local_medium", "config.host", dict),
                   "config.host.local_medium")
 
-    if "bridge" in cfg or cfg.get("devices"):
+    devices = _require(cfg, "devices", "config", list) if "devices" in cfg else []
+    if "bridge" in cfg or devices:
         bridgec = _require(cfg, "bridge", "config", dict)
         _no_unknown(bridgec, {"bridge_lat_ns", "host_proto_proc_lat_ns",
                               "req_fifo_depth", "resp_fifo_depth",
@@ -304,8 +310,10 @@ def validate_config(cfg: dict) -> dict:
                  "must be > 0")
         _require(bridgec, "msg_header_bytes", "config.bridge", int, _POS, "must be > 0")
 
-    for i, dev in enumerate(cfg.get("devices", [])):
+    for i, dev in enumerate(devices):
         p = f"config.devices[{i}]"
+        if not isinstance(dev, dict):
+            raise ConfigError(f"{p}: expected dict, got {type(dev).__name__}")
         _no_unknown(dev, {"hdm_size_mb", "device_proto_proc_lat_ns",
                           "medium_access_lat_ns", "medium", "ddr", "coarse",
                           "ssd", "cache"}, p)
@@ -372,6 +380,8 @@ def merge_config(base: dict, override: dict) -> dict:
     A workload block whose kind differs from the base replaces the whole
     block, since per-kind fields are not interchangeable.
     """
+    if not isinstance(override, dict):
+        raise ConfigError("config: top level must be an object")
     out = copy.deepcopy(base)
     for key, value in override.items():
         replace_whole = (
@@ -492,14 +502,12 @@ def preset_names() -> List[str]:
 
 def _build_medium(engine: Engine, spec: dict, stats, prefix: str):
     if spec["kind"] == "coarse_dram":
-        return CoarseDram(engine, CoarseDramConfig(
-            access_lat=ns_to_ticks(spec["access_lat_ns"]),
-            width=spec["width"]))
-    return QueuedDdr(engine, QueuedDdrConfig(
-        read_service=ns_to_ticks(spec["read_service_ns"]),
-        write_service=ns_to_ticks(spec["write_service_ns"]),
-        turnaround_penalty=ns_to_ticks(spec["turnaround_penalty_ns"]),
-        access_lat=ns_to_ticks(spec["access_lat_ns"])), stats, prefix)
+        return CoarseDram(engine, ns_to_ticks(spec["access_lat_ns"]),
+                          spec["width"])
+    return QueuedDdr(engine, ns_to_ticks(spec["read_service_ns"]),
+                     ns_to_ticks(spec["write_service_ns"]),
+                     ns_to_ticks(spec["turnaround_penalty_ns"]),
+                     ns_to_ticks(spec["access_lat_ns"]), stats, prefix)
 
 
 def _build_device_medium(engine: Engine, dev: dict, stats, prefix: str):
@@ -508,20 +516,18 @@ def _build_device_medium(engine: Engine, dev: dict, stats, prefix: str):
                              f"{prefix}.dram")
     # SSD backend, optionally fronted by the device cache.
     ssd_cfg = dev["ssd"]
-    ssd = SsdMedium(engine, SsdConfig(
-        page_size=ssd_cfg["page_bytes"],
-        read_latency=ns_to_ticks(ssd_cfg["read_latency_us"] * 1000.0),
-        write_latency=ns_to_ticks(ssd_cfg["write_latency_us"] * 1000.0),
-        parallel_channels=ssd_cfg["channels"]), stats)
+    ssd = SsdMedium(engine, ssd_cfg["page_bytes"],
+                    ns_to_ticks(ssd_cfg["read_latency_us"] * 1000.0),
+                    ns_to_ticks(ssd_cfg["write_latency_us"] * 1000.0),
+                    ssd_cfg["channels"], stats)
     cache = _device_cache(dev)
     if cache is None:
         return SsdDirectMedium(ssd)
     prefetcher = BestOffsetPrefetcher() if cache.get("prefetch", True) else None
-    return SsdCachedMedium(engine, ssd,
-                           DeviceCacheConfig(capacity=cache["capacity_kb"] * KB,
-                                             policy=cache["policy"]),
-                           hit_latency=ns_to_ticks(dev["medium_access_lat_ns"]),
-                           stats=stats, prefetcher=prefetcher)
+    return SsdCachedMedium(engine, ssd, cache["capacity_kb"] * KB,
+                           cache["policy"],
+                           ns_to_ticks(dev["medium_access_lat_ns"]), stats,
+                           prefetcher)
 
 
 def build_system(cfg: dict) -> System:
@@ -543,17 +549,14 @@ def build_system(cfg: dict) -> System:
     caches = []
     for name in ("l1", "l2", "l3"):
         lvl = hostc["caches"][name]
-        caches.append(Cache(name, CacheLevelConfig(
-            capacity=lvl["capacity_kb"] * KB, associativity=lvl["assoc"],
-            hit_latency=ns_to_ticks(lvl["hit_latency_ns"])), stats))
+        caches.append(Cache(name, lvl["capacity_kb"] * KB, lvl["assoc"],
+                            ns_to_ticks(lvl["hit_latency_ns"]), stats))
 
     params = _workload_params(cfg["workload"])
-    inj_cfg = InjectorConfig(
-        count=params.injectors, lsq_depth=params.lsq_depth,
-        think_time=ns_to_ticks(hostc["injectors"]["think_time_ns"]))
-    host = HostPath(engine, caches, membus, inj_cfg,
-                    host_path_lat=ns_to_ticks(hostc["host_path_lat_ns"]),
-                    stats=stats, ticks_per_cycle=ticks_per_cycle)
+    host = HostPath(engine, caches, membus, params.injectors, params.lsq_depth,
+                    ns_to_ticks(hostc["injectors"]["think_time_ns"]),
+                    ns_to_ticks(hostc["host_path_lat_ns"]), stats,
+                    ticks_per_cycle)
 
     numa_nodes = [NumaNode(id=0, base=0, size=local_size, distance=10)]
     bridge = None
@@ -561,22 +564,20 @@ def build_system(cfg: dict) -> System:
     allocators: List[HdmAllocator] = []
     if cfg.get("devices"):
         bc = cfg["bridge"]
-        bridge = CxlBridge(engine, BridgeConfig(
-            bridge_lat=ns_to_ticks(bc["bridge_lat_ns"]),
-            host_proto_proc_lat=ns_to_ticks(bc["host_proto_proc_lat_ns"]),
-            req_fifo_depth=bc["req_fifo_depth"],
-            resp_fifo_depth=bc["resp_fifo_depth"],
-            link_bytes_per_ns_tx=bc["link_bytes_per_ns_tx"],
-            link_bytes_per_ns_rx=bc["link_bytes_per_ns_rx"],
-            msg_header_bytes=bc["msg_header_bytes"]), stats)
+        traversal_lat = (ns_to_ticks(bc["bridge_lat_ns"])
+                         + ns_to_ticks(bc["host_proto_proc_lat_ns"]))
+        bridge = CxlBridge(engine, traversal_lat, bc["req_fifo_depth"],
+                           bc["resp_fifo_depth"], bc["link_bytes_per_ns_tx"],
+                           bc["link_bytes_per_ns_rx"], bc["msg_header_bytes"],
+                           stats)
         membus.attach(Target.BRIDGE, bridge)
         for i, dev in enumerate(cfg["devices"]):
             prefix = "cxl" if i == 0 else f"cxl{i}"
             medium = _build_device_medium(engine, dev, stats, prefix)
-            expander = MemExpander(engine, CxlDeviceConfig(
-                hdm_size=dev["hdm_size_mb"] * MB,
-                device_proto_proc_lat=ns_to_ticks(dev["device_proto_proc_lat_ns"])),
-                medium, stats, prefix)
+            expander = MemExpander(
+                engine, dev["hdm_size_mb"] * MB,
+                ns_to_ticks(dev["device_proto_proc_lat_ns"]), medium, stats,
+                prefix)
             rng = enumerate_expander(addr_map, expander, bridge)
             devices.append(expander)
             allocators.append(HdmAllocator(dev["hdm_size_mb"] * MB))

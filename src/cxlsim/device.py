@@ -1,6 +1,6 @@
-"""CXL Type-3 memory expander: config space, controller, backend media.
+"""CXL Type-3 memory expander: BAR, controller, backend media.
 
-The device is enumerated like a PCI endpoint: the host sizes each base
+The device is enumerated like a PCI endpoint: the host sizes its base
 address register with the write-all-ones probe, carves a host physical
 range for the HDM window above the existing map, and writes the chosen
 base back into the BAR.  After that the memory controller translates
@@ -8,20 +8,21 @@ incoming CXL.mem request addresses to device-internal offsets and
 services them against the configured backend medium.
 
 device_proto_proc_lat is charged twice per request, once when the M2S
-message is parsed and once when the S2M response is built, so swapping
+message is parsed and once to prepare the S2M response, so swapping
 controllers changes end-to-end latency by twice the per-message delta.
 A DRAM medium reports its completion when a request is submitted, so on
-receipt the device knows when the response is built and schedules one
+receipt the device knows when the response is ready and schedules one
 event for it; an SSD medium answers through a callback instead.
 
 The device is timing-only: an M2S request names a 64B line and carries no
-bytes, and the S2M response it builds carries none either.
+bytes.  The S2M response is not built as a packet: its kind follows from
+the request, so the device hands the M2S packet back to the bridge, which
+sizes the response on the link.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from .engine import Engine
 from .host import AddressMap, SimFault, Target
@@ -59,44 +60,24 @@ class BaseAddressRegister:
         return self._value
 
 
-@dataclass
-class ConfigSpace:
-    vendor_id: int = 0x1DB7
-    device_id: int = 0xC3D0
-    bars: List[BaseAddressRegister] = field(default_factory=list)
-
-
-@dataclass
-class CxlDeviceConfig:
-    hdm_size: int
-    device_proto_proc_lat: int   # ticks, charged per message direction
-
-    def validate(self) -> None:
-        if self.hdm_size <= 0:
-            raise ValueError("hdm_size must be > 0")
-        if self.device_proto_proc_lat < 0:
-            raise ValueError("device_proto_proc_lat must be >= 0")
-
-
 class MemExpander:
-    """Memory controller plus backend medium behind one BAR window."""
+    """Memory controller plus backend medium behind one BAR window of
+    `hdm_size` bytes; `device_proto_proc_lat` is in ticks, charged per
+    message direction."""
 
-    def __init__(self, engine: Engine, config: CxlDeviceConfig, medium,
-                 stats, prefix: str = "cxl"):
-        config.validate()
+    def __init__(self, engine: Engine, hdm_size: int,
+                 device_proto_proc_lat: int, medium, stats,
+                 prefix: str = "cxl"):
         self.engine = engine
-        self.config = config
+        self.hdm_size = hdm_size
+        self.device_proto_proc_lat = device_proto_proc_lat
         self.medium = medium
-        self.config_space = ConfigSpace(bars=[BaseAddressRegister(config.hdm_size)])
+        self.bar = BaseAddressRegister(hdm_size)
         self._by_callback = getattr(medium, "answers_by_callback", False)
         self._bridge: Optional[CxlBridge] = None
         self.rsp_time = stats.histogram(f"{prefix}.rsp")
         self.reads = stats.counter(f"{prefix}.reads")
         self.writes = stats.counter(f"{prefix}.writes")
-
-    @property
-    def bar(self) -> BaseAddressRegister:
-        return self.config_space.bars[0]
 
     def bind_bridge(self, bridge: CxlBridge) -> None:
         self._bridge = bridge
@@ -105,39 +86,33 @@ class MemExpander:
         base = self.bar.base
         if base == 0:
             raise DeviceFault("device not enumerated (BAR base unset)")
-        if not base <= addr < base + self.config.hdm_size:
+        if not base <= addr < base + self.hdm_size:
             raise DeviceFault(
                 f"address {addr:#x} outside HDM window "
-                f"[{base:#x}, {base + self.config.hdm_size:#x})")
+                f"[{base:#x}, {base + self.hdm_size:#x})")
         return addr - base
 
     # -- CXL.mem service ----------------------------------------------------
 
     def receive_m2s(self, pkt: CxlMemPacket) -> None:
-        if pkt.kind not in (CxlKind.M2S_REQ, CxlKind.M2S_RWD):
-            raise DeviceFault(f"device cannot service {pkt.kind.value}")
         arrival = self.engine.now
         offset = self.translate(pkt.addr)
         is_read = pkt.kind is CxlKind.M2S_REQ
         kind = "read" if is_read else "write"
         (self.reads if is_read else self.writes).inc()
-        proto = self.config.device_proto_proc_lat
-        if is_read:
-            resp = CxlMemPacket(CxlKind.S2M_DRS, pkt.id, pkt.addr, 64)
-        else:
-            resp = CxlMemPacket(CxlKind.S2M_NDR, pkt.id, pkt.addr, 0)
+        proto = self.device_proto_proc_lat
 
         def respond() -> None:
             self.rsp_time.record(self.engine.now - arrival)
-            self._bridge.device_egress(resp)
+            self._bridge.device_egress(pkt)
 
         if self._by_callback:
-            # Parse, access the medium, then build the response.
+            # Parse, access the medium, then prepare the response.
             self.engine.schedule(proto, lambda: self.medium.access(
                 offset, kind, lambda: self.engine.schedule(proto, respond)))
             return
         # The medium is handed the request as it will arrive after the
-        # parse, and one event builds the response once medium and build
+        # parse, and one event answers once the medium and the response
         # delay are paid.
         self.engine.schedule(self.medium.submit(kind, proto) + proto, respond)
 

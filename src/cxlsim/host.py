@@ -116,28 +116,17 @@ class AddressMap:
         return base
 
 
-@dataclass
-class CacheLevelConfig:
-    capacity: int
-    associativity: int
-    hit_latency: int                 # ticks
-
-    def validate(self) -> None:
-        if self.capacity % (self.associativity * LINE_BYTES):
-            raise ValueError("capacity must divide into associativity x line")
-        if self.hit_latency <= 0:
-            raise ValueError("hit_latency must be > 0")
-
-
 class Cache:
-    """One set-associative level; LRU replacement within each set."""
+    """One set-associative level; LRU replacement within each set.
+    `capacity` is in bytes and `hit_latency` in ticks."""
 
-    def __init__(self, name: str, config: CacheLevelConfig, stats):
-        config.validate()
+    def __init__(self, name: str, capacity: int, ways: int, hit_latency: int,
+                 stats):
         self.name = name
-        self.config = config
-        self.num_sets = config.capacity // (config.associativity * LINE_BYTES)
-        self.ways = config.associativity
+        self.capacity = capacity
+        self.ways = ways
+        self.hit_latency = hit_latency
+        self.num_sets = capacity // (ways * LINE_BYTES)
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
         self.lookups = stats.counter(f"{name}.lookups")
         self.hits = stats.counter(f"{name}.hits")
@@ -269,11 +258,7 @@ class CacheHierarchy:
                  host_path_lat: int, stats):
         # _hit_lats[k]: issue to a hit at level k; [-1]: all lookups.
         self._hit_lats = list(itertools.accumulate(
-            c.config.hit_latency for c in levels))
-        if host_path_lat < self._hit_lats[-1]:
-            raise ValueError(
-                f"host_path_lat {host_path_lat} is smaller than the summed "
-                f"cache lookup latencies {self._hit_lats[-1]}")
+            c.hit_latency for c in levels))
         self.engine = engine
         self.levels = levels
         self.membus = membus
@@ -353,26 +338,21 @@ class CacheHierarchy:
             on_complete()
 
 
-@dataclass
-class InjectorConfig:
-    count: int
-    lsq_depth: int
-    think_time: int       # ticks between dispatches from the pending queue
-
-
 class Injector:
     """Synthetic core with a bounded load/store queue.
 
     Issues beyond the LSQ depth queue up and count as lsqFullEvents; a
     slot is released when the matching response returns (cached stores
     complete on fill, uncacheable stores on the target's acknowledgment).
+    `think_time` is the ticks between dispatches from the pending queue.
     """
 
-    def __init__(self, engine: Engine, inj_id: int, config: InjectorConfig,
-                 dispatch, load_to_use, lsq_full, outstanding,
+    def __init__(self, engine: Engine, inj_id: int, lsq_depth: int,
+                 think_time: int, dispatch, load_to_use, lsq_full, outstanding,
                  ticks_per_cycle: float):
         self.engine = engine
-        self.config = config
+        self.lsq_depth = lsq_depth
+        self.think_time = think_time
         self._dispatch = dispatch
         self._in_flight = 0
         self._pending: deque = deque()
@@ -387,7 +367,7 @@ class Injector:
         """Issue one 64B line; `on_complete(pkt)` gets the request packet."""
         pkt = MemPacket(id=next(self._ids), cmd=cmd, addr=addr,
                         cacheable=cacheable)
-        if self._in_flight < self.config.lsq_depth and not self._pending:
+        if self._in_flight < self.lsq_depth and not self._pending:
             self._start(pkt, on_complete)
         else:
             self._lsq_full.inc()
@@ -406,10 +386,10 @@ class Injector:
         if pkt.cmd is MemCmd.READ_REQ:
             self._load_to_use.record(
                 (self.engine.now - pkt.issue_tick) / self._ticks_per_cycle)
-        if self._pending and self._in_flight < self.config.lsq_depth:
+        if self._pending and self._in_flight < self.lsq_depth:
             nxt, cb = self._pending.popleft()
-            if self.config.think_time:
-                self.engine.schedule(self.config.think_time,
+            if self.think_time:
+                self.engine.schedule(self.think_time,
                                      lambda: self._start(nxt, cb))
             else:
                 self._start(nxt, cb)
@@ -422,8 +402,8 @@ class HostPath:
     path) into the memory bus."""
 
     def __init__(self, engine: Engine, caches: List[Cache], membus: MemBus,
-                 injector_config: InjectorConfig, host_path_lat: int,
-                 stats, ticks_per_cycle: float):
+                 injectors: int, lsq_depth: int, think_time: int,
+                 host_path_lat: int, stats, ticks_per_cycle: float):
         self.membus = membus
         self.hierarchy = CacheHierarchy(engine, caches, membus, host_path_lat,
                                         stats)
@@ -432,9 +412,9 @@ class HostPath:
         lsq_full = stats.counter("core.lsqFullEvents")
         outstanding = stats.gauge("core.outstandingRequests")
         self.injectors = [
-            Injector(engine, i, injector_config, self._dispatch,
+            Injector(engine, i, lsq_depth, think_time, self._dispatch,
                      load_to_use, lsq_full, outstanding, ticks_per_cycle)
-            for i in range(injector_config.count)
+            for i in range(injectors)
         ]
 
     def _dispatch(self, pkt: MemPacket, on_complete) -> None:

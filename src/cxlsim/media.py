@@ -26,7 +26,6 @@ Media are direction-aware but size-agnostic: callers split traffic into
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
 from .engine import Engine
@@ -35,43 +34,23 @@ READ = "read"
 WRITE = "write"
 
 
-@dataclass
-class CoarseDramConfig:
-    access_lat: int          # ticks per request
-    width: int               # requests in flight concurrently
-
-
-@dataclass
-class QueuedDdrConfig:
-    read_service: int        # bus ticks per 64B read
-    write_service: int       # bus ticks per 64B write
-    turnaround_penalty: int  # extra bus ticks on a read<->write switch
-    access_lat: int          # array access ticks, overlapped with the bus
-
-    def validate(self) -> None:
-        if not (self.write_service >= self.read_service >= 0):
-            raise ValueError("require write_service >= read_service >= 0")
-        if self.turnaround_penalty < 0:
-            raise ValueError("turnaround_penalty must be >= 0")
-
-
 class CoarseDram:
     """Fixed-latency medium with a parallelism cap.
 
     Every access takes the same latency, so servers free in the order
     they started: request k starts at max(arrival, finish of request
     k - width).  The deque holds the `width` servers' free ticks, the
-    earliest first.
+    earliest first.  `access_lat` is in ticks per request.
     """
 
-    def __init__(self, engine: Engine, config: CoarseDramConfig):
+    def __init__(self, engine: Engine, access_lat: int, width: int):
         self.engine = engine
-        self.config = config
-        self._free_at = deque([0] * config.width)
+        self.access_lat = access_lat
+        self._free_at = deque([0] * width)
 
     def submit(self, kind: str, delay: int = 0) -> int:
         start = max(self.engine.now + delay, self._free_at.popleft())
-        finish = start + self.config.access_lat
+        finish = start + self.access_lat
         self._free_at.append(finish)
         return finish - self.engine.now
 
@@ -79,16 +58,22 @@ class CoarseDram:
 class QueuedDdr:
     """Single-queue DDR bus model with direction turnaround penalties.
 
-    Per-request queue wait accumulates into <prefix>.avgQLat and total
-    per-request latency (wait + bus service + array access) into
-    <prefix>.avgMemAccLat, both in ticks, recorded at submission.
+    All times are in ticks: `read_service` and `write_service` occupy the
+    bus per 64B, `turnaround_penalty` is added on a read<->write switch
+    and `access_lat` is overlapped with the bus.  Per-request queue wait
+    accumulates into <prefix>.avgQLat and total per-request latency (wait
+    + bus service + array access) into <prefix>.avgMemAccLat, recorded at
+    submission.
     """
 
-    def __init__(self, engine: Engine, config: QueuedDdrConfig, stats,
+    def __init__(self, engine: Engine, read_service: int, write_service: int,
+                 turnaround_penalty: int, access_lat: int, stats,
                  prefix: str = "dram"):
-        config.validate()
         self.engine = engine
-        self.config = config
+        self.read_service = read_service
+        self.write_service = write_service
+        self.turnaround_penalty = turnaround_penalty
+        self.access_lat = access_lat
         self._free_at = 0               # tick the bus finishes its backlog
         self._last_dir: Optional[str] = None
         self.reads = 0
@@ -98,15 +83,14 @@ class QueuedDdr:
         self._avg_acc = stats.mean(f"{prefix}.avgMemAccLat")
 
     def submit(self, kind: str, delay: int = 0) -> int:
-        config = self.config
         if kind == READ:
             self.reads += 1
-            service = config.read_service
+            service = self.read_service
         else:
             self.writes += 1
-            service = config.write_service
+            service = self.write_service
         if self._last_dir is not None and self._last_dir != kind:
-            service += config.turnaround_penalty
+            service += self.turnaround_penalty
             self.turnarounds += 1
         self._last_dir = kind
         arrival = self.engine.now + delay
@@ -114,5 +98,5 @@ class QueuedDdr:
         self._free_at = start + service
         wait = start - arrival
         self._avg_q.record(wait)
-        self._avg_acc.record(wait + service + config.access_lat)
-        return start + service + config.access_lat - self.engine.now
+        self._avg_acc.record(wait + service + self.access_lat)
+        return start + service + self.access_lat - self.engine.now

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from .engine import Engine
@@ -48,32 +47,6 @@ def _smooth_offsets(limit: int) -> List[int]:
         if n == 1:
             out.append(d)
     return out
-
-
-@dataclass
-class SsdConfig:
-    page_size: int
-    read_latency: int                  # ticks per page
-    write_latency: int                 # ticks per page
-    parallel_channels: int
-
-    def validate(self) -> None:
-        if self.page_size < 64 or self.page_size & (self.page_size - 1):
-            raise ValueError("page_size must be a power of two >= 64")
-        if self.parallel_channels < 1:
-            raise ValueError("need at least one channel")
-
-
-@dataclass
-class DeviceCacheConfig:
-    capacity: int
-    policy: str               # lru | fifo
-
-    def validate(self, page_size: int) -> None:
-        if self.capacity % page_size:
-            raise ValueError("cache capacity must divide into whole pages")
-        if self.policy not in ("lru", "fifo"):
-            raise ValueError(f"unknown replacement policy {self.policy!r}")
 
 
 class BestOffsetPrefetcher:
@@ -138,14 +111,17 @@ class SsdMedium:
     Each I/O takes the channel that frees first, at max(now, that tick);
     a heap of the channels' free ticks gives the start when the I/O is
     submitted, which is exact FIFO dispatch even when reads and writes
-    take different times.
+    take different times.  `read_latency` and `write_latency` are in ticks
+    per page of `page_size` bytes.
     """
 
-    def __init__(self, engine: Engine, config: SsdConfig, stats):
-        config.validate()
+    def __init__(self, engine: Engine, page_size: int, read_latency: int,
+                 write_latency: int, channels: int, stats):
         self.engine = engine
-        self.config = config
-        self._free_at = [0] * config.parallel_channels   # a heap
+        self.page_size = page_size
+        self.read_latency = read_latency
+        self.write_latency = write_latency
+        self._free_at = [0] * channels   # a heap
         self.page_reads = stats.counter("ssd.pageReads")
         self.page_writes = stats.counter("ssd.pageWrites")
 
@@ -153,10 +129,10 @@ class SsdMedium:
         """One page read or program on the channel that frees first."""
         if kind == "read":
             self.page_reads.inc()
-            lat = self.config.read_latency
+            lat = self.read_latency
         else:
             self.page_writes.inc()
-            lat = self.config.write_latency
+            lat = self.write_latency
         now = self.engine.now
         start = max(now, self._free_at[0])
         heapq.heapreplace(self._free_at, start + lat)
@@ -173,21 +149,23 @@ class _CachedPage:
 
 
 class SsdCachedMedium:
-    """Device cache in front of the flash; write-allocate, write-back."""
+    """Device cache in front of the flash; write-allocate, write-back.
+    `capacity` is in bytes, `policy` is "lru" or "fifo" and `hit_latency`
+    is in ticks."""
 
     answers_by_callback = True
 
-    def __init__(self, engine: Engine, ssd: SsdMedium, cache: DeviceCacheConfig,
-                 hit_latency: int, stats,
+    def __init__(self, engine: Engine, ssd: SsdMedium, capacity: int,
+                 policy: str, hit_latency: int, stats,
                  prefetcher: Optional[BestOffsetPrefetcher] = None):
-        cache.validate(ssd.config.page_size)
         self.engine = engine
         self.ssd = ssd
-        self.cache_config = cache
+        self.capacity = capacity
+        self.policy = policy
         self.hit_latency = hit_latency
         self.prefetcher = prefetcher
-        self.page_size = ssd.config.page_size
-        self.capacity_pages = cache.capacity // self.page_size
+        self.page_size = ssd.page_size
+        self.capacity_pages = capacity // self.page_size
         self._pages: OrderedDict = OrderedDict()      # page -> _CachedPage
         self._inflight: Dict[int, dict] = {}          # page -> fetch record
         self.hits = stats.counter("ssdcache.hits")
@@ -204,7 +182,7 @@ class SsdCachedMedium:
         entry = self._pages.get(page)
         if entry is not None:
             self.hits.inc()
-            if self.cache_config.policy == "lru":
+            if self.policy == "lru":
                 self._pages.move_to_end(page)
             candidate = None
             if entry.prefetched and not entry.referenced:

@@ -64,9 +64,6 @@ class System:
         offset = self.hdm_allocators[device_index].alloc(pid, size)
         return self.devices[device_index].bar.base + offset
 
-    def run(self) -> int:
-        return self.engine.run()
-
     def snapshot(self, workload: Optional[dict] = None) -> RunReport:
         return RunReport(config_digest=config_digest(self.config),
                          seed=self.seed,

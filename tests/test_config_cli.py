@@ -67,7 +67,7 @@ class TestValidation:
         cfg["devices"][0]["cache"] = {"capacity_kb": 1024, "policy": "lru"}
         medium = build_system(cfg).devices[0].medium
         assert isinstance(medium, SsdCachedMedium)
-        assert medium.cache_config.capacity == 1024 * 1024
+        assert medium.capacity == 1024 * 1024
         assert medium.prefetcher is not None
 
     def test_fractional_query_count_rejected(self):
@@ -108,6 +108,15 @@ def coarse_device(coarse):
     dev["medium"] = "coarse_dram"
     if coarse is not None:
         dev["coarse"] = coarse
+    return dev
+
+
+def ssd_device(**blocks):
+    """The cxl-ssd device with the fields of `blocks` patched into its
+    block of the same name."""
+    dev = preset("cxl-ssd")["devices"][0]
+    for name, fields in blocks.items():
+        dev[name] = dict(dev[name], **fields)
     return dev
 
 
@@ -232,6 +241,25 @@ class TestCli:
                        "--figure", "latency", "--out", str(tmp_path / "f.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("content", [
+        "{not json",
+        "[1]",
+        json.dumps({"seed": 1, "stats": {},
+                    "workload": {"kind": "latency_sweep", "curve": []}}),
+        json.dumps({"config_digest": "0", "seed": 1, "stats": {},
+                    "workload": {"kind": "latency_sweep"}}),
+    ], ids=["not_json", "not_an_object", "no_config_digest", "no_curve"])
+    def test_report_rejects_malformed_report_with_exit_2(self, tmp_path,
+                                                         capsys, content):
+        run = tmp_path / "r"
+        run.mkdir()
+        (run / "report.json").write_text(content)
+        rc = cli.main(["report", str(run), "--figure", "latency",
+                       "--out", str(tmp_path / "f.csv")])
+        assert rc == 2
+        assert str(run / "report.json") in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
     @pytest.mark.parametrize("overlay,field", [
         ({"devices": [coarse_device({"width": 0})]},
          "config.devices[0].coarse.width"),
@@ -343,6 +371,35 @@ class TestCli:
         ({"devices": [dict(preset("cxl-ssd")["devices"][0],
                            cache={"enabled": False, "capacity_kb": "1024"})]},
          "config.devices[0].cache.capacity_kb"),
+        # malformed blocks that used to raise a TypeError or AttributeError
+        pytest.param({"devices": 5}, "config.devices: expected list",
+                     id="devices_int"),
+        pytest.param({"devices": None}, "config.devices: expected list",
+                     id="devices_null"),
+        pytest.param({"devices": [5]}, "config.devices[0]: expected dict",
+                     id="devices_item_int"),
+        pytest.param({"devices": "x"}, "config.devices: expected list",
+                     id="devices_str"),
+        pytest.param([1], "config: top level must be an object",
+                     id="overlay_list"),
+        ({"label": 5}, "config.label"),
+        # rules the component constructors used to check a second time
+        ({"devices": [ssd_device(ssd={"page_bytes": 96})]},
+         "config.devices[0].ssd.page_bytes"),
+        ({"devices": [ssd_device(ssd={"channels": 0})]},
+         "config.devices[0].ssd.channels"),
+        ({"devices": [ssd_device(cache={"enabled": True, "policy": "mru"})]},
+         "config.devices[0].cache.policy"),
+        ({"bridge": {"resp_fifo_depth": 0}}, "config.bridge.resp_fifo_depth"),
+        ({"bridge": {"link_bytes_per_ns_rx": 0}},
+         "config.bridge.link_bytes_per_ns_rx"),
+        ({"host": {"local_medium": {"turnaround_penalty_ns": -1}}},
+         "config.host.local_medium.turnaround_penalty_ns"),
+        ({"devices": [dict(preset("cxl-dmsim-a")["devices"][0],
+                           device_proto_proc_lat_ns=-1)]},
+         "config.devices[0].device_proto_proc_lat_ns"),
+        ({"bridge": {"host_proto_proc_lat_ns": -1}},
+         "config.bridge.host_proto_proc_lat_ns"),
     ])
     def test_run_rejects_bad_field_with_exit_2(self, tmp_path, capsys,
                                                overlay, field):

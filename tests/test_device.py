@@ -6,19 +6,18 @@ from cxlsim.engine import Engine, ns_to_ticks
 from cxlsim.stats import StatsRegistry
 from cxlsim.host import AddressMap, MemCmd, Target
 from cxlsim.bridge import CxlKind, CxlMemPacket
-from cxlsim.media import CoarseDram, CoarseDramConfig
-from cxlsim.device import (ALL_ONES, BaseAddressRegister, CxlDeviceConfig,
-                           DeviceFault, EnumerationError, MemExpander,
-                           enumerate_expander, probe_bar_size)
+from cxlsim.media import CoarseDram
+from cxlsim.device import (ALL_ONES, BaseAddressRegister, DeviceFault,
+                           EnumerationError, MemExpander, enumerate_expander,
+                           probe_bar_size)
 
 GB = 1 << 30
 
 
 def make_device(engine, hdm=GB, proto_ns=15, medium_ns=50):
-    medium = CoarseDram(engine, CoarseDramConfig(ns_to_ticks(medium_ns), width=8))
-    return MemExpander(engine, CxlDeviceConfig(
-        hdm_size=hdm, device_proto_proc_lat=ns_to_ticks(proto_ns)),
-        medium, StatsRegistry())
+    medium = CoarseDram(engine, ns_to_ticks(medium_ns), 8)
+    return MemExpander(engine, hdm, ns_to_ticks(proto_ns), medium,
+                       StatsRegistry())
 
 
 class CollectingBridge:
@@ -107,8 +106,8 @@ class TestTranslate:
 
 
 class SpyMedium(CoarseDram):
-    def __init__(self, engine, config):
-        super().__init__(engine, config)
+    def __init__(self, engine, access_lat, width):
+        super().__init__(engine, access_lat, width)
         self.submits = []
 
     def submit(self, kind, delay=0):
@@ -122,20 +121,21 @@ def test_service_charges_proto_then_medium_then_proto():
     stats = StatsRegistry()
     amap = AddressMap()
     amap.add_range(0, GB, Target.LOCAL_DRAM)
-    medium = SpyMedium(engine, CoarseDramConfig(ns_to_ticks(50), width=8))
-    dev = MemExpander(engine, CxlDeviceConfig(
-        hdm_size=GB, device_proto_proc_lat=ns_to_ticks(15)), medium, stats)
+    medium = SpyMedium(engine, ns_to_ticks(50), 8)
+    dev = MemExpander(engine, GB, ns_to_ticks(15), medium, stats)
     enumerate_expander(amap, dev)
     sink = CollectingBridge(engine)
     dev.bind_bridge(sink)
 
-    dev.receive_m2s(CxlMemPacket(CxlKind.M2S_REQ, 1, dev.bar.base, 0))
+    request = CxlMemPacket(CxlKind.M2S_REQ, 1, dev.bar.base, 0)
+    dev.receive_m2s(request)
     engine.run()
     # handed over on receipt to arrive after the 15 ns parse, medium done
-    # at 65 ns, response built at 80 ns
+    # at 65 ns, response ready at 80 ns
     assert medium.submits == [(0, "read", ns_to_ticks(15), ns_to_ticks(65))]
     assert sink.responses[0][0] == ns_to_ticks(80)
-    assert sink.responses[0][1].kind is CxlKind.S2M_DRS
+    # the answer names its request; the bridge sizes the S2M message
+    assert sink.responses[0][1] is request
     assert stats.get("cxl.rsp").mean == ns_to_ticks(80)
 
 
@@ -149,7 +149,7 @@ def test_fpga_vs_asic_end_to_end_gap_is_twice_proto_delta():
         addr = system.devices[0].bar.base
         system.injectors[0].issue(MemCmd.READ_REQ, addr, cacheable=False,
                                   on_complete=lambda p: done.append(system.engine.now))
-        system.run()
+        system.engine.run()
         return done[0]
 
     gap = single_read_latency("cxl-dmsim-f") - single_read_latency("cxl-dmsim-a")
@@ -162,7 +162,7 @@ def test_idle_uncached_read_fires_four_events(asic_cfg):
     system.injectors[0].issue(MemCmd.READ_REQ, system.devices[0].bar.base,
                               cacheable=False,
                               on_complete=lambda p: done.append(system.engine.now))
-    system.run()
+    system.engine.run()
     # host path, request conversion, device service, response conversion;
     # the link channels and the medium fire none of their own
     assert system.engine._seq == 4

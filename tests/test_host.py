@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import build, patched_preset, tiny_cache_patch
 
 from cxlsim.host import (AddressFault, AddressMap, Cache, CacheHierarchy,
-                         CacheLevelConfig, LINE_BYTES, MemCmd, MemPacket,
-                         Target)
+                         LINE_BYTES, MemCmd, MemPacket, Target)
 from cxlsim.config import preset, run_workload
 from cxlsim.engine import ns_to_ticks
 from cxlsim.hdm import PAGE_BYTES, Policy
@@ -52,10 +51,7 @@ class TestAddressMap:
 
 class TestCache:
     def make(self, capacity=4096, assoc=4):
-        return Cache("l1", CacheLevelConfig(capacity=capacity,
-                                            associativity=assoc,
-                                            hit_latency=1000),
-                     StatsRegistry())
+        return Cache("l1", capacity, assoc, 1000, StatsRegistry())
 
     def test_lru_within_set(self):
         # one set: capacity = assoc * line
@@ -124,9 +120,7 @@ def test_install_pages_matches_per_line_install(num_sets, assoc, kernel,
     reads, writes = STREAM_KERNELS[kernel]
     period = len(reads) + len(writes)
 
-    caches = [Cache("l3", CacheLevelConfig(capacity=capacity,
-                                           associativity=assoc,
-                                           hit_latency=1000), StatsRegistry())
+    caches = [Cache("l3", capacity, assoc, 1000, StatsRegistry())
               for _ in range(2)]
     for cache in caches:
         for line, dirty in held:
@@ -163,7 +157,7 @@ class StaggeredHierarchy(CacheHierarchy):
             else:
                 self._staggered_miss(pkt, line, on_complete)
 
-        self.engine.schedule(level.config.hit_latency, after_lookup)
+        self.engine.schedule(level.hit_latency, after_lookup)
 
     def _staggered_miss(self, pkt, line, on_complete):
         if line in self._mshrs:
@@ -201,7 +195,7 @@ def run_trace(preset_name, caches, injectors, lsq_depth, trace,
 
     for tick, inj, write, line in trace:
         system.engine.schedule(tick, lambda a=(inj, write, line): issue(*a))
-    system.run()
+    system.engine.run()
     return (sorted(done.items()), system.stats.flatten(),
             [cache_contents(c) for c in system.host.hierarchy.levels])
 
@@ -255,7 +249,7 @@ def test_lsq_capacity_one_blocks_second_issue():
               on_complete=lambda p: done.append(system.engine.now))
     inj.issue(MemCmd.READ_REQ, 64, cacheable=False,
               on_complete=lambda p: done.append(system.engine.now))
-    system.run()
+    system.engine.run()
     assert system.stats.get("core.lsqFullEvents").value == 1
     assert done[1] == 2 * done[0]   # second fully serialized behind first
 
@@ -265,7 +259,7 @@ def test_local_read_never_reaches_bridge(asic_cfg):
     inj = system.injectors[0]
     for i in range(8):
         inj.issue(MemCmd.READ_REQ, i * 64, cacheable=False)
-    system.run()
+    system.engine.run()
     assert system.stats.get("membus.toBridge").value == 0
     assert system.stats.get("bridge.m2sSent").value == 0
 
@@ -277,7 +271,7 @@ def test_mixed_stream_bridge_sees_exactly_hdm_half(asic_cfg):
     for i in range(50):
         inj.issue(MemCmd.READ_REQ, i * 64, cacheable=False)
         inj.issue(MemCmd.READ_REQ, hdm_base + i * 64, cacheable=False)
-    system.run()
+    system.engine.run()
     assert system.stats.get("membus.toBridge").value == 50
     assert system.stats.get("membus.toLocal").value == 50
     assert system.stats.get("bridge.m2sSent").value == 50
@@ -303,7 +297,7 @@ def test_idle_miss_fires_four_events_and_a_hit_one(asic_cfg, level):
         start, seq, done = engine.now, engine._seq, []
         inj.issue(MemCmd.READ_REQ, line * LINE_BYTES,
                   on_complete=lambda p: done.append(engine.now - start))
-        system.run()
+        system.engine.run()
         return engine._seq - seq, done[0]
 
     # The bus hop and the datapath below it; no event per cache level.
@@ -313,7 +307,7 @@ def test_idle_miss_fires_four_events_and_a_hit_one(asic_cfg, level):
     for k in range(level):
         for j in range(1, levels[k].ways + 1):
             levels[k].install(line + j * levels[k].num_sets)
-    assert read() == (1, sum(c.config.hit_latency for c in levels[:level + 1]))
+    assert read() == (1, sum(c.hit_latency for c in levels[:level + 1]))
 
 
 def test_chase_within_l1_steady_state_hits(local_cfg):
@@ -340,7 +334,7 @@ def test_random_working_set_4x_llc_hit_rate_bound():
     inj = system.injectors[0]
     for _ in range(20000):
         inj.issue(MemCmd.READ_REQ, rng.randrange(footprint_lines) * LINE_BYTES)
-    system.run()
+    system.engine.run()
     l3 = system.stats
     hits = l3.get("l3.hits").value
     lookups = l3.get("l3.lookups").value
@@ -382,12 +376,6 @@ def test_request_conservation_at_quiesce(asic_cfg):
             == system.stats.get("bridge.s2mReceived").value)
 
 
-def test_host_path_lat_must_cover_cache_lookups():
-    with pytest.raises(ValueError):
-        build(patched_preset("local-ddr",
-                             {"host": {"host_path_lat_ns": 10.0}}))
-
-
 def test_mshr_coalesces_same_line_misses(local_cfg):
     cfg = dict(local_cfg)
     cfg["workload"] = {"kind": "latency_sweep", "array_kb": [16], "samples": 1,
@@ -398,7 +386,7 @@ def test_mshr_coalesces_same_line_misses(local_cfg):
     for _ in range(3):
         inj.issue(MemCmd.READ_REQ, 0x1000,
                   on_complete=lambda p: done.append(system.engine.now))
-    system.run()
+    system.engine.run()
     assert len(done) == 3
     assert done[0] == done[1] == done[2]      # all served by one fill
     assert system.stats.get("l3.mshrMerges").value == 2

@@ -2,22 +2,18 @@ import itertools
 import random
 from collections import deque
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cxlsim.engine import Engine, ns_to_ticks
 from cxlsim.stats import StatsRegistry
 from cxlsim.bridge import LinkChannel
-from cxlsim.media import (READ, WRITE, CoarseDram, CoarseDramConfig,
-                          QueuedDdr, QueuedDdrConfig)
-from cxlsim.ssd import SsdConfig, SsdMedium
+from cxlsim.media import READ, WRITE, CoarseDram, QueuedDdr
+from cxlsim.ssd import SsdMedium
 
 
 def make_ddr(engine, read=13, write=13, penalty=2, access=50):
-    return QueuedDdr(engine, QueuedDdrConfig(
-        read_service=ns_to_ticks(read), write_service=ns_to_ticks(write),
-        turnaround_penalty=ns_to_ticks(penalty), access_lat=ns_to_ticks(access)),
-        StatsRegistry())
+    return QueuedDdr(engine, ns_to_ticks(read), ns_to_ticks(write),
+                     ns_to_ticks(penalty), ns_to_ticks(access), StatsRegistry())
 
 
 def drive(engine, ddr, kinds):
@@ -71,15 +67,9 @@ def test_single_direction_saturation_throughput():
     assert abs(per_op - ns_to_ticks(13)) / ns_to_ticks(13) < 0.02
 
 
-def test_write_service_must_dominate_read():
-    with pytest.raises(ValueError):
-        QueuedDdrConfig(read_service=10, write_service=5,
-                        turnaround_penalty=0, access_lat=0).validate()
-
-
 def test_coarse_dram_width_parallelism():
     engine = Engine()
-    dram = CoarseDram(engine, CoarseDramConfig(access_lat=ns_to_ticks(50), width=2))
+    dram = CoarseDram(engine, ns_to_ticks(50), 2)
     done = []
     for i in range(4):
         engine.schedule(dram.submit(READ),
@@ -97,8 +87,7 @@ def test_submit_with_delay_arrives_later():
     # arrives at 105 ns, waits 8 ns for the bus, then pays the turnaround
     assert ddr.submit(WRITE, ns_to_ticks(105)) == ns_to_ticks(113 + 15 + 50)
     assert ddr.turnarounds == 1
-    dram = CoarseDram(engine, CoarseDramConfig(access_lat=ns_to_ticks(50),
-                                               width=1))
+    dram = CoarseDram(engine, ns_to_ticks(50), 1)
     assert dram.submit(READ, ns_to_ticks(30)) == ns_to_ticks(80)
     assert dram.submit(READ, ns_to_ticks(30)) == ns_to_ticks(130)
 
@@ -165,13 +154,12 @@ def test_queued_ddr_matches_event_driven_fifo(reqs, delay):
     done = []
     at_arrivals(engine, arrivals,
                 lambda i: done.append(engine.now + ddr.submit(kinds[i], delay)))
-    cfg = ddr.config
     # The bus serves in arrival order, so each turnaround is known upfront.
-    services = [(cfg.read_service if k == READ else cfg.write_service)
-                + (cfg.turnaround_penalty if i and k != kinds[i - 1] else 0)
+    services = [(ddr.read_service if k == READ else ddr.write_service)
+                + (ddr.turnaround_penalty if i and k != kinds[i - 1] else 0)
                 for i, k in enumerate(kinds)]
     starts = reference_starts([t + delay for t in arrivals], services, 1)
-    assert done == [s + services[i] + cfg.access_lat
+    assert done == [s + services[i] + ddr.access_lat
                     for i, s in enumerate(starts)]
 
 
@@ -181,7 +169,7 @@ def test_coarse_dram_matches_event_driven_fifo(reqs, width, delay):
     arrivals, kinds = arrivals_and_kinds(reqs)
     engine = Engine()
     lat = ns_to_ticks(50)
-    dram = CoarseDram(engine, CoarseDramConfig(access_lat=lat, width=width))
+    dram = CoarseDram(engine, lat, width)
     done = []
     at_arrivals(engine, arrivals,
                 lambda i: done.append(engine.now + dram.submit(kinds[i], delay)))
@@ -195,15 +183,12 @@ def test_coarse_dram_matches_event_driven_fifo(reqs, width, delay):
 def test_ssd_channels_match_event_driven_fifo(reqs, channels):
     arrivals, kinds = arrivals_and_kinds(reqs)
     engine = Engine()
-    ssd = SsdMedium(engine, SsdConfig(page_size=4096,
-                                      read_latency=ns_to_ticks(25),
-                                      write_latency=ns_to_ticks(70),
-                                      parallel_channels=channels),
+    ssd = SsdMedium(engine, 4096, ns_to_ticks(25), ns_to_ticks(70), channels,
                     StatsRegistry())
     done = {}
     at_arrivals(engine, arrivals, lambda i: ssd.io(
         kinds[i], lambda: done.__setitem__(i, engine.now)))
-    lats = [ssd.config.read_latency if k == READ else ssd.config.write_latency
+    lats = [ssd.read_latency if k == READ else ssd.write_latency
             for k in kinds]
     starts = reference_starts(arrivals, lats, channels)
     assert [done[i] for i in range(len(arrivals))] == [

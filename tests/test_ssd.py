@@ -1,8 +1,7 @@
 from cxlsim.engine import Engine, ns_to_ticks
 from cxlsim.stats import StatsRegistry
-from cxlsim.ssd import (BestOffsetPrefetcher, DeviceCacheConfig,
-                        SsdCachedMedium, SsdConfig, SsdDirectMedium,
-                        SsdMedium, _smooth_offsets)
+from cxlsim.ssd import (BestOffsetPrefetcher, SsdCachedMedium,
+                        SsdDirectMedium, SsdMedium, _smooth_offsets)
 
 PAGE = 4096
 
@@ -10,15 +9,10 @@ PAGE = 4096
 def make_cached(engine, capacity_pages=2, policy="lru", read_ns=2000,
                 write_ns=5000, channels=1, prefetcher=None, stats=None):
     stats = stats or StatsRegistry()
-    ssd = SsdMedium(engine, SsdConfig(page_size=PAGE,
-                                      read_latency=ns_to_ticks(read_ns),
-                                      write_latency=ns_to_ticks(write_ns),
-                                      parallel_channels=channels), stats)
-    cache = SsdCachedMedium(engine, ssd,
-                            DeviceCacheConfig(capacity=capacity_pages * PAGE,
-                                              policy=policy),
-                            hit_latency=ns_to_ticks(50), stats=stats,
-                            prefetcher=prefetcher)
+    ssd = SsdMedium(engine, PAGE, ns_to_ticks(read_ns), ns_to_ticks(write_ns),
+                    channels, stats)
+    cache = SsdCachedMedium(engine, ssd, capacity_pages * PAGE, policy,
+                            ns_to_ticks(50), stats, prefetcher)
     return ssd, cache
 
 
@@ -110,11 +104,8 @@ class TestBestOffsetLearning:
 class TestSsdIo:
     def test_one_channel_serializes(self):
         engine = Engine()
-        ssd = SsdMedium(engine, SsdConfig(page_size=PAGE,
-                                          read_latency=ns_to_ticks(1000),
-                                          write_latency=ns_to_ticks(1000),
-                                          parallel_channels=1),
-                        StatsRegistry())
+        ssd = SsdMedium(engine, PAGE, ns_to_ticks(1000),
+                        ns_to_ticks(1000), 1, StatsRegistry())
         done = []
         ssd.io("read", lambda: done.append(engine.now))
         ssd.io("read", lambda: done.append(engine.now))
@@ -123,11 +114,8 @@ class TestSsdIo:
 
     def test_two_channels_parallel(self):
         engine = Engine()
-        ssd = SsdMedium(engine, SsdConfig(page_size=PAGE,
-                                          read_latency=ns_to_ticks(1000),
-                                          write_latency=ns_to_ticks(1000),
-                                          parallel_channels=2),
-                        StatsRegistry())
+        ssd = SsdMedium(engine, PAGE, ns_to_ticks(1000),
+                        ns_to_ticks(1000), 2, StatsRegistry())
         done = []
         ssd.io("read", lambda: done.append(engine.now))
         ssd.io("read", lambda: done.append(engine.now))
@@ -136,11 +124,8 @@ class TestSsdIo:
 
     def test_mixed_queue_makespan_is_sum(self):
         engine = Engine()
-        ssd = SsdMedium(engine, SsdConfig(page_size=PAGE,
-                                          read_latency=ns_to_ticks(1000),
-                                          write_latency=ns_to_ticks(3000),
-                                          parallel_channels=1),
-                        StatsRegistry())
+        ssd = SsdMedium(engine, PAGE, ns_to_ticks(1000),
+                        ns_to_ticks(3000), 1, StatsRegistry())
         kinds = ["read", "write", "read", "write", "read"]
         for k in kinds:
             ssd.io(k, lambda: None)
@@ -214,11 +199,8 @@ def test_read_after_write_through_writeback_and_refetch():
 def test_uncached_rmw_write_then_read():
     engine = Engine()
     stats = StatsRegistry()
-    ssd = SsdMedium(engine, SsdConfig(page_size=PAGE,
-                                      read_latency=ns_to_ticks(1000),
-                                      write_latency=ns_to_ticks(3000),
-                                      parallel_channels=1),
-                    stats)
+    ssd = SsdMedium(engine, PAGE, ns_to_ticks(1000), ns_to_ticks(3000),
+                    1, stats)
     direct = SsdDirectMedium(ssd)
     done = []
     direct.access(256, "write", lambda: done.append(engine.now))
