@@ -108,12 +108,11 @@ class CxlBridge:
         self.msg_header_bytes = msg_header_bytes
         self._devices: List[Tuple[int, int, object]] = []   # (base, limit, device)
         self._inflight: dict = {}        # id -> on_response
-        self._credits = 0                # upstream req FIFO slots in use
         self._waiters: deque = deque()   # held (pkt, on_response)
-        self._resp_slots = 0             # downstream resp FIFO incl. reservations
         self._egress_waiters: deque = deque()
         self.retry_counts = stats.counter("bridge.reqRetryCounts")
         self.req_occupancy = stats.gauge("bridge.reqFifoOccupancy")
+        # Downstream response FIFO slots in use, reservations included.
         self.resp_occupancy = stats.gauge("bridge.respFifoOccupancy")
         self.m2s_sent = stats.counter("bridge.m2sSent")
         self.s2m_received = stats.counter("bridge.s2mReceived")
@@ -136,15 +135,14 @@ class CxlBridge:
 
     def receive(self, pkt: MemPacket, on_response) -> None:
         """Memory-bus port: admit or refuse-and-hold (retry protocol)."""
-        if self._credits < self.req_fifo_depth:
+        if self.req_occupancy.value < self.req_fifo_depth:
             self._admit(pkt, on_response)
         else:
             self.retry_counts.inc()
             self._waiters.append((pkt, on_response))
 
     def _admit(self, pkt: MemPacket, on_response) -> None:
-        self._credits += 1
-        self.req_occupancy.set(self._credits)
+        self.req_occupancy.add(1)
         if pkt.id in self._inflight:
             raise ProtocolError(f"request id {pkt.id} already in flight")
         self._inflight[pkt.id] = on_response
@@ -163,9 +161,8 @@ class CxlBridge:
     def device_egress(self, cxl: CxlMemPacket) -> None:
         """Device-side delivery of the answer to the M2S request `cxl`;
         stalls when the response FIFO is full."""
-        if self._resp_slots < self.resp_fifo_depth:
-            self._resp_slots += 1
-            self.resp_occupancy.set(self._resp_slots)
+        if self.resp_occupancy.value < self.resp_fifo_depth:
+            self.resp_occupancy.add(1)
             nbytes = self.msg_header_bytes
             if cxl.kind is CxlKind.M2S_REQ:
                 nbytes += LINE_BYTES     # S2MDRS carries the read data
@@ -188,14 +185,12 @@ class CxlBridge:
         self.engine.schedule(self.traversal_lat, converted)
 
     def _release_resp_slot(self) -> None:
-        self._resp_slots -= 1
-        self.resp_occupancy.set(self._resp_slots)
+        self.resp_occupancy.add(-1)
         if self._egress_waiters:
             self.device_egress(self._egress_waiters.popleft())
 
     def _release_credit(self) -> None:
-        self._credits -= 1
-        self.req_occupancy.set(self._credits)
+        self.req_occupancy.add(-1)
         if self._waiters:
             pkt, on_response = self._waiters.popleft()
             # Space-available broadcast: the oldest sender wins the slot;

@@ -77,16 +77,8 @@ def _resolve_config(args) -> dict:
     if args.preset:
         cfg = preset(args.preset)
     if args.config:
-        if cfg is None:
-            cfg = load_config(args.config)
-        else:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                try:
-                    overlay = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(
-                        f"{args.config}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-            cfg = merge_config(cfg, overlay)
+        cfg = (load_config(args.config) if cfg is None
+               else merge_config(cfg, cfgmod.read_json(args.config)))
     if cfg is None:
         raise ConfigError("provide --config and/or --preset")
     if args.seed is not None:
@@ -96,8 +88,7 @@ def _resolve_config(args) -> dict:
 
 def run_one(cfg: dict, out_dir: str) -> RunReport:
     result = cfgmod.run_workload(cfg)
-    summary = dict(result.summary)
-    summary["label"] = cfg.get("label", "run")
+    summary = dict(result.summary, label=cfgmod.check_config(cfg).label)
     report = result.system.snapshot(summary)
     atomic_write(os.path.join(out_dir, "report.json"), report.to_json() + "\n")
     atomic_write(os.path.join(out_dir, "curve.csv"),
@@ -109,6 +100,7 @@ def run_one(cfg: dict, out_dir: str) -> RunReport:
 
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
+    os.makedirs(args.out, exist_ok=True)
     run_one(cfg, args.out)
     print(f"wrote {os.path.join(args.out, 'report.json')}")
     return 0
@@ -181,15 +173,17 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep param {args.param!r} is not numeric "
                           f"(found {type(current).__name__})")
     values = _parse_grid(args.grid)
+    label = cfgmod.check_config(base).label
     jobs = []
     # Every point is validated before any runs or writes its directory.
     for i, value in enumerate(values):
         cfg = copy.deepcopy(base)
         _set_by_path(cfg, args.param, value)
-        cfg["label"] = f"{base.get('label', 'run')}@{args.param}={value}"
+        cfg["label"] = f"{label}@{args.param}={value}"
         cfgmod.validate_config(cfg)
         point_dir = os.path.join(args.out, f"point_{i:03d}_{value}")
         jobs.append((json.dumps(cfg, sort_keys=True), point_dir))
+    os.makedirs(args.out, exist_ok=True)
 
     threads = min(_threads(), len(jobs))
     if threads > 1:
@@ -221,20 +215,28 @@ class ReportError(RuntimeError):
     pass
 
 
-# figure -> (workload kind of every run, workload fields the figure reads)
+_NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+           "a number")
+_PAIRS = (lambda v: isinstance(v, list) and all(
+    isinstance(row, list) and len(row) == 2 and all(map(_NUMBER[0], row))
+    for row in v), "a list of rows of two numbers")
+
+# figure -> (workload kind of every run, {workload field the figure reads:
+# (check of its shape, the shape)})
 FIGURES = {
-    "latency": ("latency_sweep", ("curve",)),
-    "stream": ("stream", ("kernel", "bytes_per_sec")),
-    "rdwr": ("rdwr_sweep", ("peaks",)),
-    "table5": ("dlrm_proxy", ()),
-    "ssd": ("kv_proxy", ("throughput_ops_per_sec",)),
+    "latency": ("latency_sweep", {"curve": _PAIRS}),
+    "stream": ("stream", {"kernel": (lambda v: isinstance(v, str), "a string"),
+                          "bytes_per_sec": _NUMBER}),
+    "rdwr": ("rdwr_sweep", {"peaks": _PAIRS}),
+    "table5": ("dlrm_proxy", {}),
+    "ssd": ("kv_proxy", {"throughput_ops_per_sec": _NUMBER}),
 }
 
 
 def _load_reports(dirs: Sequence[str], figure: str) -> List[RunReport]:
     """Each run's report.json; one that is not a report of the run kind
-    `figure` needs, or lacks a field the figure reads, is a ReportError
-    naming the file."""
+    `figure` needs, or lacks a field the figure reads or holds it in
+    another shape, is a ReportError naming the file."""
     kind, fields = FIGURES[figure]
     reports = []
     for d in dirs:
@@ -251,9 +253,9 @@ def _load_reports(dirs: Sequence[str], figure: str) -> List[RunReport]:
         if workload.get("kind") != kind:
             raise ReportError(f"{path}: figure {figure} needs a {kind} run, "
                               f"got {workload.get('kind')!r}")
-        for key in fields:
-            if key not in workload:
-                raise ReportError(f"{path}: workload.{key} missing")
+        for key, (check, shape) in fields.items():
+            if not check(workload.get(key)):
+                raise ReportError(f"{path}: workload.{key} must be {shape}")
         reports.append(report)
     return reports
 
@@ -370,7 +372,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ReportError, FileNotFoundError) as exc:
+    except (ReportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimFault as exc:

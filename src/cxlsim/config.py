@@ -1,11 +1,12 @@
 """Configuration schema, presets, validation, and topology assembly.
 
 Configuration is a single JSON document with a versioned schema field.
-Unknown keys are rejected and every semantic error names the offending
-dotted field path, so a bad config fails before any engine is built.
-validate_config is the only validator: build_system converts the checked
-values to ticks and bytes and hands them to the components as plain
-constructor arguments, which the components take as given.
+One table, SCHEMA, declares every field's type, range and default, and
+one walker checks a document against it: unknown keys are rejected and
+every error names the offending dotted field path, so a bad config fails
+before any engine is built.  The walker returns a checked view with the
+defaults filled in; build_system converts its values to ticks and bytes
+and hands them to the components as plain constructor arguments.
 
 Presets carry the two calibrated CXL device variants (cxl-dmsim-f and
 cxl-dmsim-a), the local-DDR baseline, and the SSD-backed device.  The
@@ -24,6 +25,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional
 
@@ -49,78 +51,39 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-def _require(obj: dict, key: str, path: str, kind, pred=None, what: str = ""):
-    if key not in obj:
-        raise ConfigError(f"{path}.{key}: required field missing")
-    value = obj[key]
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
-        names = "/".join(k.__name__ for k in kinds)
-        raise ConfigError(f"{path}.{key}: expected {names}, got {type(value).__name__}")
-    # json.load accepts Infinity and NaN.
-    if any(isinstance(x, float) and not math.isfinite(x)
-           for x in (value if isinstance(value, list) else (value,))):
-        raise ConfigError(f"{path}.{key}: must be finite (got {value!r})")
-    if pred is not None and not pred(value):
-        raise ConfigError(f"{path}.{key}: {what or 'invalid value'} (got {value!r})")
-    return value
+# -- schema ----------------------------------------------------------------------
+#
+# SCHEMA is the one definition of every config field.  An entry is one of:
+#   (type, check, message, default)  a field of `type` (a bool only if type
+#       is bool) that passes `check` (None: any) or fails with `message`;
+#       left out, it reads `default`, and REQUIRED makes it required;
+#   {name: entry}        a block, required;
+#   [entry]              a list of `entry`;
+#   Tagged(tag, kinds)   a block whose string field `tag` picks its other
+#                        fields, kinds[tag];
+#   Opt(entry, default)  a block or list that may be left out; left out, it
+#                        reads as `default` checked against `entry`, or None.
+
+REQUIRED = object()
 
 
-def _no_unknown(obj: dict, allowed, path: str):
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown field")
+@dataclass(frozen=True)
+class Tagged:
+    tag: str
+    kinds: Dict[str, dict]
+
+
+@dataclass(frozen=True)
+class Opt:
+    entry: object
+    default: object = None
 
 
 _POS = lambda v: v > 0
 _NONNEG = lambda v: v >= 0
 _POW2 = lambda v: v > 0 and v & (v - 1) == 0
+_IN_UNIT = lambda v: 0 <= v <= 1
 NUM = (int, float)
-
-
-_MEDIUM_FIELDS = {
-    "queued_ddr": {"read_service_ns", "write_service_ns",
-                   "turnaround_penalty_ns", "access_lat_ns", "queue_capacity"},
-    "coarse_dram": {"access_lat_ns", "width"},
-}
-
-
-def _check_medium(med: dict, path: str) -> None:
-    kind = _require(med, "kind", path, str,
-                    lambda v: v in _MEDIUM_FIELDS, "unknown medium kind")
-    _no_unknown(med, {"kind"} | _MEDIUM_FIELDS[kind], path)
-    if kind == "queued_ddr":
-        _require(med, "read_service_ns", path, NUM, _NONNEG, "must be >= 0")
-        _require(med, "write_service_ns", path, NUM, _NONNEG, "must be >= 0")
-        if med["write_service_ns"] < med["read_service_ns"]:
-            raise ConfigError(f"{path}.write_service_ns: must be >= read_service_ns")
-        _require(med, "turnaround_penalty_ns", path, NUM, _NONNEG, "must be >= 0")
-        _require(med, "access_lat_ns", path, NUM, _NONNEG, "must be >= 0")
-        # Checked but without effect: QueuedDdr is an unbounded FIFO.  It
-        # stays in the schema because every preset's config_digest hashes it.
-        _require(med, "queue_capacity", path, int, _POS, "must be > 0")
-    else:
-        _require(med, "access_lat_ns", path, NUM, _NONNEG, "must be >= 0")
-        _require(med, "width", path, int, _POS, "must be > 0")
-
-
-def _device_medium_spec(dev: dict) -> dict:
-    """The medium spec of a DRAM-backed device: its ddr or coarse block,
-    with the device's medium_access_lat_ns as the access latency unless
-    the ddr block sets its own."""
-    if dev["medium"] == "queued_ddr":
-        block = dev["ddr"]
-    else:
-        block = {"width": 16, **dev.get("coarse", {})}
-    return {"access_lat_ns": dev["medium_access_lat_ns"], **block,
-            "kind": dev["medium"]}
-
-
-def _device_cache(dev: dict) -> Optional[dict]:
-    """The SSD device's cache block when the cache is on; a block without
-    `enabled` turns it on."""
-    cache = dev.get("cache")
-    return cache if cache is not None and cache.get("enabled", True) else None
 
 
 def _list_of(kinds, pred):
@@ -130,10 +93,11 @@ def _list_of(kinds, pred):
         isinstance(x, kinds) and not isinstance(x, bool) and pred(x) for x in v)
 
 
-_IN_UNIT = lambda v: 0 <= v <= 1
-_count = lambda default: (int, _POS, "must be > 0", default)
+_count = lambda default=REQUIRED: (int, _POS, "must be > 0", default)
 _warm = lambda default: (int, _NONNEG, "must be >= 0", default)
 _fraction = lambda default: (NUM, _IN_UNIT, "must lie in [0, 1]", default)
+_NS = (NUM, _NONNEG, "must be >= 0", REQUIRED)
+_RATE = (NUM, _POS, "must be > 0", REQUIRED)
 # latency_sweep and kv_proxy drive only the first injector.
 _ONE_INJECTOR = (int, lambda v: v == 1, "must be 1: the workload drives one "
                  "injector", 1)
@@ -141,10 +105,9 @@ _ONE_INJECTOR = (int, lambda v: v == 1, "must be 1: the workload drives one "
 _PLACEMENT = (str, lambda v: v in ("local", "hdm", "interleave"),
               "must be local, hdm, or interleave", None)
 
-# kind -> field -> (type, check, message, default).  The one definition of
-# every workload field: validation, defaults and the parameters each
-# workloads.run_* function receives all come from here.
-WORKLOAD_FIELDS: Dict[str, Dict[str, tuple]] = {
+# Each workload kind's fields are the parameters its workloads.run_*
+# function receives.
+_WORKLOADS: Dict[str, dict] = {
     "latency_sweep": {
         "array_kb": (list, _list_of(int, _POS),
                      "must be a non-empty list of ints > 0",
@@ -200,178 +163,226 @@ WORKLOAD_FIELDS: Dict[str, Dict[str, tuple]] = {
     },
 }
 
+# A queued-DDR medium's timing; the block that holds it gives the access
+# latency.
+_DDR = {
+    "read_service_ns": _NS,
+    "write_service_ns": _NS,
+    "turnaround_penalty_ns": _NS,
+    # Checked but without effect: QueuedDdr is an unbounded FIFO.  It
+    # stays in the schema because every preset's config_digest hashes it.
+    "queue_capacity": _count(),
+}
 
-def _workload_params(wld: dict) -> SimpleNamespace:
-    """Every field of the workload block's kind: its checked value, or the
-    table default when the block leaves it out.  The block itself is not
-    filled in, because config_digest hashes it as given."""
-    path = "config.workload"
-    kind = _require(wld, "kind", path, str, lambda v: v in WORKLOAD_FIELDS,
-                    f"must be one of {sorted(WORKLOAD_FIELDS)}")
-    fields = WORKLOAD_FIELDS[kind]
-    _no_unknown(wld, {"kind", *fields}, path)
-    return SimpleNamespace(kind=kind, **{
-        name: _require(wld, name, path, *spec[:3]) if name in wld else spec[3]
-        for name, spec in fields.items()})
+_CACHE_LEVEL = {
+    "capacity_kb": _count(),
+    "assoc": _count(),
+    # In ticks, as the cache uses it.
+    "hit_latency_ns": (NUM, lambda v: ns_to_ticks(v) > 0,
+                       "must round to at least one 1 ps tick", REQUIRED),
+}
+
+# Fields every device has; each medium adds only its own block.
+_DEVICE = {
+    "hdm_size_mb": (int, _POW2, "must be a power of two", REQUIRED),
+    "device_proto_proc_lat_ns": _NS,
+    # The DRAM access latency, or the SSD device cache's hit latency.
+    "medium_access_lat_ns": _NS,
+}
+
+SCHEMA = {
+    "schema_version": (int, lambda v: v == SCHEMA_VERSION,
+                       f"unsupported version, must be {SCHEMA_VERSION}",
+                       REQUIRED),
+    "label": (str, None, "", "run"),
+    "seed": _warm(REQUIRED),
+    "host": {
+        "core_freq_ghz": _RATE,
+        "host_path_lat_ns": _NS,
+        "local_dram_mb": _count(),
+        "injectors": {"count": _count(), "lsq_depth": _count(),
+                      "think_time_ns": _NS},
+        "caches": {"l1": _CACHE_LEVEL, "l2": _CACHE_LEVEL, "l3": _CACHE_LEVEL},
+        "local_medium": Tagged("kind", {
+            "queued_ddr": {**_DDR, "access_lat_ns": _NS},
+            "coarse_dram": {"access_lat_ns": _NS, "width": _count()},
+        }),
+    },
+    # Required when devices is not empty.
+    "bridge": Opt({
+        "bridge_lat_ns": _NS,
+        "host_proto_proc_lat_ns": _NS,
+        "req_fifo_depth": _count(),
+        "resp_fifo_depth": _count(),
+        "link_bytes_per_ns_tx": _RATE,
+        "link_bytes_per_ns_rx": _RATE,
+        "msg_header_bytes": _count(),
+    }),
+    "devices": Opt([Tagged("medium", {
+        "queued_ddr": {**_DEVICE, "ddr": _DDR},
+        "coarse_dram": {**_DEVICE, "coarse": Opt({"width": _count(16)}, {})},
+        "ssd": {
+            **_DEVICE,
+            "ssd": {"page_bytes": (int, lambda v: v >= 64 and _POW2(v),
+                                   "must be a power of two >= 64", REQUIRED),
+                    "read_latency_us": _RATE, "write_latency_us": _RATE,
+                    "channels": _count()},
+            # capacity_kb and policy are required when the cache is enabled.
+            "cache": Opt({"enabled": (bool, None, "", True),
+                          "capacity_kb": _count(None),
+                          "policy": (str, lambda v: v in ("lru", "fifo"),
+                                     "must be lru or fifo", None),
+                          "prefetch": (bool, None, "", True)}),
+        },
+    })], []),
+    "workload": Tagged("kind", _WORKLOADS),
+}
 
 
-def _check_workload(cfg: dict) -> None:
-    """The workload block's fields, then the rules that span fields."""
-    p = _workload_params(_require(cfg, "workload", "config", dict))
+def _check_value(value, path: str, kind, check=None, what: str = ""):
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        names = "/".join(k.__name__ for k in kinds)
+        raise ConfigError(f"{path}: expected {names}, got {type(value).__name__}")
+    # json.load accepts Infinity and NaN.
+    for x in value if isinstance(value, list) else (value,):
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ConfigError(f"{path}: must be finite (got {value!r})")
+    if check is not None and not check(value):
+        raise ConfigError(f"{path}: {what} (got {value!r})")
+    return value
 
-    def fail(name: str, what: str):
-        raise ConfigError(f"config.workload.{name}: {what}")
+
+def _member(block: dict, name: str, entry, path: str):
+    """The checked view of `block`'s field `name`, or the entry's default
+    when the block leaves it out."""
+    path = f"{path}.{name}"
+    if name in block:
+        return _walk(entry.entry if isinstance(entry, Opt) else entry,
+                     block[name], path)
+    if isinstance(entry, Opt):
+        return None if entry.default is None else _walk(entry.entry,
+                                                        entry.default, path)
+    if isinstance(entry, tuple) and entry[3] is not REQUIRED:
+        return entry[3]
+    raise ConfigError(f"{path}: required field missing")
+
+
+def _walk(entry, value, path: str):
+    """Check `value` against the schema `entry` and return its checked
+    view: a field's value, a list of views, or a namespace per block that
+    holds every field of the block.  Unknown keys are rejected."""
+    if isinstance(entry, tuple):
+        return _check_value(value, path, *entry[:3])
+    if isinstance(entry, list):
+        _check_value(value, path, list)
+        return [_walk(entry[0], item, f"{path}[{i}]")
+                for i, item in enumerate(value)]
+    _check_value(value, path, dict)
+    fields = entry
+    if isinstance(entry, Tagged):
+        tag = (str, entry.kinds.__contains__,
+               f"must be one of {sorted(entry.kinds)}", REQUIRED)
+        fields = {entry.tag: tag,
+                  **entry.kinds[_member(value, entry.tag, tag, path)]}
+    for key in value:
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}: unknown field")
+    return SimpleNamespace(**{name: _member(value, name, sub, path)
+                              for name, sub in fields.items()})
+
+
+def _check_rules(c: SimpleNamespace) -> None:
+    """The rules that span fields, on a checked view."""
+    def fail(field: str, what: str):
+        raise ConfigError(f"config.{field}: {what}")
+
+    host, p = c.host, c.workload
+    ddrs = [(f"devices[{i}].ddr", dev.ddr) for i, dev in enumerate(c.devices)
+            if dev.medium == "queued_ddr"]
+    if host.local_medium.kind == "queued_ddr":
+        ddrs.insert(0, ("host.local_medium", host.local_medium))
+    for field, ddr in ddrs:
+        if ddr.write_service_ns < ddr.read_service_ns:
+            fail(f"{field}.write_service_ns", "must be >= read_service_ns")
+
+    lookup = 0
+    for name, lvl in vars(host.caches).items():
+        if lvl.capacity_kb * KB % (lvl.assoc * LINE_BYTES):
+            fail(f"host.caches.{name}.capacity_kb",
+                 f"must divide into assoc x {LINE_BYTES} B lines")
+        lookup += ns_to_ticks(lvl.hit_latency_ns)
+    # In ticks, as CacheHierarchy splits host_path_lat into lookups and bus.
+    if ns_to_ticks(host.host_path_lat_ns) < lookup:
+        fail("host.host_path_lat_ns", "must cover the summed cache hit "
+             f"latencies ({lookup / TICKS_PER_NS:g} ns)")
+
+    if c.devices and c.bridge is None:
+        fail("bridge", "required field missing")
+    for i, dev in enumerate(c.devices):
+        cache = dev.cache if dev.medium == "ssd" else None
+        if cache is None:
+            continue
+        # A disabled cache needs neither, but the walker checked any it has.
+        for name in ("capacity_kb", "policy"):
+            if cache.enabled and getattr(cache, name) is None:
+                fail(f"devices[{i}].cache.{name}", "required field missing")
+        if cache.capacity_kb is not None and (
+                cache.capacity_kb * KB % dev.ssd.page_bytes):
+            fail(f"devices[{i}].cache.capacity_kb",
+                 "must be a whole number of ssd.page_bytes pages")
 
     if p.kind == "latency_sweep":
         if p.array_kb != sorted(p.array_kb):
-            fail("array_kb", "sizes must be ascending")
+            fail("workload.array_kb", "sizes must be ascending")
         if p.array_kb[0] * KB < p.stride:
-            fail("array_kb", f"the smallest size must hold one stride ({p.stride} B)")
+            fail("workload.array_kb",
+                 f"the smallest size must hold one stride ({p.stride} B)")
     elif p.kind == "stream":
-        llc = cfg["host"]["caches"]["l3"]["capacity_kb"] * KB
-        if p.array_mb * MB < 8 * llc:
-            fail("array_mb", "must be at least 8x the LLC size")
+        if p.array_mb * MB < 8 * host.caches.l3.capacity_kb * KB:
+            fail("workload.array_mb", "must be at least 8x the LLC size")
         if p.groups > p.array_mb * MB // LINE_BYTES:
-            fail("groups", "must not exceed the lines in one array")
+            fail("workload.groups", "must not exceed the lines in one array")
         if p.warm_groups >= p.groups:
-            fail("warm_groups", "must be below groups")
+            fail("workload.warm_groups", "must be below groups")
     if p.kind in ("rdwr_sweep", "kv_proxy") and p.warm_ops >= p.ops:
-        fail("warm_ops", "must be below ops")
-    if not cfg.get("devices"):
+        fail("workload.warm_ops", "must be below ops")
+    if not c.devices:
         if p.kind == "kv_proxy":
-            fail("kind", "kv_proxy needs a CXL device (config.devices is empty)")
-        if getattr(p, "placement", None) in ("hdm", "interleave"):
-            fail("placement", f"{p.placement} needs a CXL device "
+            fail("workload.kind",
+                 "kv_proxy needs a CXL device (config.devices is empty)")
+        if p.placement in ("hdm", "interleave"):
+            fail("workload.placement", f"{p.placement} needs a CXL device "
                  "(config.devices is empty)")
 
 
+def check_config(cfg) -> SimpleNamespace:
+    """The checked view of `cfg`, with every field the schema declares;
+    raises ConfigError on any problem."""
+    view = _walk(SCHEMA, cfg, "config")
+    _check_rules(view)
+    return view
+
+
 def validate_config(cfg: dict) -> dict:
-    """Validate and return the config; raises ConfigError on any problem."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config: top level must be an object")
-    _no_unknown(cfg, {"schema_version", "label", "seed", "host", "bridge",
-                      "devices", "workload"}, "config")
-    version = _require(cfg, "schema_version", "config", int)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"config.schema_version: unsupported version {version}")
-    _require(cfg, "seed", "config", int, _NONNEG, "must be >= 0")
-    if "label" in cfg:
-        _require(cfg, "label", "config", str)
-
-    hostc = _require(cfg, "host", "config", dict)
-    _no_unknown(hostc, {"core_freq_ghz", "host_path_lat_ns", "local_dram_mb",
-                        "injectors", "caches", "local_medium"}, "config.host")
-    _require(hostc, "core_freq_ghz", "config.host", NUM, _POS, "must be > 0")
-    _require(hostc, "host_path_lat_ns", "config.host", NUM, _NONNEG, "must be >= 0")
-    _require(hostc, "local_dram_mb", "config.host", int, _POS, "must be > 0")
-    inj = _require(hostc, "injectors", "config.host", dict)
-    _no_unknown(inj, {"count", "lsq_depth", "think_time_ns"}, "config.host.injectors")
-    _require(inj, "count", "config.host.injectors", int, _POS, "must be > 0")
-    _require(inj, "lsq_depth", "config.host.injectors", int, _POS, "must be > 0")
-    _require(inj, "think_time_ns", "config.host.injectors", NUM, _NONNEG, "must be >= 0")
-    caches = _require(hostc, "caches", "config.host", dict)
-    _no_unknown(caches, {"l1", "l2", "l3"}, "config.host.caches")
-    for name in ("l1", "l2", "l3"):
-        lvl = _require(caches, name, "config.host.caches", dict)
-        p = f"config.host.caches.{name}"
-        _no_unknown(lvl, {"capacity_kb", "assoc", "hit_latency_ns"}, p)
-        _require(lvl, "capacity_kb", p, int, _POS, "must be > 0")
-        _require(lvl, "assoc", p, int, _POS, "must be > 0")
-        # In ticks, as the cache uses it.
-        _require(lvl, "hit_latency_ns", p, NUM, lambda v: ns_to_ticks(v) > 0,
-                 "must round to at least one 1 ps tick")
-        if lvl["capacity_kb"] * KB % (lvl["assoc"] * LINE_BYTES):
-            raise ConfigError(f"{p}.capacity_kb: must divide into assoc x "
-                              f"{LINE_BYTES} B lines")
-    # In ticks, as CacheHierarchy splits host_path_lat into lookups and bus.
-    lookup = sum(ns_to_ticks(caches[name]["hit_latency_ns"])
-                 for name in ("l1", "l2", "l3"))
-    if ns_to_ticks(hostc["host_path_lat_ns"]) < lookup:
-        raise ConfigError("config.host.host_path_lat_ns: must cover the summed "
-                          f"cache hit latencies ({lookup / TICKS_PER_NS:g} ns)")
-    _check_medium(_require(hostc, "local_medium", "config.host", dict),
-                  "config.host.local_medium")
-
-    devices = _require(cfg, "devices", "config", list) if "devices" in cfg else []
-    if "bridge" in cfg or devices:
-        bridgec = _require(cfg, "bridge", "config", dict)
-        _no_unknown(bridgec, {"bridge_lat_ns", "host_proto_proc_lat_ns",
-                              "req_fifo_depth", "resp_fifo_depth",
-                              "link_bytes_per_ns_tx", "link_bytes_per_ns_rx",
-                              "msg_header_bytes"}, "config.bridge")
-        _require(bridgec, "bridge_lat_ns", "config.bridge", NUM, _NONNEG, "must be >= 0")
-        _require(bridgec, "host_proto_proc_lat_ns", "config.bridge", NUM, _NONNEG,
-                 "must be >= 0")
-        _require(bridgec, "req_fifo_depth", "config.bridge", int, _POS, "must be >= 1")
-        _require(bridgec, "resp_fifo_depth", "config.bridge", int, _POS, "must be >= 1")
-        _require(bridgec, "link_bytes_per_ns_tx", "config.bridge", NUM, _POS,
-                 "must be > 0")
-        _require(bridgec, "link_bytes_per_ns_rx", "config.bridge", NUM, _POS,
-                 "must be > 0")
-        _require(bridgec, "msg_header_bytes", "config.bridge", int, _POS, "must be > 0")
-
-    for i, dev in enumerate(devices):
-        p = f"config.devices[{i}]"
-        if not isinstance(dev, dict):
-            raise ConfigError(f"{p}: expected dict, got {type(dev).__name__}")
-        _no_unknown(dev, {"hdm_size_mb", "device_proto_proc_lat_ns",
-                          "medium_access_lat_ns", "medium", "ddr", "coarse",
-                          "ssd", "cache"}, p)
-        _require(dev, "hdm_size_mb", p, int, _POW2, "must be a power of two")
-        _require(dev, "device_proto_proc_lat_ns", p, NUM, _NONNEG, "must be >= 0")
-        _require(dev, "medium_access_lat_ns", p, NUM, _NONNEG, "must be >= 0")
-        medium = _require(dev, "medium", p, str,
-                          lambda v: v in ("coarse_dram", "queued_ddr", "ssd"),
-                          "unknown medium")
-        if medium == "queued_ddr":
-            _require(dev, "ddr", p, dict)
-            _check_medium(_device_medium_spec(dev), f"{p}.ddr")
-        elif medium == "coarse_dram":
-            coarse = _require(dev, "coarse", p, dict) if "coarse" in dev else {}
-            _no_unknown(coarse, {"width"}, f"{p}.coarse")
-            _check_medium(_device_medium_spec(dev), f"{p}.coarse")
-        else:
-            ssd = _require(dev, "ssd", p, dict)
-            sp = f"{p}.ssd"
-            _no_unknown(ssd, {"page_bytes", "read_latency_us", "write_latency_us",
-                              "channels"}, sp)
-            _require(ssd, "page_bytes", sp, int, lambda v: v >= 64 and _POW2(v),
-                     "must be a power of two >= 64")
-            _require(ssd, "read_latency_us", sp, NUM, _POS, "must be > 0")
-            _require(ssd, "write_latency_us", sp, NUM, _POS, "must be > 0")
-            _require(ssd, "channels", sp, int, _POS, "must be > 0")
-            cache = dev.get("cache")
-            if cache is not None:
-                _require(dev, "cache", p, dict)
-                cp = f"{p}.cache"
-                _no_unknown(cache, {"enabled", "capacity_kb", "policy",
-                                    "prefetch"}, cp)
-                for flag in ("enabled", "prefetch"):
-                    if flag in cache:
-                        _require(cache, flag, cp, bool)
-                # A disabled block's fields are optional but still checked.
-                enabled = _device_cache(dev) is not None
-                if enabled or "capacity_kb" in cache:
-                    _require(cache, "capacity_kb", cp, int, _POS, "must be > 0")
-                    if cache["capacity_kb"] * KB % ssd["page_bytes"]:
-                        raise ConfigError(f"{cp}.capacity_kb: must be a whole "
-                                          "number of ssd.page_bytes pages")
-                if enabled or "policy" in cache:
-                    _require(cache, "policy", cp, str,
-                             lambda v: v in ("lru", "fifo"),
-                             "must be lru or fifo")
-
-    _check_workload(cfg)
+    """Validate and return the config as given (config_digest hashes it);
+    raises ConfigError on any problem."""
+    check_config(cfg)
     return cfg
 
 
-def load_config(path: str) -> dict:
+def read_json(path: str):
+    """The JSON document in the file `path`; a syntax error is a
+    ConfigError naming its line and column."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            cfg = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return validate_config(cfg)
+
+
+def load_config(path: str) -> dict:
+    return validate_config(read_json(path))
 
 
 def merge_config(base: dict, override: dict) -> dict:
@@ -410,9 +421,8 @@ def _default_host() -> dict:
             "l2": {"capacity_kb": 256, "assoc": 8, "hit_latency_ns": 4.0},
             "l3": {"capacity_kb": 8192, "assoc": 16, "hit_latency_ns": 10.0},
         },
-        "local_medium": {"kind": "queued_ddr", "read_service_ns": 13.0,
-                         "write_service_ns": 13.0, "turnaround_penalty_ns": 2.0,
-                         "access_lat_ns": 50.0, "queue_capacity": 64},
+        "local_medium": {"kind": "queued_ddr", **_ddr_block(),
+                         "access_lat_ns": 50.0},
     }
 
 
@@ -432,7 +442,7 @@ def _default_workload(kind: str, **fields) -> dict:
     """A `kind` workload block spelling out every table default, then
     `fields`."""
     defaults = {name: copy.deepcopy(spec[3])
-                for name, spec in WORKLOAD_FIELDS[kind].items()
+                for name, spec in _WORKLOADS[kind].items()
                 if spec[3] is not None}
     return {"kind": kind, **defaults, **fields}
 
@@ -444,21 +454,13 @@ def _preset_local() -> dict:
                                           placement="local")}
 
 
-def _preset_fpga() -> dict:
-    return {"schema_version": SCHEMA_VERSION, "label": "cxl-dmsim-f", "seed": 7,
-            "host": _default_host(), "bridge": _bridge_block(48, 48),
-            "devices": [{"hdm_size_mb": 16384,
-                         "device_proto_proc_lat_ns": 60.0,
-                         "medium_access_lat_ns": 50.0,
-                         "medium": "queued_ddr", "ddr": _ddr_block()}],
-            "workload": _default_workload("latency_sweep", placement="hdm")}
-
-
-def _preset_asic() -> dict:
-    return {"schema_version": SCHEMA_VERSION, "label": "cxl-dmsim-a", "seed": 7,
-            "host": _default_host(), "bridge": _bridge_block(52, 52),
-            "devices": [{"hdm_size_mb": 65536,
-                         "device_proto_proc_lat_ns": 15.0,
+def _preset_dram_device(label: str, fifo_depth: int, hdm_size_mb: int,
+                        device_proto_proc_lat_ns: float) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "label": label, "seed": 7,
+            "host": _default_host(),
+            "bridge": _bridge_block(fifo_depth, fifo_depth),
+            "devices": [{"hdm_size_mb": hdm_size_mb,
+                         "device_proto_proc_lat_ns": device_proto_proc_lat_ns,
                          "medium_access_lat_ns": 50.0,
                          "medium": "queued_ddr", "ddr": _ddr_block()}],
             "workload": _default_workload("latency_sweep", placement="hdm")}
@@ -480,8 +482,8 @@ def _preset_ssd() -> dict:
 
 PRESETS: Dict[str, Callable[[], dict]] = {
     "local-ddr": _preset_local,
-    "cxl-dmsim-f": _preset_fpga,
-    "cxl-dmsim-a": _preset_asic,
+    "cxl-dmsim-f": lambda: _preset_dram_device("cxl-dmsim-f", 48, 16384, 60.0),
+    "cxl-dmsim-a": lambda: _preset_dram_device("cxl-dmsim-a", 52, 65536, 15.0),
     "cxl-ssd": _preset_ssd,
 }
 
@@ -500,94 +502,94 @@ def preset_names() -> List[str]:
 # -- topology assembly -----------------------------------------------------------
 
 
-def _build_medium(engine: Engine, spec: dict, stats, prefix: str):
-    if spec["kind"] == "coarse_dram":
-        return CoarseDram(engine, ns_to_ticks(spec["access_lat_ns"]),
-                          spec["width"])
-    return QueuedDdr(engine, ns_to_ticks(spec["read_service_ns"]),
-                     ns_to_ticks(spec["write_service_ns"]),
-                     ns_to_ticks(spec["turnaround_penalty_ns"]),
-                     ns_to_ticks(spec["access_lat_ns"]), stats, prefix)
+def _build_dram(engine: Engine, kind: str, block: SimpleNamespace,
+                access_lat_ns: float, stats, prefix: str):
+    """A DRAM medium of `kind`, timed by the checked `block`."""
+    if kind == "coarse_dram":
+        return CoarseDram(engine, ns_to_ticks(access_lat_ns), block.width)
+    return QueuedDdr(engine, ns_to_ticks(block.read_service_ns),
+                     ns_to_ticks(block.write_service_ns),
+                     ns_to_ticks(block.turnaround_penalty_ns),
+                     ns_to_ticks(access_lat_ns), stats, prefix)
 
 
-def _build_device_medium(engine: Engine, dev: dict, stats, prefix: str):
-    if dev["medium"] != "ssd":
-        return _build_medium(engine, _device_medium_spec(dev), stats,
-                             f"{prefix}.dram")
+def _build_device_medium(engine: Engine, dev: SimpleNamespace, stats,
+                         prefix: str):
+    if dev.medium != "ssd":
+        block = dev.ddr if dev.medium == "queued_ddr" else dev.coarse
+        return _build_dram(engine, dev.medium, block, dev.medium_access_lat_ns,
+                           stats, f"{prefix}.dram")
     # SSD backend, optionally fronted by the device cache.
-    ssd_cfg = dev["ssd"]
-    ssd = SsdMedium(engine, ssd_cfg["page_bytes"],
-                    ns_to_ticks(ssd_cfg["read_latency_us"] * 1000.0),
-                    ns_to_ticks(ssd_cfg["write_latency_us"] * 1000.0),
-                    ssd_cfg["channels"], stats)
-    cache = _device_cache(dev)
-    if cache is None:
+    ssd = SsdMedium(engine, dev.ssd.page_bytes,
+                    ns_to_ticks(dev.ssd.read_latency_us * 1000.0),
+                    ns_to_ticks(dev.ssd.write_latency_us * 1000.0),
+                    dev.ssd.channels, stats)
+    cache = dev.cache
+    if cache is None or not cache.enabled:
         return SsdDirectMedium(ssd)
-    prefetcher = BestOffsetPrefetcher() if cache.get("prefetch", True) else None
-    return SsdCachedMedium(engine, ssd, cache["capacity_kb"] * KB,
-                           cache["policy"],
-                           ns_to_ticks(dev["medium_access_lat_ns"]), stats,
+    prefetcher = BestOffsetPrefetcher() if cache.prefetch else None
+    return SsdCachedMedium(engine, ssd, cache.capacity_kb * KB, cache.policy,
+                           ns_to_ticks(dev.medium_access_lat_ns), stats,
                            prefetcher)
 
 
 def build_system(cfg: dict) -> System:
     """Construct a fresh simulated topology from a validated config."""
-    cfg = validate_config(cfg)
+    c = check_config(cfg)
     engine = Engine()
     stats = StatsRegistry()
-    hostc = cfg["host"]
-    ticks_per_cycle = 1000.0 / hostc["core_freq_ghz"]
+    hostc = c.host
 
     addr_map = AddressMap()
-    local_size = hostc["local_dram_mb"] * MB
+    local_size = hostc.local_dram_mb * MB
     addr_map.add_range(0, local_size, Target.LOCAL_DRAM)
     membus = MemBus(engine, addr_map, stats)
 
-    local_medium = _build_medium(engine, hostc["local_medium"], stats, "dram")
+    lm = hostc.local_medium
+    local_medium = _build_dram(engine, lm.kind, lm, lm.access_lat_ns, stats,
+                               "dram")
     membus.attach(Target.LOCAL_DRAM, LocalMemory(engine, local_medium))
 
-    caches = []
-    for name in ("l1", "l2", "l3"):
-        lvl = hostc["caches"][name]
-        caches.append(Cache(name, lvl["capacity_kb"] * KB, lvl["assoc"],
-                            ns_to_ticks(lvl["hit_latency_ns"]), stats))
+    caches = [Cache(name, lvl.capacity_kb * KB, lvl.assoc,
+                    ns_to_ticks(lvl.hit_latency_ns), stats)
+              for name, lvl in vars(hostc.caches).items()]
 
-    params = _workload_params(cfg["workload"])
-    host = HostPath(engine, caches, membus, params.injectors, params.lsq_depth,
-                    ns_to_ticks(hostc["injectors"]["think_time_ns"]),
-                    ns_to_ticks(hostc["host_path_lat_ns"]), stats,
-                    ticks_per_cycle)
+    host = HostPath(engine, caches, membus, c.workload.injectors,
+                    c.workload.lsq_depth,
+                    ns_to_ticks(hostc.injectors.think_time_ns),
+                    ns_to_ticks(hostc.host_path_lat_ns), stats,
+                    1000.0 / hostc.core_freq_ghz)
 
-    numa_nodes = [NumaNode(id=0, base=0, size=local_size, distance=10)]
+    numa_nodes = [NumaNode(id=0, base=0, size=local_size)]
     bridge = None
     devices: List[MemExpander] = []
     allocators: List[HdmAllocator] = []
-    if cfg.get("devices"):
-        bc = cfg["bridge"]
-        traversal_lat = (ns_to_ticks(bc["bridge_lat_ns"])
-                         + ns_to_ticks(bc["host_proto_proc_lat_ns"]))
-        bridge = CxlBridge(engine, traversal_lat, bc["req_fifo_depth"],
-                           bc["resp_fifo_depth"], bc["link_bytes_per_ns_tx"],
-                           bc["link_bytes_per_ns_rx"], bc["msg_header_bytes"],
+    if c.devices:
+        bc = c.bridge
+        traversal_lat = (ns_to_ticks(bc.bridge_lat_ns)
+                         + ns_to_ticks(bc.host_proto_proc_lat_ns))
+        bridge = CxlBridge(engine, traversal_lat, bc.req_fifo_depth,
+                           bc.resp_fifo_depth, bc.link_bytes_per_ns_tx,
+                           bc.link_bytes_per_ns_rx, bc.msg_header_bytes,
                            stats)
         membus.attach(Target.BRIDGE, bridge)
-        for i, dev in enumerate(cfg["devices"]):
+        for i, dev in enumerate(c.devices):
             prefix = "cxl" if i == 0 else f"cxl{i}"
             medium = _build_device_medium(engine, dev, stats, prefix)
             expander = MemExpander(
-                engine, dev["hdm_size_mb"] * MB,
-                ns_to_ticks(dev["device_proto_proc_lat_ns"]), medium, stats,
+                engine, dev.hdm_size_mb * MB,
+                ns_to_ticks(dev.device_proto_proc_lat_ns), medium, stats,
                 prefix)
             rng = enumerate_expander(addr_map, expander, bridge)
             devices.append(expander)
-            allocators.append(HdmAllocator(dev["hdm_size_mb"] * MB))
+            allocators.append(HdmAllocator(dev.hdm_size_mb * MB))
             numa_nodes.append(NumaNode(id=i + 1, base=rng.base,
-                                       size=rng.limit - rng.base, distance=20))
+                                       size=rng.limit - rng.base))
 
     return System(engine=engine, stats=stats, addr_map=addr_map, membus=membus,
                   host=host, bridge=bridge, devices=devices,
                   numa_nodes=numa_nodes, hdm_allocators=allocators,
-                  config=cfg, seed=cfg["seed"])
+                  config=cfg, seed=c.seed)
 
 
 # -- workload dispatch ------------------------------------------------------------
@@ -609,11 +611,11 @@ def run_workload(cfg: dict) -> wl.WorkloadResult:
     engine is built.  A footprint that does not fit the memory it is
     placed in is a ConfigError too, raised when the workload places it.
     """
-    cfg = validate_config(cfg)
-    params = _workload_params(cfg["workload"])
+    c = check_config(cfg)
+    params = c.workload
     kind = params.kind
     placement = _placement_policy(getattr(params, "placement", None),
-                                  bool(cfg.get("devices")))
+                                  bool(c.devices))
     try:
         if kind == "rdwr_sweep":
             return wl.run_rdwr_sweep(lambda: build_system(cfg), params, placement)

@@ -176,7 +176,6 @@ class NumaNode:
     id: int
     base: int
     size: int
-    distance: int = 10
 
 
 @dataclass
@@ -184,7 +183,6 @@ class Policy:
     mode: str                              # bind | preferred | interleave
     nodes: Tuple[int, ...] = ()
     ratios: Tuple[float, ...] = ()
-    page: int = PAGE_BYTES
 
     @staticmethod
     def bind(node: int) -> "Policy":

@@ -17,8 +17,9 @@ suite at desk scale:
 
 Every generator owns a seeded random.Random, so runs are deterministic
 for a given (config, seed) pair.  Each run_* function takes its
-parameters as a namespace of the workload block's fields, checked and
-defaulted by config.WORKLOAD_FIELDS, and sizes in the config's units.
+parameters as the workload block's checked view (config.check_config):
+a namespace of every field of the block's kind, defaults filled in, with
+sizes in the config's units.
 """
 
 from __future__ import annotations

@@ -99,6 +99,47 @@ class TestValidation:
         assert cfg["workload"]["samples"] == 5
         assert cfg["workload"]["kind"] == "latency_sweep"
 
+    @pytest.mark.parametrize("name", preset_names())
+    def test_misplaced_field_rejected_naming_its_path(self, name):
+        # An unknown key in every object of the preset.
+        for i, (_, path) in enumerate(objects(preset(name), "config")):
+            cfg = preset(name)
+            objects(cfg, "config")[i][0]["bogus"] = 1
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"{path}.bogus: unknown field")):
+                validate_config(cfg)
+        # On each device, the blocks of the other media.
+        for d, dev in enumerate(preset(name)["devices"]):
+            others = MEDIUM_BLOCKS.keys() - OWN_BLOCKS[dev["medium"]]
+            for block in sorted(others):
+                cfg = preset(name)
+                cfg["devices"][d][block] = MEDIUM_BLOCKS[block]()
+                with pytest.raises(ConfigError, match=re.escape(
+                        f"config.devices[{d}].{block}: unknown field")):
+                    validate_config(cfg)
+
+
+def objects(node, path):
+    """Every object in the JSON value `node`, with its dotted path."""
+    if isinstance(node, list):
+        return [found for i, item in enumerate(node)
+                for found in objects(item, f"{path}[{i}]")]
+    if not isinstance(node, dict):
+        return []
+    return [(node, path)] + [found for key, value in node.items()
+                             for found in objects(value, f"{path}.{key}")]
+
+
+# A valid block of each medium's own device fields.
+MEDIUM_BLOCKS = {
+    "ddr": lambda: preset("cxl-dmsim-a")["devices"][0]["ddr"],
+    "coarse": lambda: {"width": 16},
+    "ssd": lambda: preset("cxl-ssd")["devices"][0]["ssd"],
+    "cache": lambda: preset("cxl-ssd")["devices"][0]["cache"],
+}
+OWN_BLOCKS = {"queued_ddr": {"ddr"}, "coarse_dram": {"coarse"},
+              "ssd": {"ssd", "cache"}}
+
 
 def coarse_device(coarse):
     """The cxl-dmsim-a device on a coarse_dram medium; `coarse` is its
@@ -241,20 +282,32 @@ class TestCli:
                        "--figure", "latency", "--out", str(tmp_path / "f.csv")])
         assert rc == 2
 
-    @pytest.mark.parametrize("content", [
-        "{not json",
-        "[1]",
-        json.dumps({"seed": 1, "stats": {},
-                    "workload": {"kind": "latency_sweep", "curve": []}}),
-        json.dumps({"config_digest": "0", "seed": 1, "stats": {},
-                    "workload": {"kind": "latency_sweep"}}),
-    ], ids=["not_json", "not_an_object", "no_config_digest", "no_curve"])
+    @pytest.mark.parametrize("content,figure", [
+        ("{not json", "latency"),
+        ("[1]", "latency"),
+        (json.dumps({"seed": 1, "stats": {},
+                     "workload": {"kind": "latency_sweep", "curve": []}}),
+         "latency"),
+        (json.dumps({"config_digest": "0", "seed": 1, "stats": {},
+                     "workload": {"kind": "latency_sweep"}}), "latency"),
+        (json.dumps({"config_digest": "0", "seed": 1, "stats": {},
+                     "workload": {"kind": "latency_sweep", "curve": 5}}),
+         "latency"),
+        (json.dumps({"config_digest": "0", "seed": 1, "stats": {},
+                     "workload": {"kind": "latency_sweep", "curve": [[1]]}}),
+         "latency"),
+        (json.dumps({"config_digest": "0", "seed": 1, "stats": {},
+                     "workload": {"kind": "stream", "kernel": "copy",
+                                  "bytes_per_sec": "x"}}), "stream"),
+    ], ids=["not_json", "not_an_object", "no_config_digest", "no_curve",
+            "curve_int", "curve_short_row", "bytes_per_sec_str"])
     def test_report_rejects_malformed_report_with_exit_2(self, tmp_path,
-                                                         capsys, content):
+                                                         capsys, content,
+                                                         figure):
         run = tmp_path / "r"
         run.mkdir()
         (run / "report.json").write_text(content)
-        rc = cli.main(["report", str(run), "--figure", "latency",
+        rc = cli.main(["report", str(run), "--figure", figure,
                        "--out", str(tmp_path / "f.csv")])
         assert rc == 2
         assert str(run / "report.json") in capsys.readouterr().err
@@ -400,6 +453,32 @@ class TestCli:
          "config.devices[0].device_proto_proc_lat_ns"),
         ({"bridge": {"host_proto_proc_lat_ns": -1}},
          "config.bridge.host_proto_proc_lat_ns"),
+        # a block of another medium, or a field the medium does not take
+        ({"devices": [dict(preset("cxl-dmsim-a")["devices"][0],
+                           cache=MEDIUM_BLOCKS["cache"]())]},
+         "config.devices[0].cache"),
+        ({"devices": [dict(preset("cxl-dmsim-a")["devices"][0],
+                           ssd=MEDIUM_BLOCKS["ssd"]())]},
+         "config.devices[0].ssd"),
+        ({"devices": [dict(preset("cxl-dmsim-a")["devices"][0],
+                           coarse={"width": 16})]},
+         "config.devices[0].coarse"),
+        ({"devices": [dict(coarse_device(None), ddr=MEDIUM_BLOCKS["ddr"]())]},
+         "config.devices[0].ddr"),
+        ({"devices": [dict(preset("cxl-ssd")["devices"][0],
+                           ddr=MEDIUM_BLOCKS["ddr"]())]},
+         "config.devices[0].ddr"),
+        ({"devices": [dict(preset("cxl-ssd")["devices"][0],
+                           coarse={"width": 16})]},
+         "config.devices[0].coarse"),
+        ({"devices": [dict(preset("cxl-dmsim-a")["devices"][0],
+                           ddr=dict(MEDIUM_BLOCKS["ddr"](),
+                                    kind="queued_ddr"))]},
+         "config.devices[0].ddr.kind"),
+        ({"devices": [dict(preset("cxl-dmsim-a")["devices"][0],
+                           ddr=dict(MEDIUM_BLOCKS["ddr"](),
+                                    access_lat_ns=30.0))]},
+         "config.devices[0].ddr.access_lat_ns"),
     ])
     def test_run_rejects_bad_field_with_exit_2(self, tmp_path, capsys,
                                                overlay, field):
@@ -411,6 +490,25 @@ class TestCli:
         assert field in err
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["sweep", "--param", "seed", "--grid", "1"]],
+        ids=["run", "sweep"])
+    def test_out_path_that_is_a_file_exits_2_before_the_run(
+            self, tmp_path, capsys, monkeypatch, command):
+        def no_run(cfg):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli.cfgmod, "run_workload", no_run)
+        afile = tmp_path / "afile"
+        afile.touch()
+        cfg = write_cfg(tmp_path, TINY_WORKLOAD)
+        rc = cli.main([command[0], "--preset", "local-ddr", "--config", cfg,
+                       *command[1:], "--out", str(afile)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(afile) in err
+        assert "Traceback" not in err
 
     def test_sweep_bad_index_path_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TINY_WORKLOAD)
