@@ -25,12 +25,18 @@ through (a message is delivered when the channel grants it) while the
 channel stays occupied for header+payload bytes at the configured rate,
 so serialization bounds throughput without inflating idle latency.  The
 channel is a FIFO single server, so each grant tick is max(arrival, the
-previous message's finish), computed when the message arrives; the
+previous message's finish), computed when the message is sent; the
 channel fires no event of its own.
 
 Per-traversal latency: traversal_lat (bridge_lat + host_proto_proc_lat,
 in ticks) is charged on the request conversion and again on the response
-conversion.
+conversion.  The crossing is arithmetic: on admission the bridge takes
+the TX grant for the message, which reaches the channel traversal_lat
+later, and hands the request to the device together with the ticks until
+that grant; a response converts at its RX grant + traversal_lat, one
+event scheduled when the device delivers it.  This is exact because the
+TX channel is FIFO and sees its arrivals in admission order, so arrivals
+at each device medium never go backwards in time either.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 from .engine import Engine
 from .host import LINE_BYTES, MemCmd, MemPacket, SimFault
@@ -53,7 +59,7 @@ class ProtocolError(SimFault):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class CxlMemPacket:
     kind: CxlKind
     id: int
@@ -71,11 +77,12 @@ def convert_m2s(pkt: MemPacket) -> CxlMemPacket:
 class LinkChannel:
     """One link direction: FIFO, cut-through, byte-serialized occupancy.
 
-    A message is granted the channel at max(now, when the previous one
-    has finished serializing) and holds it for its bytes at the channel
-    rate; the grant tick is known on arrival, so the channel keeps only
-    that finishing tick.  A message granted on arrival is delivered at
-    once, any other at its grant tick.
+    A message reaching the channel `delay` ticks from now is granted it at
+    max(that arrival, when the previous one has finished serializing) and
+    holds it for its bytes at the channel rate.  The grant tick is known
+    when the message is sent, so the channel keeps only that finishing
+    tick, fires no event and returns the ticks until the grant; the caller
+    schedules what follows.  Arrivals must not go backwards in time.
     """
 
     def __init__(self, engine: Engine, bytes_per_ns: float, byte_counter):
@@ -83,16 +90,18 @@ class LinkChannel:
         self.bytes_per_ns = bytes_per_ns
         self._free_at = 0
         self._bytes = byte_counter
+        self._holds: dict = {}   # message bytes -> ticks it holds the channel
 
-    def transmit(self, nbytes: int, deliver: Callable[[], None]) -> None:
+    def transmit(self, nbytes: int, delay: int = 0) -> int:
         self._bytes.inc(nbytes)
+        hold = self._holds.get(nbytes)
+        if hold is None:
+            hold = self._holds[nbytes] = max(
+                1, round(nbytes * 1000 / self.bytes_per_ns))
         now = self.engine.now
-        start = max(now, self._free_at)
-        self._free_at = start + max(1, round(nbytes * 1000 / self.bytes_per_ns))
-        if start == now:
-            deliver()
-        else:
-            self.engine.schedule(start - now, deliver)
+        start = max(now + delay, self._free_at)
+        self._free_at = start + hold
+        return start - now
 
 
 class CxlBridge:
@@ -146,43 +155,39 @@ class CxlBridge:
         if pkt.id in self._inflight:
             raise ProtocolError(f"request id {pkt.id} already in flight")
         self._inflight[pkt.id] = on_response
-
-        self.engine.schedule(self.traversal_lat,
-                             lambda: self._send_m2s(convert_m2s(pkt)))
-
-    def _send_m2s(self, cxl: CxlMemPacket) -> None:
+        # The message reaches the TX channel once converted, traversal_lat
+        # from now, and the device at its grant.
+        cxl = convert_m2s(pkt)
         device = self._device_for(cxl.addr)
-        nbytes = self.msg_header_bytes + cxl.payload_bytes
         self.m2s_sent.inc()
-        self.tx.transmit(nbytes, lambda: device.receive_m2s(cxl))
+        device.receive_m2s(cxl, self.tx.transmit(
+            self.msg_header_bytes + cxl.payload_bytes, self.traversal_lat))
 
     # -- response path -----------------------------------------------------
 
     def device_egress(self, cxl: CxlMemPacket) -> None:
         """Device-side delivery of the answer to the M2S request `cxl`;
-        stalls when the response FIFO is full."""
+        stalls when the response FIFO is full.  The answer converts
+        traversal_lat after its RX grant."""
         if self.resp_occupancy.value < self.resp_fifo_depth:
             self.resp_occupancy.add(1)
             nbytes = self.msg_header_bytes
             if cxl.kind is CxlKind.M2S_REQ:
                 nbytes += LINE_BYTES     # S2MDRS carries the read data
-            self.rx.transmit(nbytes, lambda: self._arrived(cxl))
+            self.s2m_received.inc()
+            self.engine.schedule(self.rx.transmit(nbytes) + self.traversal_lat,
+                                 lambda: self._converted(cxl))
         else:
             self._egress_waiters.append(cxl)
 
-    def _arrived(self, cxl: CxlMemPacket) -> None:
-        self.s2m_received.inc()
-
-        def converted():
-            try:
-                on_response = self._inflight.pop(cxl.id)
-            except KeyError:
-                raise ProtocolError(f"response id {cxl.id} matches no request")
-            self._release_resp_slot()
-            self._release_credit()
-            on_response()
-
-        self.engine.schedule(self.traversal_lat, converted)
+    def _converted(self, cxl: CxlMemPacket) -> None:
+        try:
+            on_response = self._inflight.pop(cxl.id)
+        except KeyError:
+            raise ProtocolError(f"response id {cxl.id} matches no request")
+        self._release_resp_slot()
+        self._release_credit()
+        on_response()
 
     def _release_resp_slot(self) -> None:
         self.resp_occupancy.add(-1)

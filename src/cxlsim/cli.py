@@ -17,10 +17,11 @@ import multiprocessing
 import os
 import sys
 import tempfile
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 from . import config as cfgmod
-from .config import ConfigError, load_config, merge_config, preset
+from .config import ConfigError, merge_config, preset
 from .host import SimFault
 from .stats import RunReport
 
@@ -67,8 +68,9 @@ def render_csv(columns: Sequence[str], rows: Sequence[tuple]) -> str:
     return buf.getvalue()
 
 
-def _resolve_config(args) -> dict:
-    """Merge preset and config file (file wins), validating the result.
+def _resolve_config(args) -> Tuple[dict, SimpleNamespace]:
+    """Merge preset and config file (file wins) and check the result once;
+    returns the config and its checked view.
 
     A config file used together with --preset may be partial; it is only
     validated after the merge.
@@ -77,18 +79,22 @@ def _resolve_config(args) -> dict:
     if args.preset:
         cfg = preset(args.preset)
     if args.config:
-        cfg = (load_config(args.config) if cfg is None
-               else merge_config(cfg, cfgmod.read_json(args.config)))
+        raw = cfgmod.read_json(args.config)
+        cfg = raw if cfg is None else merge_config(cfg, raw)
     if cfg is None:
         raise ConfigError("provide --config and/or --preset")
-    if args.seed is not None:
+    if args.seed is not None and isinstance(cfg, dict):
         cfg["seed"] = args.seed
-    return cfgmod.validate_config(cfg)
+    return cfg, cfgmod.check_config(cfg)
 
 
-def run_one(cfg: dict, out_dir: str) -> RunReport:
-    result = cfgmod.run_workload(cfg)
-    summary = dict(result.summary, label=cfgmod.check_config(cfg).label)
+def run_one(cfg: dict, out_dir: str,
+            checked: Optional[SimpleNamespace] = None) -> RunReport:
+    """Run `cfg` and write its output files to `out_dir`; `checked` is
+    its checked view when the caller has one."""
+    checked = cfgmod.check_config(cfg) if checked is None else checked
+    result = cfgmod.run_workload(cfg, checked)
+    summary = dict(result.summary, label=checked.label)
     report = result.system.snapshot(summary)
     atomic_write(os.path.join(out_dir, "report.json"), report.to_json() + "\n")
     atomic_write(os.path.join(out_dir, "curve.csv"),
@@ -99,9 +105,9 @@ def run_one(cfg: dict, out_dir: str) -> RunReport:
 
 
 def cmd_run(args) -> int:
-    cfg = _resolve_config(args)
+    cfg, checked = _resolve_config(args)
     os.makedirs(args.out, exist_ok=True)
-    run_one(cfg, args.out)
+    run_one(cfg, args.out, checked)
     print(f"wrote {os.path.join(args.out, 'report.json')}")
     return 0
 
@@ -148,10 +154,10 @@ def _parse_grid(grid: str) -> List:
     return values
 
 
-def _sweep_worker(payload: Tuple[str, str]) -> Tuple[str, dict]:
-    cfg_json, out_dir = payload
-    cfg = json.loads(cfg_json)
-    report = run_one(cfg, out_dir)
+def _sweep_worker(payload: Tuple[str, SimpleNamespace, str]
+                  ) -> Tuple[str, dict]:
+    cfg_json, checked, out_dir = payload
+    report = run_one(json.loads(cfg_json), out_dir, checked)
     return out_dir, report.workload
 
 
@@ -167,22 +173,21 @@ def _threads() -> int:
 
 
 def cmd_sweep(args) -> int:
-    base = _resolve_config(args)
+    base, checked = _resolve_config(args)
     current = _get_by_path(base, args.param)
     if isinstance(current, bool) or not isinstance(current, (int, float)):
         raise ConfigError(f"sweep param {args.param!r} is not numeric "
                           f"(found {type(current).__name__})")
     values = _parse_grid(args.grid)
-    label = cfgmod.check_config(base).label
     jobs = []
     # Every point is validated before any runs or writes its directory.
     for i, value in enumerate(values):
         cfg = copy.deepcopy(base)
         _set_by_path(cfg, args.param, value)
-        cfg["label"] = f"{label}@{args.param}={value}"
-        cfgmod.validate_config(cfg)
+        cfg["label"] = f"{checked.label}@{args.param}={value}"
         point_dir = os.path.join(args.out, f"point_{i:03d}_{value}")
-        jobs.append((json.dumps(cfg, sort_keys=True), point_dir))
+        jobs.append((json.dumps(cfg, sort_keys=True),
+                     cfgmod.check_config(cfg), point_dir))
     os.makedirs(args.out, exist_ok=True)
 
     threads = min(_threads(), len(jobs))

@@ -208,7 +208,7 @@ SCHEMA = {
             "coarse_dram": {"access_lat_ns": _NS, "width": _count()},
         }),
     },
-    # Required when devices is not empty.
+    # Required when devices is not empty, refused when it is empty.
     "bridge": Opt({
         "bridge_lat_ns": _NS,
         "host_proto_proc_lat_ns": _NS,
@@ -354,6 +354,9 @@ def _check_rules(c: SimpleNamespace) -> None:
         if p.placement in ("hdm", "interleave"):
             fail("workload.placement", f"{p.placement} needs a CXL device "
                  "(config.devices is empty)")
+        if c.bridge is not None:
+            fail("bridge", "must be left out when config.devices is empty "
+                 "(no device sits behind a bridge)")
 
 
 def check_config(cfg) -> SimpleNamespace:
@@ -379,10 +382,6 @@ def read_json(path: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-
-
-def load_config(path: str) -> dict:
-    return validate_config(read_json(path))
 
 
 def merge_config(base: dict, override: dict) -> dict:
@@ -489,10 +488,12 @@ PRESETS: Dict[str, Callable[[], dict]] = {
 
 
 def preset(name: str) -> dict:
+    """A fresh copy of the preset `name`; like any config, it is checked
+    where it is run."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from "
                           f"{sorted(PRESETS)}")
-    return validate_config(PRESETS[name]())
+    return PRESETS[name]()
 
 
 def preset_names() -> List[str]:
@@ -533,9 +534,11 @@ def _build_device_medium(engine: Engine, dev: SimpleNamespace, stats,
                            prefetcher)
 
 
-def build_system(cfg: dict) -> System:
-    """Construct a fresh simulated topology from a validated config."""
-    c = check_config(cfg)
+def build_system(cfg: dict,
+                 checked: Optional[SimpleNamespace] = None) -> System:
+    """Construct a fresh simulated topology from a config; `checked` is
+    its checked view when the caller has one."""
+    c = check_config(cfg) if checked is None else checked
     engine = Engine()
     stats = StatsRegistry()
     hostc = c.host
@@ -604,22 +607,25 @@ def _placement_policy(choice: Optional[str], has_devices: bool) -> Policy:
     return Policy.interleave((0, 1), (0.5, 0.5))
 
 
-def run_workload(cfg: dict) -> wl.WorkloadResult:
+def run_workload(cfg: dict, checked: Optional[SimpleNamespace] = None
+                 ) -> wl.WorkloadResult:
     """Build the topology and run the configured workload to quiesce.
 
     The whole config, workload block included, is checked before any
-    engine is built.  A footprint that does not fit the memory it is
-    placed in is a ConfigError too, raised when the workload places it.
+    engine is built, unless the caller passes its checked view.  A
+    footprint that does not fit the memory it is placed in is a
+    ConfigError too, raised when the workload places it.
     """
-    c = check_config(cfg)
+    c = check_config(cfg) if checked is None else checked
     params = c.workload
     kind = params.kind
     placement = _placement_policy(getattr(params, "placement", None),
                                   bool(c.devices))
     try:
         if kind == "rdwr_sweep":
-            return wl.run_rdwr_sweep(lambda: build_system(cfg), params, placement)
-        system = build_system(cfg)
+            return wl.run_rdwr_sweep(lambda: build_system(cfg, c), params,
+                                     placement)
+        system = build_system(cfg, c)
         if kind == "latency_sweep":
             return wl.run_latency_sweep(system, params, placement)
         if kind == "stream":

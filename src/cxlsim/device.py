@@ -10,9 +10,14 @@ services them against the configured backend medium.
 device_proto_proc_lat is charged twice per request, once when the M2S
 message is parsed and once to prepare the S2M response, so swapping
 controllers changes end-to-end latency by twice the per-message delta.
-A DRAM medium reports its completion when a request is submitted, so on
-receipt the device knows when the response is ready and schedules one
-event for it; an SSD medium answers through a callback instead.
+The bridge hands a request over when it admits it, with the ticks until
+the request reaches the device (its TX link grant), so the device plans
+the whole service then.  A DRAM medium reports its completion when a
+request is submitted, so the device schedules one event for the
+response; an SSD medium answers through a callback instead, and the
+device schedules its access for when the parse is done.  An idle DRAM
+device read costs three events in all: the memory-bus arrival at the
+bridge, the device response and the bridge's response conversion.
 
 The device is timing-only: an M2S request names a 64B line and carries no
 bytes.  The S2M response is not built as a packet: its kind follows from
@@ -94,8 +99,9 @@ class MemExpander:
 
     # -- CXL.mem service ----------------------------------------------------
 
-    def receive_m2s(self, pkt: CxlMemPacket) -> None:
-        arrival = self.engine.now
+    def receive_m2s(self, pkt: CxlMemPacket, delay: int) -> None:
+        """Serve `pkt`, which reaches the device `delay` ticks from now."""
+        arrival = self.engine.now + delay
         offset = self.translate(pkt.addr)
         is_read = pkt.kind is CxlKind.M2S_REQ
         kind = "read" if is_read else "write"
@@ -108,13 +114,14 @@ class MemExpander:
 
         if self._by_callback:
             # Parse, access the medium, then prepare the response.
-            self.engine.schedule(proto, lambda: self.medium.access(
+            self.engine.schedule(delay + proto, lambda: self.medium.access(
                 offset, kind, lambda: self.engine.schedule(proto, respond)))
             return
         # The medium is handed the request as it will arrive after the
         # parse, and one event answers once the medium and the response
         # delay are paid.
-        self.engine.schedule(self.medium.submit(kind, proto) + proto, respond)
+        self.engine.schedule(self.medium.submit(kind, delay + proto) + proto,
+                             respond)
 
 
 def probe_bar_size(bar: BaseAddressRegister) -> int:

@@ -28,7 +28,7 @@ import itertools
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .engine import Engine
 from .hdm import PAGE_BYTES
@@ -54,18 +54,20 @@ class AddressFault(SimFault):
     """Issued address falls outside every configured range."""
 
 
-@dataclass
 class MemPacket:
     """A request for one whole 64B line."""
-    id: int
-    cmd: MemCmd
-    addr: int
-    issue_tick: int = 0
-    cacheable: bool = True
 
-    def __post_init__(self):
-        if self.addr % LINE_BYTES:
-            raise ValueError(f"addr {self.addr:#x} not aligned to {LINE_BYTES}B line")
+    __slots__ = ("id", "cmd", "addr", "issue_tick", "cacheable")
+
+    def __init__(self, id: int, cmd: MemCmd, addr: int, issue_tick: int = 0,
+                 cacheable: bool = True):
+        if addr % LINE_BYTES:
+            raise ValueError(f"addr {addr:#x} not aligned to {LINE_BYTES}B line")
+        self.id = id
+        self.cmd = cmd
+        self.addr = addr
+        self.issue_tick = issue_tick
+        self.cacheable = cacheable
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,6 @@ class AddressRange:
     limit: int          # exclusive
     target: Target
     device: Optional[object] = None
-
-    def __contains__(self, addr: int) -> bool:
-        return self.base <= addr < self.limit
 
 
 class AddressMap:
@@ -100,7 +99,7 @@ class AddressMap:
 
     def lookup(self, addr: int) -> AddressRange:
         for r in self.ranges:
-            if addr in r:
+            if r.base <= addr < r.limit:
                 return r
         raise AddressFault(f"address {addr:#x} is unmapped")
 
@@ -132,12 +131,10 @@ class Cache:
         self.hits = stats.counter(f"{name}.hits")
         self.misses = stats.counter(f"{name}.misses")
 
-    def _locate(self, line: int) -> Tuple[OrderedDict, int]:
-        return self._sets[line % self.num_sets], line // self.num_sets
-
     def touch(self, line: int) -> bool:
         """Lookup; refreshes LRU order on a hit."""
-        cset, tag = self._locate(line)
+        cset = self._sets[line % self.num_sets]
+        tag = line // self.num_sets
         self.lookups.inc()
         if tag in cset:
             cset.move_to_end(tag)
@@ -147,18 +144,20 @@ class Cache:
         return False
 
     def contains(self, line: int) -> bool:
-        cset, tag = self._locate(line)
-        return tag in cset
+        return line // self.num_sets in self._sets[line % self.num_sets]
 
     def mark_dirty(self, line: int) -> None:
-        cset, tag = self._locate(line)
+        cset = self._sets[line % self.num_sets]
+        tag = line // self.num_sets
         cset[tag] = True
         cset.move_to_end(tag)
 
     def install(self, line: int, dirty: bool = False):
         """Insert a line; returns (victim_line, victim_dirty) when one is
         evicted, else None.  Installing a present line refreshes LRU."""
-        cset, tag = self._locate(line)
+        num_sets = self.num_sets
+        cset = self._sets[line % num_sets]
+        tag = line // num_sets
         if tag in cset:
             if dirty:
                 cset[tag] = True
@@ -167,7 +166,7 @@ class Cache:
         victim = None
         if len(cset) >= self.ways:
             vtag, vdirty = cset.popitem(last=False)
-            victim = (vtag * self.num_sets + line % self.num_sets, vdirty)
+            victim = (vtag * num_sets + line % num_sets, vdirty)
         cset[tag] = dirty
         return victim
 
@@ -223,18 +222,21 @@ class MemBus:
         self.engine = engine
         self.addr_map = addr_map
         self.targets: Dict[Target, object] = {}
+        self._ports = (None, None)
         self.to_local = stats.counter("membus.toLocal")
         self.to_bridge = stats.counter("membus.toBridge")
 
     def attach(self, target: Target, port) -> None:
         self.targets[target] = port
+        # Indexed by "is the bridge", so send hashes no Enum per packet.
+        self._ports = (self.targets.get(Target.LOCAL_DRAM),
+                       self.targets.get(Target.BRIDGE))
 
     def send(self, pkt: MemPacket, lat: int,
              on_response: Callable[[], None]) -> None:
-        rng = self.addr_map.lookup(pkt.addr)
-        counter = self.to_bridge if rng.target is Target.BRIDGE else self.to_local
-        counter.inc()
-        port = self.targets[rng.target]
+        to_bridge = self.addr_map.lookup(pkt.addr).target is Target.BRIDGE
+        (self.to_bridge if to_bridge else self.to_local).inc()
+        port = self._ports[to_bridge]
         self.engine.schedule(lat, lambda: port.receive(pkt, on_response))
 
 

@@ -16,8 +16,11 @@ the moment it is submitted (Lindley's recursion).  `submit(kind, delay)`
 takes a request arriving `delay` ticks from now and returns the ticks
 from now until it completes; the caller schedules its own completion.
 The one precondition is that arrivals at one medium never go backwards
-in time, which holds because every caller of a medium passes the same
-constant delay.
+in time.  Local memory submits each request on arrival, with no delay.
+A device submits each request when the bridge admits it, to arrive at
+its TX link grant plus the device's constant parse latency; the TX link
+is FIFO and grants in admission order, so those arrivals never go
+backwards either.
 
 Media are direction-aware but size-agnostic: callers split traffic into
 64-byte transfers before submitting.

@@ -111,7 +111,11 @@ class Histogram:
         if sample > self.max:
             self.max = sample
         # The last edge <= sample; a sample below 0 counts in bucket 0.
-        self.counts[max(0, bisect_right(self.edges, sample) - 1)] += 1
+        counts = self.counts
+        if len(counts) == 1:
+            counts[0] += 1
+        else:
+            counts[max(0, bisect_right(self.edges, sample) - 1)] += 1
 
     @property
     def mean(self) -> float:

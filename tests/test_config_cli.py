@@ -192,6 +192,36 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["seed"] == 99
 
+    @pytest.mark.parametrize("preset_name", [None, "local-ddr"])
+    def test_run_walks_the_schema_once(self, tmp_path, monkeypatch,
+                                       preset_name):
+        walks = []
+        real_check = cli.cfgmod.check_config
+
+        def counting_check(cfg):
+            walks.append(cfg["label"])
+            return real_check(cfg)
+
+        monkeypatch.setattr(cli.cfgmod, "check_config", counting_check)
+        if preset_name is None:    # a whole config file
+            cfg = write_cfg(tmp_path, merge_config(preset("local-ddr"),
+                                                   TINY_WORKLOAD))
+            source = ["--config", cfg]
+        else:
+            source = ["--preset", preset_name,
+                      "--config", write_cfg(tmp_path, TINY_WORKLOAD)]
+        rc = cli.main(["run", *source, "--seed", "3",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert walks == ["local-ddr"]
+
+    def test_config_file_not_an_object_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, [1])
+        rc = cli.main(["run", "--config", cfg, "--seed", "3",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "config: expected dict" in capsys.readouterr().err
+
     def test_invalid_config_exits_nonzero_naming_field(self, tmp_path, capsys):
         bad = preset("cxl-dmsim-a")
         bad["bridge"]["req_fifo_depth"] = -5
@@ -479,6 +509,11 @@ class TestCli:
                            ddr=dict(MEDIUM_BLOCKS["ddr"](),
                                     access_lat_ns=30.0))]},
          "config.devices[0].ddr.access_lat_ns"),
+        # a bridge block with no device behind it would be ignored
+        ({"devices": [], "workload": {"kind": "latency_sweep",
+                                      "array_kb": [16], "samples": 10,
+                                      "placement": "local"}},
+         "config.bridge"),
     ])
     def test_run_rejects_bad_field_with_exit_2(self, tmp_path, capsys,
                                                overlay, field):

@@ -128,14 +128,17 @@ def test_service_charges_proto_then_medium_then_proto():
     dev.bind_bridge(sink)
 
     request = CxlMemPacket(CxlKind.M2S_REQ, 1, dev.bar.base, 0)
-    dev.receive_m2s(request)
+    dev.receive_m2s(request, ns_to_ticks(7))
     engine.run()
-    # handed over on receipt to arrive after the 15 ns parse, medium done
-    # at 65 ns, response ready at 80 ns
-    assert medium.submits == [(0, "read", ns_to_ticks(15), ns_to_ticks(65))]
-    assert sink.responses[0][0] == ns_to_ticks(80)
+    # handed over at once, to reach the device after the 7 ns link delay
+    # and the medium after the 15 ns parse; medium done at 72 ns, response
+    # ready at 87 ns, one event in all
+    assert medium.submits == [(0, "read", ns_to_ticks(22), ns_to_ticks(72))]
+    assert sink.responses[0][0] == ns_to_ticks(87)
+    assert engine._seq == 1
     # the answer names its request; the bridge sizes the S2M message
     assert sink.responses[0][1] is request
+    # the device's response time runs from the request's arrival
     assert stats.get("cxl.rsp").mean == ns_to_ticks(80)
 
 
@@ -156,14 +159,14 @@ def test_fpga_vs_asic_end_to_end_gap_is_twice_proto_delta():
     assert gap == ns_to_ticks(2 * (60 - 15))
 
 
-def test_idle_uncached_read_fires_four_events(asic_cfg):
+def test_idle_uncached_read_fires_three_events(asic_cfg):
     system = build(asic_cfg)
     done = []
     system.injectors[0].issue(MemCmd.READ_REQ, system.devices[0].bar.base,
                               cacheable=False,
                               on_complete=lambda p: done.append(system.engine.now))
     system.engine.run()
-    # host path, request conversion, device service, response conversion;
-    # the link channels and the medium fire none of their own
-    assert system.engine._seq == 4
+    # host path, device service, response conversion; the request
+    # conversion, the link channels and the medium fire none of their own
+    assert system.engine._seq == 3
     assert done == [ns_to_ticks(288)]

@@ -286,7 +286,7 @@ def test_unmapped_issue_faults(local_cfg, cacheable):
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
-def test_idle_miss_fires_four_events_and_a_hit_one(asic_cfg, level):
+def test_idle_miss_fires_three_events_and_a_hit_one(asic_cfg, level):
     system = build(asic_cfg)
     engine, inj = system.engine, system.injectors[0]
     levels = system.host.hierarchy.levels
@@ -300,8 +300,9 @@ def test_idle_miss_fires_four_events_and_a_hit_one(asic_cfg, level):
         system.engine.run()
         return engine._seq - seq, done[0]
 
-    # The bus hop and the datapath below it; no event per cache level.
-    assert read() == (4, ns_to_ticks(288))
+    # The bus arrival, the device response and the response conversion;
+    # no event per cache level, link message or bridge traversal.
+    assert read() == (3, ns_to_ticks(288))
     # Clean lines of the same set push the line out of the levels above
     # `level`, so the next read hits there.
     for k in range(level):

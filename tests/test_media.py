@@ -196,19 +196,20 @@ def test_ssd_channels_match_event_driven_fifo(reqs, channels):
 
 
 @_fifo
-@given(reqs=request_streams)
-@example(reqs=[(0, True), (3_000, True)])   # the second waits 478 ticks
-def test_link_channel_matches_event_driven_fifo(reqs):
+@given(reqs=request_streams, delay=DELAYS)
+@example(reqs=[(0, True), (3_000, True)], delay=0)   # the second waits 478 ticks
+def test_link_channel_matches_event_driven_fifo(reqs, delay):
     arrivals, kinds = arrivals_and_kinds(reqs)
     engine = Engine()
     stats = StatsRegistry()
     link = LinkChannel(engine, 4.6, stats.counter("link.bytes"))
     sizes = [16 if k == READ else 80 for k in kinds]
-    delivered = {}
-    at_arrivals(engine, arrivals, lambda i: link.transmit(
-        sizes[i], lambda: delivered.__setitem__(i, engine.now)))
+    granted = []
+    at_arrivals(engine, arrivals, lambda i: granted.append(
+        engine.now + link.transmit(sizes[i], delay)))
     holds = [max(1, round(b * 1000 / 4.6)) for b in sizes]
     # Cut-through: a message is delivered when the channel grants it.
-    assert [delivered[i] for i in range(len(arrivals))] == reference_starts(
-        arrivals, holds, 1)
+    assert granted == reference_starts([t + delay for t in arrivals], holds, 1)
+    # The channel fires no event of its own: only the arrivals ran.
+    assert engine._seq == len(arrivals)
     assert stats.get("link.bytes").value == sum(sizes)

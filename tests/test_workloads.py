@@ -147,14 +147,19 @@ def test_stream_issue_accounting_is_exact(kernel, reads_per_group):
 def test_rdwr_sweep_builds_one_system_per_grid_point(monkeypatch):
     from cxlsim import config
 
-    built = []
-    real_build = config.build_system
+    built, walks = [], []
+    real_build, real_check = config.build_system, config.check_config
 
-    def counting_build(cfg):
+    def counting_build(cfg, checked):
         built.append(cfg["workload"]["kind"])
-        return real_build(cfg)
+        return real_build(cfg, checked)
+
+    def counting_check(cfg):
+        walks.append(cfg["workload"]["kind"])
+        return real_check(cfg)
 
     monkeypatch.setattr(config, "build_system", counting_build)
+    monkeypatch.setattr(config, "check_config", counting_check)
     cfg = preset("cxl-dmsim-a")
     cfg["workload"] = {"kind": "rdwr_sweep", "read_fractions": [0.5, 1.0],
                        "rates_bytes_per_ns": [32.0, 64.0], "ops": 300,
@@ -162,6 +167,7 @@ def test_rdwr_sweep_builds_one_system_per_grid_point(monkeypatch):
     result = run_workload(cfg)
     assert len(result.rows) == 4
     assert len(built) == 4
+    assert walks == ["rdwr_sweep"]      # checked once, not per grid point
 
 
 # -- every workload block either fails validation or runs to sane metrics ------
@@ -205,7 +211,7 @@ TINY_CACHE_ASIC = merge_config(preset("cxl-dmsim-a"), tiny_cache_patch())
 def workload_configs(draw):
     """A small in-range block of any kind; half of them with one field
     set to an out-of-range or wrong-type value, a quarter on a config
-    without a device."""
+    without a device (and so without a bridge)."""
     kind = draw(st.sampled_from(sorted(SMALL_BLOCKS)))
     block = draw(st.fixed_dictionaries(SMALL_BLOCKS[kind]))
     if draw(st.booleans()):
@@ -213,6 +219,7 @@ def workload_configs(draw):
     cfg = copy.deepcopy(TINY_CACHE_ASIC)
     if draw(st.integers(0, 3)) == 0:
         cfg["devices"] = []
+        del cfg["bridge"]
     cfg["workload"] = {"kind": kind, **block}
     return cfg
 
