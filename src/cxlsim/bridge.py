@@ -85,15 +85,13 @@ class LinkChannel:
     schedules what follows.  Arrivals must not go backwards in time.
     """
 
-    def __init__(self, engine: Engine, bytes_per_ns: float, byte_counter):
+    def __init__(self, engine: Engine, bytes_per_ns: float):
         self.engine = engine
         self.bytes_per_ns = bytes_per_ns
         self._free_at = 0
-        self._bytes = byte_counter
         self._holds: dict = {}   # message bytes -> ticks it holds the channel
 
     def transmit(self, nbytes: int, delay: int = 0) -> int:
-        self._bytes.inc(nbytes)
         hold = self._holds.get(nbytes)
         if hold is None:
             hold = self._holds[nbytes] = max(
@@ -119,20 +117,32 @@ class CxlBridge:
         self._inflight: dict = {}        # id -> on_response
         self._waiters: deque = deque()   # held (pkt, on_response)
         self._egress_waiters: deque = deque()
-        self.retry_counts = stats.counter("bridge.reqRetryCounts")
-        self.req_occupancy = stats.gauge("bridge.reqFifoOccupancy")
-        # Downstream response FIFO slots in use, reservations included.
-        self.resp_occupancy = stats.gauge("bridge.respFifoOccupancy")
-        self.m2s_sent = stats.counter("bridge.m2sSent")
-        self.s2m_received = stats.counter("bridge.s2mReceived")
-        self.tx = LinkChannel(engine, link_bytes_per_ns_tx,
-                              stats.counter("bridge.txBytes"))
-        self.rx = LinkChannel(engine, link_bytes_per_ns_rx,
-                              stats.counter("bridge.rxBytes"))
+        self.tx = LinkChannel(engine, link_bytes_per_ns_tx)
+        self.rx = LinkChannel(engine, link_bytes_per_ns_rx)
+        # resp_used counts downstream response FIFO slots in use,
+        # reservations included.
+        stats.counters(self, {
+            "bridge.reqRetryCounts": "retries", "bridge.m2sSent": "m2s_sent",
+            "bridge.reqFifoOccupancy": "req_used",
+            "bridge.reqFifoOccupancy::max": "req_peak",
+            "bridge.respFifoOccupancy": "resp_used",
+            "bridge.respFifoOccupancy::max": "resp_peak"})
+        # At drain every request has been answered; a request carries 64B
+        # when it is a write, a response when it answers a read.
+        header = msg_header_bytes
+        stats.formula("bridge.s2mReceived", {"bridge.m2sSent": 1})
+        stats.add("bridge.txBytes", lambda: (
+            header * self.m2s_sent + LINE_BYTES * self._device_total("writes")))
+        stats.add("bridge.rxBytes", lambda: (
+            (header + LINE_BYTES) * self._device_total("reads")
+            + header * self._device_total("writes")))
 
     def attach_device(self, base: int, limit: int, device) -> None:
         self._devices.append((base, limit, device))
         device.bind_bridge(self)
+
+    def _device_total(self, count: str) -> int:
+        return sum(getattr(device, count) for _, _, device in self._devices)
 
     def _device_for(self, addr: int):
         for base, limit, device in self._devices:
@@ -144,14 +154,16 @@ class CxlBridge:
 
     def receive(self, pkt: MemPacket, on_response) -> None:
         """Memory-bus port: admit or refuse-and-hold (retry protocol)."""
-        if self.req_occupancy.value < self.req_fifo_depth:
+        if self.req_used < self.req_fifo_depth:
             self._admit(pkt, on_response)
         else:
-            self.retry_counts.inc()
+            self.retries += 1
             self._waiters.append((pkt, on_response))
 
     def _admit(self, pkt: MemPacket, on_response) -> None:
-        self.req_occupancy.add(1)
+        self.req_used += 1
+        if self.req_used > self.req_peak:
+            self.req_peak = self.req_used
         if pkt.id in self._inflight:
             raise ProtocolError(f"request id {pkt.id} already in flight")
         self._inflight[pkt.id] = on_response
@@ -159,7 +171,7 @@ class CxlBridge:
         # from now, and the device at its grant.
         cxl = convert_m2s(pkt)
         device = self._device_for(cxl.addr)
-        self.m2s_sent.inc()
+        self.m2s_sent += 1
         device.receive_m2s(cxl, self.tx.transmit(
             self.msg_header_bytes + cxl.payload_bytes, self.traversal_lat))
 
@@ -169,12 +181,13 @@ class CxlBridge:
         """Device-side delivery of the answer to the M2S request `cxl`;
         stalls when the response FIFO is full.  The answer converts
         traversal_lat after its RX grant."""
-        if self.resp_occupancy.value < self.resp_fifo_depth:
-            self.resp_occupancy.add(1)
+        if self.resp_used < self.resp_fifo_depth:
+            self.resp_used += 1
+            if self.resp_used > self.resp_peak:
+                self.resp_peak = self.resp_used
             nbytes = self.msg_header_bytes
             if cxl.kind is CxlKind.M2S_REQ:
                 nbytes += LINE_BYTES     # S2MDRS carries the read data
-            self.s2m_received.inc()
             self.engine.schedule(self.rx.transmit(nbytes) + self.traversal_lat,
                                  lambda: self._converted(cxl))
         else:
@@ -190,15 +203,15 @@ class CxlBridge:
         on_response()
 
     def _release_resp_slot(self) -> None:
-        self.resp_occupancy.add(-1)
+        self.resp_used -= 1
         if self._egress_waiters:
             self.device_egress(self._egress_waiters.popleft())
 
     def _release_credit(self) -> None:
-        self.req_occupancy.add(-1)
+        self.req_used -= 1
         if self._waiters:
             pkt, on_response = self._waiters.popleft()
             # Space-available broadcast: the oldest sender wins the slot;
             # every other held sender re-offers and is refused again.
-            self.retry_counts.inc(len(self._waiters))
+            self.retries += len(self._waiters)
             self._admit(pkt, on_response)

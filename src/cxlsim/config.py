@@ -319,6 +319,11 @@ def _check_rules(c: SimpleNamespace) -> None:
 
     if c.devices and c.bridge is None:
         fail("bridge", "required field missing")
+    ssds = [i for i, dev in enumerate(c.devices) if dev.medium == "ssd"]
+    if len(ssds) > 1:
+        # The SSD and device-cache stats have one fixed name each.
+        fail(f"devices[{ssds[1]}].medium",
+             f"only one ssd device is supported (devices[{ssds[0]}] is one)")
     for i, dev in enumerate(c.devices):
         cache = dev.cache if dev.medium == "ssd" else None
         if cache is None:
@@ -589,6 +594,8 @@ def build_system(cfg: dict,
             numa_nodes.append(NumaNode(id=i + 1, base=rng.base,
                                        size=rng.limit - rng.base))
 
+    # At drain, every packet the bus routed to the bridge was sent on.
+    stats.formula("membus.toBridge", {"bridge.m2sSent": 1} if bridge else {})
     return System(engine=engine, stats=stats, addr_map=addr_map, membus=membus,
                   host=host, bridge=bridge, devices=devices,
                   numa_nodes=numa_nodes, hdm_allocators=allocators,

@@ -32,6 +32,7 @@ from typing import Optional
 from .engine import Engine
 from .host import AddressMap, SimFault, Target
 from .bridge import CxlBridge, CxlKind, CxlMemPacket
+from .media import READ, WRITE
 
 ALL_ONES = (1 << 64) - 1
 
@@ -81,8 +82,8 @@ class MemExpander:
         self._by_callback = getattr(medium, "answers_by_callback", False)
         self._bridge: Optional[CxlBridge] = None
         self.rsp_time = stats.histogram(f"{prefix}.rsp")
-        self.reads = stats.counter(f"{prefix}.reads")
-        self.writes = stats.counter(f"{prefix}.writes")
+        stats.counters(self, {f"{prefix}.reads": "reads",
+                              f"{prefix}.writes": "writes"})
 
     def bind_bridge(self, bridge: CxlBridge) -> None:
         self._bridge = bridge
@@ -103,9 +104,12 @@ class MemExpander:
         """Serve `pkt`, which reaches the device `delay` ticks from now."""
         arrival = self.engine.now + delay
         offset = self.translate(pkt.addr)
-        is_read = pkt.kind is CxlKind.M2S_REQ
-        kind = "read" if is_read else "write"
-        (self.reads if is_read else self.writes).inc()
+        if pkt.kind is CxlKind.M2S_REQ:
+            kind = READ
+            self.reads += 1
+        else:
+            kind = WRITE
+            self.writes += 1
         proto = self.device_proto_proc_lat
 
         def respond() -> None:

@@ -32,6 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .engine import Engine
 from .hdm import PAGE_BYTES
+from .media import READ, WRITE
 
 LINE_BYTES = 64
 
@@ -127,20 +128,19 @@ class Cache:
         self.hit_latency = hit_latency
         self.num_sets = capacity // (ways * LINE_BYTES)
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
-        self.lookups = stats.counter(f"{name}.lookups")
-        self.hits = stats.counter(f"{name}.hits")
-        self.misses = stats.counter(f"{name}.misses")
+        stats.counters(self, {f"{name}.hits": "hits",
+                              f"{name}.misses": "misses"})
+        stats.formula(f"{name}.lookups", {f"{name}.hits": 1, f"{name}.misses": 1})
 
     def touch(self, line: int) -> bool:
         """Lookup; refreshes LRU order on a hit."""
         cset = self._sets[line % self.num_sets]
         tag = line // self.num_sets
-        self.lookups.inc()
         if tag in cset:
             cset.move_to_end(tag)
-            self.hits.inc()
+            self.hits += 1
             return True
-        self.misses.inc()
+        self.misses += 1
         return False
 
     def contains(self, line: int) -> bool:
@@ -223,8 +223,8 @@ class MemBus:
         self.addr_map = addr_map
         self.targets: Dict[Target, object] = {}
         self._ports = (None, None)
-        self.to_local = stats.counter("membus.toLocal")
-        self.to_bridge = stats.counter("membus.toBridge")
+        # What goes to the bridge is counted there, as bridge.m2sSent.
+        stats.counters(self, {"membus.toLocal": "to_local"})
 
     def attach(self, target: Target, port) -> None:
         self.targets[target] = port
@@ -235,7 +235,8 @@ class MemBus:
     def send(self, pkt: MemPacket, lat: int,
              on_response: Callable[[], None]) -> None:
         to_bridge = self.addr_map.lookup(pkt.addr).target is Target.BRIDGE
-        (self.to_bridge if to_bridge else self.to_local).inc()
+        if not to_bridge:
+            self.to_local += 1
         port = self._ports[to_bridge]
         self.engine.schedule(lat, lambda: port.receive(pkt, on_response))
 
@@ -248,7 +249,7 @@ class LocalMemory:
         self.medium = medium
 
     def receive(self, pkt: MemPacket, on_response) -> None:
-        kind = "read" if pkt.cmd is MemCmd.READ_REQ else "write"
+        kind = READ if pkt.cmd is MemCmd.READ_REQ else WRITE
         self.engine.schedule(self.medium.submit(kind), on_response)
 
 
@@ -268,9 +269,10 @@ class CacheHierarchy:
         self.membus_lat = host_path_lat - self._hit_lats[-1]
         self._mshrs: Dict[int, list] = {}
         self._pkt_ids = itertools.count(1 << 48)  # fill/writeback id space
-        self._wb_outstanding = stats.gauge("membus.writebacksInFlight")
+        stats.counters(self, {"membus.writebacksInFlight": "wb_in_flight",
+                              "membus.writebacksInFlight::max": "wb_peak",
+                              "l3.mshrMerges": "mshr_merges"})
         self._miss_lat = stats.histogram("l3.overallAvgMissLat")
-        self._mshr_merges = stats.counter("l3.mshrMerges")
 
     def access(self, pkt: MemPacket, on_complete: Callable[[], None]) -> None:
         """Look up L1 -> L3 at issue (see the module docstring)."""
@@ -312,13 +314,17 @@ class CacheHierarchy:
     def _issue_writeback(self, line: int) -> None:
         wb = MemPacket(id=next(self._pkt_ids), cmd=MemCmd.WRITE_REQ,
                        addr=line * LINE_BYTES)
-        self._wb_outstanding.add(1)
-        self.membus.send(wb, self.membus_lat,
-                         lambda: self._wb_outstanding.add(-1))
+        self.wb_in_flight += 1
+        if self.wb_in_flight > self.wb_peak:
+            self.wb_peak = self.wb_in_flight
+        self.membus.send(wb, self.membus_lat, self._writeback_done)
+
+    def _writeback_done(self) -> None:
+        self.wb_in_flight -= 1
 
     def _miss(self, pkt, line: int, on_complete) -> None:
         if line in self._mshrs:
-            self._mshr_merges.inc()
+            self.mshr_merges += 1
             self._mshrs[line].append((pkt, on_complete))
             return
         miss_tick = self.engine.now + self._hit_lats[-1]
@@ -347,20 +353,19 @@ class Injector:
     slot is released when the matching response returns (cached stores
     complete on fill, uncacheable stores on the target's acknowledgment).
     `think_time` is the ticks between dispatches from the pending queue.
+    The counts all injectors share live on `host`.
     """
 
     def __init__(self, engine: Engine, inj_id: int, lsq_depth: int,
-                 think_time: int, dispatch, load_to_use, lsq_full, outstanding,
-                 ticks_per_cycle: float):
+                 think_time: int, host: "HostPath", ticks_per_cycle: float):
         self.engine = engine
         self.lsq_depth = lsq_depth
         self.think_time = think_time
-        self._dispatch = dispatch
+        self._host = host
+        self._dispatch = host.dispatch
         self._in_flight = 0
         self._pending: deque = deque()
-        self._load_to_use = load_to_use
-        self._lsq_full = lsq_full
-        self._outstanding = outstanding
+        self._load_to_use = host.load_to_use
         self._ticks_per_cycle = ticks_per_cycle
         self._ids = itertools.count(inj_id << 32)
 
@@ -372,19 +377,22 @@ class Injector:
         if self._in_flight < self.lsq_depth and not self._pending:
             self._start(pkt, on_complete)
         else:
-            self._lsq_full.inc()
+            self._host.lsq_full += 1
             self._pending.append((pkt, on_complete))
         return pkt.id
 
     def _start(self, pkt: MemPacket, on_complete) -> None:
         self._in_flight += 1
-        self._outstanding.add(1)
+        host = self._host
+        host.outstanding += 1
+        if host.outstanding > host.outstanding_peak:
+            host.outstanding_peak = host.outstanding
         pkt.issue_tick = self.engine.now
         self._dispatch(pkt, lambda: self._finish(pkt, on_complete))
 
     def _finish(self, pkt: MemPacket, on_complete) -> None:
         self._in_flight -= 1
-        self._outstanding.add(-1)
+        self._host.outstanding -= 1
         if pkt.cmd is MemCmd.READ_REQ:
             self._load_to_use.record(
                 (self.engine.now - pkt.issue_tick) / self._ticks_per_cycle)
@@ -409,17 +417,18 @@ class HostPath:
         self.membus = membus
         self.hierarchy = CacheHierarchy(engine, caches, membus, host_path_lat,
                                         stats)
-        load_to_use = stats.histogram(
+        self.load_to_use = stats.histogram(
             "core.loadToUse", edges=(0, 10, 100, 1000, 10000, 100000))
-        lsq_full = stats.counter("core.lsqFullEvents")
-        outstanding = stats.gauge("core.outstandingRequests")
+        stats.counters(self, {
+            "core.lsqFullEvents": "lsq_full",
+            "core.outstandingRequests": "outstanding",
+            "core.outstandingRequests::max": "outstanding_peak"})
         self.injectors = [
-            Injector(engine, i, lsq_depth, think_time, self._dispatch,
-                     load_to_use, lsq_full, outstanding, ticks_per_cycle)
+            Injector(engine, i, lsq_depth, think_time, self, ticks_per_cycle)
             for i in range(injectors)
         ]
 
-    def _dispatch(self, pkt: MemPacket, on_complete) -> None:
+    def dispatch(self, pkt: MemPacket, on_complete) -> None:
         if pkt.cacheable:
             self.hierarchy.access(pkt, on_complete)
         else:

@@ -63,10 +63,10 @@ class QueuedDdr:
 
     All times are in ticks: `read_service` and `write_service` occupy the
     bus per 64B, `turnaround_penalty` is added on a read<->write switch
-    and `access_lat` is overlapped with the bus.  Per-request queue wait
-    accumulates into <prefix>.avgQLat and total per-request latency (wait
-    + bus service + array access) into <prefix>.avgMemAccLat, recorded at
-    submission.
+    and `access_lat` is overlapped with the bus.  The per-request queue
+    wait and total latency (wait + bus service + array access) are summed
+    at submission; the report divides them by the requests as
+    <prefix>.avgQLat and <prefix>.avgMemAccLat.
     """
 
     def __init__(self, engine: Engine, read_service: int, write_service: int,
@@ -82,8 +82,15 @@ class QueuedDdr:
         self.reads = 0
         self.writes = 0
         self.turnarounds = 0
-        self._avg_q = stats.mean(f"{prefix}.avgQLat")
-        self._avg_acc = stats.mean(f"{prefix}.avgMemAccLat")
+        self.wait_total = 0.0
+        self.latency_total = 0.0
+        stats.add(f"{prefix}.avgQLat", lambda: self._per_request(self.wait_total))
+        stats.add(f"{prefix}.avgMemAccLat",
+                  lambda: self._per_request(self.latency_total))
+
+    def _per_request(self, total: float) -> float:
+        count = self.reads + self.writes
+        return total / count if count else 0.0
 
     def submit(self, kind: str, delay: int = 0) -> int:
         if kind == READ:
@@ -100,6 +107,6 @@ class QueuedDdr:
         start = max(arrival, self._free_at)
         self._free_at = start + service
         wait = start - arrival
-        self._avg_q.record(wait)
-        self._avg_acc.record(wait + service + self.access_lat)
+        self.wait_total += wait
+        self.latency_total += wait + service + self.access_lat
         return start + service + self.access_lat - self.engine.now

@@ -27,6 +27,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional
 
 from .engine import Engine
+from .media import READ, WRITE
 
 
 # Best-Offset tuning, as the module docstring describes it.
@@ -122,16 +123,16 @@ class SsdMedium:
         self.read_latency = read_latency
         self.write_latency = write_latency
         self._free_at = [0] * channels   # a heap
-        self.page_reads = stats.counter("ssd.pageReads")
-        self.page_writes = stats.counter("ssd.pageWrites")
+        stats.counters(self, {"ssd.pageReads": "page_reads",
+                              "ssd.pageWrites": "page_writes"})
 
     def io(self, kind: str, on_done: Callable[[], None]) -> None:
         """One page read or program on the channel that frees first."""
-        if kind == "read":
-            self.page_reads.inc()
+        if kind == READ:
+            self.page_reads += 1
             lat = self.read_latency
         else:
-            self.page_writes.inc()
+            self.page_writes += 1
             lat = self.write_latency
         now = self.engine.now
         start = max(now, self._free_at[0])
@@ -168,12 +169,12 @@ class SsdCachedMedium:
         self.capacity_pages = capacity // self.page_size
         self._pages: OrderedDict = OrderedDict()      # page -> _CachedPage
         self._inflight: Dict[int, dict] = {}          # page -> fetch record
-        self.hits = stats.counter("ssdcache.hits")
-        self.misses = stats.counter("ssdcache.misses")
-        self.late_hits = stats.counter("ssdcache.lateHits")
-        self.prefetch_issued = stats.counter("ssdcache.prefetchIssued")
-        self.prefetch_useful = stats.counter("ssdcache.prefetchUseful")
-        self.writebacks = stats.counter("ssdcache.writebacks")
+        stats.counters(self, {
+            "ssdcache.hits": "hits", "ssdcache.misses": "misses",
+            "ssdcache.lateHits": "late_hits",
+            "ssdcache.prefetchIssued": "prefetch_issued",
+            "ssdcache.prefetchUseful": "prefetch_useful",
+            "ssdcache.writebacks": "writebacks"})
 
     # -- medium interface ---------------------------------------------------
 
@@ -181,16 +182,16 @@ class SsdCachedMedium:
         page = offset // self.page_size
         entry = self._pages.get(page)
         if entry is not None:
-            self.hits.inc()
+            self.hits += 1
             if self.policy == "lru":
                 self._pages.move_to_end(page)
             candidate = None
             if entry.prefetched and not entry.referenced:
-                self.prefetch_useful.inc()
+                self.prefetch_useful += 1
                 entry.referenced = True
                 if self.prefetcher is not None:
                     candidate = self.prefetcher.update(page)
-            if kind == "write":
+            if kind == WRITE:
                 entry.dirty = True
             self.engine.schedule(self.hit_latency, on_done)
             if candidate is not None:
@@ -201,14 +202,14 @@ class SsdCachedMedium:
             record = self._inflight[page]
             record["waiters"].append((kind, on_done))
             if record["prefetch"]:
-                self.late_hits.inc()
+                self.late_hits += 1
                 if self.prefetcher is not None:
                     candidate = self.prefetcher.update(page)
                     if candidate is not None:
                         self._maybe_prefetch(candidate, trigger=page)
             return
 
-        self.misses.inc()
+        self.misses += 1
         candidate = self.prefetcher.update(page) if self.prefetcher else None
         self._fetch(page, prefetch=False, trigger=page,
                     waiters=[(kind, on_done)])
@@ -220,13 +221,13 @@ class SsdCachedMedium:
     def _maybe_prefetch(self, page: int, trigger: int) -> None:
         if page in self._pages or page in self._inflight:
             return
-        self.prefetch_issued.inc()
+        self.prefetch_issued += 1
         self._fetch(page, prefetch=True, trigger=trigger, waiters=[])
 
     def _fetch(self, page: int, prefetch: bool, trigger: int, waiters: list) -> None:
         self._inflight[page] = {"prefetch": prefetch, "trigger": trigger,
                                 "waiters": waiters}
-        self.ssd.io("read", lambda: self._install(page))
+        self.ssd.io(READ, lambda: self._install(page))
 
     def _install(self, page: int) -> None:
         record = self._inflight.pop(page)
@@ -236,12 +237,12 @@ class SsdCachedMedium:
             self._pages[page] = entry
         for kind, on_done in record["waiters"]:
             entry.referenced = True
-            if kind == "write":
+            if kind == WRITE:
                 entry.dirty = True
             self.engine.schedule(self.hit_latency, on_done)
         if not installed and entry.dirty:
             # Uncacheable install absorbed a write; program it.
-            self.ssd.io("write", lambda: None)
+            self.ssd.io(WRITE, lambda: None)
 
     def _evict_for(self, record: dict) -> bool:
         """Make room for one install; returns False when a prefetched page
@@ -258,8 +259,8 @@ class SsdCachedMedium:
             return False
         victim = self._pages.pop(victim_page)
         if victim.dirty:
-            self.writebacks.inc()
-            self.ssd.io("write", lambda: None)
+            self.writebacks += 1
+            self.ssd.io(WRITE, lambda: None)
         return True
 
 
@@ -273,7 +274,7 @@ class SsdDirectMedium:
         self.ssd = ssd
 
     def access(self, offset: int, kind: str, on_done: Callable[[], None]) -> None:
-        if kind == "read":
-            self.ssd.io("read", on_done)
+        if kind == READ:
+            self.ssd.io(READ, on_done)
         else:
-            self.ssd.io("read", lambda: self.ssd.io("write", on_done))
+            self.ssd.io(READ, lambda: self.ssd.io(WRITE, on_done))

@@ -1,13 +1,19 @@
-"""Named statistics registry and end-of-run reporting.
+"""Named statistics table and end-of-run reporting.
 
 Statistic names follow the dotted vocabulary used by the simulator's
 outputs (core.loadToUse::mean, bridge.reqRetryCounts, cxl.rsp::mean,
 dram.avgQLat, l3.overallAvgMissLat) so run reports line up column-for-column
 with the congestion-study tables this package reproduces.
 
-Each component registers its stats once and records through the objects
-it gets back.  Registering a name twice, or getting a name that was never
-registered, fails fast, so a typo cannot silently split or drop samples.
+Components count in plain attributes on the request path (`self.hits
++= 1`, a queue's peak kept beside its level) and register each name they
+report once, with a getter that reads it.  A total that follows from
+other stats is a formula over their names, evaluated at report time
+instead of counted per request.  The table is read only by `flatten`, so
+the one stats call left on the request path is Histogram.record.
+Registering a name twice, or a formula over a name never registered,
+fails when the table is built, so a typo cannot silently split or drop
+samples.
 """
 
 from __future__ import annotations
@@ -17,66 +23,12 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from functools import partial
+from typing import Callable, Dict, Sequence
 
 
 class StatError(KeyError):
     pass
-
-
-class Counter:
-    """Monotone event counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError("counters are monotone; use a Gauge for +/- values")
-        self.value += n
-
-
-class Gauge:
-    """Instantaneous level with a running maximum (e.g. queue occupancy)."""
-
-    __slots__ = ("name", "value", "max_value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-        self.max_value = 0
-
-    def add(self, delta: int) -> None:
-        self.value += delta
-        if self.value > self.max_value:
-            self.max_value = self.value
-
-    def set(self, value: int) -> None:
-        self.value = value
-        if value > self.max_value:
-            self.max_value = value
-
-
-class Mean:
-    """Running arithmetic mean (sum/count), reported as a single value."""
-
-    __slots__ = ("name", "count", "total")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-
-    def record(self, sample: float) -> None:
-        self.count += 1
-        self.total += sample
-
-    @property
-    def value(self) -> float:
-        return self.total / self.count if self.count else 0.0
 
 
 class Histogram:
@@ -87,7 +39,8 @@ class Histogram:
     last), so edges (0, 10, 100) produce buckets 0-9, 10-99, 100+.
     """
 
-    __slots__ = ("name", "edges", "counts", "n", "_mean", "_m2", "min", "max")
+    __slots__ = ("name", "edges", "counts", "n", "_mean", "_m2", "min", "max",
+                 "_upper")
 
     def __init__(self, name: str, edges: Sequence[float] = (0,)):
         if not edges or edges[0] != 0 or list(edges) != sorted(edges):
@@ -100,6 +53,9 @@ class Histogram:
         self._m2 = 0.0
         self.min = math.inf
         self.max = -math.inf
+        # A sample's bucket is how many edges past the first it reaches:
+        # always 0 with one edge, and for a sample below 0.
+        self._upper = self.edges[1:]
 
     def record(self, sample: float) -> None:
         self.n += 1
@@ -110,12 +66,7 @@ class Histogram:
             self.min = sample
         if sample > self.max:
             self.max = sample
-        # The last edge <= sample; a sample below 0 counts in bucket 0.
-        counts = self.counts
-        if len(counts) == 1:
-            counts[0] += 1
-        else:
-            counts[max(0, bisect_right(self.edges, sample) - 1)] += 1
+        self.counts[bisect_right(self._upper, sample)] += 1
 
     @property
     def mean(self) -> float:
@@ -160,58 +111,63 @@ def _fmt_edge(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else str(value)
 
 
+# perfbench/tracer.py resolves every class its entry-point table names and
+# fails on a missing one.  Counter, Gauge and Mean are gone; their names
+# stay bound to an empty class until that table drops them.
+Counter = Gauge = Mean = type("RetiredStat", (), {})
+
+
 class StatsRegistry:
-    """Flat registry of named counters, gauges, means, and histograms."""
+    """Table of report names, each read by a getter or a histogram."""
 
     def __init__(self):
-        self._stats: Dict[str, object] = {}
+        self._getters: Dict[str, Callable[[], float]] = {}
+        self._histograms: Dict[str, Histogram] = {}
 
-    def _register(self, stat):
-        if stat.name in self._stats:
-            raise StatError(f"statistic {stat.name!r} registered twice")
-        self._stats[stat.name] = stat
-        return stat
+    def _claim(self, name: str) -> None:
+        if name in self._getters or name in self._histograms:
+            raise StatError(f"statistic {name!r} registered twice")
 
-    def counter(self, name: str) -> Counter:
-        return self._register(Counter(name))
+    def add(self, name: str, getter: Callable[[], float]) -> None:
+        """Report `name` as what `getter()` returns at report time."""
+        self._claim(name)
+        self._getters[name] = getter
 
-    def gauge(self, name: str) -> Gauge:
-        return self._register(Gauge(name))
+    def counters(self, obj, names: Dict[str, str]) -> None:
+        """Report each name in `names` as the attribute of `obj` it maps
+        to; the attribute starts at 0 and `obj` counts in it."""
+        for name, attr in names.items():
+            setattr(obj, attr, 0)
+            self.add(name, partial(getattr, obj, attr))
 
-    def mean(self, name: str) -> Mean:
-        return self._register(Mean(name))
+    def formula(self, name: str, terms: Dict[str, int]) -> None:
+        """Report `name` as the sum of coefficient x stat over `terms`, a
+        map from registered names to their coefficients (no terms: 0)."""
+        for operand in terms:
+            if operand not in self._getters:
+                raise StatError(f"formula {name!r} names {operand!r}, "
+                                "which was never registered")
+        parts = [(self._getters[operand], k) for operand, k in terms.items()]
+        self.add(name, lambda: sum(k * get() for get, k in parts))
 
     def histogram(self, name: str, edges: Sequence[float] = (0,)) -> Histogram:
-        return self._register(Histogram(name, edges))
-
-    def get(self, name: str):
-        try:
-            return self._stats[name]
-        except KeyError:
-            raise StatError(f"statistic {name!r} was never registered") from None
+        self._claim(name)
+        hist = self._histograms[name] = Histogram(name, edges)
+        return hist
 
     def flatten(self) -> Dict[str, float]:
         """Flatten to scalar report entries with stable (sorted) keys."""
-        out: Dict[str, float] = {}
-        for name in sorted(self._stats):
-            stat = self._stats[name]
-            if isinstance(stat, Counter):
-                out[name] = stat.value
-            elif isinstance(stat, Gauge):
-                out[name] = stat.value
-                out[f"{name}::max"] = stat.max_value
-            elif isinstance(stat, Mean):
-                out[name] = stat.value
-            elif isinstance(stat, Histogram):
-                out[f"{name}::samples"] = stat.n
-                out[f"{name}::mean"] = stat.mean
-                out[f"{name}::stdev"] = stat.stdev
-                out[f"{name}::min_value"] = stat.min if stat.n else 0
-                out[f"{name}::max_value"] = stat.max if stat.n else 0
-                for i in range(len(stat.edges)):
-                    out[f"{name}::{stat.bucket_label(i)}"] = round(
-                        100.0 * stat.bucket_fraction(i), 6
-                    )
+        out = {name: get() for name, get in self._getters.items()}
+        for name, stat in self._histograms.items():
+            out[f"{name}::samples"] = stat.n
+            out[f"{name}::mean"] = stat.mean
+            out[f"{name}::stdev"] = stat.stdev
+            out[f"{name}::min_value"] = stat.min if stat.n else 0
+            out[f"{name}::max_value"] = stat.max if stat.n else 0
+            for i in range(len(stat.edges)):
+                out[f"{name}::{stat.bucket_label(i)}"] = round(
+                    100.0 * stat.bucket_fraction(i), 6
+                )
         return dict(sorted(out.items()))
 
 

@@ -23,19 +23,26 @@ def make_bridge(engine, stats=None, req_depth=4, resp_depth=4,
 
 class EchoDevice:
     """Answers each M2S request a fixed service delay after it arrives by
-    handing it back to the bridge; M2S arrival ticks recorded."""
+    handing it back to the bridge; M2S arrival ticks recorded, and reads
+    and writes counted as a device counts them."""
 
     def __init__(self, engine, delay=0):
         self.engine = engine
         self.delay = delay
         self.bridge = None
         self.arrivals = []
+        self.reads = 0
+        self.writes = 0
 
     def bind_bridge(self, bridge):
         self.bridge = bridge
 
     def receive_m2s(self, pkt, delay):
         self.arrivals.append(self.engine.now + delay)
+        if pkt.kind is CxlKind.M2S_REQ:
+            self.reads += 1
+        else:
+            self.writes += 1
         self.engine.schedule(delay + self.delay,
                              lambda: self.bridge.device_egress(pkt))
 
@@ -72,7 +79,7 @@ def test_single_request_no_retries():
     bridge.receive(read_pkt(1), lambda: done.append(engine.now))
     engine.run()
     assert len(done) == 1
-    assert stats.get("bridge.reqRetryCounts").value == 0
+    assert stats.flatten()["bridge.reqRetryCounts"] == 0
 
 
 def test_depth_one_two_simultaneous_one_retry():
@@ -84,7 +91,7 @@ def test_depth_one_two_simultaneous_one_retry():
     engine.schedule(0, lambda: bridge.receive(read_pkt(2), lambda: done.append(2)))
     engine.run()
     assert len(done) == 2
-    assert stats.get("bridge.reqRetryCounts").value == 1
+    assert stats.flatten()["bridge.reqRetryCounts"] == 1
     assert done == [1, 2]  # oldest admitted first
 
 
@@ -106,8 +113,8 @@ def test_in_flight_never_exceeds_req_depth():
     for i in range(32):
         engine.schedule(0, lambda i=i: bridge.receive(read_pkt(i), lambda: None))
     engine.run()
-    assert stats.get("bridge.reqFifoOccupancy").max_value == 3
-    assert stats.get("bridge.reqRetryCounts").value > 0
+    assert stats.flatten()["bridge.reqFifoOccupancy::max"] == 3
+    assert stats.flatten()["bridge.reqRetryCounts"] > 0
 
 
 def test_resp_fifo_backpressures_device_delivery():
@@ -122,7 +129,7 @@ def test_resp_fifo_backpressures_device_delivery():
                                                       lambda: done.append(i)))
     engine.run()
     assert len(done) == 12
-    assert stats.get("bridge.respFifoOccupancy").max_value <= 2
+    assert stats.flatten()["bridge.respFifoOccupancy::max"] <= 2
 
 
 def test_duplicate_in_flight_id_rejected():
@@ -143,8 +150,8 @@ def test_tx_rx_byte_balance_at_even_mix():
         bridge.receive(MemPacket(id=2 * i + 1, cmd=MemCmd.WRITE_REQ, addr=64),
                        lambda: None)
     engine.run()
-    tx = stats.get("bridge.txBytes").value
-    rx = stats.get("bridge.rxBytes").value
+    tx = stats.flatten()["bridge.txBytes"]
+    rx = stats.flatten()["bridge.rxBytes"]
     assert tx == rx == 10 * (16 + 80)
 
 
@@ -178,8 +185,8 @@ def test_pure_read_stream_tx_headers_only():
     for i in range(n):
         bridge.receive(read_pkt(i), lambda: None)
     engine.run()
-    assert stats.get("bridge.txBytes").value == n * 16      # headers only
-    assert stats.get("bridge.rxBytes").value == n * 80      # header + 64B data
+    assert stats.flatten()["bridge.txBytes"] == n * 16      # headers only
+    assert stats.flatten()["bridge.rxBytes"] == n * 80      # header + 64B data
 
 
 # -- the closed-form crossing against the event-driven one it replaced --------
@@ -208,7 +215,7 @@ class EventDrivenBridge(CxlBridge):
     _refused = (-1, 0)          # (tick, requests refused at that tick)
 
     def receive(self, pkt, on_response):
-        if self.req_occupancy.value >= self.req_fifo_depth:
+        if self.req_used >= self.req_fifo_depth:
             tick, count = self._refused
             now = self.engine.now
             self._refused = (now, count + 1 if tick == now else 1)
@@ -222,7 +229,8 @@ class EventDrivenBridge(CxlBridge):
         super()._converted(cxl)
 
     def _admit(self, pkt, on_response):
-        self.req_occupancy.add(1)
+        self.req_used += 1
+        self.req_peak = max(self.req_peak, self.req_used)
         if pkt.id in self._inflight:
             raise ProtocolError(f"request id {pkt.id} already in flight")
         self._inflight[pkt.id] = on_response
@@ -231,14 +239,15 @@ class EventDrivenBridge(CxlBridge):
 
     def _send_m2s(self, cxl):
         device = self._device_for(cxl.addr)
-        self.m2s_sent.inc()
+        self.m2s_sent += 1
         deliver(self.engine,
                 self.tx.transmit(self.msg_header_bytes + cxl.payload_bytes),
                 lambda: device.receive_m2s(cxl, 0))
 
     def device_egress(self, cxl):
-        if self.resp_occupancy.value < self.resp_fifo_depth:
-            self.resp_occupancy.add(1)
+        if self.resp_used < self.resp_fifo_depth:
+            self.resp_used += 1
+            self.resp_peak = max(self.resp_peak, self.resp_used)
             nbytes = self.msg_header_bytes
             if cxl.kind is CxlKind.M2S_REQ:
                 nbytes += LINE_BYTES
@@ -248,7 +257,6 @@ class EventDrivenBridge(CxlBridge):
             self._egress_waiters.append(cxl)
 
     def _arrived(self, cxl):
-        self.s2m_received.inc()
         self.engine.schedule(self.traversal_lat, lambda: self._converted(cxl))
 
 
@@ -318,7 +326,7 @@ def test_closed_form_crossing_matches_event_driven_crossing(medium, data):
               "resp_fifo_depth": rnd.randint(1, 4),
               "link_bytes_per_ns_tx": rnd.choice([0.5, 1.0, 4.6, 64.0]),
               "link_bytes_per_ns_rx": rnd.choice([0.5, 1.0, 4.6, 64.0])}
-    # Two SSD devices would register the same ssd.* stats twice.
+    # A config holds at most one SSD device.
     devices = 1 if medium.startswith("ssd") else rnd.randint(1, 2)
     injectors = rnd.randint(1, 4)
     lsq_depth = rnd.choice([1, 2, 8])
@@ -367,4 +375,4 @@ def test_arrival_tied_with_conversion(event_driven):
             read_pkt(2), lambda: done.__setitem__(2, engine.now))))
     engine.run()
     assert done == {1: ns_to_ticks(264), 2: ns_to_ticks(264 + 128)}
-    assert stats.get("bridge.reqRetryCounts").value == int(event_driven)
+    assert stats.flatten()["bridge.reqRetryCounts"] == int(event_driven)

@@ -514,6 +514,10 @@ class TestCli:
                                       "array_kb": [16], "samples": 10,
                                       "placement": "local"}},
          "config.bridge"),
+        # the SSD stats have one name each, so a second SSD device would
+        # end in a StatError traceback
+        ({"devices": [ssd_device(), ssd_device()]},
+         "config.devices[1].medium"),
     ])
     def test_run_rejects_bad_field_with_exit_2(self, tmp_path, capsys,
                                                overlay, field):

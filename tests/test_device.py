@@ -139,7 +139,7 @@ def test_service_charges_proto_then_medium_then_proto():
     # the answer names its request; the bridge sizes the S2M message
     assert sink.responses[0][1] is request
     # the device's response time runs from the request's arrival
-    assert stats.get("cxl.rsp").mean == ns_to_ticks(80)
+    assert stats.flatten()["cxl.rsp::mean"] == ns_to_ticks(80)
 
 
 def test_fpga_vs_asic_end_to_end_gap_is_twice_proto_delta():

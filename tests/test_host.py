@@ -161,7 +161,7 @@ class StaggeredHierarchy(CacheHierarchy):
 
     def _staggered_miss(self, pkt, line, on_complete):
         if line in self._mshrs:
-            self._mshr_merges.inc()
+            self.mshr_merges += 1
             self._mshrs[line].append((pkt, on_complete))
             return
         self._mshrs[line] = [(pkt, on_complete)]
@@ -250,7 +250,7 @@ def test_lsq_capacity_one_blocks_second_issue():
     inj.issue(MemCmd.READ_REQ, 64, cacheable=False,
               on_complete=lambda p: done.append(system.engine.now))
     system.engine.run()
-    assert system.stats.get("core.lsqFullEvents").value == 1
+    assert system.stats.flatten()["core.lsqFullEvents"] == 1
     assert done[1] == 2 * done[0]   # second fully serialized behind first
 
 
@@ -260,8 +260,8 @@ def test_local_read_never_reaches_bridge(asic_cfg):
     for i in range(8):
         inj.issue(MemCmd.READ_REQ, i * 64, cacheable=False)
     system.engine.run()
-    assert system.stats.get("membus.toBridge").value == 0
-    assert system.stats.get("bridge.m2sSent").value == 0
+    assert system.stats.flatten()["membus.toBridge"] == 0
+    assert system.stats.flatten()["bridge.m2sSent"] == 0
 
 
 def test_mixed_stream_bridge_sees_exactly_hdm_half(asic_cfg):
@@ -272,9 +272,9 @@ def test_mixed_stream_bridge_sees_exactly_hdm_half(asic_cfg):
         inj.issue(MemCmd.READ_REQ, i * 64, cacheable=False)
         inj.issue(MemCmd.READ_REQ, hdm_base + i * 64, cacheable=False)
     system.engine.run()
-    assert system.stats.get("membus.toBridge").value == 50
-    assert system.stats.get("membus.toLocal").value == 50
-    assert system.stats.get("bridge.m2sSent").value == 50
+    assert system.stats.flatten()["membus.toBridge"] == 50
+    assert system.stats.flatten()["membus.toLocal"] == 50
+    assert system.stats.flatten()["bridge.m2sSent"] == 50
 
 
 @pytest.mark.parametrize("cacheable", [False, True])
@@ -319,7 +319,7 @@ def test_chase_within_l1_steady_state_hits(local_cfg):
     system = result.system
     lines = 16 * 1024 // 64
     # Only the cold pass misses; every measured access hits L1.
-    assert system.stats.get("l1.misses").value == lines
+    assert system.stats.flatten()["l1.misses"] == lines
     assert result.rows[0][1] == 1.0
 
 
@@ -337,8 +337,8 @@ def test_random_working_set_4x_llc_hit_rate_bound():
         inj.issue(MemCmd.READ_REQ, rng.randrange(footprint_lines) * LINE_BYTES)
     system.engine.run()
     l3 = system.stats
-    hits = l3.get("l3.hits").value
-    lookups = l3.get("l3.lookups").value
+    hits = l3.flatten()["l3.hits"]
+    lookups = l3.flatten()["l3.lookups"]
     assert hits / lookups <= 0.25 + 0.03
 
 
@@ -348,9 +348,9 @@ def test_per_level_hits_plus_misses_equal_lookups(local_cfg):
                        "samples": 500, "placement": "local"}
     system = run_workload(cfg).system
     for level in ("l1", "l2", "l3"):
-        hits = system.stats.get(f"{level}.hits").value
-        misses = system.stats.get(f"{level}.misses").value
-        lookups = system.stats.get(f"{level}.lookups").value
+        hits = system.stats.flatten()[f"{level}.hits"]
+        misses = system.stats.flatten()[f"{level}.misses"]
+        lookups = system.stats.flatten()[f"{level}.lookups"]
         assert hits + misses == lookups
 
 
@@ -359,10 +359,10 @@ def test_load_to_use_bounds(local_cfg):
     cfg["workload"] = {"kind": "latency_sweep", "array_kb": [16],
                        "samples": 300, "placement": "local"}
     system = run_workload(cfg).system
-    hist = system.stats.get("core.loadToUse")
+    flat = system.stats.flatten()
     # 1 ns L1 hit at 2.5 GHz = 2.5 cycles
-    assert hist.min >= 2.5
-    assert hist.max < float("inf")
+    assert flat["core.loadToUse::min_value"] >= 2.5
+    assert flat["core.loadToUse::max_value"] < float("inf")
 
 
 def test_request_conservation_at_quiesce(asic_cfg):
@@ -371,10 +371,10 @@ def test_request_conservation_at_quiesce(asic_cfg):
                        "queries_per_injector": 8, "lookups_per_query": 4,
                        "footprint_mb": 1, "placement": "hdm"}
     system = run_workload(cfg).system
-    assert system.stats.get("core.outstandingRequests").value == 0
-    assert system.stats.get("membus.writebacksInFlight").value == 0
-    assert (system.stats.get("bridge.m2sSent").value
-            == system.stats.get("bridge.s2mReceived").value)
+    assert system.stats.flatten()["core.outstandingRequests"] == 0
+    assert system.stats.flatten()["membus.writebacksInFlight"] == 0
+    assert (system.stats.flatten()["bridge.m2sSent"]
+            == system.stats.flatten()["bridge.s2mReceived"])
 
 
 def test_mshr_coalesces_same_line_misses(local_cfg):
@@ -390,7 +390,7 @@ def test_mshr_coalesces_same_line_misses(local_cfg):
     system.engine.run()
     assert len(done) == 3
     assert done[0] == done[1] == done[2]      # all served by one fill
-    assert system.stats.get("l3.mshrMerges").value == 2
+    assert system.stats.flatten()["l3.mshrMerges"] == 2
     # exactly one memory fetch reached the local DRAM
     dram = system.membus.targets[Target.LOCAL_DRAM].medium
     assert dram.reads == 1

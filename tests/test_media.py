@@ -201,8 +201,7 @@ def test_ssd_channels_match_event_driven_fifo(reqs, channels):
 def test_link_channel_matches_event_driven_fifo(reqs, delay):
     arrivals, kinds = arrivals_and_kinds(reqs)
     engine = Engine()
-    stats = StatsRegistry()
-    link = LinkChannel(engine, 4.6, stats.counter("link.bytes"))
+    link = LinkChannel(engine, 4.6)
     sizes = [16 if k == READ else 80 for k in kinds]
     granted = []
     at_arrivals(engine, arrivals, lambda i: granted.append(
@@ -212,4 +211,3 @@ def test_link_channel_matches_event_driven_fifo(reqs, delay):
     assert granted == reference_starts([t + delay for t in arrivals], holds, 1)
     # The channel fires no event of its own: only the arrivals ran.
     assert engine._seq == len(arrivals)
-    assert stats.get("link.bytes").value == sum(sizes)

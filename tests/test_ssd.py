@@ -44,8 +44,8 @@ class TestReplacementPolicies:
         stats = StatsRegistry()
         _, cache = make_cached(engine, stats=stats)
         access_all(engine, cache, [7, 7, 7, 7])
-        assert stats.get("ssdcache.misses").value == 1
-        assert stats.get("ssdcache.hits").value == 3
+        assert stats.flatten()["ssdcache.misses"] == 1
+        assert stats.flatten()["ssdcache.hits"] == 3
 
     def test_fifo_ignores_recency(self):
         engine = Engine()
@@ -53,7 +53,7 @@ class TestReplacementPolicies:
         _, cache = make_cached(engine, capacity_pages=2, policy="fifo",
                                stats=stats)
         access_all(engine, cache, [1, 2, 3, 1])   # C evicts A; final A misses
-        assert stats.get("ssdcache.misses").value == 4
+        assert stats.flatten()["ssdcache.misses"] == 4
 
     def test_lru_evicts_least_recent(self):
         engine = Engine()
@@ -61,14 +61,14 @@ class TestReplacementPolicies:
         _, cache = make_cached(engine, capacity_pages=2, policy="lru",
                                stats=stats)
         access_all(engine, cache, [1, 2, 3, 1])
-        assert stats.get("ssdcache.misses").value == 4
+        assert stats.flatten()["ssdcache.misses"] == 4
 
         engine2 = Engine()
         stats2 = StatsRegistry()
         _, cache2 = make_cached(engine2, capacity_pages=2, policy="lru",
                                 stats=stats2)
         access_all(engine2, cache2, [1, 2, 1, 3, 1])  # refresh keeps A resident
-        assert stats2.get("ssdcache.misses").value == 3
+        assert stats2.flatten()["ssdcache.misses"] == 3
 
 
 class TestBestOffsetLearning:
@@ -143,7 +143,7 @@ def test_prefetch_never_evicts_its_trigger():
     # the single slot holds the trigger; the prefetched page was not allowed
     # to displace it
     assert 10 in cache._pages
-    assert stats.get("ssdcache.prefetchIssued").value == 1
+    assert stats.flatten()["ssdcache.prefetchIssued"] == 1
 
 
 def test_sequential_scan_demand_misses_vanish_after_learning():
@@ -167,16 +167,16 @@ def test_sequential_scan_demand_misses_vanish_after_learning():
         if i == len(offsets):
             return
         if i == warm_accesses:
-            before_misses["v"] = stats.get("ssdcache.misses").value
+            before_misses["v"] = stats.flatten()["ssdcache.misses"]
         cache.access(offsets[i], "read",
                      lambda: (done.append(i), step(i + 1)))
 
     step()
     engine.run()
     measured = len(offsets) - warm_accesses
-    late_misses = stats.get("ssdcache.misses").value - before_misses["v"]
+    late_misses = stats.flatten()["ssdcache.misses"] - before_misses["v"]
     assert late_misses / measured <= 0.05
-    assert stats.get("ssdcache.prefetchUseful").value > 0
+    assert stats.flatten()["ssdcache.prefetchUseful"] > 0
 
 
 def test_read_after_write_through_writeback_and_refetch():
@@ -188,12 +188,12 @@ def test_read_after_write_through_writeback_and_refetch():
     access_all(engine, cache, [0], kind="write")
     access_all(engine, cache, [1, 2])
     assert 0 not in cache._pages          # evicted, written back
-    assert stats.get("ssdcache.writebacks").value >= 1
-    reads = stats.get("ssd.pageReads").value
-    misses = stats.get("ssdcache.misses").value
+    assert stats.flatten()["ssdcache.writebacks"] >= 1
+    reads = stats.flatten()["ssd.pageReads"]
+    misses = stats.flatten()["ssdcache.misses"]
     access_all(engine, cache, [0])
-    assert stats.get("ssdcache.misses").value == misses + 1
-    assert stats.get("ssd.pageReads").value == reads + 1
+    assert stats.flatten()["ssdcache.misses"] == misses + 1
+    assert stats.flatten()["ssd.pageReads"] == reads + 1
 
 
 def test_uncached_rmw_write_then_read():
@@ -210,8 +210,8 @@ def test_uncached_rmw_write_then_read():
     # the write pays a page read then a page program; the read one page read
     assert done == [ns_to_ticks(1000 + 3000), ns_to_ticks(1000 + 3000 + 1000)]
     # one page read per 64B read, read-modify-write per 64B write
-    assert stats.get("ssd.pageReads").value == 2
-    assert stats.get("ssd.pageWrites").value == 1
+    assert stats.flatten()["ssd.pageReads"] == 2
+    assert stats.flatten()["ssd.pageWrites"] == 1
 
 
 def test_late_demand_joins_inflight_prefetch():
@@ -228,5 +228,5 @@ def test_late_demand_joins_inflight_prefetch():
     cache.access(PAGE, "read", lambda: got.append(engine.now))
     engine.run()
     assert len(got) == 2
-    assert stats.get("ssdcache.lateHits").value == 1
-    assert stats.get("ssdcache.misses").value == 1
+    assert stats.flatten()["ssdcache.lateHits"] == 1
+    assert stats.flatten()["ssdcache.misses"] == 1

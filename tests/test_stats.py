@@ -4,8 +4,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cxlsim.stats import (Counter, Gauge, Histogram, Mean, RunReport,
-                          StatError, StatsRegistry, config_digest)
+from conftest import build, patched_preset
+
+from cxlsim.engine import Engine, ns_to_ticks
+from cxlsim.host import MemCmd
+from cxlsim.media import READ, QueuedDdr
+from cxlsim.stats import (Histogram, RunReport, StatError, StatsRegistry,
+                          config_digest)
 
 
 def test_histogram_basic_moments():
@@ -92,44 +97,56 @@ def test_percentile_bounds():
         h.percentile(101)
 
 
-def test_counter_monotone():
-    c = Counter("n")
-    c.inc()
-    c.inc(5)
-    assert c.value == 6
-    with pytest.raises(ValueError):
-        c.inc(-1)
+def test_flatten_reports_a_queue_peak():
+    # Five requests in flight at once, then none: the level reads 0 at
+    # drain and its peak 5.
+    system = build(patched_preset("cxl-dmsim-a", {"workload": {
+        "kind": "dlrm_proxy", "injectors": 1, "lsq_depth": 8}}))
+    inj = system.injectors[0]
+    for i in range(5):
+        inj.issue(MemCmd.READ_REQ, i * 64, cacheable=False)
+    system.engine.run()
+    flat = system.stats.flatten()
+    assert flat["core.outstandingRequests"] == 0
+    assert flat["core.outstandingRequests::max"] == 5
 
 
-def test_gauge_tracks_max():
-    g = Gauge("occ")
-    g.add(3)
-    g.add(2)
-    g.add(-4)
-    assert g.value == 1
-    assert g.max_value == 5
-
-
-def test_mean_running():
-    m = Mean("avg")
-    assert m.value == 0.0
-    m.record(10)
-    m.record(20)
-    assert m.value == 15
+def test_flatten_reports_queued_ddr_means():
+    engine = Engine()
+    stats = StatsRegistry()
+    ddr = QueuedDdr(engine, ns_to_ticks(13), ns_to_ticks(13), ns_to_ticks(2),
+                    ns_to_ticks(50), stats)
+    assert stats.flatten() == {"dram.avgMemAccLat": 0.0, "dram.avgQLat": 0.0}
+    # Two reads at once: the second waits one 13 ns service.
+    ddr.submit(READ)
+    ddr.submit(READ)
+    flat = stats.flatten()
+    assert flat["dram.avgQLat"] == ns_to_ticks(13) / 2
+    assert flat["dram.avgMemAccLat"] == ns_to_ticks(63 + 76) / 2
 
 
 def test_registry_rejects_unregistered_and_duplicates():
     reg = StatsRegistry()
-    reg.counter("a.b")
+    reg.add("a.b", lambda: 1)
     with pytest.raises(StatError):
-        reg.get("missing")
+        reg.formula("a.c", {"a.b": 1, "missing": 1})
     with pytest.raises(StatError):
-        reg.counter("a.b")
+        reg.add("a.b", lambda: 2)
+    with pytest.raises(StatError):
+        reg.histogram("a.b")
+    reg.histogram("h")
+    with pytest.raises(StatError):
+        reg.add("h", lambda: 0)
+    # The failed formula left nothing behind.
+    reg.formula("a.c", {"a.b": 3})
+    reg.formula("a.none", {})
+    assert reg.flatten()["a.c"] == 3
+    assert reg.flatten()["a.none"] == 0
 
 
 def test_flatten_names_and_order():
     reg = StatsRegistry()
-    reg.counter("bridge.reqRetryCounts").inc(3)
+    reg.add("bridge.reqRetryCounts", lambda: 3)
     h = reg.histogram("core.loadToUse", edges=(0, 10, 100))
     h.record(5)
     h.record(55)
@@ -142,7 +159,7 @@ def test_flatten_names_and_order():
 
 def test_report_snapshots_identical_and_round_trip():
     reg = StatsRegistry()
-    reg.counter("n").inc(2)
+    reg.add("n", lambda: 2)
     r1 = RunReport(config_digest={"k": 1} and config_digest({"k": 1}),
                    seed=3, stats=reg.flatten(), workload={"kind": "x"})
     r2 = RunReport(config_digest=config_digest({"k": 1}),

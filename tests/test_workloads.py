@@ -140,8 +140,8 @@ def test_stream_issue_accounting_is_exact(kernel, reads_per_group):
                        "warm_groups": 100, "placement": "local"}
     system = run_workload(cfg).system
     # every issued load completed and was sampled exactly once
-    assert system.stats.get("core.loadToUse").n == groups * reads_per_group
-    assert system.stats.get("core.outstandingRequests").value == 0
+    assert system.stats.flatten()["core.loadToUse::samples"] == groups * reads_per_group
+    assert system.stats.flatten()["core.outstandingRequests"] == 0
 
 
 def test_rdwr_sweep_builds_one_system_per_grid_point(monkeypatch):
