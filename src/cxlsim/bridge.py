@@ -2,7 +2,8 @@
 
 The bridge intercepts HDM-bound host packets, converts them to CXL.mem
 requests through two pairs of bounded FIFO queues, and completes each host
-request when the device's answer to it has been converted.  A request
+request, by calling the `reply` handler its packet carries, when the
+device's answer to it has been converted.  A request
 FIFO slot doubles as the transaction credit: it is held from admission
 until the request completes on the memory bus, which makes req_fifo_depth
 the ceiling on in-flight HDM requests and ties peak random-access
@@ -41,6 +42,7 @@ at each device medium never go backwards in time either.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -65,6 +67,8 @@ class CxlMemPacket:
     id: int
     addr: int
     payload_bytes: int
+    arrival: int = 0    # set by the device: the tick the request reaches it
+    offset: int = 0     # and its device offset
 
 
 def convert_m2s(pkt: MemPacket) -> CxlMemPacket:
@@ -113,9 +117,10 @@ class CxlBridge:
         self.req_fifo_depth = req_fifo_depth
         self.resp_fifo_depth = resp_fifo_depth
         self.msg_header_bytes = msg_header_bytes
-        self._devices: List[Tuple[int, int, object]] = []   # (base, limit, device)
-        self._inflight: dict = {}        # id -> on_response
-        self._waiters: deque = deque()   # held (pkt, on_response)
+        self._bases: List[int] = []      # sorted device bases
+        self._devices: List[Tuple[int, object]] = []   # (limit, device)
+        self._inflight: dict = {}        # id -> MemPacket
+        self._waiters: deque = deque()   # held MemPackets
         self._egress_waiters: deque = deque()
         self.tx = LinkChannel(engine, link_bytes_per_ns_tx)
         self.rx = LinkChannel(engine, link_bytes_per_ns_rx)
@@ -138,35 +143,39 @@ class CxlBridge:
             + header * self._device_total("writes")))
 
     def attach_device(self, base: int, limit: int, device) -> None:
-        self._devices.append((base, limit, device))
+        at = bisect_right(self._bases, base)
+        self._bases.insert(at, base)
+        self._devices.insert(at, (limit, device))
         device.bind_bridge(self)
 
     def _device_total(self, count: str) -> int:
-        return sum(getattr(device, count) for _, _, device in self._devices)
+        return sum(getattr(device, count) for _, device in self._devices)
 
     def _device_for(self, addr: int):
-        for base, limit, device in self._devices:
-            if base <= addr < limit:
+        at = bisect_right(self._bases, addr) - 1
+        if at >= 0:
+            limit, device = self._devices[at]
+            if addr < limit:
                 return device
         raise ProtocolError(f"no CXL device backs address {addr:#x}")
 
     # -- request path ------------------------------------------------------
 
-    def receive(self, pkt: MemPacket, on_response) -> None:
+    def receive(self, pkt: MemPacket) -> None:
         """Memory-bus port: admit or refuse-and-hold (retry protocol)."""
         if self.req_used < self.req_fifo_depth:
-            self._admit(pkt, on_response)
+            self._admit(pkt)
         else:
             self.retries += 1
-            self._waiters.append((pkt, on_response))
+            self._waiters.append(pkt)
 
-    def _admit(self, pkt: MemPacket, on_response) -> None:
+    def _admit(self, pkt: MemPacket) -> None:
         self.req_used += 1
         if self.req_used > self.req_peak:
             self.req_peak = self.req_used
         if pkt.id in self._inflight:
             raise ProtocolError(f"request id {pkt.id} already in flight")
-        self._inflight[pkt.id] = on_response
+        self._inflight[pkt.id] = pkt
         # The message reaches the TX channel once converted, traversal_lat
         # from now, and the device at its grant.
         cxl = convert_m2s(pkt)
@@ -189,18 +198,18 @@ class CxlBridge:
             if cxl.kind is CxlKind.M2S_REQ:
                 nbytes += LINE_BYTES     # S2MDRS carries the read data
             self.engine.schedule(self.rx.transmit(nbytes) + self.traversal_lat,
-                                 lambda: self._converted(cxl))
+                                 self._converted, cxl)
         else:
             self._egress_waiters.append(cxl)
 
     def _converted(self, cxl: CxlMemPacket) -> None:
         try:
-            on_response = self._inflight.pop(cxl.id)
+            pkt = self._inflight.pop(cxl.id)
         except KeyError:
             raise ProtocolError(f"response id {cxl.id} matches no request")
         self._release_resp_slot()
         self._release_credit()
-        on_response()
+        pkt.reply(pkt)
 
     def _release_resp_slot(self) -> None:
         self.resp_used -= 1
@@ -210,8 +219,8 @@ class CxlBridge:
     def _release_credit(self) -> None:
         self.req_used -= 1
         if self._waiters:
-            pkt, on_response = self._waiters.popleft()
+            pkt = self._waiters.popleft()
             # Space-available broadcast: the oldest sender wins the slot;
             # every other held sender re-offers and is refused again.
             self.retries += len(self._waiters)
-            self._admit(pkt, on_response)
+            self._admit(pkt)

@@ -14,8 +14,10 @@ The bridge hands a request over when it admits it, with the ticks until
 the request reaches the device (its TX link grant), so the device plans
 the whole service then.  A DRAM medium reports its completion when a
 request is submitted, so the device schedules one event for the
-response; an SSD medium answers through a callback instead, and the
-device schedules its access for when the parse is done.  An idle DRAM
+response; an SSD medium answers by calling a handler with the request
+instead, and the device schedules its access for when the parse is done.
+The request packet carries its arrival tick and device offset, so each
+event is a bound method of the device and the packet.  An idle DRAM
 device read costs three events in all: the memory-bus arrival at the
 bridge, the device response and the bridge's response conversion.
 
@@ -102,7 +104,7 @@ class MemExpander:
 
     def receive_m2s(self, pkt: CxlMemPacket, delay: int) -> None:
         """Serve `pkt`, which reaches the device `delay` ticks from now."""
-        arrival = self.engine.now + delay
+        pkt.arrival = self.engine.now + delay
         offset = self.translate(pkt.addr)
         if pkt.kind is CxlKind.M2S_REQ:
             kind = READ
@@ -111,21 +113,27 @@ class MemExpander:
             kind = WRITE
             self.writes += 1
         proto = self.device_proto_proc_lat
-
-        def respond() -> None:
-            self.rsp_time.record(self.engine.now - arrival)
-            self._bridge.device_egress(pkt)
-
         if self._by_callback:
             # Parse, access the medium, then prepare the response.
-            self.engine.schedule(delay + proto, lambda: self.medium.access(
-                offset, kind, lambda: self.engine.schedule(proto, respond)))
+            pkt.offset = offset
+            self.engine.schedule(delay + proto, self._access, pkt)
             return
         # The medium is handed the request as it will arrive after the
         # parse, and one event answers once the medium and the response
         # delay are paid.
         self.engine.schedule(self.medium.submit(kind, delay + proto) + proto,
-                             respond)
+                             self._respond, pkt)
+
+    def _access(self, pkt: CxlMemPacket) -> None:
+        kind = READ if pkt.kind is CxlKind.M2S_REQ else WRITE
+        self.medium.access(pkt.offset, kind, self._accessed, pkt)
+
+    def _accessed(self, pkt: CxlMemPacket) -> None:
+        self.engine.schedule(self.device_proto_proc_lat, self._respond, pkt)
+
+    def _respond(self, pkt: CxlMemPacket) -> None:
+        self.rsp_time.record(self.engine.now - pkt.arrival)
+        self._bridge.device_egress(pkt)
 
 
 def probe_bar_size(bar: BaseAddressRegister) -> int:

@@ -13,7 +13,7 @@ share no state and may run in parallel processes.
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+from typing import Any, Callable
 
 TICKS_PER_NS = 1000
 
@@ -24,35 +24,28 @@ def ns_to_ticks(value: float) -> int:
 
 
 class Engine:
-    """Global clock plus a heap of (when, seq, action) events."""
+    """Global clock plus a heap of (when, seq, action, arg) events; an
+    event runs as action(arg), so a handler and the packet it acts on ride
+    the heap without a closure built to carry them."""
 
     def __init__(self):
         self.now: int = 0
         self._seq: int = 0
         self._queue: list = []
 
-    def schedule(self, delay: int, action: Callable[[], None]) -> None:
-        """Schedule `action` to run `delay` ticks from now."""
+    def schedule(self, delay: int, action: Callable[[Any], None],
+                 arg: Any = None) -> None:
+        """Schedule `action(arg)` to run `delay` ticks from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        heapq.heappush(self._queue, (self.now + delay, self._seq, action))
+        heapq.heappush(self._queue, (self.now + delay, self._seq, action, arg))
         self._seq += 1
-
-    def run_until(self, limit: int) -> int:
-        """Execute all events with when <= limit; returns the final time."""
-        if limit < self.now:
-            raise ValueError(f"limit {limit} is before now {self.now}")
-        queue = self._queue
-        while queue and queue[0][0] <= limit:
-            self.now, _seq, action = heapq.heappop(queue)
-            action()
-        self.now = max(self.now, limit)
-        return self.now
 
     def run(self) -> int:
         """Execute events until the queue drains; returns the final time."""
         queue = self._queue
+        pop = heapq.heappop
         while queue:
-            self.now, _seq, action = heapq.heappop(queue)
-            action()
+            self.now, _seq, action, arg = pop(queue)
+            action(arg)
         return self.now

@@ -19,7 +19,10 @@ matches, tick for tick, a lookup of each level in its own event; under
 contention a lookup sees the cache state at issue, not a few ns later.
 
 The model is timing-only: a request is one 64B line that carries no
-bytes, and its completion is a callback with no response packet.
+bytes, and no response packet is built.  Every handoff is a bound method
+called with the request packet: whoever hands a packet on stores the
+handler that completes it on the packet (`reply`), and an event carries
+the next handler and the packet, so no closure is built per hop.
 """
 
 from __future__ import annotations
@@ -56,9 +59,12 @@ class AddressFault(SimFault):
 
 
 class MemPacket:
-    """A request for one whole 64B line."""
+    """A request for one whole 64B line.  `reply(pkt)` completes it, set by
+    the layer that hands it on; `on_complete` is the workload's, `level` a
+    hit's cache level, and a fill's `issue_tick` is its miss tick."""
 
-    __slots__ = ("id", "cmd", "addr", "issue_tick", "cacheable")
+    __slots__ = ("id", "cmd", "addr", "issue_tick", "cacheable", "reply",
+                 "on_complete", "level")
 
     def __init__(self, id: int, cmd: MemCmd, addr: int, issue_tick: int = 0,
                  cacheable: bool = True):
@@ -233,12 +239,13 @@ class MemBus:
                        self.targets.get(Target.BRIDGE))
 
     def send(self, pkt: MemPacket, lat: int,
-             on_response: Callable[[], None]) -> None:
+             reply: Callable[[MemPacket], None]) -> None:
+        """Deliver `pkt` to its port `lat` from now; `reply(pkt)` ends it."""
         to_bridge = self.addr_map.lookup(pkt.addr).target is Target.BRIDGE
         if not to_bridge:
             self.to_local += 1
-        port = self._ports[to_bridge]
-        self.engine.schedule(lat, lambda: port.receive(pkt, on_response))
+        pkt.reply = reply
+        self.engine.schedule(lat, self._ports[to_bridge].receive, pkt)
 
 
 class LocalMemory:
@@ -248,9 +255,9 @@ class LocalMemory:
         self.engine = engine
         self.medium = medium
 
-    def receive(self, pkt: MemPacket, on_response) -> None:
+    def receive(self, pkt: MemPacket) -> None:
         kind = READ if pkt.cmd is MemCmd.READ_REQ else WRITE
-        self.engine.schedule(self.medium.submit(kind), on_response)
+        self.engine.schedule(self.medium.submit(kind), pkt.reply, pkt)
 
 
 class CacheHierarchy:
@@ -274,21 +281,23 @@ class CacheHierarchy:
                               "l3.mshrMerges": "mshr_merges"})
         self._miss_lat = stats.histogram("l3.overallAvgMissLat")
 
-    def access(self, pkt: MemPacket, on_complete: Callable[[], None]) -> None:
+    def access(self, pkt: MemPacket,
+               reply: Callable[[MemPacket], None]) -> None:
         """Look up L1 -> L3 at issue (see the module docstring)."""
+        pkt.reply = reply
         line = pkt.addr // LINE_BYTES
         for k, level in enumerate(self.levels):
             if level.touch(line):
                 if pkt.cmd is MemCmd.WRITE_REQ:
                     level.mark_dirty(line)
-                self.engine.schedule(self._hit_lats[k],
-                                     lambda: self._hit(k, line, on_complete))
+                pkt.level = k
+                self.engine.schedule(self._hit_lats[k], self._hit, pkt)
                 return
-        self._miss(pkt, line, on_complete)
+        self._miss(pkt, line)
 
-    def _hit(self, k: int, line: int, on_complete) -> None:
-        self._promote(k - 1, line)
-        on_complete()
+    def _hit(self, pkt: MemPacket) -> None:
+        self._promote(pkt.level - 1, pkt.addr // LINE_BYTES)
+        pkt.reply(pkt)
 
     def _promote(self, upto: int, line: int) -> None:
         for k in range(upto, -1, -1):
@@ -319,31 +328,30 @@ class CacheHierarchy:
             self.wb_peak = self.wb_in_flight
         self.membus.send(wb, self.membus_lat, self._writeback_done)
 
-    def _writeback_done(self) -> None:
+    def _writeback_done(self, _wb: MemPacket) -> None:
         self.wb_in_flight -= 1
 
-    def _miss(self, pkt, line: int, on_complete) -> None:
+    def _miss(self, pkt: MemPacket, line: int) -> None:
         if line in self._mshrs:
             self.mshr_merges += 1
-            self._mshrs[line].append((pkt, on_complete))
+            self._mshrs[line].append(pkt)
             return
-        miss_tick = self.engine.now + self._hit_lats[-1]
         fetch = MemPacket(id=next(self._pkt_ids), cmd=MemCmd.READ_REQ,
-                          addr=line * LINE_BYTES)
+                          addr=line * LINE_BYTES,
+                          issue_tick=self.engine.now + self._hit_lats[-1])
         # Sent before the MSHR is taken, so an unmapped line faults here
         # and leaves no entry behind.
-        self.membus.send(fetch, self.host_path_lat,
-                         lambda: self._fill(line, miss_tick))
-        self._mshrs[line] = [(pkt, on_complete)]
+        self.membus.send(fetch, self.host_path_lat, self._fill)
+        self._mshrs[line] = [pkt]
 
-    def _fill(self, line: int, miss_tick: int) -> None:
-        self._miss_lat.record(self.engine.now - miss_tick)
+    def _fill(self, fetch: MemPacket) -> None:
+        self._miss_lat.record(self.engine.now - fetch.issue_tick)
+        line = fetch.addr // LINE_BYTES
         self._promote(len(self.levels) - 1, line)
-        waiters = self._mshrs.pop(line)
-        for pkt, on_complete in waiters:
+        for pkt in self._mshrs.pop(line):
             if pkt.cmd is MemCmd.WRITE_REQ:
                 self.levels[0].mark_dirty(line)
-            on_complete()
+            pkt.reply(pkt)
 
 
 class Injector:
@@ -362,7 +370,8 @@ class Injector:
         self.lsq_depth = lsq_depth
         self.think_time = think_time
         self._host = host
-        self._dispatch = host.dispatch
+        self._hierarchy = host.hierarchy
+        self._membus = host.membus
         self._in_flight = 0
         self._pending: deque = deque()
         self._load_to_use = host.load_to_use
@@ -374,35 +383,40 @@ class Injector:
         """Issue one 64B line; `on_complete(pkt)` gets the request packet."""
         pkt = MemPacket(id=next(self._ids), cmd=cmd, addr=addr,
                         cacheable=cacheable)
+        pkt.on_complete = on_complete
         if self._in_flight < self.lsq_depth and not self._pending:
-            self._start(pkt, on_complete)
+            self._start(pkt)
         else:
             self._host.lsq_full += 1
-            self._pending.append((pkt, on_complete))
+            self._pending.append(pkt)
         return pkt.id
 
-    def _start(self, pkt: MemPacket, on_complete) -> None:
+    def _start(self, pkt: MemPacket) -> None:
+        """Dispatch through the caches, or to the bus when uncacheable."""
         self._in_flight += 1
         host = self._host
         host.outstanding += 1
         if host.outstanding > host.outstanding_peak:
             host.outstanding_peak = host.outstanding
         pkt.issue_tick = self.engine.now
-        self._dispatch(pkt, lambda: self._finish(pkt, on_complete))
+        if pkt.cacheable:
+            self._hierarchy.access(pkt, self._finish)
+        else:
+            self._membus.send(pkt, self._hierarchy.host_path_lat, self._finish)
 
-    def _finish(self, pkt: MemPacket, on_complete) -> None:
+    def _finish(self, pkt: MemPacket) -> None:
         self._in_flight -= 1
         self._host.outstanding -= 1
         if pkt.cmd is MemCmd.READ_REQ:
             self._load_to_use.record(
                 (self.engine.now - pkt.issue_tick) / self._ticks_per_cycle)
         if self._pending and self._in_flight < self.lsq_depth:
-            nxt, cb = self._pending.popleft()
+            nxt = self._pending.popleft()
             if self.think_time:
-                self.engine.schedule(self.think_time,
-                                     lambda: self._start(nxt, cb))
+                self.engine.schedule(self.think_time, self._start, nxt)
             else:
-                self._start(nxt, cb)
+                self._start(nxt)
+        on_complete = pkt.on_complete
         if on_complete is not None:
             on_complete(pkt)
 
@@ -427,9 +441,3 @@ class HostPath:
             Injector(engine, i, lsq_depth, think_time, self, ticks_per_cycle)
             for i in range(injectors)
         ]
-
-    def dispatch(self, pkt: MemPacket, on_complete) -> None:
-        if pkt.cacheable:
-            self.hierarchy.access(pkt, on_complete)
-        else:
-            self.membus.send(pkt, self.hierarchy.host_path_lat, on_complete)

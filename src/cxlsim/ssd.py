@@ -17,14 +17,16 @@ is <= 1, which disables prefetching until a later phase finds a winner.
 
 The model is timing-only: no bytes are stored.  A write marks its cached
 page dirty, and a dirty eviction charges the page program time on a
-channel; a refetch of that page is an ordinary miss.
+channel; a refetch of that page is an ordinary miss.  An access or a
+page I/O takes a handler and its argument, `on_done(arg)`, rather than a
+closure; the device passes a bound method and the request packet.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .engine import Engine
 from .media import READ, WRITE
@@ -106,6 +108,10 @@ class BestOffsetPrefetcher:
         return page + self.best_offset
 
 
+def _programmed(_arg) -> None:
+    """A page program that nothing waits on has finished."""
+
+
 class SsdMedium:
     """Flash channels with FIFO arbitration.
 
@@ -126,8 +132,9 @@ class SsdMedium:
         stats.counters(self, {"ssd.pageReads": "page_reads",
                               "ssd.pageWrites": "page_writes"})
 
-    def io(self, kind: str, on_done: Callable[[], None]) -> None:
-        """One page read or program on the channel that frees first."""
+    def io(self, kind: str, on_done: Callable[[Any], None],
+           arg: Any = None) -> None:
+        """One page I/O on the channel that frees first, then on_done(arg)."""
         if kind == READ:
             self.page_reads += 1
             lat = self.read_latency
@@ -137,7 +144,7 @@ class SsdMedium:
         now = self.engine.now
         start = max(now, self._free_at[0])
         heapq.heapreplace(self._free_at, start + lat)
-        self.engine.schedule(start - now + lat, on_done)
+        self.engine.schedule(start - now + lat, on_done, arg)
 
 
 class _CachedPage:
@@ -178,7 +185,9 @@ class SsdCachedMedium:
 
     # -- medium interface ---------------------------------------------------
 
-    def access(self, offset: int, kind: str, on_done: Callable[[], None]) -> None:
+    def access(self, offset: int, kind: str, on_done: Callable[[Any], None],
+               arg: Any) -> None:
+        """One 64B access at device `offset`, then `on_done(arg)`."""
         page = offset // self.page_size
         entry = self._pages.get(page)
         if entry is not None:
@@ -193,14 +202,14 @@ class SsdCachedMedium:
                     candidate = self.prefetcher.update(page)
             if kind == WRITE:
                 entry.dirty = True
-            self.engine.schedule(self.hit_latency, on_done)
+            self.engine.schedule(self.hit_latency, on_done, arg)
             if candidate is not None:
                 self._maybe_prefetch(candidate, trigger=page)
             return
 
         if page in self._inflight:
             record = self._inflight[page]
-            record["waiters"].append((kind, on_done))
+            record["waiters"].append((kind, on_done, arg))
             if record["prefetch"]:
                 self.late_hits += 1
                 if self.prefetcher is not None:
@@ -212,7 +221,7 @@ class SsdCachedMedium:
         self.misses += 1
         candidate = self.prefetcher.update(page) if self.prefetcher else None
         self._fetch(page, prefetch=False, trigger=page,
-                    waiters=[(kind, on_done)])
+                    waiters=[(kind, on_done, arg)])
         if candidate is not None:
             self._maybe_prefetch(candidate, trigger=page)
 
@@ -227,7 +236,7 @@ class SsdCachedMedium:
     def _fetch(self, page: int, prefetch: bool, trigger: int, waiters: list) -> None:
         self._inflight[page] = {"prefetch": prefetch, "trigger": trigger,
                                 "waiters": waiters}
-        self.ssd.io(READ, lambda: self._install(page))
+        self.ssd.io(READ, self._install, page)
 
     def _install(self, page: int) -> None:
         record = self._inflight.pop(page)
@@ -235,14 +244,14 @@ class SsdCachedMedium:
         installed = self._evict_for(record)
         if installed:
             self._pages[page] = entry
-        for kind, on_done in record["waiters"]:
+        for kind, on_done, arg in record["waiters"]:
             entry.referenced = True
             if kind == WRITE:
                 entry.dirty = True
-            self.engine.schedule(self.hit_latency, on_done)
+            self.engine.schedule(self.hit_latency, on_done, arg)
         if not installed and entry.dirty:
             # Uncacheable install absorbed a write; program it.
-            self.ssd.io(WRITE, lambda: None)
+            self.ssd.io(WRITE, _programmed)
 
     def _evict_for(self, record: dict) -> bool:
         """Make room for one install; returns False when a prefetched page
@@ -260,7 +269,7 @@ class SsdCachedMedium:
         victim = self._pages.pop(victim_page)
         if victim.dirty:
             self.writebacks += 1
-            self.ssd.io(WRITE, lambda: None)
+            self.ssd.io(WRITE, _programmed)
         return True
 
 
@@ -273,8 +282,12 @@ class SsdDirectMedium:
     def __init__(self, ssd: SsdMedium):
         self.ssd = ssd
 
-    def access(self, offset: int, kind: str, on_done: Callable[[], None]) -> None:
+    def access(self, offset: int, kind: str, on_done: Callable[[Any], None],
+               arg: Any) -> None:
         if kind == READ:
-            self.ssd.io(READ, on_done)
+            self.ssd.io(READ, on_done, arg)
         else:
-            self.ssd.io(READ, lambda: self.ssd.io(WRITE, on_done))
+            self.ssd.io(READ, self._program, (on_done, arg))
+
+    def _program(self, waiter: tuple) -> None:
+        self.ssd.io(WRITE, *waiter)

@@ -24,6 +24,7 @@ sizes in the config's units.
 
 from __future__ import annotations
 
+import itertools
 import random
 import zlib
 from dataclasses import dataclass
@@ -71,13 +72,11 @@ class _PagedRegion:
     def __init__(self, system: System, size: int, policy: Policy):
         pages = (size + PAGE_BYTES - 1) // PAGE_BYTES
         self.page_addrs = system.place_pages(pages, policy)
-        self.size = size
-
-    def addr(self, offset: int) -> int:
-        return self.page_addrs[offset // PAGE_BYTES] + offset % PAGE_BYTES
+        self.lines = size // LINE_BYTES
 
     def line_addr(self, line: int) -> int:
-        return self.addr(line * LINE_BYTES)
+        offset = line * LINE_BYTES
+        return self.page_addrs[offset // PAGE_BYTES] + offset % PAGE_BYTES
 
 
 class _Window:
@@ -109,6 +108,33 @@ class _Window:
 # -- latency sweep -------------------------------------------------------------
 
 
+class _Chase:
+    """Dependent loads along `order`, wrapping at its end, each issued when
+    the previous one completes; the last `samples` of `loads` are timed."""
+
+    def __init__(self, injector, region: _PagedRegion, order: List[int],
+                 stride_lines: int, loads: int, samples: int):
+        self.injector = injector
+        self.addrs = (region.line_addr(i * stride_lines)
+                      for i in itertools.cycle(order))
+        self.left = loads
+        self.samples = samples
+        self.timed = False
+        self.lat_sum = self.t0 = 0
+
+    def step(self, _pkt=None) -> None:
+        """Start, or complete the previous load, and issue the next."""
+        now = self.injector.engine.now
+        if self.timed:
+            self.lat_sum += now - self.t0
+        if self.left:
+            self.left -= 1
+            self.timed = self.left < self.samples
+            self.t0 = now
+            self.injector.issue(MemCmd.READ_REQ, next(self.addrs),
+                                on_complete=self.step)
+
+
 def run_latency_sweep(system: System, params: SimpleNamespace,
                       placement: Policy) -> WorkloadResult:
     injector = system.injectors[0]
@@ -135,33 +161,11 @@ def run_latency_sweep(system: System, params: SimpleNamespace,
         else:
             warm_left = 0
             order = rng.sample(range(lines), samples)
-        state = {"pos": 0, "warm_left": warm_left,
-                 "measure_left": samples, "lat_sum": 0, "t0": 0}
-
-        def next_addr(state=state, region=region, order=order,
-                      stride_lines=stride_lines) -> int:
-            pos = state["pos"]
-            state["pos"] = pos + 1 if pos + 1 < len(order) else 0
-            return region.line_addr(order[pos] * stride_lines)
-
-        def issue_next(state=state, next_addr=next_addr):
-            if state["warm_left"] > 0:
-                state["warm_left"] -= 1
-                injector.issue(MemCmd.READ_REQ, next_addr(),
-                               on_complete=lambda _p: issue_next())
-            elif state["measure_left"] > 0:
-                state["measure_left"] -= 1
-                state["t0"] = engine.now
-                injector.issue(MemCmd.READ_REQ, next_addr(),
-                               on_complete=measured)
-
-        def measured(_pkt, state=state, issue_next=issue_next):
-            state["lat_sum"] += engine.now - state["t0"]
-            issue_next()
-
-        engine.schedule(0, issue_next)
+        chase = _Chase(injector, region, order, stride_lines,
+                       warm_left + samples, samples)
+        engine.schedule(0, chase.step)
         engine.run()
-        mean_ns = (state["lat_sum"] / samples) / TICKS_PER_NS
+        mean_ns = (chase.lat_sum / samples) / TICKS_PER_NS
         rows.append((size, round(mean_ns, 6)))
 
     summary = {
@@ -189,6 +193,25 @@ def stream_bytes_per_group(kernel: str) -> int:
     return (len(reads) + len(writes)) * LINE_BYTES
 
 
+class _StreamFeeder:
+    """Interleaves line groups across injectors so all streams advance
+    together: injector k issues groups k, k + n, ..., one line of each
+    (cmd, region) in `ops` per group."""
+
+    def __init__(self, injectors, groups: int, ops, on_complete):
+        self.injectors = injectors
+        self.groups = groups
+        self.ops = ops
+        self.on_complete = on_complete
+
+    def feed(self, k: int) -> None:
+        injector = self.injectors[k]
+        for group in range(k, self.groups, len(self.injectors)):
+            for cmd, region in self.ops:
+                injector.issue(cmd, region.line_addr(group),
+                               on_complete=self.on_complete)
+
+
 def run_stream(system: System, params: SimpleNamespace,
                placement: Policy) -> WorkloadResult:
     """`params.groups` 64B line groups, the first `warm_groups` of them
@@ -210,22 +233,12 @@ def run_stream(system: System, params: SimpleNamespace,
 
     total_ops = params.groups * ops_per_group
     window = _Window(engine, params.warm_groups * ops_per_group, total_ops)
-    on_complete = window.complete   # one bound method for every request
-    injectors = len(system.injectors)
-
-    # Interleave groups across injectors so all streams advance together.
-    def feed(inj_index: int):
-        injector = system.injectors[inj_index]
-        for group in range(inj_index, params.groups, injectors):
-            for name in reads:
-                injector.issue(MemCmd.READ_REQ, arrays[name].line_addr(group),
-                               on_complete=on_complete)
-            for name in writes:
-                injector.issue(MemCmd.WRITE_REQ, arrays[name].line_addr(group),
-                               on_complete=on_complete)
-
-    for inj_index in range(injectors):
-        engine.schedule(0, lambda k=inj_index: feed(k))
+    ops = ([(MemCmd.READ_REQ, arrays[name]) for name in reads]
+           + [(MemCmd.WRITE_REQ, arrays[name]) for name in writes])
+    feeder = _StreamFeeder(system.injectors, params.groups, ops,
+                           window.complete)
+    for inj_index in range(len(system.injectors)):
+        engine.schedule(0, feeder.feed, inj_index)
     engine.run()
 
     bw = window.rate((params.groups - params.warm_groups)
@@ -271,83 +284,97 @@ def run_rdwr_sweep(factory: Callable[[], System], params: SimpleNamespace,
          "mean_latency_ns"], rows, summary, last_system)
 
 
+class _OpenLoop(_Window):
+    """Uncacheable uniform-random requests over `region`, the k-th from
+    injector k round robin; past the warm-up, sums each request's latency
+    from its arrival."""
+
+    def __init__(self, system: System, region: _PagedRegion,
+                 read_fraction: float, seed: int, warm_ops: int, ops: int):
+        _Window.__init__(self, system.engine, warm_ops, ops)
+        self.injectors = system.injectors
+        self.region = region
+        self.read_fraction = read_fraction
+        self.rng = random.Random(seed)
+        self.lat_sum = 0
+        self.arrivals: Dict[int, int] = {}
+
+    def issue(self, k: int) -> None:
+        injector = self.injectors[k % len(self.injectors)]
+        cmd = (MemCmd.READ_REQ if self.rng.random() < self.read_fraction
+               else MemCmd.WRITE_REQ)
+        addr = self.region.line_addr(self.rng.randrange(self.region.lines))
+        pkt_id = injector.issue(cmd, addr, cacheable=False,
+                                on_complete=self.complete)
+        self.arrivals[pkt_id] = self.engine.now
+
+    def complete(self, pkt) -> None:
+        _Window.complete(self, pkt)
+        if self.done > self.start:
+            self.lat_sum += self.engine.now - self.arrivals[pkt.id]
+
+
 def _run_rdwr_point(system: System, params: SimpleNamespace, placement: Policy,
                     read_fraction: float, rate: float,
                     seed: int) -> Tuple[float, float]:
-    engine = system.engine
-    rng = random.Random(seed)
-    footprint = params.footprint_mb * MB
-    region = _PagedRegion(system, footprint, placement)
-    num_lines = footprint // LINE_BYTES
+    region = _PagedRegion(system, params.footprint_mb * MB, placement)
     interval = max(1, round(LINE_BYTES * TICKS_PER_NS / rate))
-    window = _Window(engine, params.warm_ops, params.ops)
-    lat_sum = 0
-    arrivals: Dict[int, int] = {}
-
-    def on_complete(pkt):
-        nonlocal lat_sum
-        window.complete(pkt)
-        if window.done > params.warm_ops:
-            lat_sum += engine.now - arrivals[pkt.id]
-
-    def issue_op(k: int):
-        injector = system.injectors[k % len(system.injectors)]
-        cmd = MemCmd.READ_REQ if rng.random() < read_fraction else MemCmd.WRITE_REQ
-        addr = region.line_addr(rng.randrange(num_lines))
-        pkt_id = injector.issue(cmd, addr, cacheable=False,
-                                on_complete=on_complete)
-        arrivals[pkt_id] = engine.now
-
+    traffic = _OpenLoop(system, region, read_fraction, seed, params.warm_ops,
+                        params.ops)
     for k in range(params.ops):
-        engine.schedule(k * interval, lambda k=k: issue_op(k))
-    engine.run()
+        system.engine.schedule(k * interval, traffic.issue, k)
+    system.engine.run()
 
     measured = params.ops - params.warm_ops
-    bw = window.rate(measured * LINE_BYTES)
-    lat_ns = lat_sum / measured / TICKS_PER_NS
+    bw = traffic.rate(measured * LINE_BYTES)
+    lat_ns = traffic.lat_sum / measured / TICKS_PER_NS
     return bw, round(lat_ns, 6)
 
 
 # -- DLRM-style congestion proxy -----------------------------------------------
 
 
+class _Queries:
+    """One injector's embedding queries: each gathers `lookups_per_query`
+    random lines of `region`, and the next starts when the last returns."""
+
+    def __init__(self, system: System, k: int, region: _PagedRegion,
+                 params: SimpleNamespace):
+        self.injector = system.injectors[k]
+        self.rng = random.Random(_derive_seed(system.seed, "dlrm", k))
+        self.region = region
+        self.left = params.queries_per_injector
+        self.lookups = params.lookups_per_query
+        self.pending = self.t_end = 0
+
+    def next_query(self, _pkt=None) -> None:
+        if not self.left:
+            self.t_end = self.injector.engine.now
+            return
+        self.left -= 1
+        self.pending = self.lookups
+        for _ in range(self.lookups):
+            addr = self.region.line_addr(self.rng.randrange(self.region.lines))
+            self.injector.issue(MemCmd.READ_REQ, addr,
+                                on_complete=self.gathered)
+
+    def gathered(self, _pkt) -> None:
+        self.pending -= 1
+        if not self.pending:
+            self.next_query()
+
+
 def run_dlrm_proxy(system: System, params: SimpleNamespace,
                    placement: Policy) -> WorkloadResult:
-    engine = system.engine
-    footprint = params.footprint_mb * MB
-    region = _PagedRegion(system, footprint, placement)
-    num_lines = footprint // LINE_BYTES
-    finished = {"injectors": 0, "t_end": 0}
+    region = _PagedRegion(system, params.footprint_mb * MB, placement)
+    queries = [_Queries(system, k, region, params)
+               for k in range(len(system.injectors))]
+    for q in queries:
+        system.engine.schedule(0, q.next_query)
+    system.engine.run()
 
-    def start_injector(k: int):
-        injector = system.injectors[k]
-        rng = random.Random(_derive_seed(system.seed, "dlrm", k))
-        state = {"query": 0, "pending": 0}
-
-        def next_query():
-            if state["query"] == params.queries_per_injector:
-                finished["injectors"] += 1
-                finished["t_end"] = engine.now
-                return
-            state["query"] += 1
-            state["pending"] = params.lookups_per_query
-            for _ in range(params.lookups_per_query):
-                addr = region.line_addr(rng.randrange(num_lines))
-                injector.issue(MemCmd.READ_REQ, addr, on_complete=gathered)
-
-        def gathered(_pkt):
-            state["pending"] -= 1
-            if state["pending"] == 0:
-                next_query()
-
-        next_query()
-
-    injectors = len(system.injectors)
-    for k in range(injectors):
-        engine.schedule(0, lambda k=k: start_injector(k))
-    engine.run()
-
-    elapsed = finished["t_end"]
+    elapsed = max(q.t_end for q in queries)
+    injectors = len(queries)
     total_queries = injectors * params.queries_per_injector
     agg_qps = total_queries * TICKS_PER_S / elapsed if elapsed else 0.0
     per_inj = agg_qps / injectors

@@ -43,8 +43,7 @@ class EchoDevice:
             self.reads += 1
         else:
             self.writes += 1
-        self.engine.schedule(delay + self.delay,
-                             lambda: self.bridge.device_egress(pkt))
+        self.engine.schedule(delay + self.delay, self.bridge.device_egress, pkt)
 
 
 def wire(engine, stats=None, **kwargs):
@@ -57,6 +56,12 @@ def wire(engine, stats=None, **kwargs):
 
 def read_pkt(i, addr=0):
     return MemPacket(id=i, cmd=MemCmd.READ_REQ, addr=addr)
+
+
+def offer(bridge, pkt, reply):
+    """Deliver `pkt` as the memory bus does: with its reply on it."""
+    pkt.reply = reply
+    bridge.receive(pkt)
 
 
 class TestConversions:
@@ -76,7 +81,7 @@ def test_single_request_no_retries():
     stats = StatsRegistry()
     bridge, _ = wire(engine, stats)
     done = []
-    bridge.receive(read_pkt(1), lambda: done.append(engine.now))
+    offer(bridge, read_pkt(1), lambda _: done.append(engine.now))
     engine.run()
     assert len(done) == 1
     assert stats.flatten()["bridge.reqRetryCounts"] == 0
@@ -87,8 +92,8 @@ def test_depth_one_two_simultaneous_one_retry():
     stats = StatsRegistry()
     bridge, _ = wire(engine, stats, req_depth=1)
     done = []
-    engine.schedule(0, lambda: bridge.receive(read_pkt(1), lambda: done.append(1)))
-    engine.schedule(0, lambda: bridge.receive(read_pkt(2), lambda: done.append(2)))
+    engine.schedule(0, lambda _: offer(bridge, read_pkt(1), lambda _: done.append(1)))
+    engine.schedule(0, lambda _: offer(bridge, read_pkt(2), lambda _: done.append(2)))
     engine.run()
     assert len(done) == 2
     assert stats.flatten()["bridge.reqRetryCounts"] == 1
@@ -100,7 +105,7 @@ def test_idle_latency_is_one_traversal_each_way():
     bridge, device = wire(engine)
     traversal = bridge.traversal_lat
     done = []
-    bridge.receive(read_pkt(1), lambda: done.append(engine.now))
+    offer(bridge, read_pkt(1), lambda _: done.append(engine.now))
     engine.run()
     assert device.arrivals == [traversal]
     assert done == [2 * traversal]
@@ -111,7 +116,7 @@ def test_in_flight_never_exceeds_req_depth():
     stats = StatsRegistry()
     bridge, _ = wire(engine, stats, req_depth=3, device_delay=ns_to_ticks(200))
     for i in range(32):
-        engine.schedule(0, lambda i=i: bridge.receive(read_pkt(i), lambda: None))
+        engine.schedule(0, lambda i: offer(bridge, read_pkt(i), lambda _: None), i)
     engine.run()
     assert stats.flatten()["bridge.reqFifoOccupancy::max"] == 3
     assert stats.flatten()["bridge.reqRetryCounts"] > 0
@@ -125,8 +130,8 @@ def test_resp_fifo_backpressures_device_delivery():
                      device_delay=ns_to_ticks(500))
     done = []
     for i in range(12):
-        engine.schedule(0, lambda i=i: bridge.receive(read_pkt(i),
-                                                      lambda: done.append(i)))
+        engine.schedule(0, lambda i: offer(bridge, read_pkt(i),
+                                           lambda _: done.append(i)), i)
     engine.run()
     assert len(done) == 12
     assert stats.flatten()["bridge.respFifoOccupancy::max"] <= 2
@@ -135,9 +140,9 @@ def test_resp_fifo_backpressures_device_delivery():
 def test_duplicate_in_flight_id_rejected():
     engine = Engine()
     bridge, _ = wire(engine, device_delay=ns_to_ticks(100))
-    bridge.receive(read_pkt(5), lambda: None)
+    offer(bridge, read_pkt(5), lambda _: None)
     with pytest.raises(ProtocolError):
-        bridge.receive(read_pkt(5), lambda: None)
+        offer(bridge, read_pkt(5), lambda _: None)
         engine.run()
 
 
@@ -146,9 +151,9 @@ def test_tx_rx_byte_balance_at_even_mix():
     stats = StatsRegistry()
     bridge, _ = wire(engine, stats)
     for i in range(10):
-        bridge.receive(read_pkt(2 * i), lambda: None)
-        bridge.receive(MemPacket(id=2 * i + 1, cmd=MemCmd.WRITE_REQ, addr=64),
-                       lambda: None)
+        offer(bridge, read_pkt(2 * i), lambda _: None)
+        offer(bridge, MemPacket(id=2 * i + 1, cmd=MemCmd.WRITE_REQ, addr=64),
+              lambda _: None)
     engine.run()
     tx = stats.flatten()["bridge.txBytes"]
     rx = stats.flatten()["bridge.rxBytes"]
@@ -163,10 +168,28 @@ def test_link_serialization_bounds_throughput():
     n = 50
     done = []
     for i in range(n):
-        bridge.receive(read_pkt(i), lambda: done.append(engine.now))
+        offer(bridge, read_pkt(i), lambda _: done.append(engine.now))
     engine.run()
     spacing = (done[-1] - done[0]) / (n - 1)
     assert abs(spacing - ns_to_ticks(80)) <= ns_to_ticks(1)
+
+
+def test_device_found_by_base_and_limit():
+    engine = Engine()
+    bridge = make_bridge(engine, req_depth=16)
+    low, high = EchoDevice(engine), EchoDevice(engine)
+    bridge.attach_device(1 << 30, 2 << 30, high)     # attached out of order
+    bridge.attach_device(1 << 20, 2 << 20, low)
+    for i, addr in enumerate([1 << 20, (2 << 20) - 64, 1 << 30,
+                              (2 << 30) - 64]):
+        offer(bridge, read_pkt(i, addr), lambda _: None)
+    engine.run()
+    assert (low.reads, high.reads) == (2, 2)
+    # Below every base, in the gap between windows and above the last.
+    for i, addr in enumerate([0, 2 << 20, 2 << 30], start=100):
+        with pytest.raises(ProtocolError,
+                           match=f"no CXL device backs address {addr:#x}"):
+            offer(bridge, read_pkt(i, addr), lambda _: None)
 
 
 def test_unsolicited_response_id_is_protocol_error():
@@ -183,7 +206,7 @@ def test_pure_read_stream_tx_headers_only():
     bridge, _ = wire(engine, stats)
     n = 25
     for i in range(n):
-        bridge.receive(read_pkt(i), lambda: None)
+        offer(bridge, read_pkt(i), lambda _: None)
     engine.run()
     assert stats.flatten()["bridge.txBytes"] == n * 16      # headers only
     assert stats.flatten()["bridge.rxBytes"] == n * 80      # header + 64B data
@@ -196,7 +219,7 @@ def deliver(engine, grant, action):
     """Cut-through delivery: at once when the channel grants now, else in
     an event at the grant."""
     if grant == 0:
-        action()
+        action(None)
     else:
         engine.schedule(grant, action)
 
@@ -214,12 +237,12 @@ class EventDrivenBridge(CxlBridge):
     tied_refusals = 0
     _refused = (-1, 0)          # (tick, requests refused at that tick)
 
-    def receive(self, pkt, on_response):
+    def receive(self, pkt):
         if self.req_used >= self.req_fifo_depth:
             tick, count = self._refused
             now = self.engine.now
             self._refused = (now, count + 1 if tick == now else 1)
-        super().receive(pkt, on_response)
+        super().receive(pkt)
 
     def _converted(self, cxl):
         tick, count = self._refused
@@ -228,21 +251,21 @@ class EventDrivenBridge(CxlBridge):
             self._refused = (tick, 0)
         super()._converted(cxl)
 
-    def _admit(self, pkt, on_response):
+    def _admit(self, pkt):
         self.req_used += 1
         self.req_peak = max(self.req_peak, self.req_used)
         if pkt.id in self._inflight:
             raise ProtocolError(f"request id {pkt.id} already in flight")
-        self._inflight[pkt.id] = on_response
+        self._inflight[pkt.id] = pkt
         self.engine.schedule(self.traversal_lat,
-                             lambda: self._send_m2s(convert_m2s(pkt)))
+                             lambda _: self._send_m2s(convert_m2s(pkt)))
 
     def _send_m2s(self, cxl):
         device = self._device_for(cxl.addr)
         self.m2s_sent += 1
         deliver(self.engine,
                 self.tx.transmit(self.msg_header_bytes + cxl.payload_bytes),
-                lambda: device.receive_m2s(cxl, 0))
+                lambda _: device.receive_m2s(cxl, 0))
 
     def device_egress(self, cxl):
         if self.resp_used < self.resp_fifo_depth:
@@ -252,12 +275,12 @@ class EventDrivenBridge(CxlBridge):
             if cxl.kind is CxlKind.M2S_REQ:
                 nbytes += LINE_BYTES
             deliver(self.engine, self.rx.transmit(nbytes),
-                    lambda: self._arrived(cxl))
+                    lambda _: self._arrived(cxl))
         else:
             self._egress_waiters.append(cxl)
 
     def _arrived(self, cxl):
-        self.engine.schedule(self.traversal_lat, lambda: self._converted(cxl))
+        self.engine.schedule(self.traversal_lat, lambda _: self._converted(cxl))
 
 
 def _coarse_device():
@@ -310,7 +333,7 @@ def run_crossing(medium, devices, bridge, injectors, lsq_depth, trace,
             on_complete=lambda p: done.__setitem__(p.id, system.engine.now))
 
     for tick, *request in trace:
-        system.engine.schedule(tick, lambda r=request: issue(*r))
+        system.engine.schedule(tick, lambda r: issue(*r), request)
     system.engine.run()
     return sorted(done.items()), system.stats.flatten(), system.bridge
 
@@ -369,10 +392,10 @@ def test_arrival_tied_with_conversion(event_driven):
         bridge.__class__ = EventDrivenBridge
     bridge.rx.transmit(round(200 * bridge.rx.bytes_per_ns))
     done = {}
-    bridge.receive(read_pkt(1), lambda: done.__setitem__(1, engine.now))
-    engine.schedule(ns_to_ticks(100), lambda: engine.schedule(
-        ns_to_ticks(164), lambda: bridge.receive(
-            read_pkt(2), lambda: done.__setitem__(2, engine.now))))
+    offer(bridge, read_pkt(1), lambda _: done.__setitem__(1, engine.now))
+    engine.schedule(ns_to_ticks(100), lambda _: engine.schedule(
+        ns_to_ticks(164), lambda _: offer(
+            bridge, read_pkt(2), lambda _: done.__setitem__(2, engine.now))))
     engine.run()
     assert done == {1: ns_to_ticks(264), 2: ns_to_ticks(264 + 128)}
     assert stats.flatten()["bridge.reqRetryCounts"] == int(event_driven)

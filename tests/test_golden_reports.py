@@ -1,11 +1,13 @@
 """Byte-level regression pins for run reports.
 
 Each case runs a small config through the ``cxlsim run`` path and
-compares the sha256 of ``report.json``'s text with a recorded digest.
+compares the sha256 of ``report.json``'s text with a recorded digest and
+the events its engines fired (``Engine._seq``) with a recorded count.
 Together the cases cover every workload kind and every medium (queued
 DDR, coarse DRAM, cached SSD with LRU/FIFO and with or without the
 prefetcher, and the uncached SSD path), so a refactor that changes any
-simulated number, stat name or report key fails here.
+simulated number, stat name or report key fails here, and one that fuses
+or splits events has to update the count in the open.
 """
 
 import copy
@@ -15,6 +17,7 @@ import pytest
 
 from cxlsim import cli
 from cxlsim.config import merge_config, preset
+from cxlsim.engine import Engine
 
 
 def _cfg(name: str, patch: dict) -> dict:
@@ -37,45 +40,64 @@ CASES = {
     "latency-local-ddr": (
         _cfg("local-ddr", {"workload": {"array_kb": [16, 768, 16384],
                                         "samples": 200}}),
-        "b5b06d2401f2eaa2dd65b0929577534c8e7da1f034d6316c572ab2f1d1b1be2c"),
+        "b5b06d2401f2eaa2dd65b0929577534c8e7da1f034d6316c572ab2f1d1b1be2c",
+        25891),
     "stream-triad-fpga": (
         _cfg("cxl-dmsim-f", {"workload": {"kind": "stream", "kernel": "triad",
                                           "groups": 300, "warm_groups": 30,
                                           "placement": "hdm"}}),
-        "273e3a526ba2b8a7dd6e06c1d2360cb9407f15ece09b22bb79b20cff27598e70"),
+        "273e3a526ba2b8a7dd6e06c1d2360cb9407f15ece09b22bb79b20cff27598e70",
+        3602),
     "rdwr-asic": (
         _cfg("cxl-dmsim-a", {"workload": {"kind": "rdwr_sweep",
                                           "read_fractions": [0.5, 1.0],
                                           "ops": 600, "warm_ops": 100,
                                           "placement": "hdm"}}),
-        "56379f08016d5c065fbb7194ca77d5d3b07224952257595b378aade18c0eab2a"),
+        "56379f08016d5c065fbb7194ca77d5d3b07224952257595b378aade18c0eab2a",
+        4800),
     "dlrm-asic": (
         _cfg("cxl-dmsim-a", {"workload": DLRM}),
-        "20d58457c2628a54ad4cc60e3fa9c5adf46a0826cb19750228246e05c3c1afda"),
+        "20d58457c2628a54ad4cc60e3fa9c5adf46a0826cb19750228246e05c3c1afda",
+        2316),
     "dlrm-coarse-dram": (
         _cfg("cxl-dmsim-a", {"devices": [_coarse_device()], "workload": DLRM}),
-        "d600449c35ce9333a328455dd70e6630e6304e44741093d3f4fb29083608256f"),
+        "d600449c35ce9333a328455dd70e6630e6304e44741093d3f4fb29083608256f",
+        2316),
     "kv-ssd-lru-prefetch": (
         _cfg("cxl-ssd", {"workload": KV}),
-        "3ee1a47ce7a837c0e279b7eb456d96e7108ab3a621a06d1120a91cf8d57efa65"),
+        "3ee1a47ce7a837c0e279b7eb456d96e7108ab3a621a06d1120a91cf8d57efa65",
+        15105),
     "kv-ssd-fifo-no-prefetch": (
         _cfg("cxl-ssd", {"devices": [merge_config(
             preset("cxl-ssd")["devices"][0],
             {"cache": {"policy": "fifo", "prefetch": False}})],
             "workload": KV}),
-        "7ffcc7b3d3078e2cb874158c9706fdeeaa532c72b30f8723c15db9c3c4b15900"),
+        "7ffcc7b3d3078e2cb874158c9706fdeeaa532c72b30f8723c15db9c3c4b15900",
+        15105),
     "kv-ssd-uncached": (
         _cfg("cxl-ssd", {"devices": [merge_config(
             preset("cxl-ssd")["devices"][0], {"cache": {"enabled": False}})],
             "workload": KV}),
-        "853d87842454def8b8deb515c351153100e3e9f6a65e935d3fc1b5bfb5e25974"),
+        "853d87842454def8b8deb515c351153100e3e9f6a65e935d3fc1b5bfb5e25974",
+        16517),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_digest_is_pinned(name, tmp_path):
-    cfg, expected = CASES[name]
+def test_report_digest_is_pinned(name, tmp_path, monkeypatch):
+    cfg, expected, events = CASES[name]
+    fired = {}     # engine -> events it scheduled, read when its run ends
+    run = Engine.run
+
+    def counted_run(engine):
+        try:
+            return run(engine)
+        finally:
+            fired[engine] = engine._seq
+
+    monkeypatch.setattr(Engine, "run", counted_run)
     report = cli.run_one(copy.deepcopy(cfg), str(tmp_path))
     text = report.to_json()
     assert (tmp_path / "report.json").read_text() == text + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+    assert sum(fired.values()) == events

@@ -138,38 +138,38 @@ class StaggeredHierarchy(CacheHierarchy):
     is its own event, and a full miss takes its MSHR after the last one and
     pays the residual membus_lat to the bus."""
 
-    def access(self, pkt, on_complete):
-        self._lookup(0, pkt, on_complete)
+    def access(self, pkt, reply):
+        pkt.reply = reply
+        self._lookup(0, pkt)
 
-    def _lookup(self, idx, pkt, on_complete):
+    def _lookup(self, idx, pkt):
         level = self.levels[idx]
 
-        def after_lookup():
+        def after_lookup(_):
             line = pkt.addr // LINE_BYTES
             if level.touch(line):
                 if pkt.cmd is MemCmd.WRITE_REQ:
                     level.mark_dirty(line)
                 if idx > 0:
                     self._promote(idx - 1, line)
-                on_complete()
+                pkt.reply(pkt)
             elif idx + 1 < len(self.levels):
-                self._lookup(idx + 1, pkt, on_complete)
+                self._lookup(idx + 1, pkt)
             else:
-                self._staggered_miss(pkt, line, on_complete)
+                self._staggered_miss(pkt, line)
 
         self.engine.schedule(level.hit_latency, after_lookup)
 
-    def _staggered_miss(self, pkt, line, on_complete):
+    def _staggered_miss(self, pkt, line):
         if line in self._mshrs:
             self.mshr_merges += 1
-            self._mshrs[line].append((pkt, on_complete))
+            self._mshrs[line].append(pkt)
             return
-        self._mshrs[line] = [(pkt, on_complete)]
-        miss_tick = self.engine.now
+        self._mshrs[line] = [pkt]
+        # The fill records its miss latency from the fetch's issue tick.
         fetch = MemPacket(id=next(self._pkt_ids), cmd=MemCmd.READ_REQ,
-                          addr=line * LINE_BYTES)
-        self.membus.send(fetch, self.membus_lat,
-                         lambda: self._fill(line, miss_tick))
+                          addr=line * LINE_BYTES, issue_tick=self.engine.now)
+        self.membus.send(fetch, self.membus_lat, self._fill)
 
 
 def run_trace(preset_name, caches, injectors, lsq_depth, trace,
@@ -194,7 +194,7 @@ def run_trace(preset_name, caches, injectors, lsq_depth, trace,
             on_complete=lambda p: done.__setitem__(p.id, system.engine.now))
 
     for tick, inj, write, line in trace:
-        system.engine.schedule(tick, lambda a=(inj, write, line): issue(*a))
+        system.engine.schedule(tick, lambda a: issue(*a), (inj, write, line))
     system.engine.run()
     return (sorted(done.items()), system.stats.flatten(),
             [cache_contents(c) for c in system.host.hierarchy.levels])

@@ -19,7 +19,7 @@ def make_ddr(engine, read=13, write=13, penalty=2, access=50):
 def drive(engine, ddr, kinds):
     done = []
     for k in kinds:
-        engine.schedule(ddr.submit(k), lambda k=k: done.append((k, engine.now)))
+        engine.schedule(ddr.submit(k), lambda k: done.append((k, engine.now)), k)
     engine.run()
     return done
 
@@ -73,7 +73,7 @@ def test_coarse_dram_width_parallelism():
     done = []
     for i in range(4):
         engine.schedule(dram.submit(READ),
-                        lambda i=i: done.append((i, engine.now)))
+                        lambda i: done.append((i, engine.now)), i)
     engine.run()
     # width 2: pairs complete at 50 ns and 100 ns
     assert [t for _, t in done] == [ns_to_ticks(50)] * 2 + [ns_to_ticks(100)] * 2
@@ -105,7 +105,7 @@ def reference_starts(arrivals, holds, servers):
         starts[i] = engine.now
         engine.schedule(holds[i], release)
 
-    def release():
+    def release(_):
         busy[0] -= 1
         if backlog:
             start(backlog.popleft())
@@ -117,7 +117,7 @@ def reference_starts(arrivals, holds, servers):
             backlog.append(i)
 
     for i, tick in enumerate(arrivals):
-        engine.schedule(tick, lambda i=i: arrive(i))
+        engine.schedule(tick, arrive, i)
     engine.run()
     return [starts[i] for i in range(len(arrivals))]
 
@@ -125,7 +125,7 @@ def reference_starts(arrivals, holds, servers):
 def at_arrivals(engine, arrivals, call):
     """Run `call(i)` at the tick of each arrival i."""
     for i, tick in enumerate(arrivals):
-        engine.schedule(tick, lambda i=i: call(i))
+        engine.schedule(tick, call, i)
     engine.run()
 
 
@@ -187,7 +187,7 @@ def test_ssd_channels_match_event_driven_fifo(reqs, channels):
                     StatsRegistry())
     done = {}
     at_arrivals(engine, arrivals, lambda i: ssd.io(
-        kinds[i], lambda: done.__setitem__(i, engine.now)))
+        kinds[i], lambda _: done.__setitem__(i, engine.now)))
     lats = [ssd.read_latency if k == READ else ssd.write_latency
             for k in kinds]
     starts = reference_starts(arrivals, lats, channels)

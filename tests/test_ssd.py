@@ -24,7 +24,7 @@ def access_all(engine, cache, pages, kind="read"):
         if i == len(pages):
             return
         cache.access(pages[i] * PAGE, kind,
-                     lambda: (done.append(engine.now), step(i + 1)))
+                     lambda i: (done.append(engine.now), step(i + 1)), i)
 
     step()
     engine.run()
@@ -107,8 +107,8 @@ class TestSsdIo:
         ssd = SsdMedium(engine, PAGE, ns_to_ticks(1000),
                         ns_to_ticks(1000), 1, StatsRegistry())
         done = []
-        ssd.io("read", lambda: done.append(engine.now))
-        ssd.io("read", lambda: done.append(engine.now))
+        ssd.io("read", lambda _: done.append(engine.now))
+        ssd.io("read", lambda _: done.append(engine.now))
         engine.run()
         assert done == [ns_to_ticks(1000), ns_to_ticks(2000)]
 
@@ -117,8 +117,8 @@ class TestSsdIo:
         ssd = SsdMedium(engine, PAGE, ns_to_ticks(1000),
                         ns_to_ticks(1000), 2, StatsRegistry())
         done = []
-        ssd.io("read", lambda: done.append(engine.now))
-        ssd.io("read", lambda: done.append(engine.now))
+        ssd.io("read", lambda _: done.append(engine.now))
+        ssd.io("read", lambda _: done.append(engine.now))
         engine.run()
         assert done == [ns_to_ticks(1000)] * 2
 
@@ -128,7 +128,7 @@ class TestSsdIo:
                         ns_to_ticks(3000), 1, StatsRegistry())
         kinds = ["read", "write", "read", "write", "read"]
         for k in kinds:
-            ssd.io(k, lambda: None)
+            ssd.io(k, lambda _: None)
         end = engine.run()
         assert end == ns_to_ticks(3 * 1000 + 2 * 3000)
 
@@ -169,7 +169,7 @@ def test_sequential_scan_demand_misses_vanish_after_learning():
         if i == warm_accesses:
             before_misses["v"] = stats.flatten()["ssdcache.misses"]
         cache.access(offsets[i], "read",
-                     lambda: (done.append(i), step(i + 1)))
+                     lambda i: (done.append(i), step(i + 1)), i)
 
     step()
     engine.run()
@@ -203,9 +203,9 @@ def test_uncached_rmw_write_then_read():
                     1, stats)
     direct = SsdDirectMedium(ssd)
     done = []
-    direct.access(256, "write", lambda: done.append(engine.now))
+    direct.access(256, "write", lambda _: done.append(engine.now), None)
     engine.run()
-    direct.access(256, "read", lambda: done.append(engine.now))
+    direct.access(256, "read", lambda _: done.append(engine.now), None)
     engine.run()
     # the write pays a page read then a page program; the read one page read
     assert done == [ns_to_ticks(1000 + 3000), ns_to_ticks(1000 + 3000 + 1000)]
@@ -222,10 +222,10 @@ def test_late_demand_joins_inflight_prefetch():
     _, cache = make_cached(engine, capacity_pages=8, read_ns=5000,
                            prefetcher=bo, stats=stats)
     got = []
-    cache.access(0, "read", lambda: got.append(engine.now))
+    cache.access(0, "read", lambda _: got.append(engine.now), None)
     # while page 1's prefetch is in flight, demand it
-    engine.run_until(ns_to_ticks(5500))
-    cache.access(PAGE, "read", lambda: got.append(engine.now))
+    engine.schedule(ns_to_ticks(5500), lambda _: cache.access(
+        PAGE, "read", lambda _: got.append(engine.now), None))
     engine.run()
     assert len(got) == 2
     assert stats.flatten()["ssdcache.lateHits"] == 1
