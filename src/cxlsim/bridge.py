@@ -170,16 +170,18 @@ class CxlBridge:
             self._waiters.append(pkt)
 
     def _admit(self, pkt: MemPacket) -> None:
+        # Both checks come before the credit is taken, so a refused packet
+        # leaves no credit or in-flight id behind.
+        cxl = convert_m2s(pkt)
+        device = self._device_for(cxl.addr)
+        if pkt.id in self._inflight:
+            raise ProtocolError(f"request id {pkt.id} already in flight")
         self.req_used += 1
         if self.req_used > self.req_peak:
             self.req_peak = self.req_used
-        if pkt.id in self._inflight:
-            raise ProtocolError(f"request id {pkt.id} already in flight")
         self._inflight[pkt.id] = pkt
         # The message reaches the TX channel once converted, traversal_lat
         # from now, and the device at its grant.
-        cxl = convert_m2s(pkt)
-        device = self._device_for(cxl.addr)
         self.m2s_sent += 1
         device.receive_m2s(cxl, self.tx.transmit(
             self.msg_header_bytes + cxl.payload_bytes, self.traversal_lat))

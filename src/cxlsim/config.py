@@ -372,13 +372,6 @@ def check_config(cfg) -> SimpleNamespace:
     return view
 
 
-def validate_config(cfg: dict) -> dict:
-    """Validate and return the config as given (config_digest hashes it);
-    raises ConfigError on any problem."""
-    check_config(cfg)
-    return cfg
-
-
 def read_json(path: str):
     """The JSON document in the file `path`; a syntax error is a
     ConfigError naming its line and column."""

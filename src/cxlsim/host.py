@@ -28,10 +28,11 @@ the next handler and the packet, so no closure is built per hop.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from .engine import Engine
 from .hdm import PAGE_BYTES
@@ -177,48 +178,41 @@ class Cache:
         return victim
 
     def install_pages(self, page_addrs: Sequence[int], lines: int,
-                      period: int, dirty_per_period: int) -> None:
-        """Install the first `lines` lines of the pages at `page_addrs`, in
-        order and without traffic, exactly as `install` would one line at a
-        time; victims are dropped.  Line i is dirty when
+                      period: int, dirty_per_period: int,
+                      touched: Iterable[int]) -> None:
+        """Install the first `lines` lines of the pages at `page_addrs` as
+        `install` would, one line at a time and in order, but only those in
+        a set that a line of `touched` maps to; victims are dropped and no
+        other set is read or written.  Line i is dirty when
         i % period < dirty_per_period.
 
-        Within one page, consecutive lines fall into consecutive sets under
-        one tag until the set index wraps, so each page is a few passes over
-        a slice of the sets.  A set may hold more than `ways` entries during
-        the passes; trimming it afterwards to its newest `ways` leaves what
-        per-line LRU would.  The exception is a tag already present, which
-        per-line LRU may have evicted by then, so the set is trimmed before
-        such a tag is refreshed."""
+        LRU sets are independent, so each wanted set ends as installing
+        every line would leave it.  Within one page, consecutive lines fall
+        into consecutive sets under one tag until the set index wraps; the
+        wanted sets in each such window are found by bisection."""
         sets, num_sets, ways = self._sets, self.num_sets, self.ways
+        wanted = sorted({line % num_sets for line in touched})
         per_page = PAGE_BYTES // LINE_BYTES
-        flags = [i % period < dirty_per_period for i in range(per_page + period)]
         for page, addr in enumerate(page_addrs):
-            count = min(per_page, lines - page * per_page)
-            if count <= 0:
-                break
-            first = addr // LINE_BYTES
-            phase = page * per_page % period
-            done = 0
-            while done < count:
-                line = first + done
-                s, tag = line % num_sets, line // num_sets
-                k = min(count - done, num_sets - s)
-                start = phase + done
-                for cset, dirty in zip(sets[s:s + k], flags[start:start + k]):
+            i = page * per_page      # region index of the window's first line
+            end = min(i + per_page, lines)
+            tag, s = divmod(addr // LINE_BYTES, num_sets)
+            while i < end:
+                k = min(end - i, num_sets - s)
+                lo = bisect_left(wanted, s)
+                for w in wanted[lo:bisect_left(wanted, s + k, lo)]:
+                    cset = sets[w]
+                    dirty = (i + w - s) % period < dirty_per_period
                     if tag in cset:
-                        while len(cset) > ways:
+                        if dirty:
+                            cset[tag] = True
+                        cset.move_to_end(tag)
+                    else:
+                        if len(cset) >= ways:
                             cset.popitem(last=False)
-                        if tag in cset:
-                            if dirty:
-                                cset[tag] = True
-                            cset.move_to_end(tag)
-                            continue
-                    cset[tag] = dirty
-                done += k
-        for cset in sets:
-            while len(cset) > ways:
-                cset.popitem(last=False)
+                        cset[tag] = dirty
+                i += k
+                tag, s = tag + 1, 0
 
 
 class MemBus:

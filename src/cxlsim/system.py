@@ -52,7 +52,7 @@ class System:
                       for node_id, node in nodes.items()}
         addrs: List[int] = []
         for node_id, run in groupby(km_place(count, policy, capacities)):
-            pages = sum(1 for _ in run)
+            pages = len(list(run))
             cursor = self._page_cursor.get(node_id, 0)
             start = nodes[node_id].base + cursor * PAGE_BYTES
             addrs.extend(range(start, start + pages * PAGE_BYTES, PAGE_BYTES))

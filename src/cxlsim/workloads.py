@@ -7,7 +7,8 @@ suite at desk scale:
   permutation (a random sample of lines for an array larger than the
   LLC), one outstanding load, per-array-size mean load-to-use.
 * stream - Copy/Scale/Add/Triad streaming kernels measured over a window
-  after pre-warming the LLC to steady write-back state.
+  after pre-warming, to steady write-back state, the LLC sets the
+  kernel's lines map to (no other set is ever read).
 * rdwr_sweep - open-loop uniform-random 64B traffic at a given read
   fraction and injection rate; one fresh system per grid point.
 * dlrm_proxy - gather-heavy concurrent random reads (embedding-lookup
@@ -225,11 +226,15 @@ def run_stream(system: System, params: SimpleNamespace,
     # Pre-warm the LLC to the steady state a long-running kernel would
     # reach: full of streamed lines whose dirty fraction matches the
     # kernel's dirty-install fraction, so evictions during the measured
-    # window produce write-backs at the steady rate.
+    # window produce write-backs at the steady rate.  Only the sets that
+    # the kernel's lines map to are filled: from here on the hierarchy
+    # handles no other line, so no other LLC set is ever read.
     ops_per_group = len(reads) + len(writes)
     ghost = _PagedRegion(system, llc.capacity, placement)
+    touched = (arrays[name].line_addr(group) // LINE_BYTES
+               for name in reads + writes for group in range(params.groups))
     llc.install_pages(ghost.page_addrs, llc.capacity // LINE_BYTES,
-                      ops_per_group, len(writes))
+                      ops_per_group, len(writes), touched)
 
     total_ops = params.groups * ops_per_group
     window = _Window(engine, params.warm_groups * ops_per_group, total_ops)
@@ -287,7 +292,7 @@ def run_rdwr_sweep(factory: Callable[[], System], params: SimpleNamespace,
 class _OpenLoop(_Window):
     """Uncacheable uniform-random requests over `region`, the k-th from
     injector k round robin; past the warm-up, sums each request's latency
-    from its arrival."""
+    from its arrival.  `arrivals` holds the requests in flight."""
 
     def __init__(self, system: System, region: _PagedRegion,
                  read_fraction: float, seed: int, warm_ops: int, ops: int):
@@ -310,8 +315,9 @@ class _OpenLoop(_Window):
 
     def complete(self, pkt) -> None:
         _Window.complete(self, pkt)
+        arrival = self.arrivals.pop(pkt.id)
         if self.done > self.start:
-            self.lat_sum += self.engine.now - self.arrivals[pkt.id]
+            self.lat_sum += self.engine.now - arrival
 
 
 def _run_rdwr_point(system: System, params: SimpleNamespace, placement: Policy,

@@ -2,14 +2,15 @@ import copy
 
 import pytest
 
-from cxlsim.config import build_system, merge_config, preset, validate_config
+from cxlsim.config import build_system, check_config, merge_config, preset
 
 
 def patched_preset(name: str, patch: dict | None = None) -> dict:
     cfg = preset(name)
     if patch:
         cfg = merge_config(cfg, patch)
-    return validate_config(cfg)
+    check_config(cfg)
+    return cfg
 
 
 @pytest.fixture

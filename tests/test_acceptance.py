@@ -15,7 +15,7 @@ from collections import OrderedDict
 import pytest
 
 from cxlsim import cli
-from cxlsim.config import merge_config, preset, run_workload, validate_config
+from cxlsim.config import check_config, merge_config, preset, run_workload
 from cxlsim.hdm import HdmAllocationError, HdmAllocator, NodeState, PAGE_BYTES
 from cxlsim.ssd import BestOffsetPrefetcher
 
@@ -33,7 +33,7 @@ def run(preset_name: str, workload: dict, patch: dict | None = None):
     if patch:
         cfg = merge_config(cfg, patch)
     cfg = merge_config(cfg, {"workload": workload})
-    return run_workload(validate_config(cfg))
+    return run_workload(cfg, check_config(cfg))
 
 
 # -- shared simulations ----------------------------------------------------------

@@ -192,6 +192,19 @@ def test_device_found_by_base_and_limit():
             offer(bridge, read_pkt(i, addr), lambda _: None)
 
 
+def test_unbacked_address_takes_no_credit_or_id():
+    engine = Engine()
+    bridge = make_bridge(engine, req_depth=2)
+    bridge.attach_device(1 << 20, 2 << 20, EchoDevice(engine))
+    offer(bridge, read_pkt(1, 1 << 20), lambda _: None)
+    held = (bridge.req_used, dict(bridge._inflight))
+    for _ in range(2):      # the same id again: still the missing device
+        with pytest.raises(ProtocolError,
+                           match="no CXL device backs address 0x0"):
+            offer(bridge, read_pkt(100, 0), lambda _: None)
+        assert (bridge.req_used, bridge._inflight) == held
+
+
 def test_unsolicited_response_id_is_protocol_error():
     engine = Engine()
     bridge, _ = wire(engine)

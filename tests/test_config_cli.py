@@ -6,8 +6,8 @@ import re
 import pytest
 
 from cxlsim import cli
-from cxlsim.config import (ConfigError, build_system, merge_config, preset,
-                           preset_names, validate_config)
+from cxlsim.config import (ConfigError, build_system, check_config,
+                           merge_config, preset, preset_names)
 from cxlsim.ssd import SsdCachedMedium
 
 
@@ -16,25 +16,25 @@ class TestValidation:
         cfg = preset("cxl-dmsim-a")
         cfg["bridge"]["req_fifo_depth"] = -1
         with pytest.raises(ConfigError, match="bridge.req_fifo_depth"):
-            validate_config(cfg)
+            check_config(cfg)
 
     def test_unknown_key_rejected(self):
         cfg = preset("local-ddr")
         cfg["host"]["turbo"] = True
         with pytest.raises(ConfigError, match="host.turbo"):
-            validate_config(cfg)
+            check_config(cfg)
 
     def test_unknown_workload_field_rejected(self):
         cfg = preset("local-ddr")
         cfg["workload"]["bogus"] = 1
         with pytest.raises(ConfigError, match="workload.bogus"):
-            validate_config(cfg)
+            check_config(cfg)
 
     def test_write_service_below_read_rejected(self):
         cfg = preset("local-ddr")
         cfg["host"]["local_medium"]["write_service_ns"] = 1.0
         with pytest.raises(ConfigError, match="write_service_ns"):
-            validate_config(cfg)
+            check_config(cfg)
 
     @pytest.mark.parametrize("coarse,field", [
         ({"width": 0}, "width"),
@@ -47,7 +47,7 @@ class TestValidation:
         cfg["devices"] = [coarse_device(coarse)]
         with pytest.raises(ConfigError,
                            match=re.escape(f"config.devices[0].coarse.{field}")):
-            validate_config(cfg)
+            check_config(cfg)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_number_rejected(self, value):
@@ -55,12 +55,12 @@ class TestValidation:
         cfg["bridge"]["bridge_lat_ns"] = value
         with pytest.raises(ConfigError,
                            match="bridge.bridge_lat_ns: must be finite"):
-            validate_config(cfg)
+            check_config(cfg)
 
     def test_coarse_block_defaults_width(self):
         cfg = preset("cxl-dmsim-a")
         cfg["devices"] = [coarse_device(None)]
-        assert validate_config(cfg)["devices"][0]["medium"] == "coarse_dram"
+        assert check_config(cfg).devices[0].medium == "coarse_dram"
 
     def test_cache_block_without_enabled_builds_cached_medium(self):
         cfg = preset("cxl-ssd")
@@ -77,16 +77,16 @@ class TestValidation:
         cfg["workload"] = {"kind": "dlrm_proxy", "queries_per_injector": 2.5}
         with pytest.raises(ConfigError,
                            match="config.workload.queries_per_injector"):
-            validate_config(cfg)
+            check_config(cfg)
 
     def test_all_presets_validate(self):
         for name in preset_names():
-            assert validate_config(preset(name))
+            check_config(preset(name))
 
     def test_round_trip_is_identity(self):
         cfg = preset("cxl-dmsim-a")
-        again = validate_config(json.loads(json.dumps(cfg)))
-        assert again == cfg
+        again = check_config(json.loads(json.dumps(cfg)))
+        assert again == check_config(cfg)
 
     def test_merge_replaces_workload_of_other_kind(self):
         cfg = merge_config(preset("local-ddr"),
@@ -107,7 +107,7 @@ class TestValidation:
             objects(cfg, "config")[i][0]["bogus"] = 1
             with pytest.raises(ConfigError, match=re.escape(
                     f"{path}.bogus: unknown field")):
-                validate_config(cfg)
+                check_config(cfg)
         # On each device, the blocks of the other media.
         for d, dev in enumerate(preset(name)["devices"]):
             others = MEDIUM_BLOCKS.keys() - OWN_BLOCKS[dev["medium"]]
@@ -116,7 +116,7 @@ class TestValidation:
                 cfg["devices"][d][block] = MEDIUM_BLOCKS[block]()
                 with pytest.raises(ConfigError, match=re.escape(
                         f"config.devices[{d}].{block}: unknown field")):
-                    validate_config(cfg)
+                    check_config(cfg)
 
 
 def objects(node, path):

@@ -48,6 +48,14 @@ CASES = {
                                           "placement": "hdm"}}),
         "273e3a526ba2b8a7dd6e06c1d2360cb9407f15ece09b22bb79b20cff27598e70",
         3602),
+    # Interleave alternates the pages between nodes: the LLC pre-warm's
+    # ghost region is not contiguous.
+    "stream-add-asic-interleave": (
+        _cfg("cxl-dmsim-a", {"workload": {"kind": "stream", "kernel": "add",
+                                          "groups": 300, "warm_groups": 30,
+                                          "placement": "interleave"}}),
+        "8c6be2cbca240dad78164149a7be4c6c938ae6d3e153a85ed51c515e6f8c6f5d",
+        2929),
     "rdwr-asic": (
         _cfg("cxl-dmsim-a", {"workload": {"kind": "rdwr_sweep",
                                           "read_fractions": [0.5, 1.0],

@@ -1,3 +1,4 @@
+import copy
 import random
 from dataclasses import replace
 
@@ -6,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build, patched_preset, tiny_cache_patch
 
+from cxlsim import cli
 from cxlsim.host import (AddressFault, AddressMap, Cache, CacheHierarchy,
                          LINE_BYTES, MemCmd, MemPacket, Target)
-from cxlsim.config import preset, run_workload
+from cxlsim.config import merge_config, preset, run_workload
 from cxlsim.engine import ns_to_ticks
 from cxlsim.hdm import PAGE_BYTES, Policy
 from cxlsim.stats import StatsRegistry
@@ -78,11 +80,13 @@ class TestCache:
         assert victim == (5, True)
 
 
-# -- the bulk LLC pre-warm against the per-line install it replaced -----------
+# -- the scoped LLC pre-warm against a per-line install of every line ----------
 
 
-def reference_install_pages(cache, page_addrs, lines, period, dirty_per_period):
-    """Install line i of the paged region, one line at a time."""
+def reference_install_pages(cache, page_addrs, lines, period, dirty_per_period,
+                            touched=()):
+    """The full pre-warm: install every line i of the paged region, one line
+    at a time, into whichever set it maps to; `touched` is ignored."""
     lines_per_page = PAGE_BYTES // LINE_BYTES
     for i in range(lines):
         addr = page_addrs[i // lines_per_page] + i % lines_per_page * LINE_BYTES
@@ -114,9 +118,17 @@ def test_install_pages_matches_per_line_install(num_sets, assoc, kernel,
     region = [a // LINE_BYTES + k for a in pages
               for k in range(PAGE_BYTES // LINE_BYTES)][:lines]
     rnd = random.Random(data.draw(st.integers(0, 2**32)))
-    held = [(rnd.choice(region) if rnd.random() < 0.5
-             else rnd.randrange(4 * lines), rnd.random() < 0.5)
+
+    def anywhere():
+        """A line of the region or, as often, any line."""
+        return (rnd.choice(region) if rnd.random() < 0.5
+                else rnd.randrange(4 * lines))
+
+    held = [(anywhere(), rnd.random() < 0.5)
             for _ in range(rnd.randrange(3 * lines))]
+    # The kernel's lines: every set, or a random few of them.
+    touched = (range(num_sets) if data.draw(st.booleans())
+               else [anywhere() for _ in range(rnd.randrange(num_sets + 1))])
     reads, writes = STREAM_KERNELS[kernel]
     period = len(reads) + len(writes)
 
@@ -125,9 +137,31 @@ def test_install_pages_matches_per_line_install(num_sets, assoc, kernel,
     for cache in caches:
         for line, dirty in held:
             cache.install(line, dirty=dirty)
-    caches[0].install_pages(pages, lines, period, len(writes))
+    before = cache_contents(caches[0])
+    caches[0].install_pages(pages, lines, period, len(writes), touched)
     reference_install_pages(caches[1], pages, lines, period, len(writes))
-    assert cache_contents(caches[0]) == cache_contents(caches[1])
+    wanted = {line % num_sets for line in touched}
+    got, full = cache_contents(caches[0]), cache_contents(caches[1])
+    for s in range(num_sets):
+        assert got[s] == (full[s] if s in wanted else before[s]), s
+
+
+STREAM_PLACEMENTS = [("local-ddr", "local"), ("cxl-dmsim-a", "hdm"),
+                     ("cxl-dmsim-a", "interleave"), ("cxl-dmsim-f", "hdm")]
+
+
+@pytest.mark.parametrize("kernel", sorted(STREAM_KERNELS))
+@pytest.mark.parametrize("name,placement", STREAM_PLACEMENTS)
+def test_scoped_prewarm_report_matches_full_prewarm(name, placement, kernel,
+                                                    tmp_path, monkeypatch):
+    cfg = merge_config(preset(name), {"workload": {
+        "kind": "stream", "kernel": kernel, "groups": 200, "warm_groups": 20,
+        "placement": placement}})
+    cli.run_one(copy.deepcopy(cfg), str(tmp_path / "scoped"))
+    monkeypatch.setattr(Cache, "install_pages", reference_install_pages)
+    cli.run_one(copy.deepcopy(cfg), str(tmp_path / "full"))
+    assert ((tmp_path / "scoped" / "report.json").read_bytes()
+            == (tmp_path / "full" / "report.json").read_bytes())
 
 
 # -- the one-step lookup against the per-level events it replaced -------------

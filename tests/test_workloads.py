@@ -170,6 +170,26 @@ def test_rdwr_sweep_builds_one_system_per_grid_point(monkeypatch):
     assert walks == ["rdwr_sweep"]      # checked once, not per grid point
 
 
+def test_rdwr_point_holds_no_arrival_after_it_drains(monkeypatch):
+    from cxlsim import workloads
+
+    points = []
+
+    class Recorded(workloads._OpenLoop):
+        def __init__(self, *args):
+            super().__init__(*args)
+            points.append(self)
+
+    monkeypatch.setattr(workloads, "_OpenLoop", Recorded)
+    cfg = preset("cxl-dmsim-a")
+    cfg["workload"] = {"kind": "rdwr_sweep", "read_fractions": [0.5],
+                       "rates_bytes_per_ns": [64.0], "ops": 300,
+                       "warm_ops": 50, "placement": "hdm"}
+    run_workload(cfg)
+    assert len(points) == 1 and points[0].done == 300
+    assert points[0].arrivals == {}
+
+
 # -- every workload block either fails validation or runs to sane metrics ------
 
 PLACEMENTS = st.sampled_from(["local", "hdm", "interleave"])
