@@ -45,14 +45,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import List, Tuple
 
 from .engine import Engine
 from .host import LINE_BYTES, MemCmd, MemPacket, SimFault
 
 
-class CxlKind(Enum):
+class CxlKind:
     M2S_REQ = "M2SReq"    # read request, header only
     M2S_RWD = "M2SRwD"    # write request with 64B payload
 
@@ -98,10 +97,13 @@ class LinkChannel:
     def transmit(self, nbytes: int, delay: int = 0) -> int:
         hold = self._holds.get(nbytes)
         if hold is None:
-            hold = self._holds[nbytes] = max(
-                1, round(nbytes * 1000 / self.bytes_per_ns))
+            # A message holds the channel for at least one tick.
+            hold = self._holds[nbytes] = round(
+                nbytes * 1000 / self.bytes_per_ns) or 1
         now = self.engine.now
-        start = max(now + delay, self._free_at)
+        start = now + delay
+        if start < self._free_at:
+            start = self._free_at
         self._free_at = start + hold
         return start - now
 
@@ -209,20 +211,15 @@ class CxlBridge:
             pkt = self._inflight.pop(cxl.id)
         except KeyError:
             raise ProtocolError(f"response id {cxl.id} matches no request")
-        self._release_resp_slot()
-        self._release_credit()
-        pkt.reply(pkt)
-
-    def _release_resp_slot(self) -> None:
+        # Slot before credit: fixes the order of the events they schedule.
         self.resp_used -= 1
         if self._egress_waiters:
             self.device_egress(self._egress_waiters.popleft())
-
-    def _release_credit(self) -> None:
         self.req_used -= 1
         if self._waiters:
-            pkt = self._waiters.popleft()
+            held = self._waiters.popleft()
             # Space-available broadcast: the oldest sender wins the slot;
             # every other held sender re-offers and is refused again.
             self.retries += len(self._waiters)
-            self._admit(pkt)
+            self._admit(held)
+        pkt.reply(pkt)

@@ -54,18 +54,14 @@ class BaseAddressRegister:
         if size <= 0 or size & (size - 1):
             raise ValueError("BAR size must be a power of two")
         self.size = size
-        self._value = 0
+        self.base = 0
 
     def write(self, value: int) -> None:
         # Low log2(size) bits are hardwired to zero.
-        self._value = value & ~(self.size - 1) & ALL_ONES
+        self.base = value & ~(self.size - 1) & ALL_ONES
 
     def read(self) -> int:
-        return self._value
-
-    @property
-    def base(self) -> int:
-        return self._value
+        return self.base
 
 
 class MemExpander:

@@ -31,7 +31,6 @@ import itertools
 from bisect import bisect_left
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from .engine import Engine
@@ -41,12 +40,13 @@ from .media import READ, WRITE
 LINE_BYTES = 64
 
 
-class MemCmd(Enum):
+# Plain constants compared by identity: an Enum member is slow to load.
+class MemCmd:
     READ_REQ = "ReadReq"
     WRITE_REQ = "WriteReq"
 
 
-class Target(Enum):
+class Target:
     LOCAL_DRAM = "LocalDRAM"
     BRIDGE = "Bridge"
 
@@ -228,7 +228,7 @@ class MemBus:
 
     def attach(self, target: Target, port) -> None:
         self.targets[target] = port
-        # Indexed by "is the bridge", so send hashes no Enum per packet.
+        # Indexed by "is the bridge", so send needs no dict lookup.
         self._ports = (self.targets.get(Target.LOCAL_DRAM),
                        self.targets.get(Target.BRIDGE))
 

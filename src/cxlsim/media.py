@@ -52,7 +52,9 @@ class CoarseDram:
         self._free_at = deque([0] * width)
 
     def submit(self, kind: str, delay: int = 0) -> int:
-        start = max(self.engine.now + delay, self._free_at.popleft())
+        start = self._free_at.popleft()
+        if start < self.engine.now + delay:
+            start = self.engine.now + delay
         finish = start + self.access_lat
         self._free_at.append(finish)
         return finish - self.engine.now
@@ -104,7 +106,9 @@ class QueuedDdr:
             self.turnarounds += 1
         self._last_dir = kind
         arrival = self.engine.now + delay
-        start = max(arrival, self._free_at)
+        start = arrival
+        if start < self._free_at:
+            start = self._free_at
         self._free_at = start + service
         wait = start - arrival
         self.wait_total += wait

@@ -142,7 +142,9 @@ class SsdMedium:
             self.page_writes += 1
             lat = self.write_latency
         now = self.engine.now
-        start = max(now, self._free_at[0])
+        start = self._free_at[0]
+        if start < now:
+            start = now
         heapq.heapreplace(self._free_at, start + lat)
         self.engine.schedule(start - now + lat, on_done, arg)
 

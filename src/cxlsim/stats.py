@@ -10,7 +10,10 @@ Components count in plain attributes on the request path (`self.hits
 report once, with a getter that reads it.  A total that follows from
 other stats is a formula over their names, evaluated at report time
 instead of counted per request.  The table is read only by `flatten`, so
-the one stats call left on the request path is Histogram.record.
+the one stats call left on the request path is Histogram.record, which
+appends the sample to a buffer.  The buffer folds every FOLD_AT samples
+and before any read, replaying them in arrival order through the
+per-sample update, so every read is bit for bit what that update gives.
 Registering a name twice, or a formula over a name never registered,
 fails when the table is built, so a typo cannot silently split or drop
 samples.
@@ -31,6 +34,18 @@ class StatError(KeyError):
     pass
 
 
+# Samples buffered per fold; small, so the fold left to report time is cheap.
+FOLD_AT = 256
+
+
+def _folded(attr: str) -> property:
+    """A read of `attr` that folds the buffered samples first."""
+    def read(self):
+        self._fold()
+        return getattr(self, attr)
+    return property(read)
+
+
 class Histogram:
     """Bucketed histogram with Welford running mean/stdev and min/max.
 
@@ -39,34 +54,59 @@ class Histogram:
     last), so edges (0, 10, 100) produce buckets 0-9, 10-99, 100+.
     """
 
-    __slots__ = ("name", "edges", "counts", "n", "_mean", "_m2", "min", "max",
-                 "_upper")
+    __slots__ = ("name", "edges", "_counts", "_n", "_mean", "_m2", "_min",
+                 "_max", "_upper", "_buf")
 
     def __init__(self, name: str, edges: Sequence[float] = (0,)):
         if not edges or edges[0] != 0 or list(edges) != sorted(edges):
             raise ValueError("histogram edges must be ascending and start at 0")
         self.name = name
         self.edges = tuple(edges)
-        self.counts = [0] * len(edges)
-        self.n = 0
+        self._counts = [0] * len(edges)
+        self._n = 0
         self._mean = 0.0
         self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
+        self._min = math.inf
+        self._max = -math.inf
         # A sample's bucket is how many edges past the first it reaches:
         # always 0 with one edge, and for a sample below 0.
         self._upper = self.edges[1:]
+        self._buf: list = []
 
     def record(self, sample: float) -> None:
-        self.n += 1
-        delta = sample - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (sample - self._mean)
-        if sample < self.min:
-            self.min = sample
-        if sample > self.max:
-            self.max = sample
-        self.counts[bisect_right(self._upper, sample)] += 1
+        buf = self._buf
+        buf.append(sample)
+        if len(buf) == FOLD_AT:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Apply the buffered samples in arrival order (Welford's update)."""
+        buf = self._buf
+        if not buf:
+            return
+        n, mean, m2 = self._n, self._mean, self._m2
+        for x in buf:
+            n += 1
+            delta = x - mean
+            mean += delta / n
+            m2 += delta * (x - mean)
+        self._n, self._mean, self._m2 = n, mean, m2
+        # min and max return the first of equal values, so a tie keeps the
+        # earlier sample and its type (5 before 5.0).
+        self._min = min(self._min, *buf)
+        self._max = max(self._max, *buf)
+        if self._upper:
+            upper, counts = self._upper, self._counts
+            for x in buf:
+                counts[bisect_right(upper, x)] += 1
+        else:
+            self._counts[0] += len(buf)
+        buf.clear()
+
+    n = _folded("_n")
+    min = _folded("_min")
+    max = _folded("_max")
+    counts = _folded("_counts")
 
     @property
     def mean(self) -> float:

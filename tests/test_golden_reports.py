@@ -67,6 +67,14 @@ CASES = {
         _cfg("cxl-dmsim-a", {"workload": DLRM}),
         "20d58457c2628a54ad4cc60e3fa9c5adf46a0826cb19750228246e05c3c1afda",
         2316),
+    # A response FIFO shallower than the request FIFO: device answers
+    # stall in the bridge's egress queue (766 waits) and resume as slots
+    # free.  No preset reaches that path.
+    "dlrm-asic-short-resp-fifo": (
+        _cfg("cxl-dmsim-a", {"bridge": {"resp_fifo_depth": 2},
+                             "workload": DLRM}),
+        "088b35cedac0b289c228e3a1599f71c4f63203c738ff791574e1fecc867122af",
+        2316),
     "dlrm-coarse-dram": (
         _cfg("cxl-dmsim-a", {"devices": [_coarse_device()], "workload": DLRM}),
         "d600449c35ce9333a328455dd70e6630e6304e44741093d3f4fb29083608256f",

@@ -1,16 +1,19 @@
 import json
 import math
+import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build, patched_preset
 
+from cxlsim import stats as stats_module
 from cxlsim.engine import Engine, ns_to_ticks
 from cxlsim.host import MemCmd
 from cxlsim.media import READ, QueuedDdr
-from cxlsim.stats import (Histogram, RunReport, StatError, StatsRegistry,
-                          config_digest)
+from cxlsim.stats import (FOLD_AT, Histogram, RunReport, StatError,
+                          StatsRegistry, config_digest)
 
 
 def test_histogram_basic_moments():
@@ -80,6 +83,71 @@ def test_bucket_lookup_matches_edge_scan(edges, data):
     expected = [0] * len(edges)
     expected[reference_bucket(edges, sample)] = 1
     assert h.counts == expected
+
+
+class ReferenceHistogram(Histogram):
+    """The per-sample update that Histogram.record made before it folded
+    samples in batches; it reads through the same properties, with
+    nothing ever buffered."""
+
+    def record(self, sample: float) -> None:
+        self._n += 1
+        delta = sample - self._mean
+        self._mean += delta / self._n
+        self._m2 += delta * (sample - self._mean)
+        if sample < self._min:
+            self._min = sample
+        if sample > self._max:
+            self._max = sample
+        self._counts[bisect_right(self._upper, sample)] += 1
+
+
+def _exact(value):
+    """A value with its type, so that 5 and 5.0 compare unequal."""
+    if isinstance(value, list):
+        return [_exact(v) for v in value]
+    return type(value), value
+
+
+def _reads(stats, h):
+    return [_exact(h.n), _exact(h.mean), _exact(h.stdev), _exact(h.min),
+            _exact(h.max), _exact(h.counts),
+            [_exact(h.percentile(p)) for p in (0, 1, 50, 90, 99, 100)],
+            [(k, _exact(v)) for k, v in stats.flatten().items()]]
+
+
+@pytest.mark.parametrize("spread", [3, 2000, 10**6])
+@pytest.mark.parametrize("kind", ["int", "float", "mixed"])
+@settings(max_examples=10, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       reads=st.lists(st.integers(0, 1000), max_size=6))
+def test_batched_histogram_reads_what_per_sample_updates_give(
+        kind, spread, seed, reads):
+    # Ticks, and ticks over a clock ratio as core.loadToUse records them.
+    # "mixed" draws equal ints and floats, and a narrow spread ties the
+    # extremes, so min and max must keep the first of equal samples, as
+    # the per-sample update does.
+    rnd = random.Random(seed)
+    read_at = set(reads)
+    for length in (0, 1, FOLD_AT - 1, FOLD_AT, FOLD_AT + 1, 1000):
+        samples = []
+        for _ in range(length):
+            value = rnd.randrange(-3, spread)
+            if kind == "float" or (kind == "mixed" and rnd.random() < 0.5):
+                value = value / rnd.choice((1, 1, 2.5, 4))
+            samples.append(value)
+        for edges in ((0,), (0, 10, 100, 1000, 10000, 100000), (0, 5, 5, 50)):
+            batched, reference = StatsRegistry(), StatsRegistry()
+            h = batched.histogram("h", edges)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(stats_module, "Histogram", ReferenceHistogram)
+                ref = reference.histogram("h", edges)
+            for i, sample in enumerate(samples):
+                if i in read_at:
+                    assert _reads(batched, h) == _reads(reference, ref)
+                h.record(sample)
+                ref.record(sample)
+            assert _reads(batched, h) == _reads(reference, ref)
 
 
 def test_percentile_monotone():

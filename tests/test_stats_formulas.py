@@ -140,23 +140,30 @@ def test_derived_stats_sum_over_two_devices(counted, second):
         assert dev.reads > 0 and dev.writes > 0
 
 
-# -- the request path makes no stats call but Histogram.record ----------------
+# -- the request path makes no stats call but Histogram.record and _fold ----
 
 
-@pytest.mark.parametrize("name, workload", [
+@pytest.mark.parametrize("name, workload, folds", [
     ("cxl-dmsim-a", {"kind": "dlrm_proxy", "injectors": 8,
                      "queries_per_injector": 2, "lookups_per_query": 8,
-                     "footprint_mb": 2}),
-    ("cxl-ssd", {"kind": "kv_proxy", "ops": 300, "warm_ops": 50}),
-], ids=["dlrm", "kv"])
-def test_engine_run_enters_no_stats_function_but_histogram_record(
-        monkeypatch, name, workload):
-    entered = set()
+                     "footprint_mb": 2}, False),
+    # 512 loads: core.loadToUse crosses the fold threshold twice.
+    ("cxl-dmsim-a", {"kind": "dlrm_proxy", "injectors": 8,
+                     "queries_per_injector": 8, "lookups_per_query": 8,
+                     "footprint_mb": 2}, True),
+    ("cxl-ssd", {"kind": "kv_proxy", "ops": 300, "warm_ops": 50}, True),
+], ids=["dlrm", "dlrm-folds", "kv"])
+def test_engine_run_enters_no_stats_function_but_histogram_record_and_fold(
+        monkeypatch, name, workload, folds):
+    entered = collections.Counter()
+    fold_callers = set()
     stats_file = stats_module.__file__
 
     def profile(frame, event, _arg):
         if event == "call" and frame.f_code.co_filename == stats_file:
-            entered.add(frame.f_code.co_qualname)
+            entered[frame.f_code.co_qualname] += 1
+            if frame.f_code.co_qualname == "Histogram._fold":
+                fold_callers.add(frame.f_back.f_code.co_qualname)
 
     run = Engine.run
 
@@ -170,6 +177,12 @@ def test_engine_run_enters_no_stats_function_but_histogram_record(
     monkeypatch.setattr(Engine, "run", profiled_run)
     result = run_workload(config.merge_config(preset(name),
                                               {"workload": workload}))
-    assert entered == {"Histogram.record"}
+    expected = {"Histogram.record"} | ({"Histogram._fold"} if folds else set())
+    assert set(entered) == expected
+    if folds:
+        # Folds run only when a buffer fills, never once per sample.
+        assert fold_callers == {"Histogram.record"}
+        most = -(-entered["Histogram.record"] // stats_module.FOLD_AT)
+        assert entered["Histogram._fold"] <= most
     # The report still reads the counts the run made.
     assert result.system.stats.flatten()["bridge.m2sSent"] > 0
