@@ -137,7 +137,7 @@ class CxlBridge:
         # At drain every request has been answered; a request carries 64B
         # when it is a write, a response when it answers a read.
         header = msg_header_bytes
-        stats.formula("bridge.s2mReceived", {"bridge.m2sSent": 1})
+        stats.add("bridge.s2mReceived", lambda: self.m2s_sent)
         stats.add("bridge.txBytes", lambda: (
             header * self.m2s_sent + LINE_BYTES * self._device_total("writes")))
         stats.add("bridge.rxBytes", lambda: (

@@ -17,13 +17,12 @@ import multiprocessing
 import os
 import sys
 import tempfile
-from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 from . import config as cfgmod
 from .config import ConfigError, merge_config, preset
 from .host import SimFault
-from .stats import RunReport
+from .stats import RunReport, config_digest
 
 TABLE5_ROWS = [
     ("Aggregate QPS", "workload", "aggregateQps"),
@@ -68,9 +67,8 @@ def render_csv(columns: Sequence[str], rows: Sequence[tuple]) -> str:
     return buf.getvalue()
 
 
-def _resolve_config(args) -> Tuple[dict, SimpleNamespace]:
-    """Merge preset and config file (file wins) and check the result once;
-    returns the config and its checked view.
+def _resolve_config(args) -> dict:
+    """Merge preset and config file (file wins).
 
     A config file used together with --preset may be partial; it is only
     validated after the merge.
@@ -85,17 +83,19 @@ def _resolve_config(args) -> Tuple[dict, SimpleNamespace]:
         raise ConfigError("provide --config and/or --preset")
     if args.seed is not None and isinstance(cfg, dict):
         cfg["seed"] = args.seed
-    return cfg, cfgmod.check_config(cfg)
+    return cfg
 
 
-def run_one(cfg: dict, out_dir: str,
-            checked: Optional[SimpleNamespace] = None) -> RunReport:
-    """Run `cfg` and write its output files to `out_dir`; `checked` is
-    its checked view when the caller has one."""
-    checked = cfgmod.check_config(cfg) if checked is None else checked
-    result = cfgmod.run_workload(cfg, checked)
-    summary = dict(result.summary, label=checked.label)
-    report = result.system.snapshot(summary)
+def run_one(cfg: dict, out_dir: str) -> RunReport:
+    """Check `cfg`, create `out_dir`, run the checked view and write the
+    output files there.  Below the parser only this function holds the
+    raw config, which the report's digest hashes."""
+    c = cfgmod.check_config(cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    result = cfgmod.run_workload(c)
+    report = RunReport(config_digest=config_digest(cfg), seed=c.seed,
+                       stats=result.system.stats.flatten(),
+                       workload=dict(result.summary, label=c.label))
     atomic_write(os.path.join(out_dir, "report.json"), report.to_json() + "\n")
     atomic_write(os.path.join(out_dir, "curve.csv"),
                  render_csv(result.columns, result.rows))
@@ -105,9 +105,7 @@ def run_one(cfg: dict, out_dir: str,
 
 
 def cmd_run(args) -> int:
-    cfg, checked = _resolve_config(args)
-    os.makedirs(args.out, exist_ok=True)
-    run_one(cfg, args.out, checked)
+    run_one(_resolve_config(args), args.out)
     print(f"wrote {os.path.join(args.out, 'report.json')}")
     return 0
 
@@ -154,11 +152,9 @@ def _parse_grid(grid: str) -> List:
     return values
 
 
-def _sweep_worker(payload: Tuple[str, SimpleNamespace, str]
-                  ) -> Tuple[str, dict]:
-    cfg_json, checked, out_dir = payload
-    report = run_one(json.loads(cfg_json), out_dir, checked)
-    return out_dir, report.workload
+def _sweep_worker(payload: Tuple[str, str]) -> Tuple[str, dict]:
+    cfg_json, out_dir = payload
+    return out_dir, run_one(json.loads(cfg_json), out_dir).workload
 
 
 def _threads() -> int:
@@ -173,7 +169,7 @@ def _threads() -> int:
 
 
 def cmd_sweep(args) -> int:
-    base, checked = _resolve_config(args)
+    base = _resolve_config(args)
     current = _get_by_path(base, args.param)
     if isinstance(current, bool) or not isinstance(current, (int, float)):
         raise ConfigError(f"sweep param {args.param!r} is not numeric "
@@ -184,10 +180,10 @@ def cmd_sweep(args) -> int:
     for i, value in enumerate(values):
         cfg = copy.deepcopy(base)
         _set_by_path(cfg, args.param, value)
-        cfg["label"] = f"{checked.label}@{args.param}={value}"
-        point_dir = os.path.join(args.out, f"point_{i:03d}_{value}")
+        label = cfgmod.check_config(cfg).label
+        cfg["label"] = f"{label}@{args.param}={value}"
         jobs.append((json.dumps(cfg, sort_keys=True),
-                     cfgmod.check_config(cfg), point_dir))
+                     os.path.join(args.out, f"point_{i:03d}_{value}")))
     os.makedirs(args.out, exist_ok=True)
 
     threads = min(_threads(), len(jobs))
@@ -323,7 +319,7 @@ def cmd_presets(args) -> int:
     if args.name:
         print(json.dumps(preset(args.name), indent=2, sort_keys=True))
     else:
-        for name in cfgmod.preset_names():
+        for name in cfgmod.PRESETS:
             print(name)
     return 0
 

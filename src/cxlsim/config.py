@@ -25,14 +25,15 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .engine import TICKS_PER_NS, Engine, ns_to_ticks
 from .stats import StatsRegistry
-from .host import (LINE_BYTES, AddressMap, Cache, HostPath, LocalMemory,
-                   MemBus, Target)
+from .host import (LINE_BYTES, AddressFault, AddressMap, Cache, HostPath,
+                   LocalMemory, MemBus, Target)
 from .bridge import CxlBridge
 from .device import MemExpander, enumerate_expander
 from .media import CoarseDram, QueuedDdr
@@ -96,7 +97,13 @@ def _list_of(kinds, pred):
 _count = lambda default=REQUIRED: (int, _POS, "must be > 0", default)
 _warm = lambda default: (int, _NONNEG, "must be >= 0", default)
 _fraction = lambda default: (NUM, _IN_UNIT, "must lie in [0, 1]", default)
-_NS = (NUM, _NONNEG, "must be >= 0", REQUIRED)
+# Whether `ns` nanoseconds come to a tick count a float can hold; a
+# latency must, as build_system converts it to ticks.
+_finite_ticks = lambda ns: math.isfinite(ns * float(TICKS_PER_NS))
+_NS = (NUM, lambda v: v >= 0 and _finite_ticks(v),
+       "must be >= 0 and give a finite tick count", REQUIRED)
+_US = (NUM, lambda v: v > 0 and _finite_ticks(v * 1000.0),
+       "must be > 0 and give a finite tick count", REQUIRED)
 _RATE = (NUM, _POS, "must be > 0", REQUIRED)
 # latency_sweep and kv_proxy drive only the first injector.
 _ONE_INJECTOR = (int, lambda v: v == 1, "must be 1: the workload drives one "
@@ -133,8 +140,11 @@ _WORKLOADS: Dict[str, dict] = {
         "read_fractions": (list, _list_of(NUM, _IN_UNIT),
                            "must be a non-empty list of numbers in [0, 1]",
                            [round(0.5 + 0.025 * i, 3) for i in range(21)]),
-        "rates_bytes_per_ns": (list, _list_of(NUM, _POS),
-                               "must be a non-empty list of numbers > 0", [64.0]),
+        "rates_bytes_per_ns": (
+            list, _list_of(NUM, lambda v: v > 0 and math.isfinite(
+                LINE_BYTES * TICKS_PER_NS / v)),
+            "must be a non-empty list of numbers > 0 that give a finite "
+            "tick count between lines", [64.0]),
         "footprint_mb": _count(64),
         "ops": _count(6000),
         "warm_ops": _warm(500),
@@ -178,7 +188,8 @@ _CACHE_LEVEL = {
     "capacity_kb": _count(),
     "assoc": _count(),
     # In ticks, as the cache uses it.
-    "hit_latency_ns": (NUM, lambda v: ns_to_ticks(v) > 0,
+    "hit_latency_ns": (NUM, lambda v: _finite_ticks(v)
+                       and ns_to_ticks(v) > 0,
                        "must round to at least one 1 ps tick", REQUIRED),
 }
 
@@ -197,7 +208,9 @@ SCHEMA = {
     "label": (str, None, "", "run"),
     "seed": _warm(REQUIRED),
     "host": {
-        "core_freq_ghz": _RATE,
+        "core_freq_ghz": (NUM, lambda v: 0 < v <= TICKS_PER_NS,
+                          f"must lie in (0, {TICKS_PER_NS}]: a core cycle of "
+                          "at least one 1 ps tick", REQUIRED),
         "host_path_lat_ns": _NS,
         "local_dram_mb": _count(),
         "injectors": {"count": _count(), "lsq_depth": _count(),
@@ -225,7 +238,7 @@ SCHEMA = {
             **_DEVICE,
             "ssd": {"page_bytes": (int, lambda v: v >= 64 and _POW2(v),
                                    "must be a power of two >= 64", REQUIRED),
-                    "read_latency_us": _RATE, "write_latency_us": _RATE,
+                    "read_latency_us": _US, "write_latency_us": _US,
                     "channels": _count()},
             # capacity_kb and policy are required when the cache is enabled.
             "cache": Opt({"enabled": (bool, None, "", True),
@@ -244,9 +257,9 @@ def _check_value(value, path: str, kind, check=None, what: str = ""):
         kinds = kind if isinstance(kind, tuple) else (kind,)
         names = "/".join(k.__name__ for k in kinds)
         raise ConfigError(f"{path}: expected {names}, got {type(value).__name__}")
-    # json.load accepts Infinity and NaN.
+    # json.load accepts Infinity and NaN, and ints that no float can hold.
     for x in value if isinstance(value, list) else (value,):
-        if isinstance(x, float) and not math.isfinite(x):
+        if isinstance(x, NUM) and not abs(x) <= sys.float_info.max:
             raise ConfigError(f"{path}: must be finite (got {value!r})")
     if check is not None and not check(value):
         raise ConfigError(f"{path}: {what} (got {value!r})")
@@ -317,8 +330,29 @@ def _check_rules(c: SimpleNamespace) -> None:
         fail("host.host_path_lat_ns", "must cover the summed cache hit "
              f"latencies ({lookup / TICKS_PER_NS:g} ns)")
 
-    if c.devices and c.bridge is None:
+    # The host physical map as build_system lays it out: local memory at 0,
+    # then each HDM window size-aligned above the ranges before it.
+    space = AddressMap()
+    for field, mb in [("host.local_dram_mb", host.local_dram_mb)] + [
+            (f"devices[{i}].hdm_size_mb", dev.hdm_size_mb)
+            for i, dev in enumerate(c.devices)]:
+        try:
+            base = space.allocate_above(mb * MB)
+        except AddressFault:
+            fail(field, "must fit below 2**64 B of physical address space")
+        space.add_range(base, base + mb * MB, Target.BRIDGE)
+
+    b = c.bridge
+    if c.devices and b is None:
         fail("bridge", "required field missing")
+    if b is not None:
+        largest = b.msg_header_bytes + LINE_BYTES     # a read's response
+        if not _finite_ticks(largest):
+            fail("bridge.msg_header_bytes", "must give a finite tick count")
+        for name in ("link_bytes_per_ns_tx", "link_bytes_per_ns_rx"):
+            if not math.isfinite(largest * TICKS_PER_NS / getattr(b, name)):
+                fail(f"bridge.{name}", "must give a finite tick count for "
+                     f"the largest message ({largest} B)")
     ssds = [i for i, dev in enumerate(c.devices) if dev.medium == "ssd"]
     if len(ssds) > 1:
         # The SSD and device-cache stats have one fixed name each.
@@ -359,7 +393,7 @@ def _check_rules(c: SimpleNamespace) -> None:
         if p.placement in ("hdm", "interleave"):
             fail("workload.placement", f"{p.placement} needs a CXL device "
                  "(config.devices is empty)")
-        if c.bridge is not None:
+        if b is not None:
             fail("bridge", "must be left out when config.devices is empty "
                  "(no device sits behind a bridge)")
 
@@ -374,12 +408,15 @@ def check_config(cfg) -> SimpleNamespace:
 
 def read_json(path: str):
     """The JSON document in the file `path`; a syntax error is a
-    ConfigError naming its line and column."""
+    ConfigError naming its line and column, and text that is not UTF-8 a
+    ConfigError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def merge_config(base: dict, override: dict) -> dict:
@@ -494,10 +531,6 @@ def preset(name: str) -> dict:
     return PRESETS[name]()
 
 
-def preset_names() -> List[str]:
-    return list(PRESETS)
-
-
 # -- topology assembly -----------------------------------------------------------
 
 
@@ -532,11 +565,8 @@ def _build_device_medium(engine: Engine, dev: SimpleNamespace, stats,
                            prefetcher)
 
 
-def build_system(cfg: dict,
-                 checked: Optional[SimpleNamespace] = None) -> System:
-    """Construct a fresh simulated topology from a config; `checked` is
-    its checked view when the caller has one."""
-    c = check_config(cfg) if checked is None else checked
+def build_system(c: SimpleNamespace) -> System:
+    """Construct a fresh simulated topology from a checked config view."""
     engine = Engine()
     stats = StatsRegistry()
     hostc = c.host
@@ -588,44 +618,45 @@ def build_system(cfg: dict,
                                        size=rng.limit - rng.base))
 
     # At drain, every packet the bus routed to the bridge was sent on.
-    stats.formula("membus.toBridge", {"bridge.m2sSent": 1} if bridge else {})
+    stats.add("membus.toBridge", lambda: bridge.m2s_sent if bridge else 0)
     return System(engine=engine, stats=stats, addr_map=addr_map, membus=membus,
                   host=host, bridge=bridge, devices=devices,
                   numa_nodes=numa_nodes, hdm_allocators=allocators,
-                  config=cfg, seed=c.seed)
+                  seed=c.seed)
 
 
 # -- workload dispatch ------------------------------------------------------------
 
 
-def _placement_policy(choice: Optional[str], has_devices: bool) -> Policy:
-    choice = choice or ("hdm" if has_devices else "local")
-    if choice == "local":
-        return Policy.bind(0)
-    if choice == "hdm":
-        return Policy.bind(1)
-    return Policy.interleave((0, 1), (0.5, 0.5))
+def _placement_policy(choice: Optional[str],
+                      device_nodes: Sequence[int]) -> Policy:
+    """Local binds node 0; hdm spreads pages evenly over the device nodes,
+    and interleave over node 0 and the device nodes."""
+    choice = choice or ("hdm" if device_nodes else "local")
+    nodes = {"local": (0,), "hdm": tuple(device_nodes),
+             "interleave": (0, *device_nodes)}[choice]
+    if len(nodes) == 1:
+        return Policy.bind(nodes[0])
+    return Policy.interleave(nodes, [1 / len(nodes)] * len(nodes))
 
 
-def run_workload(cfg: dict, checked: Optional[SimpleNamespace] = None
-                 ) -> wl.WorkloadResult:
-    """Build the topology and run the configured workload to quiesce.
+def run_workload(c: SimpleNamespace) -> wl.WorkloadResult:
+    """Build the topology from the checked config view `c` and run the
+    configured workload to quiesce.
 
-    The whole config, workload block included, is checked before any
-    engine is built, unless the caller passes its checked view.  A
-    footprint that does not fit the memory it is placed in is a
-    ConfigError too, raised when the workload places it.
+    A footprint that does not fit the memory it is placed in is a
+    ConfigError, raised when the workload places it.
     """
-    c = check_config(cfg) if checked is None else checked
     params = c.workload
     kind = params.kind
+    # build_system numbers device i's NUMA node i + 1.
     placement = _placement_policy(getattr(params, "placement", None),
-                                  bool(c.devices))
+                                  range(1, len(c.devices) + 1))
     try:
         if kind == "rdwr_sweep":
-            return wl.run_rdwr_sweep(lambda: build_system(cfg, c), params,
+            return wl.run_rdwr_sweep(lambda: build_system(c), params,
                                      placement)
-        system = build_system(cfg, c)
+        system = build_system(c)
         if kind == "latency_sweep":
             return wl.run_latency_sweep(system, params, placement)
         if kind == "stream":

@@ -9,8 +9,7 @@ reentrancy guard asserts the single-owner contract.
 
 The kernel-managed (KM) side is a pure placement function: given a page
 count, a NUMA policy, and per-node capacities it returns the node chosen
-for every page (bind, preferred-with-spill, or deterministic weighted
-round-robin interleave).
+for every page (bind, or deterministic weighted round-robin interleave).
 """
 
 from __future__ import annotations
@@ -180,17 +179,13 @@ class NumaNode:
 
 @dataclass
 class Policy:
-    mode: str                              # bind | preferred | interleave
+    mode: str                              # bind | interleave
     nodes: Tuple[int, ...] = ()
     ratios: Tuple[float, ...] = ()
 
     @staticmethod
     def bind(node: int) -> "Policy":
         return Policy(mode="bind", nodes=(node,))
-
-    @staticmethod
-    def preferred(order: Sequence[int]) -> "Policy":
-        return Policy(mode="preferred", nodes=tuple(order))
 
     @staticmethod
     def interleave(nodes: Sequence[int], ratios: Sequence[float]) -> "Policy":
@@ -210,8 +205,8 @@ def km_place(pages: int, policy: Policy,
              capacities: Dict[int, int]) -> List[int]:
     """Assign a node id to each page; pure and deterministic.
 
-    Bind fails on exhaustion, preferred spills down the preference order,
-    interleave is a largest-remaining-quota weighted round-robin.
+    Bind fails on exhaustion; interleave is a largest-remaining-quota
+    weighted round-robin.
     """
     if pages < 0:
         raise ValueError("pages must be >= 0")
@@ -222,15 +217,6 @@ def km_place(pages: int, policy: Policy,
         if remaining.get(node, 0) < pages:
             raise PlacementError(f"node {node} cannot hold {pages} pages")
         return [node] * pages
-
-    if policy.mode == "preferred":
-        out: List[int] = []
-        for node in policy.nodes:
-            take = min(pages - len(out), remaining.get(node, 0))
-            out.extend([node] * take)
-            if len(out) == pages:
-                return out
-        raise PlacementError("preferred order exhausted before demand met")
 
     if policy.mode == "interleave":
         if sum(remaining.get(n, 0) for n in policy.nodes) < pages:

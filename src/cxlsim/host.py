@@ -137,7 +137,7 @@ class Cache:
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
         stats.counters(self, {f"{name}.hits": "hits",
                               f"{name}.misses": "misses"})
-        stats.formula(f"{name}.lookups", {f"{name}.hits": 1, f"{name}.misses": 1})
+        stats.add(f"{name}.lookups", lambda: self.hits + self.misses)
 
     def touch(self, line: int) -> bool:
         """Lookup; refreshes LRU order on a hit."""
@@ -149,15 +149,6 @@ class Cache:
             return True
         self.misses += 1
         return False
-
-    def contains(self, line: int) -> bool:
-        return line // self.num_sets in self._sets[line % self.num_sets]
-
-    def mark_dirty(self, line: int) -> None:
-        cset = self._sets[line % self.num_sets]
-        tag = line // self.num_sets
-        cset[tag] = True
-        cset.move_to_end(tag)
 
     def install(self, line: int, dirty: bool = False):
         """Insert a line; returns (victim_line, victim_dirty) when one is
@@ -283,7 +274,7 @@ class CacheHierarchy:
         for k, level in enumerate(self.levels):
             if level.touch(line):
                 if pkt.cmd is MemCmd.WRITE_REQ:
-                    level.mark_dirty(line)
+                    level.install(line, dirty=True)
                 pkt.level = k
                 self.engine.schedule(self._hit_lats[k], self._hit, pkt)
                 return
@@ -303,11 +294,7 @@ class CacheHierarchy:
         """Push a dirty victim down; past the last level it becomes a
         write-back packet to memory."""
         while idx < len(self.levels):
-            level = self.levels[idx]
-            if level.contains(line):
-                level.mark_dirty(line)
-                return
-            victim = level.install(line, dirty=True)
+            victim = self.levels[idx].install(line, dirty=True)
             if victim is None or not victim[1]:
                 return
             line = victim[0]
@@ -342,9 +329,11 @@ class CacheHierarchy:
         self._miss_lat.record(self.engine.now - fetch.issue_tick)
         line = fetch.addr // LINE_BYTES
         self._promote(len(self.levels) - 1, line)
+        # A reply cannot evict the line from L1: a hit it causes promotes in
+        # a later event, and a miss goes to the bus.
         for pkt in self._mshrs.pop(line):
             if pkt.cmd is MemCmd.WRITE_REQ:
-                self.levels[0].mark_dirty(line)
+                self.levels[0].install(line, dirty=True)
             pkt.reply(pkt)
 
 

@@ -8,15 +8,14 @@ with the congestion-study tables this package reproduces.
 Components count in plain attributes on the request path (`self.hits
 += 1`, a queue's peak kept beside its level) and register each name they
 report once, with a getter that reads it.  A total that follows from
-other stats is a formula over their names, evaluated at report time
-instead of counted per request.  The table is read only by `flatten`, so
+other counts is a getter too, which reads those counts at report time
+instead of counting per request.  The table is read only by `flatten`, so
 the one stats call left on the request path is Histogram.record, which
 appends the sample to a buffer.  The buffer folds every FOLD_AT samples
 and before any read, replaying them in arrival order through the
 per-sample update, so every read is bit for bit what that update gives.
-Registering a name twice, or a formula over a name never registered,
-fails when the table is built, so a typo cannot silently split or drop
-samples.
+Registering a name twice fails when the table is built, so a name clash
+cannot silently split samples.
 """
 
 from __future__ import annotations
@@ -179,16 +178,6 @@ class StatsRegistry:
         for name, attr in names.items():
             setattr(obj, attr, 0)
             self.add(name, partial(getattr, obj, attr))
-
-    def formula(self, name: str, terms: Dict[str, int]) -> None:
-        """Report `name` as the sum of coefficient x stat over `terms`, a
-        map from registered names to their coefficients (no terms: 0)."""
-        for operand in terms:
-            if operand not in self._getters:
-                raise StatError(f"formula {name!r} names {operand!r}, "
-                                "which was never registered")
-        parts = [(self._getters[operand], k) for operand, k in terms.items()]
-        self.add(name, lambda: sum(k * get() for get, k in parts))
 
     def histogram(self, name: str, edges: Sequence[float] = (0,)) -> Histogram:
         self._claim(name)

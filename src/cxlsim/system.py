@@ -3,8 +3,7 @@
 A System owns exactly one engine instance and all component state, so
 independent systems can run in parallel processes.  Construction happens
 in config.build_system; this module only holds the assembled object and
-cross-component helpers (page placement, app-managed HDM allocation,
-report snapshots).
+cross-component helpers (page placement, app-managed HDM allocation).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from itertools import groupby
 from typing import Dict, List, Optional
 
 from .engine import Engine
-from .stats import RunReport, StatsRegistry, config_digest
+from .stats import StatsRegistry
 from .host import AddressMap, HostPath, MemBus
 from .bridge import CxlBridge
 from .device import MemExpander
@@ -32,13 +31,8 @@ class System:
     devices: List[MemExpander]
     numa_nodes: List[NumaNode]
     hdm_allocators: List[HdmAllocator]
-    config: dict
     seed: int
     _page_cursor: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def injectors(self):
-        return self.host.injectors
 
     def place_pages(self, count: int, policy: Policy) -> List[int]:
         """Assign physical page base addresses according to a NUMA policy.
@@ -63,9 +57,3 @@ class System:
         """App-managed HDM allocation; returns a host physical address."""
         offset = self.hdm_allocators[device_index].alloc(pid, size)
         return self.devices[device_index].bar.base + offset
-
-    def snapshot(self, workload: Optional[dict] = None) -> RunReport:
-        return RunReport(config_digest=config_digest(self.config),
-                         seed=self.seed,
-                         stats=self.stats.flatten(),
-                         workload=workload or {})

@@ -138,7 +138,7 @@ class _Chase:
 
 def run_latency_sweep(system: System, params: SimpleNamespace,
                       placement: Policy) -> WorkloadResult:
-    injector = system.injectors[0]
+    injector = system.host.injectors[0]
     engine = system.engine
     l3_capacity = system.host.hierarchy.levels[-1].capacity
     rows: List[tuple] = []
@@ -240,9 +240,9 @@ def run_stream(system: System, params: SimpleNamespace,
     window = _Window(engine, params.warm_groups * ops_per_group, total_ops)
     ops = ([(MemCmd.READ_REQ, arrays[name]) for name in reads]
            + [(MemCmd.WRITE_REQ, arrays[name]) for name in writes])
-    feeder = _StreamFeeder(system.injectors, params.groups, ops,
+    feeder = _StreamFeeder(system.host.injectors, params.groups, ops,
                            window.complete)
-    for inj_index in range(len(system.injectors)):
+    for inj_index in range(len(system.host.injectors)):
         engine.schedule(0, feeder.feed, inj_index)
     engine.run()
 
@@ -297,7 +297,7 @@ class _OpenLoop(_Window):
     def __init__(self, system: System, region: _PagedRegion,
                  read_fraction: float, seed: int, warm_ops: int, ops: int):
         _Window.__init__(self, system.engine, warm_ops, ops)
-        self.injectors = system.injectors
+        self.injectors = system.host.injectors
         self.region = region
         self.read_fraction = read_fraction
         self.rng = random.Random(seed)
@@ -346,7 +346,7 @@ class _Queries:
 
     def __init__(self, system: System, k: int, region: _PagedRegion,
                  params: SimpleNamespace):
-        self.injector = system.injectors[k]
+        self.injector = system.host.injectors[k]
         self.rng = random.Random(_derive_seed(system.seed, "dlrm", k))
         self.region = region
         self.left = params.queries_per_injector
@@ -374,7 +374,7 @@ def run_dlrm_proxy(system: System, params: SimpleNamespace,
                    placement: Policy) -> WorkloadResult:
     region = _PagedRegion(system, params.footprint_mb * MB, placement)
     queries = [_Queries(system, k, region, params)
-               for k in range(len(system.injectors))]
+               for k in range(len(system.host.injectors))]
     for q in queries:
         system.engine.schedule(0, q.next_query)
     system.engine.run()
@@ -410,7 +410,7 @@ def run_kv_proxy(system: System, params: SimpleNamespace) -> WorkloadResult:
     window = _Window(engine, params.warm_ops, params.ops)
     on_complete = window.complete   # one bound method for every request
     frontier = 0
-    injector = system.injectors[0]
+    injector = system.host.injectors[0]
     for _ in range(params.ops):
         if rng.random() < params.put_fraction:
             line = frontier % total_lines

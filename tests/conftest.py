@@ -1,5 +1,3 @@
-import copy
-
 import pytest
 
 from cxlsim.config import build_system, check_config, merge_config, preset
@@ -33,4 +31,4 @@ def tiny_cache_patch() -> dict:
 
 
 def build(cfg: dict):
-    return build_system(copy.deepcopy(cfg))
+    return build_system(check_config(cfg))

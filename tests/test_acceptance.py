@@ -33,7 +33,7 @@ def run(preset_name: str, workload: dict, patch: dict | None = None):
     if patch:
         cfg = merge_config(cfg, patch)
     cfg = merge_config(cfg, {"workload": workload})
-    return run_workload(cfg, check_config(cfg))
+    return run_workload(check_config(cfg))
 
 
 # -- shared simulations ----------------------------------------------------------

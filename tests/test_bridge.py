@@ -340,7 +340,7 @@ def run_crossing(medium, devices, bridge, injectors, lsq_depth, trace,
 
     def issue(inj, write, cacheable, dev, line):
         cmd = MemCmd.WRITE_REQ if write else MemCmd.READ_REQ
-        system.injectors[inj].issue(
+        system.host.injectors[inj].issue(
             cmd, system.devices[dev].bar.base + line * LINE_BYTES,
             cacheable=cacheable,
             on_complete=lambda p: done.__setitem__(p.id, system.engine.now))

@@ -7,7 +7,7 @@ import pytest
 
 from cxlsim import cli
 from cxlsim.config import (ConfigError, build_system, check_config,
-                           merge_config, preset, preset_names)
+                           PRESETS, merge_config, preset)
 from cxlsim.ssd import SsdCachedMedium
 
 
@@ -65,7 +65,7 @@ class TestValidation:
     def test_cache_block_without_enabled_builds_cached_medium(self):
         cfg = preset("cxl-ssd")
         cfg["devices"][0]["cache"] = {"capacity_kb": 1024, "policy": "lru"}
-        medium = build_system(cfg).devices[0].medium
+        medium = build_system(check_config(cfg)).devices[0].medium
         assert isinstance(medium, SsdCachedMedium)
         assert medium.capacity == 1024 * 1024
         assert medium.prefetcher is not None
@@ -80,7 +80,7 @@ class TestValidation:
             check_config(cfg)
 
     def test_all_presets_validate(self):
-        for name in preset_names():
+        for name in PRESETS:
             check_config(preset(name))
 
     def test_round_trip_is_identity(self):
@@ -99,7 +99,7 @@ class TestValidation:
         assert cfg["workload"]["samples"] == 5
         assert cfg["workload"]["kind"] == "latency_sweep"
 
-    @pytest.mark.parametrize("name", preset_names())
+    @pytest.mark.parametrize("name", list(PRESETS))
     def test_misplaced_field_rejected_naming_its_path(self, name):
         # An unknown key in every object of the preset.
         for i, (_, path) in enumerate(objects(preset(name), "config")):
@@ -170,6 +170,35 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
 TINY_WORKLOAD = {"workload": {"kind": "latency_sweep", "array_kb": [16],
                               "samples": 50, "placement": "local"}}
 
+# Values within each field's own range that used to end in an
+# OverflowError traceback, a NaN in report.json or exit 3 once the engine
+# was built: each must give finite ticks, and the address map must fit.
+UNRUNNABLE = [
+    ({"host": {"host_path_lat_ns": 1e306}}, "config.host.host_path_lat_ns"),
+    ({"host": {"caches": {"l1": {"hit_latency_ns": 1e306}}}},
+     "config.host.caches.l1.hit_latency_ns"),
+    ({"host": {"injectors": {"think_time_ns": 1e306}}},
+     "config.host.injectors.think_time_ns"),
+    ({"devices": [dict(preset("cxl-dmsim-a")["devices"][0],
+                       device_proto_proc_lat_ns=1e306)]},
+     "config.devices[0].device_proto_proc_lat_ns"),
+    ({"devices": [ssd_device(ssd={"read_latency_us": 1e304})]},
+     "config.devices[0].ssd.read_latency_us"),
+    ({"bridge": {"link_bytes_per_ns_tx": 5e-324}},
+     "config.bridge.link_bytes_per_ns_tx"),
+    ({"workload": {"kind": "rdwr_sweep", "read_fractions": [1.0],
+                   "rates_bytes_per_ns": [5e-324], "ops": 600,
+                   "warm_ops": 100, "placement": "hdm"}},
+     "config.workload.rates_bytes_per_ns"),
+    ({"bridge": {"msg_header_bytes": 10**400}},
+     "config.bridge.msg_header_bytes"),
+    ({"host": {"core_freq_ghz": 1e308}}, "config.host.core_freq_ghz"),
+    ({"devices": [dict(preset("cxl-dmsim-a")["devices"][0],
+                       hdm_size_mb=2**44)]},
+     "config.devices[0].hdm_size_mb"),
+    ({"host": {"local_dram_mb": 2**45}}, "config.host.local_dram_mb"),
+]
+
 
 class TestCli:
     def test_run_writes_report_and_curve(self, tmp_path):
@@ -236,6 +265,15 @@ class TestCli:
         rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert ":3:" in capsys.readouterr().err
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{path}: not UTF-8" in err
+        assert "Traceback" not in err
 
     def test_missing_config_and_preset(self, capsys):
         rc = cli.main(["run", "--out", "/tmp/nowhere"])
@@ -518,6 +556,7 @@ class TestCli:
         # end in a StatError traceback
         ({"devices": [ssd_device(), ssd_device()]},
          "config.devices[1].medium"),
+        *UNRUNNABLE,
     ])
     def test_run_rejects_bad_field_with_exit_2(self, tmp_path, capsys,
                                                overlay, field):
@@ -529,6 +568,12 @@ class TestCli:
         assert field in err
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("overlay, field", UNRUNNABLE)
+    def test_unrunnable_value_is_rejected_by_the_check(self, overlay, field):
+        # check_config builds no engine.
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            check_config(merge_config(preset("cxl-dmsim-a"), overlay))
 
     @pytest.mark.parametrize("command", [
         ["run"], ["sweep", "--param", "seed", "--grid", "1"]],

@@ -150,8 +150,9 @@ def test_fpga_vs_asic_end_to_end_gap_is_twice_proto_delta():
         system = build(cfg)
         done = []
         addr = system.devices[0].bar.base
-        system.injectors[0].issue(MemCmd.READ_REQ, addr, cacheable=False,
-                                  on_complete=lambda p: done.append(system.engine.now))
+        system.host.injectors[0].issue(
+            MemCmd.READ_REQ, addr, cacheable=False,
+            on_complete=lambda p: done.append(system.engine.now))
         system.engine.run()
         return done[0]
 
@@ -162,9 +163,9 @@ def test_fpga_vs_asic_end_to_end_gap_is_twice_proto_delta():
 def test_idle_uncached_read_fires_three_events(asic_cfg):
     system = build(asic_cfg)
     done = []
-    system.injectors[0].issue(MemCmd.READ_REQ, system.devices[0].bar.base,
-                              cacheable=False,
-                              on_complete=lambda p: done.append(system.engine.now))
+    system.host.injectors[0].issue(
+        MemCmd.READ_REQ, system.devices[0].bar.base, cacheable=False,
+        on_complete=lambda p: done.append(system.engine.now))
     system.engine.run()
     # host path, device service, response conversion; the request
     # conversion, the link channels and the medium fire none of their own

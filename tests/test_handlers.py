@@ -110,7 +110,7 @@ def test_workload_hands_over_no_closure(handed, case):
     if device is not None:
         cfg["devices"] = [device]
     cfg = config.merge_config(cfg, {"workload": workload})
-    config.run_workload(cfg)
+    config.run_workload(config.check_config(cfg))
     for key in ALWAYS:
         assert handed[key], key
     assert bool(handed["CacheHierarchy.access"]) == (
@@ -124,15 +124,17 @@ def test_workload_hands_over_no_closure(handed, case):
 
 def test_two_devices_hand_over_no_closure(handed):
     devices = [preset("cxl-dmsim-a")["devices"][0], _ssd(True)]
-    system = config.build_system(patched_preset("cxl-dmsim-a", {
-        "devices": copy.deepcopy(devices),
-        "host": {"injectors": {"think_time_ns": 2.0}},
-        "workload": {"kind": "dlrm_proxy", "injectors": 4, "lsq_depth": 2}}))
+    system = config.build_system(config.check_config(patched_preset(
+        "cxl-dmsim-a", {
+            "devices": copy.deepcopy(devices),
+            "host": {"injectors": {"think_time_ns": 2.0}},
+            "workload": {"kind": "dlrm_proxy", "injectors": 4,
+                         "lsq_depth": 2}})))
     rnd = random.Random(3)
     for _ in range(300):
         dev = system.devices[rnd.randrange(2)]
         cmd = MemCmd.WRITE_REQ if rnd.random() < 0.4 else MemCmd.READ_REQ
-        system.injectors[rnd.randrange(4)].issue(
+        system.host.injectors[rnd.randrange(4)].issue(
             cmd, dev.bar.base + rnd.randrange(512) * LINE_BYTES,
             cacheable=rnd.random() < 0.5)
     system.engine.run()

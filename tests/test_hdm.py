@@ -131,11 +131,6 @@ class TestKmPlace:
         out = km_place(4, policy, {0: 100, 1: 100})
         assert out == [0, 1, 0, 1]
 
-    def test_preferred_spills_in_order(self):
-        policy = Policy.preferred([0, 1])
-        out = km_place(5, policy, {0: 2, 1: 100})
-        assert out == [0, 0, 1, 1, 1]
-
     def test_weighted_interleave_75_25(self):
         policy = Policy.interleave([0, 1], [0.75, 0.25])
         out = km_place(8, policy, {0: 100, 1: 100})
@@ -145,10 +140,6 @@ class TestKmPlace:
     def test_bind_fails_on_exhaustion(self):
         with pytest.raises(PlacementError):
             km_place(5, Policy.bind(0), {0: 4})
-
-    def test_preferred_fails_when_all_exhausted(self):
-        with pytest.raises(PlacementError):
-            km_place(10, Policy.preferred([0, 1]), {0: 4, 1: 4})
 
     def test_ratios_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -189,7 +180,6 @@ def small_numa_system(node_pages):
 
 POLICIES = st.one_of(
     st.sampled_from([0, 1, 2]).map(Policy.bind),
-    st.permutations([0, 1, 2]).map(lambda order: Policy.preferred(order[:2])),
     st.sampled_from([((0, 1), (0.5, 0.5)), ((0, 2), (0.75, 0.25)),
                      ((0, 1, 2), (0.5, 0.3, 0.2))]).map(
         lambda spec: Policy.interleave(*spec)))

@@ -10,7 +10,7 @@ from conftest import build, patched_preset, tiny_cache_patch
 from cxlsim import cli
 from cxlsim.host import (AddressFault, AddressMap, Cache, CacheHierarchy,
                          LINE_BYTES, MemCmd, MemPacket, Target)
-from cxlsim.config import merge_config, preset, run_workload
+from cxlsim.config import check_config, merge_config, preset, run_workload
 from cxlsim.engine import ns_to_ticks
 from cxlsim.hdm import PAGE_BYTES, Policy
 from cxlsim.stats import StatsRegistry
@@ -63,7 +63,7 @@ class TestCache:
         cache.touch(0)                       # refresh line 0
         victim = cache.install(100)          # evicts LRU (line 1)
         assert victim == (1, False)
-        assert cache.contains(0)
+        assert cache.touch(0)
 
     def test_victim_address_reconstruction(self):
         cache = self.make(capacity=2 * 64 * 8, assoc=2)  # 8 sets
@@ -72,6 +72,14 @@ class TestCache:
         cache.install(3 + 8 * 7)
         victim = cache.install(3 + 8 * 9)
         assert victim == (line, False)
+
+    def test_install_of_present_line_marks_it_dirty_and_most_recent(self):
+        cache = self.make(capacity=2 * 64, assoc=2)   # one set
+        cache.install(0)
+        cache.install(1)
+        assert cache.install(0, dirty=True) is None
+        assert cache.install(2) == (1, False)        # 0 became most recent
+        assert cache.install(3) == (0, True)
 
     def test_dirty_travels_with_victim(self):
         cache = self.make(capacity=1 * 64, assoc=1)
@@ -183,7 +191,7 @@ class StaggeredHierarchy(CacheHierarchy):
             line = pkt.addr // LINE_BYTES
             if level.touch(line):
                 if pkt.cmd is MemCmd.WRITE_REQ:
-                    level.mark_dirty(line)
+                    level.install(line, dirty=True)
                 if idx > 0:
                     self._promote(idx - 1, line)
                 pkt.reply(pkt)
@@ -223,7 +231,7 @@ def run_trace(preset_name, caches, injectors, lsq_depth, trace,
 
     def issue(inj, write, line):
         cmd = MemCmd.WRITE_REQ if write else MemCmd.READ_REQ
-        system.injectors[inj].issue(
+        system.host.injectors[inj].issue(
             cmd, base + line * LINE_BYTES,
             on_complete=lambda p: done.__setitem__(p.id, system.engine.now))
 
@@ -277,7 +285,7 @@ def test_lsq_capacity_one_blocks_second_issue():
         "kind": "latency_sweep", "array_kb": [16], "samples": 1,
         "placement": "local", "injectors": 1, "lsq_depth": 1}})
     system = build(cfg)
-    inj = system.injectors[0]
+    inj = system.host.injectors[0]
     done = []
     inj.issue(MemCmd.READ_REQ, 0, cacheable=False,
               on_complete=lambda p: done.append(system.engine.now))
@@ -290,7 +298,7 @@ def test_lsq_capacity_one_blocks_second_issue():
 
 def test_local_read_never_reaches_bridge(asic_cfg):
     system = build(asic_cfg)
-    inj = system.injectors[0]
+    inj = system.host.injectors[0]
     for i in range(8):
         inj.issue(MemCmd.READ_REQ, i * 64, cacheable=False)
     system.engine.run()
@@ -300,7 +308,7 @@ def test_local_read_never_reaches_bridge(asic_cfg):
 
 def test_mixed_stream_bridge_sees_exactly_hdm_half(asic_cfg):
     system = build(asic_cfg)
-    inj = system.injectors[0]
+    inj = system.host.injectors[0]
     hdm_base = system.devices[0].bar.base
     for i in range(50):
         inj.issue(MemCmd.READ_REQ, i * 64, cacheable=False)
@@ -315,14 +323,14 @@ def test_mixed_stream_bridge_sees_exactly_hdm_half(asic_cfg):
 def test_unmapped_issue_faults(local_cfg, cacheable):
     system = build(local_cfg)
     with pytest.raises(AddressFault):
-        system.injectors[0].issue(MemCmd.READ_REQ, 1 << 60,
-                                  cacheable=cacheable)
+        system.host.injectors[0].issue(MemCmd.READ_REQ, 1 << 60,
+                                       cacheable=cacheable)
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_idle_miss_fires_three_events_and_a_hit_one(asic_cfg, level):
     system = build(asic_cfg)
-    engine, inj = system.engine, system.injectors[0]
+    engine, inj = system.engine, system.host.injectors[0]
     levels = system.host.hierarchy.levels
     line = system.devices[0].bar.base // LINE_BYTES
 
@@ -349,7 +357,7 @@ def test_chase_within_l1_steady_state_hits(local_cfg):
     cfg = dict(local_cfg)
     cfg["workload"] = {"kind": "latency_sweep", "array_kb": [16],
                        "samples": 2000, "placement": "local"}
-    result = run_workload(cfg)
+    result = run_workload(check_config(cfg))
     system = result.system
     lines = 16 * 1024 // 64
     # Only the cold pass misses; every measured access hits L1.
@@ -366,7 +374,7 @@ def test_random_working_set_4x_llc_hit_rate_bound():
     llc_capacity = 64 * 1024
     footprint_lines = 4 * llc_capacity // LINE_BYTES
     rng = random.Random(9)
-    inj = system.injectors[0]
+    inj = system.host.injectors[0]
     for _ in range(20000):
         inj.issue(MemCmd.READ_REQ, rng.randrange(footprint_lines) * LINE_BYTES)
     system.engine.run()
@@ -380,7 +388,7 @@ def test_per_level_hits_plus_misses_equal_lookups(local_cfg):
     cfg = dict(local_cfg)
     cfg["workload"] = {"kind": "latency_sweep", "array_kb": [16, 96],
                        "samples": 500, "placement": "local"}
-    system = run_workload(cfg).system
+    system = run_workload(check_config(cfg)).system
     for level in ("l1", "l2", "l3"):
         hits = system.stats.flatten()[f"{level}.hits"]
         misses = system.stats.flatten()[f"{level}.misses"]
@@ -392,7 +400,7 @@ def test_load_to_use_bounds(local_cfg):
     cfg = dict(local_cfg)
     cfg["workload"] = {"kind": "latency_sweep", "array_kb": [16],
                        "samples": 300, "placement": "local"}
-    system = run_workload(cfg).system
+    system = run_workload(check_config(cfg)).system
     flat = system.stats.flatten()
     # 1 ns L1 hit at 2.5 GHz = 2.5 cycles
     assert flat["core.loadToUse::min_value"] >= 2.5
@@ -404,7 +412,7 @@ def test_request_conservation_at_quiesce(asic_cfg):
     cfg["workload"] = {"kind": "dlrm_proxy", "injectors": 4,
                        "queries_per_injector": 8, "lookups_per_query": 4,
                        "footprint_mb": 1, "placement": "hdm"}
-    system = run_workload(cfg).system
+    system = run_workload(check_config(cfg)).system
     assert system.stats.flatten()["core.outstandingRequests"] == 0
     assert system.stats.flatten()["membus.writebacksInFlight"] == 0
     assert (system.stats.flatten()["bridge.m2sSent"]
@@ -416,7 +424,7 @@ def test_mshr_coalesces_same_line_misses(local_cfg):
     cfg["workload"] = {"kind": "latency_sweep", "array_kb": [16], "samples": 1,
                        "placement": "local", "injectors": 1, "lsq_depth": 4}
     system = build(cfg)
-    inj = system.injectors[0]
+    inj = system.host.injectors[0]
     done = []
     for _ in range(3):
         inj.issue(MemCmd.READ_REQ, 0x1000,

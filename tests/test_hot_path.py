@@ -19,7 +19,7 @@ import sys
 import pytest
 
 from cxlsim.bridge import CxlKind
-from cxlsim.config import merge_config, preset, run_workload
+from cxlsim.config import check_config, merge_config, preset, run_workload
 from cxlsim.engine import Engine
 from cxlsim.host import Injector, MemCmd, Target
 
@@ -38,7 +38,7 @@ CASES = {
         "placement": "hdm"}}, 656, 21048),
     "stream": ("cxl-dmsim-a", {"workload": {
         "kind": "stream", "kernel": "triad", "groups": 300,
-        "warm_groups": 30, "placement": "hdm"}}, 900, 42336),
+        "warm_groups": 30, "placement": "hdm"}}, 900, 42228),
     "rdwr_sweep": ("cxl-dmsim-a", {"workload": {
         "kind": "rdwr_sweep", "read_fractions": [0.5, 1.0], "ops": 400,
         "warm_ops": 50, "placement": "hdm"}}, 800, 24618),
@@ -90,7 +90,7 @@ def test_request_path_calls_no_builtin_extreme_and_few_functions(
 
     monkeypatch.setattr(Engine, "run", profiled_run)
     monkeypatch.setattr(Injector, "issue", counted_issue)
-    run_workload(merge_config(preset(base), overlay))
+    run_workload(check_config(merge_config(preset(base), overlay)))
     assert {caller for _, caller in extremes} <= {"Histogram._fold"}
     assert issued == requests
     assert calls <= pinned_calls, (

@@ -1,0 +1,62 @@
+"""No public API that only tests call.
+
+Every public function or method defined in src/cxlsim must be referenced
+by name somewhere else in src/cxlsim, as a call, an attribute or a bare
+name.  A name kept for a reason outside the package is on ALLOWED with
+that reason.
+"""
+
+import ast
+from pathlib import Path
+
+import cxlsim
+
+SRC = Path(cxlsim.__file__).parent
+
+ALLOWED = {
+    "Histogram.percentile": "reports p50/p99 once histograms report tails",
+    "HdmAllocator.free": "the allocator property-suite criterion frees "
+                         "through it",
+    "HdmAllocator.check_invariants": "that suite's oracle",
+}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, bare name) of each public function and method."""
+    for node in tree.body:
+        owners = [(node.name + ".", node.body)] if isinstance(
+            node, ast.ClassDef) else [("", [node])]
+        for prefix, body in owners:
+            for item in body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield prefix + item.name, item.name
+
+
+def _references(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def unreferenced_public_names(src: Path = SRC):
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    referenced = {name for tree in trees.values()
+                  for name in _references(tree)}
+    return sorted(qualified for tree in trees.values()
+                  for qualified, name in _definitions(tree)
+                  if name not in referenced and qualified not in ALLOWED)
+
+
+def test_every_public_function_has_a_caller_in_src():
+    assert unreferenced_public_names() == []
+
+
+def test_every_allowed_name_still_exists():
+    defined = {qualified for path in SRC.glob("*.py")
+               for qualified, _ in _definitions(
+                   ast.parse(path.read_text(encoding="utf-8")))}
+    assert set(ALLOWED) <= defined

@@ -37,7 +37,7 @@ WORKLOADS = {
 }
 
 CASES = [pytest.param(name, kind, id=f"{name}-{kind}")
-         for name in config.preset_names() for kind in WORKLOADS
+         for name in config.PRESETS for kind in WORKLOADS
          if not (kind == "kv_proxy" and not preset(name)["devices"])]
 
 
@@ -106,7 +106,7 @@ def check_identities(system, counts):
 def test_derived_stats_match_outside_counts(counted, name, kind):
     cfg = config.merge_config(preset(name), {
         "workload": {"kind": kind, **WORKLOADS[kind]}})
-    run_workload(cfg)
+    run_workload(config.check_config(cfg))
     counts, systems = counted
     assert systems
     for system in systems:
@@ -124,14 +124,16 @@ def test_derived_stats_sum_over_two_devices(counted, second):
     first = preset("cxl-dmsim-a")["devices"][0]
     devices = [first, first if second == "dram"
                else preset("cxl-ssd")["devices"][0]]
-    system = config.build_system(patched_preset("cxl-dmsim-a", {
-        "devices": copy.deepcopy(devices),
-        "workload": {"kind": "dlrm_proxy", "injectors": 4, "lsq_depth": 4}}))
+    system = config.build_system(config.check_config(patched_preset(
+        "cxl-dmsim-a", {
+            "devices": copy.deepcopy(devices),
+            "workload": {"kind": "dlrm_proxy", "injectors": 4,
+                         "lsq_depth": 4}})))
     rnd = random.Random(5)
     for _ in range(400):
         dev = system.devices[rnd.randrange(2)]
         cmd = MemCmd.WRITE_REQ if rnd.random() < 0.4 else MemCmd.READ_REQ
-        system.injectors[rnd.randrange(4)].issue(
+        system.host.injectors[rnd.randrange(4)].issue(
             cmd, dev.bar.base + rnd.randrange(256) * LINE_BYTES,
             cacheable=rnd.random() < 0.5)
     system.engine.run()
@@ -175,8 +177,8 @@ def test_engine_run_enters_no_stats_function_but_histogram_record_and_fold(
             sys.setprofile(None)
 
     monkeypatch.setattr(Engine, "run", profiled_run)
-    result = run_workload(config.merge_config(preset(name),
-                                              {"workload": workload}))
+    result = run_workload(config.check_config(config.merge_config(
+        preset(name), {"workload": workload})))
     expected = {"Histogram.record"} | ({"Histogram._fold"} if folds else set())
     assert set(entered) == expected
     if folds:

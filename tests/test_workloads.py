@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import tiny_cache_patch
 
-from cxlsim.config import ConfigError, merge_config, preset, run_workload
+from cxlsim.config import (ConfigError, check_config, merge_config, preset,
+                           run_workload)
 from cxlsim.workloads import (STREAM_KERNELS, build_chase_cycle,
                               stream_bytes_per_group)
 
@@ -30,7 +31,7 @@ def test_add_kernel_read_byte_fraction_two_thirds():
     cfg = preset("local-ddr")
     cfg["workload"] = {"kind": "stream", "kernel": "add", "groups": 1200,
                        "warm_groups": 200, "placement": "local"}
-    result = run_workload(cfg)
+    result = run_workload(check_config(cfg))
     assert result.summary["read_byte_fraction"] == pytest.approx(2 / 3)
 
 
@@ -39,7 +40,7 @@ def test_identical_config_and_seed_reproduce_rows_and_stats():
         cfg = preset("cxl-dmsim-a")
         cfg["workload"] = {"kind": "rdwr_sweep", "read_fractions": [0.6],
                            "ops": 1200, "warm_ops": 200, "placement": "hdm"}
-        result = run_workload(cfg)
+        result = run_workload(check_config(cfg))
         return result.rows, result.system.stats.flatten()
 
     rows1, stats1 = once()
@@ -54,7 +55,7 @@ def test_different_seed_changes_chase_order_not_plateau():
         cfg["seed"] = seed
         cfg["workload"] = {"kind": "latency_sweep", "array_kb": [49152],
                            "samples": 300, "placement": "local"}
-        return run_workload(cfg).rows[0][1]
+        return run_workload(check_config(cfg)).rows[0][1]
 
     assert plateau(1) == plateau(2) == 130.0
 
@@ -84,7 +85,7 @@ def test_array_beyond_llc_walks_sampled_distinct_lines(
     cfg["workload"] = {"kind": "latency_sweep",
                        "array_kb": [16, 64, array_kb], "stride": stride,
                        "samples": samples, "placement": "local"}
-    run_workload(cfg)
+    run_workload(check_config(cfg))
     # Only the arrays that fit the LLC build a full cycle, and each walks
     # it once to warm up before its samples.
     assert chased == [16 * 1024 // stride, 64 * 1024 // stride]
@@ -97,7 +98,7 @@ def test_rdwr_rows_cover_requested_grid_in_order():
     fracs = [0.5, 0.7, 0.9]
     cfg["workload"] = {"kind": "rdwr_sweep", "read_fractions": fracs,
                        "ops": 800, "warm_ops": 100, "placement": "local"}
-    result = run_workload(cfg)
+    result = run_workload(check_config(cfg))
     assert [row[0] for row in result.rows] == fracs
     assert all(row[2] > 0 for row in result.rows)
 
@@ -107,7 +108,7 @@ def test_dlrm_summary_shape():
     cfg["workload"] = {"kind": "dlrm_proxy", "injectors": 2,
                        "queries_per_injector": 10, "lookups_per_query": 4,
                        "footprint_mb": 1, "placement": "hdm"}
-    result = run_workload(cfg)
+    result = run_workload(check_config(cfg))
     s = result.summary
     assert s["aggregateQps"] == pytest.approx(2 * s["perInjectorQps"])
     assert s["aggregateQps"] > 0
@@ -117,7 +118,7 @@ def test_kv_proxy_allocates_from_hdm_allocator():
     cfg = preset("cxl-dmsim-a")
     cfg["workload"] = {"kind": "kv_proxy", "ops": 500, "warm_ops": 50,
                        "footprint_mb": 1}
-    result = run_workload(cfg)
+    result = run_workload(check_config(cfg))
     system = result.system
     nodes = system.hdm_allocators[0].nodes()
     assert any(n.state.value == "BUSY" and n.size == 1024 * 1024 for n in nodes)
@@ -129,7 +130,7 @@ def test_stream_validates_against_small_arrays():
     cfg["workload"] = {"kind": "stream", "kernel": "copy", "array_mb": 8,
                        "placement": "local"}
     with pytest.raises(ValueError):
-        run_workload(cfg)
+        run_workload(check_config(cfg))
 
 
 @pytest.mark.parametrize("kernel,reads_per_group", [("copy", 1), ("add", 2)])
@@ -138,7 +139,7 @@ def test_stream_issue_accounting_is_exact(kernel, reads_per_group):
     cfg = preset("local-ddr")
     cfg["workload"] = {"kind": "stream", "kernel": kernel, "groups": groups,
                        "warm_groups": 100, "placement": "local"}
-    system = run_workload(cfg).system
+    system = run_workload(check_config(cfg)).system
     # every issued load completed and was sampled exactly once
     assert system.stats.flatten()["core.loadToUse::samples"] == groups * reads_per_group
     assert system.stats.flatten()["core.outstandingRequests"] == 0
@@ -150,9 +151,9 @@ def test_rdwr_sweep_builds_one_system_per_grid_point(monkeypatch):
     built, walks = [], []
     real_build, real_check = config.build_system, config.check_config
 
-    def counting_build(cfg, checked):
-        built.append(cfg["workload"]["kind"])
-        return real_build(cfg, checked)
+    def counting_build(c):
+        built.append(c.workload.kind)
+        return real_build(c)
 
     def counting_check(cfg):
         walks.append(cfg["workload"]["kind"])
@@ -164,7 +165,7 @@ def test_rdwr_sweep_builds_one_system_per_grid_point(monkeypatch):
     cfg["workload"] = {"kind": "rdwr_sweep", "read_fractions": [0.5, 1.0],
                        "rates_bytes_per_ns": [32.0, 64.0], "ops": 300,
                        "warm_ops": 50, "placement": "hdm"}
-    result = run_workload(cfg)
+    result = run_workload(config.check_config(cfg))
     assert len(result.rows) == 4
     assert len(built) == 4
     assert walks == ["rdwr_sweep"]      # checked once, not per grid point
@@ -185,9 +186,20 @@ def test_rdwr_point_holds_no_arrival_after_it_drains(monkeypatch):
     cfg["workload"] = {"kind": "rdwr_sweep", "read_fractions": [0.5],
                        "rates_bytes_per_ns": [64.0], "ops": 300,
                        "warm_ops": 50, "placement": "hdm"}
-    run_workload(cfg)
+    run_workload(check_config(cfg))
     assert len(points) == 1 and points[0].done == 300
     assert points[0].arrivals == {}
+
+
+@pytest.mark.parametrize("placement", ["hdm", "interleave"])
+def test_every_device_serves_reads(placement):
+    cfg = merge_config(preset("cxl-dmsim-a"), {"workload": {
+        "kind": "dlrm_proxy", "queries_per_injector": 4,
+        "placement": placement}})
+    cfg["devices"].append(copy.deepcopy(cfg["devices"][0]))
+    stats = run_workload(check_config(cfg)).system.stats.flatten()
+    assert stats["cxl.reads"] > 0 and stats["cxl1.reads"] > 0
+    assert (stats["membus.toLocal"] > 0) == (placement == "interleave")
 
 
 # -- every workload block either fails validation or runs to sane metrics ------
@@ -258,9 +270,9 @@ def _numbers(value):
 @given(cfg=workload_configs())
 def test_workload_block_is_rejected_or_runs_to_finite_metrics(cfg):
     try:
-        result = run_workload(cfg)
+        result = run_workload(check_config(cfg))
     except ConfigError:
         return
-    report = result.system.snapshot(result.summary)
-    for value in [*report.stats.values(), *_numbers(report.workload)]:
+    stats = result.system.stats.flatten()
+    for value in [*stats.values(), *_numbers(result.summary)]:
         assert math.isfinite(value) and value >= 0, (cfg["workload"], value)
