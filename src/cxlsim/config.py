@@ -28,7 +28,7 @@ import math
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .engine import TICKS_PER_NS, Engine, ns_to_ticks
 from .stats import StatsRegistry
@@ -39,8 +39,7 @@ from .device import MemExpander, enumerate_expander
 from .media import CoarseDram, QueuedDdr
 from .ssd import (BestOffsetPrefetcher, SsdCachedMedium, SsdDirectMedium,
                   SsdMedium)
-from .hdm import (HdmAllocationError, HdmAllocator, NumaNode,
-                  PlacementError, Policy)
+from .hdm import PAGE_BYTES, HdmAllocationError, HdmAllocator, PlacementError
 from .system import System
 from . import workloads as wl
 from .workloads import KB, MB
@@ -97,14 +96,13 @@ def _list_of(kinds, pred):
 _count = lambda default=REQUIRED: (int, _POS, "must be > 0", default)
 _warm = lambda default: (int, _NONNEG, "must be >= 0", default)
 _fraction = lambda default: (NUM, _IN_UNIT, "must lie in [0, 1]", default)
-# Whether `ns` nanoseconds come to a tick count a float can hold; a
-# latency must, as build_system converts it to ticks.
-_finite_ticks = lambda ns: math.isfinite(ns * float(TICKS_PER_NS))
-_NS = (NUM, lambda v: v >= 0 and _finite_ticks(v),
-       "must be >= 0 and give a finite tick count", REQUIRED)
-_US = (NUM, lambda v: v > 0 and _finite_ticks(v * 1000.0),
-       "must be > 0 and give a finite tick count", REQUIRED)
-_RATE = (NUM, _POS, "must be > 0", REQUIRED)
+# At most one second, so a latency's square in ticks (the stdev) stays finite.
+_MAX_NS = 1e9
+_NS = (NUM, lambda v: 0 <= v <= _MAX_NS, "must lie in [0, 1e9]", REQUIRED)
+_US = (NUM, lambda v: 0 < v <= _MAX_NS / 1000, "must lie in (0, 1e6]",
+       REQUIRED)
+# At least 1 MB/s: the largest message then crosses in under 5 ms.
+_RATE = (NUM, lambda v: v >= 1e-3, "must be >= 1e-3 (1 MB/s)", REQUIRED)
 # latency_sweep and kv_proxy drive only the first injector.
 _ONE_INJECTOR = (int, lambda v: v == 1, "must be 1: the workload drives one "
                  "injector", 1)
@@ -188,9 +186,9 @@ _CACHE_LEVEL = {
     "capacity_kb": _count(),
     "assoc": _count(),
     # In ticks, as the cache uses it.
-    "hit_latency_ns": (NUM, lambda v: _finite_ticks(v)
-                       and ns_to_ticks(v) > 0,
-                       "must round to at least one 1 ps tick", REQUIRED),
+    "hit_latency_ns": (NUM, lambda v: v <= _MAX_NS and ns_to_ticks(v) > 0,
+                       "must round to at least one 1 ps tick and be at "
+                       "most 1e9", REQUIRED),
 }
 
 # Fields every device has; each medium adds only its own block.
@@ -229,7 +227,9 @@ SCHEMA = {
         "resp_fifo_depth": _count(),
         "link_bytes_per_ns_tx": _RATE,
         "link_bytes_per_ns_rx": _RATE,
-        "msg_header_bytes": _count(),
+        # At most a page, which keeps the largest message bounded too.
+        "msg_header_bytes": (int, lambda v: 0 < v <= 4096,
+                             "must lie in [1, 4096]", REQUIRED),
     }),
     "devices": Opt([Tagged("medium", {
         "queued_ddr": {**_DEVICE, "ddr": _DDR},
@@ -345,14 +345,6 @@ def _check_rules(c: SimpleNamespace) -> None:
     b = c.bridge
     if c.devices and b is None:
         fail("bridge", "required field missing")
-    if b is not None:
-        largest = b.msg_header_bytes + LINE_BYTES     # a read's response
-        if not _finite_ticks(largest):
-            fail("bridge.msg_header_bytes", "must give a finite tick count")
-        for name in ("link_bytes_per_ns_tx", "link_bytes_per_ns_rx"):
-            if not math.isfinite(largest * TICKS_PER_NS / getattr(b, name)):
-                fail(f"bridge.{name}", "must give a finite tick count for "
-                     f"the largest message ({largest} B)")
     ssds = [i for i, dev in enumerate(c.devices) if dev.medium == "ssd"]
     if len(ssds) > 1:
         # The SSD and device-cache stats have one fixed name each.
@@ -591,7 +583,7 @@ def build_system(c: SimpleNamespace) -> System:
                     ns_to_ticks(hostc.host_path_lat_ns), stats,
                     1000.0 / hostc.core_freq_ghz)
 
-    numa_nodes = [NumaNode(id=0, base=0, size=local_size)]
+    free_pages = [range(0, local_size, PAGE_BYTES)]
     bridge = None
     devices: List[MemExpander] = []
     allocators: List[HdmAllocator] = []
@@ -614,30 +606,25 @@ def build_system(c: SimpleNamespace) -> System:
             rng = enumerate_expander(addr_map, expander, bridge)
             devices.append(expander)
             allocators.append(HdmAllocator(dev.hdm_size_mb * MB))
-            numa_nodes.append(NumaNode(id=i + 1, base=rng.base,
-                                       size=rng.limit - rng.base))
+            free_pages.append(range(rng.base, rng.limit, PAGE_BYTES))
 
     # At drain, every packet the bus routed to the bridge was sent on.
     stats.add("membus.toBridge", lambda: bridge.m2s_sent if bridge else 0)
-    return System(engine=engine, stats=stats, addr_map=addr_map, membus=membus,
-                  host=host, bridge=bridge, devices=devices,
-                  numa_nodes=numa_nodes, hdm_allocators=allocators,
-                  seed=c.seed)
+    return System(engine=engine, stats=stats, membus=membus, host=host,
+                  bridge=bridge, devices=devices, free_pages=free_pages,
+                  hdm_allocators=allocators, seed=c.seed)
 
 
 # -- workload dispatch ------------------------------------------------------------
 
 
-def _placement_policy(choice: Optional[str],
-                      device_nodes: Sequence[int]) -> Policy:
-    """Local binds node 0; hdm spreads pages evenly over the device nodes,
-    and interleave over node 0 and the device nodes."""
+def _placement_nodes(choice: Optional[str],
+                     device_nodes: Sequence[int]) -> Tuple[int, ...]:
+    """The NUMA nodes System.place_pages deals pages over: node 0 for
+    local, the device nodes for hdm, and both for interleave."""
     choice = choice or ("hdm" if device_nodes else "local")
-    nodes = {"local": (0,), "hdm": tuple(device_nodes),
-             "interleave": (0, *device_nodes)}[choice]
-    if len(nodes) == 1:
-        return Policy.bind(nodes[0])
-    return Policy.interleave(nodes, [1 / len(nodes)] * len(nodes))
+    return {"local": (0,), "hdm": tuple(device_nodes),
+            "interleave": (0, *device_nodes)}[choice]
 
 
 def run_workload(c: SimpleNamespace) -> wl.WorkloadResult:
@@ -650,8 +637,8 @@ def run_workload(c: SimpleNamespace) -> wl.WorkloadResult:
     params = c.workload
     kind = params.kind
     # build_system numbers device i's NUMA node i + 1.
-    placement = _placement_policy(getattr(params, "placement", None),
-                                  range(1, len(c.devices) + 1))
+    placement = _placement_nodes(getattr(params, "placement", None),
+                                 range(1, len(c.devices) + 1))
     try:
         if kind == "rdwr_sweep":
             return wl.run_rdwr_sweep(lambda: build_system(c), params,

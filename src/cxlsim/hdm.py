@@ -1,4 +1,4 @@
-"""HDM management: app-managed allocator and kernel-managed placement.
+"""HDM management: the app-managed allocator.
 
 The app-managed (AM) side mirrors a device driver's bookkeeping: a
 doubly-linked allocation list over the HDM window whose nodes record the
@@ -7,17 +7,16 @@ is first-fit with immediate coalescing of adjacent FREE nodes, and sizes
 round up to whole pages.  All AM operations require exclusive access; a
 reentrancy guard asserts the single-owner contract.
 
-The kernel-managed (KM) side is a pure placement function: given a page
-count, a NUMA policy, and per-node capacities it returns the node chosen
-for every page (bind, or deterministic weighted round-robin interleave).
+The kernel-managed (KM) side is System.place_pages: it deals pages round
+robin over a tuple of NUMA nodes, and raises PlacementError when they
+cannot hold the demand.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 PAGE_BYTES = 4096
 
@@ -38,6 +37,10 @@ class HdmPermissionError(HdmError):
     pass
 
 
+class PlacementError(RuntimeError):
+    """The NUMA nodes cannot hold the pages asked for."""
+
+
 class NodeState(Enum):
     FREE = "FREE"
     BUSY = "BUSY"
@@ -56,11 +59,10 @@ class HdmAllocNode:
 class HdmAllocator:
     """First-fit allocator over one HDM window."""
 
-    def __init__(self, hdm_size: int, page: int = PAGE_BYTES):
-        if hdm_size <= 0 or hdm_size % page:
+    def __init__(self, hdm_size: int):
+        if hdm_size <= 0 or hdm_size % PAGE_BYTES:
             raise ValueError("hdm_size must be a positive page multiple")
         self.hdm_size = hdm_size
-        self.page = page
         self.head = HdmAllocNode(pid=0, state=NodeState.FREE,
                                  size=hdm_size, offset=0)
         self._guard = False
@@ -74,7 +76,7 @@ class HdmAllocator:
         self._guard = False
 
     def _round_up(self, size: int) -> int:
-        return (size + self.page - 1) // self.page * self.page
+        return (size + PAGE_BYTES - 1) // PAGE_BYTES * PAGE_BYTES
 
     def alloc(self, pid: int, size: int) -> int:
         """First-fit allocation; returns the device offset."""
@@ -145,12 +147,6 @@ class HdmAllocator:
             node = node.next
         return out
 
-    def to_json(self) -> str:
-        """Allocation map dump for test oracles."""
-        rows = [{"pid": n.pid, "state": n.state.value, "size": n.size,
-                 "offset": n.offset} for n in self.nodes()]
-        return json.dumps(rows, sort_keys=True)
-
     def check_invariants(self) -> None:
         nodes = self.nodes()
         total = 0
@@ -166,77 +162,3 @@ class HdmAllocator:
         if total != self.hdm_size:
             raise AssertionError(f"size conservation broken: {total}")
 
-
-# -- kernel-managed placement -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NumaNode:
-    id: int
-    base: int
-    size: int
-
-
-@dataclass
-class Policy:
-    mode: str                              # bind | interleave
-    nodes: Tuple[int, ...] = ()
-    ratios: Tuple[float, ...] = ()
-
-    @staticmethod
-    def bind(node: int) -> "Policy":
-        return Policy(mode="bind", nodes=(node,))
-
-    @staticmethod
-    def interleave(nodes: Sequence[int], ratios: Sequence[float]) -> "Policy":
-        if len(nodes) != len(ratios):
-            raise ValueError("one ratio per node")
-        if abs(sum(ratios) - 1.0) > 1e-9:
-            raise ValueError("interleave ratios must sum to 1")
-        return Policy(mode="interleave", nodes=tuple(nodes),
-                      ratios=tuple(ratios))
-
-
-class PlacementError(RuntimeError):
-    pass
-
-
-def km_place(pages: int, policy: Policy,
-             capacities: Dict[int, int]) -> List[int]:
-    """Assign a node id to each page; pure and deterministic.
-
-    Bind fails on exhaustion; interleave is a largest-remaining-quota
-    weighted round-robin.
-    """
-    if pages < 0:
-        raise ValueError("pages must be >= 0")
-    remaining = dict(capacities)
-
-    if policy.mode == "bind":
-        node = policy.nodes[0]
-        if remaining.get(node, 0) < pages:
-            raise PlacementError(f"node {node} cannot hold {pages} pages")
-        return [node] * pages
-
-    if policy.mode == "interleave":
-        if sum(remaining.get(n, 0) for n in policy.nodes) < pages:
-            raise PlacementError("interleave nodes cannot hold the demand")
-        out = []
-        placed = {n: 0 for n in policy.nodes}
-        for step in range(1, pages + 1):
-            best = None
-            best_deficit = None
-            for node, ratio in zip(policy.nodes, policy.ratios):
-                if remaining.get(node, 0) <= placed[node]:
-                    continue
-                deficit = ratio * step - placed[node]
-                if best_deficit is None or deficit > best_deficit:
-                    best = node
-                    best_deficit = deficit
-            if best is None:
-                raise PlacementError("interleave nodes exhausted")
-            placed[best] += 1
-            out.append(best)
-        return out
-
-    raise PlacementError(f"unknown policy mode {policy.mode!r}")

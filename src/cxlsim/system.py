@@ -1,59 +1,69 @@
-"""Simulated topology: engine, host path, bridge, devices, NUMA view.
+"""Simulated topology: engine, host path, bridge, devices, NUMA nodes.
 
 A System owns exactly one engine instance and all component state, so
 independent systems can run in parallel processes.  Construction happens
 in config.build_system; this module only holds the assembled object and
-cross-component helpers (page placement, app-managed HDM allocation).
+cross-component helpers.  Kernel-managed placement deals pages round
+robin over a tuple of NUMA nodes, as Linux's MPOL_INTERLEAVE does; one
+node is a bind.  App-managed allocation goes through the first device's
+HDM allocator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import groupby
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from .engine import Engine
 from .stats import StatsRegistry
-from .host import AddressMap, HostPath, MemBus
+from .host import HostPath, MemBus
 from .bridge import CxlBridge
 from .device import MemExpander
-from .hdm import PAGE_BYTES, HdmAllocator, NumaNode, Policy, km_place
+from .hdm import HdmAllocator, PlacementError
 
 
 @dataclass
 class System:
     engine: Engine
     stats: StatsRegistry
-    addr_map: AddressMap
     membus: MemBus
     host: HostPath
     bridge: Optional[CxlBridge]
     devices: List[MemExpander]
-    numa_nodes: List[NumaNode]
+    # NUMA node i's page addresses that no placement has taken yet: local
+    # memory is node 0, device i's HDM window node i + 1.
+    free_pages: List[range]
     hdm_allocators: List[HdmAllocator]
     seed: int
-    _page_cursor: Dict[int, int] = field(default_factory=dict)
 
-    def place_pages(self, count: int, policy: Policy) -> List[int]:
-        """Assign physical page base addresses according to a NUMA policy.
+    def place_pages(self, count: int, nodes: Sequence[int]) -> List[int]:
+        """Deal `count` page base addresses round robin over the NUMA
+        `nodes`, in their order, passing over a node once it is full.
 
-        Placement within each node is a bump allocator so repeated
-        placements in one run never overlap.
+        Each node hands out its pages from the bottom up, so placements in
+        one run never overlap.  Whole rounds go out at once, one slice per
+        node, so a bind costs no per-page work.
         """
-        nodes = {node.id: node for node in self.numa_nodes}
-        capacities = {node_id: node.size // PAGE_BYTES
-                      - self._page_cursor.get(node_id, 0)
-                      for node_id, node in nodes.items()}
-        addrs: List[int] = []
-        for node_id, run in groupby(km_place(count, policy, capacities)):
-            pages = len(list(run))
-            cursor = self._page_cursor.get(node_id, 0)
-            start = nodes[node_id].base + cursor * PAGE_BYTES
-            addrs.extend(range(start, start + pages * PAGE_BYTES, PAGE_BYTES))
-            self._page_cursor[node_id] = cursor + pages
+        free = self.free_pages
+        if sum(len(free[n]) for n in nodes) < count:
+            raise PlacementError(f"NUMA nodes {tuple(nodes)} cannot hold "
+                                 f"{count} pages")
+        addrs = [0] * count
+        done = 0
+        while done < count:
+            live = [n for n in nodes if free[n]]
+            rounds = min(min(len(free[n]) for n in live),
+                         (count - done) // len(live))
+            if not rounds:                  # the last, partial round
+                live, rounds = live[:count - done], 1
+            k = len(live)
+            for j, n in enumerate(live):
+                addrs[done + j:done + rounds * k:k] = free[n][:rounds]
+                free[n] = free[n][rounds:]
+            done += rounds * k
         return addrs
 
-    def am_alloc(self, pid: int, size: int, device_index: int = 0) -> int:
+    def am_alloc(self, pid: int, size: int) -> int:
         """App-managed HDM allocation; returns a host physical address."""
-        offset = self.hdm_allocators[device_index].alloc(pid, size)
-        return self.devices[device_index].bar.base + offset
+        offset = self.hdm_allocators[0].alloc(pid, size)
+        return self.devices[0].bar.base + offset

@@ -33,7 +33,7 @@ from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .engine import TICKS_PER_NS
-from .hdm import PAGE_BYTES, Policy
+from .hdm import PAGE_BYTES
 from .host import LINE_BYTES, MemCmd
 from .system import System
 
@@ -70,9 +70,9 @@ def build_chase_cycle(num_lines: int, rng: random.Random) -> List[int]:
 class _PagedRegion:
     """Maps a contiguous logical byte region onto placed physical pages."""
 
-    def __init__(self, system: System, size: int, policy: Policy):
+    def __init__(self, system: System, size: int, nodes: Tuple[int, ...]):
         pages = (size + PAGE_BYTES - 1) // PAGE_BYTES
-        self.page_addrs = system.place_pages(pages, policy)
+        self.page_addrs = system.place_pages(pages, nodes)
         self.lines = size // LINE_BYTES
 
     def line_addr(self, line: int) -> int:
@@ -137,7 +137,7 @@ class _Chase:
 
 
 def run_latency_sweep(system: System, params: SimpleNamespace,
-                      placement: Policy) -> WorkloadResult:
+                      placement: Tuple[int, ...]) -> WorkloadResult:
     injector = system.host.injectors[0]
     engine = system.engine
     l3_capacity = system.host.hierarchy.levels[-1].capacity
@@ -214,7 +214,7 @@ class _StreamFeeder:
 
 
 def run_stream(system: System, params: SimpleNamespace,
-               placement: Policy) -> WorkloadResult:
+               placement: Tuple[int, ...]) -> WorkloadResult:
     """`params.groups` 64B line groups, the first `warm_groups` of them
     outside the measure window."""
     llc = system.host.hierarchy.levels[-1]
@@ -259,7 +259,7 @@ def run_stream(system: System, params: SimpleNamespace,
 
 
 def run_rdwr_sweep(factory: Callable[[], System], params: SimpleNamespace,
-                   placement: Policy) -> WorkloadResult:
+                   placement: Tuple[int, ...]) -> WorkloadResult:
     """One fresh system per (read_fraction, rate) grid point."""
     rows: List[tuple] = []
     last_system: Optional[System] = None
@@ -320,9 +320,9 @@ class _OpenLoop(_Window):
             self.lat_sum += self.engine.now - arrival
 
 
-def _run_rdwr_point(system: System, params: SimpleNamespace, placement: Policy,
-                    read_fraction: float, rate: float,
-                    seed: int) -> Tuple[float, float]:
+def _run_rdwr_point(system: System, params: SimpleNamespace,
+                    placement: Tuple[int, ...], read_fraction: float,
+                    rate: float, seed: int) -> Tuple[float, float]:
     region = _PagedRegion(system, params.footprint_mb * MB, placement)
     interval = max(1, round(LINE_BYTES * TICKS_PER_NS / rate))
     traffic = _OpenLoop(system, region, read_fraction, seed, params.warm_ops,
@@ -371,7 +371,7 @@ class _Queries:
 
 
 def run_dlrm_proxy(system: System, params: SimpleNamespace,
-                   placement: Policy) -> WorkloadResult:
+                   placement: Tuple[int, ...]) -> WorkloadResult:
     region = _PagedRegion(system, params.footprint_mb * MB, placement)
     queries = [_Queries(system, k, region, params)
                for k in range(len(system.host.injectors))]

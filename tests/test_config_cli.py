@@ -2,9 +2,12 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import cxlsim
 from cxlsim import cli
 from cxlsim.config import (ConfigError, build_system, check_config,
                            PRESETS, merge_config, preset)
@@ -171,8 +174,9 @@ TINY_WORKLOAD = {"workload": {"kind": "latency_sweep", "array_kb": [16],
                               "samples": 50, "placement": "local"}}
 
 # Values within each field's own range that used to end in an
-# OverflowError traceback, a NaN in report.json or exit 3 once the engine
-# was built: each must give finite ticks, and the address map must fit.
+# OverflowError traceback, a NaN or Infinity in report.json or exit 3 once
+# the engine was built: each must give finite ticks and a latency whose
+# square is a finite float, and the address map must fit.
 UNRUNNABLE = [
     ({"host": {"host_path_lat_ns": 1e306}}, "config.host.host_path_lat_ns"),
     ({"host": {"caches": {"l1": {"hit_latency_ns": 1e306}}}},
@@ -197,6 +201,14 @@ UNRUNNABLE = [
                        hdm_size_mb=2**44)]},
      "config.devices[0].hdm_size_mb"),
     ({"host": {"local_dram_mb": 2**45}}, "config.host.local_dram_mb"),
+    # Each of these wrote core.loadToUse::stdev as Infinity.
+    ({"host": {"host_path_lat_ns": 1e200}}, "config.host.host_path_lat_ns"),
+    ({"bridge": {"msg_header_bytes": 10**100}},
+     "config.bridge.msg_header_bytes"),
+    ({"bridge": {"link_bytes_per_ns_rx": 1e-200}},
+     "config.bridge.link_bytes_per_ns_rx"),
+    ({"devices": [ssd_device(ssd={"write_latency_us": 1e200})]},
+     "config.devices[0].ssd.write_latency_us"),
 ]
 
 
@@ -303,6 +315,41 @@ class TestCli:
         assert len(rows) == 3
         assert rows[1].startswith("bridge.req_fifo_depth,13")
         assert rows[2].startswith("bridge.req_fifo_depth,26")
+
+    def test_sweep_same_bytes_on_one_and_two_workers(self, tmp_path,
+                                                     monkeypatch):
+        cfg = write_cfg(tmp_path, {
+            "workload": {"kind": "dlrm_proxy", "queries_per_injector": 4,
+                         "footprint_mb": 2, "placement": "interleave"}})
+        outs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CXLSIM_THREADS", threads)
+            out = tmp_path / f"t{threads}"
+            assert cli.main(["sweep", "--preset", "cxl-dmsim-a", "--config",
+                             cfg, "--param", "bridge.req_fifo_depth",
+                             "--grid", "13,26", "--out", str(out)]) == 0
+            outs[threads] = {str(f.relative_to(out)): f.read_bytes()
+                             for f in sorted(out.rglob("*")) if f.is_file()}
+        assert len(outs["1"]) == 7      # sweep.csv and three files a point
+        assert outs["1"] == outs["2"]
+
+    def test_run_same_bytes_under_two_hash_seeds(self, tmp_path):
+        cfg = write_cfg(tmp_path, {
+            "workload": {"kind": "stream", "kernel": "add", "array_mb": 64,
+                         "groups": 400, "warm_groups": 40,
+                         "placement": "interleave"}})
+        src = os.path.dirname(os.path.dirname(cxlsim.__file__))
+        outs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"h{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "cxlsim.cli", "run",
+                            "--preset", "cxl-dmsim-a", "--config", cfg,
+                            "--out", str(out)], env=env, check=True,
+                           capture_output=True)
+            outs.append([(out / name).read_bytes()
+                         for name in ("report.json", "curve.csv")])
+        assert outs[0] == outs[1]
 
     def test_sweep_non_numeric_param_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TINY_WORKLOAD)

@@ -1,18 +1,22 @@
-import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import build
 
 from cxlsim.config import preset
 from cxlsim.hdm import (HdmAllocationError, HdmAllocator, HdmError,
                         HdmInvalidFree, HdmPermissionError, NodeState,
-                        NumaNode, PAGE_BYTES, PlacementError, Policy, km_place)
+                        PAGE_BYTES, PlacementError)
 
 MB = 1024 * 1024
 GB = 1024 * MB
+
+
+def rows(alloc):
+    """The allocation list as (pid, state, size, offset) tuples."""
+    return [(n.pid, n.state, n.size, n.offset) for n in alloc.nodes()]
 
 
 class TestAllocator:
@@ -31,10 +35,10 @@ class TestAllocator:
 
     def test_oversized_allocation_fails_cleanly(self):
         alloc = HdmAllocator(1 * MB)
-        before = alloc.to_json()
+        before = rows(alloc)
         with pytest.raises(HdmAllocationError):
             alloc.alloc(1, 1 * MB + PAGE_BYTES)
-        assert alloc.to_json() == before
+        assert rows(alloc) == before
 
     def test_free_only_allocation_restores_single_free_node(self):
         alloc = HdmAllocator(1 * MB)
@@ -82,11 +86,11 @@ class TestAllocator:
         with pytest.raises(HdmInvalidFree):
             alloc.free(1, 4096)
 
-    def test_json_dump_shape(self):
+    def test_node_rows(self):
         alloc = HdmAllocator(1 * MB)
         alloc.alloc(3, 4096)
-        rows = json.loads(alloc.to_json())
-        assert rows[0] == {"pid": 3, "state": "BUSY", "size": 4096, "offset": 0}
+        assert rows(alloc) == [(3, NodeState.BUSY, 4096, 0),
+                               (0, NodeState.FREE, 1 * MB - 4096, 4096)]
 
     def test_reentrancy_guard(self):
         alloc = HdmAllocator(1 * MB)
@@ -125,79 +129,94 @@ def test_allocator_conservation_property(ops):
     assert len(busy) == len(live)
 
 
-class TestKmPlace:
-    def test_interleave_even_round_robin(self):
-        policy = Policy.interleave([0, 1], [0.5, 0.5])
-        out = km_place(4, policy, {0: 100, 1: 100})
-        assert out == [0, 1, 0, 1]
-
-    def test_weighted_interleave_75_25(self):
-        policy = Policy.interleave([0, 1], [0.75, 0.25])
-        out = km_place(8, policy, {0: 100, 1: 100})
-        assert out.count(0) == 6 and out.count(1) == 2
-        assert out == km_place(8, policy, {0: 100, 1: 100})  # deterministic
-
-    def test_bind_fails_on_exhaustion(self):
-        with pytest.raises(PlacementError):
-            km_place(5, Policy.bind(0), {0: 4})
-
-    def test_ratios_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            Policy.interleave([0, 1], [0.7, 0.1])
-
-    def test_pure_function_of_inputs(self):
-        policy = Policy.interleave([0, 1, 2], [0.5, 0.3, 0.2])
-        caps = {0: 50, 1: 50, 2: 50}
-        assert km_place(30, policy, caps) == km_place(30, policy, caps)
-
-
-# -- System.place_pages by runs against the per-page placement it replaced ----
-
-
-def reference_place_pages(system, count, policy):
-    """Place page by page, advancing one node's cursor per page."""
-    capacities = {node.id: node.size // PAGE_BYTES
-                  - system._page_cursor.get(node.id, 0)
-                  for node in system.numa_nodes}
-    addrs = []
-    for node_id in km_place(count, policy, capacities):
-        node = next(n for n in system.numa_nodes if n.id == node_id)
-        cursor = system._page_cursor.get(node_id, 0)
-        addrs.append(node.base + cursor * PAGE_BYTES)
-        system._page_cursor[node_id] = cursor + 1
-    return addrs
+# -- kernel-managed placement: System.place_pages ---------------------------
 
 
 ASIC_SYSTEM = build(preset("cxl-dmsim-a"))
 
 
+def node_range(node, pages):
+    """The first `pages` page addresses of small NUMA node `node`."""
+    base = (node + 1) << 32
+    return range(base, base + pages * PAGE_BYTES, PAGE_BYTES)
+
+
 def small_numa_system(node_pages):
-    """A system whose NUMA nodes hold only `node_pages` pages each."""
-    return replace(ASIC_SYSTEM, _page_cursor={}, numa_nodes=[
-        NumaNode(id=i, base=(i + 1) << 32, size=pages * PAGE_BYTES)
-        for i, pages in enumerate(node_pages)])
+    """A system whose NUMA node i holds only `node_pages[i]` pages."""
+    return replace(ASIC_SYSTEM, free_pages=[
+        node_range(i, pages) for i, pages in enumerate(node_pages)])
 
 
-POLICIES = st.one_of(
-    st.sampled_from([0, 1, 2]).map(Policy.bind),
-    st.sampled_from([((0, 1), (0.5, 0.5)), ((0, 2), (0.75, 0.25)),
-                     ((0, 1, 2), (0.5, 0.3, 0.2))]).map(
-        lambda spec: Policy.interleave(*spec)))
+class TestKmPlace:
+    def test_interleave_even_round_robin(self):
+        system = small_numa_system([100, 100])
+        a, b = node_range(0, 2), node_range(1, 3)
+        assert system.place_pages(4, (0, 1)) == [a[0], b[0], a[1], b[1]]
+        assert system.place_pages(1, (1, 0)) == [b[2]]
+
+    def test_bind_fails_on_exhaustion(self):
+        system = small_numa_system([4, 100])
+        with pytest.raises(PlacementError):
+            system.place_pages(5, (0,))
+        assert system.place_pages(4, (0,)) == list(node_range(0, 4))
+
+    def test_pure_function_of_inputs(self):
+        """The addresses follow from the count, the nodes and the free
+        pages alone."""
+        first, second = (small_numa_system([50, 50, 50]) for _ in range(2))
+        assert (first.place_pages(30, (2, 0, 1))
+                == second.place_pages(30, (2, 0, 1)))
+        assert first.free_pages == second.free_pages
+
+
+# -- System.place_pages by rounds against the per-page rule it replaced -------
+
+
+def per_page_place(system, count, nodes):
+    """Place page by page with the equal-weight deficit rule: each page
+    goes to the node furthest below its share `step / len(nodes)`, the
+    first on ties, passing over a node once it is full."""
+    free = system.free_pages
+    if sum(len(free[n]) for n in nodes) < count:
+        raise PlacementError(f"{nodes} cannot hold {count} pages")
+    ratio = 1 / len(nodes)
+    placed = dict.fromkeys(nodes, 0)
+    addrs = []
+    for step in range(1, count + 1):
+        best = best_deficit = None
+        for node in nodes:
+            if len(free[node]) <= placed[node]:
+                continue
+            deficit = ratio * step - placed[node]
+            if best_deficit is None or deficit > best_deficit:
+                best, best_deficit = node, deficit
+        addrs.append(free[best][placed[best]])
+        placed[best] += 1
+    for node, taken in placed.items():
+        free[node] = free[node][taken:]
+    return addrs
+
+
+# Every order of every non-empty subset of three nodes, such as (2, 0, 1).
+NODE_TUPLES = st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=3,
+                       unique=True).map(tuple)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(node_pages=st.lists(st.integers(1, 40), min_size=3, max_size=3),
-       placements=st.lists(st.tuples(st.integers(0, 30), POLICIES),
+       placements=st.lists(st.tuples(st.integers(0, 50), NODE_TUPLES),
                            min_size=1, max_size=6))
+# Node 0 fills after its second page, partway through the third round.
+@example(node_pages=[2, 9, 9], placements=[(9, (2, 0, 1)), (4, (0, 1))])
 def test_place_pages_by_runs_matches_per_page(node_pages, placements):
     system = small_numa_system(node_pages)
     reference = small_numa_system(node_pages)
-    for count, policy in placements:
+    for count, nodes in placements:
         try:
-            expected = reference_place_pages(reference, count, policy)
+            expected = per_page_place(reference, count, nodes)
         except PlacementError:
             with pytest.raises(PlacementError):
-                system.place_pages(count, policy)
+                system.place_pages(count, nodes)
             continue
-        assert system.place_pages(count, policy) == expected
-        assert system._page_cursor == reference._page_cursor
+        assert system.place_pages(count, nodes) == expected
+        assert system.free_pages == reference.free_pages

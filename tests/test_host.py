@@ -12,7 +12,7 @@ from cxlsim.host import (AddressFault, AddressMap, Cache, CacheHierarchy,
                          LINE_BYTES, MemCmd, MemPacket, Target)
 from cxlsim.config import check_config, merge_config, preset, run_workload
 from cxlsim.engine import ns_to_ticks
-from cxlsim.hdm import PAGE_BYTES, Policy
+from cxlsim.hdm import PAGE_BYTES
 from cxlsim.stats import StatsRegistry
 from cxlsim.workloads import STREAM_KERNELS
 
@@ -115,11 +115,10 @@ ASIC_SYSTEM = build(preset("cxl-dmsim-a"))
 def test_install_pages_matches_per_line_install(num_sets, assoc, kernel,
                                                 interleave, data):
     capacity = num_sets * assoc * LINE_BYTES     # often not whole pages
-    system = replace(ASIC_SYSTEM, _page_cursor={})
-    policy = (Policy.interleave((0, 1), (0.5, 0.5)) if interleave
-              else Policy.bind(data.draw(st.sampled_from([0, 1]))))
-    system.place_pages(data.draw(st.integers(0, 3)), policy)
-    pages = system.place_pages(-(-capacity // PAGE_BYTES), policy)
+    system = replace(ASIC_SYSTEM, free_pages=list(ASIC_SYSTEM.free_pages))
+    nodes = (0, 1) if interleave else (data.draw(st.sampled_from([0, 1])),)
+    system.place_pages(data.draw(st.integers(0, 3)), nodes)
+    pages = system.place_pages(-(-capacity // PAGE_BYTES), nodes)
     lines = capacity // LINE_BYTES
     # Lines held before the pre-warm, some of them inside the region, so
     # the present-tag and the eviction paths both run.

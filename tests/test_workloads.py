@@ -276,3 +276,53 @@ def test_workload_block_is_rejected_or_runs_to_finite_metrics(cfg):
     stats = result.system.stats.flatten()
     for value in [*stats.values(), *_numbers(result.summary)]:
         assert math.isfinite(value) and value >= 0, (cfg["workload"], value)
+
+
+# -- every latency and link field at its validation bound ---------------------
+
+
+def at_bounds(node):
+    """`node` with every latency at its upper bound, every link rate at
+    its lower bound and the message header at its upper bound."""
+    if isinstance(node, list):
+        return [at_bounds(item) for item in node]
+    if not isinstance(node, dict):
+        return node
+    out = {}
+    for key, value in node.items():
+        if key.startswith("link_bytes_per_ns"):
+            value = 1e-3
+        elif key == "hit_latency_ns":      # three lookups fit host_path_lat
+            value = 1e9 / 3
+        elif key.endswith("_ns"):
+            value = 1e9
+        elif key.endswith("_us"):
+            value = 1e6
+        elif key == "msg_header_bytes":
+            value = 4096
+        out[key] = at_bounds(value)
+    return out
+
+
+@pytest.mark.parametrize("name, block", [
+    ("cxl-dmsim-a", {"kind": "latency_sweep", "array_kb": [16, 256],
+                     "samples": 40, "placement": "interleave"}),
+    ("cxl-dmsim-a", {"kind": "stream", "kernel": "triad", "array_mb": 1,
+                     "groups": 200, "warm_groups": 50,
+                     "placement": "interleave"}),
+    ("cxl-dmsim-a", {"kind": "dlrm_proxy", "queries_per_injector": 4,
+                     "lookups_per_query": 4, "footprint_mb": 1,
+                     "injectors": 4}),
+    ("cxl-ssd", {"kind": "kv_proxy", "ops": 200, "warm_ops": 40,
+                 "footprint_mb": 1}),
+], ids=lambda v: v if isinstance(v, str) else v["kind"])
+def test_every_field_at_its_bound_runs_to_finite_metrics(name, block):
+    cfg = at_bounds(merge_config(preset(name), tiny_cache_patch()))
+    cfg["workload"] = block
+    assert cfg["host"]["host_path_lat_ns"] == 1e9
+    assert cfg["bridge"]["link_bytes_per_ns_rx"] == 1e-3
+    result = run_workload(check_config(cfg))
+    stats = result.system.stats.flatten()
+    assert stats["core.loadToUse::stdev"] > 0
+    for value in [*stats.values(), *_numbers(result.summary)]:
+        assert math.isfinite(value) and value >= 0, (block["kind"], value)
