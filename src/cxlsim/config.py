@@ -586,7 +586,6 @@ def build_system(c: SimpleNamespace) -> System:
     free_pages = [range(0, local_size, PAGE_BYTES)]
     bridge = None
     devices: List[MemExpander] = []
-    allocators: List[HdmAllocator] = []
     if c.devices:
         bc = c.bridge
         traversal_lat = (ns_to_ticks(bc.bridge_lat_ns)
@@ -605,14 +604,14 @@ def build_system(c: SimpleNamespace) -> System:
                 prefix)
             rng = enumerate_expander(addr_map, expander, bridge)
             devices.append(expander)
-            allocators.append(HdmAllocator(dev.hdm_size_mb * MB))
             free_pages.append(range(rng.base, rng.limit, PAGE_BYTES))
 
     # At drain, every packet the bus routed to the bridge was sent on.
     stats.add("membus.toBridge", lambda: bridge.m2s_sent if bridge else 0)
     return System(engine=engine, stats=stats, membus=membus, host=host,
                   bridge=bridge, devices=devices, free_pages=free_pages,
-                  hdm_allocators=allocators, seed=c.seed)
+                  hdm_allocator=(HdmAllocator(c.devices[0].hdm_size_mb * MB)
+                                 if c.devices else None), seed=c.seed)
 
 
 # -- workload dispatch ------------------------------------------------------------

@@ -18,6 +18,11 @@ the line and completes the request.  With one request in flight this
 matches, tick for tick, a lookup of each level in its own event; under
 contention a lookup sees the cache state at issue, not a few ns later.
 
+A set is a plain dict {tag: dirty} whose insertion order is its LRU
+order, oldest first: a hit re-inserts its tag and an eviction takes the
+first.  The hierarchy probes and promotes on the sets in place, with no
+call per level.
+
 The model is timing-only: a request is one 64B line that carries no
 bytes, and no response packet is built.  Every handoff is a bound method
 called with the request packet: whoever hands a packet on stores the
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -134,21 +139,10 @@ class Cache:
         self.ways = ways
         self.hit_latency = hit_latency
         self.num_sets = capacity // (ways * LINE_BYTES)
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        self._sets: List[dict] = [{} for _ in range(self.num_sets)]
         stats.counters(self, {f"{name}.hits": "hits",
                               f"{name}.misses": "misses"})
         stats.add(f"{name}.lookups", lambda: self.hits + self.misses)
-
-    def touch(self, line: int) -> bool:
-        """Lookup; refreshes LRU order on a hit."""
-        cset = self._sets[line % self.num_sets]
-        tag = line // self.num_sets
-        if tag in cset:
-            cset.move_to_end(tag)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
 
     def install(self, line: int, dirty: bool = False):
         """Insert a line; returns (victim_line, victim_dirty) when one is
@@ -157,14 +151,12 @@ class Cache:
         cset = self._sets[line % num_sets]
         tag = line // num_sets
         if tag in cset:
-            if dirty:
-                cset[tag] = True
-            cset.move_to_end(tag)
+            cset[tag] = cset.pop(tag) or dirty
             return None
         victim = None
         if len(cset) >= self.ways:
-            vtag, vdirty = cset.popitem(last=False)
-            victim = (vtag * num_sets + line % num_sets, vdirty)
+            vtag = next(iter(cset))
+            victim = (vtag * num_sets + line % num_sets, cset.pop(vtag))
         cset[tag] = dirty
         return victim
 
@@ -195,12 +187,10 @@ class Cache:
                     cset = sets[w]
                     dirty = (i + w - s) % period < dirty_per_period
                     if tag in cset:
-                        if dirty:
-                            cset[tag] = True
-                        cset.move_to_end(tag)
+                        cset[tag] = cset.pop(tag) or dirty
                     else:
                         if len(cset) >= ways:
-                            cset.popitem(last=False)
+                            cset.pop(next(iter(cset)))
                         cset[tag] = dirty
                 i += k
                 tag, s = tag + 1, 0
@@ -271,13 +261,18 @@ class CacheHierarchy:
         """Look up L1 -> L3 at issue (see the module docstring)."""
         pkt.reply = reply
         line = pkt.addr // LINE_BYTES
+        write = pkt.cmd is MemCmd.WRITE_REQ
         for k, level in enumerate(self.levels):
-            if level.touch(line):
-                if pkt.cmd is MemCmd.WRITE_REQ:
-                    level.install(line, dirty=True)
+            num_sets = level.num_sets
+            cset = level._sets[line % num_sets]
+            tag = line // num_sets
+            if tag in cset:
+                level.hits += 1
+                cset[tag] = cset.pop(tag) or write
                 pkt.level = k
                 self.engine.schedule(self._hit_lats[k], self._hit, pkt)
                 return
+            level.misses += 1
         self._miss(pkt, line)
 
     def _hit(self, pkt: MemPacket) -> None:
@@ -285,10 +280,22 @@ class CacheHierarchy:
         pkt.reply(pkt)
 
     def _promote(self, upto: int, line: int) -> None:
+        """Install `line` clean into levels upto..0 as Cache.install
+        would; a dirty victim goes down through _demote."""
+        levels = self.levels
         for k in range(upto, -1, -1):
-            victim = self.levels[k].install(line)
-            if victim is not None and victim[1]:
-                self._demote(k + 1, victim[0])
+            level = levels[k]
+            num_sets = level.num_sets
+            cset = level._sets[line % num_sets]
+            tag = line // num_sets
+            if tag in cset:
+                cset[tag] = cset.pop(tag)
+                continue
+            if len(cset) >= level.ways:
+                vtag = next(iter(cset))
+                if cset.pop(vtag):
+                    self._demote(k + 1, vtag * num_sets + line % num_sets)
+            cset[tag] = False
 
     def _demote(self, idx: int, line: int) -> None:
         """Push a dirty victim down; past the last level it becomes a

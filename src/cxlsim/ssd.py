@@ -25,7 +25,6 @@ closure; the device passes a bound method and the request packet.
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional
 
 from .engine import Engine
@@ -61,16 +60,16 @@ class BestOffsetPrefetcher:
         self.best_offset: Optional[int] = None
         self.round = 0
         self._test_idx = 0
-        self._rr: OrderedDict = OrderedDict()
+        self._rr: Dict[int, None] = {}     # insertion order is LRU order
         self.phases_completed = 0
 
     def _rr_insert(self, page: int) -> None:
-        if page in self._rr:
-            self._rr.move_to_end(page)
-        else:
-            self._rr[page] = None
-            if len(self._rr) > RR_SIZE:
-                self._rr.popitem(last=False)
+        rr = self._rr
+        if page in rr:
+            rr.pop(page)
+        elif len(rr) >= RR_SIZE:
+            rr.pop(next(iter(rr)))
+        rr[page] = None
 
     def _end_phase(self, selected: Optional[int]) -> None:
         self.best_offset = selected
@@ -176,7 +175,7 @@ class SsdCachedMedium:
         self.prefetcher = prefetcher
         self.page_size = ssd.page_size
         self.capacity_pages = capacity // self.page_size
-        self._pages: OrderedDict = OrderedDict()      # page -> _CachedPage
+        self._pages: Dict[int, _CachedPage] = {}      # in LRU or FIFO order
         self._inflight: Dict[int, dict] = {}          # page -> fetch record
         stats.counters(self, {
             "ssdcache.hits": "hits", "ssdcache.misses": "misses",
@@ -195,7 +194,7 @@ class SsdCachedMedium:
         if entry is not None:
             self.hits += 1
             if self.policy == "lru":
-                self._pages.move_to_end(page)
+                self._pages[page] = self._pages.pop(page)
             candidate = None
             if entry.prefetched and not entry.referenced:
                 self.prefetch_useful += 1

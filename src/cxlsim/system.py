@@ -33,21 +33,26 @@ class System:
     # NUMA node i's page addresses that no placement has taken yet: local
     # memory is node 0, device i's HDM window node i + 1.
     free_pages: List[range]
-    hdm_allocators: List[HdmAllocator]
+    # Device 0's app-managed allocator; None when there is no device.
+    hdm_allocator: Optional[HdmAllocator]
     seed: int
 
-    def place_pages(self, count: int, nodes: Sequence[int]) -> List[int]:
+    def place_pages(self, count: int, nodes: Sequence[int]) -> Sequence[int]:
         """Deal `count` page base addresses round robin over the NUMA
         `nodes`, in their order, passing over a node once it is full.
 
         Each node hands out its pages from the bottom up, so placements in
         one run never overlap.  Whole rounds go out at once, one slice per
-        node, so a bind costs no per-page work.
+        node; a bind returns its slice, a range, with no per-page work.
         """
         free = self.free_pages
         if sum(len(free[n]) for n in nodes) < count:
             raise PlacementError(f"NUMA nodes {tuple(nodes)} cannot hold "
                                  f"{count} pages")
+        if len(nodes) == 1:
+            (n,) = nodes
+            addrs, free[n] = free[n][:count], free[n][count:]
+            return addrs
         addrs = [0] * count
         done = 0
         while done < count:
@@ -65,5 +70,5 @@ class System:
 
     def am_alloc(self, pid: int, size: int) -> int:
         """App-managed HDM allocation; returns a host physical address."""
-        offset = self.hdm_allocators[0].alloc(pid, size)
+        offset = self.hdm_allocator.alloc(pid, size)
         return self.devices[0].bar.base + offset

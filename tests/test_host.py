@@ -1,4 +1,5 @@
 import copy
+import gc
 import random
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from cxlsim import cli
 from cxlsim.host import (AddressFault, AddressMap, Cache, CacheHierarchy,
                          LINE_BYTES, MemCmd, MemPacket, Target)
 from cxlsim.config import check_config, merge_config, preset, run_workload
-from cxlsim.engine import ns_to_ticks
+from cxlsim.engine import Engine, ns_to_ticks
 from cxlsim.hdm import PAGE_BYTES
 from cxlsim.stats import StatsRegistry
 from cxlsim.workloads import STREAM_KERNELS
@@ -51,6 +52,19 @@ class TestAddressMap:
         assert base >= amap.top() - (1 << 20)
 
 
+def probe(cache, line):
+    """One level's lookup as CacheHierarchy.access makes it: counts a hit
+    or a miss and refreshes LRU order on a hit."""
+    cset = cache._sets[line % cache.num_sets]
+    tag = line // cache.num_sets
+    if tag in cset:
+        cache.hits += 1
+        cset[tag] = cset.pop(tag)
+        return True
+    cache.misses += 1
+    return False
+
+
 class TestCache:
     def make(self, capacity=4096, assoc=4):
         return Cache("l1", capacity, assoc, 1000, StatsRegistry())
@@ -60,10 +74,10 @@ class TestCache:
         cache = self.make(capacity=4 * 64, assoc=4)
         for line in range(4):
             cache.install(line)
-        cache.touch(0)                       # refresh line 0
+        probe(cache, 0)                      # refresh line 0
         victim = cache.install(100)          # evicts LRU (line 1)
         assert victim == (1, False)
-        assert cache.touch(0)
+        assert probe(cache, 0)
 
     def test_victim_address_reconstruction(self):
         cache = self.make(capacity=2 * 64 * 8, assoc=2)  # 8 sets
@@ -86,6 +100,157 @@ class TestCache:
         cache.install(5, dirty=True)
         victim = cache.install(6)
         assert victim == (5, True)
+
+
+# -- dict sets against a list-based LRU reference -----------------------------
+
+
+class ListLru:
+    """One level as lists: a set is a list of (tag, dirty), oldest first,
+    and a hit or a re-install moves its entry to the back."""
+
+    def __init__(self, num_sets, ways):
+        self.num_sets, self.ways = num_sets, ways
+        self.sets = [[] for _ in range(num_sets)]
+        self.hits = self.misses = 0
+
+    def _take(self, line):
+        """The line's set, and its entry taken out of it (or None)."""
+        cset = self.sets[line % self.num_sets]
+        tag = line // self.num_sets
+        for i, (t, _) in enumerate(cset):
+            if t == tag:
+                return cset, cset.pop(i)
+        return cset, None
+
+    def probe(self, line, write):
+        cset, entry = self._take(line)
+        if entry is None:
+            self.misses += 1
+            return False
+        self.hits += 1
+        cset.append((entry[0], entry[1] or write))
+        return True
+
+    def install(self, line, dirty=False):
+        cset, entry = self._take(line)
+        if entry is not None:
+            cset.append((entry[0], entry[1] or dirty))
+            return None
+        victim = None
+        if len(cset) == self.ways:
+            vtag, vdirty = cset.pop(0)
+            victim = (vtag * self.num_sets + line % self.num_sets, vdirty)
+        cset.append((line // self.num_sets, dirty))
+        return victim
+
+
+class ListHierarchy:
+    """A hit at level k (made dirty by a write) later installs the line
+    clean into the levels above; a miss later installs it into every level
+    from the last up and then, for a write, dirty into L1.  A dirty victim
+    moves down a level; past the last it is a write-back."""
+
+    def __init__(self, levels):
+        self.levels = levels
+        self.writebacks = []
+
+    def access(self, line, write):
+        """Probe at issue; returns what completing the access does."""
+        for k, level in enumerate(self.levels):
+            if level.probe(line, write):
+                return lambda: self.promote(k - 1, line)
+
+        def fill():
+            self.promote(len(self.levels) - 1, line)
+            if write:
+                self.levels[0].install(line, dirty=True)
+        return fill
+
+    def promote(self, upto, line):
+        for k in range(upto, -1, -1):
+            victim = self.levels[k].install(line)
+            if victim is not None and victim[1]:
+                self.demote(k + 1, victim[0])
+
+    def demote(self, k, line):
+        while k < len(self.levels):
+            victim = self.levels[k].install(line, dirty=True)
+            if victim is None or not victim[1]:
+                return
+            line, k = victim[0], k + 1
+        self.writebacks.append(line)
+
+
+class ImmediateBus:
+    """Answers every packet `lat` after it is sent and records the line of
+    each write-back."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.writebacks = []
+
+    def send(self, pkt, lat, reply):
+        if pkt.cmd is MemCmd.WRITE_REQ:
+            self.writebacks.append(pkt.addr // LINE_BYTES)
+        self.engine.schedule(lat, reply, pkt)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                       min_size=1, max_size=3),
+       seed=st.integers(0, 2**32))
+def test_dict_sets_match_list_lru_reference(shapes, seed):
+    # Thousands of operations on sets of at most four ways: every dict is
+    # emptied and refilled, and compacted, many times over.
+    rnd = random.Random(seed)
+    engine, stats = Engine(), StatsRegistry()
+    caches = [Cache(f"l{k + 1}", sets * ways * LINE_BYTES, ways, 1000, stats)
+              for k, (sets, ways) in enumerate(shapes)]
+    bus = ImmediateBus(engine)
+    hierarchy = CacheHierarchy(engine, caches, bus, 10_000, stats)
+    ref = ListHierarchy([ListLru(sets, ways) for sets, ways in shapes])
+    span = rnd.randint(1, 3 * sum(sets * ways for sets, ways in shapes))
+    done = []
+
+    def install(line):
+        k, dirty = rnd.randrange(len(caches)), rnd.random() < 0.5
+        assert (caches[k].install(line, dirty)
+                == ref.levels[k].install(line, dirty))
+
+    for i in range(3000):
+        line = rnd.randrange(span)
+        if rnd.random() < 0.2:
+            install(line)
+            continue
+        write = rnd.random() < 0.4
+        cmd = MemCmd.WRITE_REQ if write else MemCmd.READ_REQ
+        hierarchy.access(MemPacket(i, cmd, line * LINE_BYTES), done.append)
+        complete = ref.access(line, write)
+        while rnd.random() < 0.3:
+            # Installs land while the access is in flight: its promotion
+            # may find the line present, and not the newest in its set.
+            install(line if rnd.random() < 0.5 else rnd.randrange(span))
+        engine.run()
+        complete()
+        assert done[-1].id == i
+        assert bus.writebacks == ref.writebacks
+        for cache, level in zip(caches, ref.levels):
+            assert cache_contents(cache) == level.sets
+    for cache, level in zip(caches, ref.levels):
+        assert (cache.hits, cache.misses) == (level.hits, level.misses)
+
+
+def test_cache_sets_stay_untracked_by_the_collector():
+    # A dict of int -> bool holds nothing the collector could find a cycle
+    # through, so it never tracks one, however many sets a level has.
+    cfg = merge_config(preset("cxl-dmsim-a"), {"workload": {
+        "kind": "stream", "kernel": "triad", "groups": 300,
+        "warm_groups": 30, "placement": "hdm"}})
+    levels = run_workload(check_config(cfg)).system.host.hierarchy.levels
+    for level in levels:
+        assert any(level._sets)
+        assert not any(gc.is_tracked(cset) for cset in level._sets), level.name
 
 
 # -- the scoped LLC pre-warm against a per-line install of every line ----------
@@ -188,7 +353,7 @@ class StaggeredHierarchy(CacheHierarchy):
 
         def after_lookup(_):
             line = pkt.addr // LINE_BYTES
-            if level.touch(line):
+            if probe(level, line):
                 if pkt.cmd is MemCmd.WRITE_REQ:
                     level.install(line, dirty=True)
                 if idx > 0:

@@ -35,16 +35,16 @@ KV = {"kind": "kv_proxy", "ops": 1000, "warm_ops": 100}
 CASES = {
     "latency_sweep": ("cxl-dmsim-a", {"workload": {
         "kind": "latency_sweep", "array_kb": [16, 16384], "samples": 200,
-        "placement": "hdm"}}, 656, 21048),
+        "placement": "hdm"}}, 656, 18112),
     "stream": ("cxl-dmsim-a", {"workload": {
         "kind": "stream", "kernel": "triad", "groups": 300,
-        "warm_groups": 30, "placement": "hdm"}}, 900, 42228),
+        "warm_groups": 30, "placement": "hdm"}}, 900, 36828),
     "rdwr_sweep": ("cxl-dmsim-a", {"workload": {
         "kind": "rdwr_sweep", "read_fractions": [0.5, 1.0], "ops": 400,
         "warm_ops": 50, "placement": "hdm"}}, 800, 24618),
     "dlrm_proxy": ("cxl-dmsim-a", {"workload": {
         "kind": "dlrm_proxy", "injectors": 12, "queries_per_injector": 4,
-        "placement": "hdm"}}, 768, 31558),
+        "placement": "hdm"}}, 768, 26950),
     "kv_proxy-cached": ("cxl-ssd", {"workload": KV}, 1000, 26789),
     "kv_proxy-uncached": ("cxl-ssd", {"devices": [_uncached_ssd()],
                                       "workload": KV}, 1000, 29007),

@@ -1,6 +1,6 @@
 from cxlsim.engine import Engine, ns_to_ticks
 from cxlsim.stats import StatsRegistry
-from cxlsim.ssd import (BestOffsetPrefetcher, SsdCachedMedium,
+from cxlsim.ssd import (RR_SIZE, BestOffsetPrefetcher, SsdCachedMedium,
                         SsdDirectMedium, SsdMedium, _smooth_offsets)
 
 PAGE = 4096
@@ -99,6 +99,14 @@ class TestBestOffsetLearning:
         bo = BestOffsetPrefetcher()
         bo.best_offset = 4
         assert bo._candidate(100) == 104
+
+    def test_recent_request_table_keeps_the_newest_pages(self):
+        bo = BestOffsetPrefetcher()
+        for page in range(RR_SIZE):
+            bo._rr_insert(page)
+        bo._rr_insert(0)                     # refreshed: now the newest
+        bo._rr_insert(RR_SIZE)               # evicts page 1, the oldest
+        assert list(bo._rr) == [*range(2, RR_SIZE), 0, RR_SIZE]
 
 
 class TestSsdIo:

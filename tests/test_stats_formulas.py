@@ -21,7 +21,7 @@ from cxlsim import config, stats as stats_module
 from cxlsim.bridge import CxlBridge, LinkChannel
 from cxlsim.config import preset, run_workload
 from cxlsim.engine import Engine
-from cxlsim.host import LINE_BYTES, Cache, MemBus, MemCmd, Target
+from cxlsim.host import LINE_BYTES, CacheHierarchy, MemBus, MemCmd, Target
 
 # One small block per workload kind; placement is left to its default
 # (the first device when there is one, else local memory).
@@ -73,7 +73,17 @@ def counted(monkeypatch):
          lambda bridge, *_: counts.update([(bridge, "converted")]))
     wrap(LinkChannel, "transmit",
          lambda link, nbytes, *_: counts.update({(link, "bytes"): nbytes}))
-    wrap(Cache, "touch", lambda cache, *_: counts.update([(cache, "lookups")]))
+    access = CacheHierarchy.access
+
+    def counted_access(hierarchy, pkt, reply):
+        # A hit at pkt.level probed levels 0..level; a miss probed all.
+        access(hierarchy, pkt, reply)
+        levels = hierarchy.levels
+        probed = (levels[:pkt.level + 1] if hasattr(pkt, "level")
+                  else levels)
+        counts.update((cache, "lookups") for cache in probed)
+
+    monkeypatch.setattr(CacheHierarchy, "access", counted_access)
     build_system = config.build_system
 
     def build_and_list(*args):
