@@ -101,6 +101,12 @@ _MAX_NS = 1e9
 _NS = (NUM, lambda v: 0 <= v <= _MAX_NS, "must lie in [0, 1e9]", REQUIRED)
 _US = (NUM, lambda v: 0 < v <= _MAX_NS / 1000, "must lie in (0, 1e6]",
        REQUIRED)
+# One free tick per coarse DRAM server and flash channel and one dict per
+# cache set are built with the system: 64x the most any preset or fixture
+# uses (width 32, 8 channels, 8192 sets) keeps a typo from taking gigabytes.
+_servers = lambda default=REQUIRED: (int, lambda v: 0 < v <= 4096,
+                                     "must lie in [1, 4096]", default)
+_MAX_SETS = 1 << 19
 # At least 1 MB/s: the largest message then crosses in under 5 ms.
 _RATE = (NUM, lambda v: v >= 1e-3, "must be >= 1e-3 (1 MB/s)", REQUIRED)
 # latency_sweep and kv_proxy drive only the first injector.
@@ -216,7 +222,7 @@ SCHEMA = {
         "caches": {"l1": _CACHE_LEVEL, "l2": _CACHE_LEVEL, "l3": _CACHE_LEVEL},
         "local_medium": Tagged("kind", {
             "queued_ddr": {**_DDR, "access_lat_ns": _NS},
-            "coarse_dram": {"access_lat_ns": _NS, "width": _count()},
+            "coarse_dram": {"access_lat_ns": _NS, "width": _servers()},
         }),
     },
     # Required when devices is not empty, refused when it is empty.
@@ -233,13 +239,13 @@ SCHEMA = {
     }),
     "devices": Opt([Tagged("medium", {
         "queued_ddr": {**_DEVICE, "ddr": _DDR},
-        "coarse_dram": {**_DEVICE, "coarse": Opt({"width": _count(16)}, {})},
+        "coarse_dram": {**_DEVICE, "coarse": Opt({"width": _servers(16)}, {})},
         "ssd": {
             **_DEVICE,
             "ssd": {"page_bytes": (int, lambda v: v >= 64 and _POW2(v),
                                    "must be a power of two >= 64", REQUIRED),
                     "read_latency_us": _US, "write_latency_us": _US,
-                    "channels": _count()},
+                    "channels": _servers()},
             # capacity_kb and policy are required when the cache is enabled.
             "cache": Opt({"enabled": (bool, None, "", True),
                           "capacity_kb": _count(None),
@@ -321,9 +327,10 @@ def _check_rules(c: SimpleNamespace) -> None:
 
     lookup = 0
     for name, lvl in vars(host.caches).items():
-        if lvl.capacity_kb * KB % (lvl.assoc * LINE_BYTES):
-            fail(f"host.caches.{name}.capacity_kb",
-                 f"must divide into assoc x {LINE_BYTES} B lines")
+        sets, rest = divmod(lvl.capacity_kb * KB, lvl.assoc * LINE_BYTES)
+        if rest or sets > _MAX_SETS:
+            fail(f"host.caches.{name}.capacity_kb", f"must divide into at "
+                 f"most {_MAX_SETS} sets of assoc x {LINE_BYTES} B lines")
         lookup += ns_to_ticks(lvl.hit_latency_ns)
     # In ticks, as CacheHierarchy splits host_path_lat into lookups and bus.
     if ns_to_ticks(host.host_path_lat_ns) < lookup:
@@ -400,11 +407,20 @@ def check_config(cfg) -> SimpleNamespace:
 
 def read_json(path: str):
     """The JSON document in the file `path`; a syntax error is a
-    ConfigError naming its line and column, and text that is not UTF-8 a
-    ConfigError naming the file."""
+    ConfigError naming its line and column, and text that is not UTF-8 or
+    an object that repeats a key a ConfigError naming the file."""
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: key {key!r} appears twice in "
+                                  "one object")
+            obj[key] = value
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
         except UnicodeDecodeError as exc:

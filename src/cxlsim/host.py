@@ -33,7 +33,7 @@ the next handler and the packet, so no closure is built per hop.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
@@ -170,30 +170,35 @@ class Cache:
         i % period < dirty_per_period.
 
         LRU sets are independent, so each wanted set ends as installing
-        every line would leave it.  Within one page, consecutive lines fall
-        into consecutive sets under one tag until the set index wraps; the
-        wanted sets in each such window are found by bisection."""
-        sets, num_sets, ways = self._sets, self.num_sets, self.ways
-        wanted = sorted({line % num_sets for line in touched})
+        every line would leave it.  With g = gcd(lines per page, num_sets,
+        lines), a run of g lines fills the g sets of one block under one
+        tag, so one pass over the runs lists each wanted block's (tag, first
+        line); an empty set is a copy of the dict its last `ways` entries
+        give, built once per block and offset % period, and a set that
+        holds lines installs them one at a time."""
+        sets, num_sets = self._sets, self.num_sets
         per_page = PAGE_BYTES // LINE_BYTES
-        for page, addr in enumerate(page_addrs):
-            i = page * per_page      # region index of the window's first line
-            end = min(i + per_page, lines)
-            tag, s = divmod(addr // LINE_BYTES, num_sets)
-            while i < end:
-                k = min(end - i, num_sets - s)
-                lo = bisect_left(wanted, s)
-                for w in wanted[lo:bisect_left(wanted, s + k, lo)]:
-                    cset = sets[w]
-                    dirty = (i + w - s) % period < dirty_per_period
-                    if tag in cset:
-                        cset[tag] = cset.pop(tag) or dirty
-                    else:
-                        if len(cset) >= ways:
-                            cset.pop(next(iter(cset)))
-                        cset[tag] = dirty
-                i += k
-                tag, s = tag + 1, 0
+        g = math.gcd(per_page, num_sets, lines)
+        wanted = {line % num_sets for line in touched}
+        blocks = {w // g: [] for w in wanted}
+        for i in range(0, lines, g):
+            tag, s = divmod(page_addrs[i // per_page] // LINE_BYTES
+                            + i % per_page, num_sets)
+            if s // g in blocks:
+                blocks[s // g].append((tag, i))
+        built = {}      # (block, offset % period): an empty set, filled
+        for w in wanted:
+            b, j = divmod(w, g)
+            if sets[w]:
+                for tag, i in blocks[b]:
+                    self.install(tag * num_sets + w,
+                                 (i + j) % period < dirty_per_period)
+                continue
+            key = (b, j % period)
+            if key not in built:
+                built[key] = {tag: (i + j) % period < dirty_per_period
+                              for tag, i in blocks[b][-self.ways:]}
+            sets[w] = built[key].copy()
 
 
 class MemBus:

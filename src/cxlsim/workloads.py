@@ -8,7 +8,8 @@ suite at desk scale:
   LLC), one outstanding load, per-array-size mean load-to-use.
 * stream - Copy/Scale/Add/Triad streaming kernels measured over a window
   after pre-warming, to steady write-back state, the LLC sets the
-  kernel's lines map to (no other set is ever read).
+  kernel's pages map to (no other set is ever read), at a cost that
+  follows the LLC's pages and the touched sets, not the kernel's lines.
 * rdwr_sweep - open-loop uniform-random 64B traffic at a given read
   fraction and injection rate; one fresh system per grid point.
 * dlrm_proxy - gather-heavy concurrent random reads (embedding-lookup
@@ -231,8 +232,10 @@ def run_stream(system: System, params: SimpleNamespace,
     # handles no other line, so no other LLC set is ever read.
     ops_per_group = len(reads) + len(writes)
     ghost = _PagedRegion(system, llc.capacity, placement)
-    touched = (arrays[name].line_addr(group) // LINE_BYTES
-               for name in reads + writes for group in range(params.groups))
+    pages = -(-params.groups * LINE_BYTES // PAGE_BYTES)
+    touched = itertools.chain.from_iterable(
+        range(addr // LINE_BYTES, (addr + PAGE_BYTES) // LINE_BYTES)
+        for name in reads + writes for addr in arrays[name].page_addrs[:pages])
     llc.install_pages(ghost.page_addrs, llc.capacity // LINE_BYTES,
                       ops_per_group, len(writes), touched)
 

@@ -209,6 +209,13 @@ UNRUNNABLE = [
      "config.bridge.link_bytes_per_ns_rx"),
     ({"devices": [ssd_device(ssd={"write_latency_us": 1e200})]},
      "config.devices[0].ssd.write_latency_us"),
+    # Each of these sizes a structure built before the first event.
+    ({"devices": [coarse_device({"width": 4097})]},
+     "config.devices[0].coarse.width"),
+    ({"devices": [ssd_device(ssd={"channels": 4097})]},
+     "config.devices[0].ssd.channels"),
+    ({"host": {"caches": {"l3": {"capacity_kb": 2**19 + 1}}}},
+     "config.host.caches.l3.capacity_kb"),
 ]
 
 
@@ -286,6 +293,23 @@ class TestCli:
         assert rc == 2
         assert f"{path}: not UTF-8" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"schema_version": 1, "seed": 3, "seed": 5}', "seed"),
+        ('{"host": {"caches": {"l1": {"assoc": 8, "assoc": 4}}}}', "assoc"),
+    ])
+    def test_config_file_repeating_a_key_exits_2(self, tmp_path, capsys,
+                                                 text, key):
+        # json.load keeps the last value, so the first would be dropped.
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        rc = cli.main(["run", "--preset", "local-ddr", "--config", str(path),
+                       "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{path}: key {key!r} appears twice" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_and_preset(self, capsys):
         rc = cli.main(["run", "--out", "/tmp/nowhere"])
@@ -621,6 +645,21 @@ class TestCli:
         # check_config builds no engine.
         with pytest.raises(ConfigError, match=re.escape(field)):
             check_config(merge_config(preset("cxl-dmsim-a"), overlay))
+
+    def test_local_coarse_width_above_its_bound_exits_2(self, tmp_path,
+                                                        capsys):
+        # An overlay merges into the preset's queued_ddr block, so the
+        # whole config is one file here.
+        cfg = preset("cxl-dmsim-a")
+        cfg["host"]["local_medium"] = {"kind": "coarse_dram",
+                                       "access_lat_ns": 50.0, "width": 4097}
+        rc = cli.main(["run", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config.host.local_medium.width" in err
+        cfg["host"]["local_medium"]["width"] = 4096
+        check_config(cfg)
 
     @pytest.mark.parametrize("command", [
         ["run"], ["sweep", "--param", "seed", "--grid", "1"]],

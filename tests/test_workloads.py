@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import tiny_cache_patch
 
+from cxlsim import workloads
 from cxlsim.config import (ConfigError, check_config, merge_config, preset,
                            run_workload)
+from cxlsim.engine import Engine
 from cxlsim.workloads import (STREAM_KERNELS, build_chase_cycle,
                               stream_bytes_per_group)
 
@@ -143,6 +145,33 @@ def test_stream_issue_accounting_is_exact(kernel, reads_per_group):
     # every issued load completed and was sampled exactly once
     assert system.stats.flatten()["core.loadToUse::samples"] == groups * reads_per_group
     assert system.stats.flatten()["core.outstandingRequests"] == 0
+
+
+@pytest.mark.parametrize("placement", ["hdm", "interleave"])
+def test_stream_setup_does_no_work_per_line(monkeypatch, placement):
+    # The pre-warm finds the kernel's sets from its pages; only the kernel's
+    # requests, issued inside the run, map a line to its address.
+    calls, at_run = [], []
+    line_addr = workloads._PagedRegion.line_addr
+    run = Engine.run
+
+    def counting_line_addr(self, line):
+        calls.append(line)
+        return line_addr(self, line)
+
+    def recording_run(self):
+        at_run.append(len(calls))
+        return run(self)
+
+    monkeypatch.setattr(workloads._PagedRegion, "line_addr",
+                        counting_line_addr)
+    monkeypatch.setattr(Engine, "run", recording_run)
+    cfg = merge_config(preset("cxl-dmsim-a"), {"workload": {
+        "kind": "stream", "kernel": "add", "groups": 300, "warm_groups": 30,
+        "placement": placement}})
+    run_workload(check_config(cfg))
+    assert at_run == [0]
+    assert len(calls) == 300 * 3
 
 
 def test_rdwr_sweep_builds_one_system_per_grid_point(monkeypatch):
