@@ -427,23 +427,25 @@ def read_json(path: str):
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def merge_config(base: dict, override: dict) -> dict:
+def merge_config(base: dict, override: dict, schema=SCHEMA) -> dict:
     """Deep merge: override wins; nested dicts merge, lists replace.
 
-    A workload block whose kind differs from the base replaces the whole
-    block, since per-kind fields are not interchangeable.
+    A Tagged block of `schema` whose overlay names another kind replaces
+    the whole base block, since per-kind fields are not interchangeable.
     """
     if not isinstance(override, dict):
         raise ConfigError("config: top level must be an object")
     out = copy.deepcopy(base)
     for key, value in override.items():
-        replace_whole = (
-            key == "workload" and isinstance(value, dict)
-            and isinstance(out.get(key), dict)
-            and value.get("kind") not in (None, out[key].get("kind")))
-        if (isinstance(value, dict) and isinstance(out.get(key), dict)
-                and not replace_whole):
-            out[key] = merge_config(out[key], value)
+        entry = schema.get(key) if isinstance(schema, dict) else None
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            if isinstance(entry, Tagged):
+                kind = out[key].get(entry.tag)
+                if value.get(entry.tag, kind) != kind:
+                    out[key] = copy.deepcopy(value)
+                    continue
+                entry = entry.kinds.get(kind)
+            out[key] = merge_config(out[key], value, entry)
         else:
             out[key] = copy.deepcopy(value)
     return out

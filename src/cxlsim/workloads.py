@@ -18,10 +18,11 @@ suite at desk scale:
   SSD-backed device against its DRAM-backed twin.
 
 Every generator owns a seeded random.Random, so runs are deterministic
-for a given (config, seed) pair.  Each run_* function takes its
-parameters as the workload block's checked view (config.check_config):
-a namespace of every field of the block's kind, defaults filled in, with
-sizes in the config's units.
+for a given (config, seed) pair; the chase cycle and the DLRM lookups
+take its getrandbits as shuffle and randrange do.  Each run_* function
+takes its parameters as the workload block's checked view
+(config.check_config): a namespace of every field of the block's kind,
+defaults filled in, with sizes in the config's units.
 """
 
 from __future__ import annotations
@@ -62,9 +63,19 @@ def _derive_seed(seed: int, *parts) -> int:
 def build_chase_cycle(num_lines: int, rng: random.Random) -> List[int]:
     """Random single-cycle visit order over line indices: walking the
     returned list by position, wrapping at its end, visits every line
-    exactly once per lap."""
+    exactly once per lap.  Fisher-Yates over rng.getrandbits by CPython's
+    rule (j takes k = (i + 1).bit_length() bits, redrawn while j > i), so
+    the order and the rng's end state equal rng.shuffle's (a test pins
+    this) at one C call and no Python frame per element."""
     order = list(range(num_lines))
-    rng.shuffle(order)
+    getrandbits = rng.getrandbits
+    for k in range(num_lines.bit_length(), 1, -1):
+        # k once for the band of i whose i + 1 has k bits: [2^(k-1)-1, 2^k-2].
+        for i in range(min(num_lines - 1, (1 << k) - 2), (1 << (k - 1)) - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
     return order
 
 
@@ -362,9 +373,13 @@ class _Queries:
             return
         self.left -= 1
         self.pending = self.lookups
+        lines = self.region.lines    # randrange(lines)'s draws, frameless
+        k = lines.bit_length()
         for _ in range(self.lookups):
-            addr = self.region.line_addr(self.rng.randrange(self.region.lines))
-            self.injector.issue(MemCmd.READ_REQ, addr,
+            line = self.rng.getrandbits(k)
+            while line >= lines:
+                line = self.rng.getrandbits(k)
+            self.injector.issue(MemCmd.READ_REQ, self.region.line_addr(line),
                                 on_complete=self.gathered)
 
     def gathered(self, _pkt) -> None:

@@ -11,6 +11,8 @@ import cxlsim
 from cxlsim import cli
 from cxlsim.config import (ConfigError, build_system, check_config,
                            PRESETS, merge_config, preset)
+from cxlsim.host import Target
+from cxlsim.media import CoarseDram
 from cxlsim.ssd import SsdCachedMedium
 
 
@@ -101,6 +103,13 @@ class TestValidation:
                            {"workload": {"samples": 5}})
         assert cfg["workload"]["samples"] == 5
         assert cfg["workload"]["kind"] == "latency_sweep"
+
+    def test_merge_patches_same_kind_local_medium(self):
+        base = preset("local-ddr")
+        cfg = merge_config(base, {"host": {"local_medium": {
+            "kind": "queued_ddr", "access_lat_ns": 40.0}}})
+        assert cfg["host"]["local_medium"] == dict(
+            base["host"]["local_medium"], access_lat_ns=40.0)
 
     @pytest.mark.parametrize("name", list(PRESETS))
     def test_misplaced_field_rejected_naming_its_path(self, name):
@@ -646,10 +655,24 @@ class TestCli:
         with pytest.raises(ConfigError, match=re.escape(field)):
             check_config(merge_config(preset("cxl-dmsim-a"), overlay))
 
+    def test_overlay_switches_local_medium_kind(self, tmp_path):
+        coarse = {"kind": "coarse_dram", "access_lat_ns": 50.0, "width": 4}
+        overlay = dict(TINY_WORKLOAD, host={"local_medium": coarse})
+        rc = cli.main(["run", "--preset", "local-ddr",
+                       "--config", write_cfg(tmp_path, overlay),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 0
+        cfg = json.loads((tmp_path / "o" / "config.json").read_text())
+        assert cfg["host"]["local_medium"] == coarse
+        system = build_system(check_config(cfg))
+        medium = system.membus.targets[Target.LOCAL_DRAM].medium
+        assert isinstance(medium, CoarseDram)
+        # Four servers: of five accesses at tick 0, the fifth waits.
+        lat = medium.access_lat
+        assert [medium.submit("r") for _ in range(5)] == [lat] * 4 + [2 * lat]
+
     def test_local_coarse_width_above_its_bound_exits_2(self, tmp_path,
                                                         capsys):
-        # An overlay merges into the preset's queued_ddr block, so the
-        # whole config is one file here.
         cfg = preset("cxl-dmsim-a")
         cfg["host"]["local_medium"] = {"kind": "coarse_dram",
                                        "access_lat_ns": 50.0, "width": 4097}

@@ -44,7 +44,7 @@ CASES = {
         "warm_ops": 50, "placement": "hdm"}}, 800, 24618),
     "dlrm_proxy": ("cxl-dmsim-a", {"workload": {
         "kind": "dlrm_proxy", "injectors": 12, "queries_per_injector": 4,
-        "placement": "hdm"}}, 768, 26950),
+        "placement": "hdm"}}, 768, 25414),
     "kv_proxy-cached": ("cxl-ssd", {"workload": KV}, 1000, 26789),
     "kv_proxy-uncached": ("cxl-ssd", {"devices": [_uncached_ssd()],
                                       "workload": KV}, 1000, 29007),

@@ -1,6 +1,7 @@
 import copy
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,51 @@ def test_chase_cycle_covers_all_lines_once():
     for n in (1, 2, 7, 256):
         order = build_chase_cycle(n, rng)
         assert sorted(order) == list(range(n))
+
+
+# Each end of each power-of-two band of line counts, where the bits a
+# draw takes change.
+BAND_EDGES = [2 ** m + d for m in range(1, 14) for d in (-1, 0, 1)]
+
+
+def _assert_chase_cycle_is_the_stdlib_shuffle(n, seed):
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    expected = list(range(n))
+    stdlib.shuffle(expected)
+    assert build_chase_cycle(n, ours) == expected
+    assert ours.getstate() == stdlib.getstate()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(0, 5000), seed=st.integers(0, 2 ** 32 - 1))
+def test_chase_cycle_is_the_stdlib_shuffle(n, seed):
+    _assert_chase_cycle_is_the_stdlib_shuffle(n, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_chase_cycle_is_the_stdlib_shuffle_at_band_edges(seed):
+    for n in BAND_EDGES:
+        _assert_chase_cycle_is_the_stdlib_shuffle(n, seed)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(lines=st.one_of(st.integers(1, 1 << 22), st.sampled_from(BAND_EDGES)),
+       lookups=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_dlrm_lookups_are_the_stdlib_randrange(lines, lookups, seed):
+    issued = []
+    injector = SimpleNamespace(
+        engine=SimpleNamespace(now=0),
+        issue=lambda cmd, addr, on_complete: issued.append(addr))
+    system = SimpleNamespace(host=SimpleNamespace(injectors=[injector]),
+                             seed=seed)
+    region = SimpleNamespace(lines=lines, line_addr=lambda line: line)
+    params = SimpleNamespace(queries_per_injector=3, lookups_per_query=lookups)
+    queries = workloads._Queries(system, 0, region, params)
+    for _ in range(3):
+        queries.next_query()
+    stdlib = random.Random(workloads._derive_seed(seed, "dlrm", 0))
+    assert issued == [stdlib.randrange(lines) for _ in range(3 * lookups)]
+    assert queries.rng.getstate() == stdlib.getstate()
 
 
 def test_stream_kernel_traffic_shapes():
