@@ -45,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from .engine import Engine
 from .host import LINE_BYTES, MemCmd, MemPacket, SimFault
@@ -120,7 +120,8 @@ class CxlBridge:
         self.resp_fifo_depth = resp_fifo_depth
         self.msg_header_bytes = msg_header_bytes
         self._bases: List[int] = []      # sorted device bases
-        self._devices: List[Tuple[int, object]] = []   # (limit, device)
+        self._limits: List[int] = []     # and each window's limit
+        self._devices: list = []         # the device behind each window
         self._inflight: dict = {}        # id -> MemPacket
         self._waiters: deque = deque()   # held MemPackets
         self._egress_waiters: deque = deque()
@@ -147,19 +148,12 @@ class CxlBridge:
     def attach_device(self, base: int, limit: int, device) -> None:
         at = bisect_right(self._bases, base)
         self._bases.insert(at, base)
-        self._devices.insert(at, (limit, device))
+        self._limits.insert(at, limit)
+        self._devices.insert(at, device)
         device.bind_bridge(self)
 
     def _device_total(self, count: str) -> int:
-        return sum(getattr(device, count) for _, device in self._devices)
-
-    def _device_for(self, addr: int):
-        at = bisect_right(self._bases, addr) - 1
-        if at >= 0:
-            limit, device = self._devices[at]
-            if addr < limit:
-                return device
-        raise ProtocolError(f"no CXL device backs address {addr:#x}")
+        return sum(getattr(device, count) for device in self._devices)
 
     # -- request path ------------------------------------------------------
 
@@ -175,7 +169,9 @@ class CxlBridge:
         # Both checks come before the credit is taken, so a refused packet
         # leaves no credit or in-flight id behind.
         cxl = convert_m2s(pkt)
-        device = self._device_for(cxl.addr)
+        at = bisect_right(self._bases, cxl.addr) - 1
+        if at < 0 or cxl.addr >= self._limits[at]:
+            raise ProtocolError(f"no CXL device backs address {cxl.addr:#x}")
         if pkt.id in self._inflight:
             raise ProtocolError(f"request id {pkt.id} already in flight")
         self.req_used += 1
@@ -185,7 +181,7 @@ class CxlBridge:
         # The message reaches the TX channel once converted, traversal_lat
         # from now, and the device at its grant.
         self.m2s_sent += 1
-        device.receive_m2s(cxl, self.tx.transmit(
+        self._devices[at].receive_m2s(cxl, self.tx.transmit(
             self.msg_header_bytes + cxl.payload_bytes, self.traversal_lat))
 
     # -- response path -----------------------------------------------------

@@ -101,7 +101,10 @@ class MemExpander:
     def receive_m2s(self, pkt: CxlMemPacket, delay: int) -> None:
         """Serve `pkt`, which reaches the device `delay` ticks from now."""
         pkt.arrival = self.engine.now + delay
-        offset = self.translate(pkt.addr)
+        base = self.bar.base
+        offset = pkt.addr - base
+        if not base or not 0 <= offset < self.hdm_size:
+            self.translate(pkt.addr)    # raises the DeviceFault
         if pkt.kind is CxlKind.M2S_REQ:
             kind = READ
             self.reads += 1

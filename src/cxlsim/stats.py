@@ -12,8 +12,9 @@ other counts is a getter too, which reads those counts at report time
 instead of counting per request.  The table is read only by `flatten`, so
 the one stats call left on the request path is Histogram.record, which
 appends the sample to a buffer.  The buffer folds every FOLD_AT samples
-and before any read, replaying them in arrival order through the
-per-sample update, so every read is bit for bit what that update gives.
+and before any read, replaying them in arrival order through Welford's
+update and counting buckets from one sort, so every read is bit for bit
+what a per-sample update gives.
 Registering a name twice fails when the table is built, so a name clash
 cannot silently split samples.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Sequence
@@ -94,12 +95,15 @@ class Histogram:
         # earlier sample and its type (5 before 5.0).
         self._min = min(self._min, *buf)
         self._max = max(self._max, *buf)
-        if self._upper:
-            upper, counts = self._upper, self._counts
-            for x in buf:
-                counts[bisect_right(upper, x)] += 1
-        else:
-            self._counts[0] += len(buf)
+        # Bucket i gains the samples below upper[i] less those below
+        # upper[i - 1]: bisect_right(upper, x) per sample, from one sort.
+        counts, below = self._counts, 0
+        ordered = sorted(buf) if self._upper else ()
+        for i, edge in enumerate(self._upper):
+            reached = bisect_left(ordered, edge)
+            counts[i] += reached - below
+            below = reached
+        counts[-1] += len(buf) - below
         buf.clear()
 
     n = _folded("_n")

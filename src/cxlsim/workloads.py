@@ -18,9 +18,9 @@ suite at desk scale:
   SSD-backed device against its DRAM-backed twin.
 
 Every generator owns a seeded random.Random, so runs are deterministic
-for a given (config, seed) pair; the chase cycle and the DLRM lookups
-take its getrandbits as shuffle and randrange do.  Each run_* function
-takes its parameters as the workload block's checked view
+for a given (config, seed) pair; the chase cycle, the DLRM lookups and
+the KV lines take its getrandbits as shuffle and randrange do.  Each
+run_* function takes its parameters as the workload block's checked view
 (config.check_config): a namespace of every field of the block's kind,
 defaults filled in, with sizes in the config's units.
 """
@@ -128,7 +128,9 @@ class _Chase:
     def __init__(self, injector, region: _PagedRegion, order: List[int],
                  stride_lines: int, loads: int, samples: int):
         self.injector = injector
-        self.addrs = (region.line_addr(i * stride_lines)
+        # region.line_addr(i * stride_lines), with no call per load.
+        pages, stride = region.page_addrs, stride_lines * LINE_BYTES
+        self.addrs = (pages[i * stride // PAGE_BYTES] + i * stride % PAGE_BYTES
                       for i in itertools.cycle(order))
         self.left = loads
         self.samples = samples
@@ -420,11 +422,13 @@ def run_kv_proxy(system: System, params: SimpleNamespace) -> WorkloadResult:
     """
     engine = system.engine
     rng = random.Random(_derive_seed(system.seed, "kv"))
+    getrandbits = rng.getrandbits
     footprint = params.footprint_mb * MB
     base = system.am_alloc(pid=1, size=footprint)
     total_lines = footprint // LINE_BYTES
     lines_per_page = PAGE_BYTES // LINE_BYTES
     hot_lines = params.hot_window_pages * lines_per_page
+    total_bits = total_lines.bit_length()
     window = _Window(engine, params.warm_ops, params.ops)
     on_complete = window.complete   # one bound method for every request
     frontier = 0
@@ -436,11 +440,17 @@ def run_kv_proxy(system: System, params: SimpleNamespace) -> WorkloadResult:
             injector.issue(MemCmd.WRITE_REQ, base + line * LINE_BYTES,
                            cacheable=False, on_complete=on_complete)
         else:
+            # randrange(span) and randrange(total_lines)'s draws, frameless.
             if rng.random() < params.hot_fraction and frontier > 0:
                 span = min(frontier, hot_lines)
-                line = (frontier - 1 - rng.randrange(span)) % total_lines
+                r = getrandbits(span.bit_length())
+                while r >= span:
+                    r = getrandbits(span.bit_length())
+                line = (frontier - 1 - r) % total_lines
             else:
-                line = rng.randrange(total_lines)
+                line = getrandbits(total_bits)
+                while line >= total_lines:
+                    line = getrandbits(total_bits)
             injector.issue(MemCmd.READ_REQ, base + line * LINE_BYTES,
                            cacheable=False, on_complete=on_complete)
     engine.run()

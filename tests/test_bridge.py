@@ -1,5 +1,6 @@
 import copy
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,7 +275,7 @@ class EventDrivenBridge(CxlBridge):
                              lambda _: self._send_m2s(convert_m2s(pkt)))
 
     def _send_m2s(self, cxl):
-        device = self._device_for(cxl.addr)
+        device = self._devices[bisect_right(self._bases, cxl.addr) - 1]
         self.m2s_sent += 1
         deliver(self.engine,
                 self.tx.transmit(self.msg_header_bytes + cxl.payload_bytes),

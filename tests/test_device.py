@@ -4,8 +4,8 @@ from conftest import build, patched_preset
 
 from cxlsim.engine import Engine, ns_to_ticks
 from cxlsim.stats import StatsRegistry
-from cxlsim.host import AddressMap, MemCmd, Target
-from cxlsim.bridge import CxlKind, CxlMemPacket
+from cxlsim.host import AddressMap, MemCmd, MemPacket, Target
+from cxlsim.bridge import CxlBridge, CxlKind, CxlMemPacket
 from cxlsim.media import CoarseDram
 from cxlsim.device import (ALL_ONES, BaseAddressRegister, DeviceFault,
                            EnumerationError, MemExpander, enumerate_expander,
@@ -103,6 +103,25 @@ class TestTranslate:
         fresh = make_device(self.engine, hdm=GB)
         with pytest.raises(DeviceFault):
             fresh.translate(0x1000)
+
+
+@pytest.mark.parametrize("window, bar_base, match", [
+    (0, None, "not enumerated"), (GB, None, "not enumerated"),
+    (GB, 2 * GB, "outside HDM window")])
+def test_request_outside_the_device_window_faults(window, bar_base, match):
+    # The bridge routes by its own windows; the device checks the address
+    # against its BAR: unset (an offset from 0 fits the window size), or
+    # set to another window.
+    engine = Engine()
+    bridge = CxlBridge(engine, 0, 4, 4, 64.0, 64.0, 16, StatsRegistry())
+    dev = make_device(engine, hdm=GB)
+    if bar_base is not None:
+        dev.bar.write(bar_base)
+    bridge.attach_device(window, window + GB, dev)
+    pkt = MemPacket(1, MemCmd.READ_REQ, window + 0x40)
+    pkt.reply = lambda _: None
+    with pytest.raises(DeviceFault, match=match):
+        bridge.receive(pkt)
 
 
 class SpyMedium(CoarseDram):

@@ -44,6 +44,31 @@ class TestAddressMap:
         with pytest.raises(AddressFault):
             amap.lookup(4096)
 
+    @settings(max_examples=100, derandomize=True, database=None,
+              deadline=None)
+    @given(spans=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)),
+                          min_size=1, max_size=8),
+           data=st.data())
+    def test_lookup_matches_a_linear_scan(self, spans, data):
+        # (gap, size) in 4 KB units from the last limit; the first range
+        # starts above 0, and a gap of 0 makes two ranges adjacent.
+        unit, ranges, top = 4096, [], 0
+        for gap, size in spans:
+            base = top + max(gap, not ranges) * unit
+            top = base + size * unit
+            ranges.append((base, top))
+        amap = AddressMap()
+        for base, limit in data.draw(st.permutations(ranges)):
+            amap.add_range(base, limit, Target.BRIDGE, (base, limit))
+        for addr in range(0, top + unit, unit // 4):
+            owner = [r for r in ranges if r[0] <= addr < r[1]]
+            if owner:
+                assert amap.lookup(addr).device == owner[0]
+            else:
+                # Below the first base, in a gap or at a limit.
+                with pytest.raises(AddressFault):
+                    amap.lookup(addr)
+
     def test_allocate_above_aligns(self):
         amap = AddressMap()
         amap.add_range(0, 3 * 4096, Target.LOCAL_DRAM)

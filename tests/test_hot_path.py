@@ -1,23 +1,30 @@
 """Interpreter cost of the request path.
 
-Three constructs cost far more per request than they look: a Python
-frame per stats sample, an Enum member load and a call to the builtin
-max() or min().  Histogram samples now fold in batches, the request
-constants are plain class attributes and the servers compare instead of
-calling max().  These tests run one small config per workload kind, on a
-DRAM device and on a cached and an uncached SSD, under a profiler for the
-length of Engine.run, and keep all three out of the request path: no
-builtin max() or min() but in Histogram._fold, and no more Python calls
-per issued request than pinned here.  A change that adds a call per
-request has to raise its pin in the open.
+Four constructs cost far more per request than they look: a Python
+frame per stats sample, an Enum member load, a call to the builtin max()
+or min() and a keyword call to a class, for which CPython gathers the
+keywords into a dict before `__init__` runs.  Histogram samples now fold
+in batches, the request constants are plain class attributes, the
+servers compare instead of calling max() and packets are built with
+positional arguments.  These tests run one small config per workload
+kind, on a DRAM device and on a cached and an uncached SSD, under a
+profiler for the length of Engine.run, and keep them out of the request
+path: no builtin max() or min() but in Histogram._fold, no more Python
+calls per issued request than pinned here, and no keyword in a packet
+constructor.  The profiler sees the Enum load and the keyword dict as
+neither a call nor a C call, so the last two tests check for them apart.
+A change that adds a call per request has to raise its pin in the open.
 """
 
+import ast
 import collections
 import gc
+import inspect
 import sys
 
 import pytest
 
+from cxlsim import host
 from cxlsim.bridge import CxlKind
 from cxlsim.config import check_config, merge_config, preset, run_workload
 from cxlsim.engine import Engine
@@ -35,19 +42,19 @@ KV = {"kind": "kv_proxy", "ops": 1000, "warm_ops": 100}
 CASES = {
     "latency_sweep": ("cxl-dmsim-a", {"workload": {
         "kind": "latency_sweep", "array_kb": [16, 16384], "samples": 200,
-        "placement": "hdm"}}, 656, 18112),
+        "placement": "hdm"}}, 656, 16344),
     "stream": ("cxl-dmsim-a", {"workload": {
         "kind": "stream", "kernel": "triad", "groups": 300,
-        "warm_groups": 30, "placement": "hdm"}}, 900, 36828),
+        "warm_groups": 30, "placement": "hdm"}}, 900, 34428),
     "rdwr_sweep": ("cxl-dmsim-a", {"workload": {
         "kind": "rdwr_sweep", "read_fractions": [0.5, 1.0], "ops": 400,
-        "warm_ops": 50, "placement": "hdm"}}, 800, 24618),
+        "warm_ops": 50, "placement": "hdm"}}, 800, 23018),
     "dlrm_proxy": ("cxl-dmsim-a", {"workload": {
         "kind": "dlrm_proxy", "injectors": 12, "queries_per_injector": 4,
-        "placement": "hdm"}}, 768, 25414),
-    "kv_proxy-cached": ("cxl-ssd", {"workload": KV}, 1000, 26789),
+        "placement": "hdm"}}, 768, 23878),
+    "kv_proxy-cached": ("cxl-ssd", {"workload": KV}, 1000, 24789),
     "kv_proxy-uncached": ("cxl-ssd", {"devices": [_uncached_ssd()],
-                                      "workload": KV}, 1000, 29007),
+                                      "workload": KV}, 1000, 27007),
 }
 
 
@@ -103,3 +110,13 @@ def test_request_constants_are_plain_classes():
     # above cannot see an Enum come back.
     for cls in (MemCmd, Target, CxlKind):
         assert type(cls) is type
+
+
+def test_packets_are_built_positionally():
+    # __init__'s frame counts the same either way, so the pins above
+    # cannot see a keyword argument come back.
+    calls = [node for node in ast.walk(ast.parse(inspect.getsource(host)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "MemPacket"]
+    assert len(calls) == 3
+    assert not any(call.keywords for call in calls)

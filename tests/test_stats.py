@@ -85,6 +85,25 @@ def test_bucket_lookup_matches_edge_scan(edges, data):
     assert h.counts == expected
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(edges=st.lists(st.integers(1, 50), max_size=6).map(
+           lambda rest: (0, *sorted(rest))),
+       data=st.data())
+def test_folded_bucket_counts_follow_the_per_sample_rule(edges, data):
+    # Batches across folds of samples on the edges as ints and as floats
+    # (5 and 5.0 tie), between them, past the last and below 0.
+    samples = data.draw(st.lists(st.one_of(
+        st.sampled_from(edges), st.sampled_from(edges).map(float),
+        st.integers(-5, 60), st.floats(-5.0, 60.0, allow_nan=False)),
+        max_size=2 * FOLD_AT + 1))
+    h = Histogram("x", edges=edges)
+    expected = [0] * len(edges)
+    for x in samples:
+        h.record(x)
+        expected[bisect_right(edges[1:], x)] += 1
+    assert h.counts == expected
+
+
 class ReferenceHistogram(Histogram):
     """The per-sample update that Histogram.record made before it folded
     samples in batches; it reads through the same properties, with

@@ -1,6 +1,7 @@
 import copy
 import math
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +13,8 @@ from cxlsim import workloads
 from cxlsim.config import (ConfigError, check_config, merge_config, preset,
                            run_workload)
 from cxlsim.engine import Engine
+from cxlsim.hdm import PAGE_BYTES
+from cxlsim.host import LINE_BYTES, MemCmd
 from cxlsim.workloads import (STREAM_KERNELS, build_chase_cycle,
                               stream_bytes_per_group)
 
@@ -48,24 +51,115 @@ def test_chase_cycle_is_the_stdlib_shuffle_at_band_edges(seed):
         _assert_chase_cycle_is_the_stdlib_shuffle(n, seed)
 
 
+def _recording_system(seed, issued):
+    """Just what a workload's setup reads of a System: its one injector
+    appends (cmd, addr) of each request to `issued`, and nothing runs."""
+    engine = SimpleNamespace(now=0, run=lambda: None)
+    injector = SimpleNamespace(
+        engine=engine,
+        issue=lambda cmd, addr, cacheable=True, on_complete=None:
+            issued.append((cmd, addr)))
+    return SimpleNamespace(engine=engine, seed=seed,
+                           am_alloc=lambda pid, size: 0,
+                           host=SimpleNamespace(injectors=[injector]))
+
+
+def _dlrm_queries(seed, lines, lookups, issued):
+    region = SimpleNamespace(lines=lines, line_addr=lambda line: line)
+    params = SimpleNamespace(queries_per_injector=3, lookups_per_query=lookups)
+    return workloads._Queries(_recording_system(seed, issued), 0, region,
+                              params)
+
+
+KV_PARAMS = dict(ops=400, warm_ops=0, footprint_mb=3, put_fraction=0.5,
+                 hot_fraction=0.94, hot_window_pages=1)
+
+
+def _run_kv(seed, issued, **params):
+    """run_kv_proxy's requests into `issued`; returns its rng."""
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, x):
+            super().__init__(x)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workloads, "random", SimpleNamespace(Random=Recording))
+        workloads.run_kv_proxy(_recording_system(seed, issued),
+                               SimpleNamespace(**{**KV_PARAMS, **params}))
+    return made[0]
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(lines=st.one_of(st.integers(1, 1 << 22), st.sampled_from(BAND_EDGES)),
        lookups=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
 def test_dlrm_lookups_are_the_stdlib_randrange(lines, lookups, seed):
     issued = []
-    injector = SimpleNamespace(
-        engine=SimpleNamespace(now=0),
-        issue=lambda cmd, addr, on_complete: issued.append(addr))
-    system = SimpleNamespace(host=SimpleNamespace(injectors=[injector]),
-                             seed=seed)
-    region = SimpleNamespace(lines=lines, line_addr=lambda line: line)
-    params = SimpleNamespace(queries_per_injector=3, lookups_per_query=lookups)
-    queries = workloads._Queries(system, 0, region, params)
+    queries = _dlrm_queries(seed, lines, lookups, issued)
     for _ in range(3):
         queries.next_query()
     stdlib = random.Random(workloads._derive_seed(seed, "dlrm", 0))
-    assert issued == [stdlib.randrange(lines) for _ in range(3 * lookups)]
+    assert issued == [(MemCmd.READ_REQ, stdlib.randrange(lines))
+                      for _ in range(3 * lookups)]
     assert queries.rng.getstate() == stdlib.getstate()
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(footprint_mb=st.integers(1, 6), hot_window_pages=st.integers(1, 8),
+       put_fraction=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+       hot_fraction=st.sampled_from([0.0, 0.5, 0.94, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kv_lines_are_the_stdlib_randrange(footprint_mb, hot_window_pages,
+                                           put_fraction, hot_fraction, seed):
+    # A hot window of up to 8 pages (512 lines) and 400 ops draw every span
+    # from 1 up past a few band edges; 3, 5 and 6 MB are no power of two.
+    params = dict(footprint_mb=footprint_mb, put_fraction=put_fraction,
+                  hot_fraction=hot_fraction, hot_window_pages=hot_window_pages)
+    issued = []
+    rng = _run_kv(seed, issued, **params)
+    stdlib = random.Random(workloads._derive_seed(seed, "kv"))
+    total = footprint_mb * (1 << 20) // LINE_BYTES
+    hot = hot_window_pages * (PAGE_BYTES // LINE_BYTES)
+    expected, frontier = [], 0
+    for _ in range(KV_PARAMS["ops"]):
+        if stdlib.random() < put_fraction:
+            expected.append((MemCmd.WRITE_REQ, frontier % total * LINE_BYTES))
+            frontier += 1
+        elif stdlib.random() < hot_fraction and frontier > 0:
+            back = stdlib.randrange(min(frontier, hot))
+            expected.append((MemCmd.READ_REQ,
+                             (frontier - 1 - back) % total * LINE_BYTES))
+        else:
+            expected.append((MemCmd.READ_REQ,
+                             stdlib.randrange(total) * LINE_BYTES))
+    assert issued == expected
+    assert rng.getstate() == stdlib.getstate()
+
+
+@pytest.mark.parametrize("workload", ["dlrm", "kv"])
+def test_random_draws_enter_no_random_py_function(workload):
+    # Every draw is one getrandbits C call: past seeding (and subclassing)
+    # the rng, no function of random.py (randrange, _randbelow) runs.
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == random.__file__:
+            called.add(frame.f_code.co_name)
+
+    issued = []
+    sys.setprofile(profile)
+    try:
+        if workload == "dlrm":
+            queries = _dlrm_queries(7, 1000, 16, issued)
+            for _ in range(3):
+                queries.next_query()
+        else:
+            _run_kv(7, issued)
+    finally:
+        sys.setprofile(None)
+    assert len(issued) > 40
+    assert called <= {"__init__", "seed", "__init_subclass__"}
 
 
 def test_stream_kernel_traffic_shapes():
