@@ -116,8 +116,8 @@ _ONE_INJECTOR = (int, lambda v: v == 1, "must be 1: the workload drives one "
 _PLACEMENT = (str, lambda v: v in ("local", "hdm", "interleave"),
               "must be local, hdm, or interleave", None)
 
-# Each workload kind's fields are the parameters its workloads.run_*
-# function receives.
+# Each workload kind's fields are the parameters that workloads.run hands
+# its point function.
 _WORKLOADS: Dict[str, dict] = {
     "latency_sweep": {
         "array_kb": (list, _list_of(int, _POS),
@@ -652,21 +652,10 @@ def run_workload(c: SimpleNamespace) -> wl.WorkloadResult:
     ConfigError, raised when the workload places it.
     """
     params = c.workload
-    kind = params.kind
     # build_system numbers device i's NUMA node i + 1.
     placement = _placement_nodes(getattr(params, "placement", None),
                                  range(1, len(c.devices) + 1))
     try:
-        if kind == "rdwr_sweep":
-            return wl.run_rdwr_sweep(lambda: build_system(c), params,
-                                     placement)
-        system = build_system(c)
-        if kind == "latency_sweep":
-            return wl.run_latency_sweep(system, params, placement)
-        if kind == "stream":
-            return wl.run_stream(system, params, placement)
-        if kind == "dlrm_proxy":
-            return wl.run_dlrm_proxy(system, params, placement)
-        return wl.run_kv_proxy(system, params)
+        return wl.run(lambda: build_system(c), params, placement)
     except (PlacementError, HdmAllocationError) as exc:
         raise ConfigError(f"config.workload: footprint does not fit ({exc})") from None

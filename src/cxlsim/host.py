@@ -407,7 +407,11 @@ class Injector:
 
     def _finish(self, pkt: MemPacket) -> None:
         self._in_flight -= 1
-        self._host.outstanding -= 1
+        host = self._host
+        host.outstanding -= 1
+        done = host.completed = host.completed + 1
+        if done in host.window:
+            host.window[done] = self.engine.now
         if pkt.cmd is MemCmd.READ_REQ:
             self._load_to_use.record(
                 (self.engine.now - pkt.issue_tick) / self._ticks_per_cycle)
@@ -438,6 +442,10 @@ class HostPath:
             "core.lsqFullEvents": "lsq_full",
             "core.outstandingRequests": "outstanding",
             "core.outstandingRequests::max": "outstanding_peak"})
+        # The measure window: requests completed, and {count: tick} for
+        # the completions whose tick workloads.run reads, stamped by _finish.
+        self.completed = 0
+        self.window: Dict[int, int] = {}
         self.injectors = [
             Injector(engine, i, lsq_depth, think_time, self, ticks_per_cycle)
             for i in range(injectors)

@@ -1,28 +1,41 @@
 """Characterization traffic generators.
 
-Four generator families reproduce the classic memory characterization
-suite at desk scale:
+Five workload kinds reproduce the classic memory characterization suite
+at desk scale:
 
 * latency_sweep - dependent pointer-chase over a randomized single-cycle
   permutation (a random sample of lines for an array larger than the
-  LLC), one outstanding load, per-array-size mean load-to-use.
-* stream - Copy/Scale/Add/Triad streaming kernels measured over a window
-  after pre-warming, to steady write-back state, the LLC sets the
-  kernel's pages map to (no other set is ever read), at a cost that
-  follows the LLC's pages and the touched sets, not the kernel's lines.
-* rdwr_sweep - open-loop uniform-random 64B traffic at a given read
-  fraction and injection rate; one fresh system per grid point.
+  LLC), one outstanding load; one point per array size, its mean
+  load-to-use.
+* stream - Copy/Scale/Add/Triad streaming kernels after pre-warming, to
+  steady write-back state, the LLC sets the kernel's pages map to (no
+  other set is ever read), at a cost that follows the LLC's pages and the
+  touched sets, not the kernel's lines.
+* rdwr_sweep - open-loop uniform-random 64B traffic; one point per (read
+  fraction, injection rate) pair.
 * dlrm_proxy - gather-heavy concurrent random reads (embedding-lookup
   style queries) for the bridge congestion study.
 * kv_proxy - mixed get/put stream with page locality used to compare the
   SSD-backed device against its DRAM-backed twin.
 
-Every generator owns a seeded random.Random, so runs are deterministic
-for a given (config, seed) pair; the chase cycle, the DLRM lookups and
-the KV lines take its getrandbits as shuffle and randrange do.  Each
-run_* function takes its parameters as the workload block's checked view
-(config.check_config): a namespace of every field of the block's kind,
-defaults filled in, with sizes in the config's units.
+`run` drives every kind the same way.  A kind lists its points, and a
+point's function sets the point up on a system (places its pages, seeds
+its rng, pre-warms, schedules or issues its first requests) and returns
+(warm, end, row).  The point's measure window runs from its warm-th
+request completion, or from its first tick when warm is 0, to its end-th;
+row(ticks) makes the point's result row from the window's length.  The
+runner builds the system (a fresh one per rdwr_sweep point, one that the
+points of any other kind share), seeds each point from the system's seed,
+the kind's tag and the point, runs the engine to quiesce once per point
+and reads the window from the host, which stamps the tick of the two
+completions as they happen (HostPath.window).
+
+Every point owns a seeded random.Random, so runs are deterministic for a
+given (config, seed) pair; the chase cycle, the DLRM lookups and the KV
+lines take its getrandbits as shuffle and randrange do.  Parameters come
+as the workload block's checked view (config.check_config): a namespace
+of every field of the block's kind, defaults filled in, with sizes in the
+config's units.
 """
 
 from __future__ import annotations
@@ -32,7 +45,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from .engine import TICKS_PER_NS
 from .hdm import PAGE_BYTES
@@ -58,6 +71,11 @@ def _derive_seed(seed: int, *parts) -> int:
     for part in parts:
         value = (value * 1_000_003 + zlib.crc32(repr(part).encode())) & 0xFFFFFFFF
     return value
+
+
+def _rate(amount, ticks: int) -> float:
+    """`amount` per simulated second over `ticks`; 0.0 for an empty window."""
+    return amount * TICKS_PER_S / ticks if ticks else 0.0
 
 
 def build_chase_cycle(num_lines: int, rng: random.Random) -> List[int]:
@@ -92,104 +110,80 @@ class _PagedRegion:
         return self.page_addrs[offset // PAGE_BYTES] + offset % PAGE_BYTES
 
 
-class _Window:
-    """Measure window over a run's completions: stamps the tick of the
-    `start`-th and of the `end`-th completion."""
-
-    def __init__(self, engine, start: int, end: int):
-        self.engine = engine
-        self.start = start
-        self.end = end
-        self.done = 0
-        self.t0 = 0
-        self.t1 = 0
-
-    def complete(self, _pkt) -> None:
-        self.done += 1
-        if self.done == self.start:
-            self.t0 = self.engine.now
-        if self.done == self.end:
-            self.t1 = self.engine.now
-
-    def rate(self, amount: int) -> float:
-        """`amount` per simulated second over the window; 0.0 when the
-        window is empty."""
-        elapsed = self.t1 - self.t0
-        return amount * TICKS_PER_S / elapsed if elapsed else 0.0
+def run(build: Callable[[], System], params: SimpleNamespace,
+        placement: Tuple[int, ...]) -> WorkloadResult:
+    """Run every point of the workload `params` on systems from `build`
+    and summarize their rows (see the module docstring)."""
+    kind = _KINDS[params.kind]
+    system, rows = None, []
+    for point in kind.points(params):
+        if system is None or kind.fresh:
+            system = build()
+        host, engine = system.host, system.engine
+        warm, end, row = kind.point(system, params, placement,
+                                    _derive_seed(system.seed, kind.tag, *point),
+                                    *point)
+        host.completed = 0
+        host.window = {warm: engine.now, end: engine.now}
+        engine.run()
+        ticks = host.window[end] - host.window[warm]
+        rows.append(row(ticks))
+    return WorkloadResult(kind.columns, rows,
+                          {"kind": params.kind,
+                           **kind.summary(rows, ticks)}, system)
 
 
 # -- latency sweep -------------------------------------------------------------
 
 
 class _Chase:
-    """Dependent loads along `order`, wrapping at its end, each issued when
-    the previous one completes; the last `samples` of `loads` are timed."""
+    """`loads` dependent loads along `order`, wrapping at its end, each
+    issued when the previous one completes."""
 
     def __init__(self, injector, region: _PagedRegion, order: List[int],
-                 stride_lines: int, loads: int, samples: int):
+                 stride_lines: int, loads: int):
         self.injector = injector
         # region.line_addr(i * stride_lines), with no call per load.
         pages, stride = region.page_addrs, stride_lines * LINE_BYTES
         self.addrs = (pages[i * stride // PAGE_BYTES] + i * stride % PAGE_BYTES
                       for i in itertools.cycle(order))
         self.left = loads
-        self.samples = samples
-        self.timed = False
-        self.lat_sum = self.t0 = 0
 
     def step(self, _pkt=None) -> None:
         """Start, or complete the previous load, and issue the next."""
-        now = self.injector.engine.now
-        if self.timed:
-            self.lat_sum += now - self.t0
         if self.left:
             self.left -= 1
-            self.timed = self.left < self.samples
-            self.t0 = now
             self.injector.issue(MemCmd.READ_REQ, next(self.addrs),
                                 on_complete=self.step)
 
 
-def run_latency_sweep(system: System, params: SimpleNamespace,
-                      placement: Tuple[int, ...]) -> WorkloadResult:
-    injector = system.host.injectors[0]
-    engine = system.engine
-    l3_capacity = system.host.hierarchy.levels[-1].capacity
-    rows: List[tuple] = []
+def _latency_point(system: System, params: SimpleNamespace,
+                   placement: Tuple[int, ...], seed: int, idx: int):
+    size = params.array_kb[idx] * KB
+    region = _PagedRegion(system, size, placement)
+    lines = size // params.stride
+    rng = random.Random(seed)
+    samples = min(params.samples, lines)
 
-    for idx, kb in enumerate(params.array_kb):
-        size = kb * KB
-        region = _PagedRegion(system, size, placement)
-        lines = size // params.stride
-        rng = random.Random(_derive_seed(system.seed, "lat", idx))
-        stride_lines = params.stride // LINE_BYTES
-        samples = min(params.samples, lines)
-
-        # A footprint larger than the LLC misses on every chase step with
-        # LRU (reuse distance exceeds the capacity), so warm-up only
-        # matters for arrays that fit some cache level.  Such an array is
-        # walked `samples` steps from cold, so only that many distinct
-        # lines are drawn (a partial Fisher-Yates) instead of a full cycle.
-        if size <= l3_capacity:
-            warm_left = lines
-            order = build_chase_cycle(lines, rng)
-        else:
-            warm_left = 0
-            order = rng.sample(range(lines), samples)
-        chase = _Chase(injector, region, order, stride_lines,
-                       warm_left + samples, samples)
-        engine.schedule(0, chase.step)
-        engine.run()
-        mean_ns = (chase.lat_sum / samples) / TICKS_PER_NS
-        rows.append((size, round(mean_ns, 6)))
-
-    summary = {
-        "kind": "latency_sweep",
-        "curve": [[int(s), m] for s, m in rows],
-        "plateau_ns": rows[-1][1],
-    }
-    return WorkloadResult(["array_bytes", "mean_load_to_use_ns"], rows,
-                          summary, system)
+    # A footprint larger than the LLC misses on every chase step with
+    # LRU (reuse distance exceeds the capacity), so warm-up only
+    # matters for arrays that fit some cache level.  Such an array is
+    # walked `samples` steps from cold, so only that many distinct
+    # lines are drawn (a partial Fisher-Yates) instead of a full cycle.
+    if size <= system.host.hierarchy.levels[-1].capacity:
+        warm = lines
+        order = build_chase_cycle(lines, rng)
+    else:
+        warm = 0
+        order = rng.sample(range(lines), samples)
+    chase = _Chase(system.host.injectors[0], region, order,
+                   params.stride // LINE_BYTES, warm + samples)
+    system.engine.schedule(0, chase.step)
+    # One load in flight, each issued as the last completes: the window is
+    # the samples' summed latency.  The row holds `chase` past the run, so
+    # its address generator is not closed inside it.
+    return warm, warm + samples, lambda ticks, chase=chase: (
+        size, round(ticks / samples / TICKS_PER_NS, 6))
 
 
 # -- STREAM kernels -------------------------------------------------------------
@@ -213,26 +207,23 @@ class _StreamFeeder:
     together: injector k issues groups k, k + n, ..., one line of each
     (cmd, region) in `ops` per group."""
 
-    def __init__(self, injectors, groups: int, ops, on_complete):
+    def __init__(self, injectors, groups: int, ops):
         self.injectors = injectors
         self.groups = groups
         self.ops = ops
-        self.on_complete = on_complete
 
     def feed(self, k: int) -> None:
         injector = self.injectors[k]
         for group in range(k, self.groups, len(self.injectors)):
             for cmd, region in self.ops:
-                injector.issue(cmd, region.line_addr(group),
-                               on_complete=self.on_complete)
+                injector.issue(cmd, region.line_addr(group))
 
 
-def run_stream(system: System, params: SimpleNamespace,
-               placement: Tuple[int, ...]) -> WorkloadResult:
+def _stream_point(system: System, params: SimpleNamespace,
+                  placement: Tuple[int, ...], _seed: int):
     """`params.groups` 64B line groups, the first `warm_groups` of them
     outside the measure window."""
     llc = system.host.hierarchy.levels[-1]
-    engine = system.engine
     reads, writes = STREAM_KERNELS[params.kernel]
     arrays = {name: _PagedRegion(system, params.array_mb * MB, placement)
               for name in ("a", "b", "c")}
@@ -252,76 +243,47 @@ def run_stream(system: System, params: SimpleNamespace,
     llc.install_pages(ghost.page_addrs, llc.capacity // LINE_BYTES,
                       ops_per_group, len(writes), touched)
 
-    total_ops = params.groups * ops_per_group
-    window = _Window(engine, params.warm_groups * ops_per_group, total_ops)
     ops = ([(MemCmd.READ_REQ, arrays[name]) for name in reads]
            + [(MemCmd.WRITE_REQ, arrays[name]) for name in writes])
-    feeder = _StreamFeeder(system.host.injectors, params.groups, ops,
-                           window.complete)
+    feeder = _StreamFeeder(system.host.injectors, params.groups, ops)
     for inj_index in range(len(system.host.injectors)):
-        engine.schedule(0, feeder.feed, inj_index)
-    engine.run()
+        system.engine.schedule(0, feeder.feed, inj_index)
+    measured = ((params.groups - params.warm_groups)
+                * stream_bytes_per_group(params.kernel))
+    return (params.warm_groups * ops_per_group, params.groups * ops_per_group,
+            lambda ticks: (params.kernel, _rate(measured, ticks)))
 
-    bw = window.rate((params.groups - params.warm_groups)
-                     * stream_bytes_per_group(params.kernel))
-    summary = {"kind": "stream", "kernel": params.kernel,
-               "bytes_per_sec": bw,
-               "read_byte_fraction": len(reads) / ops_per_group}
-    return WorkloadResult(["kernel", "bytes_per_sec"],
-                          [(params.kernel, bw)], summary, system)
+
+def _stream_summary(rows, _ticks) -> dict:
+    [(kernel, bw)] = rows
+    reads, writes = STREAM_KERNELS[kernel]
+    return {"kernel": kernel, "bytes_per_sec": bw,
+            "read_byte_fraction": len(reads) / (len(reads) + len(writes))}
 
 
 # -- Rd/Wr ratio sweep ----------------------------------------------------------
 
 
-def run_rdwr_sweep(factory: Callable[[], System], params: SimpleNamespace,
-                   placement: Tuple[int, ...]) -> WorkloadResult:
-    """One fresh system per (read_fraction, rate) grid point."""
-    rows: List[tuple] = []
-    last_system: Optional[System] = None
-
-    for r_idx, read_fraction in enumerate(params.read_fractions):
-        for rate in params.rates_bytes_per_ns:
-            system = factory()
-            last_system = system
-            bw, lat_ns = _run_rdwr_point(system, params, placement, read_fraction,
-                                         rate, _derive_seed(system.seed, "rdwr",
-                                                            r_idx, rate))
-            rows.append((read_fraction, rate, bw, lat_ns))
-
-    peaks: Dict[float, float] = {}
-    for read_fraction, _rate, bw, _lat in rows:
-        peaks[read_fraction] = max(peaks.get(read_fraction, 0.0), bw)
-    argmax_r = max(peaks, key=lambda r: (peaks[r], r))
-    values = list(peaks.values())
-    sensitivity = (max(values) - min(values)) / min(values) if min(values) else 0.0
-    summary = {"kind": "rdwr_sweep",
-               "peaks": [[r, peaks[r]] for r in sorted(peaks)],
-               "argmax_read_fraction": argmax_r,
-               "peak_bytes_per_sec": peaks[argmax_r],
-               "sensitivity": sensitivity}
-    return WorkloadResult(
-        ["read_fraction", "rate_bytes_per_ns", "achieved_bytes_per_sec",
-         "mean_latency_ns"], rows, summary, last_system)
-
-
-class _OpenLoop(_Window):
+class _OpenLoop:
     """Uncacheable uniform-random requests over `region`, the k-th from
-    injector k round robin; past the warm-up, sums each request's latency
-    from its arrival.  `arrivals` holds the requests in flight."""
+    injector k round robin; sums the latency, from its arrival, of each
+    request that completes past the host's `warm`-th completion.
+    `arrivals` holds the requests in flight."""
 
     def __init__(self, system: System, region: _PagedRegion,
-                 read_fraction: float, seed: int, warm_ops: int, ops: int):
-        _Window.__init__(self, system.engine, warm_ops, ops)
-        self.injectors = system.host.injectors
+                 read_fraction: float, seed: int, warm: int):
+        self.engine = system.engine
+        self.host = system.host
         self.region = region
         self.read_fraction = read_fraction
         self.rng = random.Random(seed)
+        self.warm = warm
         self.lat_sum = 0
         self.arrivals: Dict[int, int] = {}
 
     def issue(self, k: int) -> None:
-        injector = self.injectors[k % len(self.injectors)]
+        injectors = self.host.injectors
+        injector = injectors[k % len(injectors)]
         cmd = (MemCmd.READ_REQ if self.rng.random() < self.read_fraction
                else MemCmd.WRITE_REQ)
         addr = self.region.line_addr(self.rng.randrange(self.region.lines))
@@ -330,27 +292,37 @@ class _OpenLoop(_Window):
         self.arrivals[pkt_id] = self.engine.now
 
     def complete(self, pkt) -> None:
-        _Window.complete(self, pkt)
         arrival = self.arrivals.pop(pkt.id)
-        if self.done > self.start:
+        if self.host.completed > self.warm:
             self.lat_sum += self.engine.now - arrival
 
 
-def _run_rdwr_point(system: System, params: SimpleNamespace,
-                    placement: Tuple[int, ...], read_fraction: float,
-                    rate: float, seed: int) -> Tuple[float, float]:
+def _rdwr_point(system: System, params: SimpleNamespace,
+                placement: Tuple[int, ...], seed: int, r_idx: int,
+                rate: float):
+    read_fraction = params.read_fractions[r_idx]
     region = _PagedRegion(system, params.footprint_mb * MB, placement)
     interval = max(1, round(LINE_BYTES * TICKS_PER_NS / rate))
-    traffic = _OpenLoop(system, region, read_fraction, seed, params.warm_ops,
-                        params.ops)
+    traffic = _OpenLoop(system, region, read_fraction, seed, params.warm_ops)
     for k in range(params.ops):
         system.engine.schedule(k * interval, traffic.issue, k)
-    system.engine.run()
-
     measured = params.ops - params.warm_ops
-    bw = traffic.rate(measured * LINE_BYTES)
-    lat_ns = traffic.lat_sum / measured / TICKS_PER_NS
-    return bw, round(lat_ns, 6)
+    return params.warm_ops, params.ops, lambda ticks: (
+        read_fraction, rate, _rate(measured * LINE_BYTES, ticks),
+        round(traffic.lat_sum / measured / TICKS_PER_NS, 6))
+
+
+def _rdwr_summary(rows, _ticks) -> dict:
+    peaks: Dict[float, float] = {}
+    for read_fraction, _r, bw, _lat in rows:
+        peaks[read_fraction] = max(peaks.get(read_fraction, 0.0), bw)
+    argmax_r = max(peaks, key=lambda r: (peaks[r], r))
+    values = list(peaks.values())
+    sensitivity = (max(values) - min(values)) / min(values) if min(values) else 0.0
+    return {"peaks": [[r, peaks[r]] for r in sorted(peaks)],
+            "argmax_read_fraction": argmax_r,
+            "peak_bytes_per_sec": peaks[argmax_r],
+            "sensitivity": sensitivity}
 
 
 # -- DLRM-style congestion proxy -----------------------------------------------
@@ -360,18 +332,17 @@ class _Queries:
     """One injector's embedding queries: each gathers `lookups_per_query`
     random lines of `region`, and the next starts when the last returns."""
 
-    def __init__(self, system: System, k: int, region: _PagedRegion,
+    def __init__(self, injector, seed: int, region: _PagedRegion,
                  params: SimpleNamespace):
-        self.injector = system.host.injectors[k]
-        self.rng = random.Random(_derive_seed(system.seed, "dlrm", k))
+        self.injector = injector
+        self.rng = random.Random(seed)
         self.region = region
         self.left = params.queries_per_injector
         self.lookups = params.lookups_per_query
-        self.pending = self.t_end = 0
+        self.pending = 0
 
     def next_query(self, _pkt=None) -> None:
         if not self.left:
-            self.t_end = self.injector.engine.now
             return
         self.left -= 1
         self.pending = self.lookups
@@ -390,38 +361,38 @@ class _Queries:
             self.next_query()
 
 
-def run_dlrm_proxy(system: System, params: SimpleNamespace,
-                   placement: Tuple[int, ...]) -> WorkloadResult:
+def _dlrm_point(system: System, params: SimpleNamespace,
+                placement: Tuple[int, ...], seed: int):
+    """Every injector's queries from tick 0; the window ends at the last
+    lookup's completion."""
     region = _PagedRegion(system, params.footprint_mb * MB, placement)
-    queries = [_Queries(system, k, region, params)
-               for k in range(len(system.host.injectors))]
-    for q in queries:
-        system.engine.schedule(0, q.next_query)
-    system.engine.run()
+    injectors = system.host.injectors
+    for k, injector in enumerate(injectors):
+        queries = _Queries(injector, _derive_seed(seed, k), region, params)
+        system.engine.schedule(0, queries.next_query)
+    total = len(injectors) * params.queries_per_injector
+    return 0, total * params.lookups_per_query, lambda ticks: (
+        len(injectors), _rate(total, ticks),
+        _rate(total, ticks) / len(injectors))
 
-    elapsed = max(q.t_end for q in queries)
-    injectors = len(queries)
-    total_queries = injectors * params.queries_per_injector
-    agg_qps = total_queries * TICKS_PER_S / elapsed if elapsed else 0.0
-    per_inj = agg_qps / injectors
-    summary = {"kind": "dlrm_proxy", "injectors": injectors,
-               "aggregateQps": agg_qps, "perInjectorQps": per_inj,
-               "duration_ns": elapsed / TICKS_PER_NS}
-    return WorkloadResult(["injectors", "aggregate_qps", "per_injector_qps"],
-                          [(injectors, agg_qps, per_inj)], summary, system)
+
+def _dlrm_summary(rows, ticks) -> dict:
+    [(injectors, agg_qps, per_inj)] = rows
+    return {"injectors": injectors, "aggregateQps": agg_qps,
+            "perInjectorQps": per_inj, "duration_ns": ticks / TICKS_PER_NS}
 
 
 # -- key-value get/put proxy for the SSD study -----------------------------------
 
 
-def run_kv_proxy(system: System, params: SimpleNamespace) -> WorkloadResult:
+def _kv_point(system: System, params: SimpleNamespace,
+              _placement: Tuple[int, ...], seed: int):
     """Mixed get/put random workload over an app-managed HDM region.
 
     Puts append sequentially (overwriting the footprint cyclically), gets
     favor recently written pages; ops overlap up to the LSQ depth.
     """
-    engine = system.engine
-    rng = random.Random(_derive_seed(system.seed, "kv"))
+    rng = random.Random(seed)
     getrandbits = rng.getrandbits
     footprint = params.footprint_mb * MB
     base = system.am_alloc(pid=1, size=footprint)
@@ -429,8 +400,6 @@ def run_kv_proxy(system: System, params: SimpleNamespace) -> WorkloadResult:
     lines_per_page = PAGE_BYTES // LINE_BYTES
     hot_lines = params.hot_window_pages * lines_per_page
     total_bits = total_lines.bit_length()
-    window = _Window(engine, params.warm_ops, params.ops)
-    on_complete = window.complete   # one bound method for every request
     frontier = 0
     injector = system.host.injectors[0]
     for _ in range(params.ops):
@@ -438,7 +407,7 @@ def run_kv_proxy(system: System, params: SimpleNamespace) -> WorkloadResult:
             line = frontier % total_lines
             frontier += 1
             injector.issue(MemCmd.WRITE_REQ, base + line * LINE_BYTES,
-                           cacheable=False, on_complete=on_complete)
+                           cacheable=False)
         else:
             # randrange(span) and randrange(total_lines)'s draws, frameless.
             if rng.random() < params.hot_fraction and frontier > 0:
@@ -452,11 +421,41 @@ def run_kv_proxy(system: System, params: SimpleNamespace) -> WorkloadResult:
                 while line >= total_lines:
                     line = getrandbits(total_bits)
             injector.issue(MemCmd.READ_REQ, base + line * LINE_BYTES,
-                           cacheable=False, on_complete=on_complete)
-    engine.run()
+                           cacheable=False)
+    return params.warm_ops, params.ops, lambda ticks: (
+        params.ops, _rate(params.ops - params.warm_ops, ticks))
 
-    throughput = window.rate(params.ops - params.warm_ops)
-    summary = {"kind": "kv_proxy", "ops": params.ops,
-               "throughput_ops_per_sec": throughput}
-    return WorkloadResult(["ops", "throughput_ops_per_sec"],
-                          [(params.ops, throughput)], summary, system)
+
+class _Kind(NamedTuple):
+    """How `run` drives one workload kind."""
+    tag: str                # seeds each point, with the point
+    point: Callable         # (system, params, placement, seed, *point)
+    columns: List[str]      # of the points' rows
+    summary: Callable       # (rows, last window's ticks) -> dict
+    points: Callable = lambda params: [()]
+    fresh: bool = False     # a new system per point
+
+
+_KINDS = {
+    "latency_sweep": _Kind(
+        "lat", _latency_point, ["array_bytes", "mean_load_to_use_ns"],
+        lambda rows, ticks: {"curve": [list(row) for row in rows],
+                             "plateau_ns": rows[-1][1]},
+        points=lambda params: [(i,) for i in range(len(params.array_kb))]),
+    "stream": _Kind("stream", _stream_point, ["kernel", "bytes_per_sec"],
+                    _stream_summary),
+    "rdwr_sweep": _Kind(
+        "rdwr", _rdwr_point, ["read_fraction", "rate_bytes_per_ns",
+                              "achieved_bytes_per_sec", "mean_latency_ns"],
+        _rdwr_summary,
+        points=lambda params: [(r, rate)
+                               for r in range(len(params.read_fractions))
+                               for rate in params.rates_bytes_per_ns],
+        fresh=True),
+    "dlrm_proxy": _Kind("dlrm", _dlrm_point, ["injectors", "aggregate_qps",
+                                              "per_injector_qps"],
+                        _dlrm_summary),
+    "kv_proxy": _Kind("kv", _kv_point, ["ops", "throughput_ops_per_sec"],
+                      lambda rows, ticks: dict(
+                          zip(["ops", "throughput_ops_per_sec"], rows[0]))),
+}

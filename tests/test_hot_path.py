@@ -45,16 +45,16 @@ CASES = {
         "placement": "hdm"}}, 656, 16344),
     "stream": ("cxl-dmsim-a", {"workload": {
         "kind": "stream", "kernel": "triad", "groups": 300,
-        "warm_groups": 30, "placement": "hdm"}}, 900, 34428),
+        "warm_groups": 30, "placement": "hdm"}}, 900, 33528),
     "rdwr_sweep": ("cxl-dmsim-a", {"workload": {
         "kind": "rdwr_sweep", "read_fractions": [0.5, 1.0], "ops": 400,
-        "warm_ops": 50, "placement": "hdm"}}, 800, 23018),
+        "warm_ops": 50, "placement": "hdm"}}, 800, 22218),
     "dlrm_proxy": ("cxl-dmsim-a", {"workload": {
         "kind": "dlrm_proxy", "injectors": 12, "queries_per_injector": 4,
         "placement": "hdm"}}, 768, 23878),
-    "kv_proxy-cached": ("cxl-ssd", {"workload": KV}, 1000, 24789),
+    "kv_proxy-cached": ("cxl-ssd", {"workload": KV}, 1000, 23789),
     "kv_proxy-uncached": ("cxl-ssd", {"devices": [_uncached_ssd()],
-                                      "workload": KV}, 1000, 27007),
+                                      "workload": KV}, 1000, 26007),
 }
 
 

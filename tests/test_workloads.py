@@ -52,9 +52,13 @@ def test_chase_cycle_is_the_stdlib_shuffle_at_band_edges(seed):
 
 
 def _recording_system(seed, issued):
-    """Just what a workload's setup reads of a System: its one injector
-    appends (cmd, addr) of each request to `issued`, and nothing runs."""
-    engine = SimpleNamespace(now=0, run=lambda: None)
+    """Just what a workload point reads of a System: its one injector
+    appends (cmd, addr) of each request to `issued`, its engine keeps each
+    scheduled action in `scheduled`, and nothing runs."""
+    scheduled = []
+    engine = SimpleNamespace(
+        now=0, run=lambda: None, scheduled=scheduled,
+        schedule=lambda delay, action, arg=None: scheduled.append(action))
     injector = SimpleNamespace(
         engine=engine,
         issue=lambda cmd, addr, cacheable=True, on_complete=None:
@@ -65,18 +69,25 @@ def _recording_system(seed, issued):
 
 
 def _dlrm_queries(seed, lines, lookups, issued):
+    """The one injector's queries of a dlrm_proxy run over a region of
+    `lines` lines, each line its own address; none has started."""
+    system = _recording_system(seed, issued)
     region = SimpleNamespace(lines=lines, line_addr=lambda line: line)
-    params = SimpleNamespace(queries_per_injector=3, lookups_per_query=lookups)
-    return workloads._Queries(_recording_system(seed, issued), 0, region,
-                              params)
+    params = SimpleNamespace(kind="dlrm_proxy", footprint_mb=1,
+                             queries_per_injector=3, lookups_per_query=lookups)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workloads, "_PagedRegion", lambda *args: region)
+        workloads.run(lambda: system, params, (0,))
+    (next_query,) = system.engine.scheduled
+    return next_query.__self__
 
 
-KV_PARAMS = dict(ops=400, warm_ops=0, footprint_mb=3, put_fraction=0.5,
-                 hot_fraction=0.94, hot_window_pages=1)
+KV_PARAMS = dict(kind="kv_proxy", ops=400, warm_ops=0, footprint_mb=3,
+                 put_fraction=0.5, hot_fraction=0.94, hot_window_pages=1)
 
 
 def _run_kv(seed, issued, **params):
-    """run_kv_proxy's requests into `issued`; returns its rng."""
+    """A kv_proxy run's requests into `issued`; returns its rng."""
     made = []
 
     class Recording(random.Random):
@@ -86,8 +97,8 @@ def _run_kv(seed, issued, **params):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(workloads, "random", SimpleNamespace(Random=Recording))
-        workloads.run_kv_proxy(_recording_system(seed, issued),
-                               SimpleNamespace(**{**KV_PARAMS, **params}))
+        workloads.run(lambda: _recording_system(seed, issued),
+                      SimpleNamespace(**{**KV_PARAMS, **params}), (1,))
     return made[0]
 
 
@@ -192,14 +203,17 @@ def test_identical_config_and_seed_reproduce_rows_and_stats():
 
 
 def test_different_seed_changes_chase_order_not_plateau():
-    def plateau(seed):
+    def plateau(seed, array_kb=(49152,)):
         cfg = preset("local-ddr")
         cfg["seed"] = seed
-        cfg["workload"] = {"kind": "latency_sweep", "array_kb": [49152],
+        cfg["workload"] = {"kind": "latency_sweep", "array_kb": list(array_kb),
                            "samples": 300, "placement": "local"}
-        return run_workload(check_config(cfg)).rows[0][1]
+        return run_workload(check_config(cfg)).rows[-1][1]
 
     assert plateau(1) == plateau(2) == 130.0
+    # After a 16 KB array, the plateau's window starts at its own first
+    # load, not at tick 0 of the run.
+    assert plateau(1, (16, 49152)) == 130.0
 
 
 @pytest.mark.parametrize("array_kb,stride,samples,walked", [
@@ -356,8 +370,20 @@ def test_rdwr_point_holds_no_arrival_after_it_drains(monkeypatch):
                        "rates_bytes_per_ns": [64.0], "ops": 300,
                        "warm_ops": 50, "placement": "hdm"}
     run_workload(check_config(cfg))
-    assert len(points) == 1 and points[0].done == 300
+    assert len(points) == 1 and points[0].host.completed == 300
     assert points[0].arrivals == {}
+
+
+def test_idle_rdwr_point_measures_the_local_floor():
+    # Requests 128 ns apart never queue, so each takes the 130 ns floor and
+    # the window, from the warm-up's last completion to the last one,
+    # spans exactly the measured requests' arrival intervals.
+    cfg = preset("local-ddr")
+    cfg["workload"] = {"kind": "rdwr_sweep", "read_fractions": [1.0, 0.0],
+                       "rates_bytes_per_ns": [0.5], "ops": 300,
+                       "warm_ops": 50, "placement": "local"}
+    assert run_workload(check_config(cfg)).rows == [
+        (1.0, 0.5, 0.5e9, 130.0), (0.0, 0.5, 0.5e9, 130.0)]
 
 
 @pytest.mark.parametrize("placement", ["hdm", "interleave"])
