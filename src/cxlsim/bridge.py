@@ -66,8 +66,11 @@ class CxlMemPacket:
     id: int
     addr: int
     payload_bytes: int
-    arrival: int = 0    # set by the device: the tick the request reaches it
-    offset: int = 0     # and its device offset
+    # Set by the device: the tick the request reaches it, its device offset
+    # and, for an SSD medium, the handler that answers it, reply(pkt).
+    arrival: int = 0
+    offset: int = 0
+    reply: object = None
 
 
 def convert_m2s(pkt: MemPacket) -> CxlMemPacket:

@@ -14,12 +14,13 @@ The bridge hands a request over when it admits it, with the ticks until
 the request reaches the device (its TX link grant), so the device plans
 the whole service then.  A DRAM medium reports its completion when a
 request is submitted, so the device schedules one event for the
-response; an SSD medium answers by calling a handler with the request
-instead, and the device schedules its access for when the parse is done.
-The request packet carries its arrival tick and device offset, so each
-event is a bound method of the device and the packet.  An idle DRAM
-device read costs three events in all: the memory-bus arrival at the
-bridge, the device response and the bridge's response conversion.
+response.  An SSD medium answers later: the device puts its answer
+handler on the request packet as `reply` and schedules the medium's
+`access(pkt)` for when the parse is done.  The packet also carries its
+arrival tick and device offset, so each event is a bound method and the
+packet.  An idle DRAM device read costs three events in all: the
+memory-bus arrival at the bridge, the device response and the bridge's
+response conversion.
 
 The device is timing-only: an M2S request names a 64B line and carries no
 bytes.  The S2M response is not built as a packet: its kind follows from
@@ -115,17 +116,14 @@ class MemExpander:
         if self._by_callback:
             # Parse, access the medium, then prepare the response.
             pkt.offset = offset
-            self.engine.schedule(delay + proto, self._access, pkt)
+            pkt.reply = self._accessed
+            self.engine.schedule(delay + proto, self.medium.access, pkt)
             return
         # The medium is handed the request as it will arrive after the
         # parse, and one event answers once the medium and the response
         # delay are paid.
         self.engine.schedule(self.medium.submit(kind, delay + proto) + proto,
                              self._respond, pkt)
-
-    def _access(self, pkt: CxlMemPacket) -> None:
-        kind = READ if pkt.kind is CxlKind.M2S_REQ else WRITE
-        self.medium.access(pkt.offset, kind, self._accessed, pkt)
 
     def _accessed(self, pkt: CxlMemPacket) -> None:
         self.engine.schedule(self.device_proto_proc_lat, self._respond, pkt)

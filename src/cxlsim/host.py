@@ -166,28 +166,27 @@ class Cache:
         cset[tag] = dirty
         return victim
 
-    def install_pages(self, page_addrs: Sequence[int], lines: int,
-                      period: int, dirty_per_period: int,
-                      touched: Iterable[int]) -> None:
-        """Install the first `lines` lines of the pages at `page_addrs` as
-        `install` would, one line at a time and in order, but only those in
-        a set that a line of `touched` maps to; victims are dropped and no
-        other set is read or written.  Line i is dirty when
-        i % period < dirty_per_period.
+    def install_pages(self, page_addrs: Sequence[int], period: int,
+                      dirty_per_period: int, touched: Iterable[int]) -> None:
+        """Install the first num_sets * ways lines (a cache's worth) of the
+        pages at `page_addrs` as `install` would, one line at a time and in
+        order, but only those in a set that a line of `touched` maps to;
+        victims are dropped and no other set is read or written.  Line i is
+        dirty when i % period < dirty_per_period.
 
         LRU sets are independent, so each wanted set ends as installing
-        every line would leave it.  With g = gcd(lines per page, num_sets,
-        lines), a run of g lines fills the g sets of one block under one
-        tag, so one pass over the runs lists each wanted block's (tag, first
-        line); an empty set is a copy of the dict its last `ways` entries
-        give, built once per block and offset % period, and a set that
-        holds lines installs them one at a time."""
+        every line would leave it.  With g = gcd(lines per page, num_sets),
+        a run of g lines fills the g sets of one block under one tag, so
+        one pass over the runs lists each wanted block's (tag, first line);
+        an empty set is a copy of the dict its last `ways` entries give,
+        built once per block and offset % period, and a set that holds
+        lines installs them one at a time."""
         sets, num_sets = self._sets, self.num_sets
         per_page = PAGE_BYTES // LINE_BYTES
-        g = math.gcd(per_page, num_sets, lines)
+        g = math.gcd(per_page, num_sets)
         wanted = {line % num_sets for line in touched}
         blocks = {w // g: [] for w in wanted}
-        for i in range(0, lines, g):
+        for i in range(0, num_sets * self.ways, g):
             tag, s = divmod(page_addrs[i // per_page] // LINE_BYTES
                             + i % per_page, num_sets)
             if s // g in blocks:

@@ -17,16 +17,19 @@ is <= 1, which disables prefetching until a later phase finds a winner.
 
 The model is timing-only: no bytes are stored.  A write marks its cached
 page dirty, and a dirty eviction charges the page program time on a
-channel; a refetch of that page is an ordinary miss.  An access or a
-page I/O takes a handler and its argument, `on_done(arg)`, rather than a
-closure; the device passes a bound method and the request packet.
+channel; a refetch of that page is an ordinary miss.  An access takes
+the request's CXL packet, which carries its device offset and the
+device's answer handler, and ends with `pkt.reply(pkt)`; a page I/O
+takes a handler and its argument and ends with `on_done(arg)`.  Neither
+builds a closure.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from .bridge import CxlKind, CxlMemPacket
 from .engine import Engine
 from .media import READ, WRITE
 
@@ -148,19 +151,17 @@ class SsdMedium:
         self.engine.schedule(start - now + lat, on_done, arg)
 
 
-class _CachedPage:
-    __slots__ = ("dirty", "prefetched", "referenced")
-
-    def __init__(self, prefetched: bool = False):
-        self.dirty = False
-        self.prefetched = prefetched
-        self.referenced = False
-
-
 class SsdCachedMedium:
     """Device cache in front of the flash; write-allocate, write-back.
     `capacity` is in bytes, `policy` is "lru" or "fifo" and `hit_latency`
-    is in ticks."""
+    is in ticks.
+
+    `_pages` maps each cached page to its dirty bit in eviction order, the
+    front first; under "lru" a hit re-inserts its page.  `_unused` holds
+    the prefetched pages that no access has used yet.  `_inflight` maps
+    each page being read to the page its install may not evict (the
+    prefetch's trigger, or the page itself for a demand fetch) and the
+    packets waiting for it."""
 
     answers_by_callback = True
 
@@ -170,13 +171,15 @@ class SsdCachedMedium:
         self.engine = engine
         self.ssd = ssd
         self.capacity = capacity
-        self.policy = policy
         self.hit_latency = hit_latency
         self.prefetcher = prefetcher
         self.page_size = ssd.page_size
         self.capacity_pages = capacity // self.page_size
-        self._pages: Dict[int, _CachedPage] = {}      # in LRU or FIFO order
-        self._inflight: Dict[int, dict] = {}          # page -> fetch record
+        self._pages: Dict[int, bool] = {}
+        # A hit takes its page's dirty bit out under LRU, leaves it under FIFO.
+        self._take = self._pages.pop if policy == "lru" else self._pages.get
+        self._unused: Set[int] = set()
+        self._inflight: Dict[int, Tuple[int, list]] = {}
         stats.counters(self, {
             "ssdcache.hits": "hits", "ssdcache.misses": "misses",
             "ssdcache.lateHits": "late_hits",
@@ -184,94 +187,70 @@ class SsdCachedMedium:
             "ssdcache.prefetchUseful": "prefetch_useful",
             "ssdcache.writebacks": "writebacks"})
 
-    # -- medium interface ---------------------------------------------------
-
-    def access(self, offset: int, kind: str, on_done: Callable[[Any], None],
-               arg: Any) -> None:
-        """One 64B access at device `offset`, then `on_done(arg)`."""
-        page = offset // self.page_size
-        entry = self._pages.get(page)
-        if entry is not None:
+    def access(self, pkt: CxlMemPacket) -> None:
+        """One 64B access at `pkt.offset`, then `pkt.reply(pkt)`.  The
+        prefetcher learns from a demand miss, a demand that joins a
+        prefetch in flight and the first hit on a prefetched page."""
+        page = pkt.offset // self.page_size
+        dirty = self._take(page, None)
+        if dirty is not None:
             self.hits += 1
-            if self.policy == "lru":
-                self._pages[page] = self._pages.pop(page)
-            candidate = None
-            if entry.prefetched and not entry.referenced:
-                self.prefetch_useful += 1
-                entry.referenced = True
-                if self.prefetcher is not None:
-                    candidate = self.prefetcher.update(page)
-            if kind == WRITE:
-                entry.dirty = True
-            self.engine.schedule(self.hit_latency, on_done, arg)
-            if candidate is not None:
-                self._maybe_prefetch(candidate, trigger=page)
-            return
-
-        if page in self._inflight:
-            record = self._inflight[page]
-            record["waiters"].append((kind, on_done, arg))
-            if record["prefetch"]:
+            self._pages[page] = dirty or pkt.kind is CxlKind.M2S_RWD
+            self.engine.schedule(self.hit_latency, pkt.reply, pkt)
+            if page not in self._unused:
+                return
+            self._unused.remove(page)
+            self.prefetch_useful += 1
+        else:
+            fetch = self._inflight.get(page)
+            if fetch is None:
+                self.misses += 1
+                self._inflight[page] = (page, [pkt])
+                self.ssd.io(READ, self._install, page)
+            else:
+                fetch[1].append(pkt)
+                if fetch[0] == page:        # joins a demand fetch
+                    return
                 self.late_hits += 1
-                if self.prefetcher is not None:
-                    candidate = self.prefetcher.update(page)
-                    if candidate is not None:
-                        self._maybe_prefetch(candidate, trigger=page)
+        if self.prefetcher is None:
             return
-
-        self.misses += 1
-        candidate = self.prefetcher.update(page) if self.prefetcher else None
-        self._fetch(page, prefetch=False, trigger=page,
-                    waiters=[(kind, on_done, arg)])
-        if candidate is not None:
-            self._maybe_prefetch(candidate, trigger=page)
-
-    # -- fills and evictions --------------------------------------------------
-
-    def _maybe_prefetch(self, page: int, trigger: int) -> None:
-        if page in self._pages or page in self._inflight:
-            return
-        self.prefetch_issued += 1
-        self._fetch(page, prefetch=True, trigger=trigger, waiters=[])
-
-    def _fetch(self, page: int, prefetch: bool, trigger: int, waiters: list) -> None:
-        self._inflight[page] = {"prefetch": prefetch, "trigger": trigger,
-                                "waiters": waiters}
-        self.ssd.io(READ, self._install, page)
+        ahead = self.prefetcher.update(page)
+        if (ahead is not None and ahead not in self._pages
+                and ahead not in self._inflight):
+            self.prefetch_issued += 1
+            self._inflight[ahead] = (page, [])
+            self.ssd.io(READ, self._install, ahead)
 
     def _install(self, page: int) -> None:
-        record = self._inflight.pop(page)
-        entry = _CachedPage(prefetched=record["prefetch"])
-        installed = self._evict_for(record)
-        if installed:
-            self._pages[page] = entry
-        for kind, on_done, arg in record["waiters"]:
-            entry.referenced = True
-            if kind == WRITE:
-                entry.dirty = True
-            self.engine.schedule(self.hit_latency, on_done, arg)
-        if not installed and entry.dirty:
-            # Uncacheable install absorbed a write; program it.
+        """A page read is done: make room, cache the page and answer its
+        waiters.  A prefetched page whose only victim would be its trigger
+        is not cached."""
+        keep, waiting = self._inflight.pop(page)
+        pages = self._pages
+        cached = True
+        if len(pages) >= self.capacity_pages:
+            # The front page, or the next when the front is `keep`; `keep`
+            # itself when there is no other page.
+            order = iter(pages)
+            victim = next(order, keep)
+            if victim == keep:
+                victim = next(order, keep)
+            cached = victim != keep
+            if cached:
+                self._unused.discard(victim)
+                if pages.pop(victim):
+                    self.writebacks += 1
+                    self.ssd.io(WRITE, _programmed)
+        dirty = False
+        for pkt in waiting:
+            dirty = dirty or pkt.kind is CxlKind.M2S_RWD
+            self.engine.schedule(self.hit_latency, pkt.reply, pkt)
+        if cached:
+            pages[page] = dirty
+            if not waiting:
+                self._unused.add(page)
+        elif dirty:         # an uncacheable install absorbed a write
             self.ssd.io(WRITE, _programmed)
-
-    def _evict_for(self, record: dict) -> bool:
-        """Make room for one install; returns False when a prefetched page
-        may not be cached because the only victim is its trigger line."""
-        if len(self._pages) < self.capacity_pages:
-            return True
-        protected = record["trigger"] if record["prefetch"] else None
-        victim_page = None
-        for page in self._pages:          # front = LRU or FIFO order
-            if page != protected:
-                victim_page = page
-                break
-        if victim_page is None:
-            return False
-        victim = self._pages.pop(victim_page)
-        if victim.dirty:
-            self.writebacks += 1
-            self.ssd.io(WRITE, _programmed)
-        return True
 
 
 class SsdDirectMedium:
@@ -283,12 +262,11 @@ class SsdDirectMedium:
     def __init__(self, ssd: SsdMedium):
         self.ssd = ssd
 
-    def access(self, offset: int, kind: str, on_done: Callable[[Any], None],
-               arg: Any) -> None:
-        if kind == READ:
-            self.ssd.io(READ, on_done, arg)
+    def access(self, pkt: CxlMemPacket) -> None:
+        if pkt.kind is CxlKind.M2S_RWD:
+            self.ssd.io(READ, self._program, pkt)
         else:
-            self.ssd.io(READ, self._program, (on_done, arg))
+            self.ssd.io(READ, pkt.reply, pkt)
 
-    def _program(self, waiter: tuple) -> None:
-        self.ssd.io(WRITE, *waiter)
+    def _program(self, pkt: CxlMemPacket) -> None:
+        self.ssd.io(WRITE, pkt.reply, pkt)

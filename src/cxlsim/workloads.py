@@ -31,11 +31,11 @@ and reads the window from the host, which stamps the tick of the two
 completions as they happen (HostPath.window).
 
 Every point owns a seeded random.Random, so runs are deterministic for a
-given (config, seed) pair; the chase cycle, the DLRM lookups and the KV
-lines take its getrandbits as shuffle and randrange do.  Parameters come
-as the workload block's checked view (config.check_config): a namespace
-of every field of the block's kind, defaults filled in, with sizes in the
-config's units.
+given (config, seed) pair; the chase cycle, the DLRM lookups, the rdwr
+lines and the KV lines take its getrandbits as shuffle and randrange do.
+Parameters come as the workload block's checked view
+(config.check_config): a namespace of every field of the block's kind,
+defaults filled in, with sizes in the config's units.
 """
 
 from __future__ import annotations
@@ -240,8 +240,7 @@ def _stream_point(system: System, params: SimpleNamespace,
     touched = itertools.chain.from_iterable(
         range(addr // LINE_BYTES, (addr + PAGE_BYTES) // LINE_BYTES)
         for name in reads + writes for addr in arrays[name].page_addrs[:pages])
-    llc.install_pages(ghost.page_addrs, llc.capacity // LINE_BYTES,
-                      ops_per_group, len(writes), touched)
+    llc.install_pages(ghost.page_addrs, ops_per_group, len(writes), touched)
 
     ops = ([(MemCmd.READ_REQ, arrays[name]) for name in reads]
            + [(MemCmd.WRITE_REQ, arrays[name]) for name in writes])
@@ -284,10 +283,16 @@ class _OpenLoop:
     def issue(self, k: int) -> None:
         injectors = self.host.injectors
         injector = injectors[k % len(injectors)]
-        cmd = (MemCmd.READ_REQ if self.rng.random() < self.read_fraction
+        rng = self.rng
+        cmd = (MemCmd.READ_REQ if rng.random() < self.read_fraction
                else MemCmd.WRITE_REQ)
-        addr = self.region.line_addr(self.rng.randrange(self.region.lines))
-        pkt_id = injector.issue(cmd, addr, cacheable=False,
+        lines = self.region.lines    # randrange(lines)'s draws, frameless
+        bits = lines.bit_length()
+        line = rng.getrandbits(bits)
+        while line >= lines:
+            line = rng.getrandbits(bits)
+        pkt_id = injector.issue(cmd, self.region.line_addr(line),
+                                cacheable=False,
                                 on_complete=self.complete)
         self.arrivals[pkt_id] = self.engine.now
 

@@ -3,10 +3,10 @@
 Every event is an (action, argument) pair and every completion a handler
 called with its packet, so no layer builds a function object per hop.
 These tests wrap each place a handler is handed over (Engine.schedule,
-Injector.issue, MemBus.send, CacheHierarchy.access, the SSD access
-methods and SsdMedium.io), run small configs of every workload kind
-through them, and require each handler to be a bound method or a
-module-level function that closes over nothing.
+Injector.issue, MemBus.send, CacheHierarchy.access, SsdMedium.io and the
+SSD access methods, whose packet carries it as `reply`), run small
+configs of every workload kind through them, and require each handler to
+be a bound method or a module-level function that closes over nothing.
 """
 
 import copy
@@ -24,14 +24,15 @@ from cxlsim.engine import Engine
 from cxlsim.host import LINE_BYTES, CacheHierarchy, Injector, MemBus, MemCmd
 from cxlsim.ssd import SsdCachedMedium, SsdDirectMedium, SsdMedium
 
-# (class, method, the parameter that takes the handler)
+# (class, method, the parameter that takes the handler, or the packet
+# whose `reply` is the handler)
 HANDOFFS = [
     (Engine, "schedule", "action"),
     (Injector, "issue", "on_complete"),
     (MemBus, "send", "reply"),
     (CacheHierarchy, "access", "reply"),
-    (SsdCachedMedium, "access", "on_done"),
-    (SsdDirectMedium, "access", "on_done"),
+    (SsdCachedMedium, "access", "pkt"),
+    (SsdDirectMedium, "access", "pkt"),
     (SsdMedium, "io", "on_done"),
 ]
 
@@ -50,6 +51,7 @@ def handed(monkeypatch):
     handlers seen there, None for an issue that passed no on_complete.  A
     closure fails the run at once."""
     seen = {}
+    originals = {}      # wrapper -> the method it wraps
 
     def wrap(cls, name, param):
         original = getattr(cls, name)
@@ -59,13 +61,19 @@ def handed(monkeypatch):
 
         def wrapper(*args, **kwargs):
             fn = signature.bind(*args, **kwargs).arguments.get(param)
+            if param == "pkt":
+                fn = fn.reply
             if fn is None and param == "on_complete":
                 seen[key].add(None)
             else:
+                # A device schedules its SSD medium's access, wrapped here.
+                if getattr(fn, "__func__", None) in originals:
+                    fn = types.MethodType(originals[fn.__func__], fn.__self__)
                 assert closure_free(fn), f"{key} was handed {fn!r}"
                 seen[key].add(fn.__qualname__)
             return original(*args, **kwargs)
 
+        originals[wrapper] = original
         monkeypatch.setattr(cls, name, wrapper)
 
     for cls, name, param in HANDOFFS:

@@ -281,12 +281,13 @@ def test_cache_sets_stay_untracked_by_the_collector():
 # -- the scoped LLC pre-warm against a per-line install of every line ----------
 
 
-def reference_install_pages(cache, page_addrs, lines, period, dirty_per_period,
+def reference_install_pages(cache, page_addrs, period, dirty_per_period,
                             touched=()):
-    """The full pre-warm: install every line i of the paged region, one line
-    at a time, into whichever set it maps to; `touched` is ignored."""
+    """The full pre-warm: install every line i of the cache's worth of the
+    paged region, one line at a time, into whichever set it maps to;
+    `touched` is ignored."""
     lines_per_page = PAGE_BYTES // LINE_BYTES
-    for i in range(lines):
+    for i in range(cache.num_sets * cache.ways):
         addr = page_addrs[i // lines_per_page] + i % lines_per_page * LINE_BYTES
         cache.install(addr // LINE_BYTES, dirty=i % period < dirty_per_period)
 
@@ -335,8 +336,8 @@ def test_install_pages_matches_per_line_install(num_sets, assoc, kernel,
         for line, dirty in held:
             cache.install(line, dirty=dirty)
     before = cache_contents(caches[0])
-    caches[0].install_pages(pages, lines, period, len(writes), touched)
-    reference_install_pages(caches[1], pages, lines, period, len(writes))
+    caches[0].install_pages(pages, period, len(writes), touched)
+    reference_install_pages(caches[1], pages, period, len(writes))
     wanted = {line % num_sets for line in touched}
     got, full = cache_contents(caches[0]), cache_contents(caches[1])
     for s in range(num_sets):

@@ -48,13 +48,13 @@ CASES = {
         "warm_groups": 30, "placement": "hdm"}}, 900, 33528),
     "rdwr_sweep": ("cxl-dmsim-a", {"workload": {
         "kind": "rdwr_sweep", "read_fractions": [0.5, 1.0], "ops": 400,
-        "warm_ops": 50, "placement": "hdm"}}, 800, 22218),
+        "warm_ops": 50, "placement": "hdm"}}, 800, 20618),
     "dlrm_proxy": ("cxl-dmsim-a", {"workload": {
         "kind": "dlrm_proxy", "injectors": 12, "queries_per_injector": 4,
         "placement": "hdm"}}, 768, 23878),
-    "kv_proxy-cached": ("cxl-ssd", {"workload": KV}, 1000, 23789),
+    "kv_proxy-cached": ("cxl-ssd", {"workload": KV}, 1000, 22678),
     "kv_proxy-uncached": ("cxl-ssd", {"devices": [_uncached_ssd()],
-                                      "workload": KV}, 1000, 26007),
+                                      "workload": KV}, 1000, 25007),
 }
 
 

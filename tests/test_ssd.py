@@ -1,9 +1,23 @@
+from hypothesis import given, settings, strategies as st
+
+from cxlsim.bridge import CxlKind, CxlMemPacket
 from cxlsim.engine import Engine, ns_to_ticks
+from cxlsim.media import READ, WRITE
 from cxlsim.stats import StatsRegistry
 from cxlsim.ssd import (RR_SIZE, BestOffsetPrefetcher, SsdCachedMedium,
-                        SsdDirectMedium, SsdMedium, _smooth_offsets)
+                        SsdDirectMedium, SsdMedium, _programmed,
+                        _smooth_offsets)
 
 PAGE = 4096
+
+
+def request(offset, kind, reply, id=0):
+    """The packet a device hands its SSD medium: `reply(pkt)` answers it."""
+    if kind == "write":
+        return CxlMemPacket(CxlKind.M2S_RWD, id, offset, 64, offset=offset,
+                            reply=reply)
+    return CxlMemPacket(CxlKind.M2S_REQ, id, offset, 0, offset=offset,
+                        reply=reply)
 
 
 def make_cached(engine, capacity_pages=2, policy="lru", read_ns=2000,
@@ -23,8 +37,8 @@ def access_all(engine, cache, pages, kind="read"):
     def step(i=0):
         if i == len(pages):
             return
-        cache.access(pages[i] * PAGE, kind,
-                     lambda i: (done.append(engine.now), step(i + 1)), i)
+        cache.access(request(pages[i] * PAGE, kind, lambda pkt: (
+            done.append(engine.now), step(pkt.id + 1)), i))
 
     step()
     engine.run()
@@ -176,8 +190,8 @@ def test_sequential_scan_demand_misses_vanish_after_learning():
             return
         if i == warm_accesses:
             before_misses["v"] = stats.flatten()["ssdcache.misses"]
-        cache.access(offsets[i], "read",
-                     lambda i: (done.append(i), step(i + 1)), i)
+        cache.access(request(offsets[i], "read", lambda pkt: (
+            done.append(pkt.id), step(pkt.id + 1)), i))
 
     step()
     engine.run()
@@ -211,9 +225,9 @@ def test_uncached_rmw_write_then_read():
                     1, stats)
     direct = SsdDirectMedium(ssd)
     done = []
-    direct.access(256, "write", lambda _: done.append(engine.now), None)
+    direct.access(request(256, "write", lambda _: done.append(engine.now)))
     engine.run()
-    direct.access(256, "read", lambda _: done.append(engine.now), None)
+    direct.access(request(256, "read", lambda _: done.append(engine.now)))
     engine.run()
     # the write pays a page read then a page program; the read one page read
     assert done == [ns_to_ticks(1000 + 3000), ns_to_ticks(1000 + 3000 + 1000)]
@@ -230,11 +244,209 @@ def test_late_demand_joins_inflight_prefetch():
     _, cache = make_cached(engine, capacity_pages=8, read_ns=5000,
                            prefetcher=bo, stats=stats)
     got = []
-    cache.access(0, "read", lambda _: got.append(engine.now), None)
+    cache.access(request(0, "read", lambda _: got.append(engine.now)))
     # while page 1's prefetch is in flight, demand it
-    engine.schedule(ns_to_ticks(5500), lambda _: cache.access(
-        PAGE, "read", lambda _: got.append(engine.now), None))
+    engine.schedule(ns_to_ticks(5500), lambda _: cache.access(request(
+        PAGE, "read", lambda _: got.append(engine.now))))
     engine.run()
     assert len(got) == 2
     assert stats.flatten()["ssdcache.lateHits"] == 1
     assert stats.flatten()["ssdcache.misses"] == 1
+
+
+# -- the device cache against its page-object reference --------------------
+
+
+class _CachedPage:
+    __slots__ = ("dirty", "prefetched", "referenced")
+
+    def __init__(self, prefetched: bool = False):
+        self.dirty = False
+        self.prefetched = prefetched
+        self.referenced = False
+
+
+class ReferenceCachedMedium:
+    """SsdCachedMedium as it was written before it kept a page as its
+    dirty bit: page objects, string-keyed fetch records and
+    (kind, on_done, arg) waiters."""
+
+    def __init__(self, engine, ssd, capacity, policy, hit_latency, stats,
+                 prefetcher=None):
+        self.engine = engine
+        self.ssd = ssd
+        self.capacity = capacity
+        self.policy = policy
+        self.hit_latency = hit_latency
+        self.prefetcher = prefetcher
+        self.page_size = ssd.page_size
+        self.capacity_pages = capacity // self.page_size
+        self._pages = {}          # in LRU or FIFO order
+        self._inflight = {}       # page -> fetch record
+        stats.counters(self, {
+            "ssdcache.hits": "hits", "ssdcache.misses": "misses",
+            "ssdcache.lateHits": "late_hits",
+            "ssdcache.prefetchIssued": "prefetch_issued",
+            "ssdcache.prefetchUseful": "prefetch_useful",
+            "ssdcache.writebacks": "writebacks"})
+
+    def access(self, offset, kind, on_done, arg):
+        page = offset // self.page_size
+        entry = self._pages.get(page)
+        if entry is not None:
+            self.hits += 1
+            if self.policy == "lru":
+                self._pages[page] = self._pages.pop(page)
+            candidate = None
+            if entry.prefetched and not entry.referenced:
+                self.prefetch_useful += 1
+                entry.referenced = True
+                if self.prefetcher is not None:
+                    candidate = self.prefetcher.update(page)
+            if kind == WRITE:
+                entry.dirty = True
+            self.engine.schedule(self.hit_latency, on_done, arg)
+            if candidate is not None:
+                self._maybe_prefetch(candidate, trigger=page)
+            return
+
+        if page in self._inflight:
+            record = self._inflight[page]
+            record["waiters"].append((kind, on_done, arg))
+            if record["prefetch"]:
+                self.late_hits += 1
+                if self.prefetcher is not None:
+                    candidate = self.prefetcher.update(page)
+                    if candidate is not None:
+                        self._maybe_prefetch(candidate, trigger=page)
+            return
+
+        self.misses += 1
+        candidate = self.prefetcher.update(page) if self.prefetcher else None
+        self._fetch(page, prefetch=False, trigger=page,
+                    waiters=[(kind, on_done, arg)])
+        if candidate is not None:
+            self._maybe_prefetch(candidate, trigger=page)
+
+    def _maybe_prefetch(self, page, trigger):
+        if page in self._pages or page in self._inflight:
+            return
+        self.prefetch_issued += 1
+        self._fetch(page, prefetch=True, trigger=trigger, waiters=[])
+
+    def _fetch(self, page, prefetch, trigger, waiters):
+        self._inflight[page] = {"prefetch": prefetch, "trigger": trigger,
+                                "waiters": waiters}
+        self.ssd.io(READ, self._install, page)
+
+    def _install(self, page):
+        record = self._inflight.pop(page)
+        entry = _CachedPage(prefetched=record["prefetch"])
+        installed = self._evict_for(record)
+        if installed:
+            self._pages[page] = entry
+        for kind, on_done, arg in record["waiters"]:
+            entry.referenced = True
+            if kind == WRITE:
+                entry.dirty = True
+            self.engine.schedule(self.hit_latency, on_done, arg)
+        if not installed and entry.dirty:
+            self.ssd.io(WRITE, _programmed)
+
+    def _evict_for(self, record):
+        if len(self._pages) < self.capacity_pages:
+            return True
+        protected = record["trigger"] if record["prefetch"] else None
+        victim_page = None
+        for page in self._pages:          # front = LRU or FIFO order
+            if page != protected:
+                victim_page = page
+                break
+        if victim_page is None:
+            return False
+        victim = self._pages.pop(victim_page)
+        if victim.dirty:
+            self.writebacks += 1
+            self.ssd.io(WRITE, _programmed)
+        return True
+
+
+# A strided page stream with noise: each request names the stream's next
+# page (None) or a noise page, and arrives some gap after the previous one.
+# The stream wraps within its span, so evicted pages come back.
+streams = st.tuples(
+    st.integers(1, 3),                                  # page stride
+    st.integers(2, 40),                                 # pages in its span
+    st.lists(st.tuples(st.one_of(st.integers(0, 500),   # gap in ns: often
+                                 st.integers(0, 6000)),  # under a page read
+                       st.one_of(st.none(), st.integers(0, 48)),
+                       st.integers(0, PAGE // 64 - 1),  # line in the page
+                       st.booleans()),                  # a write
+             min_size=1, max_size=120))
+
+
+def run_device_cache(make, kind_of, stream, capacity_pages, policy,
+                     best_offset, channels):
+    """Feeds `stream` to the cache `make` builds; returns the completions
+    as (tick, id), the flattened stats, the cache and the prefetcher's
+    state."""
+    engine = Engine()
+    stats = StatsRegistry()
+    ssd = SsdMedium(engine, PAGE, ns_to_ticks(2000), ns_to_ticks(5000),
+                    channels, stats)
+    bo = None
+    if best_offset is not None:
+        bo = BestOffsetPrefetcher()
+        bo.best_offset = best_offset     # pre-trained
+    cache = make(engine, ssd, capacity_pages * PAGE, policy, ns_to_ticks(50),
+                 stats, bo)
+    done = []
+    stride, span, requests = stream
+    tick, page = 0, 0
+    for i, (gap, noise, line, write) in enumerate(requests):
+        tick += ns_to_ticks(gap)
+        if noise is None:
+            page = (page + stride) % span
+        offset = (page if noise is None else noise) * PAGE + line * 64
+        engine.schedule(tick, kind_of(cache, done, engine),
+                        (i, offset, "write" if write else "read"))
+    engine.run()
+    state = None if bo is None else (bo.best_offset, bo.scores, list(bo._rr))
+    return done, stats.flatten(), cache, state
+
+
+def _issue_packet(cache, done, engine):
+    def issue(req):
+        i, offset, kind = req
+        cache.access(request(offset, kind,
+                             lambda pkt: done.append((engine.now, pkt.id)), i))
+    return issue
+
+
+def _issue_waiter(cache, done, engine):
+    def issue(req):
+        i, offset, kind = req
+        cache.access(offset, kind,
+                     lambda i: done.append((engine.now, i)), i)
+    return issue
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(stream=streams, capacity_pages=st.integers(1, 8),
+       policy=st.sampled_from(["lru", "fifo"]),
+       best_offset=st.one_of(st.none(), st.integers(1, 3)),
+       channels=st.integers(1, 3))
+def test_device_cache_matches_page_object_reference(
+        stream, capacity_pages, policy, best_offset, channels):
+    got = run_device_cache(SsdCachedMedium, _issue_packet, stream,
+                           capacity_pages, policy, best_offset, channels)
+    want = run_device_cache(ReferenceCachedMedium, _issue_waiter, stream,
+                            capacity_pages, policy, best_offset, channels)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert list(got[2]._pages.items()) == [
+        (page, entry.dirty) for page, entry in want[2]._pages.items()]
+    assert got[2]._unused == {
+        page for page, entry in want[2]._pages.items()
+        if entry.prefetched and not entry.referenced}
+    assert got[3] == want[3]

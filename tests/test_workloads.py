@@ -82,6 +82,40 @@ def _dlrm_queries(seed, lines, lookups, issued):
     return next_query.__self__
 
 
+def _rdwr_traffic(seed, lines, read_fraction, ops, issued):
+    """The requests of one rdwr_sweep point over a region of `lines`
+    lines, each line its own address, into `issued`; returns its _OpenLoop."""
+    system = _recording_system(seed, issued)
+    region = SimpleNamespace(lines=lines, line_addr=lambda line: line)
+    params = SimpleNamespace(kind="rdwr_sweep", footprint_mb=1,
+                             read_fractions=[read_fraction],
+                             rates_bytes_per_ns=[64.0], ops=ops, warm_ops=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workloads, "_PagedRegion", lambda *args: region)
+        workloads.run(lambda: system, params, (0,))
+    issue = system.engine.scheduled[0]
+    for k in range(ops):
+        issue(k)
+    return issue.__self__
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(lines=st.one_of(st.integers(1, 1 << 22), st.sampled_from(BAND_EDGES)),
+       read_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+       ops=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
+def test_rdwr_requests_are_the_stdlib_draws(lines, read_fraction, ops, seed):
+    issued = []
+    traffic = _rdwr_traffic(seed, lines, read_fraction, ops, issued)
+    stdlib = random.Random(workloads._derive_seed(seed, "rdwr", 0, 64.0))
+    expected = []
+    for _ in range(ops):
+        cmd = (MemCmd.READ_REQ if stdlib.random() < read_fraction
+               else MemCmd.WRITE_REQ)
+        expected.append((cmd, stdlib.randrange(lines)))
+    assert issued == expected
+    assert traffic.rng.getstate() == stdlib.getstate()
+
+
 KV_PARAMS = dict(kind="kv_proxy", ops=400, warm_ops=0, footprint_mb=3,
                  put_fraction=0.5, hot_fraction=0.94, hot_window_pages=1)
 
@@ -148,7 +182,7 @@ def test_kv_lines_are_the_stdlib_randrange(footprint_mb, hot_window_pages,
     assert rng.getstate() == stdlib.getstate()
 
 
-@pytest.mark.parametrize("workload", ["dlrm", "kv"])
+@pytest.mark.parametrize("workload", ["dlrm", "rdwr", "kv"])
 def test_random_draws_enter_no_random_py_function(workload):
     # Every draw is one getrandbits C call: past seeding (and subclassing)
     # the rng, no function of random.py (randrange, _randbelow) runs.
@@ -165,6 +199,8 @@ def test_random_draws_enter_no_random_py_function(workload):
             queries = _dlrm_queries(7, 1000, 16, issued)
             for _ in range(3):
                 queries.next_query()
+        elif workload == "rdwr":
+            _rdwr_traffic(7, 1000, 0.5, 60, issued)
         else:
             _run_kv(7, issued)
     finally:
