@@ -38,6 +38,17 @@ that grant; a response converts at its RX grant + traversal_lat, one
 event scheduled when the device delivers it.  This is exact because the
 TX channel is FIFO and sees its arrivals in admission order, so arrivals
 at each device medium never go backwards in time either.
+
+A lone request (see host.py) crosses in closed form where it leaves the
+host (`serve`): nothing else is in flight, so its credit and response
+slot are free and each FIFO's occupancy peaks at 1.  The bridge raises
+both peaks, takes the TX grant for the arrival the event path would
+have, has the device serve the request, takes the RX grant at the tick
+the device answers and schedules the host's completion at that grant +
+traversal_lat, the tick the conversion event would fire.  No conversion
+happens in between, no credit or in-flight id is held, and no event
+fires but the completion.  A request to an SSD device is handed to
+`receive` at its arrival instead, as on the event path.
 """
 
 from __future__ import annotations
@@ -186,6 +197,41 @@ class CxlBridge:
         self.m2s_sent += 1
         self._devices[at].receive_m2s(cxl, self.tx.transmit(
             self.msg_header_bytes + cxl.payload_bytes, self.traversal_lat))
+
+    def serve(self, pkt: MemPacket, delay: int) -> None:
+        """Serve the lone request `pkt`, which reaches the bridge `delay`
+        ticks from now, in closed form, and schedule only pkt.reply, at the
+        tick its answer converts (see the module docstring).  A request
+        to an SSD device takes the event path from its arrival."""
+        addr = pkt.addr
+        at = bisect_right(self._bases, addr) - 1
+        if at < 0 or addr >= self._limits[at]:
+            raise ProtocolError(f"no CXL device backs address {addr:#x}")
+        device = self._devices[at]
+        if device.answers_by_callback:
+            self.engine.schedule(delay, self.receive, pkt)
+            return
+        device.translate(addr)      # any DeviceFault before a state change
+        # Nothing else is in flight: the credit and the response slot are
+        # free, and each FIFO holds this one request at its fullest.
+        if not self.req_peak:
+            self.req_peak = 1
+        if not self.resp_peak:
+            self.resp_peak = 1
+        self.m2s_sent += 1
+        # A read's request is a header and its answer carries the data; a
+        # write's request carries the data and its answer is a header.
+        header, traversal = self.msg_header_bytes, self.traversal_lat
+        if pkt.cmd is MemCmd.READ_REQ:
+            kind, tx_bytes, rx_bytes = (CxlKind.M2S_REQ, header,
+                                        header + LINE_BYTES)
+        else:
+            kind, tx_bytes, rx_bytes = (CxlKind.M2S_RWD, header + LINE_BYTES,
+                                        header)
+        answer = device.serve(kind, self.tx.transmit(tx_bytes,
+                                                     delay + traversal))
+        self.engine.schedule(self.rx.transmit(rx_bytes, answer) + traversal,
+                             pkt.reply, pkt)
 
     # -- response path -----------------------------------------------------
 

@@ -18,9 +18,13 @@ response.  An SSD medium answers later: the device puts its answer
 handler on the request packet as `reply` and schedules the medium's
 `access(pkt)` for when the parse is done.  The packet also carries its
 arrival tick and device offset, so each event is a bound method and the
-packet.  An idle DRAM device read costs three events in all: the
-memory-bus arrival at the bridge, the device response and the bridge's
-response conversion.
+packet.  A DRAM device read on the event path costs three events in all:
+the memory-bus arrival at the bridge, the device response and the
+bridge's response conversion.  A lone request (see host.py), which has
+the device to itself, costs none here: the bridge has the device `serve`
+it when it leaves the host, and the device counts it, submits it to the
+medium for its arrival, records its response time and returns the tick
+its answer leaves, as `_respond` would find them.
 
 The device is timing-only: an M2S request names a 64B line and carries no
 bytes.  The S2M response is not built as a packet: its kind follows from
@@ -78,7 +82,8 @@ class MemExpander:
         self.device_proto_proc_lat = device_proto_proc_lat
         self.medium = medium
         self.bar = BaseAddressRegister(hdm_size)
-        self._by_callback = getattr(medium, "answers_by_callback", False)
+        self.answers_by_callback = getattr(medium, "answers_by_callback",
+                                           False)
         self._bridge: Optional[CxlBridge] = None
         self.rsp_time = stats.histogram(f"{prefix}.rsp")
         stats.counters(self, {f"{prefix}.reads": "reads",
@@ -113,7 +118,7 @@ class MemExpander:
             kind = WRITE
             self.writes += 1
         proto = self.device_proto_proc_lat
-        if self._by_callback:
+        if self.answers_by_callback:
             # Parse, access the medium, then prepare the response.
             pkt.offset = offset
             pkt.reply = self._accessed
@@ -124,6 +129,21 @@ class MemExpander:
         # delay are paid.
         self.engine.schedule(self.medium.submit(kind, delay + proto) + proto,
                              self._respond, pkt)
+
+    def serve(self, kind: CxlKind, delay: int) -> int:
+        """Serve a lone request of `kind`, which reaches the device `delay`
+        ticks from now, on its DRAM medium; return the ticks from now
+        until the answer leaves for the bridge."""
+        if kind is CxlKind.M2S_REQ:
+            kind = READ
+            self.reads += 1
+        else:
+            kind = WRITE
+            self.writes += 1
+        proto = self.device_proto_proc_lat
+        answer = self.medium.submit(kind, delay + proto) + proto
+        self.rsp_time.record(answer - delay)
+        return answer
 
     def _accessed(self, pkt: CxlMemPacket) -> None:
         self.engine.schedule(self.device_proto_proc_lat, self._respond, pkt)

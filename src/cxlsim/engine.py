@@ -26,24 +26,25 @@ def ns_to_ticks(value: float) -> int:
 class Engine:
     """Global clock plus a heap of (when, seq, action, arg) events; an
     event runs as action(arg), so a handler and the packet it acts on ride
-    the heap without a closure built to carry them."""
+    the heap without a closure built to carry them.  `queue` is that heap,
+    empty when nothing is scheduled; only the engine changes it."""
 
     def __init__(self):
         self.now: int = 0
         self._seq: int = 0
-        self._queue: list = []
+        self.queue: list = []
 
     def schedule(self, delay: int, action: Callable[[Any], None],
                  arg: Any = None) -> None:
         """Schedule `action(arg)` to run `delay` ticks from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        heapq.heappush(self._queue, (self.now + delay, self._seq, action, arg))
+        heapq.heappush(self.queue, (self.now + delay, self._seq, action, arg))
         self._seq += 1
 
     def run(self) -> int:
         """Execute events until the queue drains; returns the final time."""
-        queue = self._queue
+        queue = self.queue
         pop = heapq.heappop
         while queue:
             self.now, _seq, action, arg = pop(queue)

@@ -18,6 +18,24 @@ the line and completes the request.  With one request in flight this
 matches, tick for tick, a lookup of each level in its own event; under
 contention a lookup sees the cache state at issue, not a few ns later.
 
+A lone request is served in closed form.  When a demand request (a
+fill's fetch, or an uncacheable request) leaves a host whose only
+injector has one LSQ slot, and the engine has nothing scheduled, nothing
+else is in flight below the host, and nothing can start before the
+request completes: the one slot is taken, and only its completion would
+free it.  So every credit, FIFO slot and link the request meets is free
+but for the timing it left behind, and MemBus.send has its port serve it
+at once (`alone`): the bridge, the link channels, the device and the
+medium take their grants and count it as the event path would, and one
+event, at the tick the event path would complete it, runs its fill or
+its finish.  The reports are byte-identical to the event path's, which
+serves every other request: a write-back (the next demand request
+overlaps it), every request on a busy engine, and one to an SSD device,
+whose medium answers by callback.  This rests on one assumption, which
+tests/test_lone.py guards by running every workload both ways: no
+workload schedules an event from a completion callback, which runs
+after the next request may have gone alone.
+
 A set is a plain dict {tag: dirty} whose insertion order is its LRU
 order, oldest first: a hit re-inserts its tag and an eviction takes the
 first.  The hierarchy probes and promotes on the sets in place, with no
@@ -100,7 +118,7 @@ class AddressMap:
 
     def __init__(self):
         self.ranges: List[AddressRange] = []
-        self._bases: List[int] = []     # ranges[i].base, ascending
+        self.bases: List[int] = []      # ranges[i].base, ascending
 
     def add_range(self, base: int, limit: int, target: Target,
                   device: Optional[object] = None) -> AddressRange:
@@ -111,13 +129,13 @@ class AddressMap:
                 raise ValueError(
                     f"range [{base:#x}, {limit:#x}) overlaps [{r.base:#x}, {r.limit:#x})")
         rng = AddressRange(base, limit, target, device)
-        at = bisect_right(self._bases, base)
-        self._bases.insert(at, base)
+        at = bisect_right(self.bases, base)
+        self.bases.insert(at, base)
         self.ranges.insert(at, rng)
         return rng
 
     def lookup(self, addr: int) -> AddressRange:
-        at = bisect_right(self._bases, addr) - 1
+        at = bisect_right(self.bases, addr) - 1
         if at >= 0 and addr < self.ranges[at].limit:
             return self.ranges[at]
         raise AddressFault(f"address {addr:#x} is unmapped")
@@ -212,6 +230,8 @@ class MemBus:
     def __init__(self, engine: Engine, addr_map: AddressMap, stats):
         self.engine = engine
         self.addr_map = addr_map
+        # The map's lists, which add_range extends in place.
+        self._bases, self._ranges = addr_map.bases, addr_map.ranges
         self.targets: Dict[Target, object] = {}
         self._ports = (None, None)
         # What goes to the bridge is counted there, as bridge.m2sSent.
@@ -224,13 +244,22 @@ class MemBus:
                        self.targets.get(Target.BRIDGE))
 
     def send(self, pkt: MemPacket, lat: int,
-             reply: Callable[[MemPacket], None]) -> None:
-        """Deliver `pkt` to its port `lat` from now; `reply(pkt)` ends it."""
-        to_bridge = self.addr_map.lookup(pkt.addr).target is Target.BRIDGE
+             reply: Callable[[MemPacket], None], alone: bool = False) -> None:
+        """Deliver `pkt` to its port `lat` from now, or have the port serve
+        it at once when it goes `alone` (see the module docstring);
+        `reply(pkt)` ends it."""
+        addr, ranges = pkt.addr, self._ranges
+        at = bisect_right(self._bases, addr) - 1
+        if at < 0 or addr >= ranges[at].limit:
+            self.addr_map.lookup(addr)      # raises the AddressFault
+        to_bridge = ranges[at].target is Target.BRIDGE
         if not to_bridge:
             self.to_local += 1
         pkt.reply = reply
-        self.engine.schedule(lat, self._ports[to_bridge].receive, pkt)
+        if alone:
+            self._ports[to_bridge].serve(pkt, lat)
+        else:
+            self.engine.schedule(lat, self._ports[to_bridge].receive, pkt)
 
 
 class LocalMemory:
@@ -240,9 +269,14 @@ class LocalMemory:
         self.engine = engine
         self.medium = medium
 
-    def receive(self, pkt: MemPacket) -> None:
+    def receive(self, pkt: MemPacket, delay: int = 0) -> None:
+        """Submit `pkt`, which arrives `delay` ticks from now, and schedule
+        its reply for when the medium completes it."""
         kind = READ if pkt.cmd is MemCmd.READ_REQ else WRITE
-        self.engine.schedule(self.medium.submit(kind), pkt.reply, pkt)
+        self.engine.schedule(self.medium.submit(kind, delay), pkt.reply, pkt)
+
+    # A lone request is submitted when it leaves the host, to arrive later.
+    serve = receive
 
 
 class CacheHierarchy:
@@ -250,7 +284,7 @@ class CacheHierarchy:
     one place that splits host_path_lat into lookups and bus."""
 
     def __init__(self, engine: Engine, levels: List[Cache], membus: MemBus,
-                 host_path_lat: int, stats):
+                 host_path_lat: int, stats, alone: bool = False):
         # _hit_lats[k]: issue to a hit at level k; [-1]: all lookups.
         self._hit_lats = list(itertools.accumulate(
             c.hit_latency for c in levels))
@@ -259,6 +293,10 @@ class CacheHierarchy:
         self.membus = membus
         self.host_path_lat = host_path_lat
         self.membus_lat = host_path_lat - self._hit_lats[-1]
+        # The host's only injector has one LSQ slot: its fetches, and its
+        # uncacheable requests, go alone on an idle engine (see the module
+        # docstring).
+        self.alone = alone
         self._mshrs: Dict[int, list] = {}
         self._pkt_ids = itertools.count(1 << 48)  # fill/writeback id space
         stats.counters(self, {"membus.writebacksInFlight": "wb_in_flight",
@@ -339,8 +377,9 @@ class CacheHierarchy:
                           line * LINE_BYTES,
                           self.engine.now + self._hit_lats[-1])
         # Sent before the MSHR is taken, so an unmapped line faults here
-        # and leaves no entry behind.
-        self.membus.send(fetch, self.host_path_lat, self._fill)
+        # and leaves no entry behind; _fill runs in an event either way.
+        self.membus.send(fetch, self.host_path_lat, self._fill,
+                         self.alone and not self.engine.queue)
         self._mshrs[line] = [pkt]
 
     def _fill(self, fetch: MemPacket) -> None:
@@ -402,7 +441,9 @@ class Injector:
         if pkt.cacheable:
             self._hierarchy.access(pkt, self._finish)
         else:
-            self._membus.send(pkt, self._hierarchy.host_path_lat, self._finish)
+            hierarchy = self._hierarchy
+            self._membus.send(pkt, hierarchy.host_path_lat, self._finish,
+                              hierarchy.alone and not self.engine.queue)
 
     def _finish(self, pkt: MemPacket) -> None:
         self._in_flight -= 1
@@ -433,8 +474,9 @@ class HostPath:
                  injectors: int, lsq_depth: int, think_time: int,
                  host_path_lat: int, stats, ticks_per_cycle: float):
         self.membus = membus
-        self.hierarchy = CacheHierarchy(engine, caches, membus, host_path_lat,
-                                        stats)
+        self.hierarchy = CacheHierarchy(
+            engine, caches, membus, host_path_lat, stats,
+            alone=injectors == 1 and lsq_depth == 1)
         self.load_to_use = stats.histogram(
             "core.loadToUse", edges=(0, 10, 100, 1000, 10000, 100000))
         stats.counters(self, {

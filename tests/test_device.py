@@ -179,14 +179,18 @@ def test_fpga_vs_asic_end_to_end_gap_is_twice_proto_delta():
     assert gap == ns_to_ticks(2 * (60 - 15))
 
 
-def test_idle_uncached_read_fires_three_events(asic_cfg):
-    system = build(asic_cfg)
-    done = []
-    system.host.injectors[0].issue(
-        MemCmd.READ_REQ, system.devices[0].bar.base, cacheable=False,
-        on_complete=lambda p: done.append(system.engine.now))
-    system.engine.run()
-    # host path, device service, response conversion; the request
-    # conversion, the link channels and the medium fire none of their own
-    assert system.engine._seq == 3
-    assert done == [ns_to_ticks(288)]
+def test_idle_uncached_read_fires_three_events():
+    # With two LSQ slots: host path, device service, response conversion;
+    # the request conversion, the link channels and the medium fire none
+    # of their own.  With one (the preset's) the read goes alone and its
+    # completion is the one event, at the same tick.
+    for lsq_depth, events in ((2, 3), (1, 1)):
+        system = build(patched_preset("cxl-dmsim-a", {
+            "workload": {"lsq_depth": lsq_depth}}))
+        done = []
+        system.host.injectors[0].issue(
+            MemCmd.READ_REQ, system.devices[0].bar.base, cacheable=False,
+            on_complete=lambda p: done.append(system.engine.now))
+        system.engine.run()
+        assert system.engine._seq == events
+        assert done == [ns_to_ticks(288)]

@@ -46,6 +46,11 @@ SMALL_CACHE_KV = {"kind": "kv_proxy", "ops": 4000, "warm_ops": 100,
                   "hot_window_pages": 1}
 
 
+# One injector with one LSQ slot: a request that leaves the host on an
+# idle engine is served alone (the module docstring of host.py).
+LONE = {"injectors": 1, "lsq_depth": 1}
+
+
 def _small_cache_ssd(policy: str) -> dict:
     return _cfg("cxl-ssd", {"devices": [merge_config(
         preset("cxl-ssd")["devices"][0],
@@ -60,7 +65,7 @@ CASES = {
                                         "samples": 200}}),
         "b5b06d2401f2eaa2dd65b0929577534c8e7da1f034d6316c572ab2f1d1b1be2c",
         "52c9add9ebba0d7f124d68364bf9ee43ae2ea6c076ec1733aed79b864e8dc85e",
-        25891),
+        13147),
     "stream-triad-fpga": (
         _cfg("cxl-dmsim-f", {"workload": {"kind": "stream", "kernel": "triad",
                                           "groups": 300, "warm_groups": 30,
@@ -134,6 +139,38 @@ CASES = {
         "50a5aa7b60d0ce90a5544632b29ada6680eff51c96c4673a5319a6ecb7e95d52",
         "7544ca553a1596cc82605e7c734691b5f67dfb54390112d746a462ab0c374d4c",
         27115),
+    # Latency sweeps on a device, every miss alone: the bridge, the link
+    # and the device served in closed form, on queued DDR under hdm and on
+    # coarse DRAM with local pages between the device's under interleave.
+    "latency-asic-hdm": (
+        _cfg("cxl-dmsim-a", {"workload": {"array_kb": [16, 768, 16384],
+                                          "samples": 200,
+                                          "placement": "hdm"}}),
+        "13da003a12f1d9892e4738a3b73761925d1a9451865311f791749b4cfc0624d7",
+        "b419359fdba20e672910f21567b011cfe04522a03ca2e74d3d046f50967e90cc",
+        13147),
+    "latency-coarse-dram-interleave": (
+        _cfg("cxl-dmsim-a", {"devices": [_coarse_device()], "workload": {
+            "array_kb": [16, 768, 16384], "samples": 200,
+            "placement": "interleave"}}),
+        "6a6e95c0cc6e20af8629bb10c921a5a1596e0882f9f02acd710eccaa107a18b2",
+        "1831df8a99b221e169bcdffcd991f7e3c61cfed2fc494ef379e1254b6045f7d2",
+        13147),
+    # Its fills evict dirty lines, so a write-back overlaps the next
+    # demand fetch, which then takes the event path (FIFO peaks of 2).
+    "stream-triad-asic-lone": (
+        _cfg("cxl-dmsim-a", {"workload": {"kind": "stream", "kernel": "triad",
+                                          "groups": 300, "warm_groups": 30,
+                                          "placement": "hdm", **LONE}}),
+        "3f665a81518a886c840e3e014029d0e880369f27308773632482aac2fc9ace08",
+        "45784014316d6ae548495bf256d0af3b139e9344cb52cd320a8a709e8bb9dd0a",
+        2399),
+    # Uncacheable gets and puts, each alone.
+    "kv-asic-lone": (
+        _cfg("cxl-dmsim-a", {"workload": {**KV, "lsq_depth": 1}}),
+        "35a69d21ab9159f6c6e5e47770a182455b88fef5fe4af771a4c95fe0abecf05b",
+        "2322a01f40d051f768a0648dc0140f494ba55498679b75f6f56e12eab4a1927c",
+        3000),
 }
 
 

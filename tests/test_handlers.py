@@ -128,6 +128,10 @@ def test_workload_hands_over_no_closure(handed, case):
         workload["kind"] in ("stream", "kv_proxy"))
     assert bool(handed["CacheHierarchy.access"]) == (
         workload["kind"] != "kv_proxy" and case != "rdwr_sweep")
+    # The latency sweep's one injector has one LSQ slot, so its misses go
+    # alone: each fill is scheduled with no conversion event before it.
+    assert ("CxlBridge._converted" in handed["Engine.schedule"]) == (
+        case != "latency_sweep")
     assert bool(handed["SsdMedium.io"]) == case.startswith("kv_proxy")
     assert bool(handed["SsdCachedMedium.access"]) == (
         case == "kv_proxy-ssd-cached")

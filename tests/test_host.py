@@ -215,7 +215,7 @@ class ImmediateBus:
         self.engine = engine
         self.writebacks = []
 
-    def send(self, pkt, lat, reply):
+    def send(self, pkt, lat, reply, alone=False):
         if pkt.cmd is MemCmd.WRITE_REQ:
             self.writebacks.append(pkt.addr // LINE_BYTES)
         self.engine.schedule(lat, reply, pkt)
@@ -518,29 +518,34 @@ def test_unmapped_issue_faults(local_cfg, cacheable):
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
-def test_idle_miss_fires_three_events_and_a_hit_one(asic_cfg, level):
-    system = build(asic_cfg)
-    engine, inj = system.engine, system.host.injectors[0]
-    levels = system.host.hierarchy.levels
-    line = system.devices[0].bar.base // LINE_BYTES
+def test_idle_miss_fires_three_events_and_a_hit_one(level):
+    # With two LSQ slots: the bus arrival, the device response and the
+    # response conversion; no event per cache level, link message or
+    # bridge traversal.  With one (the preset's) the miss goes alone: its
+    # fill is the one event, at the same tick.
+    for lsq_depth, miss_events in ((2, 3), (1, 1)):
+        system = build(patched_preset("cxl-dmsim-a", {
+            "workload": {"lsq_depth": lsq_depth}}))
+        engine, inj = system.engine, system.host.injectors[0]
+        levels = system.host.hierarchy.levels
+        line = system.devices[0].bar.base // LINE_BYTES
 
-    def read():
-        """Events fired and load-to-use ticks of one read on an idle system."""
-        start, seq, done = engine.now, engine._seq, []
-        inj.issue(MemCmd.READ_REQ, line * LINE_BYTES,
-                  on_complete=lambda p: done.append(engine.now - start))
-        system.engine.run()
-        return engine._seq - seq, done[0]
+        def read():
+            """Events fired and load-to-use ticks of one read on an idle
+            system."""
+            start, seq, done = engine.now, engine._seq, []
+            inj.issue(MemCmd.READ_REQ, line * LINE_BYTES,
+                      on_complete=lambda p: done.append(engine.now - start))
+            engine.run()
+            return engine._seq - seq, done[0]
 
-    # The bus arrival, the device response and the response conversion;
-    # no event per cache level, link message or bridge traversal.
-    assert read() == (3, ns_to_ticks(288))
-    # Clean lines of the same set push the line out of the levels above
-    # `level`, so the next read hits there.
-    for k in range(level):
-        for j in range(1, levels[k].ways + 1):
-            levels[k].install(line + j * levels[k].num_sets)
-    assert read() == (1, sum(c.hit_latency for c in levels[:level + 1]))
+        assert read() == (miss_events, ns_to_ticks(288))
+        # Clean lines of the same set push the line out of the levels
+        # above `level`, so the next read hits there.
+        for k in range(level):
+            for j in range(1, levels[k].ways + 1):
+                levels[k].install(line + j * levels[k].num_sets)
+        assert read() == (1, sum(c.hit_latency for c in levels[:level + 1]))
 
 
 def test_chase_within_l1_steady_state_hits(local_cfg):

@@ -42,19 +42,19 @@ KV = {"kind": "kv_proxy", "ops": 1000, "warm_ops": 100}
 CASES = {
     "latency_sweep": ("cxl-dmsim-a", {"workload": {
         "kind": "latency_sweep", "array_kb": [16, 16384], "samples": 200,
-        "placement": "hdm"}}, 656, 16344),
+        "placement": "hdm"}}, 656, 12696),
     "stream": ("cxl-dmsim-a", {"workload": {
         "kind": "stream", "kernel": "triad", "groups": 300,
-        "warm_groups": 30, "placement": "hdm"}}, 900, 33528),
+        "warm_groups": 30, "placement": "hdm"}}, 900, 32328),
     "rdwr_sweep": ("cxl-dmsim-a", {"workload": {
         "kind": "rdwr_sweep", "read_fractions": [0.5, 1.0], "ops": 400,
-        "warm_ops": 50, "placement": "hdm"}}, 800, 20618),
+        "warm_ops": 50, "placement": "hdm"}}, 800, 19818),
     "dlrm_proxy": ("cxl-dmsim-a", {"workload": {
         "kind": "dlrm_proxy", "injectors": 12, "queries_per_injector": 4,
-        "placement": "hdm"}}, 768, 23878),
-    "kv_proxy-cached": ("cxl-ssd", {"workload": KV}, 1000, 22678),
+        "placement": "hdm"}}, 768, 23110),
+    "kv_proxy-cached": ("cxl-ssd", {"workload": KV}, 1000, 21686),
     "kv_proxy-uncached": ("cxl-ssd", {"devices": [_uncached_ssd()],
-                                      "workload": KV}, 1000, 25007),
+                                      "workload": KV}, 1000, 24015),
 }
 
 
