@@ -18,8 +18,9 @@ a full response FIFO back-pressures device-side delivery.
 
 The S2M response is sized but not built.  Its kind follows from the
 request (S2MDRS with 64B of data for a read, header-only S2MNDR for a
-write), so the device hands its M2S packet back and the bridge charges
-the response's bytes on the RX channel.
+write), so the device hands its M2S packet back.  One table, built with
+the bridge, gives each request kind's (request bytes, answer bytes); it
+sizes every message on both routes and the txBytes/rxBytes stats.
 
 Each link direction is an independent serial channel.  Transfers cut
 through (a message is delivered when the channel grants it) while the
@@ -76,19 +77,21 @@ class CxlMemPacket:
     kind: CxlKind
     id: int
     addr: int
-    payload_bytes: int
-    # Set by the device: the tick the request reaches it, its device offset
-    # and, for an SSD medium, the handler that answers it, reply(pkt).
+    # Set by a device with an SSD medium: the tick the request reaches it,
+    # its device offset and the handler that answers it, reply(pkt).
     arrival: int = 0
     offset: int = 0
     reply: object = None
 
 
+# A host read becomes a header-only request, a write a request with data.
+_M2S_KIND = {MemCmd.READ_REQ: CxlKind.M2S_REQ,
+             MemCmd.WRITE_REQ: CxlKind.M2S_RWD}
+
+
 def convert_m2s(pkt: MemPacket) -> CxlMemPacket:
     """Host request -> CXL.mem request; ids are preserved."""
-    if pkt.cmd is MemCmd.READ_REQ:
-        return CxlMemPacket(CxlKind.M2S_REQ, pkt.id, pkt.addr, 0)
-    return CxlMemPacket(CxlKind.M2S_RWD, pkt.id, pkt.addr, LINE_BYTES)
+    return CxlMemPacket(_M2S_KIND[pkt.cmd], pkt.id, pkt.addr)
 
 
 class LinkChannel:
@@ -149,15 +152,15 @@ class CxlBridge:
             "bridge.reqFifoOccupancy::max": "req_peak",
             "bridge.respFifoOccupancy": "resp_used",
             "bridge.respFifoOccupancy::max": "resp_peak"})
-        # At drain every request has been answered; a request carries 64B
-        # when it is a write, a response when it answers a read.
+        # kind -> (request bytes, answer bytes): 64B of data go with a
+        # write's request and with a read's answer.
         header = msg_header_bytes
+        self._sizes = {CxlKind.M2S_REQ: (header, header + LINE_BYTES),
+                       CxlKind.M2S_RWD: (header + LINE_BYTES, header)}
+        # At drain every request the devices counted has been answered.
         stats.add("bridge.s2mReceived", lambda: self.m2s_sent)
-        stats.add("bridge.txBytes", lambda: (
-            header * self.m2s_sent + LINE_BYTES * self._device_total("writes")))
-        stats.add("bridge.rxBytes", lambda: (
-            (header + LINE_BYTES) * self._device_total("reads")
-            + header * self._device_total("writes")))
+        stats.add("bridge.txBytes", lambda: self._link_bytes(0))
+        stats.add("bridge.rxBytes", lambda: self._link_bytes(1))
 
     def attach_device(self, base: int, limit: int, device) -> None:
         at = bisect_right(self._bases, base)
@@ -166,8 +169,12 @@ class CxlBridge:
         self._devices.insert(at, device)
         device.bind_bridge(self)
 
-    def _device_total(self, count: str) -> int:
-        return sum(getattr(device, count) for device in self._devices)
+    def _link_bytes(self, way: int) -> int:
+        """Bytes of the requests (way 0) or answers (way 1) counted."""
+        read = self._sizes[CxlKind.M2S_REQ][way]
+        write = self._sizes[CxlKind.M2S_RWD][way]
+        return sum(read * device.reads + write * device.writes
+                   for device in self._devices)
 
     # -- request path ------------------------------------------------------
 
@@ -196,7 +203,7 @@ class CxlBridge:
         # from now, and the device at its grant.
         self.m2s_sent += 1
         self._devices[at].receive_m2s(cxl, self.tx.transmit(
-            self.msg_header_bytes + cxl.payload_bytes, self.traversal_lat))
+            self._sizes[cxl.kind][0], self.traversal_lat))
 
     def serve(self, pkt: MemPacket, delay: int) -> None:
         """Serve the lone request `pkt`, which reaches the bridge `delay`
@@ -219,15 +226,9 @@ class CxlBridge:
         if not self.resp_peak:
             self.resp_peak = 1
         self.m2s_sent += 1
-        # A read's request is a header and its answer carries the data; a
-        # write's request carries the data and its answer is a header.
-        header, traversal = self.msg_header_bytes, self.traversal_lat
-        if pkt.cmd is MemCmd.READ_REQ:
-            kind, tx_bytes, rx_bytes = (CxlKind.M2S_REQ, header,
-                                        header + LINE_BYTES)
-        else:
-            kind, tx_bytes, rx_bytes = (CxlKind.M2S_RWD, header + LINE_BYTES,
-                                        header)
+        kind = _M2S_KIND[pkt.cmd]
+        tx_bytes, rx_bytes = self._sizes[kind]
+        traversal = self.traversal_lat
         answer = device.serve(kind, self.tx.transmit(tx_bytes,
                                                      delay + traversal))
         self.engine.schedule(self.rx.transmit(rx_bytes, answer) + traversal,
@@ -243,11 +244,9 @@ class CxlBridge:
             self.resp_used += 1
             if self.resp_used > self.resp_peak:
                 self.resp_peak = self.resp_used
-            nbytes = self.msg_header_bytes
-            if cxl.kind is CxlKind.M2S_REQ:
-                nbytes += LINE_BYTES     # S2MDRS carries the read data
-            self.engine.schedule(self.rx.transmit(nbytes) + self.traversal_lat,
-                                 self._converted, cxl)
+            self.engine.schedule(
+                self.rx.transmit(self._sizes[cxl.kind][1])
+                + self.traversal_lat, self._converted, cxl)
         else:
             self._egress_waiters.append(cxl)
 

@@ -11,20 +11,21 @@ device_proto_proc_lat is charged twice per request, once when the M2S
 message is parsed and once to prepare the S2M response, so swapping
 controllers changes end-to-end latency by twice the per-message delta.
 The bridge hands a request over when it admits it, with the ticks until
-the request reaches the device (its TX link grant), so the device plans
-the whole service then.  A DRAM medium reports its completion when a
-request is submitted, so the device schedules one event for the
-response.  An SSD medium answers later: the device puts its answer
-handler on the request packet as `reply` and schedules the medium's
-`access(pkt)` for when the parse is done.  The packet also carries its
-arrival tick and device offset, so each event is a bound method and the
-packet.  A DRAM device read on the event path costs three events in all:
-the memory-bus arrival at the bridge, the device response and the
-bridge's response conversion.  A lone request (see host.py), which has
-the device to itself, costs none here: the bridge has the device `serve`
-it when it leaves the host, and the device counts it, submits it to the
-medium for its arrival, records its response time and returns the tick
-its answer leaves, as `_respond` would find them.
+it reaches the device (its TX link grant), so the device plans the whole
+service then.  `serve` is the one DRAM service: it counts the request,
+submits it to the medium for its arrival after the parse, records its
+`cxl.rsp` sample and returns the ticks until its answer leaves.  On the
+event path the device schedules the bridge's `device_egress` for then,
+so a DRAM device read costs three events in all: the memory-bus arrival
+at the bridge, the answer's delivery and the bridge's response
+conversion.  A lone request (see host.py) costs none here: the bridge
+calls `serve` itself.  The samples enter the histogram in the order the
+answers leave: a DRAM medium's completions never go backwards while its
+arrivals do not, and answers of one tick leave in the order scheduled.
+An SSD medium answers later: the device puts `_accessed` on the packet
+as `reply`, with its arrival tick and device offset, and schedules the
+medium's `access(pkt)` for the end of the parse; `_accessed` records the
+sample and schedules `device_egress` once the response is prepared.
 
 The device is timing-only: an M2S request names a 64B line and carries no
 bytes.  The S2M response is not built as a packet: its kind follows from
@@ -106,32 +107,27 @@ class MemExpander:
 
     def receive_m2s(self, pkt: CxlMemPacket, delay: int) -> None:
         """Serve `pkt`, which reaches the device `delay` ticks from now."""
-        pkt.arrival = self.engine.now + delay
         base = self.bar.base
         offset = pkt.addr - base
         if not base or not 0 <= offset < self.hdm_size:
             self.translate(pkt.addr)    # raises the DeviceFault
+        if not self.answers_by_callback:
+            self.engine.schedule(self.serve(pkt.kind, delay),
+                                 self._bridge.device_egress, pkt)
+            return
+        # Parse, access the medium, then prepare the response.
         if pkt.kind is CxlKind.M2S_REQ:
-            kind = READ
             self.reads += 1
         else:
-            kind = WRITE
             self.writes += 1
-        proto = self.device_proto_proc_lat
-        if self.answers_by_callback:
-            # Parse, access the medium, then prepare the response.
-            pkt.offset = offset
-            pkt.reply = self._accessed
-            self.engine.schedule(delay + proto, self.medium.access, pkt)
-            return
-        # The medium is handed the request as it will arrive after the
-        # parse, and one event answers once the medium and the response
-        # delay are paid.
-        self.engine.schedule(self.medium.submit(kind, delay + proto) + proto,
-                             self._respond, pkt)
+        pkt.arrival = self.engine.now + delay
+        pkt.offset = offset
+        pkt.reply = self._accessed
+        self.engine.schedule(delay + self.device_proto_proc_lat,
+                             self.medium.access, pkt)
 
     def serve(self, kind: CxlKind, delay: int) -> int:
-        """Serve a lone request of `kind`, which reaches the device `delay`
+        """Serve a request of `kind`, which reaches the device `delay`
         ticks from now, on its DRAM medium; return the ticks from now
         until the answer leaves for the bridge."""
         if kind is CxlKind.M2S_REQ:
@@ -146,11 +142,10 @@ class MemExpander:
         return answer
 
     def _accessed(self, pkt: CxlMemPacket) -> None:
-        self.engine.schedule(self.device_proto_proc_lat, self._respond, pkt)
-
-    def _respond(self, pkt: CxlMemPacket) -> None:
-        self.rsp_time.record(self.engine.now - pkt.arrival)
-        self._bridge.device_egress(pkt)
+        """The SSD medium is done with `pkt`: prepare the response."""
+        proto = self.device_proto_proc_lat
+        self.rsp_time.record(self.engine.now + proto - pkt.arrival)
+        self.engine.schedule(proto, self._bridge.device_egress, pkt)
 
 
 def probe_bar_size(bar: BaseAddressRegister) -> int:

@@ -189,20 +189,22 @@ class Cache:
         """Install the first num_sets * ways lines (a cache's worth) of the
         pages at `page_addrs` as `install` would, one line at a time and in
         order, but only those in a set that a line of `touched` maps to;
-        victims are dropped and no other set is read or written.  Line i is
-        dirty when i % period < dirty_per_period.
+        no other set is read or written.  Line i is dirty when
+        i % period < dirty_per_period.  Every wanted set must be empty.
 
         LRU sets are independent, so each wanted set ends as installing
         every line would leave it.  With g = gcd(lines per page, num_sets),
         a run of g lines fills the g sets of one block under one tag, so
-        one pass over the runs lists each wanted block's (tag, first line);
-        an empty set is a copy of the dict its last `ways` entries give,
-        built once per block and offset % period, and a set that holds
-        lines installs them one at a time."""
+        one pass over the runs lists each wanted block's (tag, first line),
+        and a wanted set is a copy of the dict its last `ways` entries
+        give, built once per block and offset % period."""
         sets, num_sets = self._sets, self.num_sets
         per_page = PAGE_BYTES // LINE_BYTES
         g = math.gcd(per_page, num_sets)
         wanted = {line % num_sets for line in touched}
+        if any(sets[w] for w in wanted):
+            raise ValueError(f"{self.name}: install_pages needs every set "
+                             "that a touched line maps to empty")
         blocks = {w // g: [] for w in wanted}
         for i in range(0, num_sets * self.ways, g):
             tag, s = divmod(page_addrs[i // per_page] // LINE_BYTES
@@ -212,11 +214,6 @@ class Cache:
         built = {}      # (block, offset % period): an empty set, filled
         for w in wanted:
             b, j = divmod(w, g)
-            if sets[w]:
-                for tag, i in blocks[b]:
-                    self.install(tag * num_sets + w,
-                                 (i + j) % period < dirty_per_period)
-                continue
             key = (b, j % period)
             if key not in built:
                 built[key] = {tag: (i + j) % period < dirty_per_period

@@ -69,12 +69,12 @@ class TestConversions:
     def test_read_maps_to_header_only_request(self):
         cxl = convert_m2s(read_pkt(7))
         assert cxl.kind is CxlKind.M2S_REQ
-        assert cxl.id == 7 and cxl.payload_bytes == 0
+        assert cxl.id == 7
 
     def test_write_maps_to_request_with_data(self):
         cxl = convert_m2s(MemPacket(id=9, cmd=MemCmd.WRITE_REQ, addr=0))
         assert cxl.kind is CxlKind.M2S_RWD
-        assert cxl.id == 9 and cxl.payload_bytes == 64
+        assert cxl.id == 9
 
 
 def test_single_request_no_retries():
@@ -277,8 +277,10 @@ class EventDrivenBridge(CxlBridge):
     def _send_m2s(self, cxl):
         device = self._devices[bisect_right(self._bases, cxl.addr) - 1]
         self.m2s_sent += 1
-        deliver(self.engine,
-                self.tx.transmit(self.msg_header_bytes + cxl.payload_bytes),
+        nbytes = self.msg_header_bytes
+        if cxl.kind is CxlKind.M2S_RWD:
+            nbytes += LINE_BYTES
+        deliver(self.engine, self.tx.transmit(nbytes),
                 lambda _: device.receive_m2s(cxl, 0))
 
     def device_egress(self, cxl):

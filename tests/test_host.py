@@ -311,8 +311,6 @@ def test_install_pages_matches_per_line_install(num_sets, assoc, kernel,
     system.place_pages(data.draw(st.integers(0, 3)), nodes)
     pages = system.place_pages(-(-capacity // PAGE_BYTES), nodes)
     lines = capacity // LINE_BYTES
-    # Lines held before the pre-warm, some of them inside the region, so
-    # the present-tag and the eviction paths both run.
     region = [a // LINE_BYTES + k for a in pages
               for k in range(PAGE_BYTES // LINE_BYTES)][:lines]
     rnd = random.Random(data.draw(st.integers(0, 2**32)))
@@ -322,8 +320,6 @@ def test_install_pages_matches_per_line_install(num_sets, assoc, kernel,
         return (rnd.choice(region) if rnd.random() < 0.5
                 else rnd.randrange(4 * lines))
 
-    held = [(anywhere(), rnd.random() < 0.5)
-            for _ in range(rnd.randrange(3 * lines))]
     # The kernel's lines: every set, or a random few of them.
     touched = (range(num_sets) if data.draw(st.booleans())
                else [anywhere() for _ in range(rnd.randrange(num_sets + 1))])
@@ -332,16 +328,22 @@ def test_install_pages_matches_per_line_install(num_sets, assoc, kernel,
 
     caches = [Cache("l3", capacity, assoc, 1000, StatsRegistry())
               for _ in range(2)]
-    for cache in caches:
-        for line, dirty in held:
-            cache.install(line, dirty=dirty)
-    before = cache_contents(caches[0])
     caches[0].install_pages(pages, period, len(writes), touched)
     reference_install_pages(caches[1], pages, period, len(writes))
     wanted = {line % num_sets for line in touched}
     got, full = cache_contents(caches[0]), cache_contents(caches[1])
     for s in range(num_sets):
-        assert got[s] == (full[s] if s in wanted else before[s]), s
+        assert got[s] == (full[s] if s in wanted else []), s
+
+
+def test_install_pages_rejects_a_wanted_set_that_holds_lines():
+    cache = Cache("l3", 4 * 2 * LINE_BYTES, 2, 1000, StatsRegistry())
+    cache.install(5)                    # set 1 of 4
+    before = cache_contents(cache)
+    with pytest.raises(ValueError, match="empty"):
+        cache.install_pages([PAGE_BYTES], 1, 0, [0, 1])
+    # Refused before any set is written.
+    assert cache_contents(cache) == before
 
 
 STREAM_PLACEMENTS = [("local-ddr", "local"), ("cxl-dmsim-a", "hdm"),

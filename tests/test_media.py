@@ -211,3 +211,28 @@ def test_link_channel_matches_event_driven_fifo(reqs, delay):
     assert granted == reference_starts([t + delay for t in arrivals], holds, 1)
     # The channel fires no event of its own: only the arrivals ran.
     assert engine._seq == len(arrivals)
+
+
+# -- the order a device's answers leave in -------------------------------------
+
+
+@_fifo
+@given(gaps=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+       reads=st.lists(st.booleans(), min_size=40, max_size=40),
+       read=st.integers(0, 3), write=st.integers(0, 3),
+       penalty=st.integers(0, 3), access=st.integers(0, 6),
+       width=st.integers(1, 4))
+def test_completions_never_go_backwards_for_ordered_arrivals(
+        gaps, reads, read, write, penalty, access, width):
+    # A device records each answer's sample when it submits the request,
+    # and its answers leave at these completions, so the samples keep the
+    # order the answers leave in only while completions never decrease.
+    # Zero service times and a long access make a reordering likely.
+    arrivals = list(itertools.accumulate(gaps))
+    kinds = [READ if r else WRITE for r in reads]
+    engine = Engine()
+    ddr = QueuedDdr(engine, read, write, penalty, access, StatsRegistry())
+    dram = CoarseDram(engine, access, width)
+    for medium in (ddr, dram):
+        done = [medium.submit(kind, tick) for tick, kind in zip(arrivals, kinds)]
+        assert done == sorted(done), medium
