@@ -3,7 +3,10 @@
 The bridge intercepts HDM-bound host packets, converts them to CXL.mem
 requests through two pairs of bounded FIFO queues, and completes each host
 request, by calling the `reply` handler its packet carries, when the
-device's answer to it has been converted.  A request
+device's answer to it has been converted.  It keeps no window table: the
+memory bus decodes each address once and puts the device that its range
+names on the packet (`device`); None, a bridge range no device backs, is
+a ProtocolError before any state changes.  A request
 FIFO slot doubles as the transaction credit: it is held from admission
 until the request completes on the memory bus, which makes req_fifo_depth
 the ceiling on in-flight HDM requests and ties peak random-access
@@ -54,10 +57,8 @@ fires but the completion.  A request to an SSD device is handed to
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import List
 
 from .engine import Engine
 from .host import LINE_BYTES, MemCmd, MemPacket, SimFault
@@ -135,10 +136,7 @@ class CxlBridge:
         self.traversal_lat = traversal_lat
         self.req_fifo_depth = req_fifo_depth
         self.resp_fifo_depth = resp_fifo_depth
-        self.msg_header_bytes = msg_header_bytes
-        self._bases: List[int] = []      # sorted device bases
-        self._limits: List[int] = []     # and each window's limit
-        self._devices: list = []         # the device behind each window
+        self._devices: list = []         # whose counts txBytes/rxBytes sum
         self._inflight: dict = {}        # id -> MemPacket
         self._waiters: deque = deque()   # held MemPackets
         self._egress_waiters: deque = deque()
@@ -162,11 +160,8 @@ class CxlBridge:
         stats.add("bridge.txBytes", lambda: self._link_bytes(0))
         stats.add("bridge.rxBytes", lambda: self._link_bytes(1))
 
-    def attach_device(self, base: int, limit: int, device) -> None:
-        at = bisect_right(self._bases, base)
-        self._bases.insert(at, base)
-        self._limits.insert(at, limit)
-        self._devices.insert(at, device)
+    def attach_device(self, device) -> None:
+        self._devices.append(device)
         device.bind_bridge(self)
 
     def _link_bytes(self, way: int) -> int:
@@ -190,8 +185,8 @@ class CxlBridge:
         # Both checks come before the credit is taken, so a refused packet
         # leaves no credit or in-flight id behind.
         cxl = convert_m2s(pkt)
-        at = bisect_right(self._bases, cxl.addr) - 1
-        if at < 0 or cxl.addr >= self._limits[at]:
+        device = pkt.device
+        if device is None:
             raise ProtocolError(f"no CXL device backs address {cxl.addr:#x}")
         if pkt.id in self._inflight:
             raise ProtocolError(f"request id {pkt.id} already in flight")
@@ -202,7 +197,7 @@ class CxlBridge:
         # The message reaches the TX channel once converted, traversal_lat
         # from now, and the device at its grant.
         self.m2s_sent += 1
-        self._devices[at].receive_m2s(cxl, self.tx.transmit(
+        device.receive_m2s(cxl, self.tx.transmit(
             self._sizes[cxl.kind][0], self.traversal_lat))
 
     def serve(self, pkt: MemPacket, delay: int) -> None:
@@ -210,15 +205,13 @@ class CxlBridge:
         ticks from now, in closed form, and schedule only pkt.reply, at the
         tick its answer converts (see the module docstring).  A request
         to an SSD device takes the event path from its arrival."""
-        addr = pkt.addr
-        at = bisect_right(self._bases, addr) - 1
-        if at < 0 or addr >= self._limits[at]:
-            raise ProtocolError(f"no CXL device backs address {addr:#x}")
-        device = self._devices[at]
+        device = pkt.device
+        if device is None:
+            raise ProtocolError(f"no CXL device backs address {pkt.addr:#x}")
         if device.answers_by_callback:
             self.engine.schedule(delay, self.receive, pkt)
             return
-        device.translate(addr)      # any DeviceFault before a state change
+        device.translate(pkt.addr)  # any DeviceFault before a state change
         # Nothing else is in flight: the credit and the response slot are
         # free, and each FIFO holds this one request at its fullest.
         if not self.req_peak:

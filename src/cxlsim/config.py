@@ -620,7 +620,8 @@ def build_system(c: SimpleNamespace) -> System:
                 engine, dev.hdm_size_mb * MB,
                 ns_to_ticks(dev.device_proto_proc_lat_ns), medium, stats,
                 prefix)
-            rng = enumerate_expander(addr_map, expander, bridge)
+            rng = enumerate_expander(addr_map, expander)
+            bridge.attach_device(expander)
             devices.append(expander)
             free_pages.append(range(rng.base, rng.limit, PAGE_BYTES))
 

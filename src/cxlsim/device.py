@@ -3,9 +3,9 @@
 The device is enumerated like a PCI endpoint: the host sizes its base
 address register with the write-all-ones probe, carves a host physical
 range for the HDM window above the existing map, and writes the chosen
-base back into the BAR.  After that the memory controller translates
-incoming CXL.mem request addresses to device-internal offsets and
-services them against the configured backend medium.
+base back into the BAR.  After that the memory controller, as the HDM
+decoder, checks each CXL.mem request address against the BAR, translates
+it to a device offset and services it on the configured backend medium.
 
 device_proto_proc_lat is charged twice per request, once when the M2S
 message is parsed and once to prepare the S2M response, so swapping
@@ -155,10 +155,10 @@ def probe_bar_size(bar: BaseAddressRegister) -> int:
     return (~mask & ALL_ONES) + 1
 
 
-def enumerate_expander(addr_map: AddressMap, device: MemExpander,
-                       bridge: Optional[CxlBridge] = None):
+def enumerate_expander(addr_map: AddressMap, device: MemExpander):
     """Three-step enumeration: size the BAR, carve an HDM range above the
-    existing map, write the base back.  Returns the new address range."""
+    existing map, write the base back.  Returns the new address range,
+    which names the device for the memory bus."""
     size = probe_bar_size(device.bar)
     try:
         base = addr_map.allocate_above(size)
@@ -166,6 +166,4 @@ def enumerate_expander(addr_map: AddressMap, device: MemExpander,
     except (SimFault, ValueError) as exc:
         raise EnumerationError(f"cannot map {size:#x} bytes of HDM: {exc}") from exc
     device.bar.write(base)
-    if bridge is not None:
-        bridge.attach_device(base, base + size, device)
     return rng

@@ -89,10 +89,12 @@ class AddressFault(SimFault):
 class MemPacket:
     """A request for one whole 64B line.  `reply(pkt)` completes it, set by
     the layer that hands it on; `on_complete` is the workload's, `level` a
-    hit's cache level, and a fill's `issue_tick` is its miss tick."""
+    hit's cache level, a fill's `issue_tick` is its miss tick, and `device`,
+    set by the memory bus on a packet to the bridge only, the CXL device
+    that the range holding `addr` names."""
 
     __slots__ = ("id", "cmd", "addr", "issue_tick", "cacheable", "reply",
-                 "on_complete", "level")
+                 "on_complete", "level", "device")
 
     def __init__(self, id: int, cmd: MemCmd, addr: int, issue_tick: int = 0,
                  cacheable: bool = True):
@@ -244,13 +246,17 @@ class MemBus:
              reply: Callable[[MemPacket], None], alone: bool = False) -> None:
         """Deliver `pkt` to its port `lat` from now, or have the port serve
         it at once when it goes `alone` (see the module docstring);
-        `reply(pkt)` ends it."""
+        `reply(pkt)` ends it.  The one address decode: a packet to the
+        bridge also gets `device`, the device that its range names."""
         addr, ranges = pkt.addr, self._ranges
         at = bisect_right(self._bases, addr) - 1
         if at < 0 or addr >= ranges[at].limit:
             self.addr_map.lookup(addr)      # raises the AddressFault
-        to_bridge = ranges[at].target is Target.BRIDGE
-        if not to_bridge:
+        rng = ranges[at]
+        to_bridge = rng.target is Target.BRIDGE
+        if to_bridge:
+            pkt.device = rng.device
+        else:
             self.to_local += 1
         pkt.reply = reply
         if alone:

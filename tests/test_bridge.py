@@ -1,6 +1,5 @@
 import copy
 import random
-from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,15 +9,19 @@ from conftest import build, patched_preset
 from cxlsim.config import preset
 from cxlsim.engine import Engine, ns_to_ticks
 from cxlsim.stats import StatsRegistry
-from cxlsim.host import LINE_BYTES, MemCmd, MemPacket
+from cxlsim.host import AddressFault, LINE_BYTES, MemCmd, MemPacket
 from cxlsim.bridge import (CxlBridge, CxlKind, CxlMemPacket, ProtocolError,
                            convert_m2s)
+
+
+# Bytes of a message header, as in every preset.
+HEADER = 16
 
 
 def make_bridge(engine, stats=None, req_depth=4, resp_depth=4,
                 link=64.0, bridge_ns=50, proto_ns=14):
     return CxlBridge(engine, ns_to_ticks(bridge_ns) + ns_to_ticks(proto_ns),
-                     req_depth, resp_depth, link, link, 16,
+                     req_depth, resp_depth, link, link, HEADER,
                      stats or StatsRegistry())
 
 
@@ -51,7 +54,7 @@ def wire(engine, stats=None, **kwargs):
     delay = kwargs.pop("device_delay", 0)
     bridge = make_bridge(engine, stats, **kwargs)
     device = EchoDevice(engine, delay=delay)
-    bridge.attach_device(0, 1 << 40, device)
+    bridge.attach_device(device)
     return bridge, device
 
 
@@ -60,8 +63,11 @@ def read_pkt(i, addr=0):
 
 
 def offer(bridge, pkt, reply):
-    """Deliver `pkt` as the memory bus does: with its reply on it."""
+    """Deliver `pkt` as the memory bus does: with its reply on it and the
+    device that backs its address, the one `wire` attached, which backs
+    every address."""
     pkt.reply = reply
+    (pkt.device,) = bridge._devices
     bridge.receive(pkt)
 
 
@@ -175,34 +181,18 @@ def test_link_serialization_bounds_throughput():
     assert abs(spacing - ns_to_ticks(80)) <= ns_to_ticks(1)
 
 
-def test_device_found_by_base_and_limit():
-    engine = Engine()
-    bridge = make_bridge(engine, req_depth=16)
-    low, high = EchoDevice(engine), EchoDevice(engine)
-    bridge.attach_device(1 << 30, 2 << 30, high)     # attached out of order
-    bridge.attach_device(1 << 20, 2 << 20, low)
-    for i, addr in enumerate([1 << 20, (2 << 20) - 64, 1 << 30,
-                              (2 << 30) - 64]):
-        offer(bridge, read_pkt(i, addr), lambda _: None)
-    engine.run()
-    assert (low.reads, high.reads) == (2, 2)
-    # Below every base, in the gap between windows and above the last.
-    for i, addr in enumerate([0, 2 << 20, 2 << 30], start=100):
-        with pytest.raises(ProtocolError,
-                           match=f"no CXL device backs address {addr:#x}"):
-            offer(bridge, read_pkt(i, addr), lambda _: None)
-
-
 def test_unbacked_address_takes_no_credit_or_id():
     engine = Engine()
-    bridge = make_bridge(engine, req_depth=2)
-    bridge.attach_device(1 << 20, 2 << 20, EchoDevice(engine))
+    bridge, _ = wire(engine, req_depth=2)
     offer(bridge, read_pkt(1, 1 << 20), lambda _: None)
     held = (bridge.req_used, dict(bridge._inflight))
     for _ in range(2):      # the same id again: still the missing device
+        # The bus names no device for a bridge range that none backs.
+        unbacked = read_pkt(100, 0)
+        unbacked.reply, unbacked.device = (lambda _: None), None
         with pytest.raises(ProtocolError,
                            match="no CXL device backs address 0x0"):
-            offer(bridge, read_pkt(100, 0), lambda _: None)
+            bridge.receive(unbacked)
         assert (bridge.req_used, bridge._inflight) == held
 
 
@@ -271,13 +261,12 @@ class EventDrivenBridge(CxlBridge):
         if pkt.id in self._inflight:
             raise ProtocolError(f"request id {pkt.id} already in flight")
         self._inflight[pkt.id] = pkt
-        self.engine.schedule(self.traversal_lat,
-                             lambda _: self._send_m2s(convert_m2s(pkt)))
+        self.engine.schedule(self.traversal_lat, lambda _: self._send_m2s(
+            convert_m2s(pkt), pkt.device))
 
-    def _send_m2s(self, cxl):
-        device = self._devices[bisect_right(self._bases, cxl.addr) - 1]
+    def _send_m2s(self, cxl, device):
         self.m2s_sent += 1
-        nbytes = self.msg_header_bytes
+        nbytes = HEADER
         if cxl.kind is CxlKind.M2S_RWD:
             nbytes += LINE_BYTES
         deliver(self.engine, self.tx.transmit(nbytes),
@@ -287,7 +276,7 @@ class EventDrivenBridge(CxlBridge):
         if self.resp_used < self.resp_fifo_depth:
             self.resp_used += 1
             self.resp_peak = max(self.resp_peak, self.resp_used)
-            nbytes = self.msg_header_bytes
+            nbytes = HEADER
             if cxl.kind is CxlKind.M2S_REQ:
                 nbytes += LINE_BYTES
             deliver(self.engine, self.rx.transmit(nbytes),
@@ -415,3 +404,54 @@ def test_arrival_tied_with_conversion(event_driven):
     engine.run()
     assert done == {1: ns_to_ticks(264), 2: ns_to_ticks(264 + 128)}
     assert stats.flatten()["bridge.reqRetryCounts"] == int(event_driven)
+
+
+# -- routing: the memory bus's one decode names the device ---------------------
+
+
+@pytest.mark.parametrize("injectors, lsq_depth", [(1, 1), (4, 4)])
+def test_each_request_reaches_the_device_whose_window_holds_it(injectors,
+                                                               lsq_depth):
+    # Three windows of different sizes, so enumeration leaves an alignment
+    # gap; one lone injector takes the closed-form route, four the events.
+    ddr = preset("cxl-dmsim-a")["devices"][0]
+    devices = [dict(copy.deepcopy(ddr), hdm_size_mb=64),
+               dict(_coarse_device(), hdm_size_mb=256),
+               dict(copy.deepcopy(ddr), hdm_size_mb=128)]
+    system = build(patched_preset("cxl-dmsim-a", {
+        "devices": devices,
+        "workload": {"kind": "dlrm_proxy", "injectors": injectors,
+                     "lsq_depth": lsq_depth, "placement": "hdm"}}))
+    assert system.host.hierarchy.alone == (lsq_depth == 1)
+    rnd = random.Random(5)
+    requests = []           # (injector, write, cacheable, device, addr)
+    for d, device in enumerate(system.devices):
+        lines = device.hdm_size // LINE_BYTES
+        for line in [0, lines - 1] + rnd.sample(range(1, lines - 1), 6):
+            for write in (False, True):
+                for cacheable in (False, True):
+                    requests.append((rnd.randrange(injectors), write,
+                                     cacheable, d,
+                                     device.bar.base + line * LINE_BYTES))
+    rnd.shuffle(requests)
+    for inj, write, cacheable, _, addr in requests:
+        system.host.injectors[inj].issue(
+            MemCmd.WRITE_REQ if write else MemCmd.READ_REQ, addr,
+            cacheable=cacheable)
+    system.engine.run()
+    # An uncacheable request reaches the device as itself; the first
+    # cacheable request to a line fetches it (a read), and the rest hit or
+    # merge.  The lines are too few to evict one from the LLC.
+    for d, device in enumerate(system.devices):
+        mine = [r for r in requests if r[3] == d]
+        reads = (sum(1 for _, w, c, _, _ in mine if not (w or c))
+                 + len({a for _, _, c, _, a in mine if c}))
+        writes = sum(1 for _, w, c, _, _ in mine if w and not c)
+        assert (device.reads, device.writes) == (reads, writes)
+    assert system.host.hierarchy.wb_peak == 0
+    # The first line past a window, below the next window's base.
+    (gap,) = [lo.bar.base + lo.hdm_size for lo, hi in
+              zip(system.devices, system.devices[1:])
+              if lo.bar.base + lo.hdm_size < hi.bar.base]
+    with pytest.raises(AddressFault, match=f"address {gap:#x} is unmapped"):
+        system.host.injectors[0].issue(MemCmd.READ_REQ, gap, cacheable=False)

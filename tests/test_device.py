@@ -109,17 +109,17 @@ class TestTranslate:
     (0, None, "not enumerated"), (GB, None, "not enumerated"),
     (GB, 2 * GB, "outside HDM window")])
 def test_request_outside_the_device_window_faults(window, bar_base, match):
-    # The bridge routes by its own windows; the device checks the address
-    # against its BAR: unset (an offset from 0 fits the window size), or
-    # set to another window.
+    # The packet names the device, as the bus hands it over; the device
+    # checks the address against its BAR: unset (an offset from 0 fits the
+    # window size), or set to another window.
     engine = Engine()
     bridge = CxlBridge(engine, 0, 4, 4, 64.0, 64.0, 16, StatsRegistry())
     dev = make_device(engine, hdm=GB)
     if bar_base is not None:
         dev.bar.write(bar_base)
-    bridge.attach_device(window, window + GB, dev)
+    bridge.attach_device(dev)
     pkt = MemPacket(1, MemCmd.READ_REQ, window + 0x40)
-    pkt.reply = lambda _: None
+    pkt.reply, pkt.device = (lambda _: None), dev
     with pytest.raises(DeviceFault, match=match):
         bridge.receive(pkt)
 
