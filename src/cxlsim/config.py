@@ -337,17 +337,16 @@ def _check_rules(c: SimpleNamespace) -> None:
         fail("host.host_path_lat_ns", "must cover the summed cache hit "
              f"latencies ({lookup / TICKS_PER_NS:g} ns)")
 
-    # The host physical map as build_system lays it out: local memory at 0,
-    # then each HDM window size-aligned above the ranges before it.
+    # The host physical map carved as build_system carves it: local memory
+    # at 0, then each HDM window, so the two share carve's 2**64 bound.
     space = AddressMap()
     for field, mb in [("host.local_dram_mb", host.local_dram_mb)] + [
             (f"devices[{i}].hdm_size_mb", dev.hdm_size_mb)
             for i, dev in enumerate(c.devices)]:
         try:
-            base = space.allocate_above(mb * MB)
+            space.carve(mb * MB, Target.BRIDGE)
         except AddressFault:
             fail(field, "must fit below 2**64 B of physical address space")
-        space.add_range(base, base + mb * MB, Target.BRIDGE)
 
     b = c.bridge
     if c.devices and b is None:
@@ -583,7 +582,7 @@ def build_system(c: SimpleNamespace) -> System:
 
     addr_map = AddressMap()
     local_size = hostc.local_dram_mb * MB
-    addr_map.add_range(0, local_size, Target.LOCAL_DRAM)
+    addr_map.carve(local_size, Target.LOCAL_DRAM)
     membus = MemBus(engine, addr_map, stats)
 
     lm = hostc.local_medium

@@ -161,9 +161,8 @@ def enumerate_expander(addr_map: AddressMap, device: MemExpander):
     which names the device for the memory bus."""
     size = probe_bar_size(device.bar)
     try:
-        base = addr_map.allocate_above(size)
-        rng = addr_map.add_range(base, base + size, Target.BRIDGE, device)
-    except (SimFault, ValueError) as exc:
+        rng = addr_map.carve(size, Target.BRIDGE, device)
+    except SimFault as exc:
         raise EnumerationError(f"cannot map {size:#x} bytes of HDM: {exc}") from exc
-    device.bar.write(base)
+    device.bar.write(rng.base)
     return rng

@@ -1,11 +1,12 @@
 """HDM management: the app-managed allocator.
 
-The app-managed (AM) side mirrors a device driver's bookkeeping: a
-doubly-linked allocation list over the HDM window whose nodes record the
-owning workload id, FREE/BUSY state, size, and device offset.  Allocation
-is first-fit with immediate coalescing of adjacent FREE nodes, and sizes
-round up to whole pages.  All AM operations require exclusive access; a
-reentrancy guard asserts the single-owner contract.
+The app-managed (AM) side mirrors a device driver's bookkeeping: an
+allocation list over the HDM window, a Python list in offset order, whose
+nodes record the owning workload id, FREE/BUSY state, size, and device
+offset.  Allocation is first-fit with immediate coalescing of adjacent
+FREE nodes, and sizes round up to whole pages.  All AM operations
+require exclusive access; a reentrancy guard asserts the single-owner
+contract.
 
 The kernel-managed (KM) side is System.place_pages: it deals pages round
 robin over a tuple of NUMA nodes, and raises PlacementError when they
@@ -14,9 +15,9 @@ cannot hold the demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import List
 
 PAGE_BYTES = 4096
 
@@ -52,8 +53,6 @@ class HdmAllocNode:
     state: NodeState
     size: int
     offset: int
-    prev: Optional["HdmAllocNode"] = field(default=None, repr=False)
-    next: Optional["HdmAllocNode"] = field(default=None, repr=False)
 
 
 class HdmAllocator:
@@ -63,8 +62,10 @@ class HdmAllocator:
         if hdm_size <= 0 or hdm_size % PAGE_BYTES:
             raise ValueError("hdm_size must be a positive page multiple")
         self.hdm_size = hdm_size
-        self.head = HdmAllocNode(pid=0, state=NodeState.FREE,
-                                 size=hdm_size, offset=0)
+        # The allocation list, in offset order.
+        self.nodes: List[HdmAllocNode] = [
+            HdmAllocNode(pid=0, state=NodeState.FREE, size=hdm_size,
+                         offset=0)]
         self._guard = False
 
     def _enter(self):
@@ -85,32 +86,29 @@ class HdmAllocator:
         self._enter()
         try:
             need = self._round_up(size)
-            node = self.head
-            while node is not None:
+            nodes = self.nodes
+            for i, node in enumerate(nodes):
                 if node.state is NodeState.FREE and node.size >= need:
                     if node.size > need:
-                        rest = HdmAllocNode(pid=0, state=NodeState.FREE,
-                                            size=node.size - need,
-                                            offset=node.offset + need,
-                                            prev=node, next=node.next)
-                        if node.next is not None:
-                            node.next.prev = rest
-                        node.next = rest
+                        nodes.insert(i + 1, HdmAllocNode(
+                            pid=0, state=NodeState.FREE,
+                            size=node.size - need, offset=node.offset + need))
                         node.size = need
                     node.state = NodeState.BUSY
                     node.pid = pid
                     return node.offset
-                node = node.next
             raise HdmAllocationError(
                 f"no contiguous FREE region of {need} bytes")
         finally:
             self._exit()
 
     def free(self, pid: int, offset: int) -> None:
+        """Free the BUSY block at `offset`, merging it with a FREE
+        neighbour after it, then before it."""
         self._enter()
         try:
-            node = self.head
-            while node is not None:
+            nodes = self.nodes
+            for i, node in enumerate(nodes):
                 if node.offset == offset and node.state is NodeState.BUSY:
                     if node.pid != pid:
                         raise HdmPermissionError(
@@ -118,47 +116,25 @@ class HdmAllocator:
                             f"not {pid}")
                     node.state = NodeState.FREE
                     node.pid = 0
-                    self._coalesce(node)
+                    if (i + 1 < len(nodes)
+                            and nodes[i + 1].state is NodeState.FREE):
+                        node.size += nodes.pop(i + 1).size
+                    if i and nodes[i - 1].state is NodeState.FREE:
+                        nodes[i - 1].size += nodes.pop(i).size
                     return
-                node = node.next
             raise HdmInvalidFree(f"no BUSY block at offset {offset:#x}")
         finally:
             self._exit()
 
-    def _coalesce(self, node: HdmAllocNode) -> None:
-        nxt = node.next
-        if nxt is not None and nxt.state is NodeState.FREE:
-            node.size += nxt.size
-            node.next = nxt.next
-            if nxt.next is not None:
-                nxt.next.prev = node
-        prv = node.prev
-        if prv is not None and prv.state is NodeState.FREE:
-            prv.size += node.size
-            prv.next = node.next
-            if node.next is not None:
-                node.next.prev = prv
-
-    def nodes(self) -> List[HdmAllocNode]:
-        out = []
-        node = self.head
-        while node is not None:
-            out.append(node)
-            node = node.next
-        return out
-
     def check_invariants(self) -> None:
-        nodes = self.nodes()
-        total = 0
-        prev = None
-        for n in nodes:
-            if prev is not None:
-                if n.offset != prev.offset + prev.size:
-                    raise AssertionError("allocation list has a gap or overlap")
-                if prev.state is NodeState.FREE and n.state is NodeState.FREE:
-                    raise AssertionError("adjacent FREE nodes not coalesced")
-            total += n.size
-            prev = n
-        if total != self.hdm_size:
-            raise AssertionError(f"size conservation broken: {total}")
-
+        end, prev_free = 0, False
+        for n in self.nodes:
+            if n.offset != end:
+                raise AssertionError("allocation list has a gap or overlap")
+            free = n.state is NodeState.FREE
+            if prev_free and free:
+                raise AssertionError("adjacent FREE nodes not coalesced")
+            end += n.size
+            prev_free = free
+        if end != self.hdm_size:
+            raise AssertionError(f"size conservation broken: {end}")

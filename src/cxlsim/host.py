@@ -116,24 +116,25 @@ class AddressRange:
 
 
 class AddressMap:
-    """Non-overlapping physical ranges routed to LocalDRAM or the bridge."""
+    """Physical ranges routed to LocalDRAM or the bridge, carved one after
+    another: each is the next window aligned to its size above the last,
+    so the ranges ascend and cannot overlap."""
 
     def __init__(self):
         self.ranges: List[AddressRange] = []
         self.bases: List[int] = []      # ranges[i].base, ascending
 
-    def add_range(self, base: int, limit: int, target: Target,
-                  device: Optional[object] = None) -> AddressRange:
-        if limit <= base:
-            raise ValueError("empty address range")
-        for r in self.ranges:
-            if base < r.limit and r.base < limit:
-                raise ValueError(
-                    f"range [{base:#x}, {limit:#x}) overlaps [{r.base:#x}, {r.limit:#x})")
-        rng = AddressRange(base, limit, target, device)
-        at = bisect_right(self.bases, base)
-        self.bases.insert(at, base)
-        self.ranges.insert(at, rng)
+    def carve(self, size: int, target: Target,
+              device: Optional[object] = None) -> AddressRange:
+        """Map the next `size`-aligned window of `size` bytes above the
+        last range; AddressFault past 2**64."""
+        top = self.ranges[-1].limit if self.ranges else 0
+        base = (top + size - 1) // size * size
+        if base + size > 1 << 64:
+            raise AddressFault("insufficient host physical address space")
+        rng = AddressRange(base, base + size, target, device)
+        self.bases.append(base)
+        self.ranges.append(rng)
         return rng
 
     def lookup(self, addr: int) -> AddressRange:
@@ -141,17 +142,6 @@ class AddressMap:
         if at >= 0 and addr < self.ranges[at].limit:
             return self.ranges[at]
         raise AddressFault(f"address {addr:#x} is unmapped")
-
-    def top(self) -> int:
-        return max((r.limit for r in self.ranges), default=0)
-
-    def allocate_above(self, size: int) -> int:
-        """Next size-aligned base above all existing ranges."""
-        top = self.top()
-        base = (top + size - 1) // size * size
-        if base + size > 1 << 64:
-            raise AddressFault("insufficient host physical address space")
-        return base
 
 
 class Cache:
@@ -229,7 +219,7 @@ class MemBus:
     def __init__(self, engine: Engine, addr_map: AddressMap, stats):
         self.engine = engine
         self.addr_map = addr_map
-        # The map's lists, which add_range extends in place.
+        # The map's lists, which carve extends in place.
         self._bases, self._ranges = addr_map.bases, addr_map.ranges
         self.targets: Dict[Target, object] = {}
         self._ports = (None, None)
@@ -434,12 +424,10 @@ class Injector:
         return pkt.id
 
     def _start(self, pkt: MemPacket) -> None:
-        """Dispatch through the caches, or to the bus when uncacheable."""
-        self._in_flight += 1
-        host = self._host
-        host.outstanding += 1
-        if host.outstanding > host.outstanding_peak:
-            host.outstanding_peak = host.outstanding
+        """Dispatch through the caches, or to the bus when uncacheable,
+        then take the LSQ slot: a dispatch that faults takes none, and
+        none completes inside the dispatch (a hit or a reply is an
+        event)."""
         pkt.issue_tick = self.engine.now
         if pkt.cacheable:
             self._hierarchy.access(pkt, self._finish)
@@ -447,6 +435,11 @@ class Injector:
             hierarchy = self._hierarchy
             self._membus.send(pkt, hierarchy.host_path_lat, self._finish,
                               hierarchy.alone and not self.engine.queue)
+        self._in_flight += 1
+        host = self._host
+        host.outstanding += 1
+        if host.outstanding > host.outstanding_peak:
+            host.outstanding_peak = host.outstanding
 
     def _finish(self, pkt: MemPacket) -> None:
         self._in_flight -= 1

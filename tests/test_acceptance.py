@@ -379,7 +379,7 @@ def test_criterion_allocator_property_suite():
             alloc.check_invariants()
     alloc.check_invariants()
 
-    nodes = alloc.nodes()
+    nodes = alloc.nodes
     busy_nodes = [(n.offset, n.size, n.pid) for n in nodes
                   if n.state is NodeState.BUSY]
     assert busy_nodes == busy

@@ -62,6 +62,20 @@ class TestValidation:
                            match="bridge.bridge_lat_ns: must be finite"):
             check_config(cfg)
 
+    def test_last_window_may_end_at_2_64_and_no_further(self):
+        # The check carves the map as the build does, so both put the
+        # edge in the same place.
+        cfg = preset("cxl-dmsim-a")
+        dev = cfg["devices"][0]
+        cfg["devices"] = [dict(dev, hdm_size_mb=2**43)]
+        system = build_system(check_config(cfg))
+        assert system.devices[0].bar.base == 2**63
+        assert system.membus.addr_map.ranges[-1].limit == 2**64
+        cfg["devices"].append(dict(dev, hdm_size_mb=1))
+        with pytest.raises(ConfigError, match=re.escape(
+                "config.devices[1].hdm_size_mb")):
+            check_config(cfg)
+
     def test_coarse_block_defaults_width(self):
         cfg = preset("cxl-dmsim-a")
         cfg["devices"] = [coarse_device(None)]

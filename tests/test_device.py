@@ -50,7 +50,7 @@ class TestEnumeration:
     def test_single_device_mapped_above_local(self):
         engine = Engine()
         amap = AddressMap()
-        amap.add_range(0, 4 * GB, Target.LOCAL_DRAM)
+        amap.carve(4 * GB, Target.LOCAL_DRAM)
         dev = make_device(engine, hdm=64 * GB)
         rng = enumerate_expander(amap, dev)
         assert rng.target is Target.BRIDGE
@@ -61,7 +61,7 @@ class TestEnumeration:
     def test_two_devices_disjoint_and_routable(self):
         engine = Engine()
         amap = AddressMap()
-        amap.add_range(0, 4 * GB, Target.LOCAL_DRAM)
+        amap.carve(4 * GB, Target.LOCAL_DRAM)
         d1 = make_device(engine, hdm=16 * GB)
         d2 = make_device(engine, hdm=64 * GB)
         r1 = enumerate_expander(amap, d1)
@@ -73,7 +73,7 @@ class TestEnumeration:
     def test_address_space_exhaustion(self):
         engine = Engine()
         amap = AddressMap()
-        amap.add_range(0, 1 << 63, Target.LOCAL_DRAM)
+        amap.carve(1 << 63, Target.LOCAL_DRAM)
         big = make_device(engine, hdm=1 << 63)
         enumerate_expander(amap, big)
         with pytest.raises(EnumerationError):
@@ -84,7 +84,7 @@ class TestTranslate:
     def setup_method(self):
         self.engine = Engine()
         amap = AddressMap()
-        amap.add_range(0, GB, Target.LOCAL_DRAM)
+        amap.carve(GB, Target.LOCAL_DRAM)
         self.dev = make_device(self.engine, hdm=GB)
         enumerate_expander(amap, self.dev)
         self.base = self.dev.bar.base
@@ -139,7 +139,7 @@ def test_service_charges_proto_then_medium_then_proto():
     engine = Engine()
     stats = StatsRegistry()
     amap = AddressMap()
-    amap.add_range(0, GB, Target.LOCAL_DRAM)
+    amap.carve(GB, Target.LOCAL_DRAM)
     medium = SpyMedium(engine, ns_to_ticks(50), 8)
     dev = MemExpander(engine, GB, ns_to_ticks(15), medium, stats)
     enumerate_expander(amap, dev)

@@ -16,7 +16,7 @@ GB = 1024 * MB
 
 def rows(alloc):
     """The allocation list as (pid, state, size, offset) tuples."""
-    return [(n.pid, n.state, n.size, n.offset) for n in alloc.nodes()]
+    return [(n.pid, n.state, n.size, n.offset) for n in alloc.nodes]
 
 
 class TestAllocator:
@@ -44,7 +44,7 @@ class TestAllocator:
         alloc = HdmAllocator(1 * MB)
         off = alloc.alloc(1, 64 * 1024)
         alloc.free(1, off)
-        nodes = alloc.nodes()
+        nodes = alloc.nodes
         assert len(nodes) == 1
         assert nodes[0].state is NodeState.FREE
         assert nodes[0].size == 1 * MB
@@ -53,7 +53,7 @@ class TestAllocator:
         alloc = HdmAllocator(1 * MB)
         offs = [alloc.alloc(1, 4096) for _ in range(3)]
         alloc.free(1, offs[1])
-        states = [n.state for n in alloc.nodes()]
+        states = [n.state for n in alloc.nodes]
         assert states[:3] == [NodeState.BUSY, NodeState.FREE, NodeState.BUSY]
 
     def test_freeing_neighbors_then_middle_fully_coalesces(self):
@@ -63,12 +63,12 @@ class TestAllocator:
         alloc.free(1, offs[0])
         alloc.free(1, offs[2])
         alloc.free(1, offs[1])
-        nodes = alloc.nodes()
+        nodes = alloc.nodes
         assert len(nodes) == 2
         assert nodes[0].state is NodeState.FREE
         assert nodes[0].size == 3 * 4096
         alloc.free(1, tail)
-        assert len(alloc.nodes()) == 1
+        assert len(alloc.nodes) == 1
 
     def test_sizes_round_up_to_pages(self):
         alloc = HdmAllocator(1 * MB)
@@ -125,7 +125,7 @@ def test_allocator_conservation_property(ops):
             pid_l, off = live.pop(hash((kind, pid, size)) % len(live))
             alloc.free(pid_l, off)
         alloc.check_invariants()
-    busy = [n for n in alloc.nodes() if n.state is NodeState.BUSY]
+    busy = [n for n in alloc.nodes if n.state is NodeState.BUSY]
     assert len(busy) == len(live)
 
 

@@ -24,57 +24,45 @@ def test_mem_packet_validation():
 
 
 class TestAddressMap:
-    def test_overlap_rejected(self):
-        amap = AddressMap()
-        amap.add_range(0, 1024, Target.LOCAL_DRAM)
-        with pytest.raises(ValueError):
-            amap.add_range(512, 2048, Target.BRIDGE)
-
     def test_boundary_routing(self):
         amap = AddressMap()
-        amap.add_range(0, 1 << 32, Target.LOCAL_DRAM)
-        amap.add_range(1 << 32, 1 << 33, Target.BRIDGE)
-        hdm_base = 1 << 32
-        assert amap.lookup(hdm_base).target is Target.BRIDGE
-        assert amap.lookup(hdm_base - 64).target is Target.LOCAL_DRAM
+        amap.carve(1 << 32, Target.LOCAL_DRAM)
+        hdm = amap.carve(1 << 32, Target.BRIDGE)
+        assert hdm.base == 1 << 32
+        assert amap.lookup(hdm.base).target is Target.BRIDGE
+        assert amap.lookup(hdm.base - 64).target is Target.LOCAL_DRAM
 
     def test_unmapped_faults(self):
         amap = AddressMap()
-        amap.add_range(0, 1024, Target.LOCAL_DRAM)
+        amap.carve(1024, Target.LOCAL_DRAM)
         with pytest.raises(AddressFault):
             amap.lookup(4096)
 
     @settings(max_examples=100, derandomize=True, database=None,
               deadline=None)
-    @given(spans=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)),
-                          min_size=1, max_size=8),
-           data=st.data())
-    def test_lookup_matches_a_linear_scan(self, spans, data):
-        # (gap, size) in 4 KB units from the last limit; the first range
-        # starts above 0, and a gap of 0 makes two ranges adjacent.
-        unit, ranges, top = 4096, [], 0
-        for gap, size in spans:
-            base = top + max(gap, not ranges) * unit
-            top = base + size * unit
-            ranges.append((base, top))
-        amap = AddressMap()
-        for base, limit in data.draw(st.permutations(ranges)):
-            amap.add_range(base, limit, Target.BRIDGE, (base, limit))
+    @given(sizes=st.lists(st.integers(1, 8), min_size=1, max_size=8))
+    def test_lookup_matches_a_linear_scan(self, sizes):
+        # Sizes in 4 KB units: aligning each window to its size leaves
+        # gaps, as after 3 units a window of 4 starts at 4.
+        unit, amap = 4096, AddressMap()
+        ranges = [amap.carve(size * unit, Target.BRIDGE, i)
+                  for i, size in enumerate(sizes)]
+        assert amap.ranges == ranges
+        assert amap.bases == [r.base for r in ranges]
+        top = 0
+        for r, size in zip(ranges, sizes):
+            assert r.limit - r.base == size * unit
+            assert r.base % (size * unit) == 0
+            assert r.base >= top
+            top = r.limit
         for addr in range(0, top + unit, unit // 4):
-            owner = [r for r in ranges if r[0] <= addr < r[1]]
+            owner = [r for r in ranges if r.base <= addr < r.limit]
             if owner:
-                assert amap.lookup(addr).device == owner[0]
+                assert amap.lookup(addr) is owner[0]
             else:
-                # Below the first base, in a gap or at a limit.
+                # In a gap or at the last limit.
                 with pytest.raises(AddressFault):
                     amap.lookup(addr)
-
-    def test_allocate_above_aligns(self):
-        amap = AddressMap()
-        amap.add_range(0, 3 * 4096, Target.LOCAL_DRAM)
-        base = amap.allocate_above(1 << 20)
-        assert base == 1 << 20
-        assert base >= amap.top() - (1 << 20)
 
 
 def probe(cache, line):

@@ -230,12 +230,36 @@ def _faulting_system(fault: str, lsq_depth: int):
     if fault == "address":
         return system, 1 << 60
     if fault == "protocol":     # a bridge range that no device backs
-        base = addr_map.allocate_above(1 << 30)
-        addr_map.add_range(base, base + (1 << 30), Target.BRIDGE)
-        return system, base
+        return system, addr_map.carve(1 << 30, Target.BRIDGE).base
     base = device.bar.base      # the device's BAR no longer set
     device.bar.write(0)
     return system, base
+
+
+@pytest.mark.parametrize("cacheable", [False, True])
+@pytest.mark.parametrize("fault, error, lsq_depth", [
+    ("address", AddressFault, 1), ("address", AddressFault, 4),
+    ("protocol", ProtocolError, 1), ("device", DeviceFault, 1)])
+def test_faulting_issue_takes_no_lsq_slot(fault, error, lsq_depth,
+                                          cacheable):
+    # One injector with one slot (the lone route) or four.
+    system, addr = _faulting_system(fault, lsq_depth)
+    injector = system.host.injectors[0]
+
+    def slot():
+        flat = system.stats.flatten()
+        return (injector._in_flight, flat["core.outstandingRequests"],
+                flat["core.outstandingRequests::max"])
+
+    assert slot() == (0, 0, 0)
+    with pytest.raises(error):
+        injector.issue(MemCmd.READ_REQ, addr, cacheable=cacheable)
+    assert slot() == (0, 0, 0)
+    done = []
+    injector.issue(MemCmd.READ_REQ, LINE_BYTES, cacheable=cacheable,
+                   on_complete=done.append)
+    system.engine.run()
+    assert len(done) == 1 and slot() == (0, 0, 1)
 
 
 @pytest.mark.parametrize("cacheable", [False, True])

@@ -312,7 +312,7 @@ def test_kv_proxy_allocates_from_hdm_allocator():
                        "footprint_mb": 1}
     result = run_workload(check_config(cfg))
     system = result.system
-    nodes = system.hdm_allocator.nodes()
+    nodes = system.hdm_allocator.nodes
     assert any(n.state.value == "BUSY" and n.size == 1024 * 1024 for n in nodes)
     assert result.summary["throughput_ops_per_sec"] > 0
 
