@@ -28,7 +28,7 @@ import math
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List
 
 from .engine import TICKS_PER_NS, Engine, ns_to_ticks
 from .stats import StatsRegistry
@@ -112,7 +112,9 @@ _RATE = (NUM, lambda v: v >= 1e-3, "must be >= 1e-3 (1 MB/s)", REQUIRED)
 # latency_sweep and kv_proxy drive only the first injector.
 _ONE_INJECTOR = (int, lambda v: v == 1, "must be 1: the workload drives one "
                  "injector", 1)
-# Default None: hdm when the config has a device, else local.
+# The NUMA nodes a workload's pages go to, resolved by System.nodes: node
+# i is the i-th carved range, local memory first.  Default None: hdm when
+# the config has a device, else local.
 _PLACEMENT = (str, lambda v: v in ("local", "hdm", "interleave"),
               "must be local, hdm, or interleave", None)
 
@@ -581,8 +583,7 @@ def build_system(c: SimpleNamespace) -> System:
     hostc = c.host
 
     addr_map = AddressMap()
-    local_size = hostc.local_dram_mb * MB
-    addr_map.carve(local_size, Target.LOCAL_DRAM)
+    addr_map.carve(hostc.local_dram_mb * MB, Target.LOCAL_DRAM)
     membus = MemBus(engine, addr_map, stats)
 
     lm = hostc.local_medium
@@ -600,7 +601,6 @@ def build_system(c: SimpleNamespace) -> System:
                     ns_to_ticks(hostc.host_path_lat_ns), stats,
                     1000.0 / hostc.core_freq_ghz)
 
-    free_pages = [range(0, local_size, PAGE_BYTES)]
     bridge = None
     devices: List[MemExpander] = []
     if c.devices:
@@ -619,29 +619,21 @@ def build_system(c: SimpleNamespace) -> System:
                 engine, dev.hdm_size_mb * MB,
                 ns_to_ticks(dev.device_proto_proc_lat_ns), medium, stats,
                 prefix)
-            rng = enumerate_expander(addr_map, expander)
+            enumerate_expander(addr_map, expander)
             bridge.attach_device(expander)
             devices.append(expander)
-            free_pages.append(range(rng.base, rng.limit, PAGE_BYTES))
 
     # At drain, every packet the bus routed to the bridge was sent on.
     stats.add("membus.toBridge", lambda: bridge.m2s_sent if bridge else 0)
     return System(engine=engine, stats=stats, membus=membus, host=host,
-                  bridge=bridge, devices=devices, free_pages=free_pages,
+                  bridge=bridge, devices=devices,
+                  free_pages=[range(rng.base, rng.limit, PAGE_BYTES)
+                              for rng in addr_map.ranges],
                   hdm_allocator=(HdmAllocator(c.devices[0].hdm_size_mb * MB)
                                  if c.devices else None), seed=c.seed)
 
 
 # -- workload dispatch ------------------------------------------------------------
-
-
-def _placement_nodes(choice: Optional[str],
-                     device_nodes: Sequence[int]) -> Tuple[int, ...]:
-    """The NUMA nodes System.place_pages deals pages over: node 0 for
-    local, the device nodes for hdm, and both for interleave."""
-    choice = choice or ("hdm" if device_nodes else "local")
-    return {"local": (0,), "hdm": tuple(device_nodes),
-            "interleave": (0, *device_nodes)}[choice]
 
 
 def run_workload(c: SimpleNamespace) -> wl.WorkloadResult:
@@ -651,11 +643,7 @@ def run_workload(c: SimpleNamespace) -> wl.WorkloadResult:
     A footprint that does not fit the memory it is placed in is a
     ConfigError, raised when the workload places it.
     """
-    params = c.workload
-    # build_system numbers device i's NUMA node i + 1.
-    placement = _placement_nodes(getattr(params, "placement", None),
-                                 range(1, len(c.devices) + 1))
     try:
-        return wl.run(lambda: build_system(c), params, placement)
+        return wl.run(lambda: build_system(c), c.workload)
     except (PlacementError, HdmAllocationError) as exc:
         raise ConfigError(f"config.workload: footprint does not fit ({exc})") from None

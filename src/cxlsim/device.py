@@ -76,8 +76,7 @@ class MemExpander:
     message direction."""
 
     def __init__(self, engine: Engine, hdm_size: int,
-                 device_proto_proc_lat: int, medium, stats,
-                 prefix: str = "cxl"):
+                 device_proto_proc_lat: int, medium, stats, prefix: str):
         self.engine = engine
         self.hdm_size = hdm_size
         self.device_proto_proc_lat = device_proto_proc_lat

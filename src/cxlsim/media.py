@@ -72,8 +72,7 @@ class QueuedDdr:
     """
 
     def __init__(self, engine: Engine, read_service: int, write_service: int,
-                 turnaround_penalty: int, access_lat: int, stats,
-                 prefix: str = "dram"):
+                 turnaround_penalty: int, access_lat: int, stats, prefix: str):
         self.engine = engine
         self.read_service = read_service
         self.write_service = write_service

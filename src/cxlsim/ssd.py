@@ -170,7 +170,6 @@ class SsdCachedMedium:
                  prefetcher: Optional[BestOffsetPrefetcher] = None):
         self.engine = engine
         self.ssd = ssd
-        self.capacity = capacity
         self.hit_latency = hit_latency
         self.prefetcher = prefetcher
         self.page_size = ssd.page_size

@@ -54,13 +54,12 @@ class Histogram:
     last), so edges (0, 10, 100) produce buckets 0-9, 10-99, 100+.
     """
 
-    __slots__ = ("name", "edges", "_counts", "_n", "_mean", "_m2", "_min",
-                 "_max", "_upper", "_buf")
+    __slots__ = ("edges", "_counts", "_n", "_mean", "_m2", "_min", "_max",
+                 "_upper", "_buf")
 
-    def __init__(self, name: str, edges: Sequence[float] = (0,)):
+    def __init__(self, edges: Sequence[float]):
         if not edges or edges[0] != 0 or list(edges) != sorted(edges):
             raise ValueError("histogram edges must be ascending and start at 0")
-        self.name = name
         self.edges = tuple(edges)
         self._counts = [0] * len(edges)
         self._n = 0
@@ -185,7 +184,7 @@ class StatsRegistry:
 
     def histogram(self, name: str, edges: Sequence[float] = (0,)) -> Histogram:
         self._claim(name)
-        hist = self._histograms[name] = Histogram(name, edges)
+        hist = self._histograms[name] = Histogram(edges)
         return hist
 
     def flatten(self) -> Dict[str, float]:

@@ -3,16 +3,19 @@
 A System owns exactly one engine instance and all component state, so
 independent systems can run in parallel processes.  Construction happens
 in config.build_system; this module only holds the assembled object and
-cross-component helpers.  Kernel-managed placement deals pages round
-robin over a tuple of NUMA nodes, as Linux's MPOL_INTERLEAVE does; one
-node is a bind.  App-managed allocation goes through the first device's
-HDM allocator.
+cross-component helpers.  The NUMA nodes are the carved ranges of the
+physical map, in carve order: node 0 is local memory and node i the
+i-th device's HDM window, a CPU-less node.  `nodes` resolves a
+workload's placement to a tuple of them, and kernel-managed placement
+deals pages round robin over that tuple, as Linux's MPOL_INTERLEAVE
+does; one node is a bind.  App-managed allocation goes through the
+first device's HDM allocator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .engine import Engine
 from .stats import StatsRegistry
@@ -30,12 +33,20 @@ class System:
     host: HostPath
     bridge: Optional[CxlBridge]
     devices: List[MemExpander]
-    # NUMA node i's page addresses that no placement has taken yet: local
-    # memory is node 0, device i's HDM window node i + 1.
+    # NUMA node i's page addresses that no placement has taken yet; node i
+    # is the i-th carved range of the physical map.
     free_pages: List[range]
     # Device 0's app-managed allocator; None when there is no device.
     hdm_allocator: Optional[HdmAllocator]
     seed: int
+
+    def nodes(self, placement: Optional[str]) -> Tuple[int, ...]:
+        """The NUMA nodes `placement` deals pages over: node 0 for local,
+        the device nodes for hdm and both for interleave; left out, hdm
+        when there is a device and local otherwise."""
+        hdm = tuple(range(1, len(self.devices) + 1))
+        placement = placement or ("hdm" if hdm else "local")
+        return {"local": (0,), "hdm": hdm, "interleave": (0, *hdm)}[placement]
 
     def place_pages(self, count: int, nodes: Sequence[int]) -> Sequence[int]:
         """Deal `count` page base addresses round robin over the NUMA

@@ -45,7 +45,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .engine import TICKS_PER_NS
 from .hdm import PAGE_BYTES
@@ -98,11 +98,12 @@ def build_chase_cycle(num_lines: int, rng: random.Random) -> List[int]:
 
 
 class _PagedRegion:
-    """Maps a contiguous logical byte region onto placed physical pages."""
+    """Maps a contiguous logical byte region onto physical pages placed
+    on the NUMA nodes of `placement` (see System.nodes)."""
 
-    def __init__(self, system: System, size: int, nodes: Tuple[int, ...]):
+    def __init__(self, system: System, size: int, placement: Optional[str]):
         pages = (size + PAGE_BYTES - 1) // PAGE_BYTES
-        self.page_addrs = system.place_pages(pages, nodes)
+        self.page_addrs = system.place_pages(pages, system.nodes(placement))
         self.lines = size // LINE_BYTES
 
     def line_addr(self, line: int) -> int:
@@ -110,8 +111,7 @@ class _PagedRegion:
         return self.page_addrs[offset // PAGE_BYTES] + offset % PAGE_BYTES
 
 
-def run(build: Callable[[], System], params: SimpleNamespace,
-        placement: Tuple[int, ...]) -> WorkloadResult:
+def run(build: Callable[[], System], params: SimpleNamespace) -> WorkloadResult:
     """Run every point of the workload `params` on systems from `build`
     and summarize their rows (see the module docstring)."""
     kind = _KINDS[params.kind]
@@ -120,7 +120,7 @@ def run(build: Callable[[], System], params: SimpleNamespace,
         if system is None or kind.fresh:
             system = build()
         host, engine = system.host, system.engine
-        warm, end, row = kind.point(system, params, placement,
+        warm, end, row = kind.point(system, params,
                                     _derive_seed(system.seed, kind.tag, *point),
                                     *point)
         host.completed = 0
@@ -157,10 +157,10 @@ class _Chase:
                                 on_complete=self.step)
 
 
-def _latency_point(system: System, params: SimpleNamespace,
-                   placement: Tuple[int, ...], seed: int, idx: int):
+def _latency_point(system: System, params: SimpleNamespace, seed: int,
+                   idx: int):
     size = params.array_kb[idx] * KB
-    region = _PagedRegion(system, size, placement)
+    region = _PagedRegion(system, size, params.placement)
     lines = size // params.stride
     rng = random.Random(seed)
     samples = min(params.samples, lines)
@@ -219,13 +219,13 @@ class _StreamFeeder:
                 injector.issue(cmd, region.line_addr(group))
 
 
-def _stream_point(system: System, params: SimpleNamespace,
-                  placement: Tuple[int, ...], _seed: int):
+def _stream_point(system: System, params: SimpleNamespace, _seed: int):
     """`params.groups` 64B line groups, the first `warm_groups` of them
     outside the measure window."""
     llc = system.host.hierarchy.levels[-1]
     reads, writes = STREAM_KERNELS[params.kernel]
-    arrays = {name: _PagedRegion(system, params.array_mb * MB, placement)
+    arrays = {name: _PagedRegion(system, params.array_mb * MB,
+                                 params.placement)
               for name in ("a", "b", "c")}
 
     # Pre-warm the LLC to the steady state a long-running kernel would
@@ -235,7 +235,7 @@ def _stream_point(system: System, params: SimpleNamespace,
     # the kernel's lines map to are filled: from here on the hierarchy
     # handles no other line, so no other LLC set is ever read.
     ops_per_group = len(reads) + len(writes)
-    ghost = _PagedRegion(system, llc.capacity, placement)
+    ghost = _PagedRegion(system, llc.capacity, params.placement)
     pages = -(-params.groups * LINE_BYTES // PAGE_BYTES)
     touched = itertools.chain.from_iterable(
         range(addr // LINE_BYTES, (addr + PAGE_BYTES) // LINE_BYTES)
@@ -302,11 +302,10 @@ class _OpenLoop:
             self.lat_sum += self.engine.now - arrival
 
 
-def _rdwr_point(system: System, params: SimpleNamespace,
-                placement: Tuple[int, ...], seed: int, r_idx: int,
-                rate: float):
+def _rdwr_point(system: System, params: SimpleNamespace, seed: int,
+                r_idx: int, rate: float):
     read_fraction = params.read_fractions[r_idx]
-    region = _PagedRegion(system, params.footprint_mb * MB, placement)
+    region = _PagedRegion(system, params.footprint_mb * MB, params.placement)
     interval = max(1, round(LINE_BYTES * TICKS_PER_NS / rate))
     traffic = _OpenLoop(system, region, read_fraction, seed, params.warm_ops)
     for k in range(params.ops):
@@ -366,11 +365,10 @@ class _Queries:
             self.next_query()
 
 
-def _dlrm_point(system: System, params: SimpleNamespace,
-                placement: Tuple[int, ...], seed: int):
+def _dlrm_point(system: System, params: SimpleNamespace, seed: int):
     """Every injector's queries from tick 0; the window ends at the last
     lookup's completion."""
-    region = _PagedRegion(system, params.footprint_mb * MB, placement)
+    region = _PagedRegion(system, params.footprint_mb * MB, params.placement)
     injectors = system.host.injectors
     for k, injector in enumerate(injectors):
         queries = _Queries(injector, _derive_seed(seed, k), region, params)
@@ -390,8 +388,7 @@ def _dlrm_summary(rows, ticks) -> dict:
 # -- key-value get/put proxy for the SSD study -----------------------------------
 
 
-def _kv_point(system: System, params: SimpleNamespace,
-              _placement: Tuple[int, ...], seed: int):
+def _kv_point(system: System, params: SimpleNamespace, seed: int):
     """Mixed get/put random workload over an app-managed HDM region.
 
     Puts append sequentially (overwriting the footprint cyclically), gets
@@ -434,7 +431,7 @@ def _kv_point(system: System, params: SimpleNamespace,
 class _Kind(NamedTuple):
     """How `run` drives one workload kind."""
     tag: str                # seeds each point, with the point
-    point: Callable         # (system, params, placement, seed, *point)
+    point: Callable         # (system, params, seed, *point)
     columns: List[str]      # of the points' rows
     summary: Callable       # (rows, last window's ticks) -> dict
     points: Callable = lambda params: [()]

@@ -32,3 +32,24 @@ def tiny_cache_patch() -> dict:
 
 def build(cfg: dict):
     return build_system(check_config(cfg))
+
+
+def coarse_device(coarse: dict | None = None) -> dict:
+    """The cxl-dmsim-a device on a coarse_dram medium; `coarse` is its
+    coarse block, or None to leave the block out."""
+    dev = preset("cxl-dmsim-a")["devices"][0]
+    del dev["ddr"]
+    dev["medium"] = "coarse_dram"
+    if coarse is not None:
+        dev["coarse"] = coarse
+    return dev
+
+
+def ssd_device(**blocks) -> dict:
+    """The cxl-ssd device with the fields of `blocks` patched into its
+    block of the same name; `ssd_device(cache={"enabled": False})` is the
+    uncached SSD."""
+    dev = preset("cxl-ssd")["devices"][0]
+    for name, fields in blocks.items():
+        dev[name] = dict(dev[name], **fields)
+    return dev

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build, patched_preset
+from conftest import build, coarse_device, patched_preset, ssd_device
 
 from cxlsim.config import preset
 from cxlsim.engine import Engine, ns_to_ticks
@@ -288,29 +288,15 @@ class EventDrivenBridge(CxlBridge):
         self.engine.schedule(self.traversal_lat, lambda _: self._converted(cxl))
 
 
-def _coarse_device():
-    dev = copy.deepcopy(preset("cxl-dmsim-a")["devices"][0])
-    del dev["ddr"]
-    dev["medium"] = "coarse_dram"
-    dev["coarse"] = {"width": 2}
-    return dev
-
-
-def _ssd_device(cache):
-    dev = copy.deepcopy(preset("cxl-ssd")["devices"][0])
-    dev["ssd"]["channels"] = 2
-    dev["cache"] = cache
-    return dev
-
-
 # medium -> (preset, device block); the SSD cache holds two 4 KB pages.
 MEDIA = {
     "queued_ddr": ("cxl-dmsim-a", None),
-    "coarse_dram": ("cxl-dmsim-a", _coarse_device()),
-    "ssd_cached": ("cxl-ssd", _ssd_device(
-        {"enabled": True, "capacity_kb": 8, "policy": "lru",
-         "prefetch": True})),
-    "ssd_direct": ("cxl-ssd", _ssd_device({"enabled": False})),
+    "coarse_dram": ("cxl-dmsim-a", coarse_device({"width": 2})),
+    "ssd_cached": ("cxl-ssd", ssd_device(
+        ssd={"channels": 2}, cache={"enabled": True, "capacity_kb": 8,
+                                    "policy": "lru", "prefetch": True})),
+    "ssd_direct": ("cxl-ssd", ssd_device(ssd={"channels": 2},
+                                         cache={"enabled": False})),
 }
 
 
@@ -416,7 +402,7 @@ def test_each_request_reaches_the_device_whose_window_holds_it(injectors,
     # gap; one lone injector takes the closed-form route, four the events.
     ddr = preset("cxl-dmsim-a")["devices"][0]
     devices = [dict(copy.deepcopy(ddr), hdm_size_mb=64),
-               dict(_coarse_device(), hdm_size_mb=256),
+               dict(coarse_device({"width": 2}), hdm_size_mb=256),
                dict(copy.deepcopy(ddr), hdm_size_mb=128)]
     system = build(patched_preset("cxl-dmsim-a", {
         "devices": devices,

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from conftest import coarse_device, ssd_device
+
 import cxlsim
 from cxlsim import cli
 from cxlsim.config import (ConfigError, build_system, check_config,
@@ -78,7 +80,7 @@ class TestValidation:
 
     def test_coarse_block_defaults_width(self):
         cfg = preset("cxl-dmsim-a")
-        cfg["devices"] = [coarse_device(None)]
+        cfg["devices"] = [coarse_device()]
         assert check_config(cfg).devices[0].medium == "coarse_dram"
 
     def test_cache_block_without_enabled_builds_cached_medium(self):
@@ -86,7 +88,7 @@ class TestValidation:
         cfg["devices"][0]["cache"] = {"capacity_kb": 1024, "policy": "lru"}
         medium = build_system(check_config(cfg)).devices[0].medium
         assert isinstance(medium, SsdCachedMedium)
-        assert medium.capacity == 1024 * 1024
+        assert medium.capacity_pages * medium.page_size == 1024 * 1024
         assert medium.prefetcher is not None
 
     def test_fractional_query_count_rejected(self):
@@ -165,26 +167,6 @@ MEDIUM_BLOCKS = {
 }
 OWN_BLOCKS = {"queued_ddr": {"ddr"}, "coarse_dram": {"coarse"},
               "ssd": {"ssd", "cache"}}
-
-
-def coarse_device(coarse):
-    """The cxl-dmsim-a device on a coarse_dram medium; `coarse` is its
-    coarse block, or None to leave the block out."""
-    dev = preset("cxl-dmsim-a")["devices"][0]
-    del dev["ddr"]
-    dev["medium"] = "coarse_dram"
-    if coarse is not None:
-        dev["coarse"] = coarse
-    return dev
-
-
-def ssd_device(**blocks):
-    """The cxl-ssd device with the fields of `blocks` patched into its
-    block of the same name."""
-    dev = preset("cxl-ssd")["devices"][0]
-    for name, fields in blocks.items():
-        dev[name] = dict(dev[name], **fields)
-    return dev
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -423,13 +405,37 @@ class TestCli:
                 name=f"{label}.json")
             cli.main(["run", "--preset", preset_name, "--config", cfg,
                       "--out", str(tmp_path / label)])
-        out = str(tmp_path / "fig.csv")
+        out = tmp_path / "fig.csv"
         rc = cli.main(["report", str(tmp_path / "loc"), str(tmp_path / "asic"),
-                       "--figure", "latency", "--out", out])
+                       "--figure", "latency", "--out", str(out)])
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = out.read_text().splitlines()
         assert lines[0] == "array_bytes,loc_ns,asic_ns"
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("figure,workloads,message", [
+        ("latency", [{"kind": "latency_sweep", "array_kb": [kb],
+                      "samples": 20, "placement": "local"} for kb in (16, 32)],
+         "latency runs cover different array sizes"),
+        ("rdwr", [{"kind": "rdwr_sweep", "read_fractions": [r],
+                   "footprint_mb": 1, "ops": 60, "warm_ops": 10,
+                   "placement": "local"} for r in (0.5, 1.0)],
+         "rdwr runs cover different read fractions"),
+    ])
+    def test_report_rejects_runs_over_different_x_values(
+            self, tmp_path, capsys, figure, workloads, message):
+        dirs = []
+        for i, workload in enumerate(workloads):
+            cfg = write_cfg(tmp_path, {"workload": workload}, name=f"{i}.json")
+            dirs.append(str(tmp_path / f"run{i}"))
+            assert cli.main(["run", "--preset", "local-ddr", "--config", cfg,
+                             "--out", dirs[-1]]) == 0
+        capsys.readouterr()
+        rc = cli.main(["report", *dirs, "--figure", figure,
+                       "--out", str(tmp_path / "f.csv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
 
     def test_report_rejects_mixed_workloads(self, tmp_path, capsys):
         cfg1 = write_cfg(tmp_path, TINY_WORKLOAD, name="a.json")
@@ -625,7 +631,7 @@ class TestCli:
         ({"devices": [dict(preset("cxl-dmsim-a")["devices"][0],
                            coarse={"width": 16})]},
          "config.devices[0].coarse"),
-        ({"devices": [dict(coarse_device(None), ddr=MEDIUM_BLOCKS["ddr"]())]},
+        ({"devices": [dict(coarse_device(), ddr=MEDIUM_BLOCKS["ddr"]())]},
          "config.devices[0].ddr"),
         ({"devices": [dict(preset("cxl-ssd")["devices"][0],
                            ddr=MEDIUM_BLOCKS["ddr"]())]},

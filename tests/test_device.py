@@ -17,7 +17,7 @@ GB = 1 << 30
 def make_device(engine, hdm=GB, proto_ns=15, medium_ns=50):
     medium = CoarseDram(engine, ns_to_ticks(medium_ns), 8)
     return MemExpander(engine, hdm, ns_to_ticks(proto_ns), medium,
-                       StatsRegistry())
+                       StatsRegistry(), "cxl")
 
 
 class CollectingBridge:
@@ -141,7 +141,7 @@ def test_service_charges_proto_then_medium_then_proto():
     amap = AddressMap()
     amap.carve(GB, Target.LOCAL_DRAM)
     medium = SpyMedium(engine, ns_to_ticks(50), 8)
-    dev = MemExpander(engine, GB, ns_to_ticks(15), medium, stats)
+    dev = MemExpander(engine, GB, ns_to_ticks(15), medium, stats, "cxl")
     enumerate_expander(amap, dev)
     sink = CollectingBridge(engine)
     dev.bind_bridge(sink)

@@ -18,6 +18,8 @@ import hashlib
 
 import pytest
 
+from conftest import coarse_device, ssd_device
+
 from cxlsim import cli
 from cxlsim.config import merge_config, preset
 from cxlsim.engine import Engine
@@ -27,16 +29,12 @@ def _cfg(name: str, patch: dict) -> dict:
     return merge_config(preset(name), patch)
 
 
-def _coarse_device() -> dict:
-    dev = copy.deepcopy(preset("cxl-dmsim-a")["devices"][0])
-    del dev["ddr"]
-    dev["medium"] = "coarse_dram"
-    dev["coarse"] = {"width": 4}
-    return dev
-
-
 DLRM = {"kind": "dlrm_proxy", "injectors": 12, "queries_per_injector": 4,
         "placement": "hdm"}
+# Two windows of different sizes: the 256 MB one is carved at 4 352 MB,
+# above a 192 MB alignment gap, so NUMA node 2 does not follow node 1.
+TWO_DEVICES = [dict(preset("cxl-dmsim-a")["devices"][0], hdm_size_mb=64),
+               dict(coarse_device({"width": 4}), hdm_size_mb=256)]
 KV = {"kind": "kv_proxy", "ops": 3000, "warm_ops": 300}
 # A 16-page device cache of 64 B pages under a put-heavy stream with one
 # hot page: pages are evicted and written back, the prefetcher learns an
@@ -52,10 +50,8 @@ LONE = {"injectors": 1, "lsq_depth": 1}
 
 
 def _small_cache_ssd(policy: str) -> dict:
-    return _cfg("cxl-ssd", {"devices": [merge_config(
-        preset("cxl-ssd")["devices"][0],
-        {"ssd": {"page_bytes": 64},
-         "cache": {"capacity_kb": 1, "policy": policy}})],
+    return _cfg("cxl-ssd", {"devices": [ssd_device(
+        ssd={"page_bytes": 64}, cache={"capacity_kb": 1, "policy": policy})],
         "workload": SMALL_CACHE_KV})
 
 
@@ -95,6 +91,19 @@ CASES = {
         "20d58457c2628a54ad4cc60e3fa9c5adf46a0826cb19750228246e05c3c1afda",
         "eaef3bc8150a50f8a750eacce0e7531f6d118c20c50b00bfbcef1cd39b3826d0",
         2316),
+    # Placement left out deals the pages over both device nodes.
+    "dlrm-two-devices": (
+        _cfg("cxl-dmsim-a", {"devices": TWO_DEVICES, "workload": {
+            k: v for k, v in DLRM.items() if k != "placement"}}),
+        "3daeaaddab5e650a45032e69c6a0f955640acdacfb5fb373a0c2d9ac47ed5aaa",
+        "f15fade5fedb18f7d6565705697fee0cf540448a22daf612817b7c3102e40e25",
+        2316),
+    "dlrm-two-devices-interleave": (
+        _cfg("cxl-dmsim-a", {"devices": TWO_DEVICES, "workload": {
+            **DLRM, "placement": "interleave"}}),
+        "898c36bd697bee4a94c99527a3d641a7d19181bb80a605fc2b2537a26d47187a",
+        "5a2820d4eb7941c68746ea865aa74a7e4abfd5cfab7acd9001a9fe36ad33ef42",
+        2039),
     # A response FIFO shallower than the request FIFO: device answers
     # stall in the bridge's egress queue (766 waits) and resume as slots
     # free.  No preset reaches that path.
@@ -105,7 +114,8 @@ CASES = {
         "217e6a2e585cfa6cff6e361478c4c529f5746d4d14a9dc98f6ce9c5bb8aa45b5",
         2316),
     "dlrm-coarse-dram": (
-        _cfg("cxl-dmsim-a", {"devices": [_coarse_device()], "workload": DLRM}),
+        _cfg("cxl-dmsim-a", {"devices": [coarse_device({"width": 4})],
+                             "workload": DLRM}),
         "d600449c35ce9333a328455dd70e6630e6304e44741093d3f4fb29083608256f",
         "f15fade5fedb18f7d6565705697fee0cf540448a22daf612817b7c3102e40e25",
         2316),
@@ -115,17 +125,14 @@ CASES = {
         "4981e55ecafb52087bd0e9d4af57f5a389696a408a2a35e13db5bf66d2cf9da7",
         15105),
     "kv-ssd-fifo-no-prefetch": (
-        _cfg("cxl-ssd", {"devices": [merge_config(
-            preset("cxl-ssd")["devices"][0],
-            {"cache": {"policy": "fifo", "prefetch": False}})],
-            "workload": KV}),
+        _cfg("cxl-ssd", {"devices": [ssd_device(
+            cache={"policy": "fifo", "prefetch": False})], "workload": KV}),
         "7ffcc7b3d3078e2cb874158c9706fdeeaa532c72b30f8723c15db9c3c4b15900",
         "4981e55ecafb52087bd0e9d4af57f5a389696a408a2a35e13db5bf66d2cf9da7",
         15105),
     "kv-ssd-uncached": (
-        _cfg("cxl-ssd", {"devices": [merge_config(
-            preset("cxl-ssd")["devices"][0], {"cache": {"enabled": False}})],
-            "workload": KV}),
+        _cfg("cxl-ssd", {"devices": [ssd_device(cache={"enabled": False})],
+                         "workload": KV}),
         "853d87842454def8b8deb515c351153100e3e9f6a65e935d3fc1b5bfb5e25974",
         "9ffe9a56326429437aa90495475f5827f0e01356bb34fe72c28e0545c786544c",
         16517),
@@ -150,9 +157,10 @@ CASES = {
         "b419359fdba20e672910f21567b011cfe04522a03ca2e74d3d046f50967e90cc",
         13147),
     "latency-coarse-dram-interleave": (
-        _cfg("cxl-dmsim-a", {"devices": [_coarse_device()], "workload": {
-            "array_kb": [16, 768, 16384], "samples": 200,
-            "placement": "interleave"}}),
+        _cfg("cxl-dmsim-a", {"devices": [coarse_device({"width": 4})],
+                             "workload": {"array_kb": [16, 768, 16384],
+                                          "samples": 200,
+                                          "placement": "interleave"}}),
         "6a6e95c0cc6e20af8629bb10c921a5a1596e0882f9f02acd710eccaa107a18b2",
         "1831df8a99b221e169bcdffcd991f7e3c61cfed2fc494ef379e1254b6045f7d2",
         13147),

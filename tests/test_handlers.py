@@ -16,7 +16,7 @@ import types
 
 import pytest
 
-from conftest import patched_preset
+from conftest import patched_preset, ssd_device
 
 from cxlsim import config
 from cxlsim.config import preset
@@ -81,13 +81,6 @@ def handed(monkeypatch):
     return seen
 
 
-def _ssd(cache_enabled: bool) -> dict:
-    dev = copy.deepcopy(preset("cxl-ssd")["devices"][0])
-    if not cache_enabled:
-        dev["cache"] = {"enabled": False}
-    return dev
-
-
 WORKLOADS = {
     "latency_sweep": {"array_kb": [16, 12288], "samples": 60},
     "stream": {"kernel": "triad", "groups": 200, "warm_groups": 20},
@@ -104,8 +97,9 @@ CASES = {
     "dlrm_proxy-interleave": ("cxl-dmsim-a", None,
                               {"kind": "dlrm_proxy", "placement": "interleave",
                                **WORKLOADS["dlrm_proxy"]}),
-    "kv_proxy-ssd-cached": ("cxl-ssd", _ssd(True), KV),
-    "kv_proxy-ssd-uncached": ("cxl-ssd", _ssd(False), KV),
+    "kv_proxy-ssd-cached": ("cxl-ssd", ssd_device(), KV),
+    "kv_proxy-ssd-uncached": ("cxl-ssd", ssd_device(cache={"enabled": False}),
+                              KV),
 }
 
 # Handlers every case must have been seen handing over, so the check is
@@ -140,7 +134,7 @@ def test_workload_hands_over_no_closure(handed, case):
 
 
 def test_two_devices_hand_over_no_closure(handed):
-    devices = [preset("cxl-dmsim-a")["devices"][0], _ssd(True)]
+    devices = [preset("cxl-dmsim-a")["devices"][0], ssd_device()]
     system = config.build_system(config.check_config(patched_preset(
         "cxl-dmsim-a", {
             "devices": copy.deepcopy(devices),

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import build
+from conftest import build, coarse_device
 
 from cxlsim.config import preset
 from cxlsim.hdm import (HdmAllocationError, HdmAllocator, HdmError,
@@ -220,3 +220,39 @@ def test_place_pages_by_runs_matches_per_page(node_pages, placements):
             continue
         assert list(system.place_pages(count, nodes)) == expected
         assert system.free_pages == reference.free_pages
+
+
+# -- NUMA nodes: the carved ranges, in carve order ---------------------------
+
+
+def listed_placement_rule(choice, devices):
+    """The placement rule, written out: node 0 for local, device nodes 1
+    to `devices` for hdm, both for interleave; left out, hdm on a system
+    with a device and local otherwise."""
+    device_nodes = tuple(range(1, devices + 1))
+    choice = choice or ("hdm" if device_nodes else "local")
+    return {"local": (0,), "hdm": device_nodes,
+            "interleave": (0, *device_nodes)}[choice]
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(devices=st.lists(st.tuples(st.sampled_from([1, 16, 64, 256, 2048]),
+                                  st.booleans()), max_size=3))
+def test_numa_nodes_are_the_carved_ranges(devices):
+    # Mixed sizes leave alignment gaps between the windows; no page of a
+    # gap belongs to a node.
+    cfg = preset("cxl-dmsim-a")
+    ddr = cfg["devices"][0]
+    cfg["devices"] = [dict(coarse_device() if coarse else ddr, hdm_size_mb=mb)
+                      for mb, coarse in devices]
+    if not devices:
+        del cfg["bridge"]
+    cfg["workload"] = {"kind": "dlrm_proxy"}
+    system = build(cfg)
+    ranges = system.membus.addr_map.ranges
+    assert [r.device for r in ranges] == [None, *system.devices]
+    assert system.free_pages == [range(r.base, r.limit, PAGE_BYTES)
+                                 for r in ranges]
+    for choice in (None, "local", "hdm", "interleave"):
+        assert system.nodes(choice) == listed_placement_rule(choice,
+                                                             len(devices))

@@ -24,16 +24,13 @@ import sys
 
 import pytest
 
+from conftest import ssd_device
+
 from cxlsim import host
 from cxlsim.bridge import CxlKind
 from cxlsim.config import check_config, merge_config, preset, run_workload
 from cxlsim.engine import Engine
 from cxlsim.host import Injector, MemCmd, Target
-
-
-def _uncached_ssd() -> dict:
-    return merge_config(preset("cxl-ssd")["devices"][0],
-                        {"cache": {"enabled": False}})
 
 
 KV = {"kind": "kv_proxy", "ops": 1000, "warm_ops": 100}
@@ -53,8 +50,9 @@ CASES = {
         "kind": "dlrm_proxy", "injectors": 12, "queries_per_injector": 4,
         "placement": "hdm"}}, 768, 22342),
     "kv_proxy-cached": ("cxl-ssd", {"workload": KV}, 1000, 20686),
-    "kv_proxy-uncached": ("cxl-ssd", {"devices": [_uncached_ssd()],
-                                      "workload": KV}, 1000, 23015),
+    "kv_proxy-uncached": ("cxl-ssd", {
+        "devices": [ssd_device(cache={"enabled": False})], "workload": KV},
+        1000, 23015),
 }
 
 

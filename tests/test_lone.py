@@ -21,7 +21,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build, patched_preset, tiny_cache_patch
+from conftest import build, coarse_device, patched_preset, tiny_cache_patch
 
 from cxlsim import cli
 from cxlsim.bridge import ProtocolError
@@ -31,19 +31,11 @@ from cxlsim.engine import Engine
 from cxlsim.host import AddressFault, LINE_BYTES, MemBus, MemCmd, Target
 
 
-def _coarse_device() -> dict:
-    dev = copy.deepcopy(preset("cxl-dmsim-a")["devices"][0])
-    del dev["ddr"]
-    dev["medium"] = "coarse_dram"
-    dev["coarse"] = {"width": 1}
-    return dev
-
-
 BASES = {
     "local-ddr": merge_config(preset("local-ddr"), tiny_cache_patch()),
     "cxl-dmsim-a": merge_config(preset("cxl-dmsim-a"), tiny_cache_patch()),
     "coarse-dram": merge_config(preset("cxl-dmsim-a"), {
-        **tiny_cache_patch(), "devices": [_coarse_device()]}),
+        **tiny_cache_patch(), "devices": [coarse_device({"width": 1})]}),
 }
 KINDS = ["latency_sweep", "stream", "rdwr_sweep", "dlrm_proxy", "kv_proxy"]
 # kv_proxy allocates on a device, which local-ddr has none of.

@@ -13,7 +13,8 @@ from cxlsim.ssd import SsdMedium
 
 def make_ddr(engine, read=13, write=13, penalty=2, access=50):
     return QueuedDdr(engine, ns_to_ticks(read), ns_to_ticks(write),
-                     ns_to_ticks(penalty), ns_to_ticks(access), StatsRegistry())
+                     ns_to_ticks(penalty), ns_to_ticks(access),
+                     StatsRegistry(), "dram")
 
 
 def drive(engine, ddr, kinds):
@@ -231,7 +232,8 @@ def test_completions_never_go_backwards_for_ordered_arrivals(
     arrivals = list(itertools.accumulate(gaps))
     kinds = [READ if r else WRITE for r in reads]
     engine = Engine()
-    ddr = QueuedDdr(engine, read, write, penalty, access, StatsRegistry())
+    ddr = QueuedDdr(engine, read, write, penalty, access, StatsRegistry(),
+                    "dram")
     dram = CoarseDram(engine, access, width)
     for medium in (ddr, dram):
         done = [medium.submit(kind, tick) for tick, kind in zip(arrivals, kinds)]

@@ -17,7 +17,7 @@ from cxlsim.stats import (FOLD_AT, Histogram, RunReport, StatError,
 
 
 def test_histogram_basic_moments():
-    h = Histogram("x")
+    h = Histogram((0,))
     for s in (2, 4):
         h.record(s)
     assert h.mean == 3
@@ -26,14 +26,14 @@ def test_histogram_basic_moments():
 
 
 def test_identical_samples_zero_stdev():
-    h = Histogram("x")
+    h = Histogram((0,))
     for _ in range(1000):
         h.record(7.5)
     assert h.stdev == 0.0
 
 
 def test_bucket_counts():
-    h = Histogram("x", edges=(0, 10, 100))
+    h = Histogram((0, 10, 100))
     h.record(5)
     h.record(50)
     assert h.counts == [1, 1, 0]
@@ -46,7 +46,7 @@ def test_bucket_counts():
                           allow_nan=False, allow_infinity=False),
                 min_size=2, max_size=500))
 def test_welford_matches_brute_force(samples):
-    h = Histogram("x")
+    h = Histogram((0,))
     for s in samples:
         h.record(s)
     n = len(samples)
@@ -78,7 +78,7 @@ def test_bucket_lookup_matches_edge_scan(edges, data):
     sample = data.draw(st.one_of(
         st.sampled_from(edges), st.integers(-5, 60),
         st.floats(-5.0, 60.0, allow_nan=False)))
-    h = Histogram("x", edges=edges)
+    h = Histogram(edges)
     h.record(sample)
     expected = [0] * len(edges)
     expected[reference_bucket(edges, sample)] = 1
@@ -96,7 +96,7 @@ def test_folded_bucket_counts_follow_the_per_sample_rule(edges, data):
         st.sampled_from(edges), st.sampled_from(edges).map(float),
         st.integers(-5, 60), st.floats(-5.0, 60.0, allow_nan=False)),
         max_size=2 * FOLD_AT + 1))
-    h = Histogram("x", edges=edges)
+    h = Histogram(edges)
     expected = [0] * len(edges)
     for x in samples:
         h.record(x)
@@ -170,7 +170,7 @@ def test_batched_histogram_reads_what_per_sample_updates_give(
 
 
 def test_percentile_monotone():
-    h = Histogram("x", edges=(0, 10, 100, 1000))
+    h = Histogram((0, 10, 100, 1000))
     for s in (1, 3, 12, 47, 200, 999, 5):
         h.record(s)
     qs = [h.percentile(p) for p in range(0, 101, 5)]
@@ -178,7 +178,7 @@ def test_percentile_monotone():
 
 
 def test_percentile_bounds():
-    h = Histogram("x", edges=(0, 10))
+    h = Histogram((0, 10))
     h.record(4)
     with pytest.raises(ValueError):
         h.percentile(101)
@@ -202,7 +202,7 @@ def test_flatten_reports_queued_ddr_means():
     engine = Engine()
     stats = StatsRegistry()
     ddr = QueuedDdr(engine, ns_to_ticks(13), ns_to_ticks(13), ns_to_ticks(2),
-                    ns_to_ticks(50), stats)
+                    ns_to_ticks(50), stats, "dram")
     assert stats.flatten() == {"dram.avgMemAccLat": 0.0, "dram.avgQLat": 0.0}
     # Two reads at once: the second waits one 13 ns service.
     ddr.submit(READ)

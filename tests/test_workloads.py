@@ -74,10 +74,11 @@ def _dlrm_queries(seed, lines, lookups, issued):
     system = _recording_system(seed, issued)
     region = SimpleNamespace(lines=lines, line_addr=lambda line: line)
     params = SimpleNamespace(kind="dlrm_proxy", footprint_mb=1,
-                             queries_per_injector=3, lookups_per_query=lookups)
+                             queries_per_injector=3, lookups_per_query=lookups,
+                             placement=None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(workloads, "_PagedRegion", lambda *args: region)
-        workloads.run(lambda: system, params, (0,))
+        workloads.run(lambda: system, params)
     (next_query,) = system.engine.scheduled
     return next_query.__self__
 
@@ -89,10 +90,11 @@ def _rdwr_traffic(seed, lines, read_fraction, ops, issued):
     region = SimpleNamespace(lines=lines, line_addr=lambda line: line)
     params = SimpleNamespace(kind="rdwr_sweep", footprint_mb=1,
                              read_fractions=[read_fraction],
-                             rates_bytes_per_ns=[64.0], ops=ops, warm_ops=0)
+                             rates_bytes_per_ns=[64.0], ops=ops, warm_ops=0,
+                             placement=None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(workloads, "_PagedRegion", lambda *args: region)
-        workloads.run(lambda: system, params, (0,))
+        workloads.run(lambda: system, params)
     issue = system.engine.scheduled[0]
     for k in range(ops):
         issue(k)
@@ -132,7 +134,7 @@ def _run_kv(seed, issued, **params):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(workloads, "random", SimpleNamespace(Random=Recording))
         workloads.run(lambda: _recording_system(seed, issued),
-                      SimpleNamespace(**{**KV_PARAMS, **params}), (1,))
+                      SimpleNamespace(**{**KV_PARAMS, **params}))
     return made[0]
 
 
