@@ -12,18 +12,20 @@ until the request completes on the memory bus, which makes req_fifo_depth
 the ceiling on in-flight HDM requests and ties peak random-access
 bandwidth to Little's law.
 
-Admission control is credit-free NACK/retry: a request arriving with no
-free slot is refused once (counted), and the sender holds the packet.
-Every time a slot frees, all held senders re-offer; the oldest wins and
-each losing re-offer counts as another retry.  The response path never
-drops: the device reserves a response FIFO slot before transmitting, so
-a full response FIFO back-pressures device-side delivery.
+Admission control is credit-free NACK/retry at one port, `receive`: a
+request arriving with no free slot is refused once (counted), and the
+sender holds the packet.  Every time a slot frees, all held senders
+re-offer; the oldest wins, re-offered through `receive`, and each losing
+re-offer counts as another retry.  The response path never drops: the
+device reserves a response FIFO slot before transmitting, so a full
+response FIFO back-pressures device-side delivery.
 
 The S2M response is sized but not built.  Its kind follows from the
 request (S2MDRS with 64B of data for a read, header-only S2MNDR for a
 write), so the device hands its M2S packet back.  One table, built with
 the bridge, gives each request kind's (request bytes, answer bytes); it
-sizes every message on both routes and the txBytes/rxBytes stats.
+sizes every message on both routes.  The devices count each request
+once, and the bridge's request, answer and byte totals read their counts.
 
 Each link direction is an independent serial channel.  Transfers cut
 through (a message is delivered when the channel grants it) while the
@@ -90,11 +92,6 @@ _M2S_KIND = {MemCmd.READ_REQ: CxlKind.M2S_REQ,
              MemCmd.WRITE_REQ: CxlKind.M2S_RWD}
 
 
-def convert_m2s(pkt: MemPacket) -> CxlMemPacket:
-    """Host request -> CXL.mem request; ids are preserved."""
-    return CxlMemPacket(_M2S_KIND[pkt.cmd], pkt.id, pkt.addr)
-
-
 class LinkChannel:
     """One link direction: FIFO, cut-through, byte-serialized occupancy.
 
@@ -136,7 +133,7 @@ class CxlBridge:
         self.traversal_lat = traversal_lat
         self.req_fifo_depth = req_fifo_depth
         self.resp_fifo_depth = resp_fifo_depth
-        self._devices: list = []         # whose counts txBytes/rxBytes sum
+        self._devices: list = []         # whose counts the stats sum
         self._inflight: dict = {}        # id -> MemPacket
         self._waiters: deque = deque()   # held MemPackets
         self._egress_waiters: deque = deque()
@@ -145,7 +142,7 @@ class CxlBridge:
         # resp_used counts downstream response FIFO slots in use,
         # reservations included.
         stats.counters(self, {
-            "bridge.reqRetryCounts": "retries", "bridge.m2sSent": "m2s_sent",
+            "bridge.reqRetryCounts": "retries",
             "bridge.reqFifoOccupancy": "req_used",
             "bridge.reqFifoOccupancy::max": "req_peak",
             "bridge.respFifoOccupancy": "resp_used",
@@ -155,14 +152,18 @@ class CxlBridge:
         header = msg_header_bytes
         self._sizes = {CxlKind.M2S_REQ: (header, header + LINE_BYTES),
                        CxlKind.M2S_RWD: (header + LINE_BYTES, header)}
-        # At drain every request the devices counted has been answered.
-        stats.add("bridge.s2mReceived", lambda: self.m2s_sent)
+        # The devices count each request once; at drain each is answered.
+        stats.add("bridge.m2sSent", self.requests)
+        stats.add("bridge.s2mReceived", self.requests)
         stats.add("bridge.txBytes", lambda: self._link_bytes(0))
         stats.add("bridge.rxBytes", lambda: self._link_bytes(1))
 
     def attach_device(self, device) -> None:
         self._devices.append(device)
         device.bind_bridge(self)
+
+    def requests(self) -> int:
+        return sum(device.reads + device.writes for device in self._devices)
 
     def _link_bytes(self, way: int) -> int:
         """Bytes of the requests (way 0) or answers (way 1) counted."""
@@ -174,29 +175,26 @@ class CxlBridge:
     # -- request path ------------------------------------------------------
 
     def receive(self, pkt: MemPacket) -> None:
-        """Memory-bus port: admit or refuse-and-hold (retry protocol)."""
-        if self.req_used < self.req_fifo_depth:
-            self._admit(pkt)
-        else:
+        """Memory-bus port, the one admission: admit `pkt`, or refuse it
+        and hold it until a freed credit re-offers it here."""
+        if self.req_used >= self.req_fifo_depth:
             self.retries += 1
             self._waiters.append(pkt)
-
-    def _admit(self, pkt: MemPacket) -> None:
+            return
         # Both checks come before the credit is taken, so a refused packet
         # leaves no credit or in-flight id behind.
-        cxl = convert_m2s(pkt)
         device = pkt.device
         if device is None:
-            raise ProtocolError(f"no CXL device backs address {cxl.addr:#x}")
+            raise ProtocolError(f"no CXL device backs address {pkt.addr:#x}")
         if pkt.id in self._inflight:
             raise ProtocolError(f"request id {pkt.id} already in flight")
+        cxl = CxlMemPacket(_M2S_KIND[pkt.cmd], pkt.id, pkt.addr)
         self.req_used += 1
         if self.req_used > self.req_peak:
             self.req_peak = self.req_used
         self._inflight[pkt.id] = pkt
         # The message reaches the TX channel once converted, traversal_lat
         # from now, and the device at its grant.
-        self.m2s_sent += 1
         device.receive_m2s(cxl, self.tx.transmit(
             self._sizes[cxl.kind][0], self.traversal_lat))
 
@@ -218,7 +216,6 @@ class CxlBridge:
             self.req_peak = 1
         if not self.resp_peak:
             self.resp_peak = 1
-        self.m2s_sent += 1
         kind = _M2S_KIND[pkt.cmd]
         tx_bytes, rx_bytes = self._sizes[kind]
         traversal = self.traversal_lat
@@ -258,5 +255,5 @@ class CxlBridge:
             # Space-available broadcast: the oldest sender wins the slot;
             # every other held sender re-offers and is refused again.
             self.retries += len(self._waiters)
-            self._admit(held)
+            self.receive(held)
         pkt.reply(pkt)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import io
 import json
 import multiprocessing
@@ -327,6 +328,7 @@ def cmd_presets(args) -> int:
 # -- entry point ------------------------------------------------------------------
 
 
+@functools.cache     # one parser per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cxlsim",

@@ -623,8 +623,8 @@ def build_system(c: SimpleNamespace) -> System:
             bridge.attach_device(expander)
             devices.append(expander)
 
-    # At drain, every packet the bus routed to the bridge was sent on.
-    stats.add("membus.toBridge", lambda: bridge.m2s_sent if bridge else 0)
+    # At drain, every packet the bus routed to the bridge reached a device.
+    stats.add("membus.toBridge", bridge.requests if bridge else lambda: 0)
     return System(engine=engine, stats=stats, membus=membus, host=host,
                   bridge=bridge, devices=devices,
                   free_pages=[range(rng.base, rng.limit, PAGE_BYTES)

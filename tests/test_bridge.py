@@ -10,8 +10,7 @@ from cxlsim.config import preset
 from cxlsim.engine import Engine, ns_to_ticks
 from cxlsim.stats import StatsRegistry
 from cxlsim.host import AddressFault, LINE_BYTES, MemCmd, MemPacket
-from cxlsim.bridge import (CxlBridge, CxlKind, CxlMemPacket, ProtocolError,
-                           convert_m2s)
+from cxlsim.bridge import CxlBridge, CxlKind, CxlMemPacket, ProtocolError
 
 
 # Bytes of a message header, as in every preset.
@@ -27,13 +26,14 @@ def make_bridge(engine, stats=None, req_depth=4, resp_depth=4,
 
 class EchoDevice:
     """Answers each M2S request a fixed service delay after it arrives by
-    handing it back to the bridge; M2S arrival ticks recorded, and reads
-    and writes counted as a device counts them."""
+    handing it back to the bridge; M2S packets and arrival ticks recorded,
+    and reads and writes counted as a device counts them."""
 
     def __init__(self, engine, delay=0):
         self.engine = engine
         self.delay = delay
         self.bridge = None
+        self.packets = []
         self.arrivals = []
         self.reads = 0
         self.writes = 0
@@ -42,6 +42,7 @@ class EchoDevice:
         self.bridge = bridge
 
     def receive_m2s(self, pkt, delay):
+        self.packets.append(pkt)
         self.arrivals.append(self.engine.now + delay)
         if pkt.kind is CxlKind.M2S_REQ:
             self.reads += 1
@@ -72,15 +73,23 @@ def offer(bridge, pkt, reply):
 
 
 class TestConversions:
+    """The M2S request that a device receives from the bridge's port."""
+
+    @staticmethod
+    def received(pkt):
+        bridge, device = wire(Engine())
+        offer(bridge, pkt, lambda _: None)
+        (cxl,) = device.packets
+        assert type(cxl) is CxlMemPacket
+        return cxl
+
     def test_read_maps_to_header_only_request(self):
-        cxl = convert_m2s(read_pkt(7))
-        assert cxl.kind is CxlKind.M2S_REQ
-        assert cxl.id == 7
+        cxl = self.received(read_pkt(7, 0x1C0))
+        assert (cxl.kind, cxl.id, cxl.addr) == (CxlKind.M2S_REQ, 7, 0x1C0)
 
     def test_write_maps_to_request_with_data(self):
-        cxl = convert_m2s(MemPacket(id=9, cmd=MemCmd.WRITE_REQ, addr=0))
-        assert cxl.kind is CxlKind.M2S_RWD
-        assert cxl.id == 9
+        cxl = self.received(MemPacket(id=9, cmd=MemCmd.WRITE_REQ, addr=0x2C0))
+        assert (cxl.kind, cxl.id, cxl.addr) == (CxlKind.M2S_RWD, 9, 0x2C0)
 
 
 def test_single_request_no_retries():
@@ -229,11 +238,11 @@ def deliver(engine, grant, action):
 
 
 class EventDrivenBridge(CxlBridge):
-    """The crossing that CxlBridge replaced: the request conversion is an
-    event, the TX channel delivers at its grant (an event when that is
-    later), the device is handed the request when it arrives, the RX
-    channel delivers at its grant and the response converts in an event
-    traversal_lat after that.
+    """The crossing that CxlBridge replaced, admitted in its own port:
+    the request conversion is an event, the TX channel delivers at its
+    grant (an event when that is later), the device is handed the request
+    when it arrives, the RX channel delivers at its grant and the response
+    converts in an event traversal_lat after that.
 
     `tied_refusals` counts the requests refused at a tick at which a
     response conversion fires later in the same tick."""
@@ -246,7 +255,17 @@ class EventDrivenBridge(CxlBridge):
             tick, count = self._refused
             now = self.engine.now
             self._refused = (now, count + 1 if tick == now else 1)
-        super().receive(pkt)
+            super().receive(pkt)        # refused and held
+            return
+        self.req_used += 1
+        self.req_peak = max(self.req_peak, self.req_used)
+        if pkt.id in self._inflight:
+            raise ProtocolError(f"request id {pkt.id} already in flight")
+        self._inflight[pkt.id] = pkt
+        kind = (CxlKind.M2S_RWD if pkt.cmd is MemCmd.WRITE_REQ
+                else CxlKind.M2S_REQ)
+        self.engine.schedule(self.traversal_lat, lambda _: self._send_m2s(
+            CxlMemPacket(kind, pkt.id, pkt.addr), pkt.device))
 
     def _converted(self, cxl):
         tick, count = self._refused
@@ -255,17 +274,7 @@ class EventDrivenBridge(CxlBridge):
             self._refused = (tick, 0)
         super()._converted(cxl)
 
-    def _admit(self, pkt):
-        self.req_used += 1
-        self.req_peak = max(self.req_peak, self.req_used)
-        if pkt.id in self._inflight:
-            raise ProtocolError(f"request id {pkt.id} already in flight")
-        self._inflight[pkt.id] = pkt
-        self.engine.schedule(self.traversal_lat, lambda _: self._send_m2s(
-            convert_m2s(pkt), pkt.device))
-
     def _send_m2s(self, cxl, device):
-        self.m2s_sent += 1
         nbytes = HEADER
         if cxl.kind is CxlKind.M2S_RWD:
             nbytes += LINE_BYTES

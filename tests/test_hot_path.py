@@ -42,17 +42,17 @@ CASES = {
         "placement": "hdm"}}, 656, 12040),
     "stream": ("cxl-dmsim-a", {"workload": {
         "kind": "stream", "kernel": "triad", "groups": 300,
-        "warm_groups": 30, "placement": "hdm"}}, 900, 31428),
+        "warm_groups": 30, "placement": "hdm"}}, 900, 29028),
     "rdwr_sweep": ("cxl-dmsim-a", {"workload": {
         "kind": "rdwr_sweep", "read_fractions": [0.5, 1.0], "ops": 400,
-        "warm_ops": 50, "placement": "hdm"}}, 800, 19018),
+        "warm_ops": 50, "placement": "hdm"}}, 800, 18114),
     "dlrm_proxy": ("cxl-dmsim-a", {"workload": {
         "kind": "dlrm_proxy", "injectors": 12, "queries_per_injector": 4,
-        "placement": "hdm"}}, 768, 22342),
-    "kv_proxy-cached": ("cxl-ssd", {"workload": KV}, 1000, 20686),
+        "placement": "hdm"}}, 768, 21522),
+    "kv_proxy-cached": ("cxl-ssd", {"workload": KV}, 1000, 18686),
     "kv_proxy-uncached": ("cxl-ssd", {
         "devices": [ssd_device(cache={"enabled": False})], "workload": KV},
-        1000, 23015),
+        1000, 21015),
 }
 
 

@@ -2,10 +2,11 @@
 stats calls left on the request path.
 
 The registry reports some totals as formulas over other stats instead of
-counting them per request: lK.lookups, membus.toBridge,
+counting them per request: lK.lookups, membus.toBridge, bridge.m2sSent,
 bridge.s2mReceived, bridge.txBytes and bridge.rxBytes.  These tests count
 the same events by wrapping the methods that carry them, for every preset
-and every workload kind, so a formula cannot drift from what it replaced.
+and every workload kind, on the event route and on the lone route, so a
+formula cannot drift from what it replaced.
 """
 
 import collections
@@ -18,35 +19,44 @@ import pytest
 from conftest import patched_preset
 
 from cxlsim import config, stats as stats_module
-from cxlsim.bridge import CxlBridge, LinkChannel
+from cxlsim.bridge import CxlBridge, CxlKind, LinkChannel
 from cxlsim.config import preset, run_workload
+from cxlsim.device import MemExpander
 from cxlsim.engine import Engine
 from cxlsim.host import LINE_BYTES, CacheHierarchy, MemBus, MemCmd, Target
 
 # One small block per workload kind; placement is left to its default
-# (the first device when there is one, else local memory).
+# (the first device when there is one, else local memory).  Four LSQ
+# slots keep latency_sweep on the event route, one sends its misses alone.
 WORKLOADS = {
-    "latency_sweep": {"array_kb": [16, 64], "samples": 100,
-                      "lsq_depth": 4},
-    "stream": {"kernel": "triad", "groups": 300, "warm_groups": 50},
-    "rdwr_sweep": {"read_fractions": [0.3, 1.0], "rates_bytes_per_ns": [4.0],
-                   "footprint_mb": 2, "ops": 300, "warm_ops": 50},
-    "dlrm_proxy": {"injectors": 8, "queries_per_injector": 4,
-                   "lookups_per_query": 8, "footprint_mb": 2},
-    "kv_proxy": {"ops": 400, "warm_ops": 50},
+    "latency_sweep": {"kind": "latency_sweep", "array_kb": [16, 64],
+                      "samples": 100, "lsq_depth": 4},
+    "latency_sweep-lone": {"kind": "latency_sweep", "array_kb": [16, 64],
+                           "samples": 100, "lsq_depth": 1},
+    "stream": {"kind": "stream", "kernel": "triad", "groups": 300,
+               "warm_groups": 50},
+    "rdwr_sweep": {"kind": "rdwr_sweep", "read_fractions": [0.3, 1.0],
+                   "rates_bytes_per_ns": [4.0], "footprint_mb": 2,
+                   "ops": 300, "warm_ops": 50},
+    "dlrm_proxy": {"kind": "dlrm_proxy", "injectors": 8,
+                   "queries_per_injector": 4, "lookups_per_query": 8,
+                   "footprint_mb": 2},
+    "kv_proxy": {"kind": "kv_proxy", "ops": 400, "warm_ops": 50},
 }
 
-CASES = [pytest.param(name, kind, id=f"{name}-{kind}")
-         for name in config.PRESETS for kind in WORKLOADS
-         if not (kind == "kv_proxy" and not preset(name)["devices"])]
+CASES = [pytest.param(name, case, id=f"{name}-{case}")
+         for name in config.PRESETS for case in WORKLOADS
+         if not (case == "kv_proxy" and not preset(name)["devices"])]
 
 
 @pytest.fixture
 def counted(monkeypatch):
     """Counts per object, from wrapped methods: packets the bus sends to
-    the bridge, requests the bridge admits and responses it converts,
-    bytes each link channel carries and lookups of each cache.  Also
-    lists every system built while it is active."""
+    the bridge, requests that reach each device, on the event route
+    (receive_m2s) or the lone one (the bridge's serve hands a DRAM
+    device's request over; an SSD device's takes the event route), the
+    messages and bytes each link channel carries and lookups of each
+    cache.  Also lists every system built while it is active."""
     counts = collections.Counter()
     systems = []
 
@@ -63,16 +73,24 @@ def counted(monkeypatch):
         if bus.addr_map.lookup(pkt.addr).target is Target.BRIDGE:
             counts[bus, "toBridge"] += 1
 
-    def admit(bridge, pkt, *_):
-        counts[bridge, "admitted"] += 1
-        counts[bridge, "writes"] += pkt.cmd is MemCmd.WRITE_REQ
+    def reached(device, write):
+        counts[device, "requests"] += 1
+        counts[device, "writes"] += write
+
+    def lone(_bridge, pkt, *_):
+        if not pkt.device.answers_by_callback:
+            reached(pkt.device, pkt.cmd is MemCmd.WRITE_REQ)
+            counts["lone"] += 1
+
+    def transmit(link, nbytes, *_):
+        counts[link, "messages"] += 1
+        counts[link, "bytes"] += nbytes
 
     wrap(MemBus, "send", bus_send)
-    wrap(CxlBridge, "_admit", admit)
-    wrap(CxlBridge, "_converted",
-         lambda bridge, *_: counts.update([(bridge, "converted")]))
-    wrap(LinkChannel, "transmit",
-         lambda link, nbytes, *_: counts.update({(link, "bytes"): nbytes}))
+    wrap(MemExpander, "receive_m2s", lambda device, cxl, *_: reached(
+        device, cxl.kind is CxlKind.M2S_RWD))
+    wrap(CxlBridge, "serve", lone)
+    wrap(LinkChannel, "transmit", transmit)
     access = CacheHierarchy.access
 
     def counted_access(hierarchy, pkt, reply):
@@ -106,27 +124,32 @@ def check_identities(system, counts):
         assert flat["membus.toBridge"] == 0
         assert not any(name.startswith("bridge.") for name in flat)
         return
-    assert flat["bridge.m2sSent"] == counts[bridge, "admitted"]
-    assert flat["bridge.s2mReceived"] == counts[bridge, "converted"]
+    assert flat["bridge.m2sSent"] == sum(counts[device, "requests"]
+                                         for device in system.devices)
+    assert flat["bridge.s2mReceived"] == counts[bridge.rx, "messages"]
     assert flat["bridge.txBytes"] == counts[bridge.tx, "bytes"]
     assert flat["bridge.rxBytes"] == counts[bridge.rx, "bytes"]
 
 
-@pytest.mark.parametrize("name, kind", CASES)
-def test_derived_stats_match_outside_counts(counted, name, kind):
-    cfg = config.merge_config(preset(name), {
-        "workload": {"kind": kind, **WORKLOADS[kind]}})
+@pytest.mark.parametrize("name, case", CASES)
+def test_derived_stats_match_outside_counts(counted, name, case):
+    workload = WORKLOADS[case]
+    cfg = config.merge_config(preset(name), {"workload": workload})
     run_workload(config.check_config(cfg))
     counts, systems = counted
     assert systems
     for system in systems:
         check_identities(system, counts)
-    bridges = [system.bridge for system in systems if system.bridge]
-    if bridges:
-        # Not vacuous: requests crossed, writes too where the kind has them.
-        assert all(counts[bridge, "admitted"] > 0 for bridge in bridges)
-        if kind in ("stream", "rdwr_sweep", "kv_proxy"):
-            assert sum(counts[bridge, "writes"] for bridge in bridges) > 0
+    devices = [device for system in systems for device in system.devices]
+    if devices:
+        # Not vacuous: requests crossed, writes too where the kind has them,
+        # and alone where one LSQ slot lets them go alone (never to an
+        # SSD device, whose medium answers by callback).
+        assert all(counts[device, "requests"] > 0 for device in devices)
+        if workload["kind"] in ("stream", "rdwr_sweep", "kv_proxy"):
+            assert sum(counts[device, "writes"] for device in devices) > 0
+        lone = case.endswith("-lone") and name != "cxl-ssd"
+        assert (counts["lone"] > 0) == lone
 
 
 @pytest.mark.parametrize("second", ["dram", "ssd"])
