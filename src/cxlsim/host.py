@@ -58,7 +58,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .engine import Engine
 from .hdm import PAGE_BYTES
@@ -394,7 +394,10 @@ class Injector:
     slot is released when the matching response returns (cached stores
     complete on fill, uncacheable stores on the target's acknowledgment).
     `think_time` is the ticks between dispatches from the pending queue.
-    The counts all injectors share live on `host`.
+    A batch issued all at once can come as a stream (`issue_stream`),
+    whose requests are built only as the queue reaches them, so the queue
+    holds at most one of them.  The counts all injectors share live on
+    `host`.
     """
 
     def __init__(self, engine: Engine, inj_id: int, lsq_depth: int,
@@ -407,13 +410,19 @@ class Injector:
         self._membus = host.membus
         self._in_flight = 0
         self._pending: deque = deque()
+        self._stream: Optional[Iterator] = None     # see issue_stream
         self._load_to_use = host.load_to_use
         self._ticks_per_cycle = ticks_per_cycle
         self._ids = itertools.count(inj_id << 32)
 
     def issue(self, cmd: MemCmd, addr: int, cacheable: bool = True,
               on_complete=None) -> int:
-        """Issue one 64B line; `on_complete(pkt)` gets the request packet."""
+        """Issue one 64B line, behind what is left of a stream (see
+        issue_stream); `on_complete(pkt)` gets the request packet."""
+        if self._stream is not None:
+            stream, self._stream = self._stream, None
+            for _ in stream:
+                pass
         pkt = MemPacket(next(self._ids), cmd, addr, 0, cacheable)
         pkt.on_complete = on_complete
         if self._in_flight < self.lsq_depth and not self._pending:
@@ -422,6 +431,18 @@ class Injector:
             self._host.lsq_full += 1
             self._pending.append(pkt)
         return pkt.id
+
+    def issue_stream(self, requests: Iterator) -> None:
+        """Issue a batch exactly as one `issue` call after another would,
+        but each request when the queue reaches it: each step of the
+        iterator `requests` makes one `issue` call.  Steps are taken until
+        a request waits in the queue; then each completion takes one more
+        before the queue's head leaves, so the queue is never empty while
+        the stream has requests left."""
+        for _ in requests:
+            if self._pending:
+                self._stream = requests
+                return
 
     def _start(self, pkt: MemPacket) -> None:
         """Dispatch through the caches, or to the bus when uncacheable,
@@ -452,6 +473,14 @@ class Injector:
             self._load_to_use.record(
                 (self.engine.now - pkt.issue_tick) / self._ticks_per_cycle)
         if self._pending and self._in_flight < self.lsq_depth:
+            stream = self._stream
+            if stream is not None:
+                # The step issues into a queue that is not empty, so its
+                # request waits and counts as if issued with the batch.
+                self._stream = None
+                for _ in stream:
+                    self._stream = stream
+                    break
             nxt = self._pending.popleft()
             if self.think_time:
                 self.engine.schedule(self.think_time, self._start, nxt)

@@ -16,7 +16,9 @@ at desk scale:
 * dlrm_proxy - gather-heavy concurrent random reads (embedding-lookup
   style queries) for the bridge congestion study.
 * kv_proxy - mixed get/put stream with page locality used to compare the
-  SSD-backed device against its DRAM-backed twin.
+  SSD-backed device against its DRAM-backed twin; each op is drawn and
+  built when the injector's queue reaches it, so a run's memory does not
+  grow with `ops`.
 
 `run` drives every kind the same way.  A kind lists its points, and a
 point's function sets the point up on a system (places its pages, seeds
@@ -214,9 +216,10 @@ class _StreamFeeder:
 
     def feed(self, k: int) -> None:
         injector = self.injectors[k]
-        for group in range(k, self.groups, len(self.injectors)):
-            for cmd, region in self.ops:
-                injector.issue(cmd, region.line_addr(group))
+        injector.issue_stream(
+            injector.issue(cmd, region.line_addr(group))
+            for group in range(k, self.groups, len(self.injectors))
+            for cmd, region in self.ops)
 
 
 def _stream_point(system: System, params: SimpleNamespace, _seed: int):
@@ -388,32 +391,25 @@ def _dlrm_summary(rows, ticks) -> dict:
 # -- key-value get/put proxy for the SSD study -----------------------------------
 
 
-def _kv_point(system: System, params: SimpleNamespace, seed: int):
-    """Mixed get/put random workload over an app-managed HDM region.
-
-    Puts append sequentially (overwriting the footprint cyclically), gets
-    favor recently written pages; ops overlap up to the LSQ depth.
-    """
+def _kv_ops(injector, base: int, params: SimpleNamespace, seed: int):
+    """Issue the ops one per step: puts append sequentially (overwriting
+    the footprint cyclically), gets favor recently written pages."""
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
-    footprint = params.footprint_mb * MB
-    base = system.am_alloc(pid=1, size=footprint)
-    total_lines = footprint // LINE_BYTES
-    lines_per_page = PAGE_BYTES // LINE_BYTES
-    hot_lines = params.hot_window_pages * lines_per_page
+    total_lines = params.footprint_mb * MB // LINE_BYTES
+    hot_lines = params.hot_window_pages * (PAGE_BYTES // LINE_BYTES)
     total_bits = total_lines.bit_length()
     frontier = 0
-    injector = system.host.injectors[0]
     for _ in range(params.ops):
         if rng.random() < params.put_fraction:
             line = frontier % total_lines
             frontier += 1
-            injector.issue(MemCmd.WRITE_REQ, base + line * LINE_BYTES,
-                           cacheable=False)
+            yield injector.issue(MemCmd.WRITE_REQ, base + line * LINE_BYTES,
+                                 cacheable=False)
         else:
             # randrange(span) and randrange(total_lines)'s draws, frameless.
             if rng.random() < params.hot_fraction and frontier > 0:
-                span = min(frontier, hot_lines)
+                span = frontier if frontier < hot_lines else hot_lines
                 r = getrandbits(span.bit_length())
                 while r >= span:
                     r = getrandbits(span.bit_length())
@@ -422,8 +418,16 @@ def _kv_point(system: System, params: SimpleNamespace, seed: int):
                 line = getrandbits(total_bits)
                 while line >= total_lines:
                     line = getrandbits(total_bits)
-            injector.issue(MemCmd.READ_REQ, base + line * LINE_BYTES,
-                           cacheable=False)
+            yield injector.issue(MemCmd.READ_REQ, base + line * LINE_BYTES,
+                                 cacheable=False)
+
+
+def _kv_point(system: System, params: SimpleNamespace, seed: int):
+    """Mixed get/put random workload over an app-managed HDM region; ops
+    overlap up to the LSQ depth, each built when the queue reaches it."""
+    base = system.am_alloc(pid=1, size=params.footprint_mb * MB)
+    injector = system.host.injectors[0]
+    injector.issue_stream(_kv_ops(injector, base, params, seed))
     return params.warm_ops, params.ops, lambda ticks: (
         params.ops, _rate(params.ops - params.warm_ops, ticks))
 

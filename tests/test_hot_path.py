@@ -31,6 +31,7 @@ from cxlsim.bridge import CxlKind
 from cxlsim.config import check_config, merge_config, preset, run_workload
 from cxlsim.engine import Engine
 from cxlsim.host import Injector, MemCmd, Target
+from cxlsim.stats import Histogram
 
 
 KV = {"kind": "kv_proxy", "ops": 1000, "warm_ops": 100}
@@ -42,17 +43,17 @@ CASES = {
         "placement": "hdm"}}, 656, 12040),
     "stream": ("cxl-dmsim-a", {"workload": {
         "kind": "stream", "kernel": "triad", "groups": 300,
-        "warm_groups": 30, "placement": "hdm"}}, 900, 29028),
+        "warm_groups": 30, "placement": "hdm"}}, 900, 29932),
     "rdwr_sweep": ("cxl-dmsim-a", {"workload": {
         "kind": "rdwr_sweep", "read_fractions": [0.5, 1.0], "ops": 400,
         "warm_ops": 50, "placement": "hdm"}}, 800, 18114),
     "dlrm_proxy": ("cxl-dmsim-a", {"workload": {
         "kind": "dlrm_proxy", "injectors": 12, "queries_per_injector": 4,
         "placement": "hdm"}}, 768, 21522),
-    "kv_proxy-cached": ("cxl-ssd", {"workload": KV}, 1000, 18686),
+    "kv_proxy-cached": ("cxl-ssd", {"workload": KV}, 1000, 21660),
     "kv_proxy-uncached": ("cxl-ssd", {
         "devices": [ssd_device(cache={"enabled": False})], "workload": KV},
-        1000, 21015),
+        1000, 23989),
 }
 
 
@@ -74,6 +75,9 @@ def test_request_path_calls_no_builtin_extreme_and_few_functions(
     # issues from events would count it inside Engine.run, one that
     # issues at setup would not.
     wrapper = counted_issue.__code__
+    # Python 3.10's code has no co_qualname: the one allowed caller is
+    # told by its code object.
+    fold = Histogram._fold.__code__
 
     def profile(frame, event, arg):
         nonlocal calls
@@ -81,7 +85,9 @@ def test_request_path_calls_no_builtin_extreme_and_few_functions(
             if frame.f_code is not wrapper:
                 calls += 1
         elif event == "c_call" and (arg is max or arg is min):
-            extremes[arg.__name__, frame.f_code.co_qualname] += 1
+            caller = ("Histogram._fold" if frame.f_code is fold
+                      else frame.f_code.co_name)
+            extremes[arg.__name__, caller] += 1
 
     run = Engine.run
 

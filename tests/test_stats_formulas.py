@@ -193,12 +193,19 @@ def test_engine_run_enters_no_stats_function_but_histogram_record_and_fold(
     entered = collections.Counter()
     fold_callers = set()
     stats_file = stats_module.__file__
+    # Names by code object: Python 3.10's code has no co_qualname, and no
+    # other function's bare co_name equals a qualified name below.
+    hist = stats_module.Histogram
+    names = {hist.record.__code__: "Histogram.record",
+             hist._fold.__code__: "Histogram._fold"}
 
     def profile(frame, event, _arg):
-        if event == "call" and frame.f_code.co_filename == stats_file:
-            entered[frame.f_code.co_qualname] += 1
-            if frame.f_code.co_qualname == "Histogram._fold":
-                fold_callers.add(frame.f_back.f_code.co_qualname)
+        code = frame.f_code
+        if event == "call" and code.co_filename == stats_file:
+            entered[names.get(code, code.co_name)] += 1
+            if code is hist._fold.__code__:
+                caller = frame.f_back.f_code
+                fold_callers.add(names.get(caller, caller.co_name))
 
     run = Engine.run
 

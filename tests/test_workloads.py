@@ -1,7 +1,9 @@
 import copy
+import gc
 import math
 import random
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +16,7 @@ from cxlsim.config import (ConfigError, check_config, merge_config, preset,
                            run_workload)
 from cxlsim.engine import Engine
 from cxlsim.hdm import PAGE_BYTES
-from cxlsim.host import LINE_BYTES, MemCmd
+from cxlsim.host import LINE_BYTES, Injector, MemCmd
 from cxlsim.workloads import (STREAM_KERNELS, build_chase_cycle,
                               stream_bytes_per_group)
 
@@ -53,8 +55,9 @@ def test_chase_cycle_is_the_stdlib_shuffle_at_band_edges(seed):
 
 def _recording_system(seed, issued):
     """Just what a workload point reads of a System: its one injector
-    appends (cmd, addr) of each request to `issued`, its engine keeps each
-    scheduled action in `scheduled`, and nothing runs."""
+    appends (cmd, addr) of each request to `issued`, a stream's all at
+    once, its engine keeps each scheduled action in `scheduled`, and
+    nothing runs."""
     scheduled = []
     engine = SimpleNamespace(
         now=0, run=lambda: None, scheduled=scheduled,
@@ -62,7 +65,8 @@ def _recording_system(seed, issued):
     injector = SimpleNamespace(
         engine=engine,
         issue=lambda cmd, addr, cacheable=True, on_complete=None:
-            issued.append((cmd, addr)))
+            issued.append((cmd, addr)),
+        issue_stream=list)
     return SimpleNamespace(engine=engine, seed=seed,
                            am_alloc=lambda pid, size: 0,
                            host=SimpleNamespace(injectors=[injector]))
@@ -364,6 +368,52 @@ def test_stream_setup_does_no_work_per_line(monkeypatch, placement):
     run_workload(check_config(cfg))
     assert at_run == [0]
     assert len(calls) == 300 * 3
+
+
+@pytest.mark.parametrize("name, workload", [
+    ("cxl-ssd", {"kind": "kv_proxy", "ops": 2000, "warm_ops": 100}),
+    ("cxl-dmsim-a", {"kind": "stream", "kernel": "add", "groups": 600,
+                     "warm_groups": 60, "placement": "hdm"}),
+], ids=["kv_proxy", "stream"])
+def test_a_stream_keeps_one_request_waiting(monkeypatch, name, workload):
+    # Every request of these two kinds is a stream's, so each queue length
+    # seen after a completion or a stream's first steps counts only them.
+    deepest = 0
+
+    def watched(method):
+        def call(self, *args):
+            nonlocal deepest
+            method(self, *args)
+            deepest = max(deepest, len(self._pending))
+        return call
+
+    monkeypatch.setattr(Injector, "_finish", watched(Injector._finish))
+    monkeypatch.setattr(Injector, "issue_stream",
+                        watched(Injector.issue_stream))
+    system = run_workload(check_config(merge_config(
+        preset(name), {"workload": workload}))).system
+    assert system.stats.flatten()["core.lsqFullEvents"] > 1000
+    assert deepest == 1
+
+
+def _traced_peak(cfg) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_workload(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kv_proxy_memory_does_not_grow_with_ops():
+    # The SSD's cache and the stats have filled by 1 000 ops; a run that
+    # built every request before the first event peaked 1.2 MiB higher at
+    # 8 000 ops than at 1 000.
+    peaks = [_traced_peak(check_config(merge_config(preset("cxl-ssd"), {
+        "workload": {"kind": "kv_proxy", "ops": ops, "warm_ops": 100}})))
+        for ops in (1000, 8000)]
+    assert peaks[1] - peaks[0] <= 64 * 1024
 
 
 def test_rdwr_sweep_builds_one_system_per_grid_point(monkeypatch):
