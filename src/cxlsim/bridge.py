@@ -22,10 +22,11 @@ response FIFO back-pressures device-side delivery.
 
 The S2M response is sized but not built.  Its kind follows from the
 request (S2MDRS with 64B of data for a read, header-only S2MNDR for a
-write), so the device hands its M2S packet back.  One table, built with
-the bridge, gives each request kind's (request bytes, answer bytes); it
-sizes every message on both routes.  The devices count each request
-once, and the bridge's request, answer and byte totals read their counts.
+write), so the device hands its M2S packet to the bridge handler that it
+carries (`answer`).  One table, built with the bridge, gives each request
+kind's (request bytes, answer bytes); it sizes every message on both
+routes.  The devices the bridge is built with count each request once,
+and the bridge's request, answer and byte totals read their counts.
 
 Each link direction is an independent serial channel.  Transfers cut
 through (a message is delivered when the channel grants it) while the
@@ -80,6 +81,8 @@ class CxlMemPacket:
     kind: CxlKind
     id: int
     addr: int
+    # The converting bridge's handler for the device's answer, answer(pkt).
+    answer: object
     # Set by a device with an SSD medium: the tick the request reaches it,
     # its device offset and the handler that answers it, reply(pkt).
     arrival: int = 0
@@ -126,14 +129,15 @@ class LinkChannel:
 class CxlBridge:
     """Fig-style bridge: two FIFO pairs, conversion latency, retry logic."""
 
-    def __init__(self, engine: Engine, traversal_lat: int, req_fifo_depth: int,
-                 resp_fifo_depth: int, link_bytes_per_ns_tx: float,
-                 link_bytes_per_ns_rx: float, msg_header_bytes: int, stats):
+    def __init__(self, engine: Engine, devices: list, traversal_lat: int,
+                 req_fifo_depth: int, resp_fifo_depth: int,
+                 link_bytes_per_ns_tx: float, link_bytes_per_ns_rx: float,
+                 msg_header_bytes: int, stats):
         self.engine = engine
         self.traversal_lat = traversal_lat
         self.req_fifo_depth = req_fifo_depth
         self.resp_fifo_depth = resp_fifo_depth
-        self._devices: list = []         # whose counts the stats sum
+        self._devices = devices          # whose counts the stats sum
         self._inflight: dict = {}        # id -> MemPacket
         self._waiters: deque = deque()   # held MemPackets
         self._egress_waiters: deque = deque()
@@ -157,10 +161,6 @@ class CxlBridge:
         stats.add("bridge.s2mReceived", self.requests)
         stats.add("bridge.txBytes", lambda: self._link_bytes(0))
         stats.add("bridge.rxBytes", lambda: self._link_bytes(1))
-
-    def attach_device(self, device) -> None:
-        self._devices.append(device)
-        device.bind_bridge(self)
 
     def requests(self) -> int:
         return sum(device.reads + device.writes for device in self._devices)
@@ -188,7 +188,8 @@ class CxlBridge:
             raise ProtocolError(f"no CXL device backs address {pkt.addr:#x}")
         if pkt.id in self._inflight:
             raise ProtocolError(f"request id {pkt.id} already in flight")
-        cxl = CxlMemPacket(_M2S_KIND[pkt.cmd], pkt.id, pkt.addr)
+        cxl = CxlMemPacket(_M2S_KIND[pkt.cmd], pkt.id, pkt.addr,
+                           self.device_egress)
         self.req_used += 1
         if self.req_used > self.req_peak:
             self.req_peak = self.req_used

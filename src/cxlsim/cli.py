@@ -114,29 +114,21 @@ def cmd_run(args) -> int:
 # -- sweep ----------------------------------------------------------------------
 
 
-def _get_by_path(cfg: dict, path: str):
+def _field(cfg: dict, path: str):
+    """The (container, key) of the config field that the dotted `path`
+    names, read as container[key] and set the same way; a part `name[i]`
+    names element i of the list `name`."""
     node = cfg
     for part in path.split("."):
         name, bracket, idx = part.partition("[")
         try:
-            if not isinstance(node, dict) or name not in node:
-                raise KeyError(name)
-            node = node[name]
+            container, key = node, name
             if bracket:
-                node = node[int(idx[:-1])]
+                container, key = node[name], int(idx[:-1])
+            node = container[key]
         except (KeyError, IndexError, TypeError, ValueError):
             raise ConfigError(f"sweep param {path!r}: no field {part!r}") from None
-    return node
-
-
-def _set_by_path(cfg: dict, path: str, value) -> None:
-    """Set a field that _get_by_path has found."""
-    parent, _, last = path.rpartition(".")
-    node = _get_by_path(cfg, parent) if parent else cfg
-    name, bracket, idx = last.partition("[")
-    if bracket:
-        node, name = node[name], int(idx[:-1])
-    node[name] = value
+    return container, key
 
 
 def _parse_grid(grid: str) -> List:
@@ -171,7 +163,8 @@ def _threads() -> int:
 
 def cmd_sweep(args) -> int:
     base = _resolve_config(args)
-    current = _get_by_path(base, args.param)
+    container, key = _field(base, args.param)
+    current = container[key]
     if isinstance(current, bool) or not isinstance(current, (int, float)):
         raise ConfigError(f"sweep param {args.param!r} is not numeric "
                           f"(found {type(current).__name__})")
@@ -180,7 +173,8 @@ def cmd_sweep(args) -> int:
     # Every point is validated before any runs or writes its directory.
     for i, value in enumerate(values):
         cfg = copy.deepcopy(base)
-        _set_by_path(cfg, args.param, value)
+        container, key = _field(cfg, args.param)
+        container[key] = value
         label = cfgmod.check_config(cfg).label
         cfg["label"] = f"{label}@{args.param}={value}"
         jobs.append((json.dumps(cfg, sort_keys=True),

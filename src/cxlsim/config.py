@@ -584,47 +584,39 @@ def build_system(c: SimpleNamespace) -> System:
 
     addr_map = AddressMap()
     addr_map.carve(hostc.local_dram_mb * MB, Target.LOCAL_DRAM)
-    membus = MemBus(engine, addr_map, stats)
+    devices: List[MemExpander] = []
+    for i, dev in enumerate(c.devices):
+        prefix = "cxl" if i == 0 else f"cxl{i}"
+        medium = _build_device_medium(engine, dev, stats, prefix)
+        devices.append(MemExpander(
+            engine, dev.hdm_size_mb * MB,
+            ns_to_ticks(dev.device_proto_proc_lat_ns), medium, stats, prefix))
+        enumerate_expander(addr_map, devices[-1])
+
+    bridge = None
+    if devices:
+        bc = c.bridge
+        traversal_lat = (ns_to_ticks(bc.bridge_lat_ns)
+                         + ns_to_ticks(bc.host_proto_proc_lat_ns))
+        bridge = CxlBridge(engine, devices, traversal_lat, bc.req_fifo_depth,
+                           bc.resp_fifo_depth, bc.link_bytes_per_ns_tx,
+                           bc.link_bytes_per_ns_rx, bc.msg_header_bytes,
+                           stats)
 
     lm = hostc.local_medium
     local_medium = _build_dram(engine, lm.kind, lm, lm.access_lat_ns, stats,
                                "dram")
-    membus.attach(Target.LOCAL_DRAM, LocalMemory(engine, local_medium))
+    membus = MemBus(engine, addr_map, LocalMemory(engine, local_medium),
+                    bridge, stats)
 
     caches = [Cache(name, lvl.capacity_kb * KB, lvl.assoc,
                     ns_to_ticks(lvl.hit_latency_ns), stats)
               for name, lvl in vars(hostc.caches).items()]
-
     host = HostPath(engine, caches, membus, c.workload.injectors,
                     c.workload.lsq_depth,
                     ns_to_ticks(hostc.injectors.think_time_ns),
                     ns_to_ticks(hostc.host_path_lat_ns), stats,
                     1000.0 / hostc.core_freq_ghz)
-
-    bridge = None
-    devices: List[MemExpander] = []
-    if c.devices:
-        bc = c.bridge
-        traversal_lat = (ns_to_ticks(bc.bridge_lat_ns)
-                         + ns_to_ticks(bc.host_proto_proc_lat_ns))
-        bridge = CxlBridge(engine, traversal_lat, bc.req_fifo_depth,
-                           bc.resp_fifo_depth, bc.link_bytes_per_ns_tx,
-                           bc.link_bytes_per_ns_rx, bc.msg_header_bytes,
-                           stats)
-        membus.attach(Target.BRIDGE, bridge)
-        for i, dev in enumerate(c.devices):
-            prefix = "cxl" if i == 0 else f"cxl{i}"
-            medium = _build_device_medium(engine, dev, stats, prefix)
-            expander = MemExpander(
-                engine, dev.hdm_size_mb * MB,
-                ns_to_ticks(dev.device_proto_proc_lat_ns), medium, stats,
-                prefix)
-            enumerate_expander(addr_map, expander)
-            bridge.attach_device(expander)
-            devices.append(expander)
-
-    # At drain, every packet the bus routed to the bridge reached a device.
-    stats.add("membus.toBridge", bridge.requests if bridge else lambda: 0)
     return System(engine=engine, stats=stats, membus=membus, host=host,
                   bridge=bridge, devices=devices,
                   free_pages=[range(rng.base, rng.limit, PAGE_BYTES)

@@ -15,17 +15,18 @@ it reaches the device (its TX link grant), so the device plans the whole
 service then.  `serve` is the one DRAM service: it counts the request,
 submits it to the medium for its arrival after the parse, records its
 `cxl.rsp` sample and returns the ticks until its answer leaves.  On the
-event path the device schedules the bridge's `device_egress` for then,
-so a DRAM device read costs three events in all: the memory-bus arrival
-at the bridge, the answer's delivery and the bridge's response
-conversion.  A lone request (see host.py) costs none here: the bridge
-calls `serve` itself.  The samples enter the histogram in the order the
-answers leave: a DRAM medium's completions never go backwards while its
-arrivals do not, and answers of one tick leave in the order scheduled.
+event path the device schedules the request's `answer` (the bridge's
+`device_egress`) for then, so a DRAM device read costs three events in
+all: the memory-bus arrival at the bridge, the answer's delivery and the
+bridge's response conversion.  A lone request (see host.py) costs none
+here: the bridge calls `serve` itself.  The samples enter the histogram
+in the order the answers leave: a DRAM medium's completions never go
+backwards while its arrivals do not, and answers of one tick leave in
+the order scheduled.
 An SSD medium answers later: the device puts `_accessed` on the packet
 as `reply`, with its arrival tick and device offset, and schedules the
 medium's `access(pkt)` for the end of the parse; `_accessed` records the
-sample and schedules `device_egress` once the response is prepared.
+sample and schedules `pkt.answer` once the response is prepared.
 
 The device is timing-only: an M2S request names a 64B line and carries no
 bytes.  The S2M response is not built as a packet: its kind follows from
@@ -35,11 +36,9 @@ sizes the response on the link.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .engine import Engine
 from .host import AddressMap, SimFault, Target
-from .bridge import CxlBridge, CxlKind, CxlMemPacket
+from .bridge import CxlKind, CxlMemPacket
 from .media import READ, WRITE
 
 ALL_ONES = (1 << 64) - 1
@@ -84,13 +83,9 @@ class MemExpander:
         self.bar = BaseAddressRegister(hdm_size)
         self.answers_by_callback = getattr(medium, "answers_by_callback",
                                            False)
-        self._bridge: Optional[CxlBridge] = None
         self.rsp_time = stats.histogram(f"{prefix}.rsp")
         stats.counters(self, {f"{prefix}.reads": "reads",
                               f"{prefix}.writes": "writes"})
-
-    def bind_bridge(self, bridge: CxlBridge) -> None:
-        self._bridge = bridge
 
     def translate(self, addr: int) -> int:
         base = self.bar.base
@@ -111,8 +106,8 @@ class MemExpander:
         if not base or not 0 <= offset < self.hdm_size:
             self.translate(pkt.addr)    # raises the DeviceFault
         if not self.answers_by_callback:
-            self.engine.schedule(self.serve(pkt.kind, delay),
-                                 self._bridge.device_egress, pkt)
+            self.engine.schedule(self.serve(pkt.kind, delay), pkt.answer,
+                                 pkt)
             return
         # Parse, access the medium, then prepare the response.
         if pkt.kind is CxlKind.M2S_REQ:
@@ -144,7 +139,7 @@ class MemExpander:
         """The SSD medium is done with `pkt`: prepare the response."""
         proto = self.device_proto_proc_lat
         self.rsp_time.record(self.engine.now + proto - pkt.arrival)
-        self.engine.schedule(proto, self._bridge.device_egress, pkt)
+        self.engine.schedule(proto, pkt.answer, pkt)
 
 
 def probe_bar_size(bar: BaseAddressRegister) -> int:

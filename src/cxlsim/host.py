@@ -216,21 +216,19 @@ class Cache:
 class MemBus:
     """Routes packets by address range; charges the caller-chosen latency."""
 
-    def __init__(self, engine: Engine, addr_map: AddressMap, stats):
+    def __init__(self, engine: Engine, addr_map: AddressMap, local, bridge,
+                 stats):
         self.engine = engine
         self.addr_map = addr_map
         # The map's lists, which carve extends in place.
         self._bases, self._ranges = addr_map.bases, addr_map.ranges
-        self.targets: Dict[Target, object] = {}
-        self._ports = (None, None)
-        # What goes to the bridge is counted there, as bridge.m2sSent.
-        stats.counters(self, {"membus.toLocal": "to_local"})
-
-    def attach(self, target: Target, port) -> None:
-        self.targets[target] = port
+        self.targets = {Target.LOCAL_DRAM: local, Target.BRIDGE: bridge}
         # Indexed by "is the bridge", so send needs no dict lookup.
-        self._ports = (self.targets.get(Target.LOCAL_DRAM),
-                       self.targets.get(Target.BRIDGE))
+        self._ports = (local, bridge)
+        stats.counters(self, {"membus.toLocal": "to_local"})
+        # What goes to the bridge is counted there: at drain, every packet
+        # the bus routed to the bridge reached a device.
+        stats.add("membus.toBridge", bridge.requests if bridge else lambda: 0)
 
     def send(self, pkt: MemPacket, lat: int,
              reply: Callable[[MemPacket], None], alone: bool = False) -> None:

@@ -204,22 +204,12 @@ def stream_bytes_per_group(kernel: str) -> int:
     return (len(reads) + len(writes)) * LINE_BYTES
 
 
-class _StreamFeeder:
-    """Interleaves line groups across injectors so all streams advance
-    together: injector k issues groups k, k + n, ..., one line of each
-    (cmd, region) in `ops` per group."""
-
-    def __init__(self, injectors, groups: int, ops):
-        self.injectors = injectors
-        self.groups = groups
-        self.ops = ops
-
-    def feed(self, k: int) -> None:
-        injector = self.injectors[k]
-        injector.issue_stream(
-            injector.issue(cmd, region.line_addr(group))
-            for group in range(k, self.groups, len(self.injectors))
-            for cmd, region in self.ops)
+def _stream_ops(injector, groups: range, ops):
+    """Issue one line of each (cmd, region) in `ops` per group of
+    `groups`, one per step."""
+    for group in groups:
+        for cmd, region in ops:
+            yield injector.issue(cmd, region.line_addr(group))
 
 
 def _stream_point(system: System, params: SimpleNamespace, _seed: int):
@@ -247,9 +237,12 @@ def _stream_point(system: System, params: SimpleNamespace, _seed: int):
 
     ops = ([(MemCmd.READ_REQ, arrays[name]) for name in reads]
            + [(MemCmd.WRITE_REQ, arrays[name]) for name in writes])
-    feeder = _StreamFeeder(system.host.injectors, params.groups, ops)
-    for inj_index in range(len(system.host.injectors)):
-        system.engine.schedule(0, feeder.feed, inj_index)
+    # Line groups interleave across the n injectors so all streams advance
+    # together: injector k issues groups k, k + n, ...
+    injectors = system.host.injectors
+    for k, injector in enumerate(injectors):
+        system.engine.schedule(0, injector.issue_stream, _stream_ops(
+            injector, range(k, params.groups, len(injectors)), ops))
     measured = ((params.groups - params.warm_groups)
                 * stream_bytes_per_group(params.kernel))
     return (params.warm_groups * ops_per_group, params.groups * ops_per_group,

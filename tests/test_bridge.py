@@ -17,29 +17,26 @@ from cxlsim.bridge import CxlBridge, CxlKind, CxlMemPacket, ProtocolError
 HEADER = 16
 
 
-def make_bridge(engine, stats=None, req_depth=4, resp_depth=4,
+def make_bridge(engine, devices, stats=None, req_depth=4, resp_depth=4,
                 link=64.0, bridge_ns=50, proto_ns=14):
-    return CxlBridge(engine, ns_to_ticks(bridge_ns) + ns_to_ticks(proto_ns),
+    return CxlBridge(engine, devices,
+                     ns_to_ticks(bridge_ns) + ns_to_ticks(proto_ns),
                      req_depth, resp_depth, link, link, HEADER,
                      stats or StatsRegistry())
 
 
 class EchoDevice:
     """Answers each M2S request a fixed service delay after it arrives by
-    handing it back to the bridge; M2S packets and arrival ticks recorded,
-    and reads and writes counted as a device counts them."""
+    handing it to the answer handler it carries; M2S packets and arrival
+    ticks recorded, and reads and writes counted as a device counts them."""
 
     def __init__(self, engine, delay=0):
         self.engine = engine
         self.delay = delay
-        self.bridge = None
         self.packets = []
         self.arrivals = []
         self.reads = 0
         self.writes = 0
-
-    def bind_bridge(self, bridge):
-        self.bridge = bridge
 
     def receive_m2s(self, pkt, delay):
         self.packets.append(pkt)
@@ -48,15 +45,13 @@ class EchoDevice:
             self.reads += 1
         else:
             self.writes += 1
-        self.engine.schedule(delay + self.delay, self.bridge.device_egress, pkt)
+        self.engine.schedule(delay + self.delay, pkt.answer, pkt)
 
 
 def wire(engine, stats=None, **kwargs):
     delay = kwargs.pop("device_delay", 0)
-    bridge = make_bridge(engine, stats, **kwargs)
     device = EchoDevice(engine, delay=delay)
-    bridge.attach_device(device)
-    return bridge, device
+    return make_bridge(engine, [device], stats, **kwargs), device
 
 
 def read_pkt(i, addr=0):
@@ -208,7 +203,8 @@ def test_unbacked_address_takes_no_credit_or_id():
 def test_unsolicited_response_id_is_protocol_error():
     engine = Engine()
     bridge, _ = wire(engine)
-    bridge.device_egress(CxlMemPacket(CxlKind.M2S_REQ, 999, 0, 0))
+    bridge.device_egress(CxlMemPacket(CxlKind.M2S_REQ, 999, 0,
+                                      bridge.device_egress))
     with pytest.raises(ProtocolError):
         engine.run()
 
@@ -265,7 +261,8 @@ class EventDrivenBridge(CxlBridge):
         kind = (CxlKind.M2S_RWD if pkt.cmd is MemCmd.WRITE_REQ
                 else CxlKind.M2S_REQ)
         self.engine.schedule(self.traversal_lat, lambda _: self._send_m2s(
-            CxlMemPacket(kind, pkt.id, pkt.addr), pkt.device))
+            CxlMemPacket(kind, pkt.id, pkt.addr, self.device_egress),
+            pkt.device))
 
     def _converted(self, cxl):
         tick, count = self._refused

@@ -657,6 +657,19 @@ class TestCli:
         ({"devices": [ssd_device(), ssd_device()]},
          "config.devices[1].medium"),
         *UNRUNNABLE,
+        # latency sizes out of order, or one too small for the stride
+        ({"workload": {"kind": "latency_sweep", "array_kb": [32, 16],
+                       "samples": 10}}, "config.workload.array_kb"),
+        ({"workload": {"kind": "latency_sweep", "array_kb": [1, 16],
+                       "stride": 2048, "samples": 10}},
+         "config.workload.array_kb"),
+        # an enabled cache needs a size and a policy
+        ({"devices": [dict(preset("cxl-ssd")["devices"][0],
+                           cache={"enabled": True, "policy": "lru"})]},
+         "config.devices[0].cache.capacity_kb"),
+        ({"devices": [dict(preset("cxl-ssd")["devices"][0],
+                           cache={"enabled": True, "capacity_kb": 1024})]},
+         "config.devices[0].cache.policy"),
     ])
     def test_run_rejects_bad_field_with_exit_2(self, tmp_path, capsys,
                                                overlay, field):
@@ -667,6 +680,34 @@ class TestCli:
         assert rc == 2
         assert field in err
         assert "Traceback" not in err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("field", ["seed", "bridge"])
+    def test_config_file_without_a_required_field_exits_2(self, tmp_path,
+                                                          capsys, field):
+        # A whole config, no preset under it: the bridge is required
+        # because the config has a device.
+        cfg = preset("cxl-dmsim-a")
+        del cfg[field]
+        rc = cli.main(["run", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"config.{field}: required field missing" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("command", [["presets", "nope"],
+                                         ["run", "--preset", "nope"]],
+                             ids=["presets", "run"])
+    def test_unknown_preset_exits_2(self, tmp_path, capsys, command):
+        rc = cli.main(command + (["--out", str(tmp_path / "o")]
+                                 if command[0] == "run" else []))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "unknown preset 'nope'" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "o" / "report.json").exists()
 
     @pytest.mark.parametrize("overlay, field", UNRUNNABLE)
@@ -762,6 +803,30 @@ class TestCli:
         point = json.loads(next((tmp_path / "s").glob("point_*"))
                            .joinpath("config.json").read_text())
         assert point["devices"][0]["device_proto_proc_lat_ns"] == 20
+
+    def test_sweep_unknown_field_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TINY_WORKLOAD)
+        rc = cli.main(["sweep", "--preset", "local-ddr", "--config", cfg,
+                       "--param", "host.no_such_field", "--grid", "1,2",
+                       "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "no field 'no_such_field'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "s").exists()
+
+    def test_sweep_sets_list_element(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"workload": {
+            "kind": "latency_sweep", "array_kb": [16, 64], "samples": 20,
+            "placement": "local"}})
+        rc = cli.main(["sweep", "--preset", "local-ddr", "--config", cfg,
+                       "--param", "workload.array_kb[0]", "--grid", "4,32",
+                       "--out", str(tmp_path / "s")])
+        assert rc == 0
+        points = sorted((tmp_path / "s").glob("point_*"))
+        assert [json.loads((p / "config.json").read_text())
+                ["workload"]["array_kb"] for p in points] == [[4, 64],
+                                                            [32, 64]]
 
     def test_presets_listing(self, capsys):
         assert cli.main(["presets"]) == 0

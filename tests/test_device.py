@@ -113,11 +113,11 @@ def test_request_outside_the_device_window_faults(window, bar_base, match):
     # checks the address against its BAR: unset (an offset from 0 fits the
     # window size), or set to another window.
     engine = Engine()
-    bridge = CxlBridge(engine, 0, 4, 4, 64.0, 64.0, 16, StatsRegistry())
     dev = make_device(engine, hdm=GB)
     if bar_base is not None:
         dev.bar.write(bar_base)
-    bridge.attach_device(dev)
+    bridge = CxlBridge(engine, [dev], 0, 4, 4, 64.0, 64.0, 16,
+                       StatsRegistry())
     pkt = MemPacket(1, MemCmd.READ_REQ, window + 0x40)
     pkt.reply, pkt.device = (lambda _: None), dev
     with pytest.raises(DeviceFault, match=match):
@@ -144,9 +144,9 @@ def test_service_charges_proto_then_medium_then_proto():
     dev = MemExpander(engine, GB, ns_to_ticks(15), medium, stats, "cxl")
     enumerate_expander(amap, dev)
     sink = CollectingBridge(engine)
-    dev.bind_bridge(sink)
 
-    request = CxlMemPacket(CxlKind.M2S_REQ, 1, dev.bar.base, 0)
+    request = CxlMemPacket(CxlKind.M2S_REQ, 1, dev.bar.base,
+                           sink.device_egress)
     dev.receive_m2s(request, ns_to_ticks(7))
     engine.run()
     # handed over at once, to reach the device after the 7 ns link delay

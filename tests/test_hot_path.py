@@ -43,7 +43,7 @@ CASES = {
         "placement": "hdm"}}, 656, 12040),
     "stream": ("cxl-dmsim-a", {"workload": {
         "kind": "stream", "kernel": "triad", "groups": 300,
-        "warm_groups": 30, "placement": "hdm"}}, 900, 29932),
+        "warm_groups": 30, "placement": "hdm"}}, 900, 29930),
     "rdwr_sweep": ("cxl-dmsim-a", {"workload": {
         "kind": "rdwr_sweep", "read_fractions": [0.5, 1.0], "ops": 400,
         "warm_ops": 50, "placement": "hdm"}}, 800, 18114),

@@ -25,6 +25,8 @@ SRC = Path(cxlsim.__file__).parent
 # Class.attribute -> its reader outside src/cxlsim.
 ALLOWED = {
     "QueuedDdr.turnarounds": "perfbench's media.turnarounds",
+    "MemBus.targets": "perfbench/run.py's _media, tests/test_host.py and "
+                      "tests/test_config_cli.py",
     "BestOffsetPrefetcher.phases_completed":
         "tests/test_acceptance.py and tests/test_ssd.py",
 }

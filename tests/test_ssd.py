@@ -1,22 +1,25 @@
 from hypothesis import given, settings, strategies as st
 
+from test_acceptance import _reference_best_offset
+
 from cxlsim.bridge import CxlKind, CxlMemPacket
 from cxlsim.engine import Engine, ns_to_ticks
 from cxlsim.media import READ, WRITE
 from cxlsim.stats import StatsRegistry
-from cxlsim.ssd import (RR_SIZE, BestOffsetPrefetcher, SsdCachedMedium,
-                        SsdDirectMedium, SsdMedium, _programmed,
-                        _smooth_offsets)
+from cxlsim.ssd import (MAX_OFFSET, ROUND_MAX, RR_SIZE, BestOffsetPrefetcher,
+                        SsdCachedMedium, SsdDirectMedium, SsdMedium,
+                        _programmed, _smooth_offsets)
 
 PAGE = 4096
 
 
 def request(offset, kind, reply, id=0):
-    """The packet a device hands its SSD medium: `reply(pkt)` answers it."""
+    """The packet a device hands its SSD medium: `reply(pkt)` answers it;
+    no bridge waits on the device's answer."""
     if kind == "write":
-        return CxlMemPacket(CxlKind.M2S_RWD, id, offset, 64, offset=offset,
+        return CxlMemPacket(CxlKind.M2S_RWD, id, offset, None, offset=offset,
                             reply=reply)
-    return CxlMemPacket(CxlKind.M2S_REQ, id, offset, 0, offset=offset,
+    return CxlMemPacket(CxlKind.M2S_REQ, id, offset, None, offset=offset,
                         reply=reply)
 
 
@@ -108,6 +111,28 @@ class TestBestOffsetLearning:
         rng = random.Random(3)
         bo = self.run_stream([rng.randrange(1 << 40) for _ in range(3000)])
         assert bo.best_offset is None
+
+    def test_phase_out_of_rounds_selects_its_best_scorer(self):
+        # Pages lie 1000 apart, so no offset scores, but for a few that
+        # lie one offset past the page before, at an update that tests
+        # that offset: 5 scores 12 and 3, tested first, scores 4.  Neither
+        # reaches SCORE_MAX, so the phase ends after ROUND_MAX rounds.
+        offsets = _smooth_offsets(MAX_OFFSET)
+        n = len(offsets)
+        placed = {r * n + offsets.index(5): 5 for r in range(0, 96, 8)}
+        placed.update({r * n + offsets.index(3): 3 for r in range(2, 96, 24)})
+        pages = []
+        for i in range(ROUND_MAX * n):
+            pages.append(pages[-1] + placed[i] if i in placed else i * 1000)
+        bo = BestOffsetPrefetcher()
+        for page in pages[:-1]:
+            bo.update(page)
+        assert bo.phases_completed == 0
+        assert (bo.scores[5], bo.scores[3]) == (12, 4)
+        assert bo.update(pages[-1]) == pages[-1] + 5
+        assert (bo.best_offset, bo.phases_completed) == (5, 1)
+        assert bo.scores == dict.fromkeys(offsets, 0)
+        assert _reference_best_offset(pages) == 5
 
     def test_candidate_applies_best_offset(self):
         bo = BestOffsetPrefetcher()

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import tiny_cache_patch
 
 from cxlsim import workloads
-from cxlsim.config import (ConfigError, check_config, merge_config, preset,
-                           run_workload)
+from cxlsim.config import (ConfigError, build_system, check_config,
+                           merge_config, preset, run_workload)
 from cxlsim.engine import Engine
 from cxlsim.hdm import PAGE_BYTES
 from cxlsim.host import LINE_BYTES, Injector, MemCmd
@@ -609,3 +609,35 @@ def test_every_field_at_its_bound_runs_to_finite_metrics(name, block):
     assert stats["core.loadToUse::stdev"] > 0
     for value in [*stats.values(), *_numbers(result.summary)]:
         assert math.isfinite(value) and value >= 0, (block["kind"], value)
+
+
+@pytest.mark.parametrize("name", ["local-ddr", "cxl-dmsim-f", "cxl-dmsim-a",
+                                  "cxl-ssd"])
+def test_a_run_leaves_no_cyclic_garbage_but_the_host(name):
+    # Each part is given its peers when it is built, and none points back
+    # at what holds it: the bridge holds its devices, and each request
+    # carries the bridge's handler for the device's answer.  The one
+    # cycle left, HostPath.injectors <-> Injector._host, still holds the
+    # whole system after a run, so that a run's teardown stays outside
+    # the benchmark's timed call; it is cut here by hand.
+    workload = ({"kind": "kv_proxy", "ops": 300, "warm_ops": 30,
+                 "footprint_mb": 1} if name == "cxl-ssd" else
+                {"kind": "latency_sweep", "array_kb": [16], "samples": 50})
+    c = check_config(merge_config(preset(name), {"workload": workload}))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = workloads.run(lambda: build_system(c), c.workload)
+        result.system.host.injectors.clear()
+        del result
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = sorted({type(obj).__qualname__ for obj in gc.garbage
+                       if type(obj).__module__.startswith("cxlsim.")})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert left == []
