@@ -155,7 +155,9 @@ class Cache:
         self.ways = ways
         self.hit_latency = hit_latency
         self.num_sets = capacity // (ways * LINE_BYTES)
-        self._sets: List[dict] = [{} for _ in range(self.num_sets)]
+        # One C-level call; each set its own dict, none aliased.
+        self._sets: List[dict] = list(map(dict.copy,
+                                          itertools.repeat({}, self.num_sets)))
         stats.counters(self, {f"{name}.hits": "hits",
                               f"{name}.misses": "misses"})
         stats.add(f"{name}.lookups", lambda: self.hits + self.misses)
@@ -177,40 +179,50 @@ class Cache:
         return victim
 
     def install_pages(self, page_addrs: Sequence[int], period: int,
-                      dirty_per_period: int, touched: Iterable[int]) -> None:
+                      dirty_per_period: int,
+                      touched_pages: Iterable[int]) -> None:
         """Install the first num_sets * ways lines (a cache's worth) of the
         pages at `page_addrs` as `install` would, one line at a time and in
-        order, but only those in a set that a line of `touched` maps to;
-        no other set is read or written.  Line i is dirty when
-        i % period < dirty_per_period.  Every wanted set must be empty.
+        order, but only into the sets that the lines of the pages at
+        `touched_pages` map to; no other set is read or written.  Line i
+        is dirty when i % period < dirty_per_period.  Every such set must
+        be empty.
 
-        LRU sets are independent, so each wanted set ends as installing
-        every line would leave it.  With g = gcd(lines per page, num_sets),
-        a run of g lines fills the g sets of one block under one tag, so
-        one pass over the runs lists each wanted block's (tag, first line),
-        and a wanted set is a copy of the dict its last `ways` entries
-        give, built once per block and offset % period."""
-        sets, num_sets = self._sets, self.num_sets
+        LRU sets are independent, so each such set ends as installing
+        every line would leave it.  With g = gcd(lines per page, num_sets)
+        the sets fall in blocks of g: a run of g lines, the first a
+        multiple of g, fills the g sets of one block under one tag, and a
+        page's lines are whole runs.  The ghost pages whose runs reach a
+        touched block are picked out in C; their runs give each touched
+        block's (tag, first line) pairs in order, and its last `ways` give
+        the block's sets.  These differ only in their dirty bits, by
+        offset % period, so the block is assigned in one slice of copies."""
+        sets, num_sets, ways = self._sets, self.num_sets, self.ways
         per_page = PAGE_BYTES // LINE_BYTES
         g = math.gcd(per_page, num_sets)
-        wanted = {line % num_sets for line in touched}
-        if any(sets[w] for w in wanted):
+        m, nb, unit = per_page // g, num_sets // g, g * LINE_BYTES
+        # Run u (its first line // g) fills block u % nb under tag u // nb.
+        blocks = {(addr // unit + k) % nb: [] for addr in touched_pages
+                  for k in range(m)}
+        if any([any(sets[b * g:b * g + g]) for b in blocks]):
             raise ValueError(f"{self.name}: install_pages needs every set "
-                             "that a touched line maps to empty")
-        blocks = {w // g: [] for w in wanted}
-        for i in range(0, num_sets * self.ways, g):
-            tag, s = divmod(page_addrs[i // per_page] // LINE_BYTES
-                            + i % per_page, num_sets)
-            if s // g in blocks:
-                blocks[s // g].append((tag, i))
-        built = {}      # (block, offset % period): an empty set, filled
-        for w in wanted:
-            b, j = divmod(w, g)
-            key = (b, j % period)
-            if key not in built:
-                built[key] = {tag: (i + j) % period < dirty_per_period
-                              for tag, i in blocks[b][-self.ways:]}
-            sets[w] = built[key].copy()
+                             "that a touched page maps to empty")
+        firsts = list(map(unit.__rfloordiv__, page_addrs))
+        # A page whose first run is in block f fills blocks f .. f + m - 1.
+        reach = {(b - k) % nb for b in blocks for k in range(m)}
+        runs = num_sets * ways // g         # a cache's worth of lines
+        for p in itertools.compress(range(len(firsts)), map(
+                reach.__contains__, map(nb.__rmod__, firsts))):
+            for k in range(m):
+                u, q = firsts[p] + k, p * m + k
+                if u % nb in blocks and q < runs:
+                    blocks[u % nb].append((u // nb, q * g))
+        for b, pairs in blocks.items():
+            templates = [{tag: (i + j) % period < dirty_per_period
+                          for tag, i in pairs[-ways:]}
+                         for j in range(min(period, g))]
+            sets[b * g:b * g + g] = map(
+                dict.copy, itertools.islice(itertools.cycle(templates), g))
 
 
 class MemBus:

@@ -19,15 +19,16 @@ The model is timing-only: no bytes are stored.  A write marks its cached
 page dirty, and a dirty eviction charges the page program time on a
 channel; a refetch of that page is an ordinary miss.  An access takes
 the request's CXL packet, which carries its device offset and the
-device's answer handler, and ends with `pkt.reply(pkt)`; a page I/O
-takes a handler and its argument and ends with `on_done(arg)`.  Neither
-builds a closure.
+device's answer handler, and ends with `pkt.reply(pkt)`.  A page I/O
+returns the ticks until it completes and schedules nothing: whoever
+waits on it schedules its own handler, and a write-back, which nothing
+waits on, fires no event.  No closure is built.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .bridge import CxlKind, CxlMemPacket
 from .engine import Engine
@@ -110,10 +111,6 @@ class BestOffsetPrefetcher:
         return page + self.best_offset
 
 
-def _programmed(_arg) -> None:
-    """A page program that nothing waits on has finished."""
-
-
 class SsdMedium:
     """Flash channels with FIFO arbitration.
 
@@ -134,9 +131,10 @@ class SsdMedium:
         stats.counters(self, {"ssd.pageReads": "page_reads",
                               "ssd.pageWrites": "page_writes"})
 
-    def io(self, kind: str, on_done: Callable[[Any], None],
-           arg: Any = None) -> None:
-        """One page I/O on the channel that frees first, then on_done(arg)."""
+    def io(self, kind: str) -> int:
+        """One page I/O on the channel that frees first; returns the ticks
+        until it completes and schedules nothing, so a caller that waits
+        on it schedules its own handler."""
         if kind == READ:
             self.page_reads += 1
             lat = self.read_latency
@@ -148,7 +146,7 @@ class SsdMedium:
         if start < now:
             start = now
         heapq.heapreplace(self._free_at, start + lat)
-        self.engine.schedule(start - now + lat, on_done, arg)
+        return start - now + lat
 
 
 class SsdCachedMedium:
@@ -205,7 +203,7 @@ class SsdCachedMedium:
             if fetch is None:
                 self.misses += 1
                 self._inflight[page] = (page, [pkt])
-                self.ssd.io(READ, self._install, page)
+                self.engine.schedule(self.ssd.io(READ), self._install, page)
             else:
                 fetch[1].append(pkt)
                 if fetch[0] == page:        # joins a demand fetch
@@ -218,7 +216,7 @@ class SsdCachedMedium:
                 and ahead not in self._inflight):
             self.prefetch_issued += 1
             self._inflight[ahead] = (page, [])
-            self.ssd.io(READ, self._install, ahead)
+            self.engine.schedule(self.ssd.io(READ), self._install, ahead)
 
     def _install(self, page: int) -> None:
         """A page read is done: make room, cache the page and answer its
@@ -239,7 +237,7 @@ class SsdCachedMedium:
                 self._unused.discard(victim)
                 if pages.pop(victim):
                     self.writebacks += 1
-                    self.ssd.io(WRITE, _programmed)
+                    self.ssd.io(WRITE)
         dirty = False
         for pkt in waiting:
             dirty = dirty or pkt.kind is CxlKind.M2S_RWD
@@ -249,7 +247,7 @@ class SsdCachedMedium:
             if not waiting:
                 self._unused.add(page)
         elif dirty:         # an uncacheable install absorbed a write
-            self.ssd.io(WRITE, _programmed)
+            self.ssd.io(WRITE)
 
 
 class SsdDirectMedium:
@@ -259,13 +257,14 @@ class SsdDirectMedium:
     answers_by_callback = True
 
     def __init__(self, ssd: SsdMedium):
+        self.engine = ssd.engine
         self.ssd = ssd
 
     def access(self, pkt: CxlMemPacket) -> None:
         if pkt.kind is CxlKind.M2S_RWD:
-            self.ssd.io(READ, self._program, pkt)
+            self.engine.schedule(self.ssd.io(READ), self._program, pkt)
         else:
-            self.ssd.io(READ, pkt.reply, pkt)
+            self.engine.schedule(self.ssd.io(READ), pkt.reply, pkt)
 
     def _program(self, pkt: CxlMemPacket) -> None:
-        self.ssd.io(WRITE, pkt.reply, pkt)
+        self.engine.schedule(self.ssd.io(WRITE), pkt.reply, pkt)

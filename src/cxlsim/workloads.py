@@ -9,8 +9,8 @@ at desk scale:
   load-to-use.
 * stream - Copy/Scale/Add/Triad streaming kernels after pre-warming, to
   steady write-back state, the LLC sets the kernel's pages map to (no
-  other set is ever read), at a cost that follows the LLC's pages and the
-  touched sets, not the kernel's lines.
+  other set is ever read), a block of sets at a time, at a cost that
+  follows the LLC's pages and the touched blocks, not the kernel's lines.
 * rdwr_sweep - open-loop uniform-random 64B traffic; one point per (read
   fraction, injection rate) pair.
 * dlrm_proxy - gather-heavy concurrent random reads (embedding-lookup
@@ -43,6 +43,7 @@ defaults filled in, with sizes in the config's units.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import zlib
 from dataclasses import dataclass
@@ -97,6 +98,39 @@ def build_chase_cycle(num_lines: int, rng: random.Random) -> List[int]:
                 j = getrandbits(k)
             order[i], order[j] = order[j], order[i]
     return order
+
+
+def sample_lines(n: int, k: int, rng: random.Random) -> List[int]:
+    """k distinct line indices below n, in draw order: rng.sample(range(n),
+    k) with its draws inlined.  Each index takes getrandbits as
+    randrange does (m.bit_length() bits, redrawn while >= m), from a pool
+    when an n-list is smaller than a k-set and with a seen-set otherwise,
+    by sample's own size rule, so the list and the rng's end state equal
+    the stdlib's (a test pins this) with no Python frame per draw."""
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot sample {k} of {n} lines")
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool, out = list(range(n)), []
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            out.append(pool[j])
+            pool[j] = pool[m - 1]
+        return out
+    bits = n.bit_length()
+    seen: Dict[int, None] = {}      # the draws, in order
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in seen:
+            j = getrandbits(bits)
+        seen[j] = None
+    return list(seen)
 
 
 class _PagedRegion:
@@ -177,7 +211,7 @@ def _latency_point(system: System, params: SimpleNamespace, seed: int,
         order = build_chase_cycle(lines, rng)
     else:
         warm = 0
-        order = rng.sample(range(lines), samples)
+        order = sample_lines(lines, samples, rng)
     chase = _Chase(system.host.injectors[0], region, order,
                    params.stride // LINE_BYTES, warm + samples)
     system.engine.schedule(0, chase.step)
@@ -225,14 +259,13 @@ def _stream_point(system: System, params: SimpleNamespace, _seed: int):
     # reach: full of streamed lines whose dirty fraction matches the
     # kernel's dirty-install fraction, so evictions during the measured
     # window produce write-backs at the steady rate.  Only the sets that
-    # the kernel's lines map to are filled: from here on the hierarchy
+    # the kernel's pages map to are filled: from here on the hierarchy
     # handles no other line, so no other LLC set is ever read.
     ops_per_group = len(reads) + len(writes)
     ghost = _PagedRegion(system, llc.capacity, params.placement)
     pages = -(-params.groups * LINE_BYTES // PAGE_BYTES)
-    touched = itertools.chain.from_iterable(
-        range(addr // LINE_BYTES, (addr + PAGE_BYTES) // LINE_BYTES)
-        for name in reads + writes for addr in arrays[name].page_addrs[:pages])
+    touched = [addr for name in reads + writes
+               for addr in arrays[name].page_addrs[:pages]]
     llc.install_pages(ghost.page_addrs, ops_per_group, len(writes), touched)
 
     ops = ([(MemCmd.READ_REQ, arrays[name]) for name in reads]

@@ -140,12 +140,12 @@ CASES = {
         _small_cache_ssd("lru"),
         "22fb6621013975a92ec459ae8be9e88e29761c5317671737cb68df300cad155a",
         "9bfad87fd651aaebe53859773471e31350a8a70d82a0e4f299af7b85f9bebf78",
-        27698),
+        24888),     # 27 698 while each write-back fired a no-op event
     "kv-ssd-small-cache-fifo": (
         _small_cache_ssd("fifo"),
         "50a5aa7b60d0ce90a5544632b29ada6680eff51c96c4673a5319a6ecb7e95d52",
         "7544ca553a1596cc82605e7c734691b5f67dfb54390112d746a462ab0c374d4c",
-        27115),
+        24305),     # 27 115 while each write-back fired a no-op event
     # Latency sweeps on a device, every miss alone: the bridge, the link
     # and the device served in closed form, on queued DDR under hdm and on
     # coarse DRAM with local pages between the device's under interleave.

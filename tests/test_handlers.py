@@ -3,10 +3,11 @@
 Every event is an (action, argument) pair and every completion a handler
 called with its packet, so no layer builds a function object per hop.
 These tests wrap each place a handler is handed over (Engine.schedule,
-Injector.issue, MemBus.send, CacheHierarchy.access, SsdMedium.io and the
-SSD access methods, whose packet carries it as `reply`), run small
-configs of every workload kind through them, and require each handler to
-be a bound method or a module-level function that closes over nothing.
+Injector.issue, MemBus.send, CacheHierarchy.access and the SSD access
+methods, whose packet carries it as `reply`; a page I/O's waiter
+schedules its own handler), run small configs of every workload kind
+through them, and require each handler to be a bound method or a
+module-level function that closes over nothing.
 """
 
 import copy
@@ -33,7 +34,6 @@ HANDOFFS = [
     (CacheHierarchy, "access", "reply"),
     (SsdCachedMedium, "access", "pkt"),
     (SsdDirectMedium, "access", "pkt"),
-    (SsdMedium, "io", "on_done"),
 ]
 
 
@@ -126,7 +126,11 @@ def test_workload_hands_over_no_closure(handed, case):
     # alone: each fill is scheduled with no conversion event before it.
     assert ("CxlBridge._converted" in handed["Engine.schedule"]) == (
         case != "latency_sweep")
-    assert bool(handed["SsdMedium.io"]) == case.startswith("kv_proxy")
+    # A page read's waiter schedules its own handler.
+    assert ("SsdCachedMedium._install" in handed["Engine.schedule"]) == (
+        case == "kv_proxy-ssd-cached")
+    assert ("SsdDirectMedium._program" in handed["Engine.schedule"]) == (
+        case == "kv_proxy-ssd-uncached")
     assert bool(handed["SsdCachedMedium.access"]) == (
         case == "kv_proxy-ssd-cached")
     assert bool(handed["SsdDirectMedium.access"]) == (

@@ -298,19 +298,19 @@ def test_install_pages_matches_per_line_install(num_sets, assoc, kernel,
     nodes = (0, 1) if interleave else (data.draw(st.sampled_from([0, 1])),)
     system.place_pages(data.draw(st.integers(0, 3)), nodes)
     pages = system.place_pages(-(-capacity // PAGE_BYTES), nodes)
-    lines = capacity // LINE_BYTES
-    region = [a // LINE_BYTES + k for a in pages
-              for k in range(PAGE_BYTES // LINE_BYTES)][:lines]
+    per_page = PAGE_BYTES // LINE_BYTES
     rnd = random.Random(data.draw(st.integers(0, 2**32)))
 
     def anywhere():
-        """A line of the region or, as often, any line."""
-        return (rnd.choice(region) if rnd.random() < 0.5
-                else rnd.randrange(4 * lines))
+        """A page of the region or, as often, any page."""
+        return (rnd.choice(pages) if rnd.random() < 0.5
+                else rnd.randrange(4 * len(pages) + per_page) * PAGE_BYTES)
 
-    # The kernel's lines: every set, or a random few of them.
-    touched = (range(num_sets) if data.draw(st.booleans())
-               else [anywhere() for _ in range(rnd.randrange(num_sets + 1))])
+    # The kernel's pages: enough consecutive ones to cover every set, or a
+    # random few.
+    touched = ([k * PAGE_BYTES for k in range(-(-num_sets // per_page))]
+               if data.draw(st.booleans())
+               else [anywhere() for _ in range(rnd.randrange(6))])
     reads, writes = STREAM_KERNELS[kernel]
     period = len(reads) + len(writes)
 
@@ -318,20 +318,36 @@ def test_install_pages_matches_per_line_install(num_sets, assoc, kernel,
               for _ in range(2)]
     caches[0].install_pages(pages, period, len(writes), touched)
     reference_install_pages(caches[1], pages, period, len(writes))
-    wanted = {line % num_sets for line in touched}
+    # The sets that a touched page's lines map to: the page's whole blocks.
+    wanted = {(addr // LINE_BYTES + k) % num_sets
+              for addr in touched for k in range(per_page)}
     got, full = cache_contents(caches[0]), cache_contents(caches[1])
     for s in range(num_sets):
         assert got[s] == (full[s] if s in wanted else []), s
 
 
 def test_install_pages_rejects_a_wanted_set_that_holds_lines():
-    cache = Cache("l3", 4 * 2 * LINE_BYTES, 2, 1000, StatsRegistry())
-    cache.install(5)                    # set 1 of 4
+    # 128 sets fall in two blocks of 64, one per page's lines.
+    cache = Cache("l3", 128 * 2 * LINE_BYTES, 2, 1000, StatsRegistry())
+    ghost = [k * PAGE_BYTES for k in range(4)]
+    cache.install(64 + 5)               # set 69, in the second block
     before = cache_contents(cache)
     with pytest.raises(ValueError, match="empty"):
-        cache.install_pages([PAGE_BYTES], 1, 0, [0, 1])
+        cache.install_pages(ghost, 1, 0, [3 * PAGE_BYTES])
     # Refused before any set is written.
     assert cache_contents(cache) == before
+    # A page of the other block fills that block and leaves set 69 alone.
+    cache.install_pages(ghost, 1, 0, [2 * PAGE_BYTES])
+    after = cache_contents(cache)
+    assert all(after[:64]) and after[64:] == before[64:]
+
+
+def test_new_cache_sets_are_distinct_dicts():
+    # `[{}] * n` would alias one dict as every set.
+    cache = Cache("l3", 8 * 1024, 2, 1000, StatsRegistry())
+    assert len({id(cset) for cset in cache._sets}) == cache.num_sets == 64
+    cache.install(0)
+    assert sum(map(len, cache._sets)) == 1
 
 
 STREAM_PLACEMENTS = [("local-ddr", "local"), ("cxl-dmsim-a", "hdm"),

@@ -14,6 +14,9 @@ calls per issued request than pinned here, and no keyword in a packet
 constructor.  The profiler sees the Enum load and the keyword dict as
 neither a call nor a C call, so the last two tests check for them apart.
 A change that adds a call per request has to raise its pin in the open.
+Setup is pinned the same way, from build_system to the return of the
+point functions, on a STREAM and a latency-sweep config, so a call per
+pre-warmed line or set, or per sampled line, cannot come back silently.
 """
 
 import ast
@@ -26,7 +29,7 @@ import pytest
 
 from conftest import ssd_device
 
-from cxlsim import host
+from cxlsim import config, host, workloads
 from cxlsim.bridge import CxlKind
 from cxlsim.config import check_config, merge_config, preset, run_workload
 from cxlsim.engine import Engine
@@ -112,6 +115,61 @@ def test_request_path_calls_no_builtin_extreme_and_few_functions(
     assert calls <= pinned_calls, (
         f"{calls / issued:.2f} Python calls per request, pinned at "
         f"{pinned_calls / requests:.2f}")
+
+
+# name -> (preset, overlay, Python calls from build_system to the return
+# of the point functions, Engine.run left out)
+SETUP_CASES = {
+    "stream": ("cxl-dmsim-a", {"workload": {
+        "kind": "stream", "kernel": "triad", "groups": 300,
+        "warm_groups": 30, "placement": "hdm"}}, 193),
+    "latency_sweep": ("cxl-dmsim-a", {"workload": {
+        "kind": "latency_sweep", "array_kb": [16, 16384], "samples": 2000,
+        "placement": "hdm"}}, 162),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SETUP_CASES))
+def test_setup_makes_no_python_call_per_line_or_draw(monkeypatch, name):
+    # The STREAM pre-warm fills the LLC a block at a time and the latency
+    # sweep draws its sample inline: a call per line, set or draw would
+    # add thousands here.
+    base, overlay, pinned_calls = SETUP_CASES[name]
+    cfg = check_config(merge_config(preset(base), overlay))
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    build = config.build_system
+
+    def profiled_build(c):
+        sys.setprofile(profile)
+        return build(c)
+
+    kind = workloads._KINDS[cfg.workload.kind]
+
+    def profiled_point(*args):
+        sys.setprofile(profile)
+        try:
+            return kind.point(*args)
+        finally:
+            sys.setprofile(None)
+
+    monkeypatch.setattr(config, "build_system", profiled_build)
+    monkeypatch.setitem(workloads._KINDS, cfg.workload.kind,
+                        kind._replace(point=profiled_point))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_workload(cfg)
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    assert calls <= pinned_calls, f"{calls} Python calls in setup"
 
 
 def test_request_constants_are_plain_classes():

@@ -187,8 +187,8 @@ def test_ssd_channels_match_event_driven_fifo(reqs, channels):
     ssd = SsdMedium(engine, 4096, ns_to_ticks(25), ns_to_ticks(70), channels,
                     StatsRegistry())
     done = {}
-    at_arrivals(engine, arrivals, lambda i: ssd.io(
-        kinds[i], lambda _: done.__setitem__(i, engine.now)))
+    at_arrivals(engine, arrivals, lambda i: engine.schedule(
+        ssd.io(kinds[i]), lambda _: done.__setitem__(i, engine.now)))
     lats = [ssd.read_latency if k == READ else ssd.write_latency
             for k in kinds]
     starts = reference_starts(arrivals, lats, channels)

@@ -8,7 +8,7 @@ from cxlsim.media import READ, WRITE
 from cxlsim.stats import StatsRegistry
 from cxlsim.ssd import (MAX_OFFSET, ROUND_MAX, RR_SIZE, BestOffsetPrefetcher,
                         SsdCachedMedium, SsdDirectMedium, SsdMedium,
-                        _programmed, _smooth_offsets)
+                        _smooth_offsets)
 
 PAGE = 4096
 
@@ -154,8 +154,8 @@ class TestSsdIo:
         ssd = SsdMedium(engine, PAGE, ns_to_ticks(1000),
                         ns_to_ticks(1000), 1, StatsRegistry())
         done = []
-        ssd.io("read", lambda _: done.append(engine.now))
-        ssd.io("read", lambda _: done.append(engine.now))
+        for _ in range(2):
+            engine.schedule(ssd.io("read"), lambda _: done.append(engine.now))
         engine.run()
         assert done == [ns_to_ticks(1000), ns_to_ticks(2000)]
 
@@ -164,8 +164,8 @@ class TestSsdIo:
         ssd = SsdMedium(engine, PAGE, ns_to_ticks(1000),
                         ns_to_ticks(1000), 2, StatsRegistry())
         done = []
-        ssd.io("read", lambda _: done.append(engine.now))
-        ssd.io("read", lambda _: done.append(engine.now))
+        for _ in range(2):
+            engine.schedule(ssd.io("read"), lambda _: done.append(engine.now))
         engine.run()
         assert done == [ns_to_ticks(1000)] * 2
 
@@ -175,7 +175,7 @@ class TestSsdIo:
                         ns_to_ticks(3000), 1, StatsRegistry())
         kinds = ["read", "write", "read", "write", "read"]
         for k in kinds:
-            ssd.io(k, lambda _: None)
+            engine.schedule(ssd.io(k), lambda _: None)
         end = engine.run()
         assert end == ns_to_ticks(3 * 1000 + 2 * 3000)
 
@@ -291,10 +291,15 @@ class _CachedPage:
         self.referenced = False
 
 
+def _programmed(_arg) -> None:
+    """A page program that nothing waits on has finished."""
+
+
 class ReferenceCachedMedium:
     """SsdCachedMedium as it was written before it kept a page as its
     dirty bit: page objects, string-keyed fetch records and
-    (kind, on_done, arg) waiters."""
+    (kind, on_done, arg) waiters.  Its page programs still fire an event
+    that does nothing."""
 
     def __init__(self, engine, ssd, capacity, policy, hit_latency, stats,
                  prefetcher=None):
@@ -362,7 +367,7 @@ class ReferenceCachedMedium:
     def _fetch(self, page, prefetch, trigger, waiters):
         self._inflight[page] = {"prefetch": prefetch, "trigger": trigger,
                                 "waiters": waiters}
-        self.ssd.io(READ, self._install, page)
+        self.engine.schedule(self.ssd.io(READ), self._install, page)
 
     def _install(self, page):
         record = self._inflight.pop(page)
@@ -376,7 +381,7 @@ class ReferenceCachedMedium:
                 entry.dirty = True
             self.engine.schedule(self.hit_latency, on_done, arg)
         if not installed and entry.dirty:
-            self.ssd.io(WRITE, _programmed)
+            self.engine.schedule(self.ssd.io(WRITE), _programmed)
 
     def _evict_for(self, record):
         if len(self._pages) < self.capacity_pages:
@@ -392,7 +397,7 @@ class ReferenceCachedMedium:
         victim = self._pages.pop(victim_page)
         if victim.dirty:
             self.writebacks += 1
-            self.ssd.io(WRITE, _programmed)
+            self.engine.schedule(self.ssd.io(WRITE), _programmed)
         return True
 
 

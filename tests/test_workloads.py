@@ -18,7 +18,7 @@ from cxlsim.engine import Engine
 from cxlsim.hdm import PAGE_BYTES
 from cxlsim.host import LINE_BYTES, Injector, MemCmd
 from cxlsim.workloads import (STREAM_KERNELS, build_chase_cycle,
-                              stream_bytes_per_group)
+                              sample_lines, stream_bytes_per_group)
 
 
 def test_chase_cycle_covers_all_lines_once():
@@ -51,6 +51,35 @@ def test_chase_cycle_is_the_stdlib_shuffle(n, seed):
 def test_chase_cycle_is_the_stdlib_shuffle_at_band_edges(seed):
     for n in BAND_EDGES:
         _assert_chase_cycle_is_the_stdlib_shuffle(n, seed)
+
+
+def _assert_sample_lines_is_the_stdlib_sample(n, k, seed):
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    assert sample_lines(n, k, ours) == stdlib.sample(range(n), k)
+    assert ours.getstate() == stdlib.getstate()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(n=st.one_of(st.integers(1, 20_000), st.integers(1, 2 ** 20)),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_sample_lines_is_the_stdlib_sample(n, seed, data):
+    # n up to 20 000 takes the pool branch for any k above 1 365.
+    k = data.draw(st.integers(0, min(n, 3000)))
+    _assert_sample_lines_is_the_stdlib_sample(n, k, seed)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 6, 22, 100, 3000])
+def test_sample_lines_is_the_stdlib_sample_at_the_branch_edge(k):
+    # random.Random.sample draws from a pool up to this n, from a set past it.
+    edge = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    for n in (max(k, edge - 1), edge, edge + 1):
+        for seed in (0, 7):
+            _assert_sample_lines_is_the_stdlib_sample(n, k, seed)
+
+
+def test_sample_lines_rejects_more_lines_than_there_are():
+    with pytest.raises(ValueError):
+        sample_lines(3, 4, random.Random(0))
 
 
 def _recording_system(seed, issued):
