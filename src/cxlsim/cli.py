@@ -145,9 +145,9 @@ def _parse_grid(grid: str) -> List:
     return values
 
 
-def _sweep_worker(payload: Tuple[str, str]) -> Tuple[str, dict]:
+def _sweep_worker(payload: Tuple[str, str]) -> dict:
     cfg_json, out_dir = payload
-    return out_dir, run_one(json.loads(cfg_json), out_dir).workload
+    return run_one(json.loads(cfg_json), out_dir).workload
 
 
 def _threads() -> int:
@@ -184,21 +184,17 @@ def cmd_sweep(args) -> int:
     threads = min(_threads(), len(jobs))
     if threads > 1:
         with multiprocessing.Pool(threads) as pool:
-            results = pool.map(_sweep_worker, jobs)
+            summaries = pool.map(_sweep_worker, jobs)
     else:
-        results = [_sweep_worker(job) for job in jobs]
+        summaries = [_sweep_worker(job) for job in jobs]
 
-    summary_keys: List[str] = []
-    for _dir, summary in results:
-        for key, val in sorted(summary.items()):
-            if isinstance(val, (int, float)) and not isinstance(val, bool):
-                if key not in summary_keys:
-                    summary_keys.append(key)
-    columns = ["param", "value"] + sorted(summary_keys)
-    rows = []
-    for value, (_dir, summary) in zip(values, results):
-        rows.append(tuple([args.param, value] +
-                          [summary.get(k, "") for k in sorted(summary_keys)]))
+    keys = sorted({key for summary in summaries
+                   for key, val in summary.items()
+                   if isinstance(val, (int, float))
+                   and not isinstance(val, bool)})
+    columns = ["param", "value"] + keys
+    rows = [(args.param, value, *[summary.get(k, "") for k in keys])
+            for value, summary in zip(values, summaries)]
     atomic_write(os.path.join(args.out, "sweep.csv"), render_csv(columns, rows))
     print(f"wrote {os.path.join(args.out, 'sweep.csv')}")
     return 0
@@ -217,15 +213,53 @@ _PAIRS = (lambda v: isinstance(v, list) and all(
     isinstance(row, list) and len(row) == 2 and all(map(_NUMBER[0], row))
     for row in v), "a list of rows of two numbers")
 
+
+def _curves(field: str, x_column: str, suffix: str, mismatch: str):
+    """A figure that joins the runs' (x, y) rows in `field` on x: a row per
+    x value, a column per run, and a ReportError if the x values differ."""
+    def build(reports, labels):
+        curves = [r.workload[field] for r in reports]
+        xs = [row[0] for row in curves[0]]
+        if any([row[0] for row in curve] != xs for curve in curves):
+            raise ReportError(mismatch)
+        return ([x_column] + [f"{lbl}{suffix}" for lbl in labels],
+                [(x, *[curve[i][1] for curve in curves])
+                 for i, x in enumerate(xs)])
+    return build
+
+
+def _per_run(*columns: str):
+    """A figure with a row per run: the workload fields `columns`, where
+    "label" is the run's label."""
+    def build(reports, labels):
+        return list(columns), [
+            tuple(lbl if c == "label" else r.workload[c] for c in columns)
+            for lbl, r in zip(labels, reports)]
+    return build
+
+
+def _table5(reports, labels):
+    return ["statistic"] + labels, [
+        (row_name, *[(r.workload if source == "workload" else r.stats)
+                     .get(key, "") for r in reports])
+        for row_name, source, key in TABLE5_ROWS]
+
+
 # figure -> (workload kind of every run, {workload field the figure reads:
-# (check of its shape, the shape)})
+# (check of its shape, the shape)}, builder of its columns and rows)
 FIGURES = {
-    "latency": ("latency_sweep", {"curve": _PAIRS}),
+    "latency": ("latency_sweep", {"curve": _PAIRS},
+                _curves("curve", "array_bytes", "_ns",
+                        "latency runs cover different array sizes")),
     "stream": ("stream", {"kernel": (lambda v: isinstance(v, str), "a string"),
-                          "bytes_per_sec": _NUMBER}),
-    "rdwr": ("rdwr_sweep", {"peaks": _PAIRS}),
-    "table5": ("dlrm_proxy", {}),
-    "ssd": ("kv_proxy", {"throughput_ops_per_sec": _NUMBER}),
+                          "bytes_per_sec": _NUMBER},
+               _per_run("kernel", "label", "bytes_per_sec")),
+    "rdwr": ("rdwr_sweep", {"peaks": _PAIRS},
+             _curves("peaks", "read_fraction", "_peak_bytes_per_sec",
+                     "rdwr runs cover different read fractions")),
+    "table5": ("dlrm_proxy", {}, _table5),
+    "ssd": ("kv_proxy", {"throughput_ops_per_sec": _NUMBER},
+            _per_run("label", "throughput_ops_per_sec")),
 }
 
 
@@ -233,7 +267,7 @@ def _load_reports(dirs: Sequence[str], figure: str) -> List[RunReport]:
     """Each run's report.json; one that is not a report of the run kind
     `figure` needs, or lacks a field the figure reads or holds it in
     another shape, is a ReportError naming the file."""
-    kind, fields = FIGURES[figure]
+    kind, fields, _ = FIGURES[figure]
     reports = []
     for d in dirs:
         path = os.path.join(d, "report.json")
@@ -259,47 +293,7 @@ def _load_reports(dirs: Sequence[str], figure: str) -> List[RunReport]:
 def build_figure(reports: List[RunReport], figure: str):
     """The figure's columns and rows from reports _load_reports checked."""
     labels = [r.workload.get("label", f"run{i}") for i, r in enumerate(reports)]
-    if figure == "latency":
-        curves = [r.workload["curve"] for r in reports]
-        sizes = [row[0] for row in curves[0]]
-        for curve in curves:
-            if [row[0] for row in curve] != sizes:
-                raise ReportError("latency runs cover different array sizes")
-        columns = ["array_bytes"] + [f"{lbl}_ns" for lbl in labels]
-        rows = [tuple([size] + [curve[i][1] for curve in curves])
-                for i, size in enumerate(sizes)]
-        return columns, rows
-    if figure == "stream":
-        columns = ["kernel", "label", "bytes_per_sec"]
-        rows = [(r.workload["kernel"], lbl, r.workload["bytes_per_sec"])
-                for lbl, r in zip(labels, reports)]
-        return columns, rows
-    if figure == "rdwr":
-        fractions = [p[0] for p in reports[0].workload["peaks"]]
-        for r in reports:
-            if [p[0] for p in r.workload["peaks"]] != fractions:
-                raise ReportError("rdwr runs cover different read fractions")
-        columns = ["read_fraction"] + [f"{lbl}_peak_bytes_per_sec" for lbl in labels]
-        rows = []
-        for i, frac in enumerate(fractions):
-            rows.append(tuple([frac] + [r.workload["peaks"][i][1] for r in reports]))
-        return columns, rows
-    if figure == "table5":
-        columns = ["statistic"] + labels
-        rows = []
-        for row_name, source, key in TABLE5_ROWS:
-            values = []
-            for r in reports:
-                pool = r.workload if source == "workload" else r.stats
-                values.append(pool.get(key, ""))
-            rows.append(tuple([row_name] + values))
-        return columns, rows
-    if figure == "ssd":
-        columns = ["label", "throughput_ops_per_sec"]
-        rows = [(lbl, r.workload["throughput_ops_per_sec"])
-                for lbl, r in zip(labels, reports)]
-        return columns, rows
-    raise ReportError(f"unknown figure {figure!r}")
+    return FIGURES[figure][2](reports, labels)
 
 
 def cmd_report(args) -> int:

@@ -36,14 +36,7 @@ class StatError(KeyError):
 
 # Samples buffered per fold; small, so the fold left to report time is cheap.
 FOLD_AT = 256
-
-
-def _folded(attr: str) -> property:
-    """A read of `attr` that folds the buffered samples first."""
-    def read(self):
-        self._fold()
-        return getattr(self, attr)
-    return property(read)
+REPORT_SCHEMA = "cxlsim-report-1"
 
 
 class Histogram:
@@ -105,48 +98,40 @@ class Histogram:
         counts[-1] += len(buf) - below
         buf.clear()
 
-    n = _folded("_n")
-    min = _folded("_min")
-    max = _folded("_max")
-    counts = _folded("_counts")
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.n else 0.0
-
-    @property
-    def stdev(self) -> float:
-        if self.n < 2:
-            return 0.0
-        return math.sqrt(self._m2 / self.n)
-
-    def bucket_label(self, i: int) -> str:
-        lo = self.edges[i]
-        if i + 1 == len(self.edges):
-            return f"{_fmt_edge(lo)}+"
-        return f"{_fmt_edge(lo)}-{_fmt_edge(self.edges[i + 1] - 1)}"
-
-    def bucket_fraction(self, i: int) -> float:
-        return self.counts[i] / self.n if self.n else 0.0
+    def entries(self, name: str) -> Dict[str, float]:
+        """The report entries of the histogram `name`: its sample count,
+        mean, stdev, min and max, and the percentage of samples in each
+        bucket, keyed by the bucket's label."""
+        self._fold()
+        n, edges = self._n, self.edges
+        out = {f"{name}::samples": n,
+               f"{name}::mean": self._mean if n else 0.0,
+               f"{name}::stdev": math.sqrt(self._m2 / n) if n > 1 else 0.0,
+               f"{name}::min_value": self._min if n else 0,
+               f"{name}::max_value": self._max if n else 0}
+        for i, count in enumerate(self._counts):
+            label = (f"{_fmt_edge(edges[i])}-{_fmt_edge(edges[i + 1] - 1)}"
+                     if i + 1 < len(edges) else f"{_fmt_edge(edges[i])}+")
+            out[f"{name}::{label}"] = round(100.0 * (count / n), 6) if n else 0.0
+        return out
 
     def percentile(self, p: float) -> float:
         """Approximate percentile by linear interpolation within buckets."""
         if not 0 <= p <= 100:
             raise ValueError("percentile must be within [0, 100]")
-        if self.n == 0:
+        self._fold()
+        if self._n == 0:
             return 0.0
-        target = p / 100.0 * self.n
-        seen = 0
-        for i, count in enumerate(self.counts):
+        target = p / 100.0 * self._n
+        seen, top = 0, self._max + 1
+        for i, count in enumerate(self._counts):
             if seen + count >= target and count > 0:
-                lo = self.edges[i]
-                hi = self.edges[i + 1] if i + 1 < len(self.edges) else self.max + 1
-                lo = max(lo, self.min)
-                hi = min(hi, self.max + 1)
-                inside = (target - seen) / count
-                return lo + inside * (hi - lo)
+                lo = max(self.edges[i], self._min)
+                hi = (min(self.edges[i + 1], top) if i + 1 < len(self.edges)
+                      else top)
+                return lo + (target - seen) / count * (hi - lo)
             seen += count
-        return float(self.max)
+        return float(self._max)
 
 
 def _fmt_edge(value: float) -> str:
@@ -191,15 +176,7 @@ class StatsRegistry:
         """Flatten to scalar report entries with stable (sorted) keys."""
         out = {name: get() for name, get in self._getters.items()}
         for name, stat in self._histograms.items():
-            out[f"{name}::samples"] = stat.n
-            out[f"{name}::mean"] = stat.mean
-            out[f"{name}::stdev"] = stat.stdev
-            out[f"{name}::min_value"] = stat.min if stat.n else 0
-            out[f"{name}::max_value"] = stat.max if stat.n else 0
-            for i in range(len(stat.edges)):
-                out[f"{name}::{stat.bucket_label(i)}"] = round(
-                    100.0 * stat.bucket_fraction(i), 6
-                )
+            out.update(stat.entries(name))
         return dict(sorted(out.items()))
 
 
@@ -212,7 +189,7 @@ class RunReport:
     seed: int
     stats: Dict[str, float]
     workload: Dict[str, object] = field(default_factory=dict)
-    schema: str = "cxlsim-report-1"
+    schema: str = REPORT_SCHEMA
 
     def to_json(self) -> str:
         payload = {
@@ -232,7 +209,7 @@ class RunReport:
             seed=raw["seed"],
             stats=raw["stats"],
             workload=raw.get("workload", {}),
-            schema=raw.get("schema", "cxlsim-report-1"),
+            schema=raw.get("schema", REPORT_SCHEMA),
         )
 
 

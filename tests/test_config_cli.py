@@ -467,8 +467,12 @@ class TestCli:
         (json.dumps({"config_digest": "0", "seed": 1, "stats": {},
                      "workload": {"kind": "stream", "kernel": "copy",
                                   "bytes_per_sec": "x"}}), "stream"),
+        (json.dumps({"config_digest": "0", "seed": 1, "stats": [],
+                     "workload": {"kind": "latency_sweep", "curve": []}}),
+         "latency"),
     ], ids=["not_json", "not_an_object", "no_config_digest", "no_curve",
-            "curve_int", "curve_short_row", "bytes_per_sec_str"])
+            "curve_int", "curve_short_row", "bytes_per_sec_str",
+            "stats_a_list"])
     def test_report_rejects_malformed_report_with_exit_2(self, tmp_path,
                                                          capsys, content,
                                                          figure):
@@ -844,6 +848,20 @@ class TestCli:
         cli.atomic_write(str(target), "hello")
         assert target.read_text() == "hello"
         assert [p.name for p in (tmp_path / "x").iterdir()] == ["file.txt"]
+
+    def test_atomic_write_that_fails_leaves_the_old_file(self, tmp_path,
+                                                         monkeypatch):
+        target = tmp_path / "file.txt"
+        target.write_text("old")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            cli.atomic_write(str(target), "new")
+        assert target.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
 
     def test_asic_preset_plateau_row_via_cli(self, tmp_path):
         cfg = write_cfg(tmp_path, {"workload": {

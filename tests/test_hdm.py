@@ -98,6 +98,45 @@ class TestAllocator:
         with pytest.raises(HdmError):
             alloc.alloc(1, 4096)
 
+    @pytest.mark.parametrize("hdm_size", [0, -PAGE_BYTES, PAGE_BYTES + 1])
+    def test_window_must_be_a_positive_page_multiple(self, hdm_size):
+        with pytest.raises(ValueError):
+            HdmAllocator(hdm_size)
+
+    def test_empty_allocation_rejected(self):
+        alloc = HdmAllocator(1 * MB)
+        with pytest.raises(ValueError):
+            alloc.alloc(1, 0)
+        assert rows(alloc) == [(0, NodeState.FREE, 1 * MB, 0)]
+
+
+def _gap(nodes):
+    nodes[1].offset += PAGE_BYTES
+
+
+def _uncoalesced(nodes):
+    nodes[0].state, nodes[0].pid = NodeState.FREE, 0
+
+
+def _lost_page(nodes):
+    nodes[-1].size -= PAGE_BYTES
+
+
+@pytest.mark.parametrize("breaks, message", [
+    (_gap, "gap or overlap"),
+    (_uncoalesced, "adjacent FREE nodes"),
+    (_lost_page, "size conservation"),
+], ids=["gap", "adjacent_free", "size_sum"])
+def test_check_invariants_fails_on_a_broken_list(breaks, message):
+    # The oracle of the conservation property: it must fail, and on the
+    # check that the broken state violates.
+    alloc = HdmAllocator(1 * MB)
+    alloc.alloc(1, PAGE_BYTES)
+    alloc.check_invariants()
+    breaks(alloc.nodes)
+    with pytest.raises(AssertionError, match=message):
+        alloc.check_invariants()
+
 
 @st.composite
 def op_sequences(draw):

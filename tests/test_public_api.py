@@ -1,9 +1,9 @@
 """No public API that only tests call.
 
-Every public function or method defined in src/cxlsim must be referenced
-by name somewhere else in src/cxlsim, as a call, an attribute or a bare
-name.  A name kept for a reason outside the package is on ALLOWED with
-that reason.
+Every public function or method defined in src/cxlsim, and every public
+name assigned in a class body, must be referenced by name somewhere else
+in src/cxlsim, as a call, an attribute or a bare name.  A name kept for a
+reason outside the package is on ALLOWED with that reason.
 """
 
 import ast
@@ -22,20 +22,30 @@ ALLOWED = {
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, bare name) of each public function and method."""
+    """(qualified name, bare name) of each public function and method, and
+    of each public name assigned in a class body."""
     for node in tree.body:
         owners = [(node.name + ".", node.body)] if isinstance(
             node, ast.ClassDef) else [("", [node])]
         for prefix, body in owners:
             for item in body:
-                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not item.name.startswith("_")):
-                    yield prefix + item.name, item.name
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                elif prefix and isinstance(item, ast.Assign):
+                    names = [target.id for target in item.targets
+                             if isinstance(target, ast.Name)]
+                else:
+                    names = []
+                for name in names:
+                    if not name.startswith("_"):
+                        yield prefix + name, name
 
 
 def _references(tree: ast.Module):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        # A name assigned is not read: a class attribute's own assignment
+        # does not count for it.
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr

@@ -16,30 +16,76 @@ from cxlsim.stats import (FOLD_AT, Histogram, RunReport, StatError,
                           StatsRegistry, config_digest)
 
 
+def _counts(h):
+    """The raw bucket counts, once the buffered samples are folded in;
+    labels of repeated edges collide, so entries cannot stand in."""
+    h._fold()
+    return h._counts
+
+
+def _exact(value):
+    """A value with its type, so that 5 and 5.0 compare unequal."""
+    if isinstance(value, list):
+        return [_exact(v) for v in value]
+    return type(value), value
+
+
+def _typed(entries):
+    """Report entries in order, each value with its type."""
+    return [(key, _exact(value)) for key, value in entries.items()]
+
+
+@pytest.mark.parametrize("edges", [(), (1, 2), (0, 5, 3)])
+def test_histogram_rejects_edges_not_ascending_from_0(edges):
+    with pytest.raises(ValueError):
+        Histogram(edges)
+
+
 def test_histogram_basic_moments():
     h = Histogram((0,))
     for s in (2, 4):
         h.record(s)
-    assert h.mean == 3
-    assert h.min == 2
-    assert h.max == 4
+    entries = h.entries("h")
+    assert entries["h::mean"] == 3
+    assert entries["h::min_value"] == 2
+    assert entries["h::max_value"] == 4
 
 
 def test_identical_samples_zero_stdev():
     h = Histogram((0,))
     for _ in range(1000):
         h.record(7.5)
-    assert h.stdev == 0.0
+    assert h.entries("h")["h::stdev"] == 0.0
 
 
 def test_bucket_counts():
     h = Histogram((0, 10, 100))
     h.record(5)
     h.record(50)
-    assert h.counts == [1, 1, 0]
-    assert h.bucket_label(0) == "0-9"
-    assert h.bucket_label(1) == "10-99"
-    assert h.bucket_label(2) == "100+"
+    assert _counts(h) == [1, 1, 0]
+    assert list(h.entries("h"))[5:] == ["h::0-9", "h::10-99", "h::100+"]
+
+
+@pytest.mark.parametrize("samples, expected", [
+    ((), {"h::samples": 0, "h::mean": 0.0, "h::stdev": 0.0,
+          "h::min_value": 0, "h::max_value": 0,
+          "h::0-9": 0.0, "h::10-99": 0.0, "h::100+": 0.0}),
+    ((7,), {"h::samples": 1, "h::mean": 7.0, "h::stdev": 0.0,
+            "h::min_value": 7, "h::max_value": 7,
+            "h::0-9": 100.0, "h::10-99": 0.0, "h::100+": 0.0}),
+    ((12.5,), {"h::samples": 1, "h::mean": 12.5, "h::stdev": 0.0,
+               "h::min_value": 12.5, "h::max_value": 12.5,
+               "h::0-9": 0.0, "h::10-99": 100.0, "h::100+": 0.0}),
+    ((5, 150), {"h::samples": 2, "h::mean": 77.5, "h::stdev": 72.5,
+                "h::min_value": 5, "h::max_value": 150,
+                "h::0-9": 50.0, "h::10-99": 0.0, "h::100+": 50.0}),
+], ids=["empty", "one_int", "one_float", "two"])
+def test_entries_format(samples, expected):
+    # The keys, their order and each value's type, as reports hold them.
+    h = Histogram((0, 10, 100))
+    for sample in samples:
+        h.record(sample)
+    assert _typed(h.entries("h")) == _typed(expected)
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
@@ -53,8 +99,10 @@ def test_welford_matches_brute_force(samples):
     mean = sum(samples) / n
     var = sum((s - mean) ** 2 for s in samples) / n
     scale = max(1.0, abs(mean))
-    assert abs(h.mean - mean) / scale < 1e-9
-    assert abs(h.stdev - math.sqrt(var)) / max(1.0, math.sqrt(var)) < 1e-9
+    entries = h.entries("h")
+    assert abs(entries["h::mean"] - mean) / scale < 1e-9
+    assert (abs(entries["h::stdev"] - math.sqrt(var))
+            / max(1.0, math.sqrt(var)) < 1e-9)
 
 
 def reference_bucket(edges, sample):
@@ -82,7 +130,7 @@ def test_bucket_lookup_matches_edge_scan(edges, data):
     h.record(sample)
     expected = [0] * len(edges)
     expected[reference_bucket(edges, sample)] = 1
-    assert h.counts == expected
+    assert _counts(h) == expected
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -101,13 +149,13 @@ def test_folded_bucket_counts_follow_the_per_sample_rule(edges, data):
     for x in samples:
         h.record(x)
         expected[bisect_right(edges[1:], x)] += 1
-    assert h.counts == expected
+    assert _counts(h) == expected
 
 
 class ReferenceHistogram(Histogram):
     """The per-sample update that Histogram.record made before it folded
-    samples in batches; it reads through the same properties, with
-    nothing ever buffered."""
+    samples in batches; it reads through the same entries and percentile,
+    with nothing ever buffered."""
 
     def record(self, sample: float) -> None:
         self._n += 1
@@ -121,18 +169,10 @@ class ReferenceHistogram(Histogram):
         self._counts[bisect_right(self._upper, sample)] += 1
 
 
-def _exact(value):
-    """A value with its type, so that 5 and 5.0 compare unequal."""
-    if isinstance(value, list):
-        return [_exact(v) for v in value]
-    return type(value), value
-
-
 def _reads(stats, h):
-    return [_exact(h.n), _exact(h.mean), _exact(h.stdev), _exact(h.min),
-            _exact(h.max), _exact(h.counts),
+    return [_typed(h.entries("h")), _exact(_counts(h)),
             [_exact(h.percentile(p)) for p in (0, 1, 50, 90, 99, 100)],
-            [(k, _exact(v)) for k, v in stats.flatten().items()]]
+            _typed(stats.flatten())]
 
 
 @pytest.mark.parametrize("spread", [3, 2000, 10**6])
