@@ -3,14 +3,14 @@
 The bridge intercepts HDM-bound host packets, converts them to CXL.mem
 requests through two pairs of bounded FIFO queues, and completes each host
 request, by calling the `reply` handler its packet carries, when the
-device's answer to it has been converted.  It keeps no window table: the
-memory bus decodes each address once and puts the device that its range
-names on the packet (`device`); None, a bridge range no device backs, is
-a ProtocolError before any state changes.  A request
-FIFO slot doubles as the transaction credit: it is held from admission
-until the request completes on the memory bus, which makes req_fifo_depth
-the ceiling on in-flight HDM requests and ties peak random-access
-bandwidth to Little's law.
+device's answer to it has been converted.  It keeps no table: the memory
+bus decodes each address once and puts the device that its range names
+on the packet (`device`), and each CXL request carries the host request
+that its answer completes (`request`).  A request FIFO slot doubles as
+the transaction credit: it is held from admission until the request
+completes on the memory bus, which makes req_fifo_depth the ceiling on
+in-flight HDM requests and ties peak random-access bandwidth to Little's
+law.
 
 Admission control is credit-free NACK/retry at one port, `receive`: a
 request arriving with no free slot is refused once (counted), and the
@@ -53,9 +53,9 @@ both peaks, takes the TX grant for the arrival the event path would
 have, has the device serve the request, takes the RX grant at the tick
 the device answers and schedules the host's completion at that grant +
 traversal_lat, the tick the conversion event would fire.  No conversion
-happens in between, no credit or in-flight id is held, and no event
-fires but the completion.  A request to an SSD device is handed to
-`receive` at its arrival instead, as on the event path.
+happens in between, no credit is held, and no event fires but the
+completion.  A request to an SSD device is handed to `receive` at its
+arrival instead, as on the event path.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .engine import Engine
-from .host import LINE_BYTES, MemCmd, MemPacket, SimFault
+from .host import LINE_BYTES, MemCmd, MemPacket
 
 
 class CxlKind:
@@ -72,17 +72,17 @@ class CxlKind:
     M2S_RWD = "M2SRwD"    # write request with 64B payload
 
 
-class ProtocolError(SimFault):
-    pass
-
-
 @dataclass(slots=True)
 class CxlMemPacket:
     kind: CxlKind
+    # The host request's id.  No simulator code reads it (the bridge
+    # completes `request`); perfbench's tracer reads it to sample spans.
     id: int
     addr: int
-    # The converting bridge's handler for the device's answer, answer(pkt).
+    # The converting bridge's handler for the device's answer, answer(pkt),
+    # and the host request that the converted answer completes.
     answer: object
+    request: MemPacket
     # Set by a device with an SSD medium: the tick the request reaches it,
     # its device offset and the handler that answers it, reply(pkt).
     arrival: int = 0
@@ -138,7 +138,6 @@ class CxlBridge:
         self.req_fifo_depth = req_fifo_depth
         self.resp_fifo_depth = resp_fifo_depth
         self._devices = devices          # whose counts the stats sum
-        self._inflight: dict = {}        # id -> MemPacket
         self._waiters: deque = deque()   # held MemPackets
         self._egress_waiters: deque = deque()
         self.tx = LinkChannel(engine, link_bytes_per_ns_tx)
@@ -181,22 +180,14 @@ class CxlBridge:
             self.retries += 1
             self._waiters.append(pkt)
             return
-        # Both checks come before the credit is taken, so a refused packet
-        # leaves no credit or in-flight id behind.
-        device = pkt.device
-        if device is None:
-            raise ProtocolError(f"no CXL device backs address {pkt.addr:#x}")
-        if pkt.id in self._inflight:
-            raise ProtocolError(f"request id {pkt.id} already in flight")
         cxl = CxlMemPacket(_M2S_KIND[pkt.cmd], pkt.id, pkt.addr,
-                           self.device_egress)
+                           self.device_egress, pkt)
         self.req_used += 1
         if self.req_used > self.req_peak:
             self.req_peak = self.req_used
-        self._inflight[pkt.id] = pkt
         # The message reaches the TX channel once converted, traversal_lat
         # from now, and the device at its grant.
-        device.receive_m2s(cxl, self.tx.transmit(
+        pkt.device.receive_m2s(cxl, self.tx.transmit(
             self._sizes[cxl.kind][0], self.traversal_lat))
 
     def serve(self, pkt: MemPacket, delay: int) -> None:
@@ -205,8 +196,6 @@ class CxlBridge:
         tick its answer converts (see the module docstring).  A request
         to an SSD device takes the event path from its arrival."""
         device = pkt.device
-        if device is None:
-            raise ProtocolError(f"no CXL device backs address {pkt.addr:#x}")
         if device.answers_by_callback:
             self.engine.schedule(delay, self.receive, pkt)
             return
@@ -242,10 +231,6 @@ class CxlBridge:
             self._egress_waiters.append(cxl)
 
     def _converted(self, cxl: CxlMemPacket) -> None:
-        try:
-            pkt = self._inflight.pop(cxl.id)
-        except KeyError:
-            raise ProtocolError(f"response id {cxl.id} matches no request")
         # Slot before credit: fixes the order of the events they schedule.
         self.resp_used -= 1
         if self._egress_waiters:
@@ -257,4 +242,5 @@ class CxlBridge:
             # every other held sender re-offers and is refused again.
             self.retries += len(self._waiters)
             self.receive(held)
+        pkt = cxl.request
         pkt.reply(pkt)

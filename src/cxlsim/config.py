@@ -33,7 +33,7 @@ from typing import Callable, Dict, List
 from .engine import TICKS_PER_NS, Engine, ns_to_ticks
 from .stats import StatsRegistry
 from .host import (LINE_BYTES, AddressFault, AddressMap, Cache, HostPath,
-                   LocalMemory, MemBus, Target)
+                   LocalMemory, MemBus)
 from .bridge import CxlBridge
 from .device import MemExpander, enumerate_expander
 from .media import CoarseDram, QueuedDdr
@@ -346,7 +346,7 @@ def _check_rules(c: SimpleNamespace) -> None:
             (f"devices[{i}].hdm_size_mb", dev.hdm_size_mb)
             for i, dev in enumerate(c.devices)]:
         try:
-            space.carve(mb * MB, Target.BRIDGE)
+            space.carve(mb * MB)
         except AddressFault:
             fail(field, "must fit below 2**64 B of physical address space")
 
@@ -583,7 +583,7 @@ def build_system(c: SimpleNamespace) -> System:
     hostc = c.host
 
     addr_map = AddressMap()
-    addr_map.carve(hostc.local_dram_mb * MB, Target.LOCAL_DRAM)
+    addr_map.carve(hostc.local_dram_mb * MB)
     devices: List[MemExpander] = []
     for i, dev in enumerate(c.devices):
         prefix = "cxl" if i == 0 else f"cxl{i}"

@@ -37,7 +37,7 @@ sizes the response on the link.
 from __future__ import annotations
 
 from .engine import Engine
-from .host import AddressMap, SimFault, Target
+from .host import AddressMap, SimFault
 from .bridge import CxlKind, CxlMemPacket
 from .media import READ, WRITE
 
@@ -155,7 +155,7 @@ def enumerate_expander(addr_map: AddressMap, device: MemExpander):
     which names the device for the memory bus."""
     size = probe_bar_size(device.bar)
     try:
-        rng = addr_map.carve(size, Target.BRIDGE, device)
+        rng = addr_map.carve(size, device)
     except SimFault as exc:
         raise EnumerationError(f"cannot map {size:#x} bytes of HDM: {exc}") from exc
     device.bar.write(rng.base)

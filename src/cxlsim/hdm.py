@@ -81,6 +81,8 @@ class HdmAllocator:
 
     def alloc(self, pid: int, size: int) -> int:
         """First-fit allocation; returns the device offset."""
+        if pid <= 0:
+            raise ValueError("pid must be > 0: pid 0 marks a FREE node")
         if size <= 0:
             raise ValueError("allocation size must be > 0")
         self._enter()
@@ -132,6 +134,10 @@ class HdmAllocator:
             if n.offset != end:
                 raise AssertionError("allocation list has a gap or overlap")
             free = n.state is NodeState.FREE
+            if n.size <= 0:
+                raise AssertionError(f"node at {n.offset:#x} has size {n.size}")
+            if free != (n.pid == 0):
+                raise AssertionError(f"{n.state.value} node has pid {n.pid}")
             if prev_free and free:
                 raise AssertionError("adjacent FREE nodes not coalesced")
             end += n.size

@@ -111,28 +111,28 @@ class MemPacket:
 class AddressRange:
     base: int
     limit: int          # exclusive
-    target: Target
-    device: Optional[object] = None
+    device: Optional[object] = None     # behind the bridge; None: local
 
 
 class AddressMap:
-    """Physical ranges routed to LocalDRAM or the bridge, carved one after
-    another: each is the next window aligned to its size above the last,
-    so the ranges ascend and cannot overlap."""
+    """Physical ranges routed to local memory or, when they name a device,
+    the bridge, carved one after another: each is the next window aligned
+    to its size above the last, so the ranges ascend and cannot overlap."""
 
     def __init__(self):
         self.ranges: List[AddressRange] = []
         self.bases: List[int] = []      # ranges[i].base, ascending
 
-    def carve(self, size: int, target: Target,
+    def carve(self, size: int,
               device: Optional[object] = None) -> AddressRange:
         """Map the next `size`-aligned window of `size` bytes above the
-        last range; AddressFault past 2**64."""
+        last range, backed by `device` or local memory; AddressFault past
+        2**64."""
         top = self.ranges[-1].limit if self.ranges else 0
         base = (top + size - 1) // size * size
         if base + size > 1 << 64:
             raise AddressFault("insufficient host physical address space")
-        rng = AddressRange(base, base + size, target, device)
+        rng = AddressRange(base, base + size, device)
         self.bases.append(base)
         self.ranges.append(rng)
         return rng
@@ -252,10 +252,10 @@ class MemBus:
         at = bisect_right(self._bases, addr) - 1
         if at < 0 or addr >= ranges[at].limit:
             self.addr_map.lookup(addr)      # raises the AddressFault
-        rng = ranges[at]
-        to_bridge = rng.target is Target.BRIDGE
+        device = ranges[at].device
+        to_bridge = device is not None
         if to_bridge:
-            pkt.device = rng.device
+            pkt.device = device
         else:
             self.to_local += 1
         pkt.reply = reply

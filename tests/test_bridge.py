@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build, coarse_device, patched_preset, ssd_device
+from test_golden_reports import TWO_DEVICES
 
-from cxlsim.config import preset
+from cxlsim.config import PRESETS, preset
 from cxlsim.engine import Engine, ns_to_ticks
 from cxlsim.stats import StatsRegistry
 from cxlsim.host import AddressFault, LINE_BYTES, MemCmd, MemPacket
-from cxlsim.bridge import CxlBridge, CxlKind, CxlMemPacket, ProtocolError
+from cxlsim.bridge import CxlBridge, CxlKind, CxlMemPacket
 
 
 # Bytes of a message header, as in every preset.
@@ -75,7 +76,7 @@ class TestConversions:
         bridge, device = wire(Engine())
         offer(bridge, pkt, lambda _: None)
         (cxl,) = device.packets
-        assert type(cxl) is CxlMemPacket
+        assert type(cxl) is CxlMemPacket and cxl.request is pkt
         return cxl
 
     def test_read_maps_to_header_only_request(self):
@@ -148,13 +149,20 @@ def test_resp_fifo_backpressures_device_delivery():
     assert stats.flatten()["bridge.respFifoOccupancy::max"] <= 2
 
 
-def test_duplicate_in_flight_id_rejected():
+def test_requests_with_one_id_complete_each_through_its_own_reply():
+    # The bridge keeps no table by id: each CXL request carries the host
+    # request that its answer completes.
     engine = Engine()
-    bridge, _ = wire(engine, device_delay=ns_to_ticks(100))
-    offer(bridge, read_pkt(5), lambda _: None)
-    with pytest.raises(ProtocolError):
-        offer(bridge, read_pkt(5), lambda _: None)
-        engine.run()
+    bridge, device = wire(engine, device_delay=ns_to_ticks(100))
+    done = []
+    first, second = read_pkt(5), read_pkt(5, LINE_BYTES)
+    offer(bridge, first, lambda pkt: done.append(("first", pkt)))
+    offer(bridge, second, lambda pkt: done.append(("second", pkt)))
+    assert bridge.req_used == 2
+    assert [cxl.request for cxl in device.packets] == [first, second]
+    engine.run()
+    assert done == [("first", first), ("second", second)]
+    assert (bridge.req_used, bridge.resp_used) == (0, 0)
 
 
 def test_tx_rx_byte_balance_at_even_mix():
@@ -183,30 +191,6 @@ def test_link_serialization_bounds_throughput():
     engine.run()
     spacing = (done[-1] - done[0]) / (n - 1)
     assert abs(spacing - ns_to_ticks(80)) <= ns_to_ticks(1)
-
-
-def test_unbacked_address_takes_no_credit_or_id():
-    engine = Engine()
-    bridge, _ = wire(engine, req_depth=2)
-    offer(bridge, read_pkt(1, 1 << 20), lambda _: None)
-    held = (bridge.req_used, dict(bridge._inflight))
-    for _ in range(2):      # the same id again: still the missing device
-        # The bus names no device for a bridge range that none backs.
-        unbacked = read_pkt(100, 0)
-        unbacked.reply, unbacked.device = (lambda _: None), None
-        with pytest.raises(ProtocolError,
-                           match="no CXL device backs address 0x0"):
-            bridge.receive(unbacked)
-        assert (bridge.req_used, bridge._inflight) == held
-
-
-def test_unsolicited_response_id_is_protocol_error():
-    engine = Engine()
-    bridge, _ = wire(engine)
-    bridge.device_egress(CxlMemPacket(CxlKind.M2S_REQ, 999, 0,
-                                      bridge.device_egress))
-    with pytest.raises(ProtocolError):
-        engine.run()
 
 
 def test_pure_read_stream_tx_headers_only():
@@ -255,13 +239,10 @@ class EventDrivenBridge(CxlBridge):
             return
         self.req_used += 1
         self.req_peak = max(self.req_peak, self.req_used)
-        if pkt.id in self._inflight:
-            raise ProtocolError(f"request id {pkt.id} already in flight")
-        self._inflight[pkt.id] = pkt
         kind = (CxlKind.M2S_RWD if pkt.cmd is MemCmd.WRITE_REQ
                 else CxlKind.M2S_REQ)
         self.engine.schedule(self.traversal_lat, lambda _: self._send_m2s(
-            CxlMemPacket(kind, pkt.id, pkt.addr, self.device_egress),
+            CxlMemPacket(kind, pkt.id, pkt.addr, self.device_egress, pkt),
             pkt.device))
 
     def _converted(self, cxl):
@@ -447,3 +428,28 @@ def test_each_request_reaches_the_device_whose_window_holds_it(injectors,
               if lo.bar.base + lo.hdm_size < hi.bar.base]
     with pytest.raises(AddressFault, match=f"address {gap:#x} is unmapped"):
         system.host.injectors[0].issue(MemCmd.READ_REQ, gap, cacheable=False)
+
+
+@pytest.mark.parametrize("name, devices", [
+    *[(name, None) for name in PRESETS], ("cxl-dmsim-a", TWO_DEVICES)],
+    ids=[*PRESETS, "two-devices"])
+def test_a_range_names_its_device_or_none(name, devices):
+    # Range 0 is local memory and range i the i-th device's HDM window; a
+    # packet to a range reaches the local port or the device it names.
+    system = build(patched_preset(name, devices and {
+        "devices": copy.deepcopy(devices)}))
+    bus, ranges = system.membus, system.membus.addr_map.ranges
+    assert len(ranges) == len(system.devices) + 1
+    assert all(rng.device is owner for rng, owner in
+               zip(ranges, [None, *system.devices]))
+    for rng in ranges:
+        before = (bus.to_local, [d.reads for d in system.devices])
+        done = []
+        for i, addr in enumerate((rng.base, rng.limit - LINE_BYTES)):
+            bus.send(MemPacket(i, MemCmd.READ_REQ, addr), 0, done.append)
+        system.engine.run()
+        assert len(done) == 2
+        assert bus.to_local - before[0] == 2 * (rng.device is None)
+        assert [d.reads - reads for d, reads in
+                zip(system.devices, before[1])] == [
+                    2 * (d is rng.device) for d in system.devices]

@@ -4,7 +4,7 @@ from conftest import build, patched_preset
 
 from cxlsim.engine import Engine, ns_to_ticks
 from cxlsim.stats import StatsRegistry
-from cxlsim.host import AddressMap, MemCmd, MemPacket, Target
+from cxlsim.host import AddressMap, MemCmd, MemPacket
 from cxlsim.bridge import CxlBridge, CxlKind, CxlMemPacket
 from cxlsim.media import CoarseDram
 from cxlsim.device import (ALL_ONES, BaseAddressRegister, DeviceFault,
@@ -50,10 +50,10 @@ class TestEnumeration:
     def test_single_device_mapped_above_local(self):
         engine = Engine()
         amap = AddressMap()
-        amap.carve(4 * GB, Target.LOCAL_DRAM)
+        amap.carve(4 * GB)
         dev = make_device(engine, hdm=64 * GB)
         rng = enumerate_expander(amap, dev)
-        assert rng.target is Target.BRIDGE
+        assert rng.device is dev
         assert rng.limit - rng.base == 64 * GB
         assert dev.bar.base == rng.base
         assert rng.base % (64 * GB) == 0
@@ -61,7 +61,7 @@ class TestEnumeration:
     def test_two_devices_disjoint_and_routable(self):
         engine = Engine()
         amap = AddressMap()
-        amap.carve(4 * GB, Target.LOCAL_DRAM)
+        amap.carve(4 * GB)
         d1 = make_device(engine, hdm=16 * GB)
         d2 = make_device(engine, hdm=64 * GB)
         r1 = enumerate_expander(amap, d1)
@@ -73,7 +73,7 @@ class TestEnumeration:
     def test_address_space_exhaustion(self):
         engine = Engine()
         amap = AddressMap()
-        amap.carve(1 << 63, Target.LOCAL_DRAM)
+        amap.carve(1 << 63)
         big = make_device(engine, hdm=1 << 63)
         enumerate_expander(amap, big)
         with pytest.raises(EnumerationError):
@@ -84,7 +84,7 @@ class TestTranslate:
     def setup_method(self):
         self.engine = Engine()
         amap = AddressMap()
-        amap.carve(GB, Target.LOCAL_DRAM)
+        amap.carve(GB)
         self.dev = make_device(self.engine, hdm=GB)
         enumerate_expander(amap, self.dev)
         self.base = self.dev.bar.base
@@ -139,14 +139,14 @@ def test_service_charges_proto_then_medium_then_proto():
     engine = Engine()
     stats = StatsRegistry()
     amap = AddressMap()
-    amap.carve(GB, Target.LOCAL_DRAM)
+    amap.carve(GB)
     medium = SpyMedium(engine, ns_to_ticks(50), 8)
     dev = MemExpander(engine, GB, ns_to_ticks(15), medium, stats, "cxl")
     enumerate_expander(amap, dev)
     sink = CollectingBridge(engine)
 
     request = CxlMemPacket(CxlKind.M2S_REQ, 1, dev.bar.base,
-                           sink.device_egress)
+                           sink.device_egress, None)
     dev.receive_m2s(request, ns_to_ticks(7))
     engine.run()
     # handed over at once, to reach the device after the 7 ns link delay

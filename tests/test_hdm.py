@@ -6,9 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import build, coarse_device
 
 from cxlsim.config import preset
-from cxlsim.hdm import (HdmAllocationError, HdmAllocator, HdmError,
-                        HdmInvalidFree, HdmPermissionError, NodeState,
-                        PAGE_BYTES, PlacementError)
+from cxlsim.hdm import (HdmAllocationError, HdmAllocNode, HdmAllocator,
+                        HdmError, HdmInvalidFree, HdmPermissionError,
+                        NodeState, PAGE_BYTES, PlacementError)
 
 MB = 1024 * 1024
 GB = 1024 * MB
@@ -109,6 +109,16 @@ class TestAllocator:
             alloc.alloc(1, 0)
         assert rows(alloc) == [(0, NodeState.FREE, 1 * MB, 0)]
 
+    @pytest.mark.parametrize("pid", [0, -1])
+    def test_pid_must_be_positive(self, pid):
+        # pid 0 marks a FREE node, so no allocation may own it.
+        alloc = HdmAllocator(1 * MB)
+        alloc.alloc(1, PAGE_BYTES)
+        before = rows(alloc)
+        with pytest.raises(ValueError, match="pid"):
+            alloc.alloc(pid, PAGE_BYTES)
+        assert rows(alloc) == before
+
 
 def _gap(nodes):
     nodes[1].offset += PAGE_BYTES
@@ -122,11 +132,28 @@ def _lost_page(nodes):
     nodes[-1].size -= PAGE_BYTES
 
 
+def _empty_busy(nodes):
+    nodes.insert(1, HdmAllocNode(pid=2, state=NodeState.BUSY, size=0,
+                                 offset=PAGE_BYTES))
+
+
+def _busy_free_owner(nodes):
+    nodes[0].pid = 0
+
+
+def _free_with_owner(nodes):
+    nodes[-1].pid = 3
+
+
 @pytest.mark.parametrize("breaks, message", [
     (_gap, "gap or overlap"),
     (_uncoalesced, "adjacent FREE nodes"),
     (_lost_page, "size conservation"),
-], ids=["gap", "adjacent_free", "size_sum"])
+    (_empty_busy, "node at 0x1000 has size 0"),
+    (_busy_free_owner, "BUSY node has pid 0"),
+    (_free_with_owner, "FREE node has pid 3"),
+], ids=["gap", "adjacent_free", "size_sum", "empty_node", "busy_pid_0",
+        "free_pid_3"])
 def test_check_invariants_fails_on_a_broken_list(breaks, message):
     # The oracle of the conservation property: it must fail, and on the
     # check that the broken state violates.

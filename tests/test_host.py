@@ -26,15 +26,15 @@ def test_mem_packet_validation():
 class TestAddressMap:
     def test_boundary_routing(self):
         amap = AddressMap()
-        amap.carve(1 << 32, Target.LOCAL_DRAM)
-        hdm = amap.carve(1 << 32, Target.BRIDGE)
+        amap.carve(1 << 32)
+        hdm = amap.carve(1 << 32, "device")
         assert hdm.base == 1 << 32
-        assert amap.lookup(hdm.base).target is Target.BRIDGE
-        assert amap.lookup(hdm.base - 64).target is Target.LOCAL_DRAM
+        assert amap.lookup(hdm.base).device == "device"
+        assert amap.lookup(hdm.base - 64).device is None
 
     def test_unmapped_faults(self):
         amap = AddressMap()
-        amap.carve(1024, Target.LOCAL_DRAM)
+        amap.carve(1024)
         with pytest.raises(AddressFault):
             amap.lookup(4096)
 
@@ -45,7 +45,7 @@ class TestAddressMap:
         # Sizes in 4 KB units: aligning each window to its size leaves
         # gaps, as after 3 units a window of 4 starts at 4.
         unit, amap = 4096, AddressMap()
-        ranges = [amap.carve(size * unit, Target.BRIDGE, i)
+        ranges = [amap.carve(size * unit, i)
                   for i, size in enumerate(sizes)]
         assert amap.ranges == ranges
         assert amap.bases == [r.base for r in ranges]

@@ -1,9 +1,10 @@
 """No public API that only tests call.
 
-Every public function or method defined in src/cxlsim, and every public
-name assigned in a class body, must be referenced by name somewhere else
-in src/cxlsim, as a call, an attribute or a bare name.  A name kept for a
-reason outside the package is on ALLOWED with that reason.
+Every public class, function or method defined in src/cxlsim, and every
+public name assigned at module level or in a class body, must be
+referenced by name somewhere else in src/cxlsim, as a call, an attribute
+or a bare name.  A name kept for a reason outside the package is on
+ALLOWED with that reason.
 """
 
 import ast
@@ -18,20 +19,28 @@ ALLOWED = {
     "HdmAllocator.free": "the allocator property-suite criterion frees "
                          "through it",
     "HdmAllocator.check_invariants": "that suite's oracle",
+    # perfbench/tracer.py resolves every class its ENTRY_POINTS names and
+    # fails on a missing one; these go when that table goes.
+    "Counter": "named by perfbench/tracer.py's ENTRY_POINTS",
+    "Gauge": "named by perfbench/tracer.py's ENTRY_POINTS",
+    "Mean": "named by perfbench/tracer.py's ENTRY_POINTS",
 }
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, bare name) of each public function and method, and
-    of each public name assigned in a class body."""
+    """(qualified name, bare name) of each public class, function and
+    method, and of each public name assigned at module level or in a class
+    body."""
     for node in tree.body:
-        owners = [(node.name + ".", node.body)] if isinstance(
-            node, ast.ClassDef) else [("", [node])]
+        owners = [("", [node])]
+        if isinstance(node, ast.ClassDef):
+            owners.append((node.name + ".", node.body))
         for prefix, body in owners:
             for item in body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
                     names = [item.name]
-                elif prefix and isinstance(item, ast.Assign):
+                elif isinstance(item, ast.Assign):
                     names = [target.id for target in item.targets
                              if isinstance(target, ast.Name)]
                 else:

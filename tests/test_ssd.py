@@ -17,10 +17,10 @@ def request(offset, kind, reply, id=0):
     """The packet a device hands its SSD medium: `reply(pkt)` answers it;
     no bridge waits on the device's answer."""
     if kind == "write":
-        return CxlMemPacket(CxlKind.M2S_RWD, id, offset, None, offset=offset,
-                            reply=reply)
-    return CxlMemPacket(CxlKind.M2S_REQ, id, offset, None, offset=offset,
-                        reply=reply)
+        return CxlMemPacket(CxlKind.M2S_RWD, id, offset, None, None,
+                            offset=offset, reply=reply)
+    return CxlMemPacket(CxlKind.M2S_REQ, id, offset, None, None,
+                        offset=offset, reply=reply)
 
 
 def make_cached(engine, capacity_pages=2, policy="lru", read_ns=2000,

@@ -23,7 +23,7 @@ from cxlsim.bridge import CxlBridge, CxlKind, LinkChannel
 from cxlsim.config import preset, run_workload
 from cxlsim.device import MemExpander
 from cxlsim.engine import Engine
-from cxlsim.host import LINE_BYTES, CacheHierarchy, MemBus, MemCmd, Target
+from cxlsim.host import LINE_BYTES, CacheHierarchy, MemBus, MemCmd
 
 # One small block per workload kind; placement is left to its default
 # (the first device when there is one, else local memory).  Four LSQ
@@ -70,7 +70,7 @@ def counted(monkeypatch):
         monkeypatch.setattr(cls, name, wrapper)
 
     def bus_send(bus, pkt, *_):
-        if bus.addr_map.lookup(pkt.addr).target is Target.BRIDGE:
+        if bus.addr_map.lookup(pkt.addr).device is not None:
             counts[bus, "toBridge"] += 1
 
     def reached(device, write):
@@ -114,9 +114,16 @@ def counted(monkeypatch):
 
 
 def check_identities(system, counts):
-    """Each derived stat of a drained `system` equals its outside count."""
+    """Each derived stat of a drained `system` equals its outside count,
+    and nothing is left in flight or waiting anywhere."""
     flat = system.stats.flatten()
-    for cache in system.host.hierarchy.levels:
+    hierarchy = system.host.hierarchy
+    assert not hierarchy._mshrs and hierarchy.wb_in_flight == 0
+    assert flat["core.outstandingRequests"] == 0
+    for injector in system.host.injectors:
+        assert not injector._pending and injector._stream is None
+        assert injector._in_flight == 0
+    for cache in hierarchy.levels:
         assert flat[f"{cache.name}.lookups"] == counts[cache, "lookups"]
     assert flat["membus.toBridge"] == counts[system.membus, "toBridge"]
     bridge = system.bridge
@@ -129,6 +136,8 @@ def check_identities(system, counts):
     assert flat["bridge.s2mReceived"] == counts[bridge.rx, "messages"]
     assert flat["bridge.txBytes"] == counts[bridge.tx, "bytes"]
     assert flat["bridge.rxBytes"] == counts[bridge.rx, "bytes"]
+    assert (bridge.req_used, bridge.resp_used) == (0, 0)
+    assert not bridge._waiters and not bridge._egress_waiters
 
 
 @pytest.mark.parametrize("name, case", CASES)
