@@ -83,10 +83,9 @@ class CxlMemPacket:
     # and the host request that the converted answer completes.
     answer: object
     request: MemPacket
-    # Set by a device with an SSD medium: the tick the request reaches it,
-    # its device offset and the handler that answers it, reply(pkt).
+    # Set by a device with an SSD medium: the tick the request reaches it
+    # and the handler that answers it, reply(pkt).
     arrival: int = 0
-    offset: int = 0
     reply: object = None
 
 
@@ -199,7 +198,6 @@ class CxlBridge:
         if device.answers_by_callback:
             self.engine.schedule(delay, self.receive, pkt)
             return
-        device.translate(pkt.addr)  # any DeviceFault before a state change
         # Nothing else is in flight: the credit and the response slot are
         # free, and each FIFO holds this one request at its fullest.
         if not self.req_peak:

@@ -3,9 +3,9 @@
 The device is enumerated like a PCI endpoint: the host sizes its base
 address register with the write-all-ones probe, carves a host physical
 range for the HDM window above the existing map, and writes the chosen
-base back into the BAR.  After that the memory controller, as the HDM
-decoder, checks each CXL.mem request address against the BAR, translates
-it to a device offset and services it on the configured backend medium.
+base back into the BAR, so the range and the BAR are one window.  The
+memory bus decodes each address once and routes the request to the
+device its range names; the controller serves it on its backend medium.
 
 device_proto_proc_lat is charged twice per request, once when the M2S
 message is parsed and once to prepare the S2M response, so swapping
@@ -23,10 +23,10 @@ here: the bridge calls `serve` itself.  The samples enter the histogram
 in the order the answers leave: a DRAM medium's completions never go
 backwards while its arrivals do not, and answers of one tick leave in
 the order scheduled.
-An SSD medium answers later: the device puts `_accessed` on the packet
-as `reply`, with its arrival tick and device offset, and schedules the
-medium's `access(pkt)` for the end of the parse; `_accessed` records the
-sample and schedules `pkt.answer` once the response is prepared.
+An SSD medium answers later: the device puts its arrival tick and
+`_accessed`, as `reply`, on the packet and schedules the medium's
+`access(pkt)` for the end of the parse; `_accessed` records the sample
+and schedules `pkt.answer` once the response is prepared.
 
 The device is timing-only: an M2S request names a 64B line and carries no
 bytes.  The S2M response is not built as a packet: its kind follows from
@@ -42,10 +42,6 @@ from .bridge import CxlKind, CxlMemPacket
 from .media import READ, WRITE
 
 ALL_ONES = (1 << 64) - 1
-
-
-class DeviceFault(SimFault):
-    pass
 
 
 class EnumerationError(SimFault):
@@ -77,7 +73,6 @@ class MemExpander:
     def __init__(self, engine: Engine, hdm_size: int,
                  device_proto_proc_lat: int, medium, stats, prefix: str):
         self.engine = engine
-        self.hdm_size = hdm_size
         self.device_proto_proc_lat = device_proto_proc_lat
         self.medium = medium
         self.bar = BaseAddressRegister(hdm_size)
@@ -87,24 +82,10 @@ class MemExpander:
         stats.counters(self, {f"{prefix}.reads": "reads",
                               f"{prefix}.writes": "writes"})
 
-    def translate(self, addr: int) -> int:
-        base = self.bar.base
-        if base == 0:
-            raise DeviceFault("device not enumerated (BAR base unset)")
-        if not base <= addr < base + self.hdm_size:
-            raise DeviceFault(
-                f"address {addr:#x} outside HDM window "
-                f"[{base:#x}, {base + self.hdm_size:#x})")
-        return addr - base
-
     # -- CXL.mem service ----------------------------------------------------
 
     def receive_m2s(self, pkt: CxlMemPacket, delay: int) -> None:
         """Serve `pkt`, which reaches the device `delay` ticks from now."""
-        base = self.bar.base
-        offset = pkt.addr - base
-        if not base or not 0 <= offset < self.hdm_size:
-            self.translate(pkt.addr)    # raises the DeviceFault
         if not self.answers_by_callback:
             self.engine.schedule(self.serve(pkt.kind, delay), pkt.answer,
                                  pkt)
@@ -115,7 +96,6 @@ class MemExpander:
         else:
             self.writes += 1
         pkt.arrival = self.engine.now + delay
-        pkt.offset = offset
         pkt.reply = self._accessed
         self.engine.schedule(delay + self.device_proto_proc_lat,
                              self.medium.access, pkt)

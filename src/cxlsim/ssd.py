@@ -18,11 +18,13 @@ is <= 1, which disables prefetching until a later phase finds a winner.
 The model is timing-only: no bytes are stored.  A write marks its cached
 page dirty, and a dirty eviction charges the page program time on a
 channel; a refetch of that page is an ordinary miss.  An access takes
-the request's CXL packet, which carries its device offset and the
-device's answer handler, and ends with `pkt.reply(pkt)`.  A page I/O
-returns the ticks until it completes and schedules nothing: whoever
-waits on it schedules its own handler, and a write-back, which nothing
-waits on, fires no event.  No closure is built.
+the request's CXL packet and ends with `pkt.reply(pkt)`.  Its page is
+`pkt.addr // page_size`: the HDM window is aligned to its power-of-two
+size, so a host page is the device page plus a constant, and the cache
+and the prefetcher use only page differences, order and membership.  A
+page I/O returns the ticks until it completes and schedules nothing:
+whoever waits on it schedules its own handler, and a write-back, which
+nothing waits on, fires no event.  No closure is built.
 """
 
 from __future__ import annotations
@@ -185,10 +187,10 @@ class SsdCachedMedium:
             "ssdcache.writebacks": "writebacks"})
 
     def access(self, pkt: CxlMemPacket) -> None:
-        """One 64B access at `pkt.offset`, then `pkt.reply(pkt)`.  The
+        """One 64B access at `pkt.addr`, then `pkt.reply(pkt)`.  The
         prefetcher learns from a demand miss, a demand that joins a
         prefetch in flight and the first hit on a prefetched page."""
-        page = pkt.offset // self.page_size
+        page = pkt.addr // self.page_size
         dirty = self._take(page, None)
         if dirty is not None:
             self.hits += 1

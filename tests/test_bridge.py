@@ -399,7 +399,7 @@ def test_each_request_reaches_the_device_whose_window_holds_it(injectors,
     rnd = random.Random(5)
     requests = []           # (injector, write, cacheable, device, addr)
     for d, device in enumerate(system.devices):
-        lines = device.hdm_size // LINE_BYTES
+        lines = device.bar.size // LINE_BYTES
         for line in [0, lines - 1] + rnd.sample(range(1, lines - 1), 6):
             for write in (False, True):
                 for cacheable in (False, True):
@@ -423,9 +423,9 @@ def test_each_request_reaches_the_device_whose_window_holds_it(injectors,
         assert (device.reads, device.writes) == (reads, writes)
     assert system.host.hierarchy.wb_peak == 0
     # The first line past a window, below the next window's base.
-    (gap,) = [lo.bar.base + lo.hdm_size for lo, hi in
+    (gap,) = [lo.bar.base + lo.bar.size for lo, hi in
               zip(system.devices, system.devices[1:])
-              if lo.bar.base + lo.hdm_size < hi.bar.base]
+              if lo.bar.base + lo.bar.size < hi.bar.base]
     with pytest.raises(AddressFault, match=f"address {gap:#x} is unmapped"):
         system.host.injectors[0].issue(MemCmd.READ_REQ, gap, cacheable=False)
 
@@ -436,12 +436,16 @@ def test_each_request_reaches_the_device_whose_window_holds_it(injectors,
 def test_a_range_names_its_device_or_none(name, devices):
     # Range 0 is local memory and range i the i-th device's HDM window; a
     # packet to a range reaches the local port or the device it names.
+    # The window is the device's BAR, so the device serves what the bus
+    # routes to it without checking the address again.
     system = build(patched_preset(name, devices and {
         "devices": copy.deepcopy(devices)}))
     bus, ranges = system.membus, system.membus.addr_map.ranges
     assert len(ranges) == len(system.devices) + 1
     assert all(rng.device is owner for rng, owner in
                zip(ranges, [None, *system.devices]))
+    assert [(rng.base, rng.limit) for rng in ranges[1:]] == [
+        (d.bar.base, d.bar.base + d.bar.size) for d in system.devices]
     for rng in ranges:
         before = (bus.to_local, [d.reads for d in system.devices])
         done = []

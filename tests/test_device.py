@@ -4,12 +4,11 @@ from conftest import build, patched_preset
 
 from cxlsim.engine import Engine, ns_to_ticks
 from cxlsim.stats import StatsRegistry
-from cxlsim.host import AddressMap, MemCmd, MemPacket
-from cxlsim.bridge import CxlBridge, CxlKind, CxlMemPacket
+from cxlsim.host import AddressMap, MemCmd
+from cxlsim.bridge import CxlKind, CxlMemPacket
 from cxlsim.media import CoarseDram
-from cxlsim.device import (ALL_ONES, BaseAddressRegister, DeviceFault,
-                           EnumerationError, MemExpander, enumerate_expander,
-                           probe_bar_size)
+from cxlsim.device import (ALL_ONES, BaseAddressRegister, EnumerationError,
+                           MemExpander, enumerate_expander, probe_bar_size)
 
 GB = 1 << 30
 
@@ -78,50 +77,6 @@ class TestEnumeration:
         enumerate_expander(amap, big)
         with pytest.raises(EnumerationError):
             enumerate_expander(amap, make_device(engine, hdm=1 << 63))
-
-
-class TestTranslate:
-    def setup_method(self):
-        self.engine = Engine()
-        amap = AddressMap()
-        amap.carve(GB)
-        self.dev = make_device(self.engine, hdm=GB)
-        enumerate_expander(amap, self.dev)
-        self.base = self.dev.bar.base
-
-    def test_identity_at_base(self):
-        assert self.dev.translate(self.base) == 0
-
-    def test_offset_arithmetic(self):
-        assert self.dev.translate(self.base + 0x40) == 0x40
-
-    def test_exclusive_upper_bound(self):
-        with pytest.raises(DeviceFault):
-            self.dev.translate(self.base + GB)
-
-    def test_unset_bar_faults(self):
-        fresh = make_device(self.engine, hdm=GB)
-        with pytest.raises(DeviceFault):
-            fresh.translate(0x1000)
-
-
-@pytest.mark.parametrize("window, bar_base, match", [
-    (0, None, "not enumerated"), (GB, None, "not enumerated"),
-    (GB, 2 * GB, "outside HDM window")])
-def test_request_outside_the_device_window_faults(window, bar_base, match):
-    # The packet names the device, as the bus hands it over; the device
-    # checks the address against its BAR: unset (an offset from 0 fits the
-    # window size), or set to another window.
-    engine = Engine()
-    dev = make_device(engine, hdm=GB)
-    if bar_base is not None:
-        dev.bar.write(bar_base)
-    bridge = CxlBridge(engine, [dev], 0, 4, 4, 64.0, 64.0, 16,
-                       StatsRegistry())
-    pkt = MemPacket(1, MemCmd.READ_REQ, window + 0x40)
-    pkt.reply, pkt.device = (lambda _: None), dev
-    with pytest.raises(DeviceFault, match=match):
-        bridge.receive(pkt)
 
 
 class SpyMedium(CoarseDram):

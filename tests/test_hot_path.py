@@ -43,7 +43,7 @@ KV = {"kind": "kv_proxy", "ops": 1000, "warm_ops": 100}
 CASES = {
     "latency_sweep": ("cxl-dmsim-a", {"workload": {
         "kind": "latency_sweep", "array_kb": [16, 16384], "samples": 200,
-        "placement": "hdm"}}, 656, 12040),
+        "placement": "hdm"}}, 656, 11584),
     "stream": ("cxl-dmsim-a", {"workload": {
         "kind": "stream", "kernel": "triad", "groups": 300,
         "warm_groups": 30, "placement": "hdm"}}, 900, 29930),

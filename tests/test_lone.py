@@ -25,7 +25,6 @@ from conftest import build, coarse_device, patched_preset, tiny_cache_patch
 
 from cxlsim import cli
 from cxlsim.config import merge_config, preset
-from cxlsim.device import DeviceFault
 from cxlsim.engine import Engine
 from cxlsim.host import AddressFault, LINE_BYTES, MemBus, MemCmd
 
@@ -212,29 +211,24 @@ def test_ssd_device_takes_the_event_path(tmp_path):
     assert events == ref_events
 
 
-def _faulting_system(fault: str, lsq_depth: int):
-    """cxl-dmsim-a and an address that faults at the bus or the device.
-    The bridge has no fault of its own: a range names its device or none,
-    and a CXL request carries the host request that its answer
-    completes."""
+def _faulting_system(lsq_depth: int):
+    """cxl-dmsim-a and an address that faults.  The bus is the only place
+    a request can fault: it decodes each address once, the bridge has no
+    fault of its own (a range names its device or none, and a CXL request
+    carries the host request that its answer completes), and a device
+    serves what the bus routes to it, since its range is its BAR."""
     system = build(patched_preset("cxl-dmsim-a", {
         "workload": {"lsq_depth": lsq_depth}}))
-    device = system.devices[0]
-    if fault == "address":
-        return system, 1 << 60
-    base = device.bar.base      # the device's BAR no longer set
-    device.bar.write(0)
-    return system, base
+    return system, 1 << 60
 
 
 @pytest.mark.parametrize("cacheable", [False, True])
 @pytest.mark.parametrize("fault, error, lsq_depth", [
-    ("address", AddressFault, 1), ("address", AddressFault, 4),
-    ("device", DeviceFault, 1)])
+    ("address", AddressFault, 1), ("address", AddressFault, 4)])
 def test_faulting_issue_takes_no_lsq_slot(fault, error, lsq_depth,
                                           cacheable):
     # One injector with one slot (the lone route) or four.
-    system, addr = _faulting_system(fault, lsq_depth)
+    system, addr = _faulting_system(lsq_depth)
     injector = system.host.injectors[0]
 
     def slot():
@@ -254,16 +248,15 @@ def test_faulting_issue_takes_no_lsq_slot(fault, error, lsq_depth,
 
 
 @pytest.mark.parametrize("cacheable", [False, True])
-@pytest.mark.parametrize("fault, error", [
-    ("address", AddressFault), ("device", DeviceFault)])
+@pytest.mark.parametrize("fault, error", [("address", AddressFault)])
 def test_lone_fault_is_raised_before_any_state_changes(fault, error,
                                                        cacheable):
-    system, addr = _faulting_system(fault, 2)
+    system, addr = _faulting_system(2)
     with pytest.raises(error) as on_event_path:
         system.host.injectors[0].issue(MemCmd.READ_REQ, addr,
                                        cacheable=cacheable)
         system.engine.run()
-    system, addr = _faulting_system(fault, 1)
+    system, addr = _faulting_system(1)
     bridge = system.bridge
 
     def below_host():

@@ -1,8 +1,12 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ssd_device
 from test_acceptance import _reference_best_offset
+from test_golden_reports import _small_cache_ssd
 
 from cxlsim.bridge import CxlKind, CxlMemPacket
+from cxlsim.config import check_config, merge_config, preset, run_workload
 from cxlsim.engine import Engine, ns_to_ticks
 from cxlsim.media import READ, WRITE
 from cxlsim.stats import StatsRegistry
@@ -18,9 +22,9 @@ def request(offset, kind, reply, id=0):
     no bridge waits on the device's answer."""
     if kind == "write":
         return CxlMemPacket(CxlKind.M2S_RWD, id, offset, None, None,
-                            offset=offset, reply=reply)
+                            reply=reply)
     return CxlMemPacket(CxlKind.M2S_REQ, id, offset, None, None,
-                        offset=offset, reply=reply)
+                        reply=reply)
 
 
 def make_cached(engine, capacity_pages=2, policy="lru", read_ns=2000,
@@ -480,3 +484,31 @@ def test_device_cache_matches_page_object_reference(
         page for page, entry in want[2]._pages.items()
         if entry.prefetched and not entry.referenced}
     assert got[3] == want[3]
+
+
+MB = 1 << 20
+# A 2 MB page on a 1 MB window: every address of the window is in one
+# host page, whatever the window's base.
+BIG_PAGE = merge_config(preset("cxl-ssd"), {
+    "devices": [dict(ssd_device(ssd={"page_bytes": 2 * MB},
+                                cache={"capacity_kb": 4096}), hdm_size_mb=1)],
+    "workload": {"kind": "kv_proxy", "ops": 400, "warm_ops": 40,
+                 "footprint_mb": 1}})
+
+
+@pytest.mark.parametrize("cfg, bases", [
+    (_small_cache_ssd("lru"), (1 << 30, 4 << 30)),
+    (_small_cache_ssd("fifo"), (1 << 30, 4 << 30)),
+    (BIG_PAGE, (MB, 4 << 30))], ids=["lru", "fifo", "big-page"])
+def test_the_ssd_model_does_not_depend_on_where_its_window_sits(cfg, bases):
+    # The device cache keys a page by its host address, so the window is
+    # moved by the local memory below it; the SSD counts and the rows
+    # must not move with it.  The small-cache cases evict, write back,
+    # prefetch and see late hits.
+    runs = []
+    for local_mb, base in zip((1, 4096), bases):
+        result = run_workload(check_config(merge_config(
+            cfg, {"host": {"local_dram_mb": local_mb}})))
+        assert result.system.devices[0].bar.base == base
+        runs.append((result.system.stats.flatten(), result.rows))
+    assert runs[0] == runs[1]
