@@ -220,7 +220,9 @@ SCHEMA = {
         "host_path_lat_ns": _NS,
         "local_dram_mb": _count(),
         "injectors": {"count": _count(), "lsq_depth": _count(),
-                      "think_time_ns": _NS},
+                      "think_time_ns": (NUM, lambda v: v == 0, "must be 0: "
+                                        "the model has no think time, and "
+                                        "schema 2 drops the field", REQUIRED)},
         "caches": {"l1": _CACHE_LEVEL, "l2": _CACHE_LEVEL, "l3": _CACHE_LEVEL},
         "local_medium": Tagged("kind", {
             "queued_ddr": {**_DDR, "access_lat_ns": _NS},
@@ -613,10 +615,8 @@ def build_system(c: SimpleNamespace) -> System:
                     ns_to_ticks(lvl.hit_latency_ns), stats)
               for name, lvl in vars(hostc.caches).items()]
     host = HostPath(engine, caches, membus, c.workload.injectors,
-                    c.workload.lsq_depth,
-                    ns_to_ticks(hostc.injectors.think_time_ns),
-                    ns_to_ticks(hostc.host_path_lat_ns), stats,
-                    1000.0 / hostc.core_freq_ghz)
+                    c.workload.lsq_depth, ns_to_ticks(hostc.host_path_lat_ns),
+                    stats, 1000.0 / hostc.core_freq_ghz)
     return System(engine=engine, stats=stats, membus=membus, host=host,
                   bridge=bridge, devices=devices,
                   free_pages=[range(rng.base, rng.limit, PAGE_BYTES)

@@ -403,7 +403,6 @@ class Injector:
     Issues beyond the LSQ depth queue up and count as lsqFullEvents; a
     slot is released when the matching response returns (cached stores
     complete on fill, uncacheable stores on the target's acknowledgment).
-    `think_time` is the ticks between dispatches from the pending queue.
     A batch issued all at once can come as a stream (`issue_stream`),
     whose requests are built only as the queue reaches them, so the queue
     holds at most one of them.  The counts all injectors share live on
@@ -411,10 +410,9 @@ class Injector:
     """
 
     def __init__(self, engine: Engine, inj_id: int, lsq_depth: int,
-                 think_time: int, host: "HostPath", ticks_per_cycle: float):
+                 host: "HostPath", ticks_per_cycle: float):
         self.engine = engine
         self.lsq_depth = lsq_depth
-        self.think_time = think_time
         self._host = host
         self._hierarchy = host.hierarchy
         self._membus = host.membus
@@ -491,11 +489,7 @@ class Injector:
                 for _ in stream:
                     self._stream = stream
                     break
-            nxt = self._pending.popleft()
-            if self.think_time:
-                self.engine.schedule(self.think_time, self._start, nxt)
-            else:
-                self._start(nxt)
+            self._start(self._pending.popleft())
         on_complete = pkt.on_complete
         if on_complete is not None:
             on_complete(pkt)
@@ -506,8 +500,8 @@ class HostPath:
     path) into the memory bus."""
 
     def __init__(self, engine: Engine, caches: List[Cache], membus: MemBus,
-                 injectors: int, lsq_depth: int, think_time: int,
-                 host_path_lat: int, stats, ticks_per_cycle: float):
+                 injectors: int, lsq_depth: int, host_path_lat: int, stats,
+                 ticks_per_cycle: float):
         self.membus = membus
         self.hierarchy = CacheHierarchy(
             engine, caches, membus, host_path_lat, stats,
@@ -523,6 +517,6 @@ class HostPath:
         self.completed = 0
         self.window: Dict[int, int] = {}
         self.injectors = [
-            Injector(engine, i, lsq_depth, think_time, self, ticks_per_cycle)
+            Injector(engine, i, lsq_depth, self, ticks_per_cycle)
             for i in range(injectors)
         ]

@@ -674,6 +674,9 @@ class TestCli:
         ({"devices": [dict(preset("cxl-ssd")["devices"][0],
                            cache={"enabled": True, "capacity_kb": 1024})]},
          "config.devices[0].cache.policy"),
+        # the model has no think time
+        ({"host": {"injectors": {"think_time_ns": 2.0}}},
+         "config.host.injectors.think_time_ns"),
     ])
     def test_run_rejects_bad_field_with_exit_2(self, tmp_path, capsys,
                                                overlay, field):

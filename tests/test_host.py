@@ -492,14 +492,13 @@ def test_lsq_capacity_one_blocks_second_issue():
     assert done[1] == 2 * done[0]   # second fully serialized behind first
 
 
-def run_batch(batch, lsq_depth, think_time_ns, outside_at, streamed):
+def run_batch(batch, lsq_depth, outside_at, streamed):
     """Issue `batch`, a list of (write, cacheable, line), to one injector
     at once, by one `issue` call each or as one stream, and issue one
     more request to that injector when the `outside_at`-th completion
     comes; returns each request's (id, completion tick) and the
     flattened stats."""
     system = build(patched_preset("cxl-dmsim-a", {
-        "host": {"injectors": {"think_time_ns": think_time_ns}},
         "workload": {"kind": "kv_proxy", "lsq_depth": lsq_depth}}))
     injector = system.host.injectors[0]
     base = system.devices[0].bar.base
@@ -528,15 +527,13 @@ def run_batch(batch, lsq_depth, think_time_ns, outside_at, streamed):
 @given(batch=st.lists(st.tuples(st.booleans(), st.booleans(),
                                 st.integers(0, 255)), max_size=300),
        lsq_depth=st.integers(1, 8),
-       think_time_ns=st.sampled_from([0, 0.5, 3, 40]),
        data=st.data())
-def test_a_stream_issues_as_eager_issue_calls_do(batch, lsq_depth,
-                                                 think_time_ns, data):
+def test_a_stream_issues_as_eager_issue_calls_do(batch, lsq_depth, data):
     # Same ids, ticks and counts, lsqFullEvents among them, also when a
     # request from outside the stream comes while some of it is unissued
     # (outside_at 0: none comes).
     outside_at = data.draw(st.integers(0, len(batch)), label="outside_at")
-    args = (batch, lsq_depth, think_time_ns, outside_at)
+    args = (batch, lsq_depth, outside_at)
     assert run_batch(*args, streamed=True) == run_batch(*args, streamed=False)
 
 

@@ -122,10 +122,10 @@ def test_request_path_calls_no_builtin_extreme_and_few_functions(
 SETUP_CASES = {
     "stream": ("cxl-dmsim-a", {"workload": {
         "kind": "stream", "kernel": "triad", "groups": 300,
-        "warm_groups": 30, "placement": "hdm"}}, 193),
+        "warm_groups": 30, "placement": "hdm"}}, 192),
     "latency_sweep": ("cxl-dmsim-a", {"workload": {
         "kind": "latency_sweep", "array_kb": [16, 16384], "samples": 2000,
-        "placement": "hdm"}}, 162),
+        "placement": "hdm"}}, 161),
 }
 
 

@@ -95,7 +95,6 @@ def configs(draw, base: str, kind: str) -> dict:
     patch = {
         "seed": draw(st.integers(0, 2**32)),
         "host": {"host_path_lat_ns": min(hits + draw(ns), 1e9),
-                 "injectors": {"think_time_ns": draw(ns)},
                  "local_medium": {**draw(_ddr()), "access_lat_ns": draw(ns)}},
         "workload": draw(_workload(kind, bool(cfg["devices"]))),
     }
@@ -188,12 +187,11 @@ def _mixed_run(cfg: dict, seed: int, event_path: bool):
 
 
 @settings(max_examples=10, derandomize=True, database=None, deadline=None)
-@given(seed=st.integers(0, 2**32), think_ns=st.sampled_from([0.0, 3.0]))
-def test_mixed_issues_match_event_path(seed, think_ns):
+@given(seed=st.integers(0, 2**32))
+def test_mixed_issues_match_event_path(seed):
     # No workload mixes uncacheable requests with cacheable ones, so only
     # here does an uncacheable request start beside a write-back.
     cfg = patched_preset("cxl-dmsim-a", {"host": {
-        "injectors": {"think_time_ns": think_ns},
         "caches": {name: {"capacity_kb": kb, "assoc": 2} for name, kb in
                    (("l1", 1), ("l2", 2), ("l3", 4))}}})
     done, stats, events = _mixed_run(cfg, seed, False)

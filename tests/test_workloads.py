@@ -606,6 +606,8 @@ def at_bounds(node):
             value = 1e-3
         elif key == "hit_latency_ns":      # three lookups fit host_path_lat
             value = 1e9 / 3
+        elif key == "think_time_ns":   # 0 is its only valid value: its bound
+            value = 0
         elif key.endswith("_ns"):
             value = 1e9
         elif key.endswith("_us"):
