@@ -61,7 +61,6 @@ arrival instead, as on the event path.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .engine import Engine
 from .host import LINE_BYTES, MemCmd, MemPacket
@@ -72,21 +71,26 @@ class CxlKind:
     M2S_RWD = "M2SRwD"    # write request with 64B payload
 
 
-@dataclass(slots=True)
 class CxlMemPacket:
-    kind: CxlKind
-    # The host request's id.  No simulator code reads it (the bridge
-    # completes `request`); perfbench's tracer reads it to sample spans.
-    id: int
-    addr: int
-    # The converting bridge's handler for the device's answer, answer(pkt),
-    # and the host request that the converted answer completes.
-    answer: object
-    request: MemPacket
-    # Set by a device with an SSD medium: the tick the request reaches it
-    # and the handler that answers it, reply(pkt).
-    arrival: int = 0
-    reply: object = None
+    """A CXL request.  `id` is the host request's; no simulator code reads
+    it (the bridge completes `request`), perfbench's tracer reads it to
+    sample spans.  `answer(pkt)` is the converting bridge's handler for the
+    device's answer and `request` the host request that the converted
+    answer completes.  A device with an SSD medium sets `arrival`, the tick
+    the request reaches it, and `reply(pkt)`, the handler that answers it."""
+
+    __slots__ = ("kind", "id", "addr", "answer", "request", "arrival",
+                 "reply")
+
+    def __init__(self, kind: CxlKind, id: int, addr: int, answer: object,
+                 request: MemPacket, arrival: int = 0, reply: object = None):
+        self.kind = kind
+        self.id = id
+        self.addr = addr
+        self.answer = answer
+        self.request = request
+        self.arrival = arrival
+        self.reply = reply
 
 
 # A host read becomes a header-only request, a write a request with data.

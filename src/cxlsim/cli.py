@@ -3,7 +3,9 @@
 Every output file is written atomically (temp file + rename) so an
 interrupted run never leaves a truncated report behind.  Sweep points are
 independent simulations and run in parallel worker processes, capped by
-the CXLSIM_THREADS environment variable.
+the CXLSIM_THREADS environment variable.  The pool's module,
+multiprocessing, is imported only when a sweep runs more than one worker,
+so a run or a one-worker sweep never loads it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import csv
 import functools
 import io
 import json
-import multiprocessing
 import os
 import sys
 import tempfile
@@ -154,10 +155,13 @@ def _threads() -> int:
     env = os.environ.get("CXLSIM_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
-            raise ConfigError(
-                f"CXLSIM_THREADS: expected an integer, got {env!r}") from None
+            threads = 0
+        if threads < 1:
+            raise ConfigError("CXLSIM_THREADS: expected a positive integer, "
+                              f"got {env!r}")
+        return threads
     return min(4, os.cpu_count() or 1)
 
 
@@ -179,10 +183,11 @@ def cmd_sweep(args) -> int:
         cfg["label"] = f"{label}@{args.param}={value}"
         jobs.append((json.dumps(cfg, sort_keys=True),
                      os.path.join(args.out, f"point_{i:03d}_{value}")))
+    threads = min(_threads(), len(jobs))
     os.makedirs(args.out, exist_ok=True)
 
-    threads = min(_threads(), len(jobs))
     if threads > 1:
+        import multiprocessing
         with multiprocessing.Pool(threads) as pool:
             summaries = pool.map(_sweep_worker, jobs)
     else:

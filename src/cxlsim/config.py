@@ -26,7 +26,6 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Dict, List
 
@@ -67,16 +66,16 @@ class ConfigError(ValueError):
 REQUIRED = object()
 
 
-@dataclass(frozen=True)
 class Tagged:
-    tag: str
-    kinds: Dict[str, dict]
+    def __init__(self, tag: str, kinds: Dict[str, dict]):
+        self.tag = tag
+        self.kinds = kinds
 
 
-@dataclass(frozen=True)
 class Opt:
-    entry: object
-    default: object = None
+    def __init__(self, entry: object, default: object = None):
+        self.entry = entry
+        self.default = default
 
 
 _POS = lambda v: v > 0

@@ -15,7 +15,6 @@ cannot hold the demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import List
 
@@ -47,12 +46,12 @@ class NodeState(Enum):
     BUSY = "BUSY"
 
 
-@dataclass
 class HdmAllocNode:
-    pid: int
-    state: NodeState
-    size: int
-    offset: int
+    def __init__(self, pid: int, state: NodeState, size: int, offset: int):
+        self.pid = pid
+        self.state = state
+        self.size = size
+        self.offset = offset
 
 
 class HdmAllocator:

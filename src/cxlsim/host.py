@@ -49,6 +49,8 @@ the next handler and the packet, so no closure is built per hop.
 Packets are built with positional arguments: a keyword call to a class
 makes CPython gather the keywords into a dict for `__init__`, which
 roughly doubles the cost of each request, fill and write-back packet.
+The records built or read per request, MemPacket, AddressRange and the
+bridge's CxlMemPacket, are `__slots__` classes with such constructors.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ import itertools
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .engine import Engine
@@ -107,11 +108,17 @@ class MemPacket:
         self.cacheable = cacheable
 
 
-@dataclass(frozen=True)
 class AddressRange:
-    base: int
-    limit: int          # exclusive
-    device: Optional[object] = None     # behind the bridge; None: local
+    """Physical addresses [base, limit), of `device` behind the bridge or,
+    when it is None, of local memory."""
+
+    __slots__ = ("base", "limit", "device")
+
+    def __init__(self, base: int, limit: int,
+                 device: Optional[object] = None):
+        self.base = base
+        self.limit = limit
+        self.device = device
 
 
 class AddressMap:

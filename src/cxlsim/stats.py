@@ -25,9 +25,8 @@ import hashlib
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 
 class StatError(KeyError):
@@ -180,16 +179,19 @@ class StatsRegistry:
         return dict(sorted(out.items()))
 
 
-@dataclass
 class RunReport:
     """Immutable end-of-run report; identical (config, seed) runs must
     serialize byte-identically."""
 
-    config_digest: str
-    seed: int
-    stats: Dict[str, float]
-    workload: Dict[str, object] = field(default_factory=dict)
-    schema: str = REPORT_SCHEMA
+    def __init__(self, config_digest: str, seed: int,
+                 stats: Dict[str, float],
+                 workload: Optional[Dict[str, object]] = None,
+                 schema: str = REPORT_SCHEMA):
+        self.config_digest = config_digest
+        self.seed = seed
+        self.stats = stats
+        self.workload = {} if workload is None else workload
+        self.schema = schema
 
     def to_json(self) -> str:
         payload = {

@@ -14,7 +14,6 @@ first device's HDM allocator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .engine import Engine
@@ -25,20 +24,23 @@ from .device import MemExpander
 from .hdm import HdmAllocator, PlacementError
 
 
-@dataclass
 class System:
-    engine: Engine
-    stats: StatsRegistry
-    membus: MemBus
-    host: HostPath
-    bridge: Optional[CxlBridge]
-    devices: List[MemExpander]
-    # NUMA node i's page addresses that no placement has taken yet; node i
-    # is the i-th carved range of the physical map.
-    free_pages: List[range]
-    # Device 0's app-managed allocator; None when there is no device.
-    hdm_allocator: Optional[HdmAllocator]
-    seed: int
+    def __init__(self, engine: Engine, stats: StatsRegistry, membus: MemBus,
+                 host: HostPath, bridge: Optional[CxlBridge],
+                 devices: List[MemExpander], free_pages: List[range],
+                 hdm_allocator: Optional[HdmAllocator], seed: int):
+        self.engine = engine
+        self.stats = stats
+        self.membus = membus
+        self.host = host
+        self.bridge = bridge
+        self.devices = devices
+        # NUMA node i's page addresses that no placement has taken yet;
+        # node i is the i-th carved range of the physical map.
+        self.free_pages = free_pages
+        # Device 0's app-managed allocator; None when there is no device.
+        self.hdm_allocator = hdm_allocator
+        self.seed = seed
 
     def nodes(self, placement: Optional[str]) -> Tuple[int, ...]:
         """The NUMA nodes `placement` deals pages over: node 0 for local,

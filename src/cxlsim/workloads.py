@@ -46,7 +46,6 @@ import itertools
 import math
 import random
 import zlib
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Dict, List, NamedTuple, Optional
 
@@ -60,8 +59,7 @@ KB = 1024
 MB = 1024 * KB
 
 
-@dataclass
-class WorkloadResult:
+class WorkloadResult(NamedTuple):
     columns: List[str]
     rows: List[tuple]
     summary: dict

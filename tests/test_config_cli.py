@@ -779,15 +779,17 @@ class TestCli:
         assert rc == 2
         assert "devices[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["x", "0", "-2"])
     def test_sweep_bad_thread_count_exits_2(self, tmp_path, capsys,
-                                            monkeypatch):
-        monkeypatch.setenv("CXLSIM_THREADS", "x")
+                                            monkeypatch, threads):
+        monkeypatch.setenv("CXLSIM_THREADS", threads)
         cfg = write_cfg(tmp_path, TINY_WORKLOAD)
         rc = cli.main(["sweep", "--preset", "local-ddr", "--config", cfg,
                        "--param", "seed", "--grid", "1,2",
                        "--out", str(tmp_path / "s")])
         assert rc == 2
         assert "CXLSIM_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_sweep_validates_every_point_before_running(self, tmp_path,
                                                          capsys):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+import copy
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -209,8 +209,10 @@ def node_range(node, pages):
 
 def small_numa_system(node_pages):
     """A system whose NUMA node i holds only `node_pages[i]` pages."""
-    return replace(ASIC_SYSTEM, free_pages=[
-        node_range(i, pages) for i, pages in enumerate(node_pages)])
+    system = copy.copy(ASIC_SYSTEM)
+    system.free_pages = [node_range(i, pages)
+                         for i, pages in enumerate(node_pages)]
+    return system
 
 
 class TestKmPlace:

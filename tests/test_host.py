@@ -1,7 +1,6 @@
 import copy
 import gc
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -294,7 +293,8 @@ ASIC_SYSTEM = build(preset("cxl-dmsim-a"))
 def test_install_pages_matches_per_line_install(num_sets, assoc, kernel,
                                                 interleave, data):
     capacity = num_sets * assoc * LINE_BYTES     # often not whole pages
-    system = replace(ASIC_SYSTEM, free_pages=list(ASIC_SYSTEM.free_pages))
+    system = copy.copy(ASIC_SYSTEM)
+    system.free_pages = list(ASIC_SYSTEM.free_pages)
     nodes = (0, 1) if interleave else (data.draw(st.sampled_from([0, 1])),)
     system.place_pages(data.draw(st.integers(0, 3)), nodes)
     pages = system.place_pages(-(-capacity // PAGE_BYTES), nodes)

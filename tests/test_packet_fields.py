@@ -13,7 +13,6 @@ ALLOWED names the reader outside src/ that it is kept for.
 """
 
 import ast
-import dataclasses
 from pathlib import Path
 
 import cxlsim
@@ -38,8 +37,7 @@ def parsed(src: Path = SRC):
 
 
 def packet_fields():
-    return (set(MemPacket.__slots__)
-            | {field.name for field in dataclasses.fields(CxlMemPacket)})
+    return set(MemPacket.__slots__) | set(CxlMemPacket.__slots__)
 
 
 def attributes_read(trees):
