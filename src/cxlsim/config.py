@@ -31,8 +31,8 @@ from typing import Callable, Dict, List
 
 from .engine import TICKS_PER_NS, Engine, ns_to_ticks
 from .stats import StatsRegistry
-from .host import (LINE_BYTES, AddressFault, AddressMap, Cache, HostPath,
-                   LocalMemory, MemBus)
+from .host import (LINE_BYTES, AddressFault, AddressMap, Cache,
+                   CacheHierarchy, LocalMemory, MemBus)
 from .bridge import CxlBridge
 from .device import MemExpander, enumerate_expander
 from .media import CoarseDram, QueuedDdr
@@ -211,7 +211,9 @@ SCHEMA = {
                        f"unsupported version, must be {SCHEMA_VERSION}",
                        REQUIRED),
     "label": (str, None, "", "run"),
-    "seed": _warm(REQUIRED),
+    # Each point's sub-seed is 32-bit, so a larger seed would alias one.
+    "seed": (int, lambda v: 0 <= v < 1 << 32, "must lie in [0, 2**32)",
+             REQUIRED),
     "host": {
         "core_freq_ghz": (NUM, lambda v: 0 < v <= TICKS_PER_NS,
                           f"must lie in (0, {TICKS_PER_NS}]: a core cycle of "
@@ -613,9 +615,10 @@ def build_system(c: SimpleNamespace) -> System:
     caches = [Cache(name, lvl.capacity_kb * KB, lvl.assoc,
                     ns_to_ticks(lvl.hit_latency_ns), stats)
               for name, lvl in vars(hostc.caches).items()]
-    host = HostPath(engine, caches, membus, c.workload.injectors,
-                    c.workload.lsq_depth, ns_to_ticks(hostc.host_path_lat_ns),
-                    stats, 1000.0 / hostc.core_freq_ghz)
+    host = CacheHierarchy(engine, caches, membus, c.workload.injectors,
+                          c.workload.lsq_depth,
+                          ns_to_ticks(hostc.host_path_lat_ns), stats,
+                          1000.0 / hostc.core_freq_ghz)
     return System(engine=engine, stats=stats, membus=membus, host=host,
                   bridge=bridge, devices=devices,
                   free_pages=[range(rng.base, rng.limit, PAGE_BYTES)

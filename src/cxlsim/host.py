@@ -4,7 +4,8 @@ Synthetic cores ("injectors") issue 64B loads and stores through a shared
 three-level set-associative write-back hierarchy (LRU within set,
 write-allocate, MSHR-style miss coalescing).  Below the last level a
 memory bus routes packets by physical address range either to local DRAM
-or to the CXL bridge.
+or to the CXL bridge.  The hierarchy is the host: it builds the
+injectors and holds the counts they share.
 
 Latency budget: host_path_lat is the single calibration constant for the
 host side.  A full miss, cacheable or not, reaches the memory bus
@@ -290,11 +291,14 @@ class LocalMemory:
 
 
 class CacheHierarchy:
-    """Shared L1/L2/L3 with a single MSHR table below the last level; the
-    one place that splits host_path_lat into lookups and bus."""
+    """The host: injectors feeding a shared L1/L2/L3, with a single MSHR
+    table below the last level, or the uncacheable fast path, into the
+    memory bus; the one place that splits host_path_lat into lookups and
+    bus.  It holds the counts all injectors share."""
 
     def __init__(self, engine: Engine, levels: List[Cache], membus: MemBus,
-                 host_path_lat: int, stats, alone: bool = False):
+                 injectors: int, lsq_depth: int, host_path_lat: int, stats,
+                 ticks_per_cycle: float):
         # _hit_lats[k]: issue to a hit at level k; [-1]: all lookups.
         self._hit_lats = list(itertools.accumulate(
             c.hit_latency for c in levels))
@@ -303,16 +307,30 @@ class CacheHierarchy:
         self.membus = membus
         self.host_path_lat = host_path_lat
         self.membus_lat = host_path_lat - self._hit_lats[-1]
-        # The host's only injector has one LSQ slot: its fetches, and its
+        self.ticks_per_cycle = ticks_per_cycle
+        # The only injector has one LSQ slot: its fetches, and its
         # uncacheable requests, go alone on an idle engine (see the module
         # docstring).
-        self.alone = alone
+        self.alone = injectors == 1 and lsq_depth == 1
         self._mshrs: Dict[int, list] = {}
         self._pkt_ids = itertools.count(1 << 48)  # fill/writeback id space
         stats.counters(self, {"membus.writebacksInFlight": "wb_in_flight",
                               "membus.writebacksInFlight::max": "wb_peak",
-                              "l3.mshrMerges": "mshr_merges"})
+                              "l3.mshrMerges": "mshr_merges",
+                              "core.lsqFullEvents": "lsq_full",
+                              "core.outstandingRequests": "outstanding",
+                              "core.outstandingRequests::max":
+                                  "outstanding_peak"})
         self._miss_lat = stats.histogram("l3.overallAvgMissLat")
+        self.load_to_use = stats.histogram(
+            "core.loadToUse", edges=(0, 10, 100, 1000, 10000, 100000))
+        # The measure window: requests completed, and {count: tick} for
+        # the completions whose tick workloads.run reads, stamped by
+        # Injector._finish.
+        self.completed = 0
+        self.window: Dict[int, int] = {}
+        self.injectors = [Injector(engine, i, lsq_depth, self)
+                          for i in range(injectors)]
 
     def access(self, pkt: MemPacket,
                reply: Callable[[MemPacket], None]) -> None:
@@ -417,17 +435,13 @@ class Injector:
     """
 
     def __init__(self, engine: Engine, inj_id: int, lsq_depth: int,
-                 host: "HostPath", ticks_per_cycle: float):
+                 host: CacheHierarchy):
         self.engine = engine
         self.lsq_depth = lsq_depth
         self._host = host
-        self._hierarchy = host.hierarchy
-        self._membus = host.membus
         self._in_flight = 0
         self._pending: deque = deque()
         self._stream: Optional[Iterator] = None     # see issue_stream
-        self._load_to_use = host.load_to_use
-        self._ticks_per_cycle = ticks_per_cycle
         self._ids = itertools.count(inj_id << 32)
 
     def issue(self, cmd: MemCmd, addr: int, cacheable: bool = True,
@@ -465,14 +479,13 @@ class Injector:
         none completes inside the dispatch (a hit or a reply is an
         event)."""
         pkt.issue_tick = self.engine.now
-        if pkt.cacheable:
-            self._hierarchy.access(pkt, self._finish)
-        else:
-            hierarchy = self._hierarchy
-            self._membus.send(pkt, hierarchy.host_path_lat, self._finish,
-                              hierarchy.alone and not self.engine.queue)
-        self._in_flight += 1
         host = self._host
+        if pkt.cacheable:
+            host.access(pkt, self._finish)
+        else:
+            host.membus.send(pkt, host.host_path_lat, self._finish,
+                             host.alone and not self.engine.queue)
+        self._in_flight += 1
         host.outstanding += 1
         if host.outstanding > host.outstanding_peak:
             host.outstanding_peak = host.outstanding
@@ -485,8 +498,8 @@ class Injector:
         if done in host.window:
             host.window[done] = self.engine.now
         if pkt.cmd is MemCmd.READ_REQ:
-            self._load_to_use.record(
-                (self.engine.now - pkt.issue_tick) / self._ticks_per_cycle)
+            host.load_to_use.record(
+                (self.engine.now - pkt.issue_tick) / host.ticks_per_cycle)
         if self._pending and self._in_flight < self.lsq_depth:
             stream = self._stream
             if stream is not None:
@@ -500,30 +513,3 @@ class Injector:
         on_complete = pkt.on_complete
         if on_complete is not None:
             on_complete(pkt)
-
-
-class HostPath:
-    """Assembled host: injectors feeding caches (or the uncacheable fast
-    path) into the memory bus."""
-
-    def __init__(self, engine: Engine, caches: List[Cache], membus: MemBus,
-                 injectors: int, lsq_depth: int, host_path_lat: int, stats,
-                 ticks_per_cycle: float):
-        self.membus = membus
-        self.hierarchy = CacheHierarchy(
-            engine, caches, membus, host_path_lat, stats,
-            alone=injectors == 1 and lsq_depth == 1)
-        self.load_to_use = stats.histogram(
-            "core.loadToUse", edges=(0, 10, 100, 1000, 10000, 100000))
-        stats.counters(self, {
-            "core.lsqFullEvents": "lsq_full",
-            "core.outstandingRequests": "outstanding",
-            "core.outstandingRequests::max": "outstanding_peak"})
-        # The measure window: requests completed, and {count: tick} for
-        # the completions whose tick workloads.run reads, stamped by _finish.
-        self.completed = 0
-        self.window: Dict[int, int] = {}
-        self.injectors = [
-            Injector(engine, i, lsq_depth, self, ticks_per_cycle)
-            for i in range(injectors)
-        ]

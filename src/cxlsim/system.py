@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .engine import Engine
 from .stats import StatsRegistry
-from .host import HostPath, MemBus
+from .host import CacheHierarchy, MemBus
 from .bridge import CxlBridge
 from .device import MemExpander
 from .hdm import HdmAllocator, PlacementError
@@ -26,7 +26,7 @@ from .hdm import HdmAllocator, PlacementError
 
 class System:
     def __init__(self, engine: Engine, stats: StatsRegistry, membus: MemBus,
-                 host: HostPath, bridge: Optional[CxlBridge],
+                 host: CacheHierarchy, bridge: Optional[CxlBridge],
                  devices: List[MemExpander], free_pages: List[range],
                  hdm_allocator: Optional[HdmAllocator], seed: int):
         self.engine = engine

@@ -30,7 +30,7 @@ runner builds the system (a fresh one per rdwr_sweep point, one that the
 points of any other kind share), seeds each point from the system's seed,
 the kind's tag and the point, runs the engine to quiesce once per point
 and reads the window from the host, which stamps the tick of the two
-completions as they happen (HostPath.window).
+completions as they happen (CacheHierarchy.window).
 
 Every point owns a seeded random.Random, so runs are deterministic for a
 given (config, seed) pair; the chase cycle, the DLRM lookups, the rdwr
@@ -204,7 +204,7 @@ def _latency_point(system: System, params: SimpleNamespace, seed: int,
     # matters for arrays that fit some cache level.  Such an array is
     # walked `samples` steps from cold, so only that many distinct
     # lines are drawn (a partial Fisher-Yates) instead of a full cycle.
-    if size <= system.host.hierarchy.levels[-1].capacity:
+    if size <= system.host.levels[-1].capacity:
         warm = lines
         order = build_chase_cycle(lines, rng)
     else:
@@ -247,7 +247,7 @@ def _stream_ops(injector, groups: range, ops):
 def _stream_point(system: System, params: SimpleNamespace, _seed: int):
     """`params.groups` 64B line groups, the first `warm_groups` of them
     outside the measure window."""
-    llc = system.host.hierarchy.levels[-1]
+    llc = system.host.levels[-1]
     reads, writes = STREAM_KERNELS[params.kernel]
     arrays = {name: _PagedRegion(system, params.array_mb * MB,
                                  params.placement)

@@ -395,7 +395,7 @@ def test_each_request_reaches_the_device_whose_window_holds_it(injectors,
         "devices": devices,
         "workload": {"kind": "dlrm_proxy", "injectors": injectors,
                      "lsq_depth": lsq_depth, "placement": "hdm"}}))
-    assert system.host.hierarchy.alone == (lsq_depth == 1)
+    assert system.host.alone == (lsq_depth == 1)
     rnd = random.Random(5)
     requests = []           # (injector, write, cacheable, device, addr)
     for d, device in enumerate(system.devices):
@@ -421,7 +421,7 @@ def test_each_request_reaches_the_device_whose_window_holds_it(injectors,
                  + len({a for _, _, c, _, a in mine if c}))
         writes = sum(1 for _, w, c, _, _ in mine if w and not c)
         assert (device.reads, device.writes) == (reads, writes)
-    assert system.host.hierarchy.wb_peak == 0
+    assert system.host.wb_peak == 0
     # The first line past a window, below the next window's base.
     (gap,) = [lo.bar.base + lo.bar.size for lo, hi in
               zip(system.devices, system.devices[1:])

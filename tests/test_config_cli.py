@@ -245,6 +245,16 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["seed"] == 99
 
+    def test_seed_flag_past_32_bits_exits_2(self, tmp_path, capsys):
+        # 2**32 + 7 would otherwise run exactly as seed 7.
+        cfg = write_cfg(tmp_path, TINY_WORKLOAD)
+        rc = cli.main(["run", "--preset", "local-ddr", "--config", cfg,
+                       "--out", str(tmp_path / "o"), "--seed", "4294967303"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config.seed: must lie in [0, 2**32)" in err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     @pytest.mark.parametrize("preset_name", [None, "local-ddr"])
     def test_run_walks_the_schema_once(self, tmp_path, monkeypatch,
                                        preset_name):
@@ -677,6 +687,8 @@ class TestCli:
         # the model has no think time
         ({"host": {"injectors": {"think_time_ns": 2.0}}},
          "config.host.injectors.think_time_ns"),
+        # the sub-seeds are 32-bit: 2**32 would run as seed 0
+        ({"seed": 4294967296}, "config.seed"),
     ])
     def test_run_rejects_bad_field_with_exit_2(self, tmp_path, capsys,
                                                overlay, field):

@@ -220,7 +220,7 @@ def test_dict_sets_match_list_lru_reference(shapes, seed):
     caches = [Cache(f"l{k + 1}", sets * ways * LINE_BYTES, ways, 1000, stats)
               for k, (sets, ways) in enumerate(shapes)]
     bus = ImmediateBus(engine)
-    hierarchy = CacheHierarchy(engine, caches, bus, 10_000, stats)
+    hierarchy = CacheHierarchy(engine, caches, bus, 1, 8, 10_000, stats, 400.0)
     ref = ListHierarchy([ListLru(sets, ways) for sets, ways in shapes])
     span = rnd.randint(1, 3 * sum(sets * ways for sets, ways in shapes))
     done = []
@@ -259,7 +259,7 @@ def test_cache_sets_stay_untracked_by_the_collector():
     cfg = merge_config(preset("cxl-dmsim-a"), {"workload": {
         "kind": "stream", "kernel": "triad", "groups": 300,
         "warm_groups": 30, "placement": "hdm"}})
-    levels = run_workload(check_config(cfg)).system.host.hierarchy.levels
+    levels = run_workload(check_config(cfg)).system.host.levels
     for level in levels:
         assert any(level._sets)
         assert not any(gc.is_tracked(cset) for cset in level._sets), level.name
@@ -421,7 +421,7 @@ def run_trace(preset_name, caches, injectors, lsq_depth, trace,
         "workload": {"kind": "dlrm_proxy", "injectors": injectors,
                      "lsq_depth": lsq_depth}}))
     if staggered:   # same state and stats, the old access path
-        system.host.hierarchy.__class__ = StaggeredHierarchy
+        system.host.__class__ = StaggeredHierarchy
     base = system.devices[0].bar.base if system.devices else 0
     done = {}
 
@@ -435,7 +435,7 @@ def run_trace(preset_name, caches, injectors, lsq_depth, trace,
         system.engine.schedule(tick, lambda a: issue(*a), (inj, write, line))
     system.engine.run()
     return (sorted(done.items()), system.stats.flatten(),
-            [cache_contents(c) for c in system.host.hierarchy.levels])
+            [cache_contents(c) for c in system.host.levels])
 
 
 def tiny_caches(draw):
@@ -578,7 +578,7 @@ def test_idle_miss_fires_three_events_and_a_hit_one(level):
         system = build(patched_preset("cxl-dmsim-a", {
             "workload": {"lsq_depth": lsq_depth}}))
         engine, inj = system.engine, system.host.injectors[0]
-        levels = system.host.hierarchy.levels
+        levels = system.host.levels
         line = system.devices[0].bar.base // LINE_BYTES
 
         def read():

@@ -117,7 +117,7 @@ def check_identities(system, counts):
     """Each derived stat of a drained `system` equals its outside count,
     and nothing is left in flight or waiting anywhere."""
     flat = system.stats.flatten()
-    hierarchy = system.host.hierarchy
+    hierarchy = system.host
     assert not hierarchy._mshrs and hierarchy.wb_in_flight == 0
     assert flat["core.outstandingRequests"] == 0
     for injector in system.host.injectors:

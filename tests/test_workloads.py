@@ -648,8 +648,8 @@ def test_a_run_leaves_no_cyclic_garbage_but_the_host(name):
     # Each part is given its peers when it is built, and none points back
     # at what holds it: the bridge holds its devices, and each request
     # carries the bridge's handler for the device's answer.  The one
-    # cycle left, HostPath.injectors <-> Injector._host, still holds the
-    # whole system after a run, so that a run's teardown stays outside
+    # cycle left, CacheHierarchy.injectors <-> Injector._host, still holds
+    # the whole system after a run, so that a run's teardown stays outside
     # the benchmark's timed call; it is cut here by hand.
     workload = ({"kind": "kv_proxy", "ops": 300, "warm_ops": 30,
                  "footprint_mb": 1} if name == "cxl-ssd" else
